@@ -14,18 +14,15 @@ Core pieces:
 __version__ = "0.1.0"
 
 from .basis import (
-    MonomialBasis,
-    MultiIndex,
     basis_size,
     compose_power_truncate,
-    enumerate_monomials,
     kron_power,
     kron_power_jacobian,
     lift_linear,
+    position,
 )
 from .maps import (
     SymplecticResidual,
-    SymplecticStructure,
     TaylorMap,
     compose,
     identity_map,
@@ -77,16 +74,13 @@ from .lattice import (
 
 __all__ = [
     "__version__",
-    "MonomialBasis",
-    "MultiIndex",
     "basis_size",
     "compose_power_truncate",
-    "enumerate_monomials",
     "kron_power",
     "kron_power_jacobian",
     "lift_linear",
+    "position",
     "SymplecticResidual",
-    "SymplecticStructure",
     "TaylorMap",
     "compose",
     "identity_map",

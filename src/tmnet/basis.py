@@ -17,59 +17,20 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "MultiIndex",
-    "MonomialBasis",
     "basis_size",
-    "enumerate_monomials",
+    "position",
     "kron_power",
     "kron_power_jacobian",
     "lift_linear",
     "compose_power_truncate",
     "map_powers",
+    "substitute",
 ]
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """Exponent tuple of a single monomial."""
-
-    exponents: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.exponents) == 0:
-            raise ValueError("empty exponent tuple")
-        if any(e < 0 for e in self.exponents):
-            raise ValueError(f"negative exponent in {self.exponents}")
-
-    @property
-    def degree(self) -> int:
-        return int(sum(self.exponents))
-
-
-@dataclass(frozen=True)
-class MonomialBasis:
-    """Ordered, duplicate-free monomial basis of one exact degree."""
-
-    dim: int
-    degree: int
-    indices: tuple[MultiIndex, ...]
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def exponent_rows(self) -> np.ndarray:
-        """Exponents as an integer matrix of shape (len(self), dim)."""
-        return exponent_matrix(self.dim, self.degree)
-
-    def position(self, exponents: tuple[int, ...]) -> int:
-        """Index of a monomial inside this basis."""
-        return _position_table(self.dim, self.degree)[tuple(exponents)]
 
 
 def basis_size(n: int, d: int) -> int:
@@ -104,48 +65,35 @@ def _position_table(n: int, d: int) -> dict[tuple[int, ...], int]:
     return {tuple(int(e) for e in row): r for r, row in enumerate(rows)}
 
 
-def enumerate_monomials(n: int, d: int) -> MonomialBasis:
-    """The degree-d monomial basis over n variables."""
-    rows = exponent_matrix(n, d)
-    indices = tuple(MultiIndex(tuple(int(e) for e in row)) for row in rows)
-    return MonomialBasis(dim=n, degree=d, indices=indices)
-
-
-def _as_state(X, n: int | None = None) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 1:
-        raise ValueError(f"state must be a 1-d vector, got shape {X.shape}")
-    if n is not None and X.shape[0] != n:
-        raise ValueError(f"state has dimension {X.shape[0]}, expected {n}")
-    return X
+def position(n: int, d: int, exponents) -> int:
+    """Index of the monomial with the given exponents in the degree-d basis
+    over n variables; KeyError if the exponents are not of degree d."""
+    return _position_table(n, d)[tuple(exponents)]
 
 
 def kron_power(X, d: int) -> np.ndarray:
     """Reduced Kronecker power X^[d]: all degree-d monomials of X.
 
-    X^[0] is the single entry 1; X^[1] is X itself.
+    X is one state of shape (n,) or a batch of shape (..., n); the monomials
+    run along the last axis.  X^[0] is the single entry 1; X^[1] is X itself.
     """
-    X = _as_state(X)
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 0:
+        raise ValueError("state must have at least one axis")
     if d == 0:
-        return np.ones(1)
-    E = exponent_matrix(X.shape[0], d)
-    return np.prod(X[None, :] ** E, axis=1)
+        return np.ones(X.shape[:-1] + (1,))
+    return np.prod(X[..., None, :] ** exponent_matrix(X.shape[-1], d), axis=-1)
 
 
 @lru_cache(maxsize=None)
 def _jacobian_tables(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Tables for d(X^[d])/dX: coefficient E[j,i] and the index of the
-    degree-(d-1) monomial obtained by lowering exponent i of row j."""
-    E = exponent_matrix(n, d)
-    lower = _position_table(n, d - 1)
-    idx = np.zeros_like(E)
-    for j, row in enumerate(E):
-        for i in range(n):
-            if row[i] > 0:
-                reduced = [int(e) for e in row]
-                reduced[i] -= 1
-                idx[j, i] = lower[tuple(reduced)]
-    coef = E.astype(float)
+    degree-(d-1) monomial obtained by lowering exponent i of row j (0 where
+    E[j,i] = 0); the inverse of the degree-(d-1) times x_i product table."""
+    raised = _mult_table(n, d - 1, 1)
+    idx = np.zeros((basis_size(n, d), n), dtype=np.int64)
+    idx[raised, np.arange(n)] = np.arange(raised.shape[0])[:, None]
+    coef = exponent_matrix(n, d).astype(float)
     coef.flags.writeable = False
     idx.flags.writeable = False
     return coef, idx
@@ -156,7 +104,9 @@ def kron_power_jacobian(X, d: int, lower_power: np.ndarray | None = None) -> np.
 
     lower_power may supply a precomputed X^[d-1] to avoid recomputation.
     """
-    X = _as_state(X)
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 1:
+        raise ValueError(f"state must be a 1-d vector, got shape {X.shape}")
     if d < 1:
         raise ValueError(f"degree must be >= 1 for a jacobian, got d={d}")
     if d == 1:
@@ -182,43 +132,52 @@ def _mult_table(n: int, a: int, b: int) -> np.ndarray:
     return table
 
 
-def _poly_mul(u: list[np.ndarray], v: list[np.ndarray], n: int, k: int) -> list[np.ndarray]:
-    """Product of two scalar polynomials in coefficient-per-degree form,
-    discarding terms of total degree above k."""
-    out = [np.zeros(basis_size(n, c)) for c in range(k + 1)]
-    for a, ua in enumerate(u):
-        if a > k or ua is None:
-            continue
-        for b, vb in enumerate(v):
-            c = a + b
-            if c > k or vb is None:
-                continue
-            table = _mult_table(n, a, b)
-            out[c] += np.bincount(
-                table.ravel(), weights=np.outer(ua, vb).ravel(), minlength=out[c].shape[0]
-            )
+@lru_cache(maxsize=None)
+def _scatter_matrix(n: int, a: int, b: int) -> np.ndarray:
+    """0/1 matrix T with outer(u, v).ravel() @ T the degree-(a+b) coefficients
+    of the product of a degree-a and a degree-b coefficient vector."""
+    table = _mult_table(n, a, b).ravel()
+    T = np.zeros((table.size, basis_size(n, a + b)))
+    T[np.arange(table.size), table] = 1.0
+    T.flags.writeable = False
+    return T
+
+
+def _series_mul(u, v, n: int, k: int) -> list[np.ndarray]:
+    """Product of two truncated power series in n variables, up to degree k.
+
+    u[a] and v[b] hold degree-a and degree-b coefficients on their last axis;
+    leading axes broadcast.  Each degree pair is one matrix product of the
+    flattened outer coefficients with a cached 0/1 scatter matrix.
+    """
+    lead = np.broadcast_shapes(*(x.shape[:-1] for x in (*u, *v)))
+    out = [np.zeros(lead + (basis_size(n, c),)) for c in range(k + 1)]
+    for a, ua in enumerate(u[: k + 1]):
+        for b, vb in enumerate(v[: k + 1 - a]):
+            outer = ua[..., :, None] * vb[..., None, :]
+            out[a + b] += outer.reshape(outer.shape[:-2] + (-1,)) @ _scatter_matrix(n, a, b)
     return out
 
 
-def _component_polys(blocks: list[np.ndarray], k: int) -> tuple[list[list[np.ndarray]], int, int]:
-    """Split coefficient blocks of a polynomial map into per-component scalar
-    polynomials padded/truncated to degree k."""
-    if len(blocks) < 2:
-        raise ValueError("a polynomial map needs blocks for degrees 0 and 1")
-    blocks = [np.asarray(b, dtype=float) for b in blocks]
-    m = blocks[0].shape[0]
-    n = blocks[1].shape[1]
-    for d, b in enumerate(blocks):
-        if b.shape != (m, basis_size(n, d)):
-            raise ValueError(
-                f"degree-{d} block has shape {b.shape}, expected {(m, basis_size(n, d))}"
-            )
-    comps = []
-    for i in range(m):
-        poly = [blocks[d][i] if d < len(blocks) else None for d in range(k + 1)]
-        poly = [p if p is not None else np.zeros(basis_size(n, d)) for d, p in enumerate(poly)]
-        comps.append(poly)
-    return comps, m, n
+def _series_mul_adjoint(g, v, n: int, k: int) -> list[np.ndarray]:
+    """Adjoint of _series_mul in its first factor: du[a] = d<g, u*v>/du[a]
+    for a = 0..k, where g[c] weights the degree-c coefficients of u*v."""
+    return [
+        sum(
+            (g[a + b][..., _mult_table(n, a, b)] @ vb[..., :, None])[..., 0]
+            for b, vb in enumerate(v[: len(g) - a])
+        )
+        for a in range(k + 1)
+    ]
+
+
+@lru_cache(maxsize=None)
+def _prefix_table(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each degree-d monomial in m variables, in basis order: the
+    position of its degree-(d-1) prefix and its last (highest) variable."""
+    coef, idx = _jacobian_tables(m, d)
+    var = np.array([np.flatnonzero(row)[-1] for row in coef])
+    return idx[np.arange(len(var)), var], var
 
 
 def map_powers(blocks, max_degree: int, k: int) -> dict[int, list[np.ndarray]]:
@@ -229,35 +188,48 @@ def map_powers(blocks, max_degree: int, k: int) -> dict[int, list[np.ndarray]]:
     of arrays A_0..A_k with A_j of shape (basis_size(m, d), basis_size(n, j))
     such that M(X)^[d] = sum_j A_j X^[j] up to the discarded degrees.
 
-    Products share prefixes: the entries of M(X)^[d] are enumerated exactly in
-    basis order of the m-component monomials, each extending a degree-(d-1)
-    product by one component factor.
+    Products share prefixes: each row of M(X)^[d] is a row of M(X)^[d-1]
+    times one component of M, and all rows of a power form one series product.
     """
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
     if k < 0:
         raise ValueError(f"truncation order must be >= 0, got {k}")
-    comps, m, n = _component_polys(list(blocks), k)
+    blocks = list(blocks)
+    if len(blocks) < 2:
+        raise ValueError("a polynomial map needs blocks for degrees 0 and 1")
+    M = [np.array(b, dtype=float) for b in blocks]
+    m, n = M[0].shape[0], M[1].shape[1]
+    for d, b in enumerate(M):
+        if b.shape != (m, basis_size(n, d)):
+            raise ValueError(
+                f"degree-{d} block has shape {b.shape}, expected {(m, basis_size(n, d))}"
+            )
+    M = M[: k + 1] + [np.zeros((m, basis_size(n, d))) for d in range(len(M), k + 1)]
 
-    collected: dict[int, list[list[np.ndarray]]] = {d: [] for d in range(1, max_degree + 1)}
-
-    def extend(start: int, depth: int, prefix: list[np.ndarray] | None):
-        for i in range(start, m):
-            poly = comps[i] if prefix is None else _poly_mul(prefix, comps[i], n, k)
-            collected[depth + 1].append(poly)
-            if depth + 1 < max_degree:
-                extend(i, depth + 1, poly)
-
-    if max_degree >= 1:
-        extend(0, 0, None)
-
-    result: dict[int, list[np.ndarray]] = {}
     one = [np.ones((1, 1))] + [np.zeros((1, basis_size(n, j))) for j in range(1, k + 1)]
-    result[0] = one
-    for d in range(1, max_degree + 1):
-        rows = collected[d]
-        result[d] = [np.vstack([poly[j] for poly in rows]) for j in range(k + 1)]
+    result = {0: one}
+    if max_degree >= 1:
+        result[1] = M
+    for d in range(2, max_degree + 1):
+        parent, var = _prefix_table(m, d)
+        result[d] = _series_mul([A[parent] for A in result[d - 1]], [B[var] for B in M], n, k)
     return result
+
+
+def substitute(outer, inner, k: int) -> list[np.ndarray]:
+    """Coefficient blocks of P(M(X)) truncated at degree k.
+
+    outer lists the blocks P_0..P_p of a polynomial over the outputs of the
+    map M whose blocks inner lists (both degree 0 upward).
+    """
+    powers = map_powers(inner, len(outer) - 1, k)
+    out = [np.zeros((outer[0].shape[0], A.shape[1])) for A in powers[0]]
+    out[0] += outer[0]
+    for d in range(1, len(outer)):
+        for j in range(k + 1):
+            out[j] += outer[d] @ powers[d][j]
+    return out
 
 
 def compose_power_truncate(blocks, d: int, k: int) -> list[np.ndarray]:

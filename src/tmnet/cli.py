@@ -7,6 +7,7 @@ nonzero with a message on stderr.  No plotting: outputs are tidy CSV/JSON.
 """
 
 import argparse
+import inspect
 import sys
 import time
 from datetime import datetime, timezone
@@ -30,9 +31,12 @@ def _parse_params(pairs) -> dict:
 
 def _parse_x0(text: str) -> np.ndarray:
     try:
-        return np.array([float(f) for f in text.split(",")], dtype=float)
+        X0 = np.array([float(f) for f in text.split(",")], dtype=float)
     except ValueError as exc:
         raise ValueError(f"--x0 must be comma-separated numbers, got {text!r}") from exc
+    if not np.all(np.isfinite(X0)):
+        raise ValueError(f"--x0 must be finite, got {text!r}")
+    return X0
 
 
 def _resolve_system(args) -> tuple[ode.PolynomialODE, dict]:
@@ -41,8 +45,14 @@ def _resolve_system(args) -> tuple[ode.PolynomialODE, dict]:
         if args.system not in systems.SYSTEMS:
             known = ", ".join(sorted(systems.SYSTEMS))
             raise ValueError(f"unknown system {args.system!r} (known: {known})")
+        factory = systems.SYSTEMS[args.system]
         params = _parse_params(args.param)
-        return systems.SYSTEMS[args.system](**params), {}
+        known = list(inspect.signature(factory).parameters)
+        unknown = sorted(params.keys() - set(known))
+        if unknown:
+            raise ValueError(f"unknown parameter {unknown[0]!r} for system {args.system!r} "
+                             f"(known: {', '.join(known) or 'none'})")
+        return factory(**params), {}
     if getattr(args, "ode", None):
         return io.load_ode(args.ode), {args.ode: io.sha256_file(args.ode)}
     raise ValueError("need --system NAME or --ode path")
@@ -86,6 +96,7 @@ def cmd_derive(args) -> int:
 
 def cmd_simulate(args) -> int:
     started = time.time()
+    X0 = _parse_x0(args.x0)
     inputs = {}
     if args.map:
         tm = io.load_map(args.map)
@@ -99,7 +110,6 @@ def cmd_simulate(args) -> int:
         if args.dt is None:
             raise ValueError("simulating from an ODE needs --dt")
         tm = ode.ode_to_map(system, ode.FlowConfig(args.dt, substeps=args.substeps))
-    X0 = _parse_x0(args.x0)
     if X0.shape != (tm.dim,):
         raise ValueError(f"--x0 has {X0.size} components, map has dim {tm.dim}")
 
@@ -141,7 +151,7 @@ def cmd_train(args) -> int:
         degrees = tuple(int(d) for d in args.train_degrees.split(","))
     cfg = network.TrainConfig(
         step_size=args.lr, clip_norm=args.clip, epochs=args.epochs,
-        penalty_rate=getattr(args, "lambda"), seed=args.seed,
+        penalty_rate=getattr(args, "lambda"),
         schedule=args.schedule, train_degrees=degrees,
         teacher_forcing=args.teacher_forcing,
     )
@@ -262,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fit one-step pairs of a fully observed series")
     p.add_argument("--lambda", type=float, default=1e-10, dest="lambda",
                    help="symplectic penalty rate")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="label recorded in the manifest; training is deterministic")
     p.add_argument("--out", required=True, help="output tuned-map JSON path")
     p.set_defaults(func=cmd_train)
 

@@ -111,7 +111,10 @@ def save_lattice(lat: lattice_mod.Lattice, path) -> None:
 
 
 def load_lattice(path) -> lattice_mod.Lattice:
-    return lattice_from_dict(_load_json(path))
+    data = _load_json(path)
+    if not isinstance(data, dict) or "elements" not in data:
+        raise ValueError(f"{path}: not a lattice file (no 'elements' list)")
+    return lattice_from_dict(data)
 
 
 # --- CSV series ---------------------------------------------------------

@@ -70,10 +70,9 @@ def sextupole_element(
     P = [np.zeros((4, basis.basis_size(4, d))) for d in range(3)]
     P[1][0, 1] = 1.0
     P[1][2, 3] = 1.0
-    mb = basis.enumerate_monomials(4, 2)
-    P[2][1, mb.position((2, 0, 0, 0))] = -0.5 * k2
-    P[2][1, mb.position((0, 0, 2, 0))] = 0.5 * k2
-    P[2][3, mb.position((1, 0, 1, 0))] = k2
+    P[2][1, basis.position(4, 2, (2, 0, 0, 0))] = -0.5 * k2
+    P[2][1, basis.position(4, 2, (0, 0, 2, 0))] = 0.5 * k2
+    P[2][3, basis.position(4, 2, (1, 0, 1, 0))] = k2
     return element_from_ode(label, ode.PolynomialODE(4, 2, tuple(P)), dt, substeps)
 
 

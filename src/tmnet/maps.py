@@ -9,7 +9,7 @@ structure-preserving training penalty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -20,7 +20,6 @@ __all__ = [
     "TaylorMap",
     "identity_map",
     "compose",
-    "SymplecticStructure",
     "SymplecticResidual",
     "symplectic_residual",
     "symplectic_penalty",
@@ -129,40 +128,27 @@ def compose(outer: TaylorMap, inner: TaylorMap, k: int | None = None) -> TaylorM
     """outer(inner(X)) truncated at order k (default: max of the two orders)."""
     if outer.dim != inner.dim:
         raise ValueError(f"dimension mismatch: {outer.dim} vs {inner.dim}")
-    n = inner.dim
     if k is None:
         k = max(outer.order, inner.order)
-    powers = basis.map_powers(inner.weights, outer.order, k)
-    blocks = [np.zeros((n, basis.basis_size(n, j))) for j in range(k + 1)]
-    blocks[0][:, 0] += outer.weights[0][:, 0]
-    for d in range(1, outer.order + 1):
-        for j in range(k + 1):
-            blocks[j] += outer.weights[d] @ powers[d][j]
-    return TaylorMap(dim=n, order=k, weights=tuple(blocks))
+    blocks = basis.substitute(outer.weights, inner.weights, k)
+    return TaylorMap(dim=inner.dim, order=k, weights=tuple(blocks))
 
 
-@dataclass(frozen=True)
-class SymplecticStructure:
+@lru_cache(maxsize=None)
+def _canonical_J(n: int) -> np.ndarray:
     """The canonical antisymmetric form on interleaved (q, p) states.
 
     States in this package order phase space pairwise, (q1, p1, q2, p2, ...),
     e.g. (phi, phi') or (x, x', y, y'), so J is block-diagonal with 2x2 blocks
-    [[0, 1], [-1, 0]]. For a single pair this is exactly [[0, 1], [-1, 0]].
+    [[0, 1], [-1, 0]].
     """
-
-    dim: int
-
-    def __post_init__(self):
-        if self.dim < 2 or self.dim % 2 != 0:
-            raise ValueError(f"symplectic structure needs even dim >= 2, got {self.dim}")
-
-    @property
-    def J(self) -> np.ndarray:
-        J = np.zeros((self.dim, self.dim))
-        for q in range(0, self.dim, 2):
-            J[q, q + 1] = 1.0
-            J[q + 1, q] = -1.0
-        return J
+    if n < 2 or n % 2 != 0:
+        raise ValueError(f"symplectic structure needs even dim >= 2, got {n}")
+    J = np.zeros((n, n))
+    J[range(0, n, 2), range(1, n, 2)] = 1.0
+    J[range(1, n, 2), range(0, n, 2)] = -1.0
+    J.flags.writeable = False
+    return J
 
 
 @dataclass(frozen=True)
@@ -186,48 +172,36 @@ class SymplecticResidual:
 
 
 @lru_cache(maxsize=None)
-def _gradient_structures(n: int, k: int):
-    """Constant matrices G with Jac(X) = sum over (d, m) of W_d G_{d,m} x^m.
+def _jacobian_table(n: int, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """Degree-(e+1) position T[p, i] of monomial p times x_i, and the
+    exponent of x_i there: the degree-e coefficients of d(W X^[e+1])/dx_i
+    are W[:, T[:, i]] * scale[:, i]."""
+    T = basis._mult_table(n, e, 1)
+    scale = basis.exponent_matrix(n, e + 1)[T, np.arange(n)].astype(float)
+    scale.flags.writeable = False
+    return T, scale
 
-    Returns a tuple of entries (d, degree_of_m, position_of_m, G) with G of
-    shape (basis_size(n, d), n): the monomial coefficient of the kron-power
-    jacobian d(X^[d])/dX.
+
+def _residual(tm: TaylorMap):
+    """J times the Jacobian series of tm, and the coefficients of
+    Jac(X)^T J Jac(X) - J as one series product.
+
+    jac[e][r, i] holds the degree-e coefficients of dX'_r/dx_i; the residual
+    coefficients R[c] have shape (dim, dim, basis_size(dim, c)).
     """
-    entries = []
-    for d in range(1, k + 1):
-        E = basis.exponent_matrix(n, d)
-        if d == 1:
-            entries.append((1, 0, 0, _frozen(np.eye(n))))
-            continue
-        coef, idx = basis._jacobian_tables(n, d)
-        for m_pos in range(basis.basis_size(n, d - 1)):
-            G = np.where((idx == m_pos) & (coef > 0), coef, 0.0)
-            if np.any(G):
-                entries.append((d, d - 1, m_pos, _frozen(G)))
-    return tuple(entries)
-
-
-@lru_cache(maxsize=None)
-def _pair_targets(n: int, a: int, b: int) -> np.ndarray:
-    return basis._mult_table(n, a, b)
-
-
-def _residual_terms(tm: TaylorMap):
-    """Shared assembly for residual, penalty and penalty gradient."""
     n, k = tm.dim, tm.order
-    J = SymplecticStructure(n).J
-    entries = _gradient_structures(n, k)
-    slots = [(d, deg, pos, G, tm.weights[d] @ G) for (d, deg, pos, G) in entries]
-    max_deg = 2 * (k - 1)
-    coeffs = [
-        np.zeros((basis.basis_size(n, deg), n, n)) for deg in range(max_deg + 1)
-    ]
-    for (da, dega, posa, Ga, A) in slots:
-        for (db, degb, posb, Gb, B) in slots:
-            target = int(_pair_targets(n, dega, degb)[posa, posb])
-            coeffs[dega + degb][target] += A.T @ (J @ B)
-    coeffs[0][0] -= J
-    return J, slots, coeffs
+    J = _canonical_J(n)
+    jac = []
+    for e in range(k):
+        T, scale = _jacobian_table(n, e)
+        jac.append((tm.weights[e + 1][:, T] * scale).transpose(0, 2, 1))
+    Jjac = [np.tensordot(J, g, axes=1) for g in jac]
+    products = basis._series_mul(
+        [g[:, :, None] for g in jac], [h[:, None] for h in Jjac], n, 2 * (k - 1)
+    )
+    R = [p.sum(axis=0) for p in products]
+    R[0][:, :, 0] -= J
+    return Jjac, R
 
 
 def symplectic_residual(tm: TaylorMap) -> SymplecticResidual:
@@ -238,9 +212,11 @@ def symplectic_residual(tm: TaylorMap) -> SymplecticResidual:
     w1^{11} w1^{22} - w1^{12} w1^{21} - 1 and the six monomial coefficients
     {1, x1, x2, x1^2, x1 x2, x2^2} carry one scalar constraint each.
     """
-    _, _, coeffs = _residual_terms(tm)
+    _, R = _residual(tm)
     return SymplecticResidual(
-        dim=tm.dim, order=tm.order, coefficients=tuple(_frozen(c) for c in coeffs)
+        dim=tm.dim,
+        order=tm.order,
+        coefficients=tuple(_frozen(np.moveaxis(c, -1, 0)) for c in R),
     )
 
 
@@ -250,20 +226,27 @@ def symplectic_penalty(tm: TaylorMap) -> float:
     Both triangles of the antisymmetric residual are summed, so each
     independent constraint contributes twice.
     """
-    _, _, coeffs = _residual_terms(tm)
-    return float(sum(np.sum(c * c) for c in coeffs))
+    _, R = _residual(tm)
+    return float(sum(np.sum(c * c) for c in R))
 
 
 def symplectic_penalty_gradient(tm: TaylorMap) -> list[np.ndarray]:
-    """d symplectic_penalty / dW_d for every block (W_0 gradient is zero)."""
-    n = tm.dim
-    J, slots, coeffs = _residual_terms(tm)
-    S = [2.0 * c for c in coeffs]
-    grads = [np.zeros_like(w) for w in tm.weights]
-    for (da, dega, posa, Ga, A) in slots:
-        for (db, degb, posb, Gb, B) in slots:
-            target = int(_pair_targets(n, dega, degb)[posa, posb])
-            Sm = S[dega + degb][target]
-            grads[da] += J @ B @ Sm.T @ Ga.T
-            grads[db] += J.T @ A @ Sm @ Gb.T
+    """d symplectic_penalty / dW_d for every block (W_0 gradient is zero).
+
+    The penalty is <R, R> with R = Jac^T J Jac - J.  Both Jacobian factors
+    contribute the adjoint of the series product against J Jac, so the
+    gradient on the Jacobian series is that adjoint applied to 2 (R - R^T);
+    each Jacobian coefficient then scatters back to the weight it came from.
+    """
+    n, k = tm.dim, tm.order
+    Jjac, R = _residual(tm)
+    S = [2.0 * (c - c.transpose(1, 0, 2)) for c in R]
+    djac = basis._series_mul_adjoint(
+        [s[None] for s in S], [h[:, None] for h in Jjac], n, k - 1
+    )
+    grads = [np.zeros_like(tm.weights[0])]
+    for e, dg in enumerate(djac):
+        _, scale = _jacobian_table(n, e)
+        dW = dg.sum(axis=2).transpose(0, 2, 1) * scale
+        grads.append(dW.reshape(n, -1) @ basis._scatter_matrix(n, e, 1))
     return grads

@@ -268,7 +268,6 @@ class TrainConfig:
     clip_norm: float = 1.0
     epochs: int = 1000
     penalty_rate: float = 1e-10
-    seed: int = 0
     schedule: str = "constant"
     train_degrees: tuple | None = None
     teacher_forcing: bool = False
@@ -334,10 +333,7 @@ def _pairwise_data(net: Network, X0, obs: ObservationSeries):
 
 def _pairwise_backward(tm: maps.TaylorMap, prev, nxt, penalty_rate: float):
     """Gradients of the mean squared one-step residual over state pairs."""
-    feats = [
-        np.prod(prev[:, None, :] ** basis.exponent_matrix(tm.dim, d)[None], axis=2)
-        for d in range(tm.order + 1)
-    ]
+    feats = [basis.kron_power(prev, d) for d in range(tm.order + 1)]
     residual = sum(f @ w.T for f, w in zip(feats, tm.weights)) - nxt
     data = float(np.mean(residual**2))
     grads = [[(2.0 / residual.size) * (residual.T @ f) for f in feats]]

@@ -122,13 +122,7 @@ def weight_flow_rhs(weights, ode: PolynomialODE) -> list[np.ndarray]:
         raise ValueError(
             f"map dimension {weights[1].shape[0]} does not match ODE dimension {ode.dim}"
         )
-    powers = basis.map_powers(weights, ode.order, k)
-    out = [np.zeros_like(w) for w in weights]
-    for d in range(ode.order + 1):
-        Pd = ode.coeffs[d]
-        for j in range(k + 1):
-            out[j] += Pd @ powers[d][j]
-    return out
+    return basis.substitute(ode.coeffs, weights, k)
 
 
 def ode_to_map(ode: PolynomialODE, cfg: FlowConfig) -> TaylorMap:

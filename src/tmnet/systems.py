@@ -48,7 +48,7 @@ def free_fall_augmented(g: float = 9.8) -> PolynomialODE:
     """
     P0 = np.array([[g], [0.0]])
     P3 = np.zeros((2, basis.basis_size(2, 3)))
-    P3[0, basis.enumerate_monomials(2, 3).position((2, 1))] = -1.0
+    P3[0, basis.position(2, 3, (2, 1))] = -1.0
     return PolynomialODE(2, 3, (P0, np.zeros((2, 2)), np.zeros((2, 3)), P3))
 
 
@@ -56,7 +56,7 @@ def lotka_volterra() -> PolynomialODE:
     """Predator-prey interaction x' = y + x y, y' = -2x - x y."""
     P1 = np.array([[0.0, 1.0], [-2.0, 0.0]])
     P2 = np.zeros((2, 3))
-    xy = basis.enumerate_monomials(2, 2).position((1, 1))
+    xy = basis.position(2, 2, (1, 1))
     P2[0, xy] = 1.0
     P2[1, xy] = -1.0
     return PolynomialODE(2, 2, (np.zeros((2, 1)), P1, P2))
@@ -70,7 +70,7 @@ def pendulum(g: float = 9.8, L: float = 0.3) -> PolynomialODE:
     w2 = g / L
     P1 = np.array([[0.0, 1.0], [-w2, 0.0]])
     P3 = np.zeros((2, basis.basis_size(2, 3)))
-    P3[1, basis.enumerate_monomials(2, 3).position((3, 0))] = w2 / 6.0
+    P3[1, basis.position(2, 3, (3, 0))] = w2 / 6.0
     return PolynomialODE(2, 3, (np.zeros((2, 1)), P1, np.zeros((2, 3)), P3))
 
 
@@ -115,14 +115,11 @@ def rayleigh_plesset(
     x, y, z, s, c = range(n)
     P = [np.zeros((n, basis.basis_size(n, d))) for d in range(4)]
 
-    def pos(d, exps):
-        return basis.enumerate_monomials(n, d).position(tuple(exps))
-
     def mono(d, **powers):
         e = [0] * n
         for name, p in powers.items():
             e["xyzsc".index(name)] = p
-        return pos(d, e)
+        return basis.position(n, d, e)
 
     P[1][x, y] = 1.0
     P[3][y, mono(3, y=2, z=1)] = -1.5

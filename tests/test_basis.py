@@ -10,8 +10,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tmnet import basis
+
+# deterministic property runs that leave no example database behind
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
 
 # --- independent symbolic oracle -------------------------------------------
@@ -59,7 +65,7 @@ def _sym_power_blocks(blocks, d: int, k: int) -> list[np.ndarray]:
     out = [np.zeros((len(polys), basis.basis_size(n, j))) for j in range(k + 1)]
     for r, p in enumerate(polys):
         for e, c in p.items():
-            out[sum(e)][r, basis.enumerate_monomials(n, sum(e)).position(e)] = c
+            out[sum(e)][r, basis.position(n, sum(e), e)] = c
     return out
 
 
@@ -99,12 +105,11 @@ def test_exponent_matrix_rows_sum_to_degree_and_are_frozen():
 
 
 def test_position_inverts_enumeration():
-    mb = basis.enumerate_monomials(3, 3)
-    for pos, mi in enumerate(mb.indices):
-        assert mi.degree == 3
-        assert mb.position(mi.exponents) == pos
+    for pos, row in enumerate(basis.exponent_matrix(3, 3)):
+        assert sum(row) == 3
+        assert basis.position(3, 3, tuple(row)) == pos
     with pytest.raises(KeyError):
-        mb.position((3, 3, 3))
+        basis.position(3, 3, (3, 3, 3))
 
 
 # --- reduced Kronecker powers ----------------------------------------------
@@ -121,13 +126,12 @@ def test_kron_power_matches_full_kronecker_product():
             reduced = basis.kron_power(X, d)
             # every index tuple of the full product lands on the reduced
             # entry for its sorted multiset
-            mb = basis.enumerate_monomials(n, d)
             for flat, idx in enumerate(itertools.product(range(n), repeat=d)):
                 e = [0] * n
                 for i in idx:
                     e[i] += 1
                 assert full[flat] == pytest.approx(
-                    reduced[mb.position(tuple(e))], rel=1e-12, abs=1e-14
+                    reduced[basis.position(n, d, e)], rel=1e-12, abs=1e-14
                 )
 
 
@@ -241,3 +245,58 @@ def test_compose_power_truncate_agrees_with_map_powers():
         single = basis.compose_power_truncate(blocks, d, 3)
         for j in range(4):
             assert np.array_equal(single[j], full[d][j])
+
+
+# --- properties of the truncated-series kernel --------------------------------
+
+
+@st.composite
+def _coefficient_blocks(draw, n, k, m=None):
+    """Coefficient blocks of degrees 0..k over n variables, m rows each."""
+    coeff = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
+    return [
+        draw(hnp.arrays(np.float64, (n if m is None else m, basis.basis_size(n, d)),
+                        elements=coeff))
+        for d in range(k + 1)
+    ]
+
+
+@PROPERTY
+@given(st.data(), st.integers(1, 4), st.integers(1, 3), st.integers(0, 4))
+def test_map_powers_match_symbolic_oracle_property(data, n, k, max_degree):
+    blocks = data.draw(_coefficient_blocks(n, k))
+    got = basis.map_powers(blocks, max_degree=max_degree, k=k)
+    assert sorted(got) == list(range(max_degree + 1))
+    for d in range(max_degree + 1):
+        want = _sym_power_blocks(blocks, d, k)
+        for j in range(k + 1):
+            assert np.allclose(got[d][j], want[j], rtol=1e-10, atol=1e-12), (d, j)
+
+
+@PROPERTY
+@given(st.data(), st.integers(1, 3), st.integers(1, 3))
+def test_series_mul_adjoint_is_the_transpose(data, n, k):
+    # <g, u*v> == <adjoint(g, v), u> for every series u, v, g
+    u = [row[0] for row in data.draw(_coefficient_blocks(n, k, m=1))]
+    v = [row[0] for row in data.draw(_coefficient_blocks(n, k, m=1))]
+    g = [row[0] for row in data.draw(_coefficient_blocks(n, k, m=1))]
+    lhs = sum(gc @ pc for gc, pc in zip(g, basis._series_mul(u, v, n, k)))
+    rhs = sum(dc @ uc for dc, uc in zip(basis._series_mul_adjoint(g, v, n, k), u))
+    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+@PROPERTY
+@given(
+    hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=4),
+        elements=st.floats(-3, 3, allow_nan=False, allow_infinity=False),
+    ),
+    st.integers(0, 3),
+)
+def test_kron_power_of_a_batch_is_the_power_of_each_state(X, d):
+    batch = basis.kron_power(X, d)
+    n = X.shape[-1]
+    assert batch.shape == X.shape[:-1] + (basis.basis_size(n, d),)
+    for idx in np.ndindex(X.shape[:-1]):
+        assert np.array_equal(batch[idx], basis.kron_power(X[idx], d))

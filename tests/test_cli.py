@@ -175,14 +175,31 @@ def test_check_reports(tmp_path):
     assert json.loads(out.read_text())["penalty"] > 0.0
 
 
-def test_error_exits(tmp_path):
+def test_error_exits(tmp_path, capsys):
     out = tmp_path / "x.json"
-    assert run("derive", "--system", "nope", "--dt", "0.1", "--out", out) == 1
-    assert run("derive", "--system", "free_fall", "--param", "m",
-               "--dt", "0.1", "--out", out) == 1
-    assert run("derive", "--dt", "0.1", "--out", out) == 1
-    assert run("track", "--lattice", tmp_path / "missing.json",
-               "--x0", "0,0,0,0", "--turns", "5", "--out", out) == 1
+    map_json = tmp_path / "map.json"
+    io.save_map(maps.identity_map(4, 2), map_json)
+    cases = [
+        (("derive", "--system", "nope", "--dt", "0.1", "--out", out), "unknown system"),
+        (("derive", "--system", "free_fall", "--param", "m", "--dt", "0.1",
+          "--out", out), "--param needs k=v"),
+        (("derive", "--dt", "0.1", "--out", out), "need --system"),
+        (("track", "--lattice", tmp_path / "missing.json", "--x0", "0,0,0,0",
+          "--turns", "5", "--out", out), "missing.json"),
+        (("derive", "--system", "pendulum", "--param", "bogus=1", "--dt", "0.1",
+          "--out", out), "unknown parameter 'bogus' for system 'pendulum' (known: g, L)"),
+        (("simulate", "--system", "pendulum", "--dt", "0.1", "--x0", "nan,0",
+          "--steps", "5", "--out", out), "--x0 must be finite"),
+        (("track", "--lattice", map_json, "--x0", "0,0,0,0", "--turns", "5",
+          "--out", out), "not a lattice file"),
+    ]
+    for argv, message in cases:
+        capsys.readouterr()
+        assert run(*argv) == 1, argv
+        err = capsys.readouterr().err
+        # one line, no traceback, naming the actual fault
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert message in err, err
 
 
 def test_divergent_simulation_exits_nonzero(tmp_path):

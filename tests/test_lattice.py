@@ -279,7 +279,7 @@ def test_fine_tune_self_observations_is_fixed_point(fodo):
     X0 = np.array([1e-3, 0.0, 1e-3, 0.0])
     obs = lattice.observe_one_turn(fodo, X0)
     # with the penalty disabled the gradient is exactly zero at a perfect fit
-    cfg = network.TrainConfig(step_size=1e-3, epochs=30, penalty_rate=0.0, seed=0)
+    cfg = network.TrainConfig(step_size=1e-3, epochs=30, penalty_rate=0.0)
     tuned, report = lattice.fine_tune(fodo, X0, obs, cfg)
     assert report.data[-1] == 0.0
     for a, b in zip(tuned.elements, fodo.elements):
@@ -298,7 +298,7 @@ def test_fine_tune_self_observations_small_drift_with_penalty():
     lat = lattice.Lattice(elements=elements, monitors=(1, 2, 3, 4))
     X0 = np.array([1e-3, 0.0, 1e-3, 0.0])
     obs = lattice.observe_one_turn(lat, X0)
-    cfg = network.TrainConfig(step_size=1e-3, epochs=50, penalty_rate=1e-10, seed=0)
+    cfg = network.TrainConfig(step_size=1e-3, epochs=50, penalty_rate=1e-10)
     tuned, _ = lattice.fine_tune(lat, X0, obs, cfg)
     for a, b in zip(tuned.elements, lat.elements):
         for wa, wb in zip(a.tm.weights, b.tm.weights):
@@ -309,7 +309,7 @@ def test_fine_tune_reduces_data_term(fodo):
     truth = lattice.perturb_element(fodo, 0, 0.8)
     X0 = np.array([1e-3, 0.0, 1e-3, 0.0])
     obs = lattice.observe_one_turn(truth, X0)
-    cfg = network.TrainConfig(step_size=3e-4, epochs=400, penalty_rate=1e-10, seed=0)
+    cfg = network.TrainConfig(step_size=3e-4, epochs=400, penalty_rate=1e-10)
     tuned, report = lattice.fine_tune(fodo, X0, obs, cfg)
     assert report.data[-1] <= report.data[0] / 100.0
     assert tuned.elements[0].generator is None  # tuned maps drop the ODE link
@@ -333,7 +333,7 @@ def test_fine_tune_penalty_regularizes(fodo):
     obs = lattice.observe_one_turn(truth, X0)
     final = {}
     for rate in (0.0, 1e-6):
-        cfg = network.TrainConfig(step_size=3e-4, epochs=400, penalty_rate=rate, seed=0)
+        cfg = network.TrainConfig(step_size=3e-4, epochs=400, penalty_rate=rate)
         tuned, _ = lattice.fine_tune(fodo, X0, obs, cfg)
         final[rate] = sum(maps.symplectic_penalty(e.tm) for e in tuned.elements)
     assert final[1e-6] < final[0.0]

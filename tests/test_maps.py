@@ -8,8 +8,13 @@ oracle here.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmnet import basis, maps
+
+# deterministic property runs that leave no example database behind
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 
 
 def _random_map(rng, n: int, k: int, scale: float = 0.4) -> maps.TaylorMap:
@@ -162,8 +167,8 @@ def test_serialization_roundtrip_and_ordering_tag():
 
 
 def test_structure_matrix_is_pairwise_interleaved():
-    assert maps.SymplecticStructure(2).J.tolist() == [[0, 1], [-1, 0]]
-    J4 = maps.SymplecticStructure(4).J
+    assert maps._canonical_J(2).tolist() == [[0, 1], [-1, 0]]
+    J4 = maps._canonical_J(4)
     assert J4.tolist() == [
         [0, 1, 0, 0],
         [-1, 0, 0, 0],
@@ -173,7 +178,9 @@ def test_structure_matrix_is_pairwise_interleaved():
     assert np.array_equal(J4 @ J4, -np.eye(4))
     assert np.array_equal(J4.T, -J4)
     with pytest.raises(ValueError):
-        maps.SymplecticStructure(3)
+        maps._canonical_J(3)
+    with pytest.raises(ValueError):
+        maps.symplectic_penalty(maps.identity_map(3, 2))
 
 
 def test_penalty_zero_for_identity():
@@ -230,11 +237,10 @@ def test_residual_matches_determinant_expansion():
         }
         res = maps.symplectic_residual(tm)
         for d, table in det_coeffs.items():
-            mb = basis.enumerate_monomials(2, d)
             for e, want in table.items():
                 if d == 0:
                     want -= 1.0
-                R = res.coefficients[d][mb.position(e)]
+                R = res.coefficients[d][basis.position(2, d, e)]
                 assert R[0, 1] == pytest.approx(want, rel=1e-12, abs=1e-12)
                 assert R[1, 0] == pytest.approx(-want, rel=1e-12, abs=1e-12)
                 assert abs(R[0, 0]) < 1e-12 and abs(R[1, 1]) < 1e-12
@@ -288,3 +294,116 @@ def test_penalty_gradient_matches_finite_differences():
                 )
                 fd = (up - dn) / (2 * h)
                 assert grads[d][i, p] == pytest.approx(fd, rel=2e-5, abs=1e-7)
+
+
+# --- properties of composition and the symplectic penalty ---------------------
+
+
+@PROPERTY
+@given(st.integers(1, 3), st.integers(1, 2), st.integers(1, 2), st.integers(0, 2**32 - 1))
+def test_compose_matches_pointwise_without_truncation_property(n, p, q, seed):
+    # an order-p map of an order-q map is exactly of order p*q
+    rng = np.random.default_rng(seed)
+    outer = _random_map(rng, n, p, scale=0.5)
+    inner = _random_map(rng, n, q, scale=0.5)
+    comp = maps.compose(outer, inner, k=p * q)
+    for X in rng.uniform(-1.0, 1.0, size=(4, n)):
+        assert np.allclose(comp(X), outer(inner(X)), rtol=1e-10, atol=1e-12)
+
+
+def _plane_rotations_and_scalings(angles, logs, k):
+    """Order-k map whose linear part rotates and scales each (q, p) plane."""
+    n = 2 * len(angles)
+    W1 = np.zeros((n, n))
+    for i, (th, ls) in enumerate(zip(angles, logs)):
+        R = np.array([[np.cos(th), np.sin(th)], [-np.sin(th), np.cos(th)]])
+        W1[2 * i:2 * i + 2, 2 * i:2 * i + 2] = R @ np.diag([np.exp(ls), np.exp(-ls)])
+    weights = [np.zeros((n, basis.basis_size(n, d))) for d in range(k + 1)]
+    weights[1] = W1
+    return maps.TaylorMap(dim=n, order=k, weights=tuple(weights))
+
+
+def _thin_kick(potential, n, k):
+    """The map p += grad V(q), q unchanged, for a polynomial potential V of
+    degree k+1 in the positions; potential maps position exponents to
+    coefficients."""
+    weights = [np.zeros((n, basis.basis_size(n, d))) for d in range(k + 1)]
+    weights[1] += np.eye(n)
+    for exps, c in potential.items():
+        for i, e in enumerate(exps):
+            if e == 0:
+                continue
+            state = [0] * n
+            for j, f in enumerate(exps):
+                state[2 * j] = f - (j == i)
+            d = sum(exps) - 1
+            weights[d][2 * i + 1, basis.position(n, d, state)] += c * e
+    return maps.TaylorMap(dim=n, order=k, weights=tuple(weights))
+
+
+_angle = st.floats(0.0, 2 * np.pi)
+_log_scale = st.floats(-1.0, 1.0)
+
+
+@PROPERTY
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_penalty_vanishes_on_products_of_rotations_and_scalings(planes, k, data):
+    factors = [
+        _plane_rotations_and_scalings(
+            data.draw(st.lists(_angle, min_size=planes, max_size=planes)),
+            data.draw(st.lists(_log_scale, min_size=planes, max_size=planes)),
+            k,
+        )
+        for _ in range(data.draw(st.integers(1, 3)))
+    ]
+    product = factors[0]
+    for f in factors[1:]:
+        product = maps.compose(f, product)
+    assert maps.symplectic_penalty(product) <= 1e-25
+
+
+@PROPERTY
+@given(st.integers(1, 3), st.integers(2, 3), st.data())
+def test_penalty_vanishes_on_thin_kicks(planes, k, data):
+    n = 2 * planes
+    potential = {
+        tuple(int(e) for e in exps): data.draw(st.floats(-2.0, 2.0))
+        for d in range(2, k + 2)
+        for exps in basis.exponent_matrix(planes, d)
+    }
+    kick = _thin_kick(potential, n, k)
+    turn = _plane_rotations_and_scalings(
+        data.draw(st.lists(_angle, min_size=planes, max_size=planes)),
+        data.draw(st.lists(_log_scale, min_size=planes, max_size=planes)),
+        k,
+    )
+    # a linear factor on either side adds no degree, so nothing is truncated
+    for tm in (kick, maps.compose(turn, kick), maps.compose(kick, turn)):
+        assert maps.symplectic_penalty(tm) <= 1e-25
+
+
+@pytest.mark.parametrize("n,k", [(2, 2), (2, 3), (4, 2), (4, 3), (6, 2), (6, 3)])
+@settings(derandomize=True, database=None, deadline=None, max_examples=4)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_penalty_gradient_matches_central_differences(n, k, seed):
+    rng = np.random.default_rng(seed)
+    tm = _random_map(rng, n, k)
+    grads = maps.symplectic_penalty_gradient(tm)
+    assert np.all(grads[0] == 0.0)
+    h = 1e-6
+
+    def penalty_at(d, step):
+        bumped = [w.copy() for w in tm.weights]
+        bumped[d] += step
+        return maps.symplectic_penalty(maps.TaylorMap(dim=n, order=k, weights=tuple(bumped)))
+
+    for d in range(1, k + 1):
+        # one random direction through the whole block, and two coordinates
+        V = rng.normal(size=tm.weights[d].shape)
+        fd = (penalty_at(d, h * V) - penalty_at(d, -h * V)) / (2 * h)
+        assert np.sum(grads[d] * V) == pytest.approx(fd, rel=1e-6, abs=1e-7)
+        for _ in range(2):
+            E = np.zeros_like(V)
+            E[rng.integers(n), rng.integers(V.shape[1])] = 1.0
+            fd = (penalty_at(d, h * E) - penalty_at(d, -h * E)) / (2 * h)
+            assert np.sum(grads[d] * E) == pytest.approx(fd, rel=2e-5, abs=1e-7)
