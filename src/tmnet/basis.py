@@ -25,6 +25,8 @@ __all__ = [
     "basis_size",
     "position",
     "kron_power",
+    "monomials",
+    "evaluate",
     "kron_power_jacobian",
     "lift_linear",
     "compose_power_truncate",
@@ -83,6 +85,48 @@ def kron_power(X, d: int) -> np.ndarray:
     if d == 0:
         return np.ones(X.shape[:-1] + (1,))
     return np.prod(X[..., None, :] ** exponent_matrix(X.shape[-1], d), axis=-1)
+
+
+@lru_cache(maxsize=None)
+def _stacked_exponents(n: int, k: int) -> tuple[np.ndarray, tuple[slice, ...]]:
+    """Exponent rows of degrees 0..k stacked in one float array, and the
+    slice of the stack that holds each degree."""
+    E = np.vstack([exponent_matrix(n, d) for d in range(k + 1)]).astype(float)
+    E.flags.writeable = False
+    ends = itertools.accumulate(basis_size(n, d) for d in range(k + 1))
+    return E, tuple(slice(end - basis_size(n, d), end) for d, end in enumerate(ends))
+
+
+def monomials(X, k: int) -> np.ndarray:
+    """X^[0], X^[1], ..., X^[k] concatenated along the last axis.
+
+    X is one state (n,) or a batch (..., n); the slice of degree d is
+    _stacked_exponents(n, k)[1][d] and equals kron_power(X, d) exactly.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 0:
+        raise ValueError("state must have at least one axis")
+    E, _ = _stacked_exponents(X.shape[-1], k)
+    return np.multiply.reduce(X[..., None, :] ** E, axis=-1)
+
+
+def evaluate(blocks, X, p=None) -> np.ndarray:
+    """The polynomial B_0 + B_1 X + ... + B_k X^[k] at one state X.
+
+    blocks lists B_0..B_k (B_0 a column); p may pass monomials(X, k).  The
+    degrees are accumulated one at a time, lowest first.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 1:
+        raise ValueError(f"state must be a 1-d vector, got shape {X.shape}")
+    k = len(blocks) - 1
+    if p is None:
+        p = monomials(X, k)
+    _, sl = _stacked_exponents(X.shape[0], k)
+    out = blocks[0][:, 0].copy()
+    for d in range(1, k + 1):
+        out += blocks[d] @ p[sl[d]]
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -1,9 +1,10 @@
 """Batch command line: derive / simulate / train / track / tunes / check.
 
-Every command reads files, writes files, and emits a manifest next to the
-primary output (same stem, `.manifest.json`).  Exit code 0 means all outputs
-were written and finite; parse errors, divergence, and invalid inputs exit
-nonzero with a message on stderr.  No plotting: outputs are tidy CSV/JSON.
+Every command reads and writes files and returns its input digests and a
+summary line; main then writes a manifest next to the primary output (same
+stem, `.manifest.json`) and prints the summary.  Exit code 0 means all
+outputs were written and finite; parse errors, divergence, and invalid
+inputs exit 1 with one `error:` line on stderr.  No plotting.
 """
 
 import argparse
@@ -62,8 +63,7 @@ def _manifest_path(out: Path) -> Path:
     return out.with_name(out.stem + ".manifest.json")
 
 
-def _emit_manifest(command: str, args: argparse.Namespace, inputs: dict,
-                   out: Path, started: float, seed=None) -> None:
+def _emit_manifest(args: argparse.Namespace, inputs: dict, started: float) -> None:
     parameters = {}
     for key, value in sorted(vars(args).items()):
         if key in ("func", "command"):
@@ -72,30 +72,26 @@ def _emit_manifest(command: str, args: argparse.Namespace, inputs: dict,
             value = [float(v) for v in value]
         parameters[key] = value
     manifest = io.RunManifest(
-        command=command,
+        command=args.command,
         parameters=parameters,
         inputs=inputs,
-        seed=seed,
+        seed=getattr(args, "seed", None),
         tool_version=tmnet.__version__,
         duration_seconds=time.time() - started,
         created_utc=datetime.now(timezone.utc).isoformat(),
     )
-    io.write_manifest(manifest, _manifest_path(out))
+    io.write_manifest(manifest, _manifest_path(Path(args.out)))
 
 
-def cmd_derive(args) -> int:
-    started = time.time()
+def cmd_derive(args) -> tuple[dict, str]:
     system, inputs = _resolve_system(args)
     tm = ode.ode_to_map(system, ode.FlowConfig(args.dt, substeps=args.substeps))
     out = Path(args.out)
     io.save_map(tm, out)
-    _emit_manifest("derive", args, inputs, out, started)
-    print(f"derived order-{tm.order} map (dim {tm.dim}) -> {out}")
-    return 0
+    return inputs, f"derived order-{tm.order} map (dim {tm.dim}) -> {out}"
 
 
-def cmd_simulate(args) -> int:
-    started = time.time()
+def cmd_simulate(args) -> tuple[dict, str]:
     X0 = _parse_x0(args.x0)
     inputs = {}
     if args.map:
@@ -127,13 +123,10 @@ def cmd_simulate(args) -> int:
         extra = {f"ref_x{i + 1}": ref[:, i] for i in range(ref.shape[1])}
     out = Path(args.out)
     io.write_trajectory(states, out, extra=extra)
-    _emit_manifest("simulate", args, inputs, out, started)
-    print(f"simulated {args.steps} steps -> {out}")
-    return 0
+    return inputs, f"simulated {args.steps} steps -> {out}"
 
 
-def cmd_train(args) -> int:
-    started = time.time()
+def cmd_train(args) -> tuple[dict, str]:
     inputs = {args.obs: io.sha256_file(args.obs)}
     obs = io.read_observations(args.obs)
     if args.map:
@@ -159,30 +152,23 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     io.save_map(trained.group_maps[0], out)
     io.write_loss_history(report, out.with_name(out.stem + ".loss.csv"))
-    _emit_manifest("train", args, inputs, out, started, seed=args.seed)
     if args.epochs > 0:
-        print(f"trained {args.epochs} epochs: loss {report.total[0]:.6e} -> "
-              f"{report.total[-1]:.6e} -> {out}")
-    else:
-        print(f"trained 0 epochs: weights unchanged -> {out}")
-    return 0
+        return inputs, (f"trained {args.epochs} epochs: loss {report.total[0]:.6e} -> "
+                        f"{report.total[-1]:.6e} -> {out}")
+    return inputs, f"trained 0 epochs: weights unchanged -> {out}"
 
 
-def cmd_track(args) -> int:
-    started = time.time()
+def cmd_track(args) -> tuple[dict, str]:
     inputs = {args.lattice: io.sha256_file(args.lattice)}
     lat = io.load_lattice(args.lattice)
     X0 = _parse_x0(args.x0)
     series = lattice.multi_turn(lat, X0, args.turns)
     out = Path(args.out)
     io.write_turn_series(series, out)
-    _emit_manifest("track", args, inputs, out, started)
-    print(f"tracked {args.turns} turns -> {out}")
-    return 0
+    return inputs, f"tracked {args.turns} turns -> {out}"
 
 
-def cmd_tunes(args) -> int:
-    started = time.time()
+def cmd_tunes(args) -> tuple[dict, str]:
     inputs = {args.series: io.sha256_file(args.series)}
     series = io.read_turn_series(args.series)
     est = lattice.estimate_tunes(series)
@@ -192,14 +178,11 @@ def cmd_tunes(args) -> int:
          "degenerate_x": est.degenerate_x, "degenerate_y": est.degenerate_y},
         out,
     )
-    _emit_manifest("tunes", args, inputs, out, started)
-    print(f"Qx={est.qx:.6f}{' (degenerate)' if est.degenerate_x else ''} "
-          f"Qy={est.qy:.6f}{' (degenerate)' if est.degenerate_y else ''}")
-    return 0
+    return inputs, (f"Qx={est.qx:.6f}{' (degenerate)' if est.degenerate_x else ''} "
+                    f"Qy={est.qy:.6f}{' (degenerate)' if est.degenerate_y else ''}")
 
 
-def cmd_check(args) -> int:
-    started = time.time()
+def cmd_check(args) -> tuple[dict, str]:
     inputs = {args.map: io.sha256_file(args.map)}
     tm = io.load_map(args.map)
     res = maps.symplectic_residual(tm)
@@ -212,10 +195,8 @@ def cmd_check(args) -> int:
     }
     out = Path(args.out)
     io._dump_json(report, out)
-    _emit_manifest("check", args, inputs, out, started)
-    print(f"symplectic penalty {report['penalty']:.6e} "
-          f"(max residual {report['max_abs_residual']:.6e})")
-    return 0
+    return inputs, (f"symplectic penalty {report['penalty']:.6e} "
+                    f"(max residual {report['max_abs_residual']:.6e})")
 
 
 def _add_system_flags(p: argparse.ArgumentParser) -> None:
@@ -300,13 +281,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.time()
     try:
-        return args.func(args)
+        inputs, message = args.func(args)
+        _emit_manifest(args, inputs, started)
     except (ValueError, KeyError, OSError,
             ode.FlowDivergenceError, network.TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
+    print(message)
+    return 0
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -52,8 +52,17 @@ def save_map(tm: maps.TaylorMap, path) -> None:
     _dump_json(tm.to_dict(), path)
 
 
+def _load_kind(path, key: str, kind: str) -> dict:
+    """JSON object of a file that must hold a `key` list, else a ValueError
+    naming the expected kind of file."""
+    data = _load_json(path)
+    if not isinstance(data, dict) or not isinstance(data.get(key), list):
+        raise ValueError(f"{path}: not {kind} file (no '{key}' list)")
+    return data
+
+
 def load_map(path) -> maps.TaylorMap:
-    return maps.TaylorMap.from_dict(_load_json(path))
+    return maps.TaylorMap.from_dict(_load_kind(path, "weights", "a map"))
 
 
 def save_ode(system: ode.PolynomialODE, path) -> None:
@@ -61,7 +70,7 @@ def save_ode(system: ode.PolynomialODE, path) -> None:
 
 
 def load_ode(path) -> ode.PolynomialODE:
-    return ode.PolynomialODE.from_dict(_load_json(path))
+    return ode.PolynomialODE.from_dict(_load_kind(path, "coeffs", "an ODE"))
 
 
 # --- lattices ---------------------------------------------------------
@@ -111,45 +120,46 @@ def save_lattice(lat: lattice_mod.Lattice, path) -> None:
 
 
 def load_lattice(path) -> lattice_mod.Lattice:
-    data = _load_json(path)
-    if not isinstance(data, dict) or "elements" not in data:
-        raise ValueError(f"{path}: not a lattice file (no 'elements' list)")
-    return lattice_from_dict(data)
+    return lattice_from_dict(_load_kind(path, "elements", "a lattice"))
 
 
 # --- CSV series ---------------------------------------------------------
 
 
-def write_observations(obs: network.ObservationSeries, path, names=None) -> None:
-    n = obs.values.shape[1]
-    names = component_names(n) if names is None else list(names)
+def _write_table(path, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["tap"] + names)
-        for tap, row, mrow in zip(obs.taps, obs.values, obs.mask):
-            writer.writerow(
-                [str(tap)] + [_fmt(v) if m else "" for v, m in zip(row, mrow)]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _read_table(path, first: str, parse) -> tuple[list[str], list]:
+    """Header and parse(row) of each non-empty row, as it is read, of a CSV
+    file whose header starts with `first`; else a ValueError naming it."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if not header or header[0] != first:
+            raise ValueError(f"{path}: expected header starting with {first!r}")
+        return header, [parse(row) for row in reader if row]
+
+
+def write_observations(obs: network.ObservationSeries, path, names=None) -> None:
+    names = component_names(obs.values.shape[1]) if names is None else list(names)
+    _write_table(path, ["tap"] + names, (
+        [str(tap)] + [_fmt(v) if m else "" for v, m in zip(row, mrow)]
+        for tap, row, mrow in zip(obs.taps, obs.values, obs.mask)
+    ))
 
 
 def read_observations(path) -> network.ObservationSeries:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[0] != "tap":
-            raise ValueError(f"{path}: expected header starting with 'tap'")
-        n = len(header) - 1
-        taps, values, mask = [], [], []
-        for row in reader:
-            if not row:
-                continue
-            taps.append(int(row[0]))
-            fields = row[1:] + [""] * (n - len(row) + 1)
-            values.append([float(f) if f != "" else np.nan for f in fields])
-            mask.append([f != "" for f in fields])
+    header, rows = _read_table(path, "tap", list)
+    n = len(header) - 1
+    fields = [row[1:] + [""] * (n - len(row) + 1) for row in rows]
     return network.ObservationSeries(
-        taps=tuple(taps), values=np.array(values, dtype=float),
-        mask=np.array(mask, dtype=bool),
+        taps=tuple(int(row[0]) for row in rows),
+        values=np.array([[float(f) if f != "" else np.nan for f in fs] for fs in fields]),
+        mask=np.array([[f != "" for f in fs] for fs in fields], dtype=bool),
     )
 
 
@@ -159,56 +169,38 @@ def write_trajectory(states, path, names=None, extra=None) -> None:
     states = np.asarray(states, dtype=float)
     names = component_names(states.shape[1]) if names is None else list(names)
     extra = {} if extra is None else {k: np.asarray(v, float) for k, v in extra.items()}
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step"] + names + list(extra))
-        for i, row in enumerate(states):
-            out = [str(i)] + [_fmt(v) for v in row]
-            out += [_fmt(extra[k][i]) for k in extra]
-            writer.writerow(out)
+    _write_table(path, ["step"] + names + list(extra), (
+        [str(i)] + [_fmt(v) for v in row] + [_fmt(extra[k][i]) for k in extra]
+        for i, row in enumerate(states)
+    ))
 
 
 def read_trajectory(path) -> np.ndarray:
     """The component columns of a trajectory CSV (extra columns included)."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        rows = [[float(f) for f in row[1:]] for row in reader if row]
+    _, rows = _read_table(path, "step", lambda row: [float(f) for f in row[1:]])
     return np.array(rows, dtype=float)
 
 
 def write_turn_series(series: lattice_mod.TurnSeries, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["turn", "x", "xp", "y", "yp"])
-        for i, row in enumerate(series.states):
-            writer.writerow([str(i + 1)] + [_fmt(v) for v in row])
+    _write_table(path, ["turn", "x", "xp", "y", "yp"], (
+        [str(i + 1)] + [_fmt(v) for v in row] for i, row in enumerate(series.states)
+    ))
 
 
 def read_turn_series(path) -> lattice_mod.TurnSeries:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        rows = [[float(f) for f in row[1:5]] for row in reader if row]
+    _, rows = _read_table(path, "turn", lambda row: [float(f) for f in row[1:5]])
     return lattice_mod.TurnSeries(states=np.array(rows, dtype=float))
 
 
 def write_loss_history(report: network.LossReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "total", "data", "penalty"])
-        for i in range(len(report.total)):
-            writer.writerow(
-                [str(i + 1), _fmt(report.total[i]), _fmt(report.data[i]),
-                 _fmt(report.penalty[i])]
-            )
+    _write_table(path, ["epoch", "total", "data", "penalty"], (
+        [str(i + 1)] + [_fmt(v) for v in parts]
+        for i, parts in enumerate(zip(report.total, report.data, report.penalty))
+    ))
 
 
 def read_loss_history(path) -> dict:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        rows = [[float(f) for f in row[1:4]] for row in reader if row]
+    _, rows = _read_table(path, "epoch", lambda row: [float(f) for f in row[1:4]])
     arr = np.array(rows, dtype=float).reshape(-1, 3)
     return {"total": arr[:, 0], "data": arr[:, 1], "penalty": arr[:, 2]}
 

@@ -67,35 +67,22 @@ class TaylorMap:
 
     def apply(self, X) -> np.ndarray:
         """Evaluate the map at a state vector."""
-        X = np.asarray(X, dtype=float)
-        out = self.weights[0][:, 0].copy()
-        for d in range(1, self.order + 1):
-            out += self.weights[d] @ basis.kron_power(X, d)
-        return out
+        return basis.evaluate(self.weights, X)
 
     __call__ = apply
 
-    def jacobian(self, X, powers: list[np.ndarray] | None = None) -> np.ndarray:
-        """d(apply)/dX at X, shape (dim, dim).
-
-        powers may pass precomputed kron powers [X^[0], X^[1], ...] to reuse.
-        """
+    def jacobian(self, X) -> np.ndarray:
+        """d(apply)/dX at X, shape (dim, dim)."""
         X = np.asarray(X, dtype=float)
         J = self.weights[1].copy()
         for d in range(2, self.order + 1):
-            lower = powers[d - 1] if powers is not None else None
-            J += self.weights[d] @ basis.kron_power_jacobian(X, d, lower_power=lower)
+            J += self.weights[d] @ basis.kron_power_jacobian(X, d)
         return J
 
-    def weight_gradients(self, X, upstream, powers: list[np.ndarray] | None = None):
+    def weight_gradients(self, X, upstream):
         """Gradient blocks of <upstream, apply(X)> with respect to each W_d."""
-        X = np.asarray(X, dtype=float)
         upstream = np.asarray(upstream, dtype=float)
-        grads = []
-        for d in range(self.order + 1):
-            kp = powers[d] if powers is not None else basis.kron_power(X, d)
-            grads.append(np.outer(upstream, kp))
-        return grads
+        return [np.outer(upstream, basis.kron_power(X, d)) for d in range(self.order + 1)]
 
     def to_dict(self) -> dict:
         return {
@@ -182,26 +169,54 @@ def _jacobian_table(n: int, e: int) -> tuple[np.ndarray, np.ndarray]:
     return T, scale
 
 
-def _residual(tm: TaylorMap):
-    """J times the Jacobian series of tm, and the coefficients of
+def _residual(weights, n: int, k: int):
+    """J times the Jacobian series of the order-k maps whose blocks weights
+    lists (leading axes index the maps), and the coefficients of
     Jac(X)^T J Jac(X) - J as one series product.
 
-    jac[e][r, i] holds the degree-e coefficients of dX'_r/dx_i; the residual
-    coefficients R[c] have shape (dim, dim, basis_size(dim, c)).
+    jac[e][..., r, i, :] holds the degree-e coefficients of dX'_r/dx_i; the
+    residual coefficients R[c] have shape (..., dim, dim, basis_size(dim, c)).
     """
-    n, k = tm.dim, tm.order
     J = _canonical_J(n)
     jac = []
     for e in range(k):
         T, scale = _jacobian_table(n, e)
-        jac.append((tm.weights[e + 1][:, T] * scale).transpose(0, 2, 1))
-    Jjac = [np.tensordot(J, g, axes=1) for g in jac]
+        jac.append(np.swapaxes(weights[e + 1][..., T] * scale, -1, -2))
+    Jjac = [(J @ g.reshape(g.shape[:-2] + (-1,))).reshape(g.shape) for g in jac]
     products = basis._series_mul(
-        [g[:, :, None] for g in jac], [h[:, None] for h in Jjac], n, 2 * (k - 1)
+        [g[..., None, :] for g in jac], [h[..., None, :, :] for h in Jjac], n, 2 * (k - 1)
     )
-    R = [p.sum(axis=0) for p in products]
-    R[0][:, :, 0] -= J
+    R = [p.sum(axis=-4) for p in products]
+    R[0][..., 0] -= J
     return Jjac, R
+
+
+def _penalty_and_gradient(weights, n: int, k: int, gradient: bool):
+    """Symplectic penalty of each order-k map whose blocks weights lists
+    (leading axes index the maps) and, when gradient is set, its gradient
+    blocks d penalty / dW_d with the same leading axes (else None).
+
+    The penalty is <R, R> with R = Jac^T J Jac - J; both triangles of the
+    antisymmetric residual are summed, so each independent constraint
+    contributes twice.  Both Jacobian factors contribute the adjoint of the
+    series product against J Jac, so the gradient on the Jacobian series is
+    that adjoint applied to 2 (R - R^T); each Jacobian coefficient then
+    scatters back to the weight it came from.
+    """
+    Jjac, R = _residual(weights, n, k)
+    penalty = sum(np.sum(c * c, axis=(-3, -2, -1)) for c in R)
+    if not gradient:
+        return penalty, None
+    S = [2.0 * (c - np.swapaxes(c, -3, -2)) for c in R]
+    djac = basis._series_mul_adjoint(
+        [s[..., None, :, :, :] for s in S], [h[..., None, :, :] for h in Jjac], n, k - 1
+    )
+    grads = [np.zeros_like(weights[0])]
+    for e, dg in enumerate(djac):
+        _, scale = _jacobian_table(n, e)
+        dW = np.swapaxes(dg.sum(axis=-2), -1, -2) * scale
+        grads.append(dW.reshape(dW.shape[:-3] + (n, -1)) @ basis._scatter_matrix(n, e, 1))
+    return penalty, grads
 
 
 def symplectic_residual(tm: TaylorMap) -> SymplecticResidual:
@@ -212,7 +227,7 @@ def symplectic_residual(tm: TaylorMap) -> SymplecticResidual:
     w1^{11} w1^{22} - w1^{12} w1^{21} - 1 and the six monomial coefficients
     {1, x1, x2, x1^2, x1 x2, x2^2} carry one scalar constraint each.
     """
-    _, R = _residual(tm)
+    _, R = _residual(tm.weights, tm.dim, tm.order)
     return SymplecticResidual(
         dim=tm.dim,
         order=tm.order,
@@ -221,32 +236,10 @@ def symplectic_residual(tm: TaylorMap) -> SymplecticResidual:
 
 
 def symplectic_penalty(tm: TaylorMap) -> float:
-    """Sum of squared residual coefficients; 0 exactly iff symplectic.
-
-    Both triangles of the antisymmetric residual are summed, so each
-    independent constraint contributes twice.
-    """
-    _, R = _residual(tm)
-    return float(sum(np.sum(c * c) for c in R))
+    """Sum of squared residual coefficients; 0 exactly iff symplectic."""
+    return float(_penalty_and_gradient(tm.weights, tm.dim, tm.order, False)[0])
 
 
 def symplectic_penalty_gradient(tm: TaylorMap) -> list[np.ndarray]:
-    """d symplectic_penalty / dW_d for every block (W_0 gradient is zero).
-
-    The penalty is <R, R> with R = Jac^T J Jac - J.  Both Jacobian factors
-    contribute the adjoint of the series product against J Jac, so the
-    gradient on the Jacobian series is that adjoint applied to 2 (R - R^T);
-    each Jacobian coefficient then scatters back to the weight it came from.
-    """
-    n, k = tm.dim, tm.order
-    Jjac, R = _residual(tm)
-    S = [2.0 * (c - c.transpose(1, 0, 2)) for c in R]
-    djac = basis._series_mul_adjoint(
-        [s[None] for s in S], [h[:, None] for h in Jjac], n, k - 1
-    )
-    grads = [np.zeros_like(tm.weights[0])]
-    for e, dg in enumerate(djac):
-        _, scale = _jacobian_table(n, e)
-        dW = dg.sum(axis=2).transpose(0, 2, 1) * scale
-        grads.append(dW.reshape(n, -1) @ basis._scatter_matrix(n, e, 1))
-    return grads
+    """d symplectic_penalty / dW_d for every block (W_0 gradient is zero)."""
+    return _penalty_and_gradient(tm.weights, tm.dim, tm.order, True)[1]

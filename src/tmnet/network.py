@@ -111,11 +111,6 @@ class Network:
     def n_layers(self) -> int:
         return len(self.layer_groups)
 
-    def replace_group(self, g: int, tm: maps.TaylorMap) -> None:
-        if tm.dim != self.dim or tm.order != self.order:
-            raise ValueError("replacement map has wrong dimension or order")
-        self.group_maps[g] = tm
-
 
 def build_shared_chain(tm: maps.TaylorMap, length: int, taps=None) -> Network:
     """A length-layer chain sharing one weight group; taps default to every
@@ -134,29 +129,30 @@ def build_shared_chain(tm: maps.TaylorMap, length: int, taps=None) -> Network:
 
 
 def _forward_states(net: Network, X0):
-    """All slot states plus per-slot kron powers of the input state."""
+    """Every slot boundary state, shape (n_layers + 1, dim), and the
+    monomials of degrees 0..order of each slot's input state, shape
+    (n_layers, N), both evaluated once per slot."""
     X = np.asarray(X0, dtype=float)
     if X.shape != (net.dim,):
         raise ValueError(f"X0 must have shape ({net.dim},), got {X.shape}")
-    states = [X]
-    powers = []
+    E, _ = basis._stacked_exponents(net.dim, net.order)
+    states = np.empty((net.n_layers + 1, net.dim))
+    powers = np.empty((net.n_layers, E.shape[0]))
+    states[0] = X
     # overflow here means divergence, which is detected and raised below
     with np.errstate(over="ignore", invalid="ignore"):
         for j, g in enumerate(net.layer_groups):
-            tm = net.group_maps[g]
-            kp = [basis.kron_power(states[-1], d) for d in range(net.order + 1)]
-            powers.append(kp)
-            nxt = sum(tm.weights[d] @ kp[d] for d in range(net.order + 1))
-            if not np.all(np.isfinite(nxt)):
+            powers[j] = basis.monomials(states[j], net.order)
+            states[j + 1] = basis.evaluate(net.group_maps[g].weights, states[j], powers[j])
+            if not np.isfinite(states[j + 1]).all():
                 raise FlowDivergenceError(f"network state diverged at layer {j + 1}")
-            states.append(nxt)
     return states, powers
 
 
 def forward(net: Network, X0) -> np.ndarray:
     """Tapped states for one initial condition, shape (len(taps), dim)."""
     states, _ = _forward_states(net, X0)
-    return np.array([states[t] for t in net.taps])
+    return states[list(net.taps)]
 
 
 def predict_trajectory(net: Network, X0, components=None) -> np.ndarray:
@@ -180,76 +176,93 @@ def _check_observations(net: Network, obs: ObservationSeries) -> None:
         raise ValueError("observation series has no observed entries")
 
 
-def _group_penalty(tm: maps.TaylorMap) -> float:
-    # odd-dimensional states carry no conjugate-pair structure; their
-    # penalty term is defined as zero
-    if tm.dim % 2:
-        return 0.0
-    return maps.symplectic_penalty(tm)
+def _data_term(net: Network, X0, obs: ObservationSeries):
+    """Forward pass and masked mean squared error over the observed entries.
 
-
-def loss(net: Network, X0, obs: ObservationSeries, penalty_rate: float):
-    """(total, data, penalty): masked mean squared error over observed
-    entries plus penalty_rate times the summed group penalties."""
+    Returns (states, powers, data, seeds) where states and powers come from
+    _forward_states and seeds[t] is the data gradient on the state at tap t.
+    """
     _check_observations(net, obs)
-    states, _ = _forward_states(net, X0)
-    sq = 0.0
+    states, powers = _forward_states(net, X0)
+    n_obs = obs.observed_count
+    sq, seeds = 0.0, {}
     for r, t in enumerate(obs.taps):
         m = obs.mask[r]
         if m.any():
             diff = states[t][m] - obs.values[r][m]
             sq += float(diff @ diff)
-    data = sq / obs.observed_count
-    penalty = sum(_group_penalty(tm) for tm in net.group_maps)
-    return data + penalty_rate * penalty, data, penalty
+            seeds[t] = np.zeros(net.dim)
+            seeds[t][m] = 2.0 * diff / n_obs
+    return states, powers, sq / n_obs, seeds
+
+
+def _stacked_weights(group_maps) -> list[np.ndarray]:
+    """Each degree's weight blocks of all groups, shape (groups, dim, N_d)."""
+    return [np.stack(blocks) for blocks in zip(*(tm.weights for tm in group_maps))]
+
+
+def _with_penalty(data: float, grads, weights, n: int, k: int, penalty_rate: float):
+    """Add the symplectic penalty of the stacked group weights to a data term.
+
+    grads holds the stacked data gradients, one (groups, dim, N_d) array per
+    degree, or None when only the loss triple (total, data, penalty) is
+    wanted; otherwise returns (per-group gradient blocks, triple) with
+    penalty_rate times the penalty gradient added, from one residual.
+    Odd-dimensional states carry no conjugate-pair structure; their penalty
+    is defined as zero.
+    """
+    penalty, penalty_grads = 0.0, None
+    if n % 2 == 0:
+        want = grads is not None and penalty_rate != 0.0
+        per_group, penalty_grads = maps._penalty_and_gradient(weights, n, k, want)
+        penalty = sum(per_group.tolist())
+    triple = (data + penalty_rate * penalty, data, penalty)
+    if grads is None:
+        return triple
+    for gd, pd in zip(grads, penalty_grads or ()):
+        gd += penalty_rate * pd
+    return [[gd[g] for gd in grads] for g in range(weights[0].shape[0])], triple
+
+
+def loss(net: Network, X0, obs: ObservationSeries, penalty_rate: float):
+    """(total, data, penalty): masked mean squared error over observed
+    entries plus penalty_rate times the summed group penalties."""
+    _, _, data, _ = _data_term(net, X0, obs)
+    return _with_penalty(data, None, _stacked_weights(net.group_maps), net.dim,
+                         net.order, penalty_rate)
 
 
 def backward(net: Network, X0, obs: ObservationSeries, penalty_rate: float):
     """Analytic loss gradients per weight group, plus the loss triple.
 
     Returns (grads, (total, data, penalty)) where grads[g][d] has the shape
-    of group g's degree-d weight block.
+    of group g's degree-d weight block.  Only the adjoint recursion runs slot
+    by slot; the slot Jacobians and the weight gradients are one batched
+    product per degree over all slots.
     """
-    _check_observations(net, obs)
-    states, powers = _forward_states(net, X0)
-    n_obs = obs.observed_count
-    seed = {}
-    for r, t in enumerate(obs.taps):
-        m = obs.mask[r]
-        if m.any():
-            adj = np.zeros(net.dim)
-            adj[m] = 2.0 * (states[t][m] - obs.values[r][m]) / n_obs
-            seed[t] = seed.get(t, 0.0) + adj
+    states, powers, data, seeds = _data_term(net, X0, obs)
+    n, G = net.dim, len(net.group_maps)
+    weights = _stacked_weights(net.group_maps)
+    _, sl = basis._stacked_exponents(n, net.order)
+    slot = np.array(net.layer_groups)
 
-    grads = [
-        [np.zeros_like(w) for w in tm.weights] for tm in net.group_maps
-    ]
-    adj = np.zeros(net.dim)
+    jac = weights[1][slot]
+    for d in range(2, net.order + 1):
+        coef, idx = basis._jacobian_tables(n, d)
+        jac += weights[d][slot] @ (coef * powers[:, sl[d - 1]][:, idx])
+
+    adjoints = np.zeros((net.n_layers, n))
+    adj = np.zeros(n)
     for j in range(net.n_layers, 0, -1):
-        if j in seed:
-            adj = adj + seed[j]
-        g = net.layer_groups[j - 1]
-        tm = net.group_maps[g]
-        kp = powers[j - 1]
-        for d, gw in enumerate(tm.weight_gradients(states[j - 1], adj, powers=kp)):
-            grads[g][d] += gw
-        adj = tm.jacobian(states[j - 1], powers=kp).T @ adj
+        if j in seeds:
+            adj = adj + seeds[j]
+        adjoints[j - 1] = adj
+        adj = jac[j - 1].T @ adj
 
-    penalty = 0.0
-    for g, tm in enumerate(net.group_maps):
-        penalty += _group_penalty(tm)
-        if penalty_rate != 0.0 and tm.dim % 2 == 0:
-            for d, gp in enumerate(maps.symplectic_penalty_gradient(tm)):
-                grads[g][d] += penalty_rate * gp
-
-    sq = 0.0
-    for r, t in enumerate(obs.taps):
-        m = obs.mask[r]
-        if m.any():
-            diff = states[t][m] - obs.values[r][m]
-            sq += float(diff @ diff)
-    data = sq / n_obs
-    return grads, (data + penalty_rate * penalty, data, penalty)
+    # adjoints of each group's slots, the others zeroed: shape (G, dim, slots)
+    by_group = np.swapaxes((slot == np.arange(G)[:, None])[:, :, None] * adjoints, 1, 2)
+    grads = [by_group @ powers[:, s] for s in sl]
+    return _with_penalty(data, grads, weights, n, net.order, penalty_rate)
 
 
 @dataclass(frozen=True)
@@ -313,7 +326,9 @@ class LossReport:
 
 
 def _pairwise_data(net: Network, X0, obs: ObservationSeries):
-    """Consecutive (previous, next) state pairs for teacher forcing.
+    """Consecutive (previous, next) state pairs for teacher forcing, with
+    the previous states as their monomials of each degree, computed once
+    for all epochs.
 
     Requires one shared weight group, a tap at every slot boundary, and a
     fully observed series: each observed state then serves as the input of
@@ -328,20 +343,18 @@ def _pairwise_data(net: Network, X0, obs: ObservationSeries):
         raise ValueError("teacher forcing needs fully observed states")
     X0 = np.asarray(X0, dtype=float)
     prev = np.vstack([X0[None, :], obs.values[:-1]])
-    return prev, obs.values
+    feats = basis.monomials(prev, net.order)
+    _, sl = basis._stacked_exponents(net.dim, net.order)
+    return [feats[:, s].copy() for s in sl], obs.values
 
 
-def _pairwise_backward(tm: maps.TaylorMap, prev, nxt, penalty_rate: float):
-    """Gradients of the mean squared one-step residual over state pairs."""
-    feats = [basis.kron_power(prev, d) for d in range(tm.order + 1)]
+def _pairwise_backward(tm: maps.TaylorMap, feats, nxt, penalty_rate: float):
+    """Gradients of the mean squared one-step residual over state pairs; feats
+    holds the monomials of the previous states, one array per degree."""
     residual = sum(f @ w.T for f, w in zip(feats, tm.weights)) - nxt
     data = float(np.mean(residual**2))
-    grads = [[(2.0 / residual.size) * (residual.T @ f) for f in feats]]
-    penalty = _group_penalty(tm)
-    if penalty_rate != 0.0 and tm.dim % 2 == 0:
-        for d, gp in enumerate(maps.symplectic_penalty_gradient(tm)):
-            grads[0][d] += penalty_rate * gp
-    return grads, (data + penalty_rate * penalty, data, penalty)
+    grads = [(2.0 / residual.size) * (residual.T @ f)[None] for f in feats]
+    return _with_penalty(data, grads, _stacked_weights([tm]), tm.dim, tm.order, penalty_rate)
 
 
 def _clip_global(grads, clip_norm: float) -> None:

@@ -67,11 +67,7 @@ class PolynomialODE:
 
     def rhs(self, X) -> np.ndarray:
         """Evaluate dX/dt at a state."""
-        X = np.asarray(X, dtype=float)
-        out = self.coeffs[0][:, 0].copy()
-        for d in range(1, self.order + 1):
-            out += self.coeffs[d] @ basis.kron_power(X, d)
-        return out
+        return basis.evaluate(self.coeffs, X)
 
     def to_dict(self) -> dict:
         return {

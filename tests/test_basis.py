@@ -300,3 +300,24 @@ def test_kron_power_of_a_batch_is_the_power_of_each_state(X, d):
     assert batch.shape == X.shape[:-1] + (basis.basis_size(n, d),)
     for idx in np.ndindex(X.shape[:-1]):
         assert np.array_equal(batch[idx], basis.kron_power(X[idx], d))
+
+
+@PROPERTY
+@given(st.data(), st.integers(1, 6), st.integers(0, 4), st.integers(0, 3))
+def test_monomials_and_evaluate_match_per_degree_powers(data, n, k, batch):
+    # one state when batch is 0, else a batch of that many states
+    shape = (n,) if batch == 0 else (batch, n)
+    X = data.draw(hnp.arrays(np.float64, shape,
+                             elements=st.floats(-3, 3, allow_nan=False, allow_infinity=False)))
+    _, sl = basis._stacked_exponents(n, k)
+    p = basis.monomials(X, k)
+    assert p.shape == X.shape[:-1] + (sum(basis.basis_size(n, d) for d in range(k + 1)),)
+    for d in range(k + 1):
+        assert p[..., sl[d]].tobytes() == basis.kron_power(X, d).tobytes()
+    blocks = data.draw(_coefficient_blocks(n, k, m=2))
+    for x in X.reshape(-1, n):
+        want = blocks[0][:, 0].copy()
+        for d in range(1, k + 1):
+            want += blocks[d] @ basis.kron_power(x, d)
+        assert basis.evaluate(blocks, x).tobytes() == want.tobytes()
+        assert basis.evaluate(blocks, x, basis.monomials(x, k)).tobytes() == want.tobytes()

@@ -179,6 +179,11 @@ def test_error_exits(tmp_path, capsys):
     out = tmp_path / "x.json"
     map_json = tmp_path / "map.json"
     io.save_map(maps.identity_map(4, 2), map_json)
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    lattice_json = tmp_path / "lattice.json"
+    io.save_lattice(lattice.Lattice(elements=[lattice.rotation_element("r", 0.28, 0.19)],
+                                    monitors=(1,)), lattice_json)
     cases = [
         (("derive", "--system", "nope", "--dt", "0.1", "--out", out), "unknown system"),
         (("derive", "--system", "free_fall", "--param", "m", "--dt", "0.1",
@@ -192,6 +197,13 @@ def test_error_exits(tmp_path, capsys):
           "--steps", "5", "--out", out), "--x0 must be finite"),
         (("track", "--lattice", map_json, "--x0", "0,0,0,0", "--turns", "5",
           "--out", out), "not a lattice file"),
+        (("derive", "--ode", map_json, "--dt", "0.1", "--out", out), "not an ODE file"),
+        (("simulate", "--map", lattice_json, "--x0", "0,0,0,0", "--steps", "5",
+          "--out", out), "not a map file"),
+        (("tunes", "--series", map_json, "--out", out),
+         "expected header starting with 'turn'"),
+        (("train", "--obs", empty, "--x0", "0,0", "--dim", "2", "--order", "1",
+          "--out", out), "expected header starting with 'tap'"),
     ]
     for argv, message in cases:
         capsys.readouterr()

@@ -407,3 +407,20 @@ def test_penalty_gradient_matches_central_differences(n, k, seed):
             E[rng.integers(n), rng.integers(V.shape[1])] = 1.0
             fd = (penalty_at(d, h * E) - penalty_at(d, -h * E)) / (2 * h)
             assert np.sum(grads[d] * E) == pytest.approx(fd, rel=2e-5, abs=1e-7)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_stacked_penalty_and_gradient_equal_per_map_values(n, k):
+    # G maps through one stacked residual give each map's own numbers exactly
+    rng = np.random.default_rng(100 * n + k)
+    tms = [_random_map(rng, n, k) for _ in range(3)]
+    stacked = [np.stack([tm.weights[d] for tm in tms]) for d in range(k + 1)]
+    penalty, grads = maps._penalty_and_gradient(stacked, n, k, gradient=True)
+    assert penalty.shape == (3,) and len(grads) == k + 1
+    for g, tm in enumerate(tms):
+        assert penalty[g] == maps.symplectic_penalty(tm)
+        for d, want in enumerate(maps.symplectic_penalty_gradient(tm)):
+            assert grads[d][g].tobytes() == want.tobytes(), (g, d)
+    alone, none = maps._penalty_and_gradient(stacked, n, k, gradient=False)
+    assert none is None and alone.tobytes() == penalty.tobytes()

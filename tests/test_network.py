@@ -83,6 +83,20 @@ def test_two_shared_layers_compose_the_map():
     assert np.allclose(network.forward(net, X0)[0], tm(tm(X0)), rtol=1e-13)
 
 
+def test_forward_states_equal_repeated_apply():
+    # the stacked forward pass is the map applied slot after slot, bit for bit
+    tm = _random_map(np.random.default_rng(56), 3, 3, scale=0.2)
+    net = network.build_shared_chain(tm, 12)
+    X = np.array([0.3, -0.1, 0.2])
+    states, powers = network._forward_states(net, X)
+    assert states.shape == (13, 3) and powers.shape == (12, 20)
+    assert states[0].tobytes() == X.tobytes()
+    for j in range(12):
+        X = tm.apply(X)
+        assert states[j + 1].tobytes() == X.tobytes(), j
+    assert network.forward(net, states[0]).tobytes() == states[1:].tobytes()
+
+
 def test_forward_rejects_wrong_dimension():
     net = network.build_shared_chain(maps.identity_map(2, 2), 3)
     with pytest.raises(ValueError):
@@ -292,6 +306,44 @@ def test_shared_gradient_equals_sum_of_untied_slots():
     for d in range(3):
         summed = sum(g_untied[g][d] for g in range(4))
         assert np.allclose(g_shared[0][d], summed, rtol=1e-10, atol=1e-12)
+
+
+def test_backward_matches_central_differences_on_untied_network():
+    # groups shared by some slots and not others, partial taps and mask,
+    # and a penalty gradient, at n=4 and k=3
+    rng = np.random.default_rng(57)
+    n, k = 4, 3
+    group_maps = [_random_map(rng, n, k, scale=0.15) for _ in range(3)]
+    layer_groups = (0, 1, 0, 2, 1)
+    taps = (2, 4, 5)
+
+    def make(gmaps):
+        return network.Network(dim=n, order=k, group_maps=gmaps,
+                               layer_groups=layer_groups, taps=taps)
+
+    net = make(group_maps)
+    X0 = np.array([0.3, -0.2, 0.1, 0.25])
+    values = network.forward(net, X0) + 0.05 * rng.normal(size=(3, n))
+    mask = np.array([[True, False, True, False], [True, True, False, True],
+                     [False, True, True, True]])
+    obs = network.ObservationSeries(taps=taps, values=values, mask=mask)
+    lam = 1e-3
+    grads, (total, _, _) = network.backward(net, X0, obs, lam)
+    assert total == network.loss(net, X0, obs, lam)[0]
+    h = 1e-6
+    for g in range(3):
+        for d in range(k + 1):
+            for i in range(n):
+                for p in range(basis.basis_size(n, d)):
+                    fd = []
+                    for step in (h, -h):
+                        bumped = [w.copy() for w in group_maps[g].weights]
+                        bumped[d][i, p] += step
+                        gmaps = list(group_maps)
+                        gmaps[g] = maps.TaylorMap(dim=n, order=k, weights=tuple(bumped))
+                        fd.append(network.loss(make(gmaps), X0, obs, lam)[0])
+                    assert grads[g][d][i, p] == pytest.approx(
+                        (fd[0] - fd[1]) / (2 * h), rel=1e-5, abs=1e-9), (g, d, i, p)
 
 
 # --- training ---------------------------------------------------------------------
