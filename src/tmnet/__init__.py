@@ -3,7 +3,7 @@
 Core pieces:
 
 * monomial bases and truncated polynomial algebra (``tmnet.basis``)
-* Taylor maps with derivatives and symplectic penalties (``tmnet.maps``)
+* Taylor maps, composition and symplectic penalties (``tmnet.maps``)
 * map derivation from polynomial ODEs and reference integration (``tmnet.ode``)
 * chained-map networks trained from a single trajectory (``tmnet.network``)
 * example dynamical systems and data synthesis (``tmnet.systems``)
@@ -15,14 +15,10 @@ __version__ = "0.1.0"
 
 from .basis import (
     basis_size,
-    compose_power_truncate,
     kron_power,
-    kron_power_jacobian,
-    lift_linear,
     position,
 )
 from .maps import (
-    SymplecticResidual,
     TaylorMap,
     compose,
     identity_map,
@@ -75,12 +71,8 @@ from .lattice import (
 __all__ = [
     "__version__",
     "basis_size",
-    "compose_power_truncate",
     "kron_power",
-    "kron_power_jacobian",
-    "lift_linear",
     "position",
-    "SymplecticResidual",
     "TaylorMap",
     "compose",
     "identity_map",

@@ -27,9 +27,6 @@ __all__ = [
     "kron_power",
     "monomials",
     "evaluate",
-    "kron_power_jacobian",
-    "lift_linear",
-    "compose_power_truncate",
     "map_powers",
     "substitute",
 ]
@@ -141,24 +138,6 @@ def _jacobian_tables(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     coef.flags.writeable = False
     idx.flags.writeable = False
     return coef, idx
-
-
-def kron_power_jacobian(X, d: int, lower_power: np.ndarray | None = None) -> np.ndarray:
-    """Jacobian of X^[d] with respect to X, shape (basis_size(n, d), n).
-
-    lower_power may supply a precomputed X^[d-1] to avoid recomputation.
-    """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 1:
-        raise ValueError(f"state must be a 1-d vector, got shape {X.shape}")
-    if d < 1:
-        raise ValueError(f"degree must be >= 1 for a jacobian, got d={d}")
-    if d == 1:
-        return np.eye(X.shape[0])
-    coef, idx = _jacobian_tables(X.shape[0], d)
-    if lower_power is None:
-        lower_power = kron_power(X, d - 1)
-    return coef * lower_power[idx]
 
 
 @lru_cache(maxsize=None)
@@ -274,31 +253,3 @@ def substitute(outer, inner, k: int) -> list[np.ndarray]:
         for j in range(k + 1):
             out[j] += outer[d] @ powers[d][j]
     return out
-
-
-def compose_power_truncate(blocks, d: int, k: int) -> list[np.ndarray]:
-    """Expansion of M(X)^[d] over input monomials of degree 0..k.
-
-    Substitutes the polynomial map M given by coefficient blocks into the
-    reduced Kronecker power of degree d and discards all terms of degree
-    above k.  Returns one array per input degree, the degree-j array having
-    shape (basis_size(m, d), basis_size(n, j)).
-    """
-    if d < 0:
-        raise ValueError(f"power must be >= 0, got d={d}")
-    return map_powers(blocks, d, k)[d]
-
-
-def lift_linear(W, d: int) -> np.ndarray:
-    """Matrix L with L @ X^[d] == (W @ X)^[d] for every X.
-
-    W may be rectangular (m x n); L is basis_size(m, d) x basis_size(n, d).
-    """
-    W = np.asarray(W, dtype=float)
-    if W.ndim != 2:
-        raise ValueError(f"W must be a matrix, got shape {W.shape}")
-    if d == 0:
-        return np.ones((1, 1))
-    m, n = W.shape
-    blocks = [np.zeros((m, 1)), W]
-    return compose_power_truncate(blocks, d, d)[d]

@@ -146,33 +146,28 @@ class TurnSeries:
         return self.states[:, 2]
 
 
-def _boundary_states(lat: Lattice, X0) -> np.ndarray:
-    X = np.asarray(X0, dtype=float)
-    if X.shape != (4,):
-        raise ValueError(f"X0 must have shape (4,), got {X.shape}")
-    out = np.empty((lat.n_elements + 1, 4))
-    out[0] = X
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j, e in enumerate(lat.elements):
-            X = e.tm(X)
-            if not np.all(np.isfinite(X)):
-                raise ode.FlowDivergenceError(
-                    f"tracking diverged in element {j} ({e.label!r})"
-                )
-            out[j + 1] = X
-    return out
+def _track(lat: Lattice, net: network.Network, X0) -> np.ndarray:
+    """Every element-boundary state of one pass through lat, whose layer
+    chain net is; a divergence names the element index and its label."""
+    try:
+        return network._forward_states(net, X0)[0]
+    except ode.FlowDivergenceError as exc:
+        j = exc.layer - 1
+        raise ode.FlowDivergenceError(
+            f"tracking diverged in element {j} ({lat.elements[j].label!r})", exc.layer
+        ) from None
 
 
 def one_turn_readings(lat: Lattice, X0) -> np.ndarray:
     """(x, y) at each monitor boundary, shape (len(monitors), 2)."""
-    states = _boundary_states(lat, X0)
+    states = _track(lat, to_network(lat), X0)
     return states[list(lat.monitors)][:, list(_POSITIONS)]
 
 
 def observe_one_turn(lat: Lattice, X0) -> network.ObservationSeries:
     """One turn of monitor data as a training series: positions observed,
     velocities masked out."""
-    states = _boundary_states(lat, X0)
+    states = _track(lat, to_network(lat), X0)
     mask = np.zeros((len(lat.monitors), 4), dtype=bool)
     mask[:, list(_POSITIONS)] = True
     return network.ObservationSeries(
@@ -194,13 +189,14 @@ def multi_turn(lat: Lattice, X0, n_turns: int) -> TurnSeries:
         raise ValueError("multi-turn tracking needs a ring lattice")
     if n_turns < 1:
         raise ValueError(f"n_turns must be >= 1, got {n_turns}")
+    net = to_network(lat)
     X = np.asarray(X0, dtype=float)
     out = np.empty((n_turns, 4))
     for turn in range(n_turns):
         try:
-            X = _boundary_states(lat, X)[-1]
+            X = _track(lat, net, X)[-1]
         except ode.FlowDivergenceError as exc:
-            raise ode.FlowDivergenceError(f"turn {turn + 1}: {exc}") from exc
+            raise ode.FlowDivergenceError(f"turn {turn + 1}: {exc}", exc.layer) from exc
         out[turn] = X
     return TurnSeries(states=out)
 

@@ -2,9 +2,9 @@
 
 A map of order k sends X to W_0 + W_1 X + W_2 X^[2] + ... + W_k X^[k], where
 X^[d] is the reduced Kronecker power over the bases of ``tmnet.basis``.
-This module provides evaluation, state and weight derivatives, truncated
-composition, and the coefficient-space symplectic residual used as a
-structure-preserving training penalty.
+This module provides evaluation, truncated composition, and the
+coefficient-space symplectic residual used as a structure-preserving
+training penalty, with its gradient in the weights.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ __all__ = [
     "TaylorMap",
     "identity_map",
     "compose",
-    "SymplecticResidual",
     "symplectic_residual",
     "symplectic_penalty",
     "symplectic_penalty_gradient",
@@ -70,19 +69,6 @@ class TaylorMap:
         return basis.evaluate(self.weights, X)
 
     __call__ = apply
-
-    def jacobian(self, X) -> np.ndarray:
-        """d(apply)/dX at X, shape (dim, dim)."""
-        X = np.asarray(X, dtype=float)
-        J = self.weights[1].copy()
-        for d in range(2, self.order + 1):
-            J += self.weights[d] @ basis.kron_power_jacobian(X, d)
-        return J
-
-    def weight_gradients(self, X, upstream):
-        """Gradient blocks of <upstream, apply(X)> with respect to each W_d."""
-        upstream = np.asarray(upstream, dtype=float)
-        return [np.outer(upstream, basis.kron_power(X, d)) for d in range(self.order + 1)]
 
     def to_dict(self) -> dict:
         return {
@@ -136,26 +122,6 @@ def _canonical_J(n: int) -> np.ndarray:
     J[range(1, n, 2), range(0, n, 2)] = -1.0
     J.flags.writeable = False
     return J
-
-
-@dataclass(frozen=True)
-class SymplecticResidual:
-    """Coefficients of Jac(X)^T J Jac(X) - J on monomial bases.
-
-    coefficients[d] has shape (basis_size(dim, d), dim, dim); degrees run from
-    0 to 2(k-1).  Every coefficient matrix is antisymmetric, so each scalar
-    constraint appears twice (both triangles); the penalty keeps that factor.
-    """
-
-    dim: int
-    order: int
-    coefficients: tuple[np.ndarray, ...]
-
-    def penalty(self) -> float:
-        return float(sum(np.sum(c * c) for c in self.coefficients))
-
-    def max_abs(self) -> float:
-        return float(max(np.max(np.abs(c)) for c in self.coefficients))
 
 
 @lru_cache(maxsize=None)
@@ -219,20 +185,18 @@ def _penalty_and_gradient(weights, n: int, k: int, gradient: bool):
     return penalty, grads
 
 
-def symplectic_residual(tm: TaylorMap) -> SymplecticResidual:
+def symplectic_residual(tm: TaylorMap) -> tuple[np.ndarray, ...]:
     """Polynomial-matrix residual Jac(X)^T J Jac(X) - J in coefficient space.
 
-    The residual is identically zero iff the map is symplectic at every state;
-    for n=2, k=2 the degree-0 coefficient's (1,2) entry is
+    Entry d has shape (basis_size(dim, d), dim, dim) for degrees d = 0 to
+    2(k-1); every coefficient matrix is antisymmetric.  The residual is
+    identically zero iff the map is symplectic at every state; for n=2, k=2
+    the degree-0 coefficient's (1,2) entry is
     w1^{11} w1^{22} - w1^{12} w1^{21} - 1 and the six monomial coefficients
     {1, x1, x2, x1^2, x1 x2, x2^2} carry one scalar constraint each.
     """
     _, R = _residual(tm.weights, tm.dim, tm.order)
-    return SymplecticResidual(
-        dim=tm.dim,
-        order=tm.order,
-        coefficients=tuple(_frozen(np.moveaxis(c, -1, 0)) for c in R),
-    )
+    return tuple(_frozen(np.moveaxis(c, -1, 0)) for c in R)
 
 
 def symplectic_penalty(tm: TaylorMap) -> float:

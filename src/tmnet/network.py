@@ -145,7 +145,7 @@ def _forward_states(net: Network, X0):
             powers[j] = basis.monomials(states[j], net.order)
             states[j + 1] = basis.evaluate(net.group_maps[g].weights, states[j], powers[j])
             if not np.isfinite(states[j + 1]).all():
-                raise FlowDivergenceError(f"network state diverged at layer {j + 1}")
+                raise FlowDivergenceError(f"network state diverged at layer {j + 1}", j + 1)
     return states, powers
 
 
@@ -180,20 +180,18 @@ def _data_term(net: Network, X0, obs: ObservationSeries):
     """Forward pass and masked mean squared error over the observed entries.
 
     Returns (states, powers, data, seeds) where states and powers come from
-    _forward_states and seeds[t] is the data gradient on the state at tap t.
+    _forward_states and seeds[t] is the data gradient on the state at slot
+    boundary t (zero away from the observed entries).
     """
     _check_observations(net, obs)
     states, powers = _forward_states(net, X0)
     n_obs = obs.observed_count
-    sq, seeds = 0.0, {}
-    for r, t in enumerate(obs.taps):
-        m = obs.mask[r]
-        if m.any():
-            diff = states[t][m] - obs.values[r][m]
-            sq += float(diff @ diff)
-            seeds[t] = np.zeros(net.dim)
-            seeds[t][m] = 2.0 * diff / n_obs
-    return states, powers, sq / n_obs, seeds
+    taps = list(obs.taps)
+    diff = np.where(obs.mask, states[taps] - obs.values, 0.0)
+    seeds = np.zeros_like(states)
+    seeds[taps] = 2.0 * diff / n_obs
+    data = sum(np.einsum("ij,ij->i", diff, diff).tolist()) / n_obs
+    return states, powers, data, seeds
 
 
 def _stacked_weights(group_maps) -> list[np.ndarray]:
@@ -254,8 +252,7 @@ def backward(net: Network, X0, obs: ObservationSeries, penalty_rate: float):
     adjoints = np.zeros((net.n_layers, n))
     adj = np.zeros(n)
     for j in range(net.n_layers, 0, -1):
-        if j in seeds:
-            adj = adj + seeds[j]
+        adj = adj + seeds[j]
         adjoints[j - 1] = adj
         adj = jac[j - 1].T @ adj
 

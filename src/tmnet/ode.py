@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import basis
-from .maps import TaylorMap
+from .maps import TaylorMap, identity_map
 
 __all__ = [
     "PolynomialODE",
@@ -30,7 +30,12 @@ __all__ = [
 
 
 class FlowDivergenceError(RuntimeError):
-    """Raised when an integration produces non-finite values."""
+    """Raised when an integration or a layer chain produces non-finite
+    values; layer is the 1-based step or layer where that happened."""
+
+    def __init__(self, message: str, layer: int | None = None):
+        super().__init__(message)
+        self.layer = layer
 
 
 @dataclass(frozen=True)
@@ -110,7 +115,8 @@ def weight_flow_rhs(weights, ode: PolynomialODE) -> list[np.ndarray]:
     weights is the block list of the map being evolved (same layout as
     TaylorMap.weights, order k).  Returns dW_d/dt for d = 0..k: the blocks of
     P(M(X)) truncated at degree k.  For the pendulum system this reproduces
-    W'_1 = P_1 W_1, W'_2 = P_1 W_2, W'_3 = P_1 W_3 + P_3 (W_1 X)^[3]-lift.
+    W'_1 = P_1 W_1, W'_2 = P_1 W_2, W'_3 = P_1 W_3 + P_3 A_3, where
+    A_3 X^[3] = (W_1 X)^[3] (map_powers of the linear part, degree 3).
     """
     weights = list(weights)
     k = len(weights) - 1
@@ -125,28 +131,25 @@ def ode_to_map(ode: PolynomialODE, cfg: FlowConfig) -> TaylorMap:
     """Integrate the weight flow over one step of cfg.dt from the unified
     initial condition W_1 = I; returns the order-k Taylor map of the flow."""
     n, k = ode.dim, ode.order
-    W = [np.zeros((n, basis.basis_size(n, d))) for d in range(k + 1)]
-    W[1] = np.eye(n)
+    W = identity_map(n, k).weights
+    ends = np.cumsum([0] + [w.size for w in W]).tolist()
+
+    def blocks(w):
+        return [w[a:b].reshape(n, -1) for a, b in zip(ends, ends[1:])]
+
+    def rhs(w):
+        return np.concatenate(weight_flow_rhs(blocks(w), ode), axis=None)
+
+    # each substep is an rk4_solve step, so divergence is caught at its substep
     h = cfg.dt / cfg.substeps
-    # Overflow is an expected failure mode here; it is detected and reported
-    # below rather than surfaced as a numpy warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(cfg.substeps):
-            k1 = weight_flow_rhs(W, ode)
-            k2 = weight_flow_rhs([w + 0.5 * h * a for w, a in zip(W, k1)], ode)
-            k3 = weight_flow_rhs([w + 0.5 * h * a for w, a in zip(W, k2)], ode)
-            k4 = weight_flow_rhs([w + h * a for w, a in zip(W, k3)], ode)
-            W = [
-                w + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-                for w, a, b, c, d in zip(W, k1, k2, k3, k4)
-            ]
-            if not all(np.all(np.isfinite(w)) for w in W):
-                t = (step + 1) * h
-                raise FlowDivergenceError(
-                    f"weight flow diverged at t={t:.6g} of {cfg.dt:.6g} "
-                    f"(substep {step + 1}/{cfg.substeps})"
-                )
-    return TaylorMap(dim=n, order=k, weights=tuple(W))
+    try:
+        w = rk4_solve(rhs, np.concatenate(W, axis=None), h, cfg.substeps, substeps=1)
+    except FlowDivergenceError as exc:
+        raise FlowDivergenceError(
+            f"weight flow diverged at t={exc.layer * h:.6g} of {cfg.dt:.6g} "
+            f"(substep {exc.layer}/{cfg.substeps})", exc.layer
+        ) from None
+    return TaylorMap(dim=n, order=k, weights=tuple(blocks(w[-1])))
 
 
 def rk4_solve(rhs, X0, dt: float, steps: int, substeps: int = 100) -> np.ndarray:
@@ -160,6 +163,8 @@ def rk4_solve(rhs, X0, dt: float, steps: int, substeps: int = 100) -> np.ndarray
         raise ValueError(f"X0 must be a vector, got shape {X.shape}")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
+    if substeps < 1:
+        raise ValueError(f"substeps must be >= 1, got {substeps}")
     out = np.empty((steps + 1, X.shape[0]))
     out[0] = X
     h = dt / substeps
@@ -173,7 +178,8 @@ def rk4_solve(rhs, X0, dt: float, steps: int, substeps: int = 100) -> np.ndarray
                 X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.all(np.isfinite(X)):
                 raise FlowDivergenceError(
-                    f"trajectory diverged at t={(s + 1) * dt:.6g} (step {s + 1}/{steps})"
+                    f"trajectory diverged at t={(s + 1) * dt:.6g} (step {s + 1}/{steps})",
+                    s + 1,
                 )
             out[s + 1] = X
     return out

@@ -141,27 +141,21 @@ def test_kron_power_degree_zero_and_one():
     assert basis.kron_power(X, 1).tolist() == X.tolist()
 
 
-def test_kron_power_jacobian_matches_finite_differences():
+def test_jacobian_tables_match_finite_differences():
+    # d(X^[d])/dX from the lowered-exponent tables, as the reverse pass and
+    # the map-power prefixes use them
     rng = np.random.default_rng(1)
     h = 1e-6
     for n, d in [(2, 2), (3, 3), (4, 2)]:
         X = rng.normal(size=n)
-        J = basis.kron_power_jacobian(X, d)
+        coef, idx = basis._jacobian_tables(n, d)
+        J = coef * basis.kron_power(X, d - 1)[idx]
         assert J.shape == (basis.basis_size(n, d), n)
         for j in range(n):
             dX = np.zeros(n)
             dX[j] = h
             fd = (basis.kron_power(X + dX, d) - basis.kron_power(X - dX, d)) / (2 * h)
             assert np.allclose(J[:, j], fd, rtol=1e-6, atol=1e-8)
-
-
-def test_kron_power_jacobian_reuses_lower_power():
-    X = np.array([0.7, -1.2, 0.4])
-    lower = basis.kron_power(X, 2)
-    assert np.array_equal(
-        basis.kron_power_jacobian(X, 3, lower_power=lower),
-        basis.kron_power_jacobian(X, 3),
-    )
 
 
 # --- powers of a polynomial map ---------------------------------------------
@@ -217,11 +211,16 @@ def test_map_powers_evaluate_consistently():
         )
 
 
-def test_lift_linear_commutes_with_kron_power():
+def _linear_power(W, d):
+    """A with A @ X^[d] == (W @ X)^[d]: power d of the linear map W."""
+    return basis.map_powers([np.zeros((W.shape[0], 1)), W], d, d)[d][d]
+
+
+def test_map_powers_of_linear_block_commute_with_kron_power():
     rng = np.random.default_rng(5)
     for n, d in [(2, 2), (2, 3), (3, 2)]:
         W = rng.normal(size=(n, n))
-        L = basis.lift_linear(W, d)
+        L = _linear_power(W, d)
         for _ in range(4):
             X = rng.normal(size=n)
             assert np.allclose(
@@ -229,22 +228,13 @@ def test_lift_linear_commutes_with_kron_power():
             )
 
 
-def test_lift_linear_rectangular():
+def test_map_powers_of_rectangular_linear_block():
     rng = np.random.default_rng(6)
     W = rng.normal(size=(3, 2))
-    L = basis.lift_linear(W, 2)
+    L = _linear_power(W, 2)
     assert L.shape == (basis.basis_size(3, 2), basis.basis_size(2, 2))
     X = rng.normal(size=2)
     assert np.allclose(L @ basis.kron_power(X, 2), basis.kron_power(W @ X, 2))
-
-
-def test_compose_power_truncate_agrees_with_map_powers():
-    blocks = _random_blocks(np.random.default_rng(7), 2, 3)
-    full = basis.map_powers(blocks, max_degree=3, k=3)
-    for d in range(4):
-        single = basis.compose_power_truncate(blocks, d, 3)
-        for j in range(4):
-            assert np.array_equal(single[j], full[d][j])
 
 
 # --- properties of the truncated-series kernel --------------------------------

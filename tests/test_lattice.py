@@ -133,9 +133,28 @@ def test_multi_turn_divergence_reports_turn_index():
     blow = maps.TaylorMap(dim=4, order=2, weights=(ws[0], np.eye(4), w2))
     lat = lattice.Lattice(elements=[lattice.LatticeElement(label="b", tm=blow)],
                           monitors=(1,))
-    with pytest.raises(ode.FlowDivergenceError, match="turn"):
+    with pytest.raises(
+        ode.FlowDivergenceError, match=r"^turn \d+: tracking diverged in element 0 \('b'\)$"
+    ) as err:
         lattice.multi_turn(lat, [3.0, 0.0, 0.0, 0.0], 50)
-    assert mb.dim == 4
+    assert err.value.layer == 1
+    # a later element that overflows on the first turn: x <- 1e300 x^2
+    w2[0, 0] = 1e300
+    huge = maps.TaylorMap(dim=4, order=2, weights=(ws[0], np.eye(4), w2))
+    two = lattice.Lattice(
+        elements=[lattice.LatticeElement(label="m", tm=mb),
+                  lattice.LatticeElement(label="h", tm=huge)],
+        monitors=(1, 2),
+    )
+    with pytest.raises(
+        ode.FlowDivergenceError, match=r"^turn 1: tracking diverged in element 1 \('h'\)$"
+    ) as err:
+        lattice.multi_turn(two, [1e5, 0.0, 0.0, 0.0], 50)
+    assert err.value.layer == 2
+    with pytest.raises(
+        ode.FlowDivergenceError, match=r"^tracking diverged in element 1 \('h'\)$"
+    ):
+        lattice.one_turn_readings(two, [1e5, 0.0, 0.0, 0.0])
 
 
 def test_500_turns_under_one_second(fodo):

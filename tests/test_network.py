@@ -97,6 +97,32 @@ def test_forward_states_equal_repeated_apply():
     assert network.forward(net, states[0]).tobytes() == states[1:].tobytes()
 
 
+def test_data_term_equals_per_tap_loop():
+    # the masked residual over all taps at once gives the per-tap loop's
+    # error and seeds bit for bit, rows without observed entries included
+    rng = np.random.default_rng(57)
+    tm = _random_map(rng, 4, 2, scale=0.2)
+    net = network.build_shared_chain(tm, 9, taps=(2, 3, 5, 8, 9))
+    X0 = np.array([0.3, -0.1, 0.2, 0.05])
+    values = rng.normal(size=(5, 4))
+    mask = rng.random((5, 4)) < 0.5
+    mask[1] = False
+    mask[4, 0] = True
+    obs = network.ObservationSeries(taps=net.taps, values=values, mask=mask)
+    states, _, data, seeds = network._data_term(net, X0, obs)
+    n_obs = obs.observed_count
+    sq, want = 0.0, np.zeros((10, 4))
+    for r, t in enumerate(obs.taps):
+        m = obs.mask[r]
+        if m.any():
+            diff = states[t][m] - obs.values[r][m]
+            sq += float(diff @ diff)
+            want[t][m] = 2.0 * diff / n_obs
+    assert seeds.shape == states.shape
+    assert seeds.tobytes() == want.tobytes()
+    assert data == sq / n_obs
+
+
 def test_forward_rejects_wrong_dimension():
     net = network.build_shared_chain(maps.identity_map(2, 2), 3)
     with pytest.raises(ValueError):
@@ -110,8 +136,12 @@ def test_forward_divergence_raises():
         dim=2, order=2, weights=(np.zeros((2, 1)), np.eye(2), W2)
     )
     net = network.build_shared_chain(tm, 60)
-    with pytest.raises(ode.FlowDivergenceError, match="layer"):
+    with pytest.raises(
+        ode.FlowDivergenceError, match=r"^network state diverged at layer \d+$"
+    ) as err:
         network.forward(net, np.array([3.0, 3.0]))
+    assert str(err.value) == f"network state diverged at layer {err.value.layer}"
+    assert 1 < err.value.layer <= 60
 
 
 def test_pendulum_chain_oscillates_without_amplitude_drift():

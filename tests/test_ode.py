@@ -179,8 +179,12 @@ def test_one_step_error_scales_with_fifth_power_of_amplitude():
 
 def test_weight_flow_divergence_raises_with_location():
     stiff = ode.PolynomialODE(1, 1, (np.zeros((1, 1)), np.array([[50.0]])))
-    with pytest.raises(ode.FlowDivergenceError, match="diverged"):
+    with pytest.raises(
+        ode.FlowDivergenceError,
+        match=r"^weight flow diverged at t=14\.16 of 20 \(substep 708/1000\)$",
+    ) as err:
         ode.ode_to_map(stiff, ode.FlowConfig(20.0))
+    assert err.value.layer == 708
 
 
 def test_weight_flow_rejects_dimension_mismatch():
@@ -229,6 +233,9 @@ def test_rk4_input_validation():
         ode.rk4_solve(lambda X: -X, np.zeros((2, 2)), 0.1, 3)
     with pytest.raises(ValueError):
         ode.rk4_solve(lambda X: -X, np.zeros(2), 0.1, -1)
+    for substeps in (0, -2):
+        with pytest.raises(ValueError, match="substeps"):
+            ode.rk4_solve(lambda X: -X, np.zeros(2), 0.1, 3, substeps=substeps)
 
 
 def test_reference_trajectory_accepts_ode_or_callable():
