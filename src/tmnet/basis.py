@@ -10,7 +10,10 @@ exponent tuple, i.e. graded lexicographic with x1 heaviest:
 
 All higher-level objects (Taylor maps, polynomial ODE right-hand sides)
 store one dense coefficient block per degree against these bases, so the
-ordering here is a file-format contract as well.
+ordering here is a file-format contract as well.  They also keep the blocks
+of degrees 0..k side by side in one (n, N) matrix whose columns follow
+monomials(X, k); that matrix times monomials(X, k) is the one evaluator of a
+polynomial at a state.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ __all__ = [
     "position",
     "kron_power",
     "monomials",
-    "evaluate",
     "map_powers",
     "substitute",
 ]
@@ -105,25 +107,6 @@ def monomials(X, k: int) -> np.ndarray:
         raise ValueError("state must have at least one axis")
     E, _ = _stacked_exponents(X.shape[-1], k)
     return np.multiply.reduce(X[..., None, :] ** E, axis=-1)
-
-
-def evaluate(blocks, X, p=None) -> np.ndarray:
-    """The polynomial B_0 + B_1 X + ... + B_k X^[k] at one state X.
-
-    blocks lists B_0..B_k (B_0 a column); p may pass monomials(X, k).  The
-    degrees are accumulated one at a time, lowest first.
-    """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 1:
-        raise ValueError(f"state must be a 1-d vector, got shape {X.shape}")
-    k = len(blocks) - 1
-    if p is None:
-        p = monomials(X, k)
-    _, sl = _stacked_exponents(X.shape[0], k)
-    out = blocks[0][:, 0].copy()
-    for d in range(1, k + 1):
-        out += blocks[d] @ p[sl[d]]
-    return out
 
 
 @lru_cache(maxsize=None)

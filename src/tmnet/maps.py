@@ -2,14 +2,16 @@
 
 A map of order k sends X to W_0 + W_1 X + W_2 X^[2] + ... + W_k X^[k], where
 X^[d] is the reduced Kronecker power over the bases of ``tmnet.basis``.
-This module provides evaluation, truncated composition, and the
-coefficient-space symplectic residual used as a structure-preserving
-training penalty, with its gradient in the weights.
+Evaluation is one product: the blocks stacked side by side into one (dim, N)
+matrix, times the state's ``basis.monomials(X, k)``.  This module provides
+evaluation, truncated composition, and the coefficient-space symplectic
+residual used as a structure-preserving training penalty, with its gradient
+in the weights.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -32,41 +34,60 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _freeze_blocks(poly, name: str, noun: str) -> None:
+    """Check the dim, order and degree blocks of a polynomial dataclass, then
+    store read-only copies of the blocks under name and, side by side, as one
+    read-only (dim, N) matrix under "stacked"."""
+    if poly.dim < 1:
+        raise ValueError(f"dim must be >= 1, got {poly.dim}")
+    if poly.order < 1:
+        raise ValueError(f"order must be >= 1, got {poly.order}")
+    blocks = getattr(poly, name)
+    if len(blocks) != poly.order + 1:
+        raise ValueError(f"expected {poly.order + 1} {noun} blocks, got {len(blocks)}")
+    frozen = []
+    for d, b in enumerate(blocks):
+        b = np.asarray(b, dtype=float)
+        want = (poly.dim, basis.basis_size(poly.dim, d))
+        if b.shape != want:
+            raise ValueError(f"degree-{d} block has shape {b.shape}, expected {want}")
+        if not np.all(np.isfinite(b)):
+            raise ValueError(f"degree-{d} block contains non-finite entries")
+        frozen.append(_frozen(b))
+    stacked = np.hstack(frozen)
+    stacked.flags.writeable = False
+    object.__setattr__(poly, name, tuple(frozen))
+    object.__setattr__(poly, "stacked", stacked)
+
+
+def _evaluate(stacked: np.ndarray, k: int, X) -> np.ndarray:
+    """The polynomial whose stacked blocks are given, at one state X."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 1:
+        raise ValueError(f"state must be a 1-d vector, got shape {X.shape}")
+    return stacked @ basis.monomials(X, k)
+
+
 @dataclass(frozen=True)
 class TaylorMap:
     """Truncated polynomial map X -> W_0 + W_1 X + ... + W_k X^[k].
 
-    weights[d] has shape (dim, basis_size(dim, d)); W_0 is a column.
+    weights[d] has shape (dim, basis_size(dim, d)); W_0 is a column; stacked
+    is (dim, N), the blocks side by side in the order of basis.monomials.
     Instances are immutable; training code works on copies.
     """
 
     dim: int
     order: int
     weights: tuple[np.ndarray, ...]
+    stacked: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if self.order < 1:
-            raise ValueError(f"order must be >= 1, got {self.order}")
-        if len(self.weights) != self.order + 1:
-            raise ValueError(
-                f"expected {self.order + 1} weight blocks, got {len(self.weights)}"
-            )
-        ws = []
-        for d, w in enumerate(self.weights):
-            w = np.asarray(w, dtype=float)
-            want = (self.dim, basis.basis_size(self.dim, d))
-            if w.shape != want:
-                raise ValueError(f"degree-{d} block has shape {w.shape}, expected {want}")
-            if not np.all(np.isfinite(w)):
-                raise ValueError(f"degree-{d} block contains non-finite entries")
-            ws.append(_frozen(w))
-        object.__setattr__(self, "weights", tuple(ws))
+        _freeze_blocks(self, "weights", "weight")
 
     def apply(self, X) -> np.ndarray:
         """Evaluate the map at a state vector."""
-        return basis.evaluate(self.weights, X)
+        return _evaluate(self.stacked, self.order, X)
 
     __call__ = apply
 

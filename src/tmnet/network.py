@@ -6,7 +6,9 @@ their states as outputs, so a single initial state unrolls into a predicted
 time series.  Observations may cover only some taps and some components (for
 a physical pendulum, angles are measured while angular velocities stay
 latent); the loss is the mean squared error over the observed entries plus a
-symplectic penalty summed over the distinct weight groups.
+symplectic penalty summed over the distinct weight groups.  Every layer
+evaluation, in the rolled-out chain and the teacher-forced residual alike, is
+one product of its map's stacked (dim, N) weights with the state's monomials.
 
 Gradients are exact: reverse accumulation through the layer Jacobians, with
 per-slot weight gradients summed within each sharing group, plus the analytic
@@ -135,15 +137,15 @@ def _forward_states(net: Network, X0):
     X = np.asarray(X0, dtype=float)
     if X.shape != (net.dim,):
         raise ValueError(f"X0 must have shape ({net.dim},), got {X.shape}")
-    E, _ = basis._stacked_exponents(net.dim, net.order)
+    mats = [tm.stacked for tm in net.group_maps]
     states = np.empty((net.n_layers + 1, net.dim))
-    powers = np.empty((net.n_layers, E.shape[0]))
+    powers = np.empty((net.n_layers, mats[0].shape[1]))
     states[0] = X
     # overflow here means divergence, which is detected and raised below
     with np.errstate(over="ignore", invalid="ignore"):
         for j, g in enumerate(net.layer_groups):
             powers[j] = basis.monomials(states[j], net.order)
-            states[j + 1] = basis.evaluate(net.group_maps[g].weights, states[j], powers[j])
+            states[j + 1] = mats[g] @ powers[j]
             if not np.isfinite(states[j + 1]).all():
                 raise FlowDivergenceError(f"network state diverged at layer {j + 1}", j + 1)
     return states, powers
@@ -324,8 +326,8 @@ class LossReport:
 
 def _pairwise_data(net: Network, X0, obs: ObservationSeries):
     """Consecutive (previous, next) state pairs for teacher forcing, with
-    the previous states as their monomials of each degree, computed once
-    for all epochs.
+    the previous states as their monomials of degrees 0..order, one row per
+    pair, computed once for all epochs.
 
     Requires one shared weight group, a tap at every slot boundary, and a
     fully observed series: each observed state then serves as the input of
@@ -340,17 +342,16 @@ def _pairwise_data(net: Network, X0, obs: ObservationSeries):
         raise ValueError("teacher forcing needs fully observed states")
     X0 = np.asarray(X0, dtype=float)
     prev = np.vstack([X0[None, :], obs.values[:-1]])
-    feats = basis.monomials(prev, net.order)
-    _, sl = basis._stacked_exponents(net.dim, net.order)
-    return [feats[:, s].copy() for s in sl], obs.values
+    return basis.monomials(prev, net.order), obs.values
 
 
 def _pairwise_backward(tm: maps.TaylorMap, feats, nxt, penalty_rate: float):
     """Gradients of the mean squared one-step residual over state pairs; feats
-    holds the monomials of the previous states, one array per degree."""
-    residual = sum(f @ w.T for f, w in zip(feats, tm.weights)) - nxt
+    holds the monomials of the previous states, one row per pair."""
+    residual = feats @ tm.stacked.T - nxt
     data = float(np.mean(residual**2))
-    grads = [(2.0 / residual.size) * (residual.T @ f)[None] for f in feats]
+    _, sl = basis._stacked_exponents(tm.dim, tm.order)
+    grads = [(2.0 / residual.size) * (residual.T @ feats[:, s])[None] for s in sl]
     return _with_penalty(data, grads, _stacked_weights([tm]), tm.dim, tm.order, penalty_rate)
 
 

@@ -7,16 +7,20 @@ ODE, obtained by substituting the map into the right-hand side and collecting
 coefficients per degree (truncating above k).  Solving that system once from
 the unified initial condition W_1 = I (all other blocks zero) yields the map
 for the chosen time step, independent of any particular trajectory.
+
+The oracle evaluates dX/dt as one product: the ODE's stacked (dim, N)
+coefficient matrix times the state's monomials of degrees 0..k.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import basis
-from .maps import TaylorMap, identity_map
+from .maps import TaylorMap, _evaluate, _freeze_blocks, identity_map
 
 __all__ = [
     "PolynomialODE",
@@ -42,37 +46,21 @@ class FlowDivergenceError(RuntimeError):
 class PolynomialODE:
     """Polynomial right-hand side dX/dt = P_0 + P_1 X + ... + P_k X^[k].
 
-    coeffs[d] has shape (dim, basis_size(dim, d)).
+    coeffs[d] has shape (dim, basis_size(dim, d)); stacked is (dim, N), the
+    blocks side by side in the order of basis.monomials.
     """
 
     dim: int
     order: int
     coeffs: tuple[np.ndarray, ...]
+    stacked: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if self.order < 1:
-            raise ValueError(f"order must be >= 1, got {self.order}")
-        if len(self.coeffs) != self.order + 1:
-            raise ValueError(
-                f"expected {self.order + 1} coefficient blocks, got {len(self.coeffs)}"
-            )
-        cs = []
-        for d, c in enumerate(self.coeffs):
-            c = np.array(c, dtype=float)
-            want = (self.dim, basis.basis_size(self.dim, d))
-            if c.shape != want:
-                raise ValueError(f"degree-{d} block has shape {c.shape}, expected {want}")
-            if not np.all(np.isfinite(c)):
-                raise ValueError(f"degree-{d} block contains non-finite entries")
-            c.flags.writeable = False
-            cs.append(c)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        _freeze_blocks(self, "coeffs", "coefficient")
 
     def rhs(self, X) -> np.ndarray:
-        """Evaluate dX/dt at a state."""
-        return basis.evaluate(self.coeffs, X)
+        """Evaluate dX/dt at a state vector."""
+        return _evaluate(self.stacked, self.order, X)
 
     def to_dict(self) -> dict:
         return {
@@ -140,16 +128,38 @@ def ode_to_map(ode: PolynomialODE, cfg: FlowConfig) -> TaylorMap:
     def rhs(w):
         return np.concatenate(weight_flow_rhs(blocks(w), ode), axis=None)
 
-    # each substep is an rk4_solve step, so divergence is caught at its substep
+    # each substep is one RK4 step, so divergence is caught at its substep;
+    # only the end state is kept
     h = cfg.dt / cfg.substeps
     try:
-        w = rk4_solve(rhs, np.concatenate(W, axis=None), h, cfg.substeps, substeps=1)
+        w = deque(_rk4_steps(rhs, np.concatenate(W, axis=None), h, cfg.substeps, 1), maxlen=1)
     except FlowDivergenceError as exc:
         raise FlowDivergenceError(
             f"weight flow diverged at t={exc.layer * h:.6g} of {cfg.dt:.6g} "
             f"(substep {exc.layer}/{cfg.substeps})", exc.layer
         ) from None
-    return TaylorMap(dim=n, order=k, weights=tuple(blocks(w[-1])))
+    return TaylorMap(dim=n, order=k, weights=tuple(blocks(w[0])))
+
+
+def _rk4_steps(rhs, X, dt: float, steps: int, substeps: int):
+    """Yield the state after each of `steps` steps of dt, each resolved by
+    `substeps` RK4 steps; raise FlowDivergenceError at the first step that
+    ends non-finite."""
+    h = dt / substeps
+    half, sixth = 0.5 * h, h / 6.0
+    for s in range(steps):
+        # overflow here means divergence, which is detected and raised below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(substeps):
+                k1 = rhs(X)
+                k2 = rhs(X + half * k1)
+                k3 = rhs(X + half * k2)
+                k4 = rhs(X + h * k3)
+                X = X + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(X)):
+            msg = f"trajectory diverged at t={(s + 1) * dt:.6g} (step {s + 1}/{steps})"
+            raise FlowDivergenceError(msg, s + 1)
+        yield X
 
 
 def rk4_solve(rhs, X0, dt: float, steps: int, substeps: int = 100) -> np.ndarray:
@@ -165,24 +175,7 @@ def rk4_solve(rhs, X0, dt: float, steps: int, substeps: int = 100) -> np.ndarray
         raise ValueError(f"steps must be >= 0, got {steps}")
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
-    out = np.empty((steps + 1, X.shape[0]))
-    out[0] = X
-    h = dt / substeps
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(steps):
-            for _ in range(substeps):
-                k1 = rhs(X)
-                k2 = rhs(X + 0.5 * h * k1)
-                k3 = rhs(X + 0.5 * h * k2)
-                k4 = rhs(X + h * k3)
-                X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(X)):
-                raise FlowDivergenceError(
-                    f"trajectory diverged at t={(s + 1) * dt:.6g} (step {s + 1}/{steps})",
-                    s + 1,
-                )
-            out[s + 1] = X
-    return out
+    return np.array([X, *_rk4_steps(rhs, X, dt, steps, substeps)])
 
 
 def reference_trajectory(ode, X0, dt: float, steps: int, substeps: int = 100) -> np.ndarray:

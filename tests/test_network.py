@@ -3,6 +3,9 @@ backpropagation (finite-difference oracle), and one-shot Adam training."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tmnet import basis, maps, network, ode, systems
 
@@ -620,3 +623,59 @@ def test_teacher_forcing_validation():
     )
     with pytest.raises(ValueError, match="single shared weight group"):
         network.train_one_shot(untied, np.zeros(2), _full_obs(values), cfg)
+
+
+# --- the one evaluator ------------------------------------------------------------
+
+
+def _per_degree_value(blocks, x):
+    out = blocks[0][:, 0].copy()
+    for d in range(1, len(blocks)):
+        out += blocks[d] @ basis.kron_power(x, d)
+    return out
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.data(), st.integers(1, 6), st.integers(1, 4))
+def test_every_point_evaluation_is_one_stacked_product(data, n, k):
+    coeff = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
+    blocks = tuple(
+        data.draw(hnp.arrays(np.float64, (n, basis.basis_size(n, d)), elements=coeff))
+        for d in range(k + 1)
+    )
+    X0 = data.draw(hnp.arrays(np.float64, (n,), elements=st.floats(-1, 1)))
+    tm = maps.TaylorMap(dim=n, order=k, weights=blocks)
+    system = ode.PolynomialODE(n, k, blocks)
+    C = np.hstack(blocks)
+    assert tm.stacked.tobytes() == C.tobytes()
+    assert system.stacked.tobytes() == C.tobytes()
+
+    def near_per_degree(got, x):
+        # the stacked product only regroups the per-degree sum: both lie
+        # within a few ulps of the sum of absolute terms
+        scale = np.abs(C) @ np.abs(basis.monomials(x, k))
+        err = np.abs(got - _per_degree_value(blocks, x))
+        assert np.all(err <= 4 * np.finfo(float).eps * scale)
+
+    net = network.build_shared_chain(tm, 3)
+    states, _ = network._forward_states(net, X0)
+    for x, nxt in zip(states[:-1], states[1:]):
+        want = C @ basis.monomials(x, k)
+        assert nxt.tobytes() == want.tobytes()
+        assert tm.apply(x).tobytes() == want.tobytes()
+        assert system.rhs(x).tobytes() == want.tobytes()
+        near_per_degree(want, x)
+
+    # teacher forcing on the same chain: one product over all pairs
+    feats, targets = network._pairwise_data(net, X0, _full_obs(states[1:]))
+    assert feats.tobytes() == basis.monomials(states[:-1], k).tobytes()
+    predicted = feats @ C.T
+    for row, x in zip(predicted, states[:-1]):
+        near_per_degree(row, x)
+    residual = predicted - targets
+    grads, (_, data_term, _) = network._pairwise_backward(tm, feats, targets, 0.0)
+    assert data_term == float(np.mean(residual**2))
+    _, sl = basis._stacked_exponents(n, k)
+    for g, s in zip(grads[0], sl):
+        want = (2.0 / residual.size) * (residual.T @ feats[:, s])
+        assert g.tobytes() == want.tobytes()

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from tmnet import basis, maps, ode
+from tmnet import basis, maps, ode, systems
 
 
 def _free_fall() -> ode.PolynomialODE:
@@ -44,6 +44,18 @@ def test_rhs_matches_direct_evaluation():
         X = rng.normal(size=2)
         want = sum(P @ basis.kron_power(X, d) for d, P in enumerate(coeffs))
         assert np.allclose(sys.rhs(X), want, rtol=1e-13)
+
+
+def test_point_evaluation_rejects_batches():
+    # a batch of exactly N states would otherwise multiply through to a
+    # wrong (dim, N) result instead of failing on the shapes
+    system = _pendulum()
+    tm = maps.identity_map(2, 3)
+    N = system.stacked.shape[1]
+    for rows in (2, N):
+        for evaluate in (system.rhs, tm.apply):
+            with pytest.raises(ValueError, match="1-d vector"):
+                evaluate(np.zeros((rows, 2)))
 
 
 def test_ode_serialization_roundtrip():
@@ -177,6 +189,20 @@ def test_one_step_error_scales_with_fifth_power_of_amplitude():
     assert 24.0 < errs[1] / errs[0] < 40.0
 
 
+def test_derived_map_is_the_end_state_of_a_textbook_weight_flow():
+    system = systems.lotka_volterra()
+    W = maps.identity_map(2, 2).weights
+    ends = np.cumsum([w.size for w in W])[:-1]
+
+    def rhs(w):
+        blocks = [b.reshape(2, -1) for b in np.split(w, ends)]
+        return np.concatenate(ode.weight_flow_rhs(blocks, system), axis=None)
+
+    end = _textbook_rk4(rhs, np.concatenate(W, axis=None), 0.01, 1, 50)[-1]
+    tm = ode.ode_to_map(system, ode.FlowConfig(0.01, substeps=50))
+    assert np.concatenate(tm.weights, axis=None).tobytes() == end.tobytes()
+
+
 def test_weight_flow_divergence_raises_with_location():
     stiff = ode.PolynomialODE(1, 1, (np.zeros((1, 1)), np.array([[50.0]])))
     with pytest.raises(
@@ -194,6 +220,31 @@ def test_weight_flow_rejects_dimension_mismatch():
 
 
 # --- trajectory integration -----------------------------------------------------
+
+
+def _textbook_rk4(rhs, X0, dt, steps, substeps):
+    X, h = np.asarray(X0, dtype=float), dt / substeps
+    out = [X]
+    for _ in range(steps):
+        for _ in range(substeps):
+            k1 = rhs(X)
+            k2 = rhs(X + 0.5 * h * k1)
+            k3 = rhs(X + 0.5 * h * k2)
+            k4 = rhs(X + h * k3)
+            X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(X)
+    return np.array(out)
+
+
+def test_rk4_matches_textbook_loop_byte_for_byte():
+    # pins the stage combination's grouping: any regrouping changes bytes
+    cases = (
+        (systems.damped_pendulum_rhs(), [0.4, -0.3]),
+        (systems.lotka_volterra().rhs, [0.8, 0.8]),
+    )
+    for rhs, X0 in cases:
+        got = ode.rk4_solve(rhs, np.array(X0), 0.01, 30, substeps=100)
+        assert got.tobytes() == _textbook_rk4(rhs, X0, 0.01, 30, 100).tobytes()
 
 
 def test_rk4_matches_harmonic_oscillator():
