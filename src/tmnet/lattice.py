@@ -146,11 +146,12 @@ class TurnSeries:
         return self.states[:, 2]
 
 
-def _track(lat: Lattice, net: network.Network, X0) -> np.ndarray:
+def _track(lat: Lattice, X0, net: network.Network, W) -> np.ndarray:
     """Every element-boundary state of one pass through lat, whose layer
-    chain net is; a divergence names the element index and its label."""
+    chain net is and W its stacked weights; a divergence names the element
+    index and its label."""
     try:
-        return network._forward_states(net, X0)[0]
+        return network._forward_states(net, W, X0)[0]
     except ode.FlowDivergenceError as exc:
         j = exc.layer - 1
         raise ode.FlowDivergenceError(
@@ -160,14 +161,16 @@ def _track(lat: Lattice, net: network.Network, X0) -> np.ndarray:
 
 def one_turn_readings(lat: Lattice, X0) -> np.ndarray:
     """(x, y) at each monitor boundary, shape (len(monitors), 2)."""
-    states = _track(lat, to_network(lat), X0)
+    net = to_network(lat)
+    states = _track(lat, X0, net, network._stack(net))
     return states[list(lat.monitors)][:, list(_POSITIONS)]
 
 
 def observe_one_turn(lat: Lattice, X0) -> network.ObservationSeries:
     """One turn of monitor data as a training series: positions observed,
     velocities masked out."""
-    states = _track(lat, to_network(lat), X0)
+    net = to_network(lat)
+    states = _track(lat, X0, net, network._stack(net))
     mask = np.zeros((len(lat.monitors), 4), dtype=bool)
     mask[:, list(_POSITIONS)] = True
     return network.ObservationSeries(
@@ -190,11 +193,12 @@ def multi_turn(lat: Lattice, X0, n_turns: int) -> TurnSeries:
     if n_turns < 1:
         raise ValueError(f"n_turns must be >= 1, got {n_turns}")
     net = to_network(lat)
+    W = network._stack(net)
     X = np.asarray(X0, dtype=float)
     out = np.empty((n_turns, 4))
     for turn in range(n_turns):
         try:
-            X = _track(lat, net, X)[-1]
+            X = _track(lat, X, net, W)[-1]
         except ode.FlowDivergenceError as exc:
             raise ode.FlowDivergenceError(f"turn {turn + 1}: {exc}", exc.layer) from exc
         out[turn] = X

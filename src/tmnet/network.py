@@ -13,10 +13,14 @@ one product of its map's stacked (dim, N) weights with the state's monomials.
 Gradients are exact: reverse accumulation through the layer Jacobians, with
 per-slot weight gradients summed within each sharing group, plus the analytic
 penalty gradient.  Training is deterministic full-batch Adam on the single
-observed series, with global gradient-norm clipping.
+observed series, with global gradient-norm clipping.  It runs on one stacked
+(groups, dim, N) array W, W[g] being group g's stacked matrix; gradients and
+Adam's moments share that layout, and TaylorMaps are built from it only at
+checkpoints and at the end.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -130,22 +134,33 @@ def build_shared_chain(tm: maps.TaylorMap, length: int, taps=None) -> Network:
     )
 
 
-def _forward_states(net: Network, X0):
+def _stack(net: Network) -> np.ndarray:
+    """The group maps' stacked matrices as one (groups, dim, N) array."""
+    return np.stack([tm.stacked for tm in net.group_maps])
+
+
+def _group_maps(net: Network, W) -> list[maps.TaylorMap]:
+    """One TaylorMap per group of the stacked weights W, copied out of W."""
+    _, sl = basis._stacked_exponents(net.dim, net.order)
+    return [maps.TaylorMap(dim=net.dim, order=net.order, weights=tuple(w[:, s] for s in sl))
+            for w in W]
+
+
+def _forward_states(net: Network, W, X0):
     """Every slot boundary state, shape (n_layers + 1, dim), and the
     monomials of degrees 0..order of each slot's input state, shape
-    (n_layers, N), both evaluated once per slot."""
+    (n_layers, N), both evaluated once per slot with the group weights W."""
     X = np.asarray(X0, dtype=float)
     if X.shape != (net.dim,):
         raise ValueError(f"X0 must have shape ({net.dim},), got {X.shape}")
-    mats = [tm.stacked for tm in net.group_maps]
     states = np.empty((net.n_layers + 1, net.dim))
-    powers = np.empty((net.n_layers, mats[0].shape[1]))
+    powers = np.empty((net.n_layers, W.shape[-1]))
     states[0] = X
     # overflow here means divergence, which is detected and raised below
     with np.errstate(over="ignore", invalid="ignore"):
         for j, g in enumerate(net.layer_groups):
             powers[j] = basis.monomials(states[j], net.order)
-            states[j + 1] = mats[g] @ powers[j]
+            states[j + 1] = W[g] @ powers[j]
             if not np.isfinite(states[j + 1]).all():
                 raise FlowDivergenceError(f"network state diverged at layer {j + 1}", j + 1)
     return states, powers
@@ -153,7 +168,7 @@ def _forward_states(net: Network, X0):
 
 def forward(net: Network, X0) -> np.ndarray:
     """Tapped states for one initial condition, shape (len(taps), dim)."""
-    states, _ = _forward_states(net, X0)
+    states, _ = _forward_states(net, _stack(net), X0)
     return states[list(net.taps)]
 
 
@@ -178,7 +193,7 @@ def _check_observations(net: Network, obs: ObservationSeries) -> None:
         raise ValueError("observation series has no observed entries")
 
 
-def _data_term(net: Network, X0, obs: ObservationSeries):
+def _data_term(net: Network, W, X0, obs: ObservationSeries):
     """Forward pass and masked mean squared error over the observed entries.
 
     Returns (states, powers, data, seeds) where states and powers come from
@@ -186,7 +201,7 @@ def _data_term(net: Network, X0, obs: ObservationSeries):
     boundary t (zero away from the observed entries).
     """
     _check_observations(net, obs)
-    states, powers = _forward_states(net, X0)
+    states, powers = _forward_states(net, W, X0)
     n_obs = obs.observed_count
     taps = list(obs.taps)
     diff = np.where(obs.mask, states[taps] - obs.values, 0.0)
@@ -196,60 +211,54 @@ def _data_term(net: Network, X0, obs: ObservationSeries):
     return states, powers, data, seeds
 
 
-def _stacked_weights(group_maps) -> list[np.ndarray]:
-    """Each degree's weight blocks of all groups, shape (groups, dim, N_d)."""
-    return [np.stack(blocks) for blocks in zip(*(tm.weights for tm in group_maps))]
+def _with_penalty(data: float, grads, W, n: int, k: int, penalty_rate: float):
+    """Add the symplectic penalty of the stacked group weights W to a data term.
 
-
-def _with_penalty(data: float, grads, weights, n: int, k: int, penalty_rate: float):
-    """Add the symplectic penalty of the stacked group weights to a data term.
-
-    grads holds the stacked data gradients, one (groups, dim, N_d) array per
-    degree, or None when only the loss triple (total, data, penalty) is
-    wanted; otherwise returns (per-group gradient blocks, triple) with
-    penalty_rate times the penalty gradient added, from one residual.
-    Odd-dimensional states carry no conjugate-pair structure; their penalty
-    is defined as zero.
+    grads is the data gradient, shaped like W, or None when only the loss
+    triple (total, data, penalty) is wanted; otherwise returns (grads,
+    triple) with penalty_rate times the penalty gradient added in place, from
+    one residual on the degree column views of W.  Odd-dimensional states
+    carry no conjugate-pair structure; their penalty is defined as zero.
     """
-    penalty, penalty_grads = 0.0, None
+    penalty = 0.0
     if n % 2 == 0:
+        _, sl = basis._stacked_exponents(n, k)
         want = grads is not None and penalty_rate != 0.0
-        per_group, penalty_grads = maps._penalty_and_gradient(weights, n, k, want)
+        per_group, penalty_grads = maps._penalty_and_gradient([W[..., s] for s in sl], n, k, want)
         penalty = sum(per_group.tolist())
+        for s, pd in zip(sl, penalty_grads or ()):
+            grads[..., s] += penalty_rate * pd
     triple = (data + penalty_rate * penalty, data, penalty)
-    if grads is None:
-        return triple
-    for gd, pd in zip(grads, penalty_grads or ()):
-        gd += penalty_rate * pd
-    return [[gd[g] for gd in grads] for g in range(weights[0].shape[0])], triple
+    return triple if grads is None else (grads, triple)
 
 
 def loss(net: Network, X0, obs: ObservationSeries, penalty_rate: float):
     """(total, data, penalty): masked mean squared error over observed
     entries plus penalty_rate times the summed group penalties."""
-    _, _, data, _ = _data_term(net, X0, obs)
-    return _with_penalty(data, None, _stacked_weights(net.group_maps), net.dim,
-                         net.order, penalty_rate)
+    W = _stack(net)
+    _, _, data, _ = _data_term(net, W, X0, obs)
+    return _with_penalty(data, None, W, net.dim, net.order, penalty_rate)
 
 
-def backward(net: Network, X0, obs: ObservationSeries, penalty_rate: float):
-    """Analytic loss gradients per weight group, plus the loss triple.
+def backward(net: Network, W, X0, obs: ObservationSeries, penalty_rate: float):
+    """Analytic loss gradient in the group weights W, plus the loss triple.
 
-    Returns (grads, (total, data, penalty)) where grads[g][d] has the shape
-    of group g's degree-d weight block.  Only the adjoint recursion runs slot
-    by slot; the slot Jacobians and the weight gradients are one batched
-    product per degree over all slots.
+    Returns (grads, (total, data, penalty)) where grads has W's shape
+    (groups, dim, N); degree d is the column slice [..., sl[d]] with sl from
+    basis._stacked_exponents.  Only the adjoint recursion runs slot by slot;
+    the slot Jacobians and the weight gradients are one batched product per
+    degree over all slots.
     """
-    states, powers, data, seeds = _data_term(net, X0, obs)
-    n, G = net.dim, len(net.group_maps)
-    weights = _stacked_weights(net.group_maps)
+    states, powers, data, seeds = _data_term(net, W, X0, obs)
+    n, G = net.dim, W.shape[0]
     _, sl = basis._stacked_exponents(n, net.order)
     slot = np.array(net.layer_groups)
+    Ws = W[slot]
 
-    jac = weights[1][slot]
+    jac = Ws[..., sl[1]].copy()
     for d in range(2, net.order + 1):
         coef, idx = basis._jacobian_tables(n, d)
-        jac += weights[d][slot] @ (coef * powers[:, sl[d - 1]][:, idx])
+        jac += Ws[..., sl[d]] @ (coef * powers[:, sl[d - 1]][:, idx])
 
     adjoints = np.zeros((net.n_layers, n))
     adj = np.zeros(n)
@@ -260,8 +269,8 @@ def backward(net: Network, X0, obs: ObservationSeries, penalty_rate: float):
 
     # adjoints of each group's slots, the others zeroed: shape (G, dim, slots)
     by_group = np.swapaxes((slot == np.arange(G)[:, None])[:, :, None] * adjoints, 1, 2)
-    grads = [by_group @ powers[:, s] for s in sl]
-    return _with_penalty(data, grads, weights, n, net.order, penalty_rate)
+    grads = np.concatenate([by_group @ powers[:, s] for s in sl], axis=-1)
+    return _with_penalty(data, grads, W, n, net.order, penalty_rate)
 
 
 @dataclass(frozen=True)
@@ -345,27 +354,25 @@ def _pairwise_data(net: Network, X0, obs: ObservationSeries):
     return basis.monomials(prev, net.order), obs.values
 
 
-def _pairwise_backward(tm: maps.TaylorMap, feats, nxt, penalty_rate: float):
-    """Gradients of the mean squared one-step residual over state pairs; feats
-    holds the monomials of the previous states, one row per pair."""
-    residual = feats @ tm.stacked.T - nxt
+def _pairwise_backward(net: Network, W, feats, nxt, penalty_rate: float):
+    """Gradients in W of the mean squared one-step residual over state pairs;
+    feats holds the monomials of the previous states, one row per pair."""
+    residual = feats @ W[0].T - nxt
     data = float(np.mean(residual**2))
-    _, sl = basis._stacked_exponents(tm.dim, tm.order)
-    grads = [(2.0 / residual.size) * (residual.T @ feats[:, s])[None] for s in sl]
-    return _with_penalty(data, grads, _stacked_weights([tm]), tm.dim, tm.order, penalty_rate)
+    _, sl = basis._stacked_exponents(net.dim, net.order)
+    grads = np.concatenate([residual.T @ feats[:, s] for s in sl], axis=-1)
+    return _with_penalty(data, (2.0 / residual.size) * grads[None], W, net.dim, net.order,
+                         penalty_rate)
 
 
-def _clip_global(grads, clip_norm: float) -> None:
-    sq = 0.0
-    for group in grads:
-        for g in group:
-            sq += float((g * g).sum())
-    norm = np.sqrt(sq)
+def _clip_global(grads: np.ndarray, clip_norm: float) -> float:
+    """Scale grads in place to a norm of at most clip_norm; returns the norm
+    before clipping (inf when the squared norm overflows)."""
+    with np.errstate(over="ignore"):
+        norm = float(np.sqrt((grads * grads).sum()))
     if norm > clip_norm:
-        scale = clip_norm / norm
-        for group in grads:
-            for g in group:
-                g *= scale
+        grads *= clip_norm / norm
+    return norm
 
 
 def train_one_shot(
@@ -378,79 +385,53 @@ def train_one_shot(
     """Full-batch Adam on one observed series; returns (trained net, report).
 
     The input network is not modified.  Losses are recorded at evaluation,
-    before each update; a non-finite loss aborts with the failing epoch.
-    With cfg.teacher_forcing the data term is the one-step residual over
-    consecutive observed pairs (fully observed shared chains only) instead
-    of the rolled-out trajectory error; cfg.train_degrees restricts updates
-    to the named weight degrees.
+    before each update; a non-finite loss or gradient norm aborts with the
+    failing epoch.  With cfg.teacher_forcing the data term is the one-step
+    residual over consecutive observed pairs (fully observed shared chains
+    only) instead of the rolled-out trajectory error; cfg.train_degrees
+    restricts updates to the named weight degrees.
     """
-    trained = Network(
-        dim=net.dim,
-        order=net.order,
-        group_maps=list(net.group_maps),
-        layer_groups=net.layer_groups,
-        taps=net.taps,
-    )
-    weights = [[w.copy() for w in tm.weights] for tm in trained.group_maps]
-    m = [[np.zeros_like(w) for w in ws] for ws in weights]
-    v = [[np.zeros_like(w) for w in ws] for ws in weights]
-    total_h, data_h, pen_h = [], [], []
-    wanted = set(int(e) for e in checkpoint_epochs)
-    report = LossReport(
-        total=np.empty(0), data=np.empty(0), penalty=np.empty(0)
-    )
-    if cfg.train_degrees is not None and any(
-        d > net.order for d in cfg.train_degrees
-    ):
+    if cfg.train_degrees is not None and any(d > net.order for d in cfg.train_degrees):
         raise ValueError(f"train_degrees beyond map order {net.order}")
-    pairs = _pairwise_data(trained, X0, obs) if cfg.teacher_forcing else None
+    pairs = _pairwise_data(net, X0, obs) if cfg.teacher_forcing else None
+    W = _stack(net)
+    m = np.zeros_like(W)
+    v = np.zeros_like(W)
+    E, _ = basis._stacked_exponents(net.dim, net.order)
+    frozen = ~np.isin(E.sum(axis=1), cfg.train_degrees or range(net.order + 1))
+    wanted = set(int(e) for e in checkpoint_epochs)
+    history, checkpoints = [], {}
 
     for epoch in range(1, cfg.epochs + 1):
         try:
             if pairs is not None:
-                grads, (total, data, penalty) = _pairwise_backward(
-                    trained.group_maps[0], *pairs, cfg.penalty_rate
-                )
+                grads, losses = _pairwise_backward(net, W, *pairs, cfg.penalty_rate)
             else:
-                grads, (total, data, penalty) = backward(
-                    trained, X0, obs, cfg.penalty_rate
-                )
+                grads, losses = backward(net, W, X0, obs, cfg.penalty_rate)
         except FlowDivergenceError as exc:
             raise TrainingDivergedError(
                 epoch, f"training diverged at epoch {epoch}: {exc}"
             ) from exc
-        if not np.isfinite(total):
+        if not np.isfinite(losses[0]):
             raise TrainingDivergedError(
                 epoch, f"training loss became non-finite at epoch {epoch}"
             )
-        total_h.append(total)
-        data_h.append(data)
-        pen_h.append(penalty)
+        history.append(losses)
 
-        if cfg.train_degrees is not None:
-            for group in grads:
-                for d in range(len(group)):
-                    if d not in cfg.train_degrees:
-                        group[d][:] = 0.0
-        _clip_global(grads, cfg.clip_norm)
-        step = cfg.step_at(epoch)
-        bc1 = 1.0 - cfg.beta1**epoch
-        bc2 = 1.0 - cfg.beta2**epoch
-        for gi, ws in enumerate(weights):
-            for d, w in enumerate(ws):
-                g = grads[gi][d]
-                m[gi][d] = cfg.beta1 * m[gi][d] + (1 - cfg.beta1) * g
-                v[gi][d] = cfg.beta2 * v[gi][d] + (1 - cfg.beta2) * g * g
-                w -= step * (m[gi][d] / bc1) / (
-                    np.sqrt(v[gi][d] / bc2) + cfg.epsilon
-                )
-            trained.group_maps[gi] = maps.TaylorMap(
-                dim=net.dim, order=net.order, weights=tuple(ws)
+        grads[..., frozen] = 0.0
+        if not math.isfinite(_clip_global(grads, cfg.clip_norm)):
+            raise TrainingDivergedError(
+                epoch, f"gradient norm became non-finite at epoch {epoch}"
             )
+        step = cfg.step_at(epoch)
+        m = cfg.beta1 * m + (1 - cfg.beta1) * grads
+        v = cfg.beta2 * v + (1 - cfg.beta2) * grads * grads
+        W -= step * (m / (1.0 - cfg.beta1**epoch)) / (
+            np.sqrt(v / (1.0 - cfg.beta2**epoch)) + cfg.epsilon
+        )
         if epoch in wanted:
-            report.checkpoints[epoch] = [tm for tm in trained.group_maps]
+            checkpoints[epoch] = _group_maps(net, W)
 
-    report.total = np.array(total_h)
-    report.data = np.array(data_h)
-    report.penalty = np.array(pen_h)
-    return trained, report
+    total, data, penalty = np.array(history, dtype=float).reshape(-1, 3).T.copy()
+    trained = replace(net, group_maps=_group_maps(net, W))
+    return trained, LossReport(total, data, penalty, checkpoints)

@@ -255,7 +255,8 @@ def test_criterion_05_gradient_suite():
     checked = 0
     for case in range(50):
         net, X0, obs, lam = _random_net(rng)
-        grads, _ = network.backward(net, X0, obs, lam)
+        grads, _ = network.backward(net, network._stack(net), X0, obs, lam)
+        _, sl = basis._stacked_exponents(net.dim, net.order)
         n_groups = len(net.group_maps)
         entries = [
             (gi, d, i, p)
@@ -286,7 +287,7 @@ def test_criterion_05_gradient_suite():
                 network.loss(bumped_net(h), X0, obs, lam)[0]
                 - network.loss(bumped_net(-h), X0, obs, lam)[0]
             ) / (2 * h)
-            got = grads[gi][d][i, p]
+            got = grads[gi][:, sl[d]][i, p]
             checked += 1
             if abs(got - fd) > max(1e-5 * abs(fd), 1e-9):
                 failures.append(

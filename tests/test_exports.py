@@ -10,13 +10,15 @@ import tmnet
 MODULES = ("basis", "maps", "ode", "network", "systems", "lattice", "io", "cli")
 
 # (module, attribute) pairs replaced by map_powers, network.backward,
-# symplectic_residual / symplectic_penalty and network._forward_states
+# symplectic_residual / symplectic_penalty, network._forward_states and the
+# stacked training state
 DELETED = (
     ("basis", "kron_power_jacobian"),
     ("basis", "lift_linear"),
     ("basis", "compose_power_truncate"),
     ("maps", "SymplecticResidual"),
     ("lattice", "_boundary_states"),
+    ("network", "_stacked_weights"),
 )
 
 

@@ -91,7 +91,7 @@ def test_forward_states_equal_repeated_apply():
     tm = _random_map(np.random.default_rng(56), 3, 3, scale=0.2)
     net = network.build_shared_chain(tm, 12)
     X = np.array([0.3, -0.1, 0.2])
-    states, powers = network._forward_states(net, X)
+    states, powers = network._forward_states(net, network._stack(net), X)
     assert states.shape == (13, 3) and powers.shape == (12, 20)
     assert states[0].tobytes() == X.tobytes()
     for j in range(12):
@@ -112,7 +112,7 @@ def test_data_term_equals_per_tap_loop():
     mask[1] = False
     mask[4, 0] = True
     obs = network.ObservationSeries(taps=net.taps, values=values, mask=mask)
-    states, _, data, seeds = network._data_term(net, X0, obs)
+    states, _, data, seeds = network._data_term(net, network._stack(net), X0, obs)
     n_obs = obs.observed_count
     sq, want = 0.0, np.zeros((10, 4))
     for r, t in enumerate(obs.taps):
@@ -267,10 +267,9 @@ def test_backward_zero_gradient_at_perfect_fit():
     net = network.build_shared_chain(tm, 3)
     X0 = np.array([0.1, -0.2])
     obs = _full_obs(network.forward(net, X0))
-    grads, (total, data, penalty) = network.backward(net, X0, obs, 0.0)
+    grads, (total, data, penalty) = network.backward(net, network._stack(net), X0, obs, 0.0)
     assert total == 0.0
-    for block in grads[0]:
-        assert np.all(block == 0.0)
+    assert grads.shape == (1, 2, 6) and np.all(grads == 0.0)
 
 
 def test_backward_single_layer_hand_derived():
@@ -283,11 +282,14 @@ def test_backward_single_layer_hand_derived():
     )
     net = network.build_shared_chain(tm, 1)
     obs = _full_obs(np.array([[y]]))
-    grads, (total, data, _) = network.backward(net, np.array([v]), obs, 0.0)
+    grads, (total, data, _) = network.backward(
+        net, network._stack(net), np.array([v]), obs, 0.0
+    )
     r = w0 + w1 * v + w2 * v**2 - y
     assert data == pytest.approx(r * r, rel=1e-13)
+    _, sl = basis._stacked_exponents(1, 2)
     for d in range(3):
-        assert grads[0][d][0, 0] == pytest.approx(2 * r * v**d, rel=1e-12)
+        assert grads[0][:, sl[d]][0, 0] == pytest.approx(2 * r * v**d, rel=1e-12)
 
 
 def test_backward_matches_finite_differences():
@@ -299,7 +301,8 @@ def test_backward_matches_finite_differences():
     mask = np.array([[True, False], [False, True], [True, True]])
     obs = network.ObservationSeries(taps=(1, 2, 3), values=values, mask=mask)
     lam = 1e-3
-    grads, _ = network.backward(net, X0, obs, lam)
+    grads, _ = network.backward(net, network._stack(net), X0, obs, lam)
+    _, sl = basis._stacked_exponents(2, 2)
     h = 1e-6
     for d in range(3):
         for i in range(2):
@@ -317,7 +320,7 @@ def test_backward_matches_finite_differences():
                     network.loss(up, X0, obs, lam)[0]
                     - network.loss(dn, X0, obs, lam)[0]
                 ) / (2 * h)
-                assert grads[0][d][i, p] == pytest.approx(fd, rel=1e-5, abs=1e-9)
+                assert grads[0][:, sl[d]][i, p] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
 
 def test_shared_gradient_equals_sum_of_untied_slots():
@@ -334,11 +337,12 @@ def test_shared_gradient_equals_sum_of_untied_slots():
     X0 = np.array([0.2, 0.1])
     values = network.forward(shared, X0) + 0.05 * rng.normal(size=(4, 2))
     obs = _full_obs(values)
-    g_shared, _ = network.backward(shared, X0, obs, 0.0)
-    g_untied, _ = network.backward(untied, X0, obs, 0.0)
+    g_shared, _ = network.backward(shared, network._stack(shared), X0, obs, 0.0)
+    g_untied, _ = network.backward(untied, network._stack(untied), X0, obs, 0.0)
+    _, sl = basis._stacked_exponents(2, 2)
     for d in range(3):
-        summed = sum(g_untied[g][d] for g in range(4))
-        assert np.allclose(g_shared[0][d], summed, rtol=1e-10, atol=1e-12)
+        summed = sum(g_untied[g][:, sl[d]] for g in range(4))
+        assert np.allclose(g_shared[0][:, sl[d]], summed, rtol=1e-10, atol=1e-12)
 
 
 def test_backward_matches_central_differences_on_untied_network():
@@ -361,8 +365,9 @@ def test_backward_matches_central_differences_on_untied_network():
                      [False, True, True, True]])
     obs = network.ObservationSeries(taps=taps, values=values, mask=mask)
     lam = 1e-3
-    grads, (total, _, _) = network.backward(net, X0, obs, lam)
+    grads, (total, _, _) = network.backward(net, network._stack(net), X0, obs, lam)
     assert total == network.loss(net, X0, obs, lam)[0]
+    _, sl = basis._stacked_exponents(n, k)
     h = 1e-6
     for g in range(3):
         for d in range(k + 1):
@@ -375,7 +380,7 @@ def test_backward_matches_central_differences_on_untied_network():
                         gmaps = list(group_maps)
                         gmaps[g] = maps.TaylorMap(dim=n, order=k, weights=tuple(bumped))
                         fd.append(network.loss(make(gmaps), X0, obs, lam)[0])
-                    assert grads[g][d][i, p] == pytest.approx(
+                    assert grads[g][:, sl[d]][i, p] == pytest.approx(
                         (fd[0] - fd[1]) / (2 * h), rel=1e-5, abs=1e-9), (g, d, i, p)
 
 
@@ -495,6 +500,82 @@ def test_training_checkpoints_capture_snapshots():
         assert np.array_equal(a, b)
 
 
+def _per_block_adam(net, X0, obs, cfg, checkpoint_epochs):
+    """One-shot training as a loop over groups and degree blocks that
+    rebuilds every TaylorMap each epoch: the reference for the stacked loop.
+    The clipping norm is summed over the gradient in the stacked order."""
+    _, sl = basis._stacked_exponents(net.dim, net.order)
+    group_maps = list(net.group_maps)
+    weights = [[w.copy() for w in tm.weights] for tm in group_maps]
+    m = [[np.zeros_like(w) for w in ws] for ws in weights]
+    v = [[np.zeros_like(w) for w in ws] for ws in weights]
+    history, checkpoints, clipped = [], {}, 0
+    for epoch in range(1, cfg.epochs + 1):
+        current = network.Network(dim=net.dim, order=net.order, group_maps=group_maps,
+                                  layer_groups=net.layer_groups, taps=net.taps)
+        stacked, losses = network.backward(
+            current, network._stack(current), X0, obs, cfg.penalty_rate
+        )
+        history.append(losses)
+        grads = [[g[:, s].copy() for s in sl] for g in stacked]
+        for group in grads:
+            for d in range(len(group)):
+                if d not in cfg.train_degrees:
+                    group[d][:] = 0.0
+        flat = np.stack([np.hstack(group) for group in grads])
+        norm = np.sqrt((flat * flat).sum())
+        if norm > cfg.clip_norm:
+            clipped += 1
+            for group in grads:
+                for g in group:
+                    g *= cfg.clip_norm / norm
+        step = cfg.step_at(epoch)
+        bc1 = 1.0 - cfg.beta1**epoch
+        bc2 = 1.0 - cfg.beta2**epoch
+        for gi, ws in enumerate(weights):
+            for d, w in enumerate(ws):
+                g = grads[gi][d]
+                m[gi][d] = cfg.beta1 * m[gi][d] + (1 - cfg.beta1) * g
+                v[gi][d] = cfg.beta2 * v[gi][d] + (1 - cfg.beta2) * g * g
+                w -= step * (m[gi][d] / bc1) / (np.sqrt(v[gi][d] / bc2) + cfg.epsilon)
+            group_maps[gi] = maps.TaylorMap(dim=net.dim, order=net.order, weights=tuple(ws))
+        if epoch in checkpoint_epochs:
+            checkpoints[epoch] = list(group_maps)
+    return group_maps, np.array(history), checkpoints, clipped
+
+
+def test_stacked_training_equals_per_block_loop():
+    # untied groups shared by several slots, partial taps and mask, frozen
+    # degrees, clipping that fires, a penalty and checkpoints: the stacked
+    # loop reproduces the per-block one bit for bit
+    rng = np.random.default_rng(61)
+    n, k = 2, 3
+    net = network.Network(dim=n, order=k,
+                          group_maps=[_random_map(rng, n, k, scale=0.15) for _ in range(3)],
+                          layer_groups=(0, 1, 0, 2, 1), taps=(2, 4, 5))
+    X0 = np.array([0.3, -0.2])
+    values = network.forward(net, X0) + 0.05 * rng.normal(size=(3, n))
+    mask = np.array([[True, False], [True, True], [False, True]])
+    obs = network.ObservationSeries(taps=net.taps, values=values, mask=mask)
+    cfg = network.TrainConfig(step_size=1e-2, clip_norm=0.065, epochs=8, penalty_rate=1e-2,
+                              schedule="cosine", train_degrees=(1, 3))
+    trained, report = network.train_one_shot(net, X0, obs, cfg, checkpoint_epochs=(3, 8))
+    want_maps, want_history, want_checkpoints, clipped = _per_block_adam(
+        net, X0, obs, cfg, (3, 8)
+    )
+    assert 0 < clipped < cfg.epochs
+    assert np.all(want_history[:, 2] > 0.0)
+    for got, want in zip((report.total, report.data, report.penalty), want_history.T):
+        assert got.tobytes() == want.tobytes()
+    assert set(report.checkpoints) == set(want_checkpoints)
+    for epoch, tms in [(None, trained.group_maps), *report.checkpoints.items()]:
+        wants = want_maps if epoch is None else want_checkpoints[epoch]
+        for tm, want in zip(tms, wants, strict=True):
+            assert tm.stacked.tobytes() == want.stacked.tobytes(), epoch
+            for a, b in zip(tm.weights, want.weights):
+                assert a.tobytes() == b.tobytes(), epoch
+
+
 def test_training_divergence_reports_epoch():
     # a quartic-feedback layer from a large state explodes in the forward
     # pass of the very first epoch
@@ -510,14 +591,27 @@ def test_training_divergence_reports_epoch():
     assert err.value.epoch == 1
 
 
+@pytest.mark.parametrize("x0", [1e101, 1e102])
+def test_non_finite_gradient_norm_is_divergence(x0):
+    # from 1e101 the degree-2 gradient (2e304) is finite but its square is
+    # not, which clipping would turn into a zero step; from 1e102 the
+    # gradient itself overflows.  Both end training at epoch 1.
+    tm = maps.TaylorMap(dim=1, order=2, weights=(
+        np.zeros((1, 1)), np.ones((1, 1)), np.full((1, 1), 1e-100)))
+    net = network.build_shared_chain(tm, 1)
+    cfg = network.TrainConfig(epochs=3, penalty_rate=0.0)
+    with pytest.raises(network.TrainingDivergedError, match="gradient norm") as err:
+        network.train_one_shot(net, np.array([x0]), _full_obs(np.zeros((1, 1))), cfg)
+    assert err.value.epoch == 1
+
+
 def test_clip_global_rescales_only_above_ceiling():
-    g1 = [[np.array([[3.0, 0.0]]), np.array([[0.0, 4.0]])]]
-    network._clip_global(g1, 10.0)
-    assert g1[0][0][0, 0] == 3.0 and g1[0][1][0, 1] == 4.0
-    network._clip_global(g1, 1.0)
-    norm = np.sqrt(sum(float((g * g).sum()) for g in g1[0]))
-    assert norm == pytest.approx(1.0, rel=1e-12)
-    assert g1[0][0][0, 0] == pytest.approx(0.6, rel=1e-12)
+    g1 = np.array([[[3.0, 0.0, 0.0, 4.0]]])
+    assert network._clip_global(g1, 10.0) == 5.0
+    assert g1[0, 0, 0] == 3.0 and g1[0, 0, 3] == 4.0
+    assert network._clip_global(g1, 1.0) == 5.0
+    assert np.sqrt((g1 * g1).sum()) == pytest.approx(1.0, rel=1e-12)
+    assert g1[0, 0, 0] == pytest.approx(0.6, rel=1e-12)
 
 
 def test_schedule_step_at_frozen_values():
@@ -658,7 +752,7 @@ def test_every_point_evaluation_is_one_stacked_product(data, n, k):
         assert np.all(err <= 4 * np.finfo(float).eps * scale)
 
     net = network.build_shared_chain(tm, 3)
-    states, _ = network._forward_states(net, X0)
+    states, _ = network._forward_states(net, network._stack(net), X0)
     for x, nxt in zip(states[:-1], states[1:]):
         want = C @ basis.monomials(x, k)
         assert nxt.tobytes() == want.tobytes()
@@ -673,9 +767,11 @@ def test_every_point_evaluation_is_one_stacked_product(data, n, k):
     for row, x in zip(predicted, states[:-1]):
         near_per_degree(row, x)
     residual = predicted - targets
-    grads, (_, data_term, _) = network._pairwise_backward(tm, feats, targets, 0.0)
+    grads, (_, data_term, _) = network._pairwise_backward(
+        net, network._stack(net), feats, targets, 0.0
+    )
     assert data_term == float(np.mean(residual**2))
     _, sl = basis._stacked_exponents(n, k)
-    for g, s in zip(grads[0], sl):
+    for s in sl:
         want = (2.0 / residual.size) * (residual.T @ feats[:, s])
-        assert g.tobytes() == want.tobytes()
+        assert grads[0][:, s].tobytes() == want.tobytes()
