@@ -110,20 +110,6 @@ def monomials(X, k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _jacobian_tables(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tables for d(X^[d])/dX: coefficient E[j,i] and the index of the
-    degree-(d-1) monomial obtained by lowering exponent i of row j (0 where
-    E[j,i] = 0); the inverse of the degree-(d-1) times x_i product table."""
-    raised = _mult_table(n, d - 1, 1)
-    idx = np.zeros((basis_size(n, d), n), dtype=np.int64)
-    idx[raised, np.arange(n)] = np.arange(raised.shape[0])[:, None]
-    coef = exponent_matrix(n, d).astype(float)
-    coef.flags.writeable = False
-    idx.flags.writeable = False
-    return coef, idx
-
-
-@lru_cache(maxsize=None)
 def _mult_table(n: int, a: int, b: int) -> np.ndarray:
     """Position in the degree-(a+b) basis of each product of a degree-a and a
     degree-b monomial, shape (basis_size(n,a), basis_size(n,b))."""
@@ -181,9 +167,11 @@ def _series_mul_adjoint(g, v, n: int, k: int) -> list[np.ndarray]:
 def _prefix_table(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """For each degree-d monomial in m variables, in basis order: the
     position of its degree-(d-1) prefix and its last (highest) variable."""
-    coef, idx = _jacobian_tables(m, d)
-    var = np.array([np.flatnonzero(row)[-1] for row in coef])
-    return idx[np.arange(len(var)), var], var
+    E = exponent_matrix(m, d)
+    var = m - 1 - np.argmax(E[:, ::-1] > 0, axis=1)
+    target = _position_table(m, d - 1)
+    prefix = E - (np.arange(m) == var[:, None])
+    return np.array([target[tuple(int(e) for e in row)] for row in prefix]), var
 
 
 def map_powers(blocks, max_degree: int, k: int) -> dict[int, list[np.ndarray]]:

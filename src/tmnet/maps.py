@@ -156,19 +156,28 @@ def _jacobian_table(n: int, e: int) -> tuple[np.ndarray, np.ndarray]:
     return T, scale
 
 
+def _jacobian_series(weights, n: int, k: int) -> list[np.ndarray]:
+    """Jacobian coefficients of the order-k polynomials over n variables whose
+    blocks weights lists (leading axes index the polynomials): entry e, for
+    e = 0..k-1, has shape (..., rows, n, basis_size(n, e)) and [..., r, i, :]
+    holds the degree-e coefficients of d(output r)/dx_i."""
+    out = []
+    for e in range(k):
+        T, scale = _jacobian_table(n, e)
+        out.append(np.swapaxes(weights[e + 1][..., T] * scale, -1, -2))
+    return out
+
+
 def _residual(weights, n: int, k: int):
     """J times the Jacobian series of the order-k maps whose blocks weights
     lists (leading axes index the maps), and the coefficients of
     Jac(X)^T J Jac(X) - J as one series product.
 
-    jac[e][..., r, i, :] holds the degree-e coefficients of dX'_r/dx_i; the
-    residual coefficients R[c] have shape (..., dim, dim, basis_size(dim, c)).
+    The residual coefficients R[c] have shape (..., dim, dim,
+    basis_size(dim, c)).
     """
     J = _canonical_J(n)
-    jac = []
-    for e in range(k):
-        T, scale = _jacobian_table(n, e)
-        jac.append(np.swapaxes(weights[e + 1][..., T] * scale, -1, -2))
+    jac = _jacobian_series(weights, n, k)
     Jjac = [(J @ g.reshape(g.shape[:-2] + (-1,))).reshape(g.shape) for g in jac]
     products = basis._series_mul(
         [g[..., None, :] for g in jac], [h[..., None, :, :] for h in Jjac], n, 2 * (k - 1)

@@ -246,19 +246,18 @@ def backward(net: Network, W, X0, obs: ObservationSeries, penalty_rate: float):
     Returns (grads, (total, data, penalty)) where grads has W's shape
     (groups, dim, N); degree d is the column slice [..., sl[d]] with sl from
     basis._stacked_exponents.  Only the adjoint recursion runs slot by slot;
-    the slot Jacobians and the weight gradients are one batched product per
-    degree over all slots.
+    the slot Jacobians are one batched product over all slots and the weight
+    gradients one per degree.
     """
     states, powers, data, seeds = _data_term(net, W, X0, obs)
     n, G = net.dim, W.shape[0]
     _, sl = basis._stacked_exponents(n, net.order)
     slot = np.array(net.layer_groups)
-    Ws = W[slot]
-
-    jac = Ws[..., sl[1]].copy()
-    for d in range(2, net.order + 1):
-        coef, idx = basis._jacobian_tables(n, d)
-        jac += Ws[..., sl[d]] @ (coef * powers[:, sl[d - 1]][:, idx])
+    # each group's Jacobian series, then every slot's Jacobian at its input
+    # state as one product with the monomials of degrees 0..order-1
+    series = np.concatenate(maps._jacobian_series([W[..., s] for s in sl], n, net.order), -1)
+    M = series.shape[-1]
+    jac = (series[slot] @ powers[:, None, :M, None])[..., 0]
 
     adjoints = np.zeros((net.n_layers, n))
     adj = np.zeros(n)

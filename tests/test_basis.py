@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tmnet import basis
+from tmnet import basis, maps
 
 # deterministic property runs that leave no example database behind
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -142,15 +142,18 @@ def test_kron_power_degree_zero_and_one():
 
 
 def test_jacobian_tables_match_finite_differences():
-    # d(X^[d])/dX from the lowered-exponent tables, as the reverse pass and
-    # the map-power prefixes use them
+    # d(X^[d])/dX from the one Jacobian table, as the reverse pass and the
+    # symplectic residual use it: the Jacobian series of the polynomial whose
+    # degree-d block is the identity, times the monomials of X
     rng = np.random.default_rng(1)
     h = 1e-6
     for n, d in [(2, 2), (3, 3), (4, 2)]:
         X = rng.normal(size=n)
-        coef, idx = basis._jacobian_tables(n, d)
-        J = coef * basis.kron_power(X, d - 1)[idx]
-        assert J.shape == (basis.basis_size(n, d), n)
+        N = basis.basis_size(n, d)
+        blocks = [np.zeros((N, basis.basis_size(n, e))) for e in range(d)] + [np.eye(N)]
+        series = np.concatenate(maps._jacobian_series(blocks, n, d), axis=-1)
+        J = series @ basis.monomials(X, d - 1)
+        assert J.shape == (N, n)
         for j in range(n):
             dX = np.zeros(n)
             dX[j] = h

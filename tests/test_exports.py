@@ -11,7 +11,7 @@ MODULES = ("basis", "maps", "ode", "network", "systems", "lattice", "io", "cli")
 
 # (module, attribute) pairs replaced by map_powers, network.backward,
 # symplectic_residual / symplectic_penalty, network._forward_states and the
-# stacked training state
+# stacked training state, and the one Jacobian table in maps
 DELETED = (
     ("basis", "kron_power_jacobian"),
     ("basis", "lift_linear"),
@@ -19,6 +19,7 @@ DELETED = (
     ("maps", "SymplecticResidual"),
     ("lattice", "_boundary_states"),
     ("network", "_stacked_weights"),
+    ("basis", "_jacobian_tables"),
 )
 
 
