@@ -141,7 +141,11 @@ def cmd_train(args) -> tuple[dict, str]:
     X0 = _parse_x0(args.x0)
     degrees = None
     if args.train_degrees:
-        degrees = tuple(int(d) for d in args.train_degrees.split(","))
+        try:
+            degrees = tuple(int(d) for d in args.train_degrees.split(","))
+        except ValueError as exc:
+            raise ValueError(f"--train-degrees must be comma-separated integers, "
+                             f"got {args.train_degrees!r}") from exc
     cfg = network.TrainConfig(
         step_size=args.lr, clip_norm=args.clip, epochs=args.epochs,
         penalty_rate=getattr(args, "lambda"),

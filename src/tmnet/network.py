@@ -276,9 +276,16 @@ def backward(net: Network, W, X0, obs: ObservationSeries, penalty_rate: float):
 class TrainConfig:
     """Adam settings for one-shot fine-tuning.
 
+    Valid ranges: step_size, clip_norm and epsilon finite and > 0; beta1
+    and beta2 in the open interval (0, 1); penalty_rate finite and >= 0;
+    epochs >= 0; schedule "constant" or "cosine"; train_degrees None (all
+    degrees) or a non-empty set of degrees 0..order.  Anything else is a
+    ValueError naming the field, so bad settings never pass for divergence.
+
     penalty_rate multiplies the summed group penalties against a data term
     that is a mean (not a sum) over observed entries, so its scale does not
-    depend on trajectory length.
+    depend on trajectory length.  The penalty is evaluated and recorded in
+    every epoch, also at rate 0.
     """
 
     step_size: float = 1e-3
@@ -293,16 +300,18 @@ class TrainConfig:
     teacher_forcing: bool = False
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ValueError("beta1 and beta2 must lie in (0, 1)")
-        if self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive")
+        for name in ("step_size", "clip_norm", "epsilon"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        for name in ("beta1", "beta2"):
+            value = getattr(self, name)
+            if not 0 < value < 1:
+                raise ValueError(f"{name} must lie in (0, 1), got {value}")
+        if not (math.isfinite(self.penalty_rate) and self.penalty_rate >= 0):
+            raise ValueError(f"penalty_rate must be finite and >= 0, got {self.penalty_rate}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.penalty_rate < 0:
-            raise ValueError("penalty_rate must be >= 0")
         if self.schedule not in ("constant", "cosine"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.train_degrees is not None:
@@ -365,11 +374,12 @@ def _pairwise_backward(net: Network, W, feats, nxt, penalty_rate: float):
 
 
 def _clip_global(grads: np.ndarray, clip_norm: float) -> float:
-    """Scale grads in place to a norm of at most clip_norm; returns the norm
-    before clipping (inf when the squared norm overflows)."""
+    """Scale grads in place to a norm of at most clip_norm and return the
+    norm before clipping; a non-finite norm, which an overflowing square
+    also gives, leaves grads as they are."""
     with np.errstate(over="ignore"):
         norm = float(np.sqrt((grads * grads).sum()))
-    if norm > clip_norm:
+    if clip_norm < norm < math.inf:
         grads *= clip_norm / norm
     return norm
 
@@ -396,8 +406,9 @@ def train_one_shot(
     W = _stack(net)
     m = np.zeros_like(W)
     v = np.zeros_like(W)
+    # the columns of W whose degree (row sum of its exponents) is not trained
     E, _ = basis._stacked_exponents(net.dim, net.order)
-    frozen = ~np.isin(E.sum(axis=1), cfg.train_degrees or range(net.order + 1))
+    frozen =~np.isin(E.sum(axis=1), cfg.train_degrees or range(net.order + 1))
     wanted = set(int(e) for e in checkpoint_epochs)
     history, checkpoints = [], {}
 

@@ -184,6 +184,9 @@ def test_error_exits(tmp_path, capsys):
     lattice_json = tmp_path / "lattice.json"
     io.save_lattice(lattice.Lattice(elements=[lattice.rotation_element("r", 0.28, 0.19)],
                                     monitors=(1,)), lattice_json)
+    obs_csv = tmp_path / "obs.csv"
+    io.write_observations(network.ObservationSeries(
+        taps=(1, 2), values=np.full((2, 2), 0.1), mask=np.ones((2, 2), bool)), obs_csv)
     cases = [
         (("derive", "--system", "nope", "--dt", "0.1", "--out", out), "unknown system"),
         (("derive", "--system", "free_fall", "--param", "m", "--dt", "0.1",
@@ -204,6 +207,16 @@ def test_error_exits(tmp_path, capsys):
          "expected header starting with 'turn'"),
         (("train", "--obs", empty, "--x0", "0,0", "--dim", "2", "--order", "1",
           "--out", out), "expected header starting with 'tap'"),
+        (("train", "--obs", obs_csv, "--x0", "0.1,0", "--dim", "2", "--order", "2",
+          "--lambda", "nan", "--out", out), "penalty_rate must be finite"),
+        (("train", "--obs", obs_csv, "--x0", "0.1,0", "--dim", "2", "--order", "2",
+          "--lr", "nan", "--out", out), "step_size must be finite"),
+        (("train", "--obs", obs_csv, "--x0", "0.1,0", "--dim", "2", "--order", "2",
+          "--clip", "nan", "--out", out), "clip_norm must be finite"),
+        (("train", "--obs", obs_csv, "--x0", "0.1,0", "--dim", "2", "--order", "2",
+          "--lr", "inf", "--out", out), "step_size must be finite"),
+        (("train", "--obs", obs_csv, "--x0", "0.1,0", "--dim", "2", "--order", "2",
+          "--train-degrees", "1,x", "--out", out), "--train-degrees must be"),
     ]
     for argv, message in cases:
         capsys.readouterr()

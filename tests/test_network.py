@@ -398,6 +398,14 @@ def test_train_config_validation():
         network.TrainConfig(epochs=-1)
     with pytest.raises(ValueError):
         network.TrainConfig(penalty_rate=-1e-9)
+    # non-finite settings and a zero Adam denominator, each named
+    for name in ("step_size", "clip_norm", "penalty_rate", "beta1", "beta2", "epsilon"):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=name):
+                network.TrainConfig(**{name: value})
+    for value in (0.0, -1e-8):
+        with pytest.raises(ValueError, match="epsilon"):
+            network.TrainConfig(epsilon=value)
 
 
 def test_zero_epochs_leaves_network_unchanged():
