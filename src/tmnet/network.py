@@ -29,7 +29,8 @@ from tmnet.ode import FlowDivergenceError
 
 
 class TrainingDivergedError(RuntimeError):
-    """Raised when the training loss stops being finite; carries the epoch."""
+    """Raised when training diverges: a non-finite state, loss or gradient
+    norm; carries the epoch."""
 
     def __init__(self, epoch: int, message: str):
         super().__init__(message)
@@ -368,9 +369,9 @@ def _pairwise_backward(net: Network, W, feats, nxt, penalty_rate: float):
     residual = feats @ W[0].T - nxt
     data = float(np.mean(residual**2))
     _, sl = basis._stacked_exponents(net.dim, net.order)
-    grads = np.concatenate([residual.T @ feats[:, s] for s in sl], axis=-1)
-    return _with_penalty(data, (2.0 / residual.size) * grads[None], W, net.dim, net.order,
-                         penalty_rate)
+    grads = np.concatenate([residual.T @ feats[:, s] for s in sl], axis=-1)[None]
+    grads *= 2.0 / residual.size
+    return _with_penalty(data, grads, W, net.dim, net.order, penalty_rate)
 
 
 def _clip_global(grads: np.ndarray, clip_norm: float) -> float:
@@ -408,7 +409,7 @@ def train_one_shot(
     v = np.zeros_like(W)
     # the columns of W whose degree (row sum of its exponents) is not trained
     E, _ = basis._stacked_exponents(net.dim, net.order)
-    frozen =~np.isin(E.sum(axis=1), cfg.train_degrees or range(net.order + 1))
+    frozen = ~np.isin(E.sum(axis=1), cfg.train_degrees or range(net.order + 1))
     wanted = set(int(e) for e in checkpoint_epochs)
     history, checkpoints = [], {}
 
