@@ -210,8 +210,17 @@ def _add_system_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ode", help="path to a polynomial-ODE JSON spec")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors, in subcommands too, raise ValueError
+    for main to report on one line, instead of printing the usage and
+    exiting 2."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tmnet",
         description="Polynomial Taylor-map models of dynamical systems: "
                     "derive from ODEs, simulate, fine-tune from one trajectory, "
@@ -283,10 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     started = time.time()
     try:
+        args = build_parser().parse_args(argv)
         inputs, message = args.func(args)
         _emit_manifest(args, inputs, started)
     except (ValueError, KeyError, OSError,

@@ -357,14 +357,16 @@ def build_fodo_ring(
 
     The defaults give a ring that is stable in both planes with distinct
     tunes and stays stable when any single element's strength is scaled by
-    0.8.
+    0.8.  Each of the four distinct elements is derived once and reused
+    under its labels.
     """
+    qf = quad_element("qf", kf, dt, substeps=substeps)
+    qd = quad_element("qd", -kd, dt, substeps=substeps)
+    drift = drift_element("o", dt, substeps=substeps)
     elements = []
     for i in range(2):
-        elements.append(quad_element(f"qf{i + 1}", kf, dt, substeps=substeps))
-        elements.append(drift_element(f"o{2 * i + 1}", dt, substeps=substeps))
-        elements.append(quad_element(f"qd{i + 1}", -kd, dt, substeps=substeps))
-        elements.append(drift_element(f"o{2 * i + 2}", dt, substeps=substeps))
+        elements += [replace(qf, label=f"qf{i + 1}"), replace(drift, label=f"o{2 * i + 1}"),
+                     replace(qd, label=f"qd{i + 1}"), replace(drift, label=f"o{2 * i + 2}")]
     elements.append(sextupole_element("sx1", k2, dt, substeps=substeps))
     if monitors == "all":
         mons = tuple(range(1, len(elements) + 1))

@@ -254,22 +254,26 @@ def backward(net: Network, W, X0, obs: ObservationSeries, penalty_rate: float):
     n, G = net.dim, W.shape[0]
     _, sl = basis._stacked_exponents(n, net.order)
     slot = np.array(net.layer_groups)
-    # each group's Jacobian series, then every slot's Jacobian at its input
-    # state as one product with the monomials of degrees 0..order-1
-    series = np.concatenate(maps._jacobian_series([W[..., s] for s in sl], n, net.order), -1)
-    M = series.shape[-1]
-    jac = (series[slot] @ powers[:, None, :M, None])[..., 0]
+    # overflow here means divergence, which the caller detects from the
+    # non-finite gradient norm
+    with np.errstate(over="ignore", invalid="ignore"):
+        # each group's Jacobian series, then every slot's Jacobian at its
+        # input state as one product with the monomials of degrees 0..order-1
+        series = np.concatenate(
+            maps._jacobian_series([W[..., s] for s in sl], n, net.order), -1)
+        M = series.shape[-1]
+        jac = (series[slot] @ powers[:, None, :M, None])[..., 0]
 
-    adjoints = np.zeros((net.n_layers, n))
-    adj = np.zeros(n)
-    for j in range(net.n_layers, 0, -1):
-        adj = adj + seeds[j]
-        adjoints[j - 1] = adj
-        adj = jac[j - 1].T @ adj
+        adjoints = np.zeros((net.n_layers, n))
+        adj = np.zeros(n)
+        for j in range(net.n_layers, 0, -1):
+            adj = adj + seeds[j]
+            adjoints[j - 1] = adj
+            adj = jac[j - 1].T @ adj
 
-    # adjoints of each group's slots, the others zeroed: shape (G, dim, slots)
-    by_group = np.swapaxes((slot == np.arange(G)[:, None])[:, :, None] * adjoints, 1, 2)
-    grads = np.concatenate([by_group @ powers[:, s] for s in sl], axis=-1)
+        # adjoints of each group's slots, the others zeroed: (G, dim, slots)
+        by_group = np.swapaxes((slot == np.arange(G)[:, None])[:, :, None] * adjoints, 1, 2)
+        grads = np.concatenate([by_group @ powers[:, s] for s in sl], axis=-1)
     return _with_penalty(data, grads, W, n, net.order, penalty_rate)
 
 

@@ -8,12 +8,15 @@ coefficients per degree (truncating above k).  Solving that system once from
 the unified initial condition W_1 = I (all other blocks zero) yields the map
 for the chosen time step, independent of any particular trajectory.
 
-The oracle evaluates dX/dt as one product: the ODE's stacked (dim, N)
-coefficient matrix times the state's monomials of degrees 0..k.
+Every integration runs on one fixed-step RK4 loop over a state held as a
+list of Python floats.  The oracle evaluates dX/dt of a PolynomialODE term by
+term, from the nonzero entries of its stacked (dim, N) coefficient matrix;
+a callable right-hand side still receives and returns arrays.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -132,34 +135,99 @@ def ode_to_map(ode: PolynomialODE, cfg: FlowConfig) -> TaylorMap:
     # only the end state is kept
     h = cfg.dt / cfg.substeps
     try:
-        w = deque(_rk4_steps(rhs, np.concatenate(W, axis=None), h, cfg.substeps, 1), maxlen=1)
+        w = deque(_rk4_steps(_on_lists(rhs), np.concatenate(W, axis=None).tolist(),
+                              h, cfg.substeps, 1), maxlen=1)
     except FlowDivergenceError as exc:
         raise FlowDivergenceError(
             f"weight flow diverged at t={exc.layer * h:.6g} of {cfg.dt:.6g} "
             f"(substep {exc.layer}/{cfg.substeps})", exc.layer
         ) from None
-    return TaylorMap(dim=n, order=k, weights=tuple(blocks(w[0])))
+    return TaylorMap(dim=n, order=k, weights=tuple(blocks(np.array(w[0]))))
 
 
-def _rk4_steps(rhs, X, dt: float, steps: int, substeps: int):
+def _rk4_steps(rhs, X: list, dt: float, steps: int, substeps: int):
     """Yield the state after each of `steps` steps of dt, each resolved by
     `substeps` RK4 steps; raise FlowDivergenceError at the first step that
-    ends non-finite."""
+    ends non-finite.
+
+    The state is a list of Python floats and rhs maps such a list to one:
+    per element these are the same IEEE operations numpy would run, without
+    its per-call cost on a handful of entries.
+    """
     h = dt / substeps
     half, sixth = 0.5 * h, h / 6.0
     for s in range(steps):
-        # overflow here means divergence, which is detected and raised below
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(substeps):
-                k1 = rhs(X)
-                k2 = rhs(X + half * k1)
-                k3 = rhs(X + half * k2)
-                k4 = rhs(X + h * k3)
-                X = X + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(X)):
+        try:
+            # overflow in a callable's numpy code means divergence, which is
+            # detected and raised below
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in range(substeps):
+                    k1 = rhs(X)
+                    k2 = rhs([x + half * a for x, a in zip(X, k1)])
+                    k3 = rhs([x + half * b for x, b in zip(X, k2)])
+                    k4 = rhs([x + h * c for x, c in zip(X, k3)])
+                    X = [x + sixth * (a + 2.0 * b + 2.0 * c + d)
+                         for x, a, b, c, d in zip(X, k1, k2, k3, k4)]
+            finite = all(map(math.isfinite, X))
+        except OverflowError:
+            # Python's ** raises where numpy's returns inf
+            finite = False
+        if not finite:
             msg = f"trajectory diverged at t={(s + 1) * dt:.6g} (step {s + 1}/{steps})"
             raise FlowDivergenceError(msg, s + 1)
         yield X
+
+
+def _on_lists(f):
+    """The right-hand side f, which takes and returns arrays, on lists of
+    floats."""
+    return lambda X: np.asarray(f(np.array(X)), dtype=float).tolist()
+
+
+def _term_rhs(ode: PolynomialODE):
+    """dX/dt of ode on a list of floats, from the nonzero columns of its
+    stacked matrix only.
+
+    Each monomial multiplies x_i ** e_i over its variables in order (x ** 1
+    is x), and each row adds its terms in column order.  These are the
+    operations of PolynomialODE.rhs without its zero terms; its BLAS product
+    may group or fuse the sums differently, by an ulp or so.
+    """
+    E, _ = basis._stacked_exponents(ode.dim, ode.order)
+    S = ode.stacked
+    cols = np.flatnonzero(S.any(axis=0)).tolist()
+    factors = [[(i, int(e)) for i, e in enumerate(E[j].tolist()) if e] for j in cols]
+    rows = [[(float(S[i, j]), c) for c, j in enumerate(cols) if S[i, j]]
+            for i in range(ode.dim)]
+
+    def rhs(X):
+        m = []
+        for f in factors:
+            v = 1.0
+            for i, e in f:
+                v *= X[i] if e == 1 else X[i] ** e
+            m.append(v)
+        out = []
+        for row in rows:
+            acc = 0.0
+            for c, j in row:
+                acc += c * m[j]
+            out.append(acc)
+        return out
+
+    return rhs
+
+
+def _trajectory(rhs, X0, dt: float, steps: int, substeps: int) -> np.ndarray:
+    X = np.asarray(X0, dtype=float)
+    if X.ndim != 1:
+        raise ValueError(f"X0 must be a vector, got shape {X.shape}")
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    if substeps < 1:
+        raise ValueError(f"substeps must be >= 1, got {substeps}")
+    X = X.tolist()
+    return np.array([X, *_rk4_steps(rhs, X, dt, steps, substeps)])
 
 
 def rk4_solve(rhs, X0, dt: float, steps: int, substeps: int = 100) -> np.ndarray:
@@ -168,14 +236,7 @@ def rk4_solve(rhs, X0, dt: float, steps: int, substeps: int = 100) -> np.ndarray
     Returns states at t = 0, dt, ..., steps*dt (shape (steps+1, n)); each dt
     is resolved by `substeps` internal RK4 steps.
     """
-    X = np.asarray(X0, dtype=float).copy()
-    if X.ndim != 1:
-        raise ValueError(f"X0 must be a vector, got shape {X.shape}")
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    if substeps < 1:
-        raise ValueError(f"substeps must be >= 1, got {substeps}")
-    return np.array([X, *_rk4_steps(rhs, X, dt, steps, substeps)])
+    return _trajectory(_on_lists(rhs), X0, dt, steps, substeps)
 
 
 def reference_trajectory(ode, X0, dt: float, steps: int, substeps: int = 100) -> np.ndarray:
@@ -184,6 +245,10 @@ def reference_trajectory(ode, X0, dt: float, steps: int, substeps: int = 100) ->
     `ode` may be a PolynomialODE or any callable X -> dX/dt.  The internal
     substep is dt/substeps with substeps >= 100, keeping it at or below dt/100.
     """
-    rhs = ode.rhs if isinstance(ode, PolynomialODE) else ode
-    substeps = max(int(substeps), 100)
-    return rk4_solve(rhs, X0, dt, steps, substeps=substeps)
+    if isinstance(ode, PolynomialODE):
+        if np.shape(X0) != (ode.dim,):
+            raise ValueError(f"X0 has shape {np.shape(X0)}, ODE has dim {ode.dim}")
+        rhs = _term_rhs(ode)
+    else:
+        rhs = _on_lists(ode)
+    return _trajectory(rhs, X0, dt, steps, max(int(substeps), 100))

@@ -217,6 +217,16 @@ def test_error_exits(tmp_path, capsys):
           "--lr", "inf", "--out", out), "step_size must be finite"),
         (("train", "--obs", obs_csv, "--x0", "0.1,0", "--dim", "2", "--order", "2",
           "--train-degrees", "1,x", "--out", out), "--train-degrees must be"),
+        # argparse's own parse errors, at the top level and in subcommands
+        (("derive", "--system", "free_fall", "--dt", "0.1", "--out", out, "--bogus"),
+         "unrecognized arguments: --bogus"),
+        (("derive", "--system", "free_fall", "--dt", "0.1"),
+         "tmnet derive: the following arguments are required: --out"),
+        (("train", "--obs", obs_csv, "--x0", "0.1,0", "--dim", "2", "--order", "2",
+          "--lambda", "-inf", "--out", out), "argument --lambda: expected one argument"),
+        (("derive", "--system", "free_fall", "--dt", "fast", "--out", out),
+         "argument --dt: invalid float value: 'fast'"),
+        (("nope",), "argument command: invalid choice: 'nope'"),
     ]
     for argv, message in cases:
         capsys.readouterr()
@@ -225,6 +235,10 @@ def test_error_exits(tmp_path, capsys):
         # one line, no traceback, naming the actual fault
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert message in err, err
+    for argv in (("--help",), ("train", "--help")):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 0
 
 
 def test_divergent_simulation_exits_nonzero(tmp_path):

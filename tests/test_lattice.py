@@ -40,6 +40,33 @@ def test_element_generator_needs_dt():
         lattice.LatticeElement(label="q", tm=quad.tm, generator=quad.generator)
 
 
+def test_fodo_ring_derives_each_distinct_element_once(monkeypatch):
+    calls = []
+    derive = ode.ode_to_map
+
+    def counting(system, cfg):
+        calls.append(cfg)
+        return derive(system, cfg)
+
+    monkeypatch.setattr(ode, "ode_to_map", counting)
+    ring = lattice.build_fodo_ring(substeps=20)
+    assert len(calls) == 4
+    monkeypatch.undo()
+    alone = {
+        "qf": lambda label: lattice.quad_element(label, 0.40, 1.0, substeps=20),
+        "qd": lambda label: lattice.quad_element(label, -0.45, 1.0, substeps=20),
+        "o": lambda label: lattice.drift_element(label, 1.0, substeps=20),
+        "sx": lambda label: lattice.sextupole_element(label, 0.05, 1.0, substeps=20),
+    }
+    labels = [e.label for e in ring.elements]
+    assert labels == ["qf1", "o1", "qd1", "o2", "qf2", "o3", "qd2", "o4", "sx1"]
+    for e in ring.elements:
+        want = alone[e.label.rstrip("0123456789")](e.label)
+        assert (e.dt, e.substeps) == (want.dt, want.substeps)
+        assert e.generator.stacked.tobytes() == want.generator.stacked.tobytes()
+        assert e.tm.stacked.tobytes() == want.tm.stacked.tobytes()
+
+
 def test_lattice_validation():
     with pytest.raises(ValueError, match="at least one"):
         lattice.Lattice(elements=[], monitors=())

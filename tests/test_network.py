@@ -599,11 +599,13 @@ def test_training_divergence_reports_epoch():
     assert err.value.epoch == 1
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("x0", [1e101, 1e102])
 def test_non_finite_gradient_norm_is_divergence(x0):
     # from 1e101 the degree-2 gradient (2e304) is finite but its square is
     # not, which clipping would turn into a zero step; from 1e102 the
-    # gradient itself overflows.  Both end training at epoch 1.
+    # gradient itself overflows.  Both end training at epoch 1, without a
+    # numpy overflow warning on the way.
     tm = maps.TaylorMap(dim=1, order=2, weights=(
         np.zeros((1, 1)), np.ones((1, 1)), np.full((1, 1), 1e-100)))
     net = network.build_shared_chain(tm, 1)

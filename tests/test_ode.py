@@ -9,9 +9,12 @@ the tolerances used.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 
-from tmnet import basis, maps, ode, systems
+from tmnet import basis, lattice, maps, ode, systems
 
 
 def _free_fall() -> ode.PolynomialODE:
@@ -297,3 +300,76 @@ def test_reference_trajectory_accepts_ode_or_callable():
     # closed form: v(t) = 50 tanh(g t / 50)
     t = 0.5 * np.arange(5)
     assert np.allclose(a[:, 0], 50.0 * np.tanh(9.8 * t / 50.0), atol=1e-10)
+
+
+# --- the term-list oracle ---------------------------------------------------------
+
+
+def test_reference_trajectory_keeps_the_bytes_of_a_textbook_loop_on_rhs():
+    # the term-list evaluator's sums can differ from the BLAS product by an
+    # ulp at some states; at these step sizes that is far below an ulp of
+    # the state, and these trajectories, the ones the benchmark and the
+    # acceptance checks integrate, keep every byte
+    ring = lattice.build_fodo_ring(substeps=10)
+    cases = [
+        (systems.lotka_volterra(), [0.5, 0.5], 0.01, 40, 100),
+        (systems.lotka_volterra(), [0.8, 0.8], 0.01, 40, 100),
+        (systems.pendulum(), [0.09, 0.0], 0.1, 1, 2000),
+        (systems.pendulum(), [0.2, 0.4], 0.05, 10, 100),
+        (systems.free_fall(), [-30.0], 0.1, 2, 1000),
+        (systems.free_fall(), [0.0], 0.5, 4, 100),
+        (systems.free_fall_augmented(), [0.0, 0.00392], 0.1, 20, 100),
+    ] + [
+        (ring.elements[j].generator, [1e-3, 2e-4, -1e-3, 1e-4], 1.0, 5, 100)
+        for j in (0, 1, 2, 8)  # qf, drift, qd, sextupole
+    ]
+    for system, X0, dt, steps, substeps in cases:
+        got = ode.reference_trajectory(system, np.array(X0), dt, steps, substeps)
+        want = _textbook_rk4(system.rhs, X0, dt, steps, substeps)
+        assert got.tobytes() == want.tobytes(), (system, X0)
+
+
+def _near_stacked_product(system, states):
+    # both evaluators lie within a few ulps of the sum of absolute terms
+    terms = ode._term_rhs(system)
+    for x in states:
+        scale = np.abs(system.stacked) @ np.abs(basis.monomials(x, system.order))
+        err = np.abs(np.array(terms(x.tolist())) - system.rhs(x))
+        assert np.all(err <= 4 * np.finfo(float).eps * scale), x
+
+
+def test_rayleigh_plesset_oracle_is_near_the_stacked_product():
+    system = systems.rayleigh_plesset()
+    traj = ode.reference_trajectory(system, np.array([2.0, 0.1, 0.5, 0.0, 1.0]), 0.01, 200)
+    _near_stacked_product(system, traj)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.data(), st.integers(1, 5), st.integers(1, 3))
+def test_term_list_evaluator_is_near_the_stacked_product(data, n, k):
+    coeff = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
+    blocks = tuple(
+        data.draw(hnp.arrays(np.float64, (n, basis.basis_size(n, d)), elements=coeff))
+        for d in range(k + 1)
+    )
+    system = ode.PolynomialODE(n, k, blocks)
+    X0 = data.draw(hnp.arrays(np.float64, (n,), elements=st.floats(-1, 1)))
+    states = ode.reference_trajectory(system, X0, 0.01, 5)
+    _near_stacked_product(system, states[np.all(np.isfinite(states), axis=1)])
+
+
+def test_overflowing_power_is_divergence_at_its_step():
+    # Python's ** raises OverflowError at v^2 = 1e400 where numpy returns inf
+    system = systems.free_fall()
+    for run in (lambda: ode.reference_trajectory(system, np.array([-1e200]), 0.1, 3),
+                lambda: ode.rk4_solve(system.rhs, np.array([-1e200]), 0.1, 3)):
+        with pytest.raises(
+            ode.FlowDivergenceError, match=r"^trajectory diverged at t=0\.1 \(step 1/3\)$"
+        ) as err:
+            run()
+        assert err.value.layer == 1
+
+
+def test_reference_trajectory_rejects_a_state_of_the_wrong_dimension():
+    with pytest.raises(ValueError, match="dim 2"):
+        ode.reference_trajectory(systems.lotka_volterra(), np.zeros(3), 0.1, 2)
