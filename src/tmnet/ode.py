@@ -219,6 +219,7 @@ def _term_rhs(ode: PolynomialODE):
 
 
 def _trajectory(rhs, X0, dt: float, steps: int, substeps: int) -> np.ndarray:
+    """rk4_solve for a right-hand side on lists of floats."""
     X = np.asarray(X0, dtype=float)
     if X.ndim != 1:
         raise ValueError(f"X0 must be a vector, got shape {X.shape}")

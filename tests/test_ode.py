@@ -354,8 +354,7 @@ def test_term_list_evaluator_is_near_the_stacked_product(data, n, k):
     )
     system = ode.PolynomialODE(n, k, blocks)
     X0 = data.draw(hnp.arrays(np.float64, (n,), elements=st.floats(-1, 1)))
-    states = ode.reference_trajectory(system, X0, 0.01, 5)
-    _near_stacked_product(system, states[np.all(np.isfinite(states), axis=1)])
+    _near_stacked_product(system, ode.reference_trajectory(system, X0, 0.001, 5))
 
 
 def test_overflowing_power_is_divergence_at_its_step():
