@@ -32,7 +32,6 @@ from .ode import (
     PolynomialODE,
     ode_to_map,
     reference_trajectory,
-    rk4_solve,
     weight_flow_rhs,
 )
 from .network import (
@@ -64,7 +63,6 @@ from .lattice import (
     multi_turn,
     observe_one_turn,
     one_turn_map,
-    one_turn_readings,
     perturb_element,
 )
 
@@ -84,7 +82,6 @@ __all__ = [
     "PolynomialODE",
     "ode_to_map",
     "reference_trajectory",
-    "rk4_solve",
     "weight_flow_rhs",
     "LossReport",
     "Network",
@@ -110,6 +107,5 @@ __all__ = [
     "multi_turn",
     "observe_one_turn",
     "one_turn_map",
-    "one_turn_readings",
     "perturb_element",
 ]

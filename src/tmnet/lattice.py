@@ -2,10 +2,10 @@
 
 A lattice is an ordered chain of elements on the transverse state
 (x, x', y, y'), closed into a ring.  Monitors at element boundaries read the
-positions (x, y) only; velocities stay latent.  Supported workflows: one-turn
-readings, multi-turn tracking, main-frequency (tune) estimation from turn
-series, perturbing a single element's strength, and per-element fine-tuning
-of an assumed model from one turn of monitor readings.
+positions (x, y) only; velocities stay latent.  Supported workflows: one turn
+of monitor observations, multi-turn tracking, main-frequency (tune)
+estimation from turn series, perturbing a single element's strength, and
+per-element fine-tuning of an assumed model from one turn of monitor readings.
 """
 
 from dataclasses import dataclass, replace
@@ -39,8 +39,7 @@ class LatticeElement:
         if self.generator is not None:
             if self.generator.dim != 4:
                 raise ValueError("generator dimension must be 4")
-            if self.substeps is None or self.substeps < 1:
-                raise ValueError("generator needs a positive substeps count")
+            ode._count("substeps", self.substeps, 1)
 
 
 def element_from_ode(
@@ -103,12 +102,8 @@ class Lattice:
         for e in self.elements:
             if e.tm.order != order:
                 raise ValueError("all elements must share one map order")
-        self.monitors = tuple(int(m) for m in self.monitors)
-        n = len(self.elements)
-        if any(m < 1 or m > n for m in self.monitors):
-            raise ValueError(f"monitors must lie in [1, {n}]")
-        if any(b <= a for a, b in zip(self.monitors, self.monitors[1:])):
-            raise ValueError("monitors must be strictly increasing")
+        self.monitors = network._check_boundaries("monitors", self.monitors,
+                                                  len(self.elements))
 
     @property
     def order(self) -> int:
@@ -137,14 +132,6 @@ class TurnSeries:
     def n_turns(self) -> int:
         return self.states.shape[0]
 
-    @property
-    def x(self) -> np.ndarray:
-        return self.states[:, 0]
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.states[:, 2]
-
 
 def _track(lat: Lattice, X0, net: network.Network, W) -> np.ndarray:
     """Every element-boundary state of one pass through lat, whose layer
@@ -157,13 +144,6 @@ def _track(lat: Lattice, X0, net: network.Network, W) -> np.ndarray:
         raise ode.FlowDivergenceError(
             f"tracking diverged in element {j} ({lat.elements[j].label!r})", exc.layer
         ) from None
-
-
-def one_turn_readings(lat: Lattice, X0) -> np.ndarray:
-    """(x, y) at each monitor boundary, shape (len(monitors), 2)."""
-    net = to_network(lat)
-    states = _track(lat, X0, net, network._stack(net))
-    return states[list(lat.monitors)][:, list(_POSITIONS)]
 
 
 def observe_one_turn(lat: Lattice, X0) -> network.ObservationSeries:
@@ -190,8 +170,7 @@ def multi_turn(lat: Lattice, X0, n_turns: int) -> TurnSeries:
     """Track n_turns revolutions; turn i+1 starts from turn i's end state."""
     if not lat.ring:
         raise ValueError("multi-turn tracking needs a ring lattice")
-    if n_turns < 1:
-        raise ValueError(f"n_turns must be >= 1, got {n_turns}")
+    n_turns = ode._count("n_turns", n_turns, 1)
     net = to_network(lat)
     W = network._stack(net)
     X = np.asarray(X0, dtype=float)

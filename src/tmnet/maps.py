@@ -60,6 +60,26 @@ def _freeze_blocks(poly, name: str, noun: str) -> None:
     object.__setattr__(poly, "stacked", stacked)
 
 
+def _to_dict(poly, name: str) -> dict:
+    """The JSON form of a polynomial dataclass whose blocks are stored under
+    name."""
+    return {
+        "dim": poly.dim,
+        "order": poly.order,
+        "basis_ordering": "graded_lex_x1_desc",
+        name: [b.tolist() for b in getattr(poly, name)],
+    }
+
+
+def _from_dict(cls, data: dict, name: str):
+    """The polynomial dataclass cls from its JSON form (see _to_dict)."""
+    ordering = data.get("basis_ordering", "graded_lex_x1_desc")
+    if ordering != "graded_lex_x1_desc":
+        raise ValueError(f"unsupported basis ordering {ordering!r}")
+    blocks = tuple(np.asarray(b, dtype=float) for b in data[name])
+    return cls(dim=int(data["dim"]), order=int(data["order"]), **{name: blocks})
+
+
 def _evaluate(stacked: np.ndarray, k: int, X) -> np.ndarray:
     """The polynomial whose stacked blocks are given, at one state X."""
     X = np.asarray(X, dtype=float)
@@ -92,23 +112,11 @@ class TaylorMap:
     __call__ = apply
 
     def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "order": self.order,
-            "basis_ordering": "graded_lex_x1_desc",
-            "weights": [w.tolist() for w in self.weights],
-        }
+        return _to_dict(self, "weights")
 
     @classmethod
     def from_dict(cls, data: dict) -> "TaylorMap":
-        ordering = data.get("basis_ordering", "graded_lex_x1_desc")
-        if ordering != "graded_lex_x1_desc":
-            raise ValueError(f"unsupported basis ordering {ordering!r}")
-        return cls(
-            dim=int(data["dim"]),
-            order=int(data["order"]),
-            weights=tuple(np.asarray(w, dtype=float) for w in data["weights"]),
-        )
+        return _from_dict(cls, data, "weights")
 
 
 def identity_map(n: int, k: int) -> TaylorMap:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from tmnet import basis, maps
-from tmnet.ode import FlowDivergenceError
+from tmnet.ode import FlowDivergenceError, _count
 
 
 class TrainingDivergedError(RuntimeError):
@@ -35,6 +35,18 @@ class TrainingDivergedError(RuntimeError):
     def __init__(self, epoch: int, message: str):
         super().__init__(message)
         self.epoch = epoch
+
+
+def _check_boundaries(name: str, bounds, last: float = math.inf) -> tuple[int, ...]:
+    """bounds as a tuple of ints if they are 1-based slot boundaries:
+    integers in [1, last], strictly increasing; else a ValueError naming
+    the field."""
+    bounds = tuple(_count(name, b, 1) for b in bounds)
+    if any(b > last for b in bounds):
+        raise ValueError(f"{name} must lie in [1, {last}], got {bounds}")
+    if any(b <= a for a, b in zip(bounds, bounds[1:])):
+        raise ValueError(f"{name} must be strictly increasing, got {bounds}")
+    return bounds
 
 
 @dataclass(frozen=True)
@@ -51,7 +63,7 @@ class ObservationSeries:
     mask: np.ndarray
 
     def __post_init__(self):
-        taps = tuple(int(t) for t in self.taps)
+        taps = _check_boundaries("taps", self.taps)
         values = np.asarray(self.values, dtype=float)
         mask = np.asarray(self.mask, dtype=bool)
         if values.ndim != 2:
@@ -60,10 +72,6 @@ class ObservationSeries:
             raise ValueError(f"mask shape {mask.shape} != values shape {values.shape}")
         if len(taps) != values.shape[0]:
             raise ValueError(f"{len(taps)} taps for {values.shape[0]} value rows")
-        if any(t <= 0 for t in taps):
-            raise ValueError("taps are 1-based slot boundaries and must be positive")
-        if any(b <= a for a, b in zip(taps, taps[1:])):
-            raise ValueError("taps must be strictly increasing")
         if not np.all(np.isfinite(values[mask])):
             raise ValueError("observed entries must be finite")
         values = np.where(mask, values, np.nan)
@@ -93,7 +101,6 @@ class Network:
 
     def __post_init__(self):
         self.layer_groups = tuple(int(g) for g in self.layer_groups)
-        self.taps = tuple(int(t) for t in self.taps)
         if not self.layer_groups:
             raise ValueError("network needs at least one layer")
         used = set(self.layer_groups)
@@ -108,11 +115,7 @@ class Network:
                     f"group {g} map is (dim={tm.dim}, order={tm.order}), "
                     f"network is (dim={self.dim}, order={self.order})"
                 )
-        L = len(self.layer_groups)
-        if any(t < 1 or t > L for t in self.taps):
-            raise ValueError(f"taps must lie in [1, {L}]")
-        if any(b <= a for a, b in zip(self.taps, self.taps[1:])):
-            raise ValueError("taps must be strictly increasing")
+        self.taps = _check_boundaries("taps", self.taps, len(self.layer_groups))
 
     @property
     def n_layers(self) -> int:
@@ -122,8 +125,7 @@ class Network:
 def build_shared_chain(tm: maps.TaylorMap, length: int, taps=None) -> Network:
     """A length-layer chain sharing one weight group; taps default to every
     boundary 1..length."""
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
+    length = _count("length", length, 1)
     if taps is None:
         taps = tuple(range(1, length + 1))
     return Network(
@@ -283,9 +285,10 @@ class TrainConfig:
 
     Valid ranges: step_size, clip_norm and epsilon finite and > 0; beta1
     and beta2 in the open interval (0, 1); penalty_rate finite and >= 0;
-    epochs >= 0; schedule "constant" or "cosine"; train_degrees None (all
-    degrees) or a non-empty set of degrees 0..order.  Anything else is a
-    ValueError naming the field, so bad settings never pass for divergence.
+    epochs an integer >= 0; schedule "constant" or "cosine"; train_degrees
+    None (all degrees) or a non-empty set of degrees 0..order.  Anything
+    else is a ValueError naming the field, so bad settings never pass for
+    divergence.
 
     penalty_rate multiplies the summed group penalties against a data term
     that is a mean (not a sum) over observed entries, so its scale does not
@@ -315,8 +318,7 @@ class TrainConfig:
                 raise ValueError(f"{name} must lie in (0, 1), got {value}")
         if not (math.isfinite(self.penalty_rate) and self.penalty_rate >= 0):
             raise ValueError(f"penalty_rate must be finite and >= 0, got {self.penalty_rate}")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+        object.__setattr__(self, "epochs", _count("epochs", self.epochs, 0))
         if self.schedule not in ("constant", "cosine"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.train_degrees is not None:

@@ -9,9 +9,10 @@ the unified initial condition W_1 = I (all other blocks zero) yields the map
 for the chosen time step, independent of any particular trajectory.
 
 Every integration runs on one fixed-step RK4 loop over a state held as a
-list of Python floats.  The oracle evaluates dX/dt of a PolynomialODE term by
-term, from the nonzero entries of its stacked (dim, N) coefficient matrix;
-a callable right-hand side still receives and returns arrays.
+list of Python floats; reference_trajectory is its one public entry point.
+It evaluates dX/dt of a PolynomialODE term by term, from the nonzero entries
+of its stacked (dim, N) coefficient matrix; a callable right-hand side still
+receives and returns arrays.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import basis
-from .maps import TaylorMap, _evaluate, _freeze_blocks, identity_map
+from .maps import TaylorMap, _evaluate, _freeze_blocks, _from_dict, _to_dict, identity_map
 
 __all__ = [
     "PolynomialODE",
@@ -32,7 +33,6 @@ __all__ = [
     "weight_flow_rhs",
     "ode_to_map",
     "reference_trajectory",
-    "rk4_solve",
 ]
 
 
@@ -66,23 +66,19 @@ class PolynomialODE:
         return _evaluate(self.stacked, self.order, X)
 
     def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "order": self.order,
-            "basis_ordering": "graded_lex_x1_desc",
-            "coeffs": [c.tolist() for c in self.coeffs],
-        }
+        return _to_dict(self, "coeffs")
 
     @classmethod
     def from_dict(cls, data: dict) -> "PolynomialODE":
-        ordering = data.get("basis_ordering", "graded_lex_x1_desc")
-        if ordering != "graded_lex_x1_desc":
-            raise ValueError(f"unsupported basis ordering {ordering!r}")
-        return cls(
-            dim=int(data["dim"]),
-            order=int(data["order"]),
-            coeffs=tuple(np.asarray(c, dtype=float) for c in data["coeffs"]),
-        )
+        return _from_dict(cls, data, "coeffs")
+
+
+def _count(name: str, value, least: int) -> int:
+    """value as an int if it is an integer (Python or numpy, not bool) and
+    >= least; else a ValueError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -96,8 +92,7 @@ class FlowConfig:
     def __post_init__(self):
         if not np.isfinite(self.dt):
             raise ValueError("dt must be finite")
-        if self.substeps < 1:
-            raise ValueError(f"substeps must be >= 1, got {self.substeps}")
+        object.__setattr__(self, "substeps", _count("substeps", self.substeps, 1))
 
 
 def weight_flow_rhs(weights, ode: PolynomialODE) -> list[np.ndarray]:
@@ -218,38 +213,24 @@ def _term_rhs(ode: PolynomialODE):
     return rhs
 
 
-def _trajectory(rhs, X0, dt: float, steps: int, substeps: int) -> np.ndarray:
-    """rk4_solve for a right-hand side on lists of floats."""
+def reference_trajectory(ode, X0, dt: float, steps: int, substeps: int = 100) -> np.ndarray:
+    """Fixed-step RK4, the package's one trajectory integrator.
+
+    Returns the states at t = 0, dt, ..., steps*dt, shape (steps+1, n), each
+    dt resolved by exactly `substeps` RK4 steps.  `ode` is a PolynomialODE,
+    evaluated term by term (_term_rhs), or any callable X -> dX/dt on arrays.
+    """
     X = np.asarray(X0, dtype=float)
     if X.ndim != 1:
         raise ValueError(f"X0 must be a vector, got shape {X.shape}")
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    if substeps < 1:
-        raise ValueError(f"substeps must be >= 1, got {substeps}")
-    X = X.tolist()
-    return np.array([X, *_rk4_steps(rhs, X, dt, steps, substeps)])
-
-
-def rk4_solve(rhs, X0, dt: float, steps: int, substeps: int = 100) -> np.ndarray:
-    """Fixed-step RK4 on a callable right-hand side.
-
-    Returns states at t = 0, dt, ..., steps*dt (shape (steps+1, n)); each dt
-    is resolved by `substeps` internal RK4 steps.
-    """
-    return _trajectory(_on_lists(rhs), X0, dt, steps, substeps)
-
-
-def reference_trajectory(ode, X0, dt: float, steps: int, substeps: int = 100) -> np.ndarray:
-    """Dense fixed-step RK4 reference, sampled every dt (row 0 is X0).
-
-    `ode` may be a PolynomialODE or any callable X -> dX/dt.  The internal
-    substep is dt/substeps with substeps >= 100, keeping it at or below dt/100.
-    """
+    if not math.isfinite(dt):
+        raise ValueError(f"dt must be finite, got {dt}")
+    steps, substeps = _count("steps", steps, 0), _count("substeps", substeps, 1)
     if isinstance(ode, PolynomialODE):
-        if np.shape(X0) != (ode.dim,):
-            raise ValueError(f"X0 has shape {np.shape(X0)}, ODE has dim {ode.dim}")
+        if X.shape != (ode.dim,):
+            raise ValueError(f"X0 has shape {X.shape}, ODE has dim {ode.dim}")
         rhs = _term_rhs(ode)
     else:
         rhs = _on_lists(ode)
-    return _trajectory(rhs, X0, dt, steps, max(int(substeps), 100))
+    X = X.tolist()
+    return np.array([X, *_rk4_steps(rhs, X, dt, steps, substeps)])

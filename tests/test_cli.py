@@ -179,6 +179,8 @@ def test_error_exits(tmp_path, capsys):
     out = tmp_path / "x.json"
     map_json = tmp_path / "map.json"
     io.save_map(maps.identity_map(4, 2), map_json)
+    map2_json = tmp_path / "map2.json"
+    io.save_map(maps.identity_map(2, 3), map2_json)
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     lattice_json = tmp_path / "lattice.json"
@@ -198,6 +200,11 @@ def test_error_exits(tmp_path, capsys):
           "--out", out), "unknown parameter 'bogus' for system 'pendulum' (known: g, L)"),
         (("simulate", "--system", "pendulum", "--dt", "0.1", "--x0", "nan,0",
           "--steps", "5", "--out", out), "--x0 must be finite"),
+        # a non-finite oracle step is a bad input, not a divergence
+        (("simulate", "--map", map2_json, "--system", "pendulum", "--dt", "nan",
+          "--x0", "0.1,0", "--steps", "3", "--oracle", "--out", out), "dt must be finite"),
+        (("simulate", "--map", map2_json, "--system", "pendulum", "--dt", "inf",
+          "--x0", "0.1,0", "--steps", "3", "--oracle", "--out", out), "dt must be finite"),
         (("track", "--lattice", map_json, "--x0", "0,0,0,0", "--turns", "5",
           "--out", out), "not a lattice file"),
         (("derive", "--ode", map_json, "--dt", "0.1", "--out", out), "not an ODE file"),

@@ -11,7 +11,8 @@ MODULES = ("basis", "maps", "ode", "network", "systems", "lattice", "io", "cli")
 
 # (module, attribute) pairs replaced by map_powers, network.backward,
 # symplectic_residual / symplectic_penalty, network._forward_states and the
-# stacked training state, and the one Jacobian table in maps
+# stacked training state, the one Jacobian table in maps, the one RK4 entry
+# point reference_trajectory, and observe_one_turn
 DELETED = (
     ("basis", "kron_power_jacobian"),
     ("basis", "lift_linear"),
@@ -20,6 +21,9 @@ DELETED = (
     ("lattice", "_boundary_states"),
     ("network", "_stacked_weights"),
     ("basis", "_jacobian_tables"),
+    ("ode", "rk4_solve"),
+    ("ode", "_trajectory"),
+    ("lattice", "one_turn_readings"),
 )
 
 
@@ -46,3 +50,8 @@ def test_deleted_names_are_gone(module, name):
 def test_taylor_map_has_no_per_state_derivatives():
     for name in ("jacobian", "weight_gradients"):
         assert not hasattr(tmnet.TaylorMap, name)
+
+
+def test_turn_series_has_no_per_plane_readers():
+    for name in ("x", "y"):
+        assert not hasattr(tmnet.TurnSeries, name)

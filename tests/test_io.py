@@ -43,15 +43,18 @@ def test_map_round_trip_awkward_floats(tmp_path):
         assert wa.tobytes() == wb.tobytes()
 
 
-def test_map_load_rejects_foreign_ordering(tmp_path):
-    tm = maps.identity_map(2, 2)
-    path = tmp_path / "map.json"
-    io.save_map(tm, path)
+@pytest.mark.parametrize("save, load, obj", [
+    (io.save_map, io.load_map, maps.identity_map(2, 2)),
+    (io.save_ode, io.load_ode, ode.PolynomialODE(2, 1, (np.zeros((2, 1)), np.eye(2)))),
+], ids=["map", "ode"])
+def test_map_load_rejects_foreign_ordering(tmp_path, save, load, obj):
+    path = tmp_path / "poly.json"
+    save(obj, path)
     data = json.loads(path.read_text())
     data["basis_ordering"] = "colex"
     path.write_text(json.dumps(data))
-    with pytest.raises(ValueError):
-        io.load_map(path)
+    with pytest.raises(ValueError, match="unsupported basis ordering 'colex'"):
+        load(path)
 
 
 def test_ode_round_trip_exact(tmp_path):

@@ -96,7 +96,7 @@ def test_identity_ring_readings_constant():
     lat = lattice.Lattice(
         elements=[identity_element(f"i{j}") for j in range(3)], monitors=(1, 2, 3)
     )
-    readings = lattice.one_turn_readings(lat, [0.2, 0.5, -0.1, 0.3])
+    readings = lattice.observe_one_turn(lat, [0.2, 0.5, -0.1, 0.3]).values[:, [0, 2]]
     assert np.allclose(readings, [[0.2, -0.1]] * 3, atol=1e-15)
 
 
@@ -104,7 +104,7 @@ def test_single_rotation_element_reading():
     lat = lattice.Lattice(
         elements=[lattice.rotation_element("r", 0.25, 0.125)], monitors=(1,)
     )
-    reading = lattice.one_turn_readings(lat, [1.0, 0.0, 1.0, 0.0])
+    reading = lattice.observe_one_turn(lat, [1.0, 0.0, 1.0, 0.0]).values[:, [0, 2]]
     # quarter turn in x: (1,0) -> (0,-1); eighth turn in y
     assert reading[0, 0] == pytest.approx(0.0, abs=1e-15)
     assert reading[0, 1] == pytest.approx(np.cos(0.25 * np.pi), rel=1e-12)
@@ -117,7 +117,7 @@ def test_readings_match_sequential_composition(fodo):
     for e in fodo.elements:
         X = e.tm(X)
         expected.append([X[0], X[2]])
-    readings = lattice.one_turn_readings(fodo, X0)
+    readings = lattice.observe_one_turn(fodo, X0).values[:, [0, 2]]
     assert np.allclose(readings, expected, rtol=0, atol=0)
 
 
@@ -181,7 +181,7 @@ def test_multi_turn_divergence_reports_turn_index():
     with pytest.raises(
         ode.FlowDivergenceError, match=r"^tracking diverged in element 1 \('h'\)$"
     ):
-        lattice.one_turn_readings(two, [1e5, 0.0, 0.0, 0.0])
+        lattice.observe_one_turn(two, [1e5, 0.0, 0.0, 0.0])
 
 
 def test_500_turns_under_one_second(fodo):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tmnet import basis, maps, network, ode, systems
+from tmnet import basis, lattice, maps, network, ode, systems
 
 
 def _random_map(rng, n, k, scale=0.3):
@@ -202,6 +202,34 @@ def test_observation_series_validation():
     )
     assert obs.observed_count == 2
     assert np.isnan(obs.values[0, 1])
+
+
+def _observe_at(taps):
+    # a series knows no last slot; the network it is fitted to does
+    obs = network.ObservationSeries(taps=taps, values=np.zeros((len(taps), 2)),
+                                    mask=np.ones((len(taps), 2), dtype=bool))
+    chain = network.build_shared_chain(maps.identity_map(2, 1), 3)
+    network.loss(chain, np.zeros(2), obs, 0.0)
+
+
+def _network_tapped_at(taps):
+    network.build_shared_chain(maps.identity_map(2, 1), 3, taps=taps)
+
+
+def _ring_monitored_at(monitors):
+    elements = [lattice.rotation_element(f"r{j}", 0.1, 0.2) for j in range(3)]
+    lattice.Lattice(elements=elements, monitors=monitors)
+
+
+@pytest.mark.parametrize("bounds", [(0,), (2, 2), (3, 1), (4,), (1.7,)])
+@pytest.mark.parametrize("make, field", [
+    (_observe_at, "tap"), (_network_tapped_at, "taps"), (_ring_monitored_at, "monitors"),
+], ids=["ObservationSeries", "Network", "Lattice"])
+def test_slot_boundaries_follow_one_rule(make, field, bounds):
+    # three slots: boundaries are integers in [1, 3] and strictly increase
+    with pytest.raises(ValueError, match=f"^(observation )?{field}"):
+        make(bounds)
+    make((1, 3))
 
 
 def test_loss_zero_for_perfect_predictions():

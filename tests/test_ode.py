@@ -1,4 +1,4 @@
-"""Tests for polynomial ODEs, the weight flow, and the RK4 integrators.
+"""Tests for polynomial ODEs, the weight flow, and the RK4 integrator.
 
 Oracles: closed-form solutions (quadratic-drag fall, harmonic oscillator),
 the matrix exponential for linear systems, and dense RK4 references for
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 
-from tmnet import basis, lattice, maps, ode, systems
+from tmnet import basis, lattice, maps, network, ode, systems
 
 
 def _free_fall() -> ode.PolynomialODE:
@@ -240,18 +240,21 @@ def _textbook_rk4(rhs, X0, dt, steps, substeps):
 
 
 def test_rk4_matches_textbook_loop_byte_for_byte():
-    # pins the stage combination's grouping: any regrouping changes bytes
+    # pins the stage combination's grouping: any regrouping changes bytes;
+    # the 10-substep case pins that exactly the substeps asked for run
     cases = (
-        (systems.damped_pendulum_rhs(), [0.4, -0.3]),
-        (systems.lotka_volterra().rhs, [0.8, 0.8]),
+        (systems.damped_pendulum_rhs(), [0.4, -0.3], 100),
+        (systems.lotka_volterra().rhs, [0.8, 0.8], 100),
+        (systems.damped_pendulum_rhs(), [0.4, -0.3], 10),
     )
-    for rhs, X0 in cases:
-        got = ode.rk4_solve(rhs, np.array(X0), 0.01, 30, substeps=100)
-        assert got.tobytes() == _textbook_rk4(rhs, X0, 0.01, 30, 100).tobytes()
+    for rhs, X0, substeps in cases:
+        got = ode.reference_trajectory(rhs, np.array(X0), 0.01, 30, substeps=substeps)
+        assert got.tobytes() == _textbook_rk4(rhs, X0, 0.01, 30, substeps).tobytes()
 
 
 def test_rk4_matches_harmonic_oscillator():
-    got = ode.rk4_solve(lambda X: np.array([X[1], -X[0]]), np.array([1.0, 0.0]), 0.5, 20)
+    rhs = lambda X: np.array([X[1], -X[0]])
+    got = ode.reference_trajectory(rhs, np.array([1.0, 0.0]), 0.5, 20)
     t = 0.5 * np.arange(21)
     assert np.allclose(got[:, 0], np.cos(t), atol=1e-10)
     assert np.allclose(got[:, 1], -np.sin(t), atol=1e-10)
@@ -259,10 +262,10 @@ def test_rk4_matches_harmonic_oscillator():
 
 def test_rk4_output_shape_and_initial_row():
     X0 = np.array([2.0, -1.0])
-    out = ode.rk4_solve(lambda X: -X, X0, 0.1, 5)
+    out = ode.reference_trajectory(lambda X: -X, X0, 0.1, 5)
     assert out.shape == (6, 2)
     assert np.array_equal(out[0], X0)
-    assert ode.rk4_solve(lambda X: -X, X0, 0.1, 0).shape == (1, 2)
+    assert ode.reference_trajectory(lambda X: -X, X0, 0.1, 0).shape == (1, 2)
 
 
 def test_rk4_converges_at_fourth_order():
@@ -270,7 +273,7 @@ def test_rk4_converges_at_fourth_order():
     X0 = np.array([1.0, 0.0])
     exact = np.array([np.cos(1.0), -np.sin(1.0)])
     errs = [
-        np.max(np.abs(ode.rk4_solve(rhs, X0, 1.0, 1, substeps=s)[1] - exact))
+        np.max(np.abs(ode.reference_trajectory(rhs, X0, 1.0, 1, substeps=s)[1] - exact))
         for s in (4, 8, 16)
     ]
     assert 12.0 < errs[0] / errs[1] < 20.0
@@ -279,17 +282,43 @@ def test_rk4_converges_at_fourth_order():
 
 def test_rk4_divergence_raises():
     with pytest.raises(ode.FlowDivergenceError, match="diverged"):
-        ode.rk4_solve(lambda X: 50.0 * X, np.array([1.0]), 5.0, 10)
+        ode.reference_trajectory(lambda X: 50.0 * X, np.array([1.0]), 5.0, 10)
 
 
 def test_rk4_input_validation():
     with pytest.raises(ValueError):
-        ode.rk4_solve(lambda X: -X, np.zeros((2, 2)), 0.1, 3)
+        ode.reference_trajectory(lambda X: -X, np.zeros((2, 2)), 0.1, 3)
     with pytest.raises(ValueError):
-        ode.rk4_solve(lambda X: -X, np.zeros(2), 0.1, -1)
+        ode.reference_trajectory(lambda X: -X, np.zeros(2), 0.1, -1)
     for substeps in (0, -2):
         with pytest.raises(ValueError, match="substeps"):
-            ode.rk4_solve(lambda X: -X, np.zeros(2), 0.1, 3, substeps=substeps)
+            ode.reference_trajectory(lambda X: -X, np.zeros(2), 0.1, 3, substeps=substeps)
+    for dt in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^dt must be finite"):
+            ode.reference_trajectory(lambda X: -X, np.zeros(2), dt, 3)
+
+
+_STILL = ode.PolynomialODE(4, 1, (np.zeros((4, 1)), np.zeros((4, 4))))
+_RING = lattice.Lattice(elements=[lattice.rotation_element("r", 0.1, 0.2)], monitors=(1,))
+
+
+@pytest.mark.parametrize("value", [2.5, True, np.float64(3.0), "3"])
+@pytest.mark.parametrize("name, make", [
+    ("substeps", lambda v: ode.FlowConfig(0.1, substeps=v)),
+    ("epochs", lambda v: network.TrainConfig(epochs=v)),
+    ("steps", lambda v: ode.reference_trajectory(lambda X: -X, np.ones(1), 0.1, v)),
+    ("substeps", lambda v: ode.reference_trajectory(lambda X: -X, np.ones(1), 0.1, 2, v)),
+    ("length", lambda v: network.build_shared_chain(maps.identity_map(2, 1), v)),
+    ("n_turns", lambda v: lattice.multi_turn(_RING, np.zeros(4), v)),
+    ("substeps", lambda v: lattice.LatticeElement("s", maps.identity_map(4, 1), _STILL,
+                                                  1.0, v)),
+], ids=["FlowConfig", "TrainConfig", "steps", "substeps", "length", "n_turns",
+        "LatticeElement"])
+def test_counts_must_be_integers(name, make, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
+        make(value)
+    for count in (2, np.int64(2)):
+        make(count)
 
 
 def test_reference_trajectory_accepts_ode_or_callable():
@@ -306,10 +335,10 @@ def test_reference_trajectory_accepts_ode_or_callable():
 
 
 def test_reference_trajectory_keeps_the_bytes_of_a_textbook_loop_on_rhs():
-    # the term-list evaluator's sums can differ from the BLAS product by an
-    # ulp at some states; at these step sizes that is far below an ulp of
-    # the state, and these trajectories, the ones the benchmark and the
-    # acceptance checks integrate, keep every byte
+    # the textbook loop runs on the same term-list evaluator, wrapped to
+    # arrays, so the bytes pin the RK4 loop alone on these trajectories, the
+    # ones the benchmark and the acceptance checks integrate; every state is
+    # also checked against the stacked product PolynomialODE.rhs
     ring = lattice.build_fodo_ring(substeps=10)
     cases = [
         (systems.lotka_volterra(), [0.5, 0.5], 0.01, 40, 100),
@@ -324,9 +353,11 @@ def test_reference_trajectory_keeps_the_bytes_of_a_textbook_loop_on_rhs():
         for j in (0, 1, 2, 8)  # qf, drift, qd, sextupole
     ]
     for system, X0, dt, steps, substeps in cases:
+        terms = ode._term_rhs(system)
         got = ode.reference_trajectory(system, np.array(X0), dt, steps, substeps)
-        want = _textbook_rk4(system.rhs, X0, dt, steps, substeps)
+        want = _textbook_rk4(lambda X: np.array(terms(X.tolist())), X0, dt, steps, substeps)
         assert got.tobytes() == want.tobytes(), (system, X0)
+        _near_stacked_product(system, got)
 
 
 def _near_stacked_product(system, states):
@@ -361,7 +392,7 @@ def test_overflowing_power_is_divergence_at_its_step():
     # Python's ** raises OverflowError at v^2 = 1e400 where numpy returns inf
     system = systems.free_fall()
     for run in (lambda: ode.reference_trajectory(system, np.array([-1e200]), 0.1, 3),
-                lambda: ode.rk4_solve(system.rhs, np.array([-1e200]), 0.1, 3)):
+                lambda: ode.reference_trajectory(system.rhs, np.array([-1e200]), 0.1, 3)):
         with pytest.raises(
             ode.FlowDivergenceError, match=r"^trajectory diverged at t=0\.1 \(step 1/3\)$"
         ) as err:
