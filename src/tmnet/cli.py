@@ -91,6 +91,10 @@ def cmd_derive(args) -> tuple[dict, str]:
     return inputs, f"derived order-{tm.order} map (dim {tm.dim}) -> {out}"
 
 
+# RK4 substeps per --dt step of the `simulate --oracle` reference columns
+ORACLE_SUBSTEPS = 100
+
+
 def cmd_simulate(args) -> tuple[dict, str]:
     X0 = _parse_x0(args.x0)
     inputs = {}
@@ -119,7 +123,9 @@ def cmd_simulate(args) -> tuple[dict, str]:
             raise ValueError("--oracle needs the generating ODE (--system/--ode)")
         if args.dt is None:
             raise ValueError("--oracle needs --dt")
-        ref = ode.reference_trajectory(system, X0, args.dt, args.steps)
+        ref = ode.reference_trajectory(system, X0, args.dt, args.steps, ORACLE_SUBSTEPS)
+        # --substeps sets the derivation only; the manifest records both
+        args.oracle_substeps = ORACLE_SUBSTEPS
         extra = {f"ref_x{i + 1}": ref[:, i] for i in range(ref.shape[1])}
     out = Path(args.out)
     io.write_trajectory(states, out, extra=extra)
@@ -240,7 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", help="map JSON (otherwise derive from --system/--ode)")
     _add_system_flags(p)
     p.add_argument("--dt", type=float, help="step for deriving / oracle reference")
-    p.add_argument("--substeps", type=int, default=1000)
+    p.add_argument("--substeps", type=int, default=1000,
+                   help="RK4 substeps of the map derivation only; the --oracle "
+                        f"reference always runs {ORACLE_SUBSTEPS}")
     p.add_argument("--x0", required=True, help="initial state a,b,...")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--oracle", action="store_true",

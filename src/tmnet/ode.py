@@ -6,7 +6,12 @@ flow map X(t) = W_0(t) + W_1(t) X_0 + ... + W_k(t) X_0^[k] satisfy their own
 ODE, obtained by substituting the map into the right-hand side and collecting
 coefficients per degree (truncating above k).  Solving that system once from
 the unified initial condition W_1 = I (all other blocks zero) yields the map
-for the chosen time step, independent of any particular trajectory.
+for the chosen time step, independent of any particular trajectory.  That
+weight ODE is itself a fixed polynomial of degree `order` in the flattened
+weights, so ode_to_map compiles its term list once (_weight_flow) and each
+evaluation is one gather, one product and one scatter; basis.substitute
+computes the same right-hand side by series products and is its test
+reference.
 
 Every integration runs on one fixed-step RK4 loop over a state held as a
 list of Python floats; reference_trajectory is its one public entry point.
@@ -17,8 +22,9 @@ receives and returns arrays.
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,45 +105,111 @@ def weight_flow_rhs(weights, ode: PolynomialODE) -> list[np.ndarray]:
     """Right-hand side of the weight ODE for the current map coefficients.
 
     weights is the block list of the map being evolved (same layout as
-    TaylorMap.weights, order k).  Returns dW_d/dt for d = 0..k: the blocks of
-    P(M(X)) truncated at degree k.  For the pendulum system this reproduces
-    W'_1 = P_1 W_1, W'_2 = P_1 W_2, W'_3 = P_1 W_3 + P_3 A_3, where
-    A_3 X^[3] = (W_1 X)^[3] (map_powers of the linear part, degree 3).
+    TaylorMap.weights, order k >= 1).  Returns dW_d/dt for d = 0..k: the blocks
+    of P(M(X)) truncated at degree k, evaluated from the compiled term list of
+    _weight_flow (basis.substitute computes the same blocks by series
+    products).  For the pendulum system this reproduces W'_1 = P_1 W_1,
+    W'_2 = P_1 W_2, W'_3 = P_1 W_3 + P_3 A_3, where A_3 X^[3] = (W_1 X)^[3].
     """
-    weights = list(weights)
-    k = len(weights) - 1
-    if weights[1].shape[0] != ode.dim:
-        raise ValueError(
-            f"map dimension {weights[1].shape[0]} does not match ODE dimension {ode.dim}"
-        )
-    return basis.substitute(ode.coeffs, weights, k)
+    weights = [np.asarray(w, dtype=float) for w in weights]
+    n, k = ode.dim, len(weights) - 1
+    shapes = [w.shape for w in weights]
+    if k < 1 or shapes != [(n, basis.basis_size(n, d)) for d in range(k + 1)]:
+        raise ValueError(f"map blocks of shapes {shapes} are not an order >= 1 map "
+                         f"in the ODE dimension {n}")
+    return _blocks(_weight_flow(ode, k)(np.concatenate(weights, axis=None)), n, k)
+
+
+def _blocks(w: np.ndarray, n: int, k: int) -> list[np.ndarray]:
+    """The flattened weights w of an order-k map in n variables as its blocks
+    of degrees 0..k."""
+    ends = itertools.accumulate(n * basis.basis_size(n, d) for d in range(k + 1))
+    return [b.reshape(n, -1) for b in np.split(w, list(ends)[:-1])]
+
+
+def _weight_flow(ode: PolynomialODE, k: int):
+    """dW/dt of the order-k weight flow as a function of the flattened weights
+    w (the blocks of degrees 0..k, each row-major, one after the other).
+
+    The flow is a fixed polynomial of degree ode.order in w.  Row r of P_d is
+    a degree-d monomial in the map's outputs; expanding it picks one map
+    column per factor, and a choice whose column degrees add up to at most k
+    contributes P_d[o, r] times the product of its weights to output o at the
+    column of the summed exponents.  Choices that are the same multiset of
+    weights are one term, their count folded into its coefficient, and every
+    term is padded to ode.order factors with a trailing 1.0.  An evaluation
+    is then one gather, one product and one scatter.
+    """
+    n, p = ode.dim, ode.order
+    E, cols = basis._stacked_exponents(n, k)
+    E = E.astype(int)
+    deg = E.sum(axis=1).tolist()
+    column = {tuple(e): s for s, e in enumerate(E.tolist())}
+    size = n * len(deg)
+    # flat position of entry (i, s) of the stacked (n, N) weights
+    flat = [[n * cols[d].start + i * (cols[d].stop - cols[d].start) + s - cols[d].start
+             for s, d in enumerate(deg)] for i in range(n)]
+
+    def choices(factors, first, budget):
+        # (variable, column) per factor; a variable's columns never decrease
+        if not factors:
+            yield ()
+            return
+        i, rest = factors[0], factors[1:]
+        for s in range(first, cols[budget].stop):
+            nxt = s if rest and rest[0] == i else 0
+            for tail in choices(rest, nxt, budget - deg[s]):
+                yield ((i, s),) + tail
+
+    target, coef, F = [], [], []
+    for d, P in enumerate(ode.coeffs):
+        for r, e in enumerate(basis.exponent_matrix(n, d).tolist()):
+            outputs = [(o, c) for o, c in enumerate(P[:, r].tolist()) if c]
+            if not outputs:
+                continue
+            factors = tuple(i for i, m in enumerate(e) for _ in range(m))
+            for choice in choices(factors, 0, k):
+                # the number of ordered choices with this multiset of columns
+                count = math.prod(map(math.factorial, e))
+                for m in Counter(choice).values():
+                    count //= math.factorial(m)
+                t = column[tuple(E[[s for _, s in choice]].sum(axis=0).tolist())]
+                gather = [flat[i][s] for i, s in choice] + [size] * (p - d)
+                for o, c in outputs:
+                    target.append(flat[o][t])
+                    coef.append(c * count)
+                    F.append(gather)
+    target = np.array(target, dtype=np.intp)
+    coef = np.array(coef, dtype=float)
+    # one row per factor: a product over the leading axis is p - 1 whole-row
+    # multiplies, much faster than p-entry products along the last axis
+    F = np.array(F, dtype=np.intp).reshape(-1, p).T.copy()
+    w_ext = np.ones(size + 1)
+
+    def rhs(w):
+        w_ext[:size] = w
+        return np.bincount(target, coef * w_ext[F].prod(axis=0), minlength=size)
+
+    return rhs
 
 
 def ode_to_map(ode: PolynomialODE, cfg: FlowConfig) -> TaylorMap:
     """Integrate the weight flow over one step of cfg.dt from the unified
     initial condition W_1 = I; returns the order-k Taylor map of the flow."""
     n, k = ode.dim, ode.order
-    W = identity_map(n, k).weights
-    ends = np.cumsum([0] + [w.size for w in W]).tolist()
-
-    def blocks(w):
-        return [w[a:b].reshape(n, -1) for a, b in zip(ends, ends[1:])]
-
-    def rhs(w):
-        return np.concatenate(weight_flow_rhs(blocks(w), ode), axis=None)
-
+    W = np.concatenate(identity_map(n, k).weights, axis=None).tolist()
     # each substep is one RK4 step, so divergence is caught at its substep;
     # only the end state is kept
     h = cfg.dt / cfg.substeps
     try:
-        w = deque(_rk4_steps(_on_lists(rhs), np.concatenate(W, axis=None).tolist(),
-                              h, cfg.substeps, 1), maxlen=1)
+        w = deque(_rk4_steps(_on_lists(_weight_flow(ode, k)), W, h, cfg.substeps, 1),
+                  maxlen=1)
     except FlowDivergenceError as exc:
         raise FlowDivergenceError(
             f"weight flow diverged at t={exc.layer * h:.6g} of {cfg.dt:.6g} "
             f"(substep {exc.layer}/{cfg.substeps})", exc.layer
         ) from None
-    return TaylorMap(dim=n, order=k, weights=tuple(blocks(np.array(w[0]))))
+    return TaylorMap(dim=n, order=k, weights=tuple(_blocks(np.array(w[0]), n, k)))
 
 
 def _rk4_steps(rhs, X: list, dt: float, steps: int, substeps: int):

@@ -257,3 +257,21 @@ def test_divergent_simulation_exits_nonzero(tmp_path):
     out = tmp_path / "traj.csv"
     assert run("simulate", "--map", path, "--x0", "3",
                "--steps", "60", "--out", out) == 1
+
+
+def test_simulate_oracle_manifest_records_its_own_substeps(tmp_path):
+    # --substeps sets the derivation; the oracle columns run ORACLE_SUBSTEPS
+    out = tmp_path / "s.csv"
+    assert run("simulate", "--system", "pendulum", "--dt", "0.1", "--x0", "0.1,0",
+               "--steps", "3", "--substeps", "5", "--oracle", "--out", out) == 0
+    parameters = io.read_manifest(tmp_path / "s.manifest.json").parameters
+    assert parameters["substeps"] == 5
+    assert parameters["oracle_substeps"] == cli.ORACLE_SUBSTEPS == 100
+    ref = ode.reference_trajectory(systems.pendulum(), np.array([0.1, 0.0]), 0.1, 3,
+                                   cli.ORACLE_SUBSTEPS)
+    assert np.array_equal(io.read_trajectory(out)[:, 2:], ref)
+    derived = tmp_path / "d.csv"
+    assert run("simulate", "--system", "pendulum", "--dt", "0.1", "--x0", "0.1,0",
+               "--steps", "3", "--out", derived) == 0
+    assert "oracle_substeps" not in io.read_manifest(
+        tmp_path / "d.manifest.json").parameters

@@ -216,6 +216,57 @@ def test_weight_flow_divergence_raises_with_location():
     assert err.value.layer == 708
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.data(), st.integers(1, 5), st.integers(1, 3), st.integers(1, 3))
+def test_compiled_weight_flow_matches_substitution(data, n, order, k):
+    # dense ODE and map, W_0 != 0: every factor choice of every term is live
+    coeff = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
+    nonzero = coeff.filter(lambda c: abs(c) > 0.1)
+
+    def blocks(count):
+        return [data.draw(hnp.arrays(np.float64, (n, basis.basis_size(n, d)),
+                                     elements=nonzero if d == 0 else coeff))
+                for d in range(count + 1)]
+
+    system = ode.PolynomialODE(n, order, tuple(blocks(order)))
+    W = blocks(k)
+    got = ode.weight_flow_rhs(W, system)
+    want = basis.substitute(system.coeffs, W, k)
+    scale = max(np.max(np.abs(w)) for w in want)
+    assert [g.shape for g in got] == [w.shape for w in want]
+    for g, w in zip(got, want):
+        assert np.all(np.abs(g - w) <= 1e-13 * scale)
+
+
+def _flow_systems():
+    ring = lattice.build_fodo_ring(substeps=10)
+    return [(systems.free_fall(), 0.1), (systems.free_fall_augmented(), 0.1),
+            (systems.lotka_volterra(), 0.01), (systems.pendulum(), 0.1),
+            (systems.rayleigh_plesset(), 0.01)] + [
+        (ring.elements[j].generator, ring.elements[j].dt)
+        for j in (0, 1, 2, 8)  # qf, drift, qd, sextupole
+    ]
+
+
+@pytest.mark.parametrize("index", range(9), ids=[
+    "free_fall", "free_fall_augmented", "lotka_volterra", "pendulum",
+    "rayleigh_plesset", "qf", "drift", "qd", "sextupole"])
+def test_derived_map_matches_rk4_on_the_substituted_flow(index):
+    system, dt = _flow_systems()[index]
+    n, k = system.dim, system.order
+    W = maps.identity_map(n, k).weights
+    ends = np.cumsum([w.size for w in W])[:-1]
+
+    def rhs(w):
+        blocks = [b.reshape(n, -1) for b in np.split(w, ends)]
+        return np.concatenate(basis.substitute(system.coeffs, blocks, k), axis=None)
+
+    want = _textbook_rk4(rhs, np.concatenate(W, axis=None), dt, 1, 100)[-1]
+    tm = ode.ode_to_map(system, ode.FlowConfig(dt, substeps=100))
+    got = np.concatenate(tm.weights, axis=None)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_weight_flow_rejects_dimension_mismatch():
     sys = _free_fall()
     with pytest.raises(ValueError):
