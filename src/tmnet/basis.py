@@ -151,18 +151,6 @@ def _series_mul(u, v, n: int, k: int) -> list[np.ndarray]:
     return out
 
 
-def _series_mul_adjoint(g, v, n: int, k: int) -> list[np.ndarray]:
-    """Adjoint of _series_mul in its first factor: du[a] = d<g, u*v>/du[a]
-    for a = 0..k, where g[c] weights the degree-c coefficients of u*v."""
-    return [
-        sum(
-            (g[a + b][..., _mult_table(n, a, b)] @ vb[..., :, None])[..., 0]
-            for b, vb in enumerate(v[: len(g) - a])
-        )
-        for a in range(k + 1)
-    ]
-
-
 @lru_cache(maxsize=None)
 def _prefix_table(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """For each degree-d monomial in m variables, in basis order: the

@@ -6,7 +6,8 @@ Evaluation is one product: the blocks stacked side by side into one (dim, N)
 matrix, times the state's ``basis.monomials(X, k)``.  This module provides
 evaluation, truncated composition, and the coefficient-space symplectic
 residual used as a structure-preserving training penalty, with its gradient
-in the weights.
+in the weights; both come from one term list compiled per (dim, order), which
+serves any number of stacked maps per evaluation.
 """
 
 from __future__ import annotations
@@ -176,72 +177,88 @@ def _jacobian_series(weights, n: int, k: int) -> list[np.ndarray]:
     return out
 
 
-def _residual(weights, n: int, k: int):
-    """J times the Jacobian series of the order-k maps whose blocks weights
-    lists (leading axes index the maps), and the coefficients of
-    Jac(X)^T J Jac(X) - J as one series product.
+@lru_cache(maxsize=None)
+def _residual_terms(n: int, k: int):
+    """Symplectic residuals of order-k maps in n variables as one term list
+    over Pi[s, t], the sum over J[i, j] = 1 of w[i, s] w[j, t] (w stacked).
 
-    The residual coefficients R[c] have shape (..., dim, dim,
-    basis_size(dim, c)).
+    Entry q * M + c of R = Jac^T J Jac - J (pair q of np.triu_indices(n, 1),
+    a < b; monomial c of the M of degrees 0..2(k-1)) sums coef * Pi[s, t]
+    over its terms, less 1 at the entries in unit (J[a, b] = 1, c = 0).  As
+    Jac[i, a] sums e_s[a] w[i, s] X^(e_s - 1_a) over the columns s, columns
+    s and t give coef e_s[a] e_t[b] - e_t[a] e_s[b] at the monomial
+    e_s + e_t - 1_a - 1_b, the transposed products w[j, s] w[i, t] folded
+    in.  Returns (coef, st, entry, unit, P * M, (i, j)) for the nonzero
+    terms, st holding each term's flat index s * N + t into Pi.
     """
     J = _canonical_J(n)
-    jac = _jacobian_series(weights, n, k)
-    Jjac = [(J @ g.reshape(g.shape[:-2] + (-1,))).reshape(g.shape) for g in jac]
-    products = basis._series_mul(
-        [g[..., None, :] for g in jac], [h[..., None, :, :] for h in Jjac], n, 2 * (k - 1)
-    )
-    R = [p.sum(axis=-4) for p in products]
-    R[0][..., 0] -= J
-    return Jjac, R
+    E, _ = basis._stacked_exponents(n, k)
+    E2, _ = basis._stacked_exponents(n, 2 * (k - 1))
+    a, b = np.triu_indices(n, 1)
+    Ea, Eb = E[:, a].T, E[:, b].T
+    q, s, t = np.nonzero(Ea[:, :, None] * Eb[:, None, :] - Eb[:, :, None] * Ea[:, None, :])
+    # each monomial by its exponents read as the digits of a number in base 2k
+    digits = (2 * k) ** np.arange(n)
+    order = np.argsort(E2 @ digits)
+    mono = (E @ digits)[s] + (E @ digits)[t] - digits[a[q]] - digits[b[q]]
+    entry = q * len(E2) + order[np.searchsorted((E2 @ digits)[order], mono)]
+    coef = Ea[q, s] * Eb[q, t] - Eb[q, s] * Ea[q, t]
+    unit = np.flatnonzero(J[a, b] > 0) * len(E2)
+    return coef, s * len(E) + t, entry, unit, len(a) * len(E2), np.nonzero(J > 0)
 
 
-def _penalty_and_gradient(weights, n: int, k: int, gradient: bool):
-    """Symplectic penalty of each order-k map whose blocks weights lists
-    (leading axes index the maps) and, when gradient is set, its gradient
-    blocks d penalty / dW_d with the same leading axes (else None).
+def _residual_penalty(W: np.ndarray, k: int, gradient: bool):
+    """(R, penalty, grads) of each order-k map in the stacked (G, n, N)
+    weights W: the residual entries of _residual_terms, shape (G, P * M),
+    the penalties 2 sum R^2 (both triangles), shape (G,), and the penalty
+    gradient in W's layout if gradient is set (else None).
 
-    The penalty is <R, R> with R = Jac^T J Jac - J; both triangles of the
-    antisymmetric residual are summed, so each independent constraint
-    contributes twice.  Both Jacobian factors contribute the adjoint of the
-    series product against J Jac, so the gradient on the Jacobian series is
-    that adjoint applied to 2 (R - R^T); each Jacobian coefficient then
-    scatters back to the weight it came from.
+    One batched product gives every Pi, and one gather, one product and one
+    bincount with an offset per group give R.  The gradient on Pi is one
+    more bincount, of 4 R coef over st; Pi's factors take it to the weights.
     """
-    Jjac, R = _residual(weights, n, k)
-    penalty = sum(np.sum(c * c, axis=(-3, -2, -1)) for c in R)
+    G, n, N = W.shape
+    coef, st, entry, unit, size, (i, j) = _residual_terms(n, k)
+    group = np.arange(G)[:, None]
+    Wi, Wj = W[:, i], W[:, j]
+    Pi = (np.swapaxes(Wi, 1, 2) @ Wj).reshape(G, -1)
+    R = np.bincount((entry + size * group).ravel(), (coef * Pi[:, st]).ravel(), G * size)
+    R = R.reshape(G, size)
+    R[:, unit] -= 1.0
     if not gradient:
-        return penalty, None
-    S = [2.0 * (c - np.swapaxes(c, -3, -2)) for c in R]
-    djac = basis._series_mul_adjoint(
-        [s[..., None, :, :, :] for s in S], [h[..., None, :, :] for h in Jjac], n, k - 1
-    )
-    grads = [np.zeros_like(weights[0])]
-    for e, dg in enumerate(djac):
-        _, scale = _jacobian_table(n, e)
-        dW = np.swapaxes(dg.sum(axis=-2), -1, -2) * scale
-        grads.append(dW.reshape(dW.shape[:-3] + (n, -1)) @ basis._scatter_matrix(n, e, 1))
-    return penalty, grads
+        return R, 2.0 * np.sum(R * R, axis=1), None
+    D = np.bincount((st + N * N * group).ravel(), (4.0 * coef * R[:, entry]).ravel(),
+                    G * N * N).reshape(G, N, N)
+    grads = np.empty_like(W)
+    grads[:, i], grads[:, j] = Wj @ np.swapaxes(D, 1, 2), Wi @ D
+    return R, 2.0 * np.sum(R * R, axis=1), grads
 
 
 def symplectic_residual(tm: TaylorMap) -> tuple[np.ndarray, ...]:
     """Polynomial-matrix residual Jac(X)^T J Jac(X) - J in coefficient space.
 
     Entry d has shape (basis_size(dim, d), dim, dim) for degrees d = 0 to
-    2(k-1); every coefficient matrix is antisymmetric.  The residual is
-    identically zero iff the map is symplectic at every state; for n=2, k=2
-    the degree-0 coefficient's (1,2) entry is
+    2(k-1); every coefficient matrix is exactly antisymmetric.  The residual
+    is identically zero iff the map is symplectic at every state; for n=2,
+    k=2 the degree-0 coefficient's (1,2) entry is
     w1^{11} w1^{22} - w1^{12} w1^{21} - 1 and the six monomial coefficients
     {1, x1, x2, x1^2, x1 x2, x2^2} carry one scalar constraint each.
     """
-    _, R = _residual(tm.weights, tm.dim, tm.order)
-    return tuple(_frozen(np.moveaxis(c, -1, 0)) for c in R)
+    E2, sl = basis._stacked_exponents(tm.dim, 2 * (tm.order - 1))
+    R = _residual_penalty(tm.stacked[None], tm.order, False)[0].reshape(-1, len(E2))
+    a, b = np.triu_indices(tm.dim, 1)
+    full = np.zeros((len(E2), tm.dim, tm.dim))
+    full[:, a, b], full[:, b, a] = R.T, -R.T
+    return tuple(_frozen(full[s]) for s in sl)
 
 
 def symplectic_penalty(tm: TaylorMap) -> float:
     """Sum of squared residual coefficients; 0 exactly iff symplectic."""
-    return float(_penalty_and_gradient(tm.weights, tm.dim, tm.order, False)[0])
+    return float(_residual_penalty(tm.stacked[None], tm.order, False)[1][0])
 
 
 def symplectic_penalty_gradient(tm: TaylorMap) -> list[np.ndarray]:
     """d symplectic_penalty / dW_d for every block (W_0 gradient is zero)."""
-    return _penalty_and_gradient(tm.weights, tm.dim, tm.order, True)[1]
+    grads = _residual_penalty(tm.stacked[None], tm.order, True)[2][0]
+    _, sl = basis._stacked_exponents(tm.dim, tm.order)
+    return [grads[:, s] for s in sl]

@@ -9,6 +9,8 @@ latent); the loss is the mean squared error over the observed entries plus a
 symplectic penalty summed over the distinct weight groups.  Every layer
 evaluation, in the rolled-out chain and the teacher-forced residual alike, is
 one product of its map's stacked (dim, N) weights with the state's monomials.
+A pass checks its states once, after the last slot; a divergence names the
+first non-finite layer and the norm of the last finite state.
 
 Gradients are exact: reverse accumulation through the layer Jacobians, with
 per-slot weight gradients summed within each sharing group, plus the analytic
@@ -154,8 +156,8 @@ def _forward_states(net: Network, W, X0):
     monomials of degrees 0..order of each slot's input state, shape
     (n_layers, N), both evaluated once per slot with the group weights W."""
     X = np.asarray(X0, dtype=float)
-    if X.shape != (net.dim,):
-        raise ValueError(f"X0 must have shape ({net.dim},), got {X.shape}")
+    if X.shape != (net.dim,) or not np.isfinite(X).all():
+        raise ValueError(f"X0 must be finite with shape ({net.dim},), got {X.tolist()}")
     states = np.empty((net.n_layers + 1, net.dim))
     powers = np.empty((net.n_layers, W.shape[-1]))
     states[0] = X
@@ -164,8 +166,12 @@ def _forward_states(net: Network, W, X0):
         for j, g in enumerate(net.layer_groups):
             powers[j] = basis.monomials(states[j], net.order)
             states[j + 1] = W[g] @ powers[j]
-            if not np.isfinite(states[j + 1]).all():
-                raise FlowDivergenceError(f"network state diverged at layer {j + 1}", j + 1)
+        finite = np.isfinite(states[1:]).all(axis=1)
+    if not finite.all():
+        j = int(np.argmin(finite)) + 1
+        # hypot does not overflow where the squares of a state near the limit would
+        raise FlowDivergenceError(f"network state diverged at layer {j} (last finite "
+                                  f"state norm {math.hypot(*states[j - 1]):.6g})", j)
     return states, powers
 
 
@@ -219,18 +225,17 @@ def _with_penalty(data: float, grads, W, n: int, k: int, penalty_rate: float):
 
     grads is the data gradient, shaped like W, or None when only the loss
     triple (total, data, penalty) is wanted; otherwise returns (grads,
-    triple) with penalty_rate times the penalty gradient added in place, from
-    one residual on the degree column views of W.  Odd-dimensional states
-    carry no conjugate-pair structure; their penalty is defined as zero.
+    triple) with penalty_rate times the penalty gradient added in place.
+    Odd-dimensional states carry no conjugate-pair structure; their penalty
+    is defined as zero.
     """
     penalty = 0.0
     if n % 2 == 0:
-        _, sl = basis._stacked_exponents(n, k)
         want = grads is not None and penalty_rate != 0.0
-        per_group, penalty_grads = maps._penalty_and_gradient([W[..., s] for s in sl], n, k, want)
+        _, per_group, penalty_grads = maps._residual_penalty(W, k, want)
         penalty = sum(per_group.tolist())
-        for s, pd in zip(sl, penalty_grads or ()):
-            grads[..., s] += penalty_rate * pd
+        if want:
+            grads += penalty_rate * penalty_grads
     triple = (data + penalty_rate * penalty, data, penalty)
     return triple if grads is None else (grads, triple)
 

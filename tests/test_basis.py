@@ -267,18 +267,6 @@ def test_map_powers_match_symbolic_oracle_property(data, n, k, max_degree):
 
 
 @PROPERTY
-@given(st.data(), st.integers(1, 3), st.integers(1, 3))
-def test_series_mul_adjoint_is_the_transpose(data, n, k):
-    # <g, u*v> == <adjoint(g, v), u> for every series u, v, g
-    u = [row[0] for row in data.draw(_coefficient_blocks(n, k, m=1))]
-    v = [row[0] for row in data.draw(_coefficient_blocks(n, k, m=1))]
-    g = [row[0] for row in data.draw(_coefficient_blocks(n, k, m=1))]
-    lhs = sum(gc @ pc for gc, pc in zip(g, basis._series_mul(u, v, n, k)))
-    rhs = sum(dc @ uc for dc, uc in zip(basis._series_mul_adjoint(g, v, n, k), u))
-    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-
-
-@PROPERTY
 @given(
     hnp.arrays(
         np.float64,

@@ -1,18 +1,26 @@
-"""The public surface: every exported name resolves, and helpers that were
-folded into the batched paths stay deleted."""
+"""The public surface: every exported name resolves, helpers that were
+folded into the batched paths stay deleted, and the package runs on numpy
+alone."""
 
 import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import tmnet
+from tmnet import io, maps
 
 MODULES = ("basis", "maps", "ode", "network", "systems", "lattice", "io", "cli")
 
 # (module, attribute) pairs replaced by map_powers, network.backward,
 # symplectic_residual / symplectic_penalty, network._forward_states and the
 # stacked training state, the one Jacobian table in maps, the one RK4 entry
-# point reference_trajectory, and observe_one_turn
+# point reference_trajectory, observe_one_turn, and the compiled symplectic
+# residual
 DELETED = (
     ("basis", "kron_power_jacobian"),
     ("basis", "lift_linear"),
@@ -24,6 +32,8 @@ DELETED = (
     ("ode", "rk4_solve"),
     ("ode", "_trajectory"),
     ("lattice", "one_turn_readings"),
+    ("basis", "_series_mul_adjoint"),
+    ("maps", "_residual"),
 )
 
 
@@ -55,3 +65,29 @@ def test_taylor_map_has_no_per_state_derivatives():
 def test_turn_series_has_no_per_plane_readers():
     for name in ("x", "y"):
         assert not hasattr(tmnet.TurnSeries, name)
+
+
+# imports every module with the test-only dependencies blocked, then runs
+# `tmnet check` on the identity map saved at argv[1], writing argv[2]
+NUMPY_ONLY = """
+import importlib, pkgutil, sys
+for name in ("scipy", "hypothesis", "pytest"):
+    sys.modules[name] = None
+import tmnet
+for m in pkgutil.iter_modules(tmnet.__path__):
+    importlib.import_module("tmnet." + m.name)
+from tmnet import cli
+sys.exit(cli.main(["check", "--map", sys.argv[1], "--out", sys.argv[2]]))
+"""
+
+
+def test_runtime_needs_numpy_only(tmp_path):
+    ident, report = tmp_path / "ident.json", tmp_path / "report.json"
+    io.save_map(maps.identity_map(2, 2), ident)
+    src = str(Path(tmnet.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", NUMPY_ONLY, str(ident), str(report)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(report.read_text())["penalty"] == 0.0

@@ -1,6 +1,9 @@
 """Tests for the layered network: forward unrolling, masked loss, analytic
 backpropagation (finite-difference oracle), and one-shot Adam training."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,6 +133,10 @@ def test_forward_rejects_wrong_dimension():
     net = network.build_shared_chain(maps.identity_map(2, 2), 3)
     with pytest.raises(ValueError):
         network.forward(net, np.array([1.0, 2.0, 3.0]))
+    # a non-finite start is bad input, not a divergence of the chain
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="X0 must be finite"):
+            network.forward(net, np.array([bad, 0.0]))
 
 
 def test_forward_divergence_raises():
@@ -139,12 +146,47 @@ def test_forward_divergence_raises():
         dim=2, order=2, weights=(np.zeros((2, 1)), np.eye(2), W2)
     )
     net = network.build_shared_chain(tm, 60)
+    X0 = np.array([3.0, 3.0])
+    with pytest.raises(ode.FlowDivergenceError) as err:
+        network.forward(net, X0)
+    layer = err.value.layer
+    assert 1 < layer <= 60
+    last = network.forward(network.build_shared_chain(tm, layer - 1), X0)[-1]
+    assert str(err.value) == (
+        f"network state diverged at layer {layer} "
+        f"(last finite state norm {math.hypot(*last):.6g})"
+    )
+
+
+def test_divergence_found_after_the_chain_names_the_first_overflowing_layer():
+    # x <- 1e100 x: finite up to 2e300 after layer 3, infinite from layer 4;
+    # the check runs once after all slots, so the later slots see inf and
+    # nan, and still no RuntimeWarning may escape
+    tm = maps.TaylorMap(dim=4, order=1, weights=(np.zeros((4, 1)), 1e100 * np.eye(4)))
+    X0 = np.array([1.0, -2.0, 0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ode.FlowDivergenceError) as err:
+            network.forward(network.build_shared_chain(tm, 8), X0)
+        before = network.forward(network.build_shared_chain(tm, 3), X0)
+    assert err.value.layer == 4
+    assert before.tolist() == [[1e100, -2e100, 0.0, 0.0], [1e200, -2e200, 0.0, 0.0],
+                               [1e300, -2e300, 0.0, 0.0]]
+    # the norm of the last finite state does not overflow with its squares
+    assert str(err.value) == (
+        f"network state diverged at layer 4 (last finite state norm {math.sqrt(5) * 1e300:.6g})"
+    )
+    # tracking names the turn and the element: identity, then the blow-up
+    ring = lattice.Lattice(
+        elements=[lattice.LatticeElement(label="m", tm=maps.identity_map(4, 1)),
+                  lattice.LatticeElement(label="h", tm=tm)],
+        monitors=(1, 2),
+    )
     with pytest.raises(
-        ode.FlowDivergenceError, match=r"^network state diverged at layer \d+$"
+        ode.FlowDivergenceError, match=r"^turn 4: tracking diverged in element 1 \('h'\)$"
     ) as err:
-        network.forward(net, np.array([3.0, 3.0]))
-    assert str(err.value) == f"network state diverged at layer {err.value.layer}"
-    assert 1 < err.value.layer <= 60
+        lattice.multi_turn(ring, X0, 10)
+    assert err.value.layer == 2
 
 
 def test_pendulum_chain_oscillates_without_amplitude_drift():
