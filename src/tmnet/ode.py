@@ -14,10 +14,13 @@ computes the same right-hand side by series products and is its test
 reference.
 
 Every integration runs on one fixed-step RK4 loop over a state held as a
-list of Python floats; reference_trajectory is its one public entry point.
-It evaluates dX/dt of a PolynomialODE term by term, from the nonzero entries
-of its stacked (dim, N) coefficient matrix; a callable right-hand side still
-receives and returns arrays.
+list of Python floats, which checks each step for divergence;
+reference_trajectory is its one public entry point.  For a PolynomialODE
+the substeps of a step run in one function generated from the ODE: the
+state lives in locals and each RK4 stage is unrolled, term by term, from
+the nonzero entries of the stacked (dim, N) coefficient matrix.  A callable
+right-hand side still receives and returns arrays, through the plain RK4
+loop on lists.
 """
 
 from __future__ import annotations
@@ -197,92 +200,142 @@ def ode_to_map(ode: PolynomialODE, cfg: FlowConfig) -> TaylorMap:
     """Integrate the weight flow over one step of cfg.dt from the unified
     initial condition W_1 = I; returns the order-k Taylor map of the flow."""
     n, k = ode.dim, ode.order
-    W = np.concatenate(identity_map(n, k).weights, axis=None).tolist()
     # each substep is one RK4 step, so divergence is caught at its substep;
-    # only the end state is kept
+    # only the last finite state is kept
+    w = deque([np.concatenate(identity_map(n, k).weights, axis=None).tolist()], maxlen=1)
     h = cfg.dt / cfg.substeps
+    flow = _weight_flow(ode, k)
     try:
-        w = deque(_rk4_steps(_on_lists(_weight_flow(ode, k)), W, h, cfg.substeps, 1),
-                  maxlen=1)
+        w.extend(_rk4_steps(_list_advance(lambda x: flow(x).tolist()),
+                            w[0], h, cfg.substeps, 1))
     except FlowDivergenceError as exc:
         raise FlowDivergenceError(
             f"weight flow diverged at t={exc.layer * h:.6g} of {cfg.dt:.6g} "
-            f"(substep {exc.layer}/{cfg.substeps})", exc.layer
+            f"(substep {exc.layer}/{cfg.substeps}; "
+            f"last finite weight norm {math.hypot(*w[0]):.6g})", exc.layer
         ) from None
     return TaylorMap(dim=n, order=k, weights=tuple(_blocks(np.array(w[0]), n, k)))
 
 
-def _rk4_steps(rhs, X: list, dt: float, steps: int, substeps: int):
+def _rk4_steps(advance, X: list, dt: float, steps: int, substeps: int):
     """Yield the state after each of `steps` steps of dt, each resolved by
-    `substeps` RK4 steps; raise FlowDivergenceError at the first step that
-    ends non-finite.
+    `substeps` RK4 steps of advance(X, h, substeps); raise
+    FlowDivergenceError at the first step that ends non-finite.
 
-    The state is a list of Python floats and rhs maps such a list to one:
-    per element these are the same IEEE operations numpy would run, without
-    its per-call cost on a handful of entries.
+    The state is a list of Python floats: per element these are the same
+    IEEE operations numpy would run, without its per-call cost on a handful
+    of entries.
     """
     h = dt / substeps
-    half, sixth = 0.5 * h, h / 6.0
     for s in range(steps):
         try:
             # overflow in a callable's numpy code means divergence, which is
             # detected and raised below
             with np.errstate(over="ignore", invalid="ignore"):
-                for _ in range(substeps):
-                    k1 = rhs(X)
-                    k2 = rhs([x + half * a for x, a in zip(X, k1)])
-                    k3 = rhs([x + half * b for x, b in zip(X, k2)])
-                    k4 = rhs([x + h * c for x, c in zip(X, k3)])
-                    X = [x + sixth * (a + 2.0 * b + 2.0 * c + d)
-                         for x, a, b, c, d in zip(X, k1, k2, k3, k4)]
-            finite = all(map(math.isfinite, X))
+                Y = advance(X, h, substeps)
+            finite = all(map(math.isfinite, Y))
         except OverflowError:
             # Python's ** raises where numpy's returns inf
             finite = False
         if not finite:
-            msg = f"trajectory diverged at t={(s + 1) * dt:.6g} (step {s + 1}/{steps})"
+            msg = (f"trajectory diverged at t={(s + 1) * dt:.6g} (step {s + 1}/{steps}; "
+                   f"last finite state norm {math.hypot(*X):.6g})")
             raise FlowDivergenceError(msg, s + 1)
+        X = Y
         yield X
+
+
+def _list_advance(rhs):
+    """advance(X, h, substeps) that runs RK4 on lists of floats with rhs,
+    which maps such a list to one."""
+
+    def advance(X, h, substeps):
+        half, sixth = 0.5 * h, h / 6.0
+        for _ in range(substeps):
+            k1 = rhs(X)
+            k2 = rhs([x + half * a for x, a in zip(X, k1)])
+            k3 = rhs([x + half * b for x, b in zip(X, k2)])
+            k4 = rhs([x + h * c for x, c in zip(X, k3)])
+            X = [x + sixth * (a + 2.0 * b + 2.0 * c + d)
+                 for x, a, b, c, d in zip(X, k1, k2, k3, k4)]
+        return X
+
+    return advance
 
 
 def _on_lists(f):
     """The right-hand side f, which takes and returns arrays, on lists of
-    floats."""
-    return lambda X: np.asarray(f(np.array(X)), dtype=float).tolist()
-
-
-def _term_rhs(ode: PolynomialODE):
-    """dX/dt of ode on a list of floats, from the nonzero columns of its
-    stacked matrix only.
-
-    Each monomial multiplies x_i ** e_i over its variables in order (x ** 1
-    is x), and each row adds its terms in column order.  These are the
-    operations of PolynomialODE.rhs without its zero terms; its BLAS product
-    may group or fuse the sums differently, by an ulp or so.
-    """
-    E, _ = basis._stacked_exponents(ode.dim, ode.order)
-    S = ode.stacked
-    cols = np.flatnonzero(S.any(axis=0)).tolist()
-    factors = [[(i, int(e)) for i, e in enumerate(E[j].tolist()) if e] for j in cols]
-    rows = [[(float(S[i, j]), c) for c, j in enumerate(cols) if S[i, j]]
-            for i in range(ode.dim)]
+    floats; a result that is not one float per state entry is a ValueError."""
 
     def rhs(X):
-        m = []
-        for f in factors:
-            v = 1.0
-            for i, e in f:
-                v *= X[i] if e == 1 else X[i] ** e
-            m.append(v)
-        out = []
-        for row in rows:
-            acc = 0.0
-            for c, j in row:
-                acc += c * m[j]
-            out.append(acc)
-        return out
+        X = np.array(X)
+        out = np.asarray(f(X), dtype=float)
+        if out.shape != X.shape:
+            raise ValueError(f"right-hand side returned shape {out.shape} "
+                             f"for a state of shape {X.shape}")
+        return out.tolist()
 
     return rhs
+
+
+def _term_advance(ode: PolynomialODE):
+    """advance(X, h, substeps) for ode: the RK4 loop of _list_advance,
+    generated as straight-line Python for this ODE and compiled.
+
+    The state is held in locals x0..x{n-1}, and each stage is unrolled from
+    the nonzero columns of the stacked matrix: a monomial multiplies
+    x_i ** e_i over its variables in order (x ** 1 is x), and each row starts
+    at 0.0 and adds its c * m terms in column order, one statement per term
+    so that any number of terms compiles.  The stages combine with the
+    groupings of _list_advance.  These are the operations of
+    PolynomialODE.rhs without its zero terms; its BLAS product may group or
+    fuse the sums differently, by an ulp or so.  The source holds only
+    generated names, int exponents and the reprs of the (finite)
+    coefficients.
+    """
+    n = ode.dim
+    E, _ = basis._stacked_exponents(n, ode.order)
+    S = ode.stacked
+    cols = np.flatnonzero(S.any(axis=0)).tolist()
+    powers = [[(i, int(e)) for i, e in enumerate(E[j].tolist()) if e] for j in cols]
+    x = [f"x{i}" for i in range(n)]
+    y = [f"y{i}" for i in range(n)]
+
+    def stage(out, state):
+        # dX/dt at the variables named in state, into out0..out{n-1}
+        lines, monomial = [], {}
+        for j, p in zip(cols, powers):
+            factors = [state[i] if e == 1 else f"{state[i]} ** {e}" for i, e in p]
+            if len(factors) == 1 and factors[0] in state:
+                monomial[j] = factors[0]
+            else:
+                monomial[j] = f"m{j}"
+                lines.append(f"m{j} = {' * '.join(factors) or '1.0'}")
+        for i in range(n):
+            lines.append(f"{out}{i} = 0.0")
+            lines += [f"{out}{i} += {float(S[i, j])!r} * {monomial[j]}"
+                      for j in cols if S[i, j]]
+        return lines
+
+    def update(step, k):
+        return [f"y{i} = x{i} + {step} * {k}{i}" for i in range(n)]
+
+    body = (stage("a", x) + update("half", "a") + stage("b", y) + update("half", "b")
+            + stage("c", y) + update("h", "c") + stage("d", y)
+            + [f"x{i} = x{i} + sixth * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})"
+               for i in range(n)])
+    state = f"[{', '.join(x)}]"
+    source = "\n".join([
+        "def advance(X, h, substeps):",
+        "    half, sixth = 0.5 * h, h / 6.0",
+        f"    {state} = X",
+        "    for _ in range(substeps):",
+        *(f"        {line}" for line in body),
+        f"    return {state}",
+    ])
+    namespace = {}
+    exec(compile(source, f"<RK4 substeps of a dim-{n} ODE>", "exec"), namespace)
+    return namespace["advance"]
 
 
 def reference_trajectory(ode, X0, dt: float, steps: int, substeps: int = 100) -> np.ndarray:
@@ -290,7 +343,8 @@ def reference_trajectory(ode, X0, dt: float, steps: int, substeps: int = 100) ->
 
     Returns the states at t = 0, dt, ..., steps*dt, shape (steps+1, n), each
     dt resolved by exactly `substeps` RK4 steps.  `ode` is a PolynomialODE,
-    evaluated term by term (_term_rhs), or any callable X -> dX/dt on arrays.
+    integrated by a function generated from its terms (_term_advance), or any
+    callable X -> dX/dt on arrays that returns one float per state entry.
     """
     X = np.asarray(X0, dtype=float)
     if X.ndim != 1:
@@ -301,8 +355,8 @@ def reference_trajectory(ode, X0, dt: float, steps: int, substeps: int = 100) ->
     if isinstance(ode, PolynomialODE):
         if X.shape != (ode.dim,):
             raise ValueError(f"X0 has shape {X.shape}, ODE has dim {ode.dim}")
-        rhs = _term_rhs(ode)
+        advance = _term_advance(ode)
     else:
-        rhs = _on_lists(ode)
+        advance = _list_advance(_on_lists(ode))
     X = X.tolist()
-    return np.array([X, *_rk4_steps(rhs, X, dt, steps, substeps)])
+    return np.array([X, *_rk4_steps(advance, X, dt, steps, substeps)])

@@ -70,6 +70,21 @@ def test_simulate_oracle_column_matches_analytic(tmp_path):
     assert np.max(np.abs(data[:, 0] - analytic)) < 0.5
 
 
+def test_simulate_oracle_on_an_ode_from_json_keeps_the_in_memory_bytes(tmp_path):
+    # the generated oracle reads the coefficients back from their JSON text;
+    # the reference columns are those of the ODE that was saved
+    rng = np.random.default_rng(11)
+    system = ode.PolynomialODE(3, 2, tuple(
+        rng.normal(scale=0.5, size=(3, basis.basis_size(3, d))) for d in range(3)))
+    spec, out = tmp_path / "rand.json", tmp_path / "traj.csv"
+    io.save_ode(system, spec)
+    assert run("simulate", "--ode", spec, "--dt", "0.05", "--x0", "0.1,-0.2,0.05",
+               "--steps", "10", "--substeps", "50", "--oracle", "--out", out) == 0
+    ref = ode.reference_trajectory(system, np.array([0.1, -0.2, 0.05]), 0.05, 10,
+                                   cli.ORACLE_SUBSTEPS)
+    assert io.read_trajectory(out)[:, 3:].tobytes() == ref.tobytes()
+
+
 def test_simulate_dimension_mismatch_fails(tmp_path):
     path = tmp_path / "ident.json"
     io.save_map(maps.identity_map(2, 2), path)

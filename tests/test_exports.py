@@ -19,8 +19,8 @@ MODULES = ("basis", "maps", "ode", "network", "systems", "lattice", "io", "cli")
 # (module, attribute) pairs replaced by map_powers, network.backward,
 # symplectic_residual / symplectic_penalty, network._forward_states and the
 # stacked training state, the one Jacobian table in maps, the one RK4 entry
-# point reference_trajectory, observe_one_turn, and the compiled symplectic
-# residual
+# point reference_trajectory, observe_one_turn, the compiled symplectic
+# residual, and the generated oracle substeps
 DELETED = (
     ("basis", "kron_power_jacobian"),
     ("basis", "lift_linear"),
@@ -34,6 +34,7 @@ DELETED = (
     ("lattice", "one_turn_readings"),
     ("basis", "_series_mul_adjoint"),
     ("maps", "_residual"),
+    ("ode", "_term_rhs"),
 )
 
 

@@ -7,6 +7,8 @@ at 4x the default substep count; the integration itself is converged far past
 the tolerances used.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -207,10 +209,14 @@ def test_derived_map_is_the_end_state_of_a_textbook_weight_flow():
 
 
 def test_weight_flow_divergence_raises_with_location():
+    # each substep of h = 0.02 multiplies W_1 by RK4's amplification at
+    # h * 50 = 1, so the last finite weight norm is that factor ** 707
     stiff = ode.PolynomialODE(1, 1, (np.zeros((1, 1)), np.array([[50.0]])))
+    assert f"{(1 + 1 + 1 / 2 + 1 / 6 + 1 / 24) ** 707:.6g}" == "8.32521e+305"
     with pytest.raises(
         ode.FlowDivergenceError,
-        match=r"^weight flow diverged at t=14\.16 of 20 \(substep 708/1000\)$",
+        match=r"^weight flow diverged at t=14\.16 of 20 "
+              r"\(substep 708/1000; last finite weight norm 8\.32521e\+305\)$",
     ) as err:
         ode.ode_to_map(stiff, ode.FlowConfig(20.0))
     assert err.value.layer == 708
@@ -336,6 +342,18 @@ def test_rk4_divergence_raises():
         ode.reference_trajectory(lambda X: 50.0 * X, np.array([1.0]), 5.0, 10)
 
 
+@pytest.mark.parametrize("rhs, shape", [
+    (lambda X: np.concatenate([X, X]), "(4,)"),
+    (lambda X: X[:1], "(1,)"),
+    (lambda X: 0.5, "()"),
+], ids=["longer", "shorter", "scalar"])
+def test_callable_result_must_be_one_float_per_state_entry(rhs, shape):
+    # a longer result was cut short by zip and gave a wrong trajectory
+    with pytest.raises(ValueError, match=rf"^right-hand side returned shape "
+                                         rf"{re.escape(shape)} for a state of shape \(2,\)$"):
+        ode.reference_trajectory(rhs, np.array([1.0, 2.0]), 0.1, 3)
+
+
 def test_rk4_input_validation():
     with pytest.raises(ValueError):
         ode.reference_trajectory(lambda X: -X, np.zeros((2, 2)), 0.1, 3)
@@ -382,14 +400,48 @@ def test_reference_trajectory_accepts_ode_or_callable():
     assert np.allclose(a[:, 0], 50.0 * np.tanh(9.8 * t / 50.0), atol=1e-10)
 
 
-# --- the term-list oracle ---------------------------------------------------------
+# --- the generated oracle ----------------------------------------------------------
+
+
+def _term_rhs(system):
+    # dX/dt on a list of floats from the nonzero columns of the stacked
+    # matrix: each monomial multiplies x_i ** e_i over its variables in order
+    # (x ** 1 is x), each row starts at 0.0 and adds its terms in column order
+    E, _ = basis._stacked_exponents(system.dim, system.order)
+    S = system.stacked
+    cols = np.flatnonzero(S.any(axis=0)).tolist()
+    factors = [[(i, int(e)) for i, e in enumerate(E[j].tolist()) if e] for j in cols]
+    rows = [[(float(S[i, j]), c) for c, j in enumerate(cols) if S[i, j]]
+            for i in range(system.dim)]
+
+    def rhs(X):
+        m = []
+        for f in factors:
+            v = 1.0
+            for i, e in f:
+                v *= X[i] if e == 1 else X[i] ** e
+            m.append(v)
+        out = []
+        for row in rows:
+            acc = 0.0
+            for c, j in row:
+                acc += c * m[j]
+            out.append(acc)
+        return out
+
+    return rhs
+
+
+def _textbook_on_terms(system, X0, dt, steps, substeps):
+    terms = _term_rhs(system)
+    return _textbook_rk4(lambda X: np.array(terms(X.tolist())), X0, dt, steps, substeps)
 
 
 def test_reference_trajectory_keeps_the_bytes_of_a_textbook_loop_on_rhs():
-    # the textbook loop runs on the same term-list evaluator, wrapped to
-    # arrays, so the bytes pin the RK4 loop alone on these trajectories, the
-    # ones the benchmark and the acceptance checks integrate; every state is
-    # also checked against the stacked product PolynomialODE.rhs
+    # the generated substeps against the textbook loop on the term-by-term
+    # evaluator, on the trajectories the benchmark and the acceptance checks
+    # integrate; every state is also checked against the stacked product
+    # PolynomialODE.rhs
     ring = lattice.build_fodo_ring(substeps=10)
     cases = [
         (systems.lotka_volterra(), [0.5, 0.5], 0.01, 40, 100),
@@ -404,16 +456,15 @@ def test_reference_trajectory_keeps_the_bytes_of_a_textbook_loop_on_rhs():
         for j in (0, 1, 2, 8)  # qf, drift, qd, sextupole
     ]
     for system, X0, dt, steps, substeps in cases:
-        terms = ode._term_rhs(system)
         got = ode.reference_trajectory(system, np.array(X0), dt, steps, substeps)
-        want = _textbook_rk4(lambda X: np.array(terms(X.tolist())), X0, dt, steps, substeps)
+        want = _textbook_on_terms(system, X0, dt, steps, substeps)
         assert got.tobytes() == want.tobytes(), (system, X0)
         _near_stacked_product(system, got)
 
 
 def _near_stacked_product(system, states):
     # both evaluators lie within a few ulps of the sum of absolute terms
-    terms = ode._term_rhs(system)
+    terms = _term_rhs(system)
     for x in states:
         scale = np.abs(system.stacked) @ np.abs(basis.monomials(x, system.order))
         err = np.abs(np.array(terms(x.tolist())) - system.rhs(x))
@@ -429,6 +480,8 @@ def test_rayleigh_plesset_oracle_is_near_the_stacked_product():
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(st.data(), st.integers(1, 5), st.integers(1, 3))
 def test_term_list_evaluator_is_near_the_stacked_product(data, n, k):
+    # dense ODEs: the generated substeps keep the bytes of the textbook loop
+    # on the term-by-term evaluator, and both stay near the stacked product
     coeff = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
     blocks = tuple(
         data.draw(hnp.arrays(np.float64, (n, basis.basis_size(n, d)), elements=coeff))
@@ -436,7 +489,24 @@ def test_term_list_evaluator_is_near_the_stacked_product(data, n, k):
     )
     system = ode.PolynomialODE(n, k, blocks)
     X0 = data.draw(hnp.arrays(np.float64, (n,), elements=st.floats(-1, 1)))
-    _near_stacked_product(system, ode.reference_trajectory(system, X0, 0.001, 5))
+    got = ode.reference_trajectory(system, X0, 0.001, 5)
+    assert got.tobytes() == _textbook_on_terms(system, X0, 0.001, 5, 100).tobytes()
+    _near_stacked_product(system, got)
+
+
+def test_generated_oracle_compiles_rows_of_more_than_5000_terms():
+    # a one-expression sum this long overflows the compiler's recursion
+    # limit on some CPython versions; one statement per term does not
+    n, k = 2, 100
+    rng = np.random.default_rng(5)
+    blocks = tuple(rng.uniform(-1.0, 1.0, size=(n, basis.basis_size(n, d))) / (d + 1) ** 2
+                   for d in range(k + 1))
+    system = ode.PolynomialODE(n, k, blocks)
+    assert np.count_nonzero(system.stacked, axis=1).min() > 5000
+    X0 = [0.3, -0.2]
+    got = ode.reference_trajectory(system, np.array(X0), 0.01, 2, 3)
+    assert got.tobytes() == _textbook_on_terms(system, X0, 0.01, 2, 3).tobytes()
+    assert np.all(np.isfinite(got))
 
 
 def test_overflowing_power_is_divergence_at_its_step():
@@ -445,7 +515,8 @@ def test_overflowing_power_is_divergence_at_its_step():
     for run in (lambda: ode.reference_trajectory(system, np.array([-1e200]), 0.1, 3),
                 lambda: ode.reference_trajectory(system.rhs, np.array([-1e200]), 0.1, 3)):
         with pytest.raises(
-            ode.FlowDivergenceError, match=r"^trajectory diverged at t=0\.1 \(step 1/3\)$"
+            ode.FlowDivergenceError,
+            match=r"^trajectory diverged at t=0\.1 \(step 1/3; last finite state norm 1e\+200\)$",
         ) as err:
             run()
         assert err.value.layer == 1
