@@ -32,7 +32,6 @@ from .ode import (
     PolynomialODE,
     ode_to_map,
     reference_trajectory,
-    weight_flow_rhs,
 )
 from .network import (
     LossReport,
@@ -82,7 +81,6 @@ __all__ = [
     "PolynomialODE",
     "ode_to_map",
     "reference_trajectory",
-    "weight_flow_rhs",
     "LossReport",
     "Network",
     "ObservationSeries",

@@ -95,8 +95,12 @@ def lattice_to_dict(lat: lattice_mod.Lattice) -> dict:
 
 
 def lattice_from_dict(data: dict) -> lattice_mod.Lattice:
+    if not isinstance(data["monitors"], list):
+        raise ValueError(f"lattice monitors must be a list, got {data['monitors']!r}")
     elements = []
-    for entry in data["elements"]:
+    for j, entry in enumerate(data["elements"]):
+        if not isinstance(entry, dict):
+            raise ValueError(f"lattice element {j} must be a JSON object, got {entry!r}")
         tm = maps.TaylorMap.from_dict(entry["map"])
         gen = entry.get("generator")
         elements.append(
@@ -135,13 +139,20 @@ def _write_table(path, header, rows) -> None:
 
 def _read_table(path, first: str, parse) -> tuple[list[str], list]:
     """Header and parse(row) of each non-empty row, as it is read, of a CSV
-    file whose header starts with `first`; else a ValueError naming it."""
+    file whose header starts with `first` and whose rows have no more
+    fields than it; else a ValueError naming the file (and the line)."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         if not header or header[0] != first:
             raise ValueError(f"{path}: expected header starting with {first!r}")
-        return header, [parse(row) for row in reader if row]
+        rows = []
+        for row in filter(None, reader):
+            if len(row) > len(header):
+                raise ValueError(f"{path}, line {reader.line_num}: {len(row)} fields "
+                                 f"for a header of {len(header)}")
+            rows.append(parse(row))
+        return header, rows
 
 
 def write_observations(obs: network.ObservationSeries, path, names=None) -> None:

@@ -39,7 +39,8 @@ class LatticeElement:
         if self.generator is not None:
             if self.generator.dim != 4:
                 raise ValueError("generator dimension must be 4")
-            ode._count("substeps", self.substeps, 1)
+            # the window perturb_element re-derives the map over
+            ode.FlowConfig(self.dt, self.substeps)
 
 
 def element_from_ode(
@@ -170,7 +171,7 @@ def multi_turn(lat: Lattice, X0, n_turns: int) -> TurnSeries:
     """Track n_turns revolutions; turn i+1 starts from turn i's end state."""
     if not lat.ring:
         raise ValueError("multi-turn tracking needs a ring lattice")
-    n_turns = ode._count("n_turns", n_turns, 1)
+    n_turns = maps._count("n_turns", n_turns, 1)
     net = to_network(lat)
     W = network._stack(net)
     X = np.asarray(X0, dtype=float)
@@ -210,6 +211,8 @@ def estimate_tune(signal) -> tuple[float, bool]:
     N = x.size
     if N < 64:
         raise ValueError(f"tune estimation needs >= 64 samples, got {N}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("tune estimation needs finite samples")
     mean = x.mean()
     x = x - mean
     scale = np.max(np.abs(x))

@@ -35,14 +35,20 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _count(name: str, value, least: int) -> int:
+    """value as an int if it is an integer (Python or numpy, not bool) and
+    >= least; else a ValueError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def _freeze_blocks(poly, name: str, noun: str) -> None:
     """Check the dim, order and degree blocks of a polynomial dataclass, then
     store read-only copies of the blocks under name and, side by side, as one
     read-only (dim, N) matrix under "stacked"."""
-    if poly.dim < 1:
-        raise ValueError(f"dim must be >= 1, got {poly.dim}")
-    if poly.order < 1:
-        raise ValueError(f"order must be >= 1, got {poly.order}")
+    for key in ("dim", "order"):
+        object.__setattr__(poly, key, _count(key, getattr(poly, key), 1))
     blocks = getattr(poly, name)
     if len(blocks) != poly.order + 1:
         raise ValueError(f"expected {poly.order + 1} {noun} blocks, got {len(blocks)}")
@@ -74,11 +80,14 @@ def _to_dict(poly, name: str) -> dict:
 
 def _from_dict(cls, data: dict, name: str):
     """The polynomial dataclass cls from its JSON form (see _to_dict)."""
+    if not isinstance(data, dict) or not isinstance(data.get(name), list):
+        raise ValueError(f"{cls.__name__} must be a JSON object with a '{name}' list, "
+                         f"got {type(data).__name__}")
     ordering = data.get("basis_ordering", "graded_lex_x1_desc")
     if ordering != "graded_lex_x1_desc":
         raise ValueError(f"unsupported basis ordering {ordering!r}")
     blocks = tuple(np.asarray(b, dtype=float) for b in data[name])
-    return cls(dim=int(data["dim"]), order=int(data["order"]), **{name: blocks})
+    return cls(dim=data["dim"], order=data["order"], **{name: blocks})
 
 
 def _evaluate(stacked: np.ndarray, k: int, X) -> np.ndarray:

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from tmnet import basis, maps
-from tmnet.ode import FlowDivergenceError, _count
+from tmnet.maps import _count
+from tmnet.ode import FlowDivergenceError
 
 
 class TrainingDivergedError(RuntimeError):
@@ -327,11 +328,9 @@ class TrainConfig:
         if self.schedule not in ("constant", "cosine"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.train_degrees is not None:
-            degrees = tuple(int(d) for d in self.train_degrees)
+            degrees = tuple(_count("train_degrees entries", d, 0) for d in self.train_degrees)
             if not degrees:
                 raise ValueError("train_degrees must name at least one degree")
-            if any(d < 0 for d in degrees):
-                raise ValueError("train_degrees entries must be >= 0")
             object.__setattr__(self, "train_degrees", degrees)
 
     def step_at(self, epoch: int) -> float:

@@ -7,8 +7,9 @@ ODE, obtained by substituting the map into the right-hand side and collecting
 coefficients per degree (truncating above k).  Solving that system once from
 the unified initial condition W_1 = I (all other blocks zero) yields the map
 for the chosen time step, independent of any particular trajectory.  That
-weight ODE is itself a fixed polynomial of degree `order` in the flattened
-weights, so ode_to_map compiles its term list once (_weight_flow) and each
+weight ODE is itself a fixed polynomial of degree `order` in the weights,
+held as the row-major ravel of the stacked (dim, N) matrix that TaylorMap
+keeps, so ode_to_map compiles its term list once (_weight_flow) and each
 evaluation is one gather, one product and one scatter; basis.substitute
 computes the same right-hand side by series products and is its test
 reference.
@@ -25,21 +26,21 @@ loop on lists.
 
 from __future__ import annotations
 
-import itertools
 import math
+import numbers
 from collections import Counter, deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import basis
-from .maps import TaylorMap, _evaluate, _freeze_blocks, _from_dict, _to_dict, identity_map
+from .maps import (TaylorMap, _count, _evaluate, _freeze_blocks, _from_dict, _to_dict,
+                   identity_map)
 
 __all__ = [
     "PolynomialODE",
     "FlowConfig",
     "FlowDivergenceError",
-    "weight_flow_rhs",
     "ode_to_map",
     "reference_trajectory",
 ]
@@ -82,14 +83,6 @@ class PolynomialODE:
         return _from_dict(cls, data, "coeffs")
 
 
-def _count(name: str, value, least: int) -> int:
-    """value as an int if it is an integer (Python or numpy, not bool) and
-    >= least; else a ValueError naming the field."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class FlowConfig:
     """Integration window for ode_to_map: one step of size dt resolved by a
@@ -99,40 +92,15 @@ class FlowConfig:
     substeps: int = 1000
 
     def __post_init__(self):
-        if not np.isfinite(self.dt):
-            raise ValueError("dt must be finite")
+        dt = self.dt
+        if isinstance(dt, bool) or not isinstance(dt, numbers.Real) or not math.isfinite(dt):
+            raise ValueError(f"dt must be a finite number, got {dt!r}")
         object.__setattr__(self, "substeps", _count("substeps", self.substeps, 1))
 
 
-def weight_flow_rhs(weights, ode: PolynomialODE) -> list[np.ndarray]:
-    """Right-hand side of the weight ODE for the current map coefficients.
-
-    weights is the block list of the map being evolved (same layout as
-    TaylorMap.weights, order k >= 1).  Returns dW_d/dt for d = 0..k: the blocks
-    of P(M(X)) truncated at degree k, evaluated from the compiled term list of
-    _weight_flow (basis.substitute computes the same blocks by series
-    products).  For the pendulum system this reproduces W'_1 = P_1 W_1,
-    W'_2 = P_1 W_2, W'_3 = P_1 W_3 + P_3 A_3, where A_3 X^[3] = (W_1 X)^[3].
-    """
-    weights = [np.asarray(w, dtype=float) for w in weights]
-    n, k = ode.dim, len(weights) - 1
-    shapes = [w.shape for w in weights]
-    if k < 1 or shapes != [(n, basis.basis_size(n, d)) for d in range(k + 1)]:
-        raise ValueError(f"map blocks of shapes {shapes} are not an order >= 1 map "
-                         f"in the ODE dimension {n}")
-    return _blocks(_weight_flow(ode, k)(np.concatenate(weights, axis=None)), n, k)
-
-
-def _blocks(w: np.ndarray, n: int, k: int) -> list[np.ndarray]:
-    """The flattened weights w of an order-k map in n variables as its blocks
-    of degrees 0..k."""
-    ends = itertools.accumulate(n * basis.basis_size(n, d) for d in range(k + 1))
-    return [b.reshape(n, -1) for b in np.split(w, list(ends)[:-1])]
-
-
 def _weight_flow(ode: PolynomialODE, k: int):
-    """dW/dt of the order-k weight flow as a function of the flattened weights
-    w (the blocks of degrees 0..k, each row-major, one after the other).
+    """dW/dt of the order-k weight flow, as a list of floats, at the weights w:
+    the row-major ravel of the stacked (n, N) matrix, entry (i, s) at i * N + s.
 
     The flow is a fixed polynomial of degree ode.order in w.  Row r of P_d is
     a degree-d monomial in the map's outputs; expanding it picks one map
@@ -148,10 +116,8 @@ def _weight_flow(ode: PolynomialODE, k: int):
     E = E.astype(int)
     deg = E.sum(axis=1).tolist()
     column = {tuple(e): s for s, e in enumerate(E.tolist())}
-    size = n * len(deg)
-    # flat position of entry (i, s) of the stacked (n, N) weights
-    flat = [[n * cols[d].start + i * (cols[d].stop - cols[d].start) + s - cols[d].start
-             for s, d in enumerate(deg)] for i in range(n)]
+    N = len(deg)
+    size = n * N
 
     def choices(factors, first, budget):
         # (variable, column) per factor; a variable's columns never decrease
@@ -177,9 +143,9 @@ def _weight_flow(ode: PolynomialODE, k: int):
                 for m in Counter(choice).values():
                     count //= math.factorial(m)
                 t = column[tuple(E[[s for _, s in choice]].sum(axis=0).tolist())]
-                gather = [flat[i][s] for i, s in choice] + [size] * (p - d)
+                gather = [i * N + s for i, s in choice] + [size] * (p - d)
                 for o, c in outputs:
-                    target.append(flat[o][t])
+                    target.append(o * N + t)
                     coef.append(c * count)
                     F.append(gather)
     target = np.array(target, dtype=np.intp)
@@ -191,7 +157,7 @@ def _weight_flow(ode: PolynomialODE, k: int):
 
     def rhs(w):
         w_ext[:size] = w
-        return np.bincount(target, coef * w_ext[F].prod(axis=0), minlength=size)
+        return np.bincount(target, coef * w_ext[F].prod(axis=0), minlength=size).tolist()
 
     return rhs
 
@@ -202,19 +168,19 @@ def ode_to_map(ode: PolynomialODE, cfg: FlowConfig) -> TaylorMap:
     n, k = ode.dim, ode.order
     # each substep is one RK4 step, so divergence is caught at its substep;
     # only the last finite state is kept
-    w = deque([np.concatenate(identity_map(n, k).weights, axis=None).tolist()], maxlen=1)
+    w = deque([identity_map(n, k).stacked.ravel().tolist()], maxlen=1)
     h = cfg.dt / cfg.substeps
-    flow = _weight_flow(ode, k)
     try:
-        w.extend(_rk4_steps(_list_advance(lambda x: flow(x).tolist()),
-                            w[0], h, cfg.substeps, 1))
+        w.extend(_rk4_steps(_list_advance(_weight_flow(ode, k)), w[0], h, cfg.substeps, 1))
     except FlowDivergenceError as exc:
         raise FlowDivergenceError(
             f"weight flow diverged at t={exc.layer * h:.6g} of {cfg.dt:.6g} "
             f"(substep {exc.layer}/{cfg.substeps}; "
             f"last finite weight norm {math.hypot(*w[0]):.6g})", exc.layer
         ) from None
-    return TaylorMap(dim=n, order=k, weights=tuple(_blocks(np.array(w[0]), n, k)))
+    W = np.array(w[0]).reshape(n, -1)
+    _, sl = basis._stacked_exponents(n, k)
+    return TaylorMap(dim=n, order=k, weights=tuple(W[:, s] for s in sl))
 
 
 def _rk4_steps(advance, X: list, dt: float, steps: int, substeps: int):

@@ -145,8 +145,9 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in ("none", "gaussian"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if np.any(np.asarray(self.sigma) < 0):
-            raise ValueError("sigma must be >= 0")
+        sigma = np.asarray(self.sigma, dtype=float)
+        if not (np.isfinite(sigma).all() and (sigma >= 0).all()):
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma!r}")
 
 
 def synthesize(

@@ -204,7 +204,29 @@ def test_error_exits(tmp_path, capsys):
     obs_csv = tmp_path / "obs.csv"
     io.write_observations(network.ObservationSeries(
         taps=(1, 2), values=np.full((2, 2), 0.1), mask=np.ones((2, 2), bool)), obs_csv)
+
+    def edited(name, base, **fields):
+        # a copy of the JSON object base with some entries replaced
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**base, **fields}))
+        return path
+
+    quad = io.lattice_to_dict(lattice.Lattice(
+        elements=[lattice.quad_element("q", 0.3, 0.5, substeps=10)], monitors=(1,)))
+    element = quad["elements"][0]
+    track = ("track", "--x0", "0,0,0,0", "--turns", "5", "--out", out, "--lattice")
     cases = [
+        ((*track, edited("map3", quad, elements=[{**element, "map": 3}])),
+         "TaylorMap must be a JSON object with a 'weights' list, got int"),
+        ((*track, edited("gen5", quad, elements=[{**element, "generator": 5}])),
+         "PolynomialODE must be a JSON object with a 'coeffs' list, got int"),
+        ((*track, edited("elements", quad, elements=["x"])),
+         "lattice element 0 must be a JSON object, got 'x'"),
+        ((*track, edited("monitors", quad, monitors=1)), "lattice monitors must be a list"),
+        ((*track, edited("dt", quad, elements=[{**element, "dt": "x"}])),
+         "dt must be a finite number, got 'x'"),
+        (("check", "--map", edited("dim", json.loads(map_json.read_text()), dim=None),
+          "--out", out), "dim must be an integer >= 1, got None"),
         (("derive", "--system", "nope", "--dt", "0.1", "--out", out), "unknown system"),
         (("derive", "--system", "free_fall", "--param", "m", "--dt", "0.1",
           "--out", out), "--param needs k=v"),

@@ -20,7 +20,8 @@ MODULES = ("basis", "maps", "ode", "network", "systems", "lattice", "io", "cli")
 # symplectic_residual / symplectic_penalty, network._forward_states and the
 # stacked training state, the one Jacobian table in maps, the one RK4 entry
 # point reference_trajectory, observe_one_turn, the compiled symplectic
-# residual, and the generated oracle substeps
+# residual, the generated oracle substeps, and the weight flow compiled on
+# the stacked layout
 DELETED = (
     ("basis", "kron_power_jacobian"),
     ("basis", "lift_linear"),
@@ -35,6 +36,8 @@ DELETED = (
     ("basis", "_series_mul_adjoint"),
     ("maps", "_residual"),
     ("ode", "_term_rhs"),
+    ("ode", "weight_flow_rhs"),
+    ("ode", "_blocks"),
 )
 
 

@@ -123,6 +123,9 @@ def test_observations_header_validation(tmp_path):
     path.write_text("step,x1\n0,1.0\n")
     with pytest.raises(ValueError, match="tap"):
         io.read_observations(path)
+    path.write_text("tap,x1\n1,1.0\n\n2,1.0,3.0\n")
+    with pytest.raises(ValueError, match=r"bad\.csv, line 4: 3 fields for a header of 2$"):
+        io.read_observations(path)
 
 
 def test_trajectory_round_trip_and_extra_columns(tmp_path):

@@ -38,6 +38,10 @@ def test_element_generator_needs_dt():
     quad = lattice.quad_element("q", 0.3, 0.5, substeps=50)
     with pytest.raises(ValueError, match="together"):
         lattice.LatticeElement(label="q", tm=quad.tm, generator=quad.generator)
+    for dt in ("x", np.nan, np.inf, True, None):
+        with pytest.raises(ValueError, match="dt must be"):
+            lattice.LatticeElement(label="q", tm=quad.tm, generator=quad.generator,
+                                   dt=dt, substeps=50)
 
 
 def test_fodo_ring_derives_each_distinct_element_once(monkeypatch):
@@ -233,6 +237,14 @@ def test_tune_needs_64_samples():
         lattice.estimate_tune(np.zeros(63))
     with pytest.raises(ValueError, match="1-D"):
         lattice.estimate_tune(np.zeros((128, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_tune_rejects_non_finite_samples(bad):
+    signal = np.sin(0.5 * np.arange(128))
+    signal[7] = bad
+    with pytest.raises(ValueError, match="finite samples"):
+        lattice.estimate_tune(signal)
 
 
 def test_rotation_ring_tunes():

@@ -724,6 +724,10 @@ def test_train_degrees_validation():
         network.TrainConfig(train_degrees=())
     with pytest.raises(ValueError, match=">= 0"):
         network.TrainConfig(train_degrees=(-1,))
+    for bad in (1.7, True, "1"):
+        with pytest.raises(ValueError, match="^train_degrees entries must be an integer"):
+            network.TrainConfig(train_degrees=(bad,))
+    assert network.TrainConfig(train_degrees=(np.int64(2), 1)).train_degrees == (2, 1)
     net = network.build_shared_chain(maps.identity_map(2, 2), 2)
     obs = _full_obs(np.zeros((2, 2)))
     with pytest.raises(ValueError, match="beyond map order"):

@@ -196,16 +196,11 @@ def test_one_step_error_scales_with_fifth_power_of_amplitude():
 
 def test_derived_map_is_the_end_state_of_a_textbook_weight_flow():
     system = systems.lotka_volterra()
-    W = maps.identity_map(2, 2).weights
-    ends = np.cumsum([w.size for w in W])[:-1]
-
-    def rhs(w):
-        blocks = [b.reshape(2, -1) for b in np.split(w, ends)]
-        return np.concatenate(ode.weight_flow_rhs(blocks, system), axis=None)
-
-    end = _textbook_rk4(rhs, np.concatenate(W, axis=None), 0.01, 1, 50)[-1]
+    flow = ode._weight_flow(system, 2)
+    W = maps.identity_map(2, 2).stacked.ravel()
+    end = _textbook_rk4(lambda w: np.array(flow(w)), W, 0.01, 1, 50)[-1]
     tm = ode.ode_to_map(system, ode.FlowConfig(0.01, substeps=50))
-    assert np.concatenate(tm.weights, axis=None).tobytes() == end.tobytes()
+    assert tm.stacked.ravel().tobytes() == end.tobytes()
 
 
 def test_weight_flow_divergence_raises_with_location():
@@ -236,12 +231,10 @@ def test_compiled_weight_flow_matches_substitution(data, n, order, k):
 
     system = ode.PolynomialODE(n, order, tuple(blocks(order)))
     W = blocks(k)
-    got = ode.weight_flow_rhs(W, system)
-    want = basis.substitute(system.coeffs, W, k)
-    scale = max(np.max(np.abs(w)) for w in want)
-    assert [g.shape for g in got] == [w.shape for w in want]
-    for g, w in zip(got, want):
-        assert np.all(np.abs(g - w) <= 1e-13 * scale)
+    got = np.reshape(ode._weight_flow(system, k)(np.hstack(W).ravel()), (n, -1))
+    want = np.hstack(basis.substitute(system.coeffs, W, k))
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-13 * np.max(np.abs(want)))
 
 
 def _flow_systems():
@@ -271,12 +264,6 @@ def test_derived_map_matches_rk4_on_the_substituted_flow(index):
     tm = ode.ode_to_map(system, ode.FlowConfig(dt, substeps=100))
     got = np.concatenate(tm.weights, axis=None)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-
-def test_weight_flow_rejects_dimension_mismatch():
-    sys = _free_fall()
-    with pytest.raises(ValueError):
-        ode.weight_flow_rhs([np.zeros((2, 1)), np.eye(2), np.zeros((2, 3))], sys)
 
 
 # --- trajectory integration -----------------------------------------------------
@@ -369,9 +356,12 @@ def test_rk4_input_validation():
 
 _STILL = ode.PolynomialODE(4, 1, (np.zeros((4, 1)), np.zeros((4, 4))))
 _RING = lattice.Lattice(elements=[lattice.rotation_element("r", 0.1, 0.2)], monitors=(1,))
+# JSON forms of order-2 polynomials in 2 variables
+_MAP = maps.identity_map(2, 2).to_dict()
+_ODE = ode.PolynomialODE(2, 2, (np.zeros((2, 1)), np.eye(2), np.zeros((2, 3)))).to_dict()
 
 
-@pytest.mark.parametrize("value", [2.5, True, np.float64(3.0), "3"])
+@pytest.mark.parametrize("value", [2.5, True, np.float64(3.0), "3", None])
 @pytest.mark.parametrize("name, make", [
     ("substeps", lambda v: ode.FlowConfig(0.1, substeps=v)),
     ("epochs", lambda v: network.TrainConfig(epochs=v)),
@@ -381,8 +371,12 @@ _RING = lattice.Lattice(elements=[lattice.rotation_element("r", 0.1, 0.2)], moni
     ("n_turns", lambda v: lattice.multi_turn(_RING, np.zeros(4), v)),
     ("substeps", lambda v: lattice.LatticeElement("s", maps.identity_map(4, 1), _STILL,
                                                   1.0, v)),
+    ("dim", lambda v: maps.TaylorMap.from_dict({**_MAP, "dim": v})),
+    ("order", lambda v: maps.TaylorMap.from_dict({**_MAP, "order": v})),
+    ("dim", lambda v: ode.PolynomialODE.from_dict({**_ODE, "dim": v})),
+    ("order", lambda v: ode.PolynomialODE.from_dict({**_ODE, "order": v})),
 ], ids=["FlowConfig", "TrainConfig", "steps", "substeps", "length", "n_turns",
-        "LatticeElement"])
+        "LatticeElement", "map_dim", "map_order", "ode_dim", "ode_order"])
 def test_counts_must_be_integers(name, make, value):
     with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
         make(value)

@@ -262,6 +262,9 @@ def test_noise_spec_validation():
         systems.NoiseSpec(kind="poisson")
     with pytest.raises(ValueError):
         systems.NoiseSpec(kind="gaussian", sigma=-0.1)
+    for sigma in (np.nan, np.inf, [0.1, np.nan]):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            systems.NoiseSpec(kind="gaussian", sigma=sigma)
 
 
 def test_registry_builds_named_systems():
