@@ -11,6 +11,8 @@ Core pieces:
 * file formats and the ``tmnet`` command line (``tmnet.io``, ``tmnet.cli``)
 """
 
+from types import ModuleType as _ModuleType
+
 __version__ = "0.1.0"
 
 from .basis import (
@@ -65,45 +67,7 @@ from .lattice import (
     perturb_element,
 )
 
-__all__ = [
-    "__version__",
-    "basis_size",
-    "kron_power",
-    "position",
-    "TaylorMap",
-    "compose",
-    "identity_map",
-    "symplectic_penalty",
-    "symplectic_penalty_gradient",
-    "symplectic_residual",
-    "FlowConfig",
-    "FlowDivergenceError",
-    "PolynomialODE",
-    "ode_to_map",
-    "reference_trajectory",
-    "LossReport",
-    "Network",
-    "ObservationSeries",
-    "TrainConfig",
-    "TrainingDivergedError",
-    "build_shared_chain",
-    "forward",
-    "predict_trajectory",
-    "train_one_shot",
-    "SYSTEMS",
-    "NoiseSpec",
-    "synthesize",
-    "Lattice",
-    "LatticeElement",
-    "TuneEstimate",
-    "TurnSeries",
-    "build_fodo_ring",
-    "estimate_tune",
-    "estimate_tunes",
-    "fine_tune",
-    "linear_tunes",
-    "multi_turn",
-    "observe_one_turn",
-    "one_turn_map",
-    "perturb_element",
-]
+# every name imported above, and the version; the submodules that the imports
+# bind as package attributes are not exports
+__all__ = ["__version__"] + [name for name, value in list(globals().items())
+                             if not name.startswith("_") and not isinstance(value, _ModuleType)]

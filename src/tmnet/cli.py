@@ -143,7 +143,7 @@ def cmd_train(args) -> tuple[dict, str]:
             raise ValueError("need --map, or --dim and --order for identity init")
         tm = maps.identity_map(args.dim, args.order)
     layers = args.layers if args.layers is not None else max(obs.taps)
-    net = network.build_shared_chain(tm, layers, taps=obs.taps)
+    net = network.build_shared_chain(tm, layers)
     X0 = _parse_x0(args.x0)
     degrees = None
     if args.train_degrees:

@@ -137,10 +137,10 @@ def _write_table(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _read_table(path, first: str, parse) -> tuple[list[str], list]:
-    """Header and parse(row) of each non-empty row, as it is read, of a CSV
-    file whose header starts with `first` and whose rows have no more
-    fields than it; else a ValueError naming the file (and the line)."""
+def _read_table(path, first: str, parse) -> list:
+    """parse(row) of each non-empty row, as it is read, of a CSV file whose
+    header starts with `first` and whose rows have exactly as many fields
+    as it; else a ValueError naming the file (and the line)."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -148,25 +148,23 @@ def _read_table(path, first: str, parse) -> tuple[list[str], list]:
             raise ValueError(f"{path}: expected header starting with {first!r}")
         rows = []
         for row in filter(None, reader):
-            if len(row) > len(header):
+            if len(row) != len(header):
                 raise ValueError(f"{path}, line {reader.line_num}: {len(row)} fields "
                                  f"for a header of {len(header)}")
             rows.append(parse(row))
-        return header, rows
+        return rows
 
 
-def write_observations(obs: network.ObservationSeries, path, names=None) -> None:
-    names = component_names(obs.values.shape[1]) if names is None else list(names)
-    _write_table(path, ["tap"] + names, (
+def write_observations(obs: network.ObservationSeries, path) -> None:
+    _write_table(path, ["tap"] + component_names(obs.values.shape[1]), (
         [str(tap)] + [_fmt(v) if m else "" for v, m in zip(row, mrow)]
         for tap, row, mrow in zip(obs.taps, obs.values, obs.mask)
     ))
 
 
 def read_observations(path) -> network.ObservationSeries:
-    header, rows = _read_table(path, "tap", list)
-    n = len(header) - 1
-    fields = [row[1:] + [""] * (n - len(row) + 1) for row in rows]
+    rows = _read_table(path, "tap", list)
+    fields = [row[1:] for row in rows]
     return network.ObservationSeries(
         taps=tuple(int(row[0]) for row in rows),
         values=np.array([[float(f) if f != "" else np.nan for f in fs] for fs in fields]),
@@ -174,13 +172,12 @@ def read_observations(path) -> network.ObservationSeries:
     )
 
 
-def write_trajectory(states, path, names=None, extra=None) -> None:
+def write_trajectory(states, path, extra=None) -> None:
     """CSV `step,<components>`; `extra` maps column name -> array to append
     (used for reference columns)."""
     states = np.asarray(states, dtype=float)
-    names = component_names(states.shape[1]) if names is None else list(names)
     extra = {} if extra is None else {k: np.asarray(v, float) for k, v in extra.items()}
-    _write_table(path, ["step"] + names + list(extra), (
+    _write_table(path, ["step"] + component_names(states.shape[1]) + list(extra), (
         [str(i)] + [_fmt(v) for v in row] + [_fmt(extra[k][i]) for k in extra]
         for i, row in enumerate(states)
     ))
@@ -188,7 +185,7 @@ def write_trajectory(states, path, names=None, extra=None) -> None:
 
 def read_trajectory(path) -> np.ndarray:
     """The component columns of a trajectory CSV (extra columns included)."""
-    _, rows = _read_table(path, "step", lambda row: [float(f) for f in row[1:]])
+    rows = _read_table(path, "step", lambda row: [float(f) for f in row[1:]])
     return np.array(rows, dtype=float)
 
 
@@ -199,7 +196,7 @@ def write_turn_series(series: lattice_mod.TurnSeries, path) -> None:
 
 
 def read_turn_series(path) -> lattice_mod.TurnSeries:
-    _, rows = _read_table(path, "turn", lambda row: [float(f) for f in row[1:5]])
+    rows = _read_table(path, "turn", lambda row: [float(f) for f in row[1:5]])
     return lattice_mod.TurnSeries(states=np.array(rows, dtype=float))
 
 
@@ -211,7 +208,7 @@ def write_loss_history(report: network.LossReport, path) -> None:
 
 
 def read_loss_history(path) -> dict:
-    _, rows = _read_table(path, "epoch", lambda row: [float(f) for f in row[1:4]])
+    rows = _read_table(path, "epoch", lambda row: [float(f) for f in row[1:4]])
     arr = np.array(rows, dtype=float).reshape(-1, 3)
     return {"total": arr[:, 0], "data": arr[:, 1], "penalty": arr[:, 2]}
 

@@ -51,16 +51,14 @@ def element_from_ode(
                           substeps=substeps)
 
 
-def quad_element(
-    label: str, k: float, dt: float, order: int = 2, substeps: int = 1000
-) -> LatticeElement:
-    """Hill-type quadrupole: x'' = -k x, y'' = +k y (k > 0 focuses in x)."""
-    P = [np.zeros((4, basis.basis_size(4, d))) for d in range(order + 1)]
+def quad_element(label: str, k: float, dt: float, substeps: int = 1000) -> LatticeElement:
+    """Order-2 Hill-type quadrupole: x'' = -k x, y'' = +k y (k > 0 focuses in x)."""
+    P = [np.zeros((4, basis.basis_size(4, d))) for d in range(3)]
     P[1][0, 1] = 1.0
     P[1][1, 0] = -k
     P[1][2, 3] = 1.0
     P[1][3, 2] = k
-    return element_from_ode(label, ode.PolynomialODE(4, order, tuple(P)), dt, substeps)
+    return element_from_ode(label, ode.PolynomialODE(4, 2, tuple(P)), dt, substeps)
 
 
 def sextupole_element(
@@ -76,15 +74,15 @@ def sextupole_element(
     return element_from_ode(label, ode.PolynomialODE(4, 2, tuple(P)), dt, substeps)
 
 
-def rotation_element(label: str, qx: float, qy: float, order: int = 2) -> LatticeElement:
-    """Map-only element rotating each plane by 2*pi*q."""
+def rotation_element(label: str, qx: float, qy: float) -> LatticeElement:
+    """Map-only order-2 element rotating each plane by 2*pi*q."""
     W1 = np.zeros((4, 4))
     for q, sl in ((qx, slice(0, 2)), (qy, slice(2, 4))):
         th = 2.0 * np.pi * q
         W1[sl, sl] = [[np.cos(th), np.sin(th)], [-np.sin(th), np.cos(th)]]
-    ws = [np.zeros((4, basis.basis_size(4, d))) for d in range(order + 1)]
+    ws = [np.zeros((4, basis.basis_size(4, d))) for d in range(3)]
     ws[1] = W1
-    tm = maps.TaylorMap(dim=4, order=order, weights=tuple(ws))
+    tm = maps.TaylorMap(dim=4, order=2, weights=tuple(ws))
     return LatticeElement(label=label, tm=tm)
 
 
@@ -232,11 +230,10 @@ def estimate_tune(signal) -> tuple[float, bool]:
     return float(q), False
 
 
-def estimate_tunes(series) -> TuneEstimate:
-    """Per-plane tunes from a TurnSeries (or an (n, 4) state array)."""
-    states = series.states if isinstance(series, TurnSeries) else np.asarray(series)
-    qx, dx = estimate_tune(states[:, 0])
-    qy, dy = estimate_tune(states[:, 2])
+def estimate_tunes(series: TurnSeries) -> TuneEstimate:
+    """Per-plane tunes from a TurnSeries."""
+    qx, dx = estimate_tune(series.states[:, 0])
+    qy, dy = estimate_tune(series.states[:, 2])
     return TuneEstimate(qx=qx, qy=qy, degenerate_x=dx, degenerate_y=dy)
 
 
@@ -286,14 +283,9 @@ def perturb_element(lat: Lattice, index: int, factor: float) -> Lattice:
 
 
 def to_network(lat: Lattice) -> network.Network:
-    """The lattice as an untied layer chain tapped at the monitors."""
-    return network.Network(
-        dim=4,
-        order=lat.order,
-        group_maps=[e.tm for e in lat.elements],
-        layer_groups=tuple(range(lat.n_elements)),
-        taps=lat.monitors,
-    )
+    """The lattice as an untied layer chain, one slot per element."""
+    return network.Network(group_maps=[e.tm for e in lat.elements],
+                           layer_groups=tuple(range(lat.n_elements)))
 
 
 def fine_tune(
@@ -305,9 +297,12 @@ def fine_tune(
     """Per-element training of the assumed lattice against one turn of
     monitor readings; returns the tuned lattice and the loss history.
 
-    Tuned elements drop their generator link: their maps no longer derive
-    from the original flow.
+    Observation taps must be monitors.  Tuned elements drop their generator
+    link: their maps no longer derive from the original flow.
     """
+    foreign = sorted(set(obs.taps) - set(lat.monitors))
+    if foreign:
+        raise ValueError(f"observation taps {foreign} are not monitors {lat.monitors}")
     net = to_network(lat)
     trained, report = network.train_one_shot(net, X0, obs, cfg)
     elements = [
@@ -320,38 +315,28 @@ def fine_tune(
 # --- the desk-scale demonstration ring ---------------------------------------------
 
 
-def drift_element(
-    label: str, dt: float, order: int = 2, substeps: int = 1000
-) -> LatticeElement:
-    return quad_element(label, 0.0, dt, order=order, substeps=substeps)
+def drift_element(label: str, dt: float, substeps: int = 1000) -> LatticeElement:
+    return quad_element(label, 0.0, dt, substeps=substeps)
 
 
-def build_fodo_ring(
-    kf: float = 0.40,
-    kd: float = 0.45,
-    dt: float = 1.0,
-    k2: float = 0.05,
-    monitors: str = "all",
-    substeps: int = 1000,
-) -> Lattice:
+# the desk ring's quadrupole strengths (focusing, defocusing), sextupole strength, element length
+_KF, _KD, _K2, _LENGTH = 0.40, 0.45, 0.05, 1.0
+
+
+def build_fodo_ring(substeps: int = 1000) -> Lattice:
     """Two focusing/drift/defocusing/drift cells plus one weak sextupole
     (nine symplectic elements), monitored at every boundary.
 
-    The defaults give a ring that is stable in both planes with distinct
-    tunes and stays stable when any single element's strength is scaled by
-    0.8.  Each of the four distinct elements is derived once and reused
-    under its labels.
+    The ring is stable in both planes with distinct tunes and stays stable
+    when any single element's strength is scaled by 0.8.  Each of the four
+    distinct elements is derived once and reused under its labels.
     """
-    qf = quad_element("qf", kf, dt, substeps=substeps)
-    qd = quad_element("qd", -kd, dt, substeps=substeps)
-    drift = drift_element("o", dt, substeps=substeps)
+    qf = quad_element("qf", _KF, _LENGTH, substeps=substeps)
+    qd = quad_element("qd", -_KD, _LENGTH, substeps=substeps)
+    drift = drift_element("o", _LENGTH, substeps=substeps)
     elements = []
     for i in range(2):
         elements += [replace(qf, label=f"qf{i + 1}"), replace(drift, label=f"o{2 * i + 1}"),
                      replace(qd, label=f"qd{i + 1}"), replace(drift, label=f"o{2 * i + 2}")]
-    elements.append(sextupole_element("sx1", k2, dt, substeps=substeps))
-    if monitors == "all":
-        mons = tuple(range(1, len(elements) + 1))
-    else:
-        mons = tuple(monitors)
-    return Lattice(elements=elements, monitors=mons, ring=True)
+    elements.append(sextupole_element("sx1", _K2, _LENGTH, substeps=substeps))
+    return Lattice(elements=elements, monitors=tuple(range(1, len(elements) + 1)), ring=True)

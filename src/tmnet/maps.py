@@ -12,6 +12,8 @@ serves any number of stacked maps per evaluation.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -41,6 +43,16 @@ def _count(name: str, value, least: int) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def _real(name: str, value) -> float:
+    """value as a float if it is a finite real number (Python or numpy, not
+    bool); else a ValueError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return float(value)
 
 
 def _freeze_blocks(poly, name: str, noun: str) -> None:

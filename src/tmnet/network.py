@@ -1,16 +1,16 @@
 """Unrolled chains of Taylor-map layers with one-shot fine-tuning.
 
 A network is a sequence of layer slots, each bound to a weight group; slots in
-the same group share one TaylorMap.  Selected slot boundaries ("taps") emit
-their states as outputs, so a single initial state unrolls into a predicted
-time series.  Observations may cover only some taps and some components (for
-a physical pendulum, angles are measured while angular velocities stay
-latent); the loss is the mean squared error over the observed entries plus a
-symplectic penalty summed over the distinct weight groups.  Every layer
-evaluation, in the rolled-out chain and the teacher-forced residual alike, is
-one product of its map's stacked (dim, N) weights with the state's monomials.
-A pass checks its states once, after the last slot; a divergence names the
-first non-finite layer and the norm of the last finite state.
+the same group share one TaylorMap.  Every slot boundary emits its state, so a
+single initial state unrolls into a predicted time series.  Observations may
+cover only some boundaries ("taps") and some components (for a physical
+pendulum, angles are measured while angular velocities stay latent); the loss
+is the mean squared error over the observed entries plus a symplectic penalty
+summed over the distinct weight groups.  Every layer evaluation, in the
+rolled-out chain and the teacher-forced residual alike, is one product of its
+map's stacked (dim, N) weights with the state's monomials.  A pass checks its
+states once, after the last slot; a divergence names the first non-finite
+layer and the norm of the last finite state.
 
 Gradients are exact: reverse accumulation through the layer Jacobians, with
 per-slot weight gradients summed within each sharing group, plus the analytic
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from tmnet import basis, maps
-from tmnet.maps import _count
+from tmnet.maps import _count, _real
 from tmnet.ode import FlowDivergenceError
 
 
@@ -89,18 +89,16 @@ class ObservationSeries:
 
 @dataclass
 class Network:
-    """A chain of Taylor-map layers with weight sharing and output taps.
+    """A chain of Taylor-map layers with weight sharing.
 
     layer_groups[j] names the weight group of slot j (0-based slots); all
     slots with the same group index evaluate the identical group_maps entry.
-    taps are 1-based boundaries: tap t emits the state after slot t-1.
+    The group maps share one dimension and order, which the network reports
+    as its own.
     """
 
-    dim: int
-    order: int
     group_maps: list[maps.TaylorMap]
     layer_groups: tuple[int, ...]
-    taps: tuple[int, ...]
 
     def __post_init__(self):
         self.layer_groups = tuple(int(g) for g in self.layer_groups)
@@ -116,28 +114,25 @@ class Network:
             if tm.dim != self.dim or tm.order != self.order:
                 raise ValueError(
                     f"group {g} map is (dim={tm.dim}, order={tm.order}), "
-                    f"network is (dim={self.dim}, order={self.order})"
+                    f"group 0 map is (dim={self.dim}, order={self.order})"
                 )
-        self.taps = _check_boundaries("taps", self.taps, len(self.layer_groups))
+
+    @property
+    def dim(self) -> int:
+        return self.group_maps[0].dim
+
+    @property
+    def order(self) -> int:
+        return self.group_maps[0].order
 
     @property
     def n_layers(self) -> int:
         return len(self.layer_groups)
 
 
-def build_shared_chain(tm: maps.TaylorMap, length: int, taps=None) -> Network:
-    """A length-layer chain sharing one weight group; taps default to every
-    boundary 1..length."""
-    length = _count("length", length, 1)
-    if taps is None:
-        taps = tuple(range(1, length + 1))
-    return Network(
-        dim=tm.dim,
-        order=tm.order,
-        group_maps=[tm],
-        layer_groups=(0,) * length,
-        taps=tuple(taps),
-    )
+def build_shared_chain(tm: maps.TaylorMap, length: int) -> Network:
+    """A length-layer chain sharing one weight group."""
+    return Network(group_maps=[tm], layer_groups=(0,) * _count("length", length, 1))
 
 
 def _stack(net: Network) -> np.ndarray:
@@ -177,9 +172,10 @@ def _forward_states(net: Network, W, X0):
 
 
 def forward(net: Network, X0) -> np.ndarray:
-    """Tapped states for one initial condition, shape (len(taps), dim)."""
+    """The state after each slot for one initial condition, shape
+    (n_layers, dim): row t-1 is the state at boundary (tap) t."""
     states, _ = _forward_states(net, _stack(net), X0)
-    return states[list(net.taps)]
+    return states[1:]
 
 
 def predict_trajectory(net: Network, X0, components=None) -> np.ndarray:
@@ -191,10 +187,9 @@ def predict_trajectory(net: Network, X0, components=None) -> np.ndarray:
 
 
 def _check_observations(net: Network, obs: ObservationSeries) -> None:
-    tap_set = set(net.taps)
-    for t in obs.taps:
-        if t not in tap_set:
-            raise ValueError(f"observation tap {t} is not a network tap")
+    # the series checked its taps on construction; only the chain length is new
+    if max(obs.taps, default=0) > net.n_layers:
+        raise ValueError(f"observation taps must lie in [1, {net.n_layers}], got {obs.taps}")
     if obs.values.shape[1] != net.dim:
         raise ValueError(
             f"observations have {obs.values.shape[1]} components, network dim is {net.dim}"
@@ -285,16 +280,20 @@ def backward(net: Network, W, X0, obs: ObservationSeries, penalty_rate: float):
     return _with_penalty(data, grads, W, n, net.order, penalty_rate)
 
 
+# Adam's beta1 and epsilon, the defaults of Kingma & Ba (ICLR 2015, arXiv:1412.6980)
+ADAM_BETA1, ADAM_EPSILON = 0.9, 1e-8
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Adam settings for one-shot fine-tuning.
 
-    Valid ranges: step_size, clip_norm and epsilon finite and > 0; beta1
-    and beta2 in the open interval (0, 1); penalty_rate finite and >= 0;
-    epochs an integer >= 0; schedule "constant" or "cosine"; train_degrees
-    None (all degrees) or a non-empty set of degrees 0..order.  Anything
-    else is a ValueError naming the field, so bad settings never pass for
-    divergence.
+    Valid ranges: step_size and clip_norm finite and > 0; beta2 in the open
+    interval (0, 1); penalty_rate finite and >= 0; epochs an integer >= 0;
+    schedule "constant" or "cosine"; train_degrees None (all degrees) or a
+    non-empty collection of degrees 0..order.  Anything else, a wrong type
+    included, is a ValueError naming the field, so bad settings never pass
+    for divergence.  Adam's beta1 and epsilon are module constants.
 
     penalty_rate multiplies the summed group penalties against a data term
     that is a mean (not a sum) over observed entries, so its scale does not
@@ -303,9 +302,7 @@ class TrainConfig:
     """
 
     step_size: float = 1e-3
-    beta1: float = 0.9
     beta2: float = 0.999
-    epsilon: float = 1e-8
     clip_norm: float = 1.0
     epochs: int = 1000
     penalty_rate: float = 1e-10
@@ -314,21 +311,24 @@ class TrainConfig:
     teacher_forcing: bool = False
 
     def __post_init__(self):
-        for name in ("step_size", "clip_norm", "epsilon"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
+        for name in ("step_size", "clip_norm"):
+            value = _real(name, getattr(self, name))
+            if not value > 0:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
-        for name in ("beta1", "beta2"):
-            value = getattr(self, name)
-            if not 0 < value < 1:
-                raise ValueError(f"{name} must lie in (0, 1), got {value}")
-        if not (math.isfinite(self.penalty_rate) and self.penalty_rate >= 0):
+        if not 0 < _real("beta2", self.beta2) < 1:
+            raise ValueError(f"beta2 must lie in (0, 1), got {self.beta2}")
+        if not _real("penalty_rate", self.penalty_rate) >= 0:
             raise ValueError(f"penalty_rate must be finite and >= 0, got {self.penalty_rate}")
         object.__setattr__(self, "epochs", _count("epochs", self.epochs, 0))
         if self.schedule not in ("constant", "cosine"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.train_degrees is not None:
-            degrees = tuple(_count("train_degrees entries", d, 0) for d in self.train_degrees)
+            try:
+                degrees = tuple(_count("train_degrees entries", d, 0)
+                                for d in self.train_degrees)
+            except TypeError:
+                raise ValueError("train_degrees must be None or a collection of degrees, "
+                                 f"got {self.train_degrees!r}") from None
             if not degrees:
                 raise ValueError("train_degrees must name at least one degree")
             object.__setattr__(self, "train_degrees", degrees)
@@ -357,15 +357,15 @@ def _pairwise_data(net: Network, X0, obs: ObservationSeries):
     the previous states as their monomials of degrees 0..order, one row per
     pair, computed once for all epochs.
 
-    Requires one shared weight group, a tap at every slot boundary, and a
-    fully observed series: each observed state then serves as the input of
-    the following step, so the fit is on single-step pairs instead of the
-    rolled-out chain.
+    Requires one shared weight group and a fully observed series with an
+    observation at every slot boundary: each observed state then serves as
+    the input of the following step, so the fit is on single-step pairs
+    instead of the rolled-out chain.
     """
     if any(g != 0 for g in net.layer_groups) or len(net.group_maps) != 1:
         raise ValueError("teacher forcing needs a single shared weight group")
-    if net.taps != tuple(range(1, net.n_layers + 1)):
-        raise ValueError("teacher forcing needs a tap at every slot")
+    if obs.taps != tuple(range(1, net.n_layers + 1)):
+        raise ValueError(f"teacher forcing needs observation taps 1..{net.n_layers}")
     if not obs.mask.all():
         raise ValueError("teacher forcing needs fully observed states")
     X0 = np.asarray(X0, dtype=float)
@@ -411,6 +411,7 @@ def train_one_shot(
     only) instead of the rolled-out trajectory error; cfg.train_degrees
     restricts updates to the named weight degrees.
     """
+    _check_observations(net, obs)
     if cfg.train_degrees is not None and any(d > net.order for d in cfg.train_degrees):
         raise ValueError(f"train_degrees beyond map order {net.order}")
     pairs = _pairwise_data(net, X0, obs) if cfg.teacher_forcing else None
@@ -445,10 +446,10 @@ def train_one_shot(
                 epoch, f"gradient norm became non-finite at epoch {epoch}"
             )
         step = cfg.step_at(epoch)
-        m = cfg.beta1 * m + (1 - cfg.beta1) * grads
+        m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * grads
         v = cfg.beta2 * v + (1 - cfg.beta2) * grads * grads
-        W -= step * (m / (1.0 - cfg.beta1**epoch)) / (
-            np.sqrt(v / (1.0 - cfg.beta2**epoch)) + cfg.epsilon
+        W -= step * (m / (1.0 - ADAM_BETA1**epoch)) / (
+            np.sqrt(v / (1.0 - cfg.beta2**epoch)) + ADAM_EPSILON
         )
         if epoch in wanted:
             checkpoints[epoch] = _group_maps(net, W)

@@ -27,15 +27,14 @@ loop on lists.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import Counter, deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import basis
-from .maps import (TaylorMap, _count, _evaluate, _freeze_blocks, _from_dict, _to_dict,
-                   identity_map)
+from .maps import (TaylorMap, _count, _evaluate, _freeze_blocks, _from_dict, _real,
+                   _to_dict, identity_map)
 
 __all__ = [
     "PolynomialODE",
@@ -92,9 +91,7 @@ class FlowConfig:
     substeps: int = 1000
 
     def __post_init__(self):
-        dt = self.dt
-        if isinstance(dt, bool) or not isinstance(dt, numbers.Real) or not math.isfinite(dt):
-            raise ValueError(f"dt must be a finite number, got {dt!r}")
+        _real("dt", self.dt)
         object.__setattr__(self, "substeps", _count("substeps", self.substeps, 1))
 
 
@@ -315,8 +312,7 @@ def reference_trajectory(ode, X0, dt: float, steps: int, substeps: int = 100) ->
     X = np.asarray(X0, dtype=float)
     if X.ndim != 1:
         raise ValueError(f"X0 must be a vector, got shape {X.shape}")
-    if not math.isfinite(dt):
-        raise ValueError(f"dt must be finite, got {dt}")
+    dt = _real("dt", dt)
     steps, substeps = _count("steps", steps, 0), _count("substeps", substeps, 1)
     if isinstance(ode, PolynomialODE):
         if X.shape != (ode.dim,):

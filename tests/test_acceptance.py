@@ -230,10 +230,8 @@ def _random_net(rng):
         net = network.build_shared_chain(rand_map(), layers)
     else:
         net = network.Network(
-            dim=n, order=k,
             group_maps=[rand_map() for _ in range(layers)],
             layer_groups=tuple(range(layers)),
-            taps=tuple(range(1, layers + 1)),
         )
     X0 = 0.2 * rng.normal(size=n)
     values = network.forward(net, X0) + 0.1 * rng.normal(size=(layers, n))
@@ -279,10 +277,7 @@ def test_criterion_05_gradient_suite():
                         maps.TaylorMap(dim=net.dim, order=net.order,
                                        weights=tuple(ws))
                     )
-                return network.Network(
-                    dim=net.dim, order=net.order, group_maps=gmaps,
-                    layer_groups=net.layer_groups, taps=net.taps,
-                )
+                return network.Network(group_maps=gmaps, layer_groups=net.layer_groups)
             fd = (
                 network.loss(bumped_net(h), X0, obs, lam)[0]
                 - network.loss(bumped_net(-h), X0, obs, lam)[0]

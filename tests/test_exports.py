@@ -3,10 +3,12 @@ folded into the batched paths stay deleted, and the package runs on numpy
 alone."""
 
 import importlib
+import inspect
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -41,10 +43,33 @@ DELETED = (
 )
 
 
+# settings that had one value in use and became constants, fields the code
+# works out from its inputs, and the taps the observations already carry
+RETIRED = {
+    ("network", "Network"): ("dim", "order", "taps"),
+    ("network", "TrainConfig"): ("beta1", "epsilon"),
+    ("network", "build_shared_chain"): ("taps",),
+    ("lattice", "quad_element"): ("order",),
+    ("lattice", "drift_element"): ("order",),
+    ("lattice", "rotation_element"): ("order",),
+    ("lattice", "build_fodo_ring"): ("kf", "kd", "dt", "k2", "monitors"),
+    ("io", "write_observations"): ("names",),
+    ("io", "write_trajectory"): ("names",),
+}
+
+
+def test_retired_settings_are_gone():
+    assert sum(map(len, RETIRED.values())) == 16
+    for (module, name), params in RETIRED.items():
+        signature = inspect.signature(getattr(importlib.import_module(f"tmnet.{module}"), name))
+        assert not set(params) & set(signature.parameters), (module, name)
+
+
 def test_every_export_resolves():
     assert len(set(tmnet.__all__)) == len(tmnet.__all__)
     for name in tmnet.__all__:
         assert hasattr(tmnet, name), f"tmnet.{name}"
+        assert not isinstance(getattr(tmnet, name), types.ModuleType), f"tmnet.{name}"
     for m in MODULES:
         mod = importlib.import_module(f"tmnet.{m}")
         exported = getattr(mod, "__all__", ())

@@ -126,6 +126,25 @@ def test_observations_header_validation(tmp_path):
     path.write_text("tap,x1\n1,1.0\n\n2,1.0,3.0\n")
     with pytest.raises(ValueError, match=r"bad\.csv, line 4: 3 fields for a header of 2$"):
         io.read_observations(path)
+    # an unobserved entry is an empty field, never a missing one
+    path.write_text("tap,x1,x2\n1,1.0,\n2,1.0\n")
+    with pytest.raises(ValueError, match=r"bad\.csv, line 3: 2 fields for a header of 3$"):
+        io.read_observations(path)
+
+
+@pytest.mark.parametrize("read, header", [
+    (io.read_trajectory, "step,x1,x2"),
+    (io.read_turn_series, "turn,x,xp,y,yp"),
+    (io.read_loss_history, "epoch,total,data,penalty"),
+], ids=["trajectory", "turn_series", "loss_history"])
+def test_series_readers_reject_rows_narrower_than_the_header(tmp_path, read, header):
+    width = header.count(",") + 1
+    full = ",".join(["1"] + ["0.5"] * (width - 1))
+    path = tmp_path / "short.csv"
+    path.write_text(f"{header}\n{full[:-4]}\n{full}\n")
+    with pytest.raises(ValueError, match=rf"short\.csv, line 2: {width - 1} fields "
+                                         rf"for a header of {width}$"):
+        read(path)
 
 
 def test_trajectory_round_trip_and_extra_columns(tmp_path):

@@ -329,8 +329,16 @@ def test_perturb_validation(fodo):
 def test_to_network_is_untied_with_monitor_taps(fodo):
     net = lattice.to_network(fodo)
     assert net.layer_groups == tuple(range(fodo.n_elements))
-    assert net.taps == fodo.monitors
+    assert all(tm is e.tm for tm, e in zip(net.group_maps, fodo.elements, strict=True))
     assert net.dim == 4 and net.order == fodo.order
+    # the chain emits every element boundary; observe_one_turn reads the monitors
+    X0 = np.array([1e-3, 0.0, 1e-3, 0.0])
+    obs = lattice.observe_one_turn(fodo, X0)
+    assert obs.taps == fodo.monitors
+    states = network.forward(net, X0)
+    assert states.shape == (fodo.n_elements, 4)
+    assert np.array_equal(states[[t - 1 for t in obs.taps]][:, [0, 2]],
+                          obs.values[:, [0, 2]])
 
 
 def test_fine_tune_self_observations_is_fixed_point(fodo):
@@ -381,8 +389,14 @@ def test_fine_tune_foreign_taps_rejected(fodo):
         taps=tuple(t + 20 for t in obs.taps), values=obs.values, mask=obs.mask
     )
     cfg = network.TrainConfig(epochs=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="are not monitors"):
         lattice.fine_tune(fodo, X0, shifted, cfg)
+    # a boundary inside the chain that carries no monitor is foreign too
+    sparse = lattice.Lattice(elements=fodo.elements, monitors=(2, 4, 9))
+    inside = network.ObservationSeries(taps=(2, 3), values=obs.values[[1, 2]],
+                                       mask=obs.mask[[1, 2]])
+    with pytest.raises(ValueError, match=r"^observation taps \[3\] are not monitors"):
+        lattice.fine_tune(sparse, X0, inside, cfg)
 
 
 def test_fine_tune_penalty_regularizes(fodo):

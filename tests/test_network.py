@@ -45,7 +45,7 @@ def test_build_shared_chain_defaults_and_validation():
     tm = maps.identity_map(2, 2)
     net = network.build_shared_chain(tm, 5)
     assert net.n_layers == 5
-    assert net.taps == (1, 2, 3, 4, 5)
+    assert (net.dim, net.order) == (2, 2)
     assert net.layer_groups == (0,) * 5
     with pytest.raises(ValueError):
         network.build_shared_chain(tm, 0)
@@ -53,24 +53,18 @@ def test_build_shared_chain_defaults_and_validation():
 
 def test_network_validation():
     tm = maps.identity_map(2, 2)
-    with pytest.raises(ValueError):
-        network.Network(dim=2, order=2, group_maps=[tm], layer_groups=(), taps=())
-    with pytest.raises(ValueError):
-        network.Network(
-            dim=2, order=2, group_maps=[tm, tm], layer_groups=(0, 0), taps=(1,)
-        )
-    with pytest.raises(ValueError):
-        network.Network(
-            dim=2, order=2, group_maps=[tm], layer_groups=(0, 0), taps=(3,)
-        )
-    with pytest.raises(ValueError):
-        network.Network(
-            dim=2, order=2, group_maps=[tm], layer_groups=(0, 0), taps=(2, 2)
-        )
-    with pytest.raises(ValueError):
-        network.Network(
-            dim=3, order=2, group_maps=[tm], layer_groups=(0,), taps=(1,)
-        )
+    with pytest.raises(ValueError, match="at least one layer"):
+        network.Network(group_maps=[tm], layer_groups=())
+    with pytest.raises(ValueError, match="must cover group maps"):
+        network.Network(group_maps=[tm, tm], layer_groups=(0, 0))
+    # dimension and order are the group maps', so every map must match the first
+    with pytest.raises(ValueError, match=r"^group 1 map is \(dim=3, order=2\), "
+                                         r"group 0 map is \(dim=2, order=2\)$"):
+        network.Network(group_maps=[tm, maps.identity_map(3, 2)], layer_groups=(0, 1))
+    with pytest.raises(ValueError, match="order=1"):
+        network.Network(group_maps=[tm, maps.identity_map(2, 1)], layer_groups=(1, 0))
+    net = network.Network(group_maps=[maps.identity_map(3, 1)], layer_groups=(0, 0))
+    assert (net.dim, net.order, net.n_layers) == (3, 1, 2)
 
 
 def test_identity_chain_emits_input_everywhere():
@@ -84,9 +78,9 @@ def test_identity_chain_emits_input_everywhere():
 
 def test_two_shared_layers_compose_the_map():
     tm = _random_map(np.random.default_rng(50), 2, 2)
-    net = network.build_shared_chain(tm, 2, taps=(2,))
+    net = network.build_shared_chain(tm, 2)
     X0 = np.array([0.2, -0.1])
-    assert np.allclose(network.forward(net, X0)[0], tm(tm(X0)), rtol=1e-13)
+    assert np.allclose(network.forward(net, X0)[1], tm(tm(X0)), rtol=1e-13)
 
 
 def test_forward_states_equal_repeated_apply():
@@ -108,13 +102,13 @@ def test_data_term_equals_per_tap_loop():
     # error and seeds bit for bit, rows without observed entries included
     rng = np.random.default_rng(57)
     tm = _random_map(rng, 4, 2, scale=0.2)
-    net = network.build_shared_chain(tm, 9, taps=(2, 3, 5, 8, 9))
+    net = network.build_shared_chain(tm, 9)
     X0 = np.array([0.3, -0.1, 0.2, 0.05])
     values = rng.normal(size=(5, 4))
     mask = rng.random((5, 4)) < 0.5
     mask[1] = False
     mask[4, 0] = True
-    obs = network.ObservationSeries(taps=net.taps, values=values, mask=mask)
+    obs = network.ObservationSeries(taps=(2, 3, 5, 8, 9), values=values, mask=mask)
     states, _, data, seeds = network._data_term(net, network._stack(net), X0, obs)
     n_obs = obs.observed_count
     sq, want = 0.0, np.zeros((10, 4))
@@ -254,8 +248,13 @@ def _observe_at(taps):
     network.loss(chain, np.zeros(2), obs, 0.0)
 
 
-def _network_tapped_at(taps):
-    network.build_shared_chain(maps.identity_map(2, 1), 3, taps=taps)
+def _chain_trained_at(taps):
+    # training checks the taps against its chain before the first epoch, so
+    # also when there is none
+    obs = network.ObservationSeries(taps=taps, values=np.zeros((len(taps), 2)),
+                                    mask=np.ones((len(taps), 2), dtype=bool))
+    chain = network.build_shared_chain(maps.identity_map(2, 1), 3)
+    network.train_one_shot(chain, np.zeros(2), obs, network.TrainConfig(epochs=0))
 
 
 def _ring_monitored_at(monitors):
@@ -265,7 +264,7 @@ def _ring_monitored_at(monitors):
 
 @pytest.mark.parametrize("bounds", [(0,), (2, 2), (3, 1), (4,), (1.7,)])
 @pytest.mark.parametrize("make, field", [
-    (_observe_at, "tap"), (_network_tapped_at, "taps"), (_ring_monitored_at, "monitors"),
+    (_observe_at, "tap"), (_chain_trained_at, "taps"), (_ring_monitored_at, "monitors"),
 ], ids=["ObservationSeries", "Network", "Lattice"])
 def test_slot_boundaries_follow_one_rule(make, field, bounds):
     # three slots: boundaries are integers in [1, 3] and strictly increase
@@ -303,9 +302,7 @@ def test_loss_penalty_sums_distinct_groups_once():
     rng = np.random.default_rng(52)
     a = _random_map(rng, 2, 2)
     b = _random_map(rng, 2, 2)
-    net = network.Network(
-        dim=2, order=2, group_maps=[a, b], layer_groups=(0, 1, 0, 1), taps=(4,)
-    )
+    net = network.Network(group_maps=[a, b], layer_groups=(0, 1, 0, 1))
     X0 = np.array([0.05, 0.05])
     obs = network.ObservationSeries(
         taps=(4,), values=np.zeros((1, 2)), mask=np.ones((1, 2), dtype=bool)
@@ -318,10 +315,10 @@ def test_loss_penalty_sums_distinct_groups_once():
 
 
 def test_loss_rejects_foreign_taps_and_empty_observations():
-    net = network.build_shared_chain(maps.identity_map(2, 2), 3, taps=(1, 3))
+    net = network.build_shared_chain(maps.identity_map(2, 2), 3)
     X0 = np.zeros(2)
-    with pytest.raises(ValueError, match="tap"):
-        network.loss(net, X0, _full_obs(np.zeros((2, 2))), 0.0)
+    with pytest.raises(ValueError, match=r"^observation taps must lie in \[1, 3\]"):
+        network.loss(net, X0, _full_obs(np.zeros((4, 2))), 0.0)
     empty = network.ObservationSeries(
         taps=(1,), values=np.zeros((1, 2)), mask=np.zeros((1, 2), dtype=bool)
     )
@@ -397,13 +394,7 @@ def test_shared_gradient_equals_sum_of_untied_slots():
     rng = np.random.default_rng(55)
     tm = _random_map(rng, 2, 2, scale=0.25)
     shared = network.build_shared_chain(tm, 4)
-    untied = network.Network(
-        dim=2,
-        order=2,
-        group_maps=[tm, tm, tm, tm],
-        layer_groups=(0, 1, 2, 3),
-        taps=(1, 2, 3, 4),
-    )
+    untied = network.Network(group_maps=[tm, tm, tm, tm], layer_groups=(0, 1, 2, 3))
     X0 = np.array([0.2, 0.1])
     values = network.forward(shared, X0) + 0.05 * rng.normal(size=(4, 2))
     obs = _full_obs(values)
@@ -425,12 +416,11 @@ def test_backward_matches_central_differences_on_untied_network():
     taps = (2, 4, 5)
 
     def make(gmaps):
-        return network.Network(dim=n, order=k, group_maps=gmaps,
-                               layer_groups=layer_groups, taps=taps)
+        return network.Network(group_maps=gmaps, layer_groups=layer_groups)
 
     net = make(group_maps)
     X0 = np.array([0.3, -0.2, 0.1, 0.25])
-    values = network.forward(net, X0) + 0.05 * rng.normal(size=(3, n))
+    values = network.forward(net, X0)[[t - 1 for t in taps]] + 0.05 * rng.normal(size=(3, n))
     mask = np.array([[True, False, True, False], [True, True, False, True],
                      [False, True, True, True]])
     obs = network.ObservationSeries(taps=taps, values=values, mask=mask)
@@ -461,21 +451,24 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         network.TrainConfig(step_size=0.0)
     with pytest.raises(ValueError):
-        network.TrainConfig(beta1=1.0)
+        network.TrainConfig(beta2=1.0)
     with pytest.raises(ValueError):
         network.TrainConfig(clip_norm=0.0)
     with pytest.raises(ValueError):
         network.TrainConfig(epochs=-1)
     with pytest.raises(ValueError):
         network.TrainConfig(penalty_rate=-1e-9)
-    # non-finite settings and a zero Adam denominator, each named
-    for name in ("step_size", "clip_norm", "penalty_rate", "beta1", "beta2", "epsilon"):
-        for value in (np.nan, np.inf, -np.inf):
-            with pytest.raises(ValueError, match=name):
+    # non-finite and non-numeric settings, each named
+    for name in ("step_size", "clip_norm", "penalty_rate", "beta2"):
+        for value in (np.nan, np.inf, -np.inf, "x", None, True):
+            with pytest.raises(ValueError, match=f"^{name} must be"):
                 network.TrainConfig(**{name: value})
-    for value in (0.0, -1e-8):
-        with pytest.raises(ValueError, match="epsilon"):
-            network.TrainConfig(epsilon=value)
+    with pytest.raises(ValueError, match="^train_degrees must be None or a collection"):
+        network.TrainConfig(train_degrees=1)
+    # Adam's beta1 and epsilon are constants, not settings
+    for name in ("beta1", "epsilon"):
+        with pytest.raises(TypeError):
+            network.TrainConfig(**{name: 0.5})
 
 
 def test_zero_epochs_leaves_network_unchanged():
@@ -583,14 +576,14 @@ def _per_block_adam(net, X0, obs, cfg, checkpoint_epochs):
     rebuilds every TaylorMap each epoch: the reference for the stacked loop.
     The clipping norm is summed over the gradient in the stacked order."""
     _, sl = basis._stacked_exponents(net.dim, net.order)
+    beta1, epsilon = network.ADAM_BETA1, network.ADAM_EPSILON
     group_maps = list(net.group_maps)
     weights = [[w.copy() for w in tm.weights] for tm in group_maps]
     m = [[np.zeros_like(w) for w in ws] for ws in weights]
     v = [[np.zeros_like(w) for w in ws] for ws in weights]
     history, checkpoints, clipped = [], {}, 0
     for epoch in range(1, cfg.epochs + 1):
-        current = network.Network(dim=net.dim, order=net.order, group_maps=group_maps,
-                                  layer_groups=net.layer_groups, taps=net.taps)
+        current = network.Network(group_maps=group_maps, layer_groups=net.layer_groups)
         stacked, losses = network.backward(
             current, network._stack(current), X0, obs, cfg.penalty_rate
         )
@@ -608,14 +601,14 @@ def _per_block_adam(net, X0, obs, cfg, checkpoint_epochs):
                 for g in group:
                     g *= cfg.clip_norm / norm
         step = cfg.step_at(epoch)
-        bc1 = 1.0 - cfg.beta1**epoch
+        bc1 = 1.0 - beta1**epoch
         bc2 = 1.0 - cfg.beta2**epoch
         for gi, ws in enumerate(weights):
             for d, w in enumerate(ws):
                 g = grads[gi][d]
-                m[gi][d] = cfg.beta1 * m[gi][d] + (1 - cfg.beta1) * g
+                m[gi][d] = beta1 * m[gi][d] + (1 - beta1) * g
                 v[gi][d] = cfg.beta2 * v[gi][d] + (1 - cfg.beta2) * g * g
-                w -= step * (m[gi][d] / bc1) / (np.sqrt(v[gi][d] / bc2) + cfg.epsilon)
+                w -= step * (m[gi][d] / bc1) / (np.sqrt(v[gi][d] / bc2) + epsilon)
             group_maps[gi] = maps.TaylorMap(dim=net.dim, order=net.order, weights=tuple(ws))
         if epoch in checkpoint_epochs:
             checkpoints[epoch] = list(group_maps)
@@ -628,13 +621,12 @@ def test_stacked_training_equals_per_block_loop():
     # loop reproduces the per-block one bit for bit
     rng = np.random.default_rng(61)
     n, k = 2, 3
-    net = network.Network(dim=n, order=k,
-                          group_maps=[_random_map(rng, n, k, scale=0.15) for _ in range(3)],
-                          layer_groups=(0, 1, 0, 2, 1), taps=(2, 4, 5))
+    net = network.Network(group_maps=[_random_map(rng, n, k, scale=0.15) for _ in range(3)],
+                          layer_groups=(0, 1, 0, 2, 1))
     X0 = np.array([0.3, -0.2])
-    values = network.forward(net, X0) + 0.05 * rng.normal(size=(3, n))
+    values = network.forward(net, X0)[[1, 3, 4]] + 0.05 * rng.normal(size=(3, n))
     mask = np.array([[True, False], [True, True], [False, True]])
-    obs = network.ObservationSeries(taps=net.taps, values=values, mask=mask)
+    obs = network.ObservationSeries(taps=(2, 4, 5), values=values, mask=mask)
     cfg = network.TrainConfig(step_size=1e-2, clip_norm=0.065, epochs=8, penalty_rate=1e-2,
                               schedule="cosine", train_degrees=(1, 3))
     trained, report = network.train_one_shot(net, X0, obs, cfg, checkpoint_epochs=(3, 8))
@@ -788,17 +780,20 @@ def test_teacher_forcing_validation():
         network.train_one_shot(
             network.build_shared_chain(tm, 2), np.zeros(2), partial, cfg
         )
-    with pytest.raises(ValueError, match="tap at every slot"):
+    # observations must sit at every slot: a gap would pair tap 1 with tap
+    # 3 as one step, and a tap beyond the chain has no slot to fit
+    with pytest.raises(ValueError, match=r"^teacher forcing needs observation taps 1\.\.3$"):
         network.train_one_shot(
-            network.build_shared_chain(tm, 3, taps=(1, 3)), np.zeros(2),
+            network.build_shared_chain(tm, 3), np.zeros(2),
             network.ObservationSeries(taps=(1, 3), values=values,
                                       mask=np.ones_like(values, bool)),
             cfg,
         )
-    untied = network.Network(
-        dim=2, order=1, group_maps=[tm, maps.identity_map(2, 1)],
-        layer_groups=(0, 1), taps=(1, 2),
-    )
+    with pytest.raises(ValueError, match=r"^observation taps must lie in \[1, 3\]"):
+        network.train_one_shot(
+            network.build_shared_chain(tm, 3), np.zeros(2), _full_obs(np.zeros((4, 2))), cfg
+        )
+    untied = network.Network(group_maps=[tm, maps.identity_map(2, 1)], layer_groups=(0, 1))
     with pytest.raises(ValueError, match="single shared weight group"):
         network.train_one_shot(untied, np.zeros(2), _full_obs(values), cfg)
 

@@ -77,6 +77,9 @@ def test_flow_config_validation():
         ode.FlowConfig(np.inf)
     with pytest.raises(ValueError):
         ode.FlowConfig(0.1, substeps=0)
+    for dt in ("x", None, True):
+        with pytest.raises(ValueError, match="^dt must be a finite number"):
+            ode.FlowConfig(dt)
 
 
 # --- weight flow ---------------------------------------------------------------
@@ -351,6 +354,9 @@ def test_rk4_input_validation():
             ode.reference_trajectory(lambda X: -X, np.zeros(2), 0.1, 3, substeps=substeps)
     for dt in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="^dt must be finite"):
+            ode.reference_trajectory(lambda X: -X, np.zeros(2), dt, 3)
+    for dt in ("x", None, True):
+        with pytest.raises(ValueError, match="^dt must be a finite number"):
             ode.reference_trajectory(lambda X: -X, np.zeros(2), dt, 3)
 
 
