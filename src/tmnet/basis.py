@@ -14,6 +14,14 @@ ordering here is a file-format contract as well.  They also keep the blocks
 of degrees 0..k side by side in one (n, N) matrix whose columns follow
 monomials(X, k); that matrix times monomials(X, k) is the one evaluator of a
 polynomial at a state.
+
+Monomials are built by prefix products, as in truncated power series
+algebra: each monomial of degree >= 2 is its degree-(d-1) prefix times its
+last variable, one multiply per monomial.  monomials runs these products as
+straight-line Python generated once per (n, k), on floats for one state and
+on the columns of a batch, so a state gives the same bytes alone and in a
+batch; kron_power forms the same products degree by degree with numpy
+indexing and is checked against it.
 """
 
 from __future__ import annotations
@@ -77,13 +85,28 @@ def kron_power(X, d: int) -> np.ndarray:
 
     X is one state of shape (n,) or a batch of shape (..., n); the monomials
     run along the last axis.  X^[0] is the single entry 1; X^[1] is X itself.
+    Degree by degree, each monomial is its prefix times its last variable
+    (_prefix_table): the products of monomials(X, d), by a separate path.
     """
-    X = np.asarray(X, dtype=float)
+    X = np.array(X, dtype=float)
     if X.ndim == 0:
         raise ValueError("state must have at least one axis")
+    basis_size(X.shape[-1], d)  # validate arguments
     if d == 0:
         return np.ones(X.shape[:-1] + (1,))
-    return np.prod(X[..., None, :] ** exponent_matrix(X.shape[-1], d), axis=-1)
+    P = X
+    for e in range(2, d + 1):
+        parent, var = _prefix_table(X.shape[-1], e)
+        P = P[..., parent] * X[..., var]
+    return P
+
+
+def _compiled(source: str, filename: str, name: str):
+    """The function `name` that the generated Python source defines,
+    compiled under filename (tracebacks show it)."""
+    namespace = {}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[name]
 
 
 @lru_cache(maxsize=None)
@@ -96,17 +119,53 @@ def _stacked_exponents(n: int, k: int) -> tuple[np.ndarray, tuple[slice, ...]]:
     return E, tuple(slice(end - basis_size(n, d), end) for d, end in enumerate(ends))
 
 
+@lru_cache(maxsize=None)
+def _monomial_function(n: int, k: int):
+    """f(x0, ..., x{n-1}): the list of the monomials of degrees 0..k in the
+    order of monomials, generated as straight-line Python and compiled.
+
+    Degree 0 is 1.0 and degree 1 the variables themselves; every monomial of
+    degree >= 2 is one multiply, its prefix (_prefix_table) times its last
+    variable.  The arguments are floats, or arrays of one shape (the columns
+    of a batch).  The source has no **: on floats Python's ** raises
+    OverflowError where * gives inf.
+    """
+    basis_size(n, k)  # validate arguments
+    x = [f"x{i}" for i in range(n)]
+    names, lines, prev = ["1.0"] + (x if k >= 1 else []), [], x
+    for d in range(2, k + 1):
+        parent, var = _prefix_table(n, d)
+        cur = [f"m{d}_{r}" for r in range(len(var))]
+        lines += [f"    {m} = {prev[p]} * x{v}"
+                  for m, p, v in zip(cur, parent.tolist(), var.tolist())]
+        names, prev = names + cur, cur
+    source = "\n".join([f"def monomials({', '.join(x)}):", *lines,
+                        f"    return [{', '.join(names)}]"])
+    return _compiled(source, f"<monomials of degree <= {k} in {n} variables>", "monomials")
+
+
 def monomials(X, k: int) -> np.ndarray:
     """X^[0], X^[1], ..., X^[k] concatenated along the last axis.
 
     X is one state (n,) or a batch (..., n); the slice of degree d is
     _stacked_exponents(n, k)[1][d] and equals kron_power(X, d) exactly.
+    Each monomial is built by prefix products (_monomial_function), on
+    Python floats for one state and on the columns of a batch, so a state
+    gives the same bytes alone and in a batch.  Overflow gives inf or nan,
+    never an error or a warning.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 0:
         raise ValueError("state must have at least one axis")
-    E, _ = _stacked_exponents(X.shape[-1], k)
-    return np.multiply.reduce(X[..., None, :] ** E, axis=-1)
+    f = _monomial_function(X.shape[-1], k)
+    if X.ndim == 1:
+        return np.array(f(*X.tolist()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        columns = f(*np.moveaxis(X, -1, 0))
+    out = np.empty(X.shape[:-1] + (len(columns),))
+    for j, column in enumerate(columns):
+        out[..., j] = column
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -137,15 +137,18 @@ def _write_table(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _read_table(path, first: str, parse) -> list:
+def _read_table(path, fixed: tuple, parse) -> list:
     """parse(row) of each non-empty row, as it is read, of a CSV file whose
-    header starts with `first` and whose rows have exactly as many fields
-    as it; else a ValueError naming the file (and the line)."""
+    header starts with the columns `fixed` and whose rows have exactly as
+    many fields as it; else a ValueError naming the file (and the line)."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        if not header or header[0] != first:
-            raise ValueError(f"{path}: expected header starting with {first!r}")
+        if not header or header[0] != fixed[0]:
+            raise ValueError(f"{path}: expected header starting with {fixed[0]!r}")
+        if tuple(header[: len(fixed)]) != fixed:
+            raise ValueError(f"{path}: expected header starting with {','.join(fixed)!r}, "
+                             f"got {','.join(header)!r}")
         rows = []
         for row in filter(None, reader):
             if len(row) != len(header):
@@ -163,7 +166,7 @@ def write_observations(obs: network.ObservationSeries, path) -> None:
 
 
 def read_observations(path) -> network.ObservationSeries:
-    rows = _read_table(path, "tap", list)
+    rows = _read_table(path, ("tap",), list)
     fields = [row[1:] for row in rows]
     return network.ObservationSeries(
         taps=tuple(int(row[0]) for row in rows),
@@ -185,30 +188,34 @@ def write_trajectory(states, path, extra=None) -> None:
 
 def read_trajectory(path) -> np.ndarray:
     """The component columns of a trajectory CSV (extra columns included)."""
-    rows = _read_table(path, "step", lambda row: [float(f) for f in row[1:]])
+    rows = _read_table(path, ("step",), lambda row: [float(f) for f in row[1:]])
     return np.array(rows, dtype=float)
 
 
+_TURN_COLUMNS = ("turn", "x", "xp", "y", "yp")
+_LOSS_COLUMNS = ("epoch", "total", "data", "penalty")
+
+
 def write_turn_series(series: lattice_mod.TurnSeries, path) -> None:
-    _write_table(path, ["turn", "x", "xp", "y", "yp"], (
+    _write_table(path, _TURN_COLUMNS, (
         [str(i + 1)] + [_fmt(v) for v in row] for i, row in enumerate(series.states)
     ))
 
 
 def read_turn_series(path) -> lattice_mod.TurnSeries:
-    rows = _read_table(path, "turn", lambda row: [float(f) for f in row[1:5]])
+    rows = _read_table(path, _TURN_COLUMNS, lambda row: [float(f) for f in row[1:5]])
     return lattice_mod.TurnSeries(states=np.array(rows, dtype=float))
 
 
 def write_loss_history(report: network.LossReport, path) -> None:
-    _write_table(path, ["epoch", "total", "data", "penalty"], (
+    _write_table(path, _LOSS_COLUMNS, (
         [str(i + 1)] + [_fmt(v) for v in parts]
         for i, parts in enumerate(zip(report.total, report.data, report.penalty))
     ))
 
 
 def read_loss_history(path) -> dict:
-    rows = _read_table(path, "epoch", lambda row: [float(f) for f in row[1:4]])
+    rows = _read_table(path, _LOSS_COLUMNS, lambda row: [float(f) for f in row[1:4]])
     arr = np.array(rows, dtype=float).reshape(-1, 3)
     return {"total": arr[:, 0], "data": arr[:, 1], "penalty": arr[:, 2]}
 

@@ -12,17 +12,24 @@ map's stacked (dim, N) weights with the state's monomials.  A pass checks its
 states once, after the last slot; a divergence names the first non-finite
 layer and the norm of the last finite state.
 
+The forward pass builds each slot's monomials on Python floats and takes
+the product with the group's weights in numpy, so its states are those of
+TaylorMap.apply bit for bit.
+
 Gradients are exact: reverse accumulation through the layer Jacobians, with
 per-slot weight gradients summed within each sharing group, plus the analytic
-penalty gradient.  Training is deterministic full-batch Adam on the single
-observed series, with global gradient-norm clipping.  It runs on one stacked
-(groups, dim, N) array W, W[g] being group g's stacked matrix; gradients and
-Adam's moments share that layout, and TaylorMaps are built from it only at
-checkpoints and at the end.
+penalty gradient.  The Jacobians and weight gradients are batched numpy
+products; the adjoint recursion between them runs on Python floats, in a
+loop generated per dimension.  Training is deterministic full-batch Adam on
+the single observed series, with global gradient-norm clipping.  It runs on
+one stacked (groups, dim, N) array W, W[g] being group g's stacked matrix;
+gradients and Adam's moments share that layout, and TaylorMaps are built
+from it only at checkpoints and at the end.
 """
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -157,11 +164,13 @@ def _forward_states(net: Network, W, X0):
     states = np.empty((net.n_layers + 1, net.dim))
     powers = np.empty((net.n_layers, W.shape[-1]))
     states[0] = X
+    monomials, x = basis._monomial_function(net.dim, net.order), X.tolist()
     # overflow here means divergence, which is detected and raised below
     with np.errstate(over="ignore", invalid="ignore"):
         for j, g in enumerate(net.layer_groups):
-            powers[j] = basis.monomials(states[j], net.order)
-            states[j + 1] = W[g] @ powers[j]
+            powers[j] = monomials(*x)
+            np.matmul(W[g], powers[j], out=states[j + 1])
+            x = states[j + 1].tolist()
         finite = np.isfinite(states[1:]).all(axis=1)
     if not finite.all():
         j = int(np.argmin(finite)) + 1
@@ -244,14 +253,45 @@ def loss(net: Network, X0, obs: ObservationSeries, penalty_rate: float):
     return _with_penalty(data, None, W, net.dim, net.order, penalty_rate)
 
 
+@lru_cache(maxsize=None)
+def _adjoint_function(n: int):
+    """f(jacs, seeds): the adjoint recursion of a chain of dim-n slots,
+    generated as straight-line Python on floats and compiled.
+
+    jacs and seeds list, from the last slot to the first, each slot's
+    Jacobian (row-major, [r * n + i] = d output_r / dx_i) and the data
+    gradient on its output state.  Going backwards, the adjoint at a slot's
+    output is the seed plus the adjoint at the next slot's input, and the
+    adjoint at its input is jac^T times that; f returns the output adjoints
+    in the order given.  Each entry of jac^T a is written out as
+    j_0i * a_0 + j_1i * a_1 + ..., summed left to right (not with sum(),
+    which compensates its sums from Python 3.12 on).
+    """
+    a = [f"a{i}" for i in range(n)]
+    j = [f"j{i}" for i in range(n * n)]
+    s = [f"s{i}" for i in range(n)]
+    products = [" + ".join(f"{j[r * n + i]} * {a[r]}" for r in range(n)) for i in range(n)]
+    source = "\n".join([
+        "def adjoints(jacs, seeds):",
+        f"    {' = '.join(a)} = 0.0",
+        "    out = []",
+        f"    for [{', '.join(j)}], [{', '.join(s)}] in zip(jacs, seeds):",
+        *(f"        {ai} += {si}" for ai, si in zip(a, s)),
+        f"        out.append(({', '.join(a)},))",
+        f"        {', '.join(a)}, = {', '.join(products)},",
+        "    return out",
+    ])
+    return basis._compiled(source, f"<adjoint recursion of dim-{n} slots>", "adjoints")
+
+
 def backward(net: Network, W, X0, obs: ObservationSeries, penalty_rate: float):
     """Analytic loss gradient in the group weights W, plus the loss triple.
 
     Returns (grads, (total, data, penalty)) where grads has W's shape
     (groups, dim, N); degree d is the column slice [..., sl[d]] with sl from
-    basis._stacked_exponents.  Only the adjoint recursion runs slot by slot;
-    the slot Jacobians are one batched product over all slots and the weight
-    gradients one per degree.
+    basis._stacked_exponents.  Only the adjoint recursion runs slot by slot,
+    on floats (_adjoint_function); the slot Jacobians are one batched product
+    over all slots and the weight gradients one per degree.
     """
     states, powers, data, seeds = _data_term(net, W, X0, obs)
     n, G = net.dim, W.shape[0]
@@ -267,12 +307,10 @@ def backward(net: Network, W, X0, obs: ObservationSeries, penalty_rate: float):
         M = series.shape[-1]
         jac = (series[slot] @ powers[:, None, :M, None])[..., 0]
 
-        adjoints = np.zeros((net.n_layers, n))
-        adj = np.zeros(n)
-        for j in range(net.n_layers, 0, -1):
-            adj = adj + seeds[j]
-            adjoints[j - 1] = adj
-            adj = jac[j - 1].T @ adj
+        # the adjoint recursion takes and gives its slots last to first
+        adjoints = _adjoint_function(n)(jac[::-1].reshape(-1, n * n).tolist(),
+                                        seeds[:0:-1].tolist())
+        adjoints = np.array(adjoints[::-1])
 
         # adjoints of each group's slots, the others zeroed: (G, dim, slots)
         by_group = np.swapaxes((slot == np.arange(G)[:, None])[:, :, None] * adjoints, 1, 2)

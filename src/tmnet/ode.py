@@ -296,9 +296,7 @@ def _term_advance(ode: PolynomialODE):
         *(f"        {line}" for line in body),
         f"    return {state}",
     ])
-    namespace = {}
-    exec(compile(source, f"<RK4 substeps of a dim-{n} ODE>", "exec"), namespace)
-    return namespace["advance"]
+    return basis._compiled(source, f"<RK4 substeps of a dim-{n} ODE>", "advance")
 
 
 def reference_trajectory(ode, X0, dt: float, steps: int, substeps: int = 100) -> np.ndarray:

@@ -7,6 +7,7 @@ algebra written from scratch in this file.
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -281,6 +282,21 @@ def test_kron_power_of_a_batch_is_the_power_of_each_state(X, d):
     assert batch.shape == X.shape[:-1] + (basis.basis_size(n, d),)
     for idx in np.ndindex(X.shape[:-1]):
         assert np.array_equal(batch[idx], basis.kron_power(X[idx], d))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_monomials_overflow_to_inf_or_nan_without_a_warning(k):
+    # one multiply per monomial: overflow gives inf (and inf times 0 nan),
+    # the same bytes for a state alone and in a batch, and never an error
+    X = np.array([[1e200, -3e200, 0.0], [2e200, 1e-200, -1e200]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = basis.monomials(X, k)
+        singles = [basis.monomials(x, k) for x in X]
+    assert np.isinf(batch).any()
+    assert np.isnan(batch).any() == (k >= 3)
+    for row, single in zip(batch, singles):
+        assert row.tobytes() == single.tobytes()
 
 
 @PROPERTY

@@ -147,6 +147,18 @@ def test_series_readers_reject_rows_narrower_than_the_header(tmp_path, read, hea
         read(path)
 
 
+@pytest.mark.parametrize("read, header, rows", [
+    (io.read_turn_series, "turn,x,xp", "1,0.5,0.1\n"),
+    (io.read_loss_history, "epoch,total", "1,0.5\n2,0.4\n3,0.3\n"),
+], ids=["turn_series", "loss_history"])
+def test_fixed_width_readers_reject_a_narrower_header(tmp_path, read, header, rows):
+    path = tmp_path / "narrow.csv"
+    path.write_text(f"{header}\n{rows}")
+    with pytest.raises(ValueError, match=rf"narrow\.csv: expected header starting with "
+                                         rf"'{header},.*', got '{header}'$"):
+        read(path)
+
+
 def test_trajectory_round_trip_and_extra_columns(tmp_path):
     rng = np.random.default_rng(4)
     states = rng.standard_normal((6, 2))

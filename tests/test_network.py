@@ -406,6 +406,48 @@ def test_shared_gradient_equals_sum_of_untied_slots():
         assert np.allclose(g_shared[0][:, sl[d]], summed, rtol=1e-10, atol=1e-12)
 
 
+def _numpy_adjoint_function(n):
+    """The numpy loop that backward ran before its adjoint recursion was
+    generated on floats, behind the interface of network._adjoint_function
+    (slots from the last to the first)."""
+
+    def adjoints(jacs, seeds):
+        jac = np.array(jacs).reshape(-1, n, n)[::-1]
+        seeds = np.vstack([np.zeros((1, n)), np.array(seeds)[::-1]])
+        out = np.zeros((len(jac), n))
+        adj = np.zeros(n)
+        for j in range(len(jac), 0, -1):
+            adj = adj + seeds[j]
+            out[j - 1] = adj
+            adj = jac[j - 1].T @ adj
+        return out[::-1].tolist()
+
+    return adjoints
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 6])
+@pytest.mark.parametrize("layer_groups", [(0,) * 7, (0, 1, 0, 2, 1, 2, 0)],
+                         ids=["shared", "untied"])
+def test_float_adjoints_match_the_numpy_loop(monkeypatch, n, layer_groups):
+    rng = np.random.default_rng(60 + n)
+    k = 2
+    groups = max(layer_groups) + 1
+    net = network.Network(group_maps=[_random_map(rng, n, k, scale=0.2) for _ in range(groups)],
+                          layer_groups=layer_groups)
+    X0 = 0.3 * rng.normal(size=n)
+    values = network.forward(net, X0) + 0.05 * rng.normal(size=(7, n))
+    mask = rng.random((7, n)) < 0.6
+    mask[0] = True
+    obs = network.ObservationSeries(taps=tuple(range(1, 8)), values=values, mask=mask)
+    W = network._stack(net)
+    got, losses = network.backward(net, W, X0, obs, 1e-3)
+    monkeypatch.setattr(network, "_adjoint_function", _numpy_adjoint_function)
+    want, want_losses = network.backward(net, W, X0, obs, 1e-3)
+    assert losses == want_losses
+    assert np.abs(want).max() > 0
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
 def test_backward_matches_central_differences_on_untied_network():
     # groups shared by some slots and not others, partial taps and mask,
     # and a penalty gradient, at n=4 and k=3
