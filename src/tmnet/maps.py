@@ -3,11 +3,13 @@
 A map of order k sends X to W_0 + W_1 X + W_2 X^[2] + ... + W_k X^[k], where
 X^[d] is the reduced Kronecker power over the bases of ``tmnet.basis``.
 Evaluation is one product: the blocks stacked side by side into one (dim, N)
-matrix, times the state's ``basis.monomials(X, k)``.  This module provides
-evaluation, truncated composition, and the coefficient-space symplectic
-residual used as a structure-preserving training penalty, with its gradient
-in the weights; both come from one term list compiled per (dim, order), which
-serves any number of stacked maps per evaluation.
+matrix, dotted with the state's ``basis.monomials(X, k)`` (``ndarray.dot``,
+the call a network's forward pass makes slot by slot, so the two give the
+same bytes).  This module provides evaluation, truncated composition, and
+the coefficient-space symplectic residual used as a structure-preserving
+training penalty, with its gradient in the weights; both come from one term
+list compiled per (dim, order), which serves any number of stacked maps per
+evaluation.
 """
 
 from __future__ import annotations
@@ -107,7 +109,7 @@ def _evaluate(stacked: np.ndarray, k: int, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 1:
         raise ValueError(f"state must be a 1-d vector, got shape {X.shape}")
-    return stacked @ basis.monomials(X, k)
+    return stacked.dot(basis.monomials(X, k))
 
 
 @dataclass(frozen=True)
@@ -173,29 +175,6 @@ def _canonical_J(n: int) -> np.ndarray:
     J[range(1, n, 2), range(0, n, 2)] = -1.0
     J.flags.writeable = False
     return J
-
-
-@lru_cache(maxsize=None)
-def _jacobian_table(n: int, e: int) -> tuple[np.ndarray, np.ndarray]:
-    """Degree-(e+1) position T[p, i] of monomial p times x_i, and the
-    exponent of x_i there: the degree-e coefficients of d(W X^[e+1])/dx_i
-    are W[:, T[:, i]] * scale[:, i]."""
-    T = basis._mult_table(n, e, 1)
-    scale = basis.exponent_matrix(n, e + 1)[T, np.arange(n)].astype(float)
-    scale.flags.writeable = False
-    return T, scale
-
-
-def _jacobian_series(weights, n: int, k: int) -> list[np.ndarray]:
-    """Jacobian coefficients of the order-k polynomials over n variables whose
-    blocks weights lists (leading axes index the polynomials): entry e, for
-    e = 0..k-1, has shape (..., rows, n, basis_size(n, e)) and [..., r, i, :]
-    holds the degree-e coefficients of d(output r)/dx_i."""
-    out = []
-    for e in range(k):
-        T, scale = _jacobian_table(n, e)
-        out.append(np.swapaxes(weights[e + 1][..., T] * scale, -1, -2))
-    return out
 
 
 @lru_cache(maxsize=None)

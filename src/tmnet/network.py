@@ -12,19 +12,23 @@ map's stacked (dim, N) weights with the state's monomials.  A pass checks its
 states once, after the last slot; a divergence names the first non-finite
 layer and the norm of the last finite state.
 
-The forward pass builds each slot's monomials on Python floats and takes
-the product with the group's weights in numpy, so its states are those of
-TaylorMap.apply bit for bit.
+The forward pass builds each slot's monomials on Python floats in a
+preallocated row and dots the group's weights with it into the next state's
+row, the call TaylorMap.apply makes, so its states are apply's bit for bit.
 
-Gradients are exact: reverse accumulation through the layer Jacobians, with
-per-slot weight gradients summed within each sharing group, plus the analytic
-penalty gradient.  The Jacobians and weight gradients are batched numpy
-products; the adjoint recursion between them runs on Python floats, in a
-loop generated per dimension.  Training is deterministic full-batch Adam on
-the single observed series, with global gradient-norm clipping.  It runs on
-one stacked (groups, dim, N) array W, W[g] being group g's stacked matrix;
-gradients and Adam's moments share that layout, and TaylorMaps are built
-from it only at checkpoints and at the end.
+Gradients are exact: reverse accumulation (Griewank & Walther, Evaluating
+Derivatives, 2008), plus the analytic penalty gradient.  One pass generated
+per dimension and order runs on Python floats: the masked data term and its
+seeds, then the adjoint from the last slot to the first, through the weights
+and the monomials' exponents with no Jacobian matrix.  The weight gradients
+of every degree and group are one numpy product of the adjoints with the
+monomials.  loss and backward share this path, so they have one objective.
+
+Training is deterministic full-batch Adam on the single observed series,
+with global gradient-norm clipping.  It runs on one stacked (groups, dim, N)
+array W, W[g] being group g's stacked matrix; gradients and Adam's moments
+share that layout, and TaylorMaps are built from it only at checkpoints and
+at the end.
 """
 
 import math
@@ -65,12 +69,14 @@ class ObservationSeries:
 
     values[r] holds the observation at taps[r]; mask[r, c] marks component c
     as observed there.  Unobserved entries carry no value and are stored as
-    NaN.
+    NaN.  rows[r] is (taps[r], *values[r], *mask[r]) on Python scalars, built
+    once for the reverse pass of every epoch.
     """
 
     taps: tuple[int, ...]
     values: np.ndarray
     mask: np.ndarray
+    rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         taps = _check_boundaries("taps", self.taps)
@@ -88,6 +94,8 @@ class ObservationSeries:
         object.__setattr__(self, "taps", taps)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "rows", tuple(
+            (t, *v, *m) for t, v, m in zip(taps, values.tolist(), mask.tolist())))
 
     @property
     def observed_count(self) -> int:
@@ -165,12 +173,14 @@ def _forward_states(net: Network, W, X0):
     powers = np.empty((net.n_layers, W.shape[-1]))
     states[0] = X
     monomials, x = basis._monomial_function(net.dim, net.order), X.tolist()
+    groups = list(W)
+    slots = zip([groups[g] for g in net.layer_groups], powers, states[1:])
     # overflow here means divergence, which is detected and raised below
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, g in enumerate(net.layer_groups):
-            powers[j] = monomials(*x)
-            np.matmul(W[g], powers[j], out=states[j + 1])
-            x = states[j + 1].tolist()
+        for w, row, out in slots:
+            row[:] = monomials(*x)
+            w.dot(row, out)
+            x = out.tolist()
         finite = np.isfinite(states[1:]).all(axis=1)
     if not finite.all():
         j = int(np.argmin(finite)) + 1
@@ -207,24 +217,6 @@ def _check_observations(net: Network, obs: ObservationSeries) -> None:
         raise ValueError("observation series has no observed entries")
 
 
-def _data_term(net: Network, W, X0, obs: ObservationSeries):
-    """Forward pass and masked mean squared error over the observed entries.
-
-    Returns (states, powers, data, seeds) where states and powers come from
-    _forward_states and seeds[t] is the data gradient on the state at slot
-    boundary t (zero away from the observed entries).
-    """
-    _check_observations(net, obs)
-    states, powers = _forward_states(net, W, X0)
-    n_obs = obs.observed_count
-    taps = list(obs.taps)
-    diff = np.where(obs.mask, states[taps] - obs.values, 0.0)
-    seeds = np.zeros_like(states)
-    seeds[taps] = 2.0 * diff / n_obs
-    data = sum(np.einsum("ij,ij->i", diff, diff).tolist()) / n_obs
-    return states, powers, data, seeds
-
-
 def _with_penalty(data: float, grads, W, n: int, k: int, penalty_rate: float):
     """Add the symplectic penalty of the stacked group weights W to a data term.
 
@@ -238,50 +230,103 @@ def _with_penalty(data: float, grads, W, n: int, k: int, penalty_rate: float):
     if n % 2 == 0:
         want = grads is not None and penalty_rate != 0.0
         _, per_group, penalty_grads = maps._residual_penalty(W, k, want)
-        penalty = sum(per_group.tolist())
+        # left to right, as builtin sum() compensates from Python 3.12 on
+        for p in per_group.tolist():
+            penalty += p
         if want:
             grads += penalty_rate * penalty_grads
     triple = (data + penalty_rate * penalty, data, penalty)
     return triple if grads is None else (grads, triple)
 
 
+@lru_cache(maxsize=None)
+def _reverse_function(n: int, k: int):
+    """f(weights, groups, powers, states, rows, n_obs) -> (data, seeds,
+    adjoints): the data term and the reverse pass of a chain of order-k
+    slots over n variables, generated as straight-line Python on floats and
+    compiled.
+
+    weights[g] is group g's stacked (n, N) matrix, flat and row-major;
+    groups, powers and states list the slots' groups, the monomials of
+    their inputs and the boundary states; rows and n_obs are the series'
+    rows and observed_count.  First, tap by tap, the observed differences d
+    give the masked mean squared error and the seeds 2 d / n_obs, one row
+    per boundary, zero where nothing is observed.  Then, from the last slot
+    to the first, the adjoint a at a slot's output is its seed plus the
+    adjoint at the next slot's input, and the adjoint b at its input needs
+    no Jacobian: c_s = sum_r a_r w[r, s] for every column s of degree >= 1,
+    then b_i = sum_s e_s[i] c_s m_(s - 1_i) over the columns whose exponents
+    e_s hold x_i.  adjoints lists the output adjoints flat, from the last
+    slot to the first.  Every sum is written out and added left to right
+    (not with sum(), which compensates from Python 3.12 on).
+    """
+    E = basis._stacked_exponents(n, k)[0].astype(int).tolist()
+    column = {tuple(e): s for s, e in enumerate(E)}
+    x, v, o, d, a, sd = ([f"{c}{i}" for i in range(n)] for c in "xvodas")
+    m = [f"m{s}" for s in range(len(E))]
+    w = [f"w{r}_{s}" for r in range(n) for s in range(len(E))]
+
+    def term(s, i):
+        # column s's share of b_i: c_s times d m_s / d x_i = e_s[i] m_(s - 1_i)
+        p = column[tuple(e - (j == i) for j, e in enumerate(E[s]))]
+        t = f"c{s}" if p == 0 else f"c{s} * m{p}"
+        return t if E[s][i] == 1 else f"{E[s][i]}.0 * {t}"
+
+    columns = range(1, len(E))
+    b = [" + ".join(term(s, i) for s in columns if E[s][i]) for i in range(n)]
+    source = "\n".join([
+        "def reverse(weights, groups, powers, states, rows, n_obs):",
+        f"    seeds = [{(0.0,) * n}] * len(states)",
+        "    data = 0.0",
+        f"    for t, {', '.join(v)}, {', '.join(o)} in rows:",
+        f"        {', '.join(x)}, = states[t]",
+        *(f"        {d[i]} = {x[i]} - {v[i]} if {o[i]} else 0.0" for i in range(n)),
+        f"        data += {' + '.join(f'{di} * {di}' for di in d)}",
+        f"        seeds[t] = {', '.join(f'2.0 * {di} / n_obs' for di in d)},",
+        f"    {' = '.join(a)} = 0.0",
+        "    adjoints = []",
+        f"    for g, [{', '.join(m)}], [{', '.join(sd)}] in "
+        "zip(reversed(groups), reversed(powers), seeds[:0:-1]):",
+        f"        {', '.join(w)}, = weights[g]",
+        *(f"        {a[i]} += {sd[i]}" for i in range(n)),
+        f"        adjoints += {', '.join(a)},",
+        *(f"        c{s} = {' + '.join(f'{a[r]} * w{r}_{s}' for r in range(n))}"
+          for s in columns),
+        f"        {', '.join(a)}, = {', '.join(b)},",
+        "    return data / n_obs, seeds, adjoints",
+    ])
+    return basis._compiled(source, f"<reverse pass of order-{k} slots over {n} variables>",
+                           "reverse")
+
+
+@lru_cache(maxsize=8)
+def _group_onehot(layer_groups: tuple[int, ...]) -> np.ndarray:
+    """(groups, 1, slots) array, 1.0 where the slot belongs to the group."""
+    slot = np.array(layer_groups)
+    onehot = (slot == np.arange(slot.max() + 1)[:, None])[:, None, :].astype(float)
+    onehot.flags.writeable = False
+    return onehot
+
+
+def _rollout(net: Network, W, X0, obs: ObservationSeries):
+    """(states, powers, data, seeds, adjoints): the forward pass of
+    _forward_states, then, from _reverse_function, the masked mean squared
+    error over the observed entries, the data gradient on every boundary
+    state and the adjoint at every slot output, shape (n_layers, dim)."""
+    _check_observations(net, obs)
+    states, powers = _forward_states(net, W, X0)
+    data, seeds, adjoints = _reverse_function(net.dim, net.order)(
+        W.reshape(len(W), -1).tolist(), net.layer_groups, powers.tolist(),
+        states.tolist(), obs.rows, obs.observed_count)
+    return states, powers, data, seeds, np.array(adjoints).reshape(-1, net.dim)[::-1]
+
+
 def loss(net: Network, X0, obs: ObservationSeries, penalty_rate: float):
     """(total, data, penalty): masked mean squared error over observed
     entries plus penalty_rate times the summed group penalties."""
     W = _stack(net)
-    _, _, data, _ = _data_term(net, W, X0, obs)
+    data = _rollout(net, W, X0, obs)[2]
     return _with_penalty(data, None, W, net.dim, net.order, penalty_rate)
-
-
-@lru_cache(maxsize=None)
-def _adjoint_function(n: int):
-    """f(jacs, seeds): the adjoint recursion of a chain of dim-n slots,
-    generated as straight-line Python on floats and compiled.
-
-    jacs and seeds list, from the last slot to the first, each slot's
-    Jacobian (row-major, [r * n + i] = d output_r / dx_i) and the data
-    gradient on its output state.  Going backwards, the adjoint at a slot's
-    output is the seed plus the adjoint at the next slot's input, and the
-    adjoint at its input is jac^T times that; f returns the output adjoints
-    in the order given.  Each entry of jac^T a is written out as
-    j_0i * a_0 + j_1i * a_1 + ..., summed left to right (not with sum(),
-    which compensates its sums from Python 3.12 on).
-    """
-    a = [f"a{i}" for i in range(n)]
-    j = [f"j{i}" for i in range(n * n)]
-    s = [f"s{i}" for i in range(n)]
-    products = [" + ".join(f"{j[r * n + i]} * {a[r]}" for r in range(n)) for i in range(n)]
-    source = "\n".join([
-        "def adjoints(jacs, seeds):",
-        f"    {' = '.join(a)} = 0.0",
-        "    out = []",
-        f"    for [{', '.join(j)}], [{', '.join(s)}] in zip(jacs, seeds):",
-        *(f"        {ai} += {si}" for ai, si in zip(a, s)),
-        f"        out.append(({', '.join(a)},))",
-        f"        {', '.join(a)}, = {', '.join(products)},",
-        "    return out",
-    ])
-    return basis._compiled(source, f"<adjoint recursion of dim-{n} slots>", "adjoints")
 
 
 def backward(net: Network, W, X0, obs: ObservationSeries, penalty_rate: float):
@@ -289,33 +334,17 @@ def backward(net: Network, W, X0, obs: ObservationSeries, penalty_rate: float):
 
     Returns (grads, (total, data, penalty)) where grads has W's shape
     (groups, dim, N); degree d is the column slice [..., sl[d]] with sl from
-    basis._stacked_exponents.  Only the adjoint recursion runs slot by slot,
-    on floats (_adjoint_function); the slot Jacobians are one batched product
-    over all slots and the weight gradients one per degree.
+    basis._stacked_exponents.  The data term and the adjoints come from one
+    generated pass on floats (_rollout); the weight gradients of every
+    degree and group are then one product, the adjoints of each group's
+    slots times their monomials.
     """
-    states, powers, data, seeds = _data_term(net, W, X0, obs)
-    n, G = net.dim, W.shape[0]
-    _, sl = basis._stacked_exponents(n, net.order)
-    slot = np.array(net.layer_groups)
+    _, powers, data, _, adjoints = _rollout(net, W, X0, obs)
     # overflow here means divergence, which the caller detects from the
     # non-finite gradient norm
     with np.errstate(over="ignore", invalid="ignore"):
-        # each group's Jacobian series, then every slot's Jacobian at its
-        # input state as one product with the monomials of degrees 0..order-1
-        series = np.concatenate(
-            maps._jacobian_series([W[..., s] for s in sl], n, net.order), -1)
-        M = series.shape[-1]
-        jac = (series[slot] @ powers[:, None, :M, None])[..., 0]
-
-        # the adjoint recursion takes and gives its slots last to first
-        adjoints = _adjoint_function(n)(jac[::-1].reshape(-1, n * n).tolist(),
-                                        seeds[:0:-1].tolist())
-        adjoints = np.array(adjoints[::-1])
-
-        # adjoints of each group's slots, the others zeroed: (G, dim, slots)
-        by_group = np.swapaxes((slot == np.arange(G)[:, None])[:, :, None] * adjoints, 1, 2)
-        grads = np.concatenate([by_group @ powers[:, s] for s in sl], axis=-1)
-    return _with_penalty(data, grads, W, n, net.order, penalty_rate)
+        grads = (_group_onehot(net.layer_groups) * adjoints.T) @ powers
+    return _with_penalty(data, grads, W, net.dim, net.order, penalty_rate)
 
 
 # Adam's beta1 and epsilon, the defaults of Kingma & Ba (ICLR 2015, arXiv:1412.6980)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tmnet import basis, maps
+from tmnet import basis
 
 # deterministic property runs that leave no example database behind
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -142,17 +142,39 @@ def test_kron_power_degree_zero_and_one():
     assert basis.kron_power(X, 1).tolist() == X.tolist()
 
 
+def jacobian_table(n: int, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """Degree-(e+1) position T[p, i] of monomial p times x_i, and the
+    exponent of x_i there: the degree-e coefficients of d(W X^[e+1])/dx_i
+    are W[:, T[:, i]] * scale[:, i]."""
+    T = basis._mult_table(n, e, 1)
+    scale = basis.exponent_matrix(n, e + 1)[T, np.arange(n)].astype(float)
+    return T, scale
+
+
+def jacobian_series(weights, n: int, k: int) -> list[np.ndarray]:
+    """Jacobian coefficients of the order-k polynomials over n variables whose
+    blocks weights lists (leading axes index the polynomials): entry e, for
+    e = 0..k-1, has shape (..., rows, n, basis_size(n, e)) and [..., r, i, :]
+    holds the degree-e coefficients of d(output r)/dx_i.  The reference
+    reverse pass of the network tests builds its slot Jacobians from it."""
+    out = []
+    for e in range(k):
+        T, scale = jacobian_table(n, e)
+        out.append(np.swapaxes(weights[e + 1][..., T] * scale, -1, -2))
+    return out
+
+
 def test_jacobian_tables_match_finite_differences():
-    # d(X^[d])/dX from the one Jacobian table, as the reverse pass and the
-    # symplectic residual use it: the Jacobian series of the polynomial whose
-    # degree-d block is the identity, times the monomials of X
+    # d(X^[d])/dX from the Jacobian table: the Jacobian series of the
+    # polynomial whose degree-d block is the identity, times the monomials
+    # of X
     rng = np.random.default_rng(1)
     h = 1e-6
     for n, d in [(2, 2), (3, 3), (4, 2)]:
         X = rng.normal(size=n)
         N = basis.basis_size(n, d)
         blocks = [np.zeros((N, basis.basis_size(n, e))) for e in range(d)] + [np.eye(N)]
-        series = np.concatenate(maps._jacobian_series(blocks, n, d), axis=-1)
+        series = np.concatenate(jacobian_series(blocks, n, d), axis=-1)
         J = series @ basis.monomials(X, d - 1)
         assert J.shape == (N, n)
         for j in range(n):

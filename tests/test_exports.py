@@ -22,8 +22,10 @@ MODULES = ("basis", "maps", "ode", "network", "systems", "lattice", "io", "cli")
 # symplectic_residual / symplectic_penalty, network._forward_states and the
 # stacked training state, the one Jacobian table in maps, the one RK4 entry
 # point reference_trajectory, observe_one_turn, the compiled symplectic
-# residual, the generated oracle substeps, and the weight flow compiled on
-# the stacked layout
+# residual, the generated oracle substeps, the weight flow compiled on the
+# stacked layout, and the generated reverse pass, which needs no Jacobian
+# (it retired the adjoint loop and the maps Jacobian table and series; the
+# tests keep the table and series as the reference reverse pass)
 DELETED = (
     ("basis", "kron_power_jacobian"),
     ("basis", "lift_linear"),
@@ -40,6 +42,9 @@ DELETED = (
     ("ode", "_term_rhs"),
     ("ode", "weight_flow_rhs"),
     ("ode", "_blocks"),
+    ("network", "_adjoint_function"),
+    ("maps", "_jacobian_series"),
+    ("maps", "_jacobian_table"),
 )
 
 

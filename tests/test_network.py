@@ -12,6 +12,8 @@ from hypothesis.extra import numpy as hnp
 
 from tmnet import basis, lattice, maps, network, ode, systems
 
+from test_basis import jacobian_series
+
 
 def _random_map(rng, n, k, scale=0.3):
     weights = tuple(
@@ -109,7 +111,8 @@ def test_data_term_equals_per_tap_loop():
     mask[1] = False
     mask[4, 0] = True
     obs = network.ObservationSeries(taps=(2, 3, 5, 8, 9), values=values, mask=mask)
-    states, _, data, seeds = network._data_term(net, network._stack(net), X0, obs)
+    states, _, data, seeds, _ = network._rollout(net, network._stack(net), X0, obs)
+    seeds = np.array(seeds)
     n_obs = obs.observed_count
     sq, want = 0.0, np.zeros((10, 4))
     for r, t in enumerate(obs.taps):
@@ -314,6 +317,27 @@ def test_loss_penalty_sums_distinct_groups_once():
     assert total == pytest.approx(data + lam * want, rel=1e-13)
 
 
+def test_group_penalties_add_left_to_right_on_every_python():
+    # penalties of about 1, 1e-16 and 1e-16: each small one is below half an
+    # ulp of the first, so adding left to right keeps the first, while a
+    # compensated sum (builtin sum() from Python 3.12 on) rounds up one ulp
+    scales = (math.sqrt(1.75), 1.0 + 3.5e-9, 1.0 + 3.5e-9)
+    group_maps = [maps.TaylorMap(dim=2, order=1, weights=(np.zeros((2, 1)), s * np.eye(2)))
+                  for s in scales]
+    per_group = [maps.symplectic_penalty(tm) for tm in group_maps]
+    assert per_group[0] == pytest.approx(1.125) and per_group[1] == pytest.approx(1e-16, rel=0.1)
+    plain = per_group[0] + per_group[1] + per_group[2]
+    assert plain != math.fsum(per_group)
+    net = network.Network(group_maps=group_maps, layer_groups=(0, 1, 2))
+    X0 = np.array([0.1, -0.2])
+    obs = _full_obs(network.forward(net, X0) + 0.01)
+    assert network.loss(net, X0, obs, 1.0)[2] == plain
+    _, report = network.train_one_shot(net, X0, obs, network.TrainConfig(epochs=1,
+                                                                         penalty_rate=1.0))
+    assert report.penalty[0] == plain
+    assert report.total[0] == report.data[0] + plain
+
+
 def test_loss_rejects_foreign_taps_and_empty_observations():
     net = network.build_shared_chain(maps.identity_map(2, 2), 3)
     X0 = np.zeros(2)
@@ -406,31 +430,43 @@ def test_shared_gradient_equals_sum_of_untied_slots():
         assert np.allclose(g_shared[0][:, sl[d]], summed, rtol=1e-10, atol=1e-12)
 
 
-def _numpy_adjoint_function(n):
-    """The numpy loop that backward ran before its adjoint recursion was
-    generated on floats, behind the interface of network._adjoint_function
-    (slots from the last to the first)."""
+def _numpy_backward(net, W, X0, obs, penalty_rate):
+    """backward as the numpy loop it replaced: the masked residual at the
+    taps, each slot's Jacobian from the Jacobian series at its input
+    monomials, the adjoint recursion as jac.T @ adj from the last slot to
+    the first, and one weight-gradient product per degree."""
+    states, powers = network._forward_states(net, W, X0)
+    n, k = net.dim, net.order
+    taps = list(obs.taps)
+    diff = np.where(obs.mask, states[taps] - obs.values, 0.0)
+    seeds = np.zeros_like(states)
+    seeds[taps] = 2.0 * diff / obs.observed_count
+    data = float(np.sum(diff * diff)) / obs.observed_count
+    _, sl = basis._stacked_exponents(n, k)
+    series = np.concatenate(jacobian_series([W[..., s] for s in sl], n, k), -1)
+    adjoints = np.zeros((net.n_layers, n))
+    adj = np.zeros(n)
+    for j in range(net.n_layers, 0, -1):
+        adj = adj + seeds[j]
+        adjoints[j - 1] = adj
+        jac = series[net.layer_groups[j - 1]] @ powers[j - 1, :series.shape[-1]]
+        adj = jac.T @ adj
+    onehot = np.array(net.layer_groups) == np.arange(len(W))[:, None]
+    grads = np.concatenate([(onehot[:, None, :] * adjoints.T) @ powers[:, s] for s in sl], -1)
+    return network._with_penalty(data, grads, W, n, k, penalty_rate)
 
-    def adjoints(jacs, seeds):
-        jac = np.array(jacs).reshape(-1, n, n)[::-1]
-        seeds = np.vstack([np.zeros((1, n)), np.array(seeds)[::-1]])
-        out = np.zeros((len(jac), n))
-        adj = np.zeros(n)
-        for j in range(len(jac), 0, -1):
-            adj = adj + seeds[j]
-            out[j - 1] = adj
-            adj = jac[j - 1].T @ adj
-        return out[::-1].tolist()
 
-    return adjoints
+# (n, k), with ids "n" at order 2 and "n-kk" at orders 1 and 3
+_ADJOINT_CASES = [(n, k) for k in (2, 1, 3) for n in (1, 3, 4, 5, 6)]
 
 
-@pytest.mark.parametrize("n", [1, 3, 4, 5, 6])
+@pytest.mark.parametrize("n, k", _ADJOINT_CASES,
+                         ids=[f"{n}" if k == 2 else f"{n}-k{k}" for n, k in _ADJOINT_CASES])
 @pytest.mark.parametrize("layer_groups", [(0,) * 7, (0, 1, 0, 2, 1, 2, 0)],
                          ids=["shared", "untied"])
-def test_float_adjoints_match_the_numpy_loop(monkeypatch, n, layer_groups):
+def test_float_adjoints_match_the_numpy_loop(n, k, layer_groups):
+    # every dimension up to 6 at orders 1-3, (6, 3) the largest generated pass
     rng = np.random.default_rng(60 + n)
-    k = 2
     groups = max(layer_groups) + 1
     net = network.Network(group_maps=[_random_map(rng, n, k, scale=0.2) for _ in range(groups)],
                           layer_groups=layer_groups)
@@ -441,11 +477,13 @@ def test_float_adjoints_match_the_numpy_loop(monkeypatch, n, layer_groups):
     obs = network.ObservationSeries(taps=tuple(range(1, 8)), values=values, mask=mask)
     W = network._stack(net)
     got, losses = network.backward(net, W, X0, obs, 1e-3)
-    monkeypatch.setattr(network, "_adjoint_function", _numpy_adjoint_function)
-    want, want_losses = network.backward(net, W, X0, obs, 1e-3)
-    assert losses == want_losses
-    assert np.abs(want).max() > 0
-    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+    want, want_losses = _numpy_backward(net, W, X0, obs, 1e-3)
+    # the two sum in different orders, and entries that cancel to a small
+    # share of the largest keep the rounding of the largest
+    scale = np.abs(want).max()
+    assert scale > 0
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14 * scale)
+    np.testing.assert_allclose(losses, want_losses, rtol=1e-13, atol=0)
 
 
 def test_backward_matches_central_differences_on_untied_network():
