@@ -70,7 +70,8 @@ class ObservationSeries:
     values[r] holds the observation at taps[r]; mask[r, c] marks component c
     as observed there.  Unobserved entries carry no value and are stored as
     NaN.  rows[r] is (taps[r], *values[r], *mask[r]) on Python scalars, built
-    once for the reverse pass of every epoch.
+    once for the reverse pass of every epoch; values and mask are read-only
+    copies, so rows cannot go stale.
     """
 
     taps: tuple[int, ...]
@@ -91,6 +92,8 @@ class ObservationSeries:
         if not np.all(np.isfinite(values[mask])):
             raise ValueError("observed entries must be finite")
         values = np.where(mask, values, np.nan)
+        mask = mask.copy()
+        values.flags.writeable = mask.flags.writeable = False
         object.__setattr__(self, "taps", taps)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "mask", mask)
@@ -281,7 +284,8 @@ def _reverse_function(n: int, k: int):
         f"    for t, {', '.join(v)}, {', '.join(o)} in rows:",
         f"        {', '.join(x)}, = states[t]",
         *(f"        {d[i]} = {x[i]} - {v[i]} if {o[i]} else 0.0" for i in range(n)),
-        f"        data += {' + '.join(f'{di} * {di}' for di in d)}",
+        # one flat chain from data, each square added in turn, not data += row sum
+        f"        data = data + {' + '.join(f'{di} * {di}' for di in d)}",
         f"        seeds[t] = {', '.join(f'2.0 * {di} / n_obs' for di in d)},",
         f"    {' = '.join(a)} = 0.0",
         "    adjoints = []",

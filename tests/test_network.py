@@ -3,6 +3,7 @@ backpropagation (finite-difference oracle), and one-shot Adam training."""
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -119,7 +120,8 @@ def test_data_term_equals_per_tap_loop():
         m = obs.mask[r]
         if m.any():
             diff = states[t][m] - obs.values[r][m]
-            sq += float(diff @ diff)
+            for di in diff.tolist():
+                sq += di * di
             want[t][m] = 2.0 * diff / n_obs
     assert seeds.shape == states.shape
     assert seeds.tobytes() == want.tobytes()
@@ -241,6 +243,23 @@ def test_observation_series_validation():
     )
     assert obs.observed_count == 2
     assert np.isnan(obs.values[0, 1])
+
+
+def test_observation_series_arrays_are_read_only_copies():
+    # rows is built once, so values and mask must not change under it
+    values = np.array([[1.0, 7.0], [2.0, 9.0]])
+    mask = np.array([[True, False], [True, True]])
+    obs = network.ObservationSeries(taps=(1, 3), values=values, mask=mask)
+    with pytest.raises(ValueError, match="read-only"):
+        obs.mask[0, 1] = True
+    with pytest.raises(ValueError, match="read-only"):
+        obs.values[1, 0] = 5.0
+    # the caller's arrays stay writable and are not shared
+    mask[1] = False
+    values[0, 0] = 3.0
+    assert obs.observed_count == 3
+    assert obs.values[0, 0] == 1.0 and obs.mask[1].all()
+    assert obs.rows[1] == (3, 2.0, 9.0, True, True)
 
 
 def _observe_at(taps):
@@ -441,7 +460,10 @@ def _numpy_backward(net, W, X0, obs, penalty_rate):
     diff = np.where(obs.mask, states[taps] - obs.values, 0.0)
     seeds = np.zeros_like(states)
     seeds[taps] = 2.0 * diff / obs.observed_count
-    data = float(np.sum(diff * diff)) / obs.observed_count
+    data = 0.0
+    for di in diff.ravel().tolist():
+        data += di * di
+    data /= obs.observed_count
     _, sl = basis._stacked_exponents(n, k)
     series = np.concatenate(jacobian_series([W[..., s] for s in sl], n, k), -1)
     adjoints = np.zeros((net.n_layers, n))
@@ -456,16 +478,7 @@ def _numpy_backward(net, W, X0, obs, penalty_rate):
     return network._with_penalty(data, grads, W, n, k, penalty_rate)
 
 
-# (n, k), with ids "n" at order 2 and "n-kk" at orders 1 and 3
-_ADJOINT_CASES = [(n, k) for k in (2, 1, 3) for n in (1, 3, 4, 5, 6)]
-
-
-@pytest.mark.parametrize("n, k", _ADJOINT_CASES,
-                         ids=[f"{n}" if k == 2 else f"{n}-k{k}" for n, k in _ADJOINT_CASES])
-@pytest.mark.parametrize("layer_groups", [(0,) * 7, (0, 1, 0, 2, 1, 2, 0)],
-                         ids=["shared", "untied"])
-def test_float_adjoints_match_the_numpy_loop(n, k, layer_groups):
-    # every dimension up to 6 at orders 1-3, (6, 3) the largest generated pass
+def _adjoint_case(n, k, layer_groups):
     rng = np.random.default_rng(60 + n)
     groups = max(layer_groups) + 1
     net = network.Network(group_maps=[_random_map(rng, n, k, scale=0.2) for _ in range(groups)],
@@ -475,15 +488,77 @@ def test_float_adjoints_match_the_numpy_loop(n, k, layer_groups):
     mask = rng.random((7, n)) < 0.6
     mask[0] = True
     obs = network.ObservationSeries(taps=tuple(range(1, 8)), values=values, mask=mask)
-    W = network._stack(net)
+    return net, network._stack(net), X0, obs
+
+
+def _exact_gradient(net, W, X0, obs):
+    """The data gradient in W in exact rational arithmetic on the float
+    forward states, rounded to floats once at the end."""
+    states, _ = network._forward_states(net, W, X0)
+    E = basis._stacked_exponents(net.dim, net.order)[0].astype(int).tolist()
+
+    def monomial(x, e):
+        return math.prod((xi ** ei for xi, ei in zip(x, e)), start=Fraction(1))
+
+    S = [[Fraction(v) for v in row] for row in states.tolist()]
+    seeds = [[Fraction(0)] * net.dim for _ in S]
+    for t, v, m in zip(obs.taps, obs.values.tolist(), obs.mask.tolist()):
+        seeds[t] = [2 * (S[t][i] - Fraction(v[i])) / obs.observed_count if m[i] else 0
+                    for i in range(net.dim)]
+    grads = [[[Fraction(0)] * len(E) for _ in range(net.dim)] for _ in W]
+    a = [Fraction(0)] * net.dim
+    for j in range(net.n_layers, 0, -1):
+        g, x = net.layer_groups[j - 1], S[j - 1]
+        a = [ai + si for ai, si in zip(a, seeds[j])]
+        for r, row in enumerate(grads[g]):
+            for s, e in enumerate(E):
+                row[s] += a[r] * monomial(x, e)
+        c = [sum((a[r] * Fraction(W[g, r, s]) for r in range(net.dim)), Fraction(0))
+             for s in range(len(E))]
+        a = [sum((e[i] * c[s] * monomial(x, [ej - (q == i) for q, ej in enumerate(e)])
+                  for s, e in enumerate(E) if e[i]), Fraction(0)) for i in range(net.dim)]
+    return np.array([[[float(v) for v in row] for row in g] for g in grads])
+
+
+# The generated pass and the numpy loop add the adjoint's terms in different
+# orders, so their adjoints differ in the last bits.  In these two cases a
+# gradient entry that cancels to a small share of its terms keeps that
+# rounding and misses rtol 1e-13 at atol 0 (by up to 4.2e-10 relative);
+# test_float_adjoints_round_like_exact_arithmetic holds both paths within
+# rounding of the exact gradient there.
+_ORDER_MISMATCH = pytest.mark.xfail(
+    raises=AssertionError, strict=True,
+    reason="summation order: a cancelled entry differs in its last bits")
+_ADJOINT_CASES = [
+    pytest.param(groups, n, k, id=f"{name}-{n}" if k == 2 else f"{name}-{n}-k{k}",
+                 marks=_ORDER_MISMATCH if (name, n, k) in [("shared", 5, 3), ("untied", 6, 3)]
+                 else ())
+    for name, groups in [("shared", (0,) * 7), ("untied", (0, 1, 0, 2, 1, 2, 0))]
+    for k in (2, 1, 3) for n in (1, 3, 4, 5, 6)]
+
+
+@pytest.mark.parametrize("layer_groups, n, k", _ADJOINT_CASES)
+def test_float_adjoints_match_the_numpy_loop(n, k, layer_groups):
+    # every dimension up to 6 at orders 1-3, (6, 3) the largest generated pass
+    net, W, X0, obs = _adjoint_case(n, k, layer_groups)
     got, losses = network.backward(net, W, X0, obs, 1e-3)
     want, want_losses = _numpy_backward(net, W, X0, obs, 1e-3)
-    # the two sum in different orders, and entries that cancel to a small
-    # share of the largest keep the rounding of the largest
-    scale = np.abs(want).max()
-    assert scale > 0
-    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14 * scale)
-    np.testing.assert_allclose(losses, want_losses, rtol=1e-13, atol=0)
+    assert losses == want_losses
+    assert np.abs(want).max() > 0
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("layer_groups, n, k", [((0,) * 7, 5, 3), ((0, 1, 0, 2, 1, 2, 0), 6, 3)],
+                         ids=["shared-5-k3", "untied-6-k3"])
+def test_float_adjoints_round_like_exact_arithmetic(n, k, layer_groups):
+    # both passes lie within a few roundings of the largest entry of the
+    # exact gradient, so their mismatch above is one of order, not of error
+    net, W, X0, obs = _adjoint_case(n, k, layer_groups)
+    exact = _exact_gradient(net, W, X0, obs)
+    bound = 4 * np.finfo(float).eps * np.abs(exact).max()
+    for grads in (network.backward(net, W, X0, obs, 0.0)[0],
+                  _numpy_backward(net, W, X0, obs, 0.0)[0]):
+        assert np.abs(grads - exact).max() <= bound
 
 
 def test_backward_matches_central_differences_on_untied_network():
