@@ -10,24 +10,24 @@ for the chosen time step, independent of any particular trajectory.  That
 weight ODE is itself a fixed polynomial of degree `order` in the weights,
 held as the row-major ravel of the stacked (dim, N) matrix that TaylorMap
 keeps, so ode_to_map compiles its term list once (_weight_flow) and each
-evaluation is one gather, one product and one scatter; basis.substitute
-computes the same right-hand side by series products and is its test
-reference.
+evaluation is one gather per factor, their product and one scatter;
+basis.substitute computes the same right-hand side by series products and
+is its test reference.
 
-Every integration runs on one fixed-step RK4 loop over a state held as a
-list of Python floats, which checks each step for divergence;
-reference_trajectory is its one public entry point.  For a PolynomialODE
-the substeps of a step run in one function generated from the ODE: the
-state lives in locals and each RK4 stage is unrolled, term by term, from
-the nonzero entries of the stacked (dim, N) coefficient matrix.  A callable
-right-hand side still receives and returns arrays, through the plain RK4
-loop on lists.
+ode_to_map runs its RK4 substeps on the raveled weights as one float64
+array and checks each substep for divergence.  reference_trajectory, the
+one public trajectory integrator, runs RK4 on a state held as a list of
+Python floats and checks each step.  For a PolynomialODE the substeps of a
+step run in one function generated from the ODE: the state lives in locals
+and each RK4 stage is unrolled, term by term, from the nonzero entries of
+the stacked (dim, N) coefficient matrix.  A callable right-hand side still
+receives and returns arrays, through the plain RK4 loop on lists.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,8 +96,9 @@ class FlowConfig:
 
 
 def _weight_flow(ode: PolynomialODE, k: int):
-    """dW/dt of the order-k weight flow, as a list of floats, at the weights w:
-    the row-major ravel of the stacked (n, N) matrix, entry (i, s) at i * N + s.
+    """dW/dt of the order-k weight flow, as a float64 array, at the weights
+    w: the row-major ravel of the stacked (n, N) matrix, entry (i, s) at
+    i * N + s.
 
     The flow is a fixed polynomial of degree ode.order in w.  Row r of P_d is
     a degree-d monomial in the map's outputs; expanding it picks one map
@@ -106,7 +107,7 @@ def _weight_flow(ode: PolynomialODE, k: int):
     column of the summed exponents.  Choices that are the same multiset of
     weights are one term, their count folded into its coefficient, and every
     term is padded to ode.order factors with a trailing 1.0.  An evaluation
-    is then one gather, one product and one scatter.
+    is then one gather per factor, their product and one scatter.
     """
     n, p = ode.dim, ode.order
     E, cols = basis._stacked_exponents(n, k)
@@ -147,14 +148,16 @@ def _weight_flow(ode: PolynomialODE, k: int):
                     F.append(gather)
     target = np.array(target, dtype=np.intp)
     coef = np.array(coef, dtype=float)
-    # one row per factor: a product over the leading axis is p - 1 whole-row
-    # multiplies, much faster than p-entry products along the last axis
-    F = np.array(F, dtype=np.intp).reshape(-1, p).T.copy()
+    # one index row per factor: p - 1 whole-row multiplies, in factor order
+    first, *rest = np.array(F, dtype=np.intp).reshape(-1, p).T.copy()
     w_ext = np.ones(size + 1)
 
     def rhs(w):
         w_ext[:size] = w
-        return np.bincount(target, coef * w_ext[F].prod(axis=0), minlength=size).tolist()
+        prod = w_ext[first]
+        for f in rest:
+            prod *= w_ext[f]
+        return np.bincount(target, coef * prod, minlength=size)
 
     return rhs
 
@@ -163,19 +166,26 @@ def ode_to_map(ode: PolynomialODE, cfg: FlowConfig) -> TaylorMap:
     """Integrate the weight flow over one step of cfg.dt from the unified
     initial condition W_1 = I; returns the order-k Taylor map of the flow."""
     n, k = ode.dim, ode.order
-    # each substep is one RK4 step, so divergence is caught at its substep;
-    # only the last finite state is kept
-    w = deque([identity_map(n, k).stacked.ravel().tolist()], maxlen=1)
+    rhs = _weight_flow(ode, k)
+    w = identity_map(n, k).stacked.ravel()
     h = cfg.dt / cfg.substeps
-    try:
-        w.extend(_rk4_steps(_list_advance(_weight_flow(ode, k)), w[0], h, cfg.substeps, 1))
-    except FlowDivergenceError as exc:
-        raise FlowDivergenceError(
-            f"weight flow diverged at t={exc.layer * h:.6g} of {cfg.dt:.6g} "
-            f"(substep {exc.layer}/{cfg.substeps}; "
-            f"last finite weight norm {math.hypot(*w[0]):.6g})", exc.layer
-        ) from None
-    W = np.array(w[0]).reshape(n, -1)
+    half, sixth = 0.5 * h, h / 6.0
+    # the stages group as in _list_advance; an overflow inside one is
+    # divergence, caught at the end of its substep with the last finite w
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(1, cfg.substeps + 1):
+            k1 = rhs(w)
+            k2 = rhs(w + half * k1)
+            k3 = rhs(w + half * k2)
+            k4 = rhs(w + h * k3)
+            nxt = w + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.isfinite(nxt).all():
+                raise FlowDivergenceError(
+                    f"weight flow diverged at t={s * h:.6g} of {cfg.dt:.6g} "
+                    f"(substep {s}/{cfg.substeps}; "
+                    f"last finite weight norm {math.hypot(*w.tolist()):.6g})", s)
+            w = nxt
+    W = w.reshape(n, -1)
     _, sl = basis._stacked_exponents(n, k)
     return TaylorMap(dim=n, order=k, weights=tuple(W[:, s] for s in sl))
 
@@ -183,7 +193,8 @@ def ode_to_map(ode: PolynomialODE, cfg: FlowConfig) -> TaylorMap:
 def _rk4_steps(advance, X: list, dt: float, steps: int, substeps: int):
     """Yield the state after each of `steps` steps of dt, each resolved by
     `substeps` RK4 steps of advance(X, h, substeps); raise
-    FlowDivergenceError at the first step that ends non-finite.
+    FlowDivergenceError at the first step that ends non-finite.  This is
+    reference_trajectory's loop, for the generated oracle and for callables.
 
     The state is a list of Python floats: per element these are the same
     IEEE operations numpy would run, without its per-call cost on a handful
@@ -210,7 +221,8 @@ def _rk4_steps(advance, X: list, dt: float, steps: int, substeps: int):
 
 def _list_advance(rhs):
     """advance(X, h, substeps) that runs RK4 on lists of floats with rhs,
-    which maps such a list to one."""
+    which maps such a list to one: reference_trajectory's loop for a
+    callable right-hand side, wrapped by _on_lists."""
 
     def advance(X, h, substeps):
         half, sixth = 0.5 * h, h / 6.0

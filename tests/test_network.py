@@ -548,11 +548,13 @@ def test_float_adjoints_match_the_numpy_loop(n, k, layer_groups):
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
-@pytest.mark.parametrize("layer_groups, n, k", [((0,) * 7, 5, 3), ((0, 1, 0, 2, 1, 2, 0), 6, 3)],
-                         ids=["shared-5-k3", "untied-6-k3"])
+@pytest.mark.parametrize("layer_groups, n, k",
+                         [pytest.param(*case.values, id=case.id) for case in _ADJOINT_CASES])
 def test_float_adjoints_round_like_exact_arithmetic(n, k, layer_groups):
     # both passes lie within a few roundings of the largest entry of the
-    # exact gradient, so their mismatch above is one of order, not of error
+    # exact gradient in every case, so the mismatches above are ones of
+    # order, not of error; unlike the comparison above, this check does not
+    # depend on how the BLAS sums
     net, W, X0, obs = _adjoint_case(n, k, layer_groups)
     exact = _exact_gradient(net, W, X0, obs)
     bound = 4 * np.finfo(float).eps * np.abs(exact).max()

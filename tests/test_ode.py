@@ -8,6 +8,7 @@ the tolerances used.
 """
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -218,6 +219,37 @@ def test_weight_flow_divergence_raises_with_location():
     ) as err:
         ode.ode_to_map(stiff, ode.FlowConfig(20.0))
     assert err.value.layer == 708
+
+
+def test_stage_overflow_with_a_constant_term_raises_at_its_substep():
+    # x' = 1 + x^2: W_0 = tan t passes its pole at pi/2, and RK4's stages
+    # square the blown-up W_0 past the float range within one substep; the
+    # overflow is divergence, reported without any floating-point warning
+    pole = ode.PolynomialODE(1, 2, (np.array([[1.0]]), np.array([[0.0]]), np.array([[1.0]])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(
+            ode.FlowDivergenceError,
+            match=r"^weight flow diverged at t=1\.8 of 3 "
+                  r"\(substep 18/30; last finite weight norm 1\.00634e\+32\)$",
+        ) as err:
+            ode.ode_to_map(pole, ode.FlowConfig(3.0, substeps=30))
+    assert err.value.layer == 18
+
+
+@pytest.mark.parametrize("index", range(9), ids=[
+    "free_fall", "free_fall_augmented", "lotka_volterra", "pendulum",
+    "rayleigh_plesset", "qf", "drift", "qd", "sextupole"])
+def test_derived_map_is_byte_equal_to_a_textbook_weight_flow(index):
+    # every built-in system and ring element at 20 substeps: the derivation
+    # runs exactly the textbook RK4 operations on the compiled flow
+    system, dt = _flow_systems()[index]
+    n, k = system.dim, system.order
+    flow = ode._weight_flow(system, k)
+    W = maps.identity_map(n, k).stacked.ravel()
+    end = _textbook_rk4(lambda w: np.array(flow(w)), W, dt, 1, 20)[-1]
+    tm = ode.ode_to_map(system, ode.FlowConfig(dt, substeps=20))
+    assert tm.stacked.ravel().tobytes() == end.tobytes()
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
