@@ -26,7 +26,10 @@ def _parse_params(pairs) -> dict:
         if "=" not in pair:
             raise ValueError(f"--param needs k=v, got {pair!r}")
         key, _, value = pair.partition("=")
-        params[key.strip()] = float(value)
+        try:
+            params[key.strip()] = float(value)
+        except ValueError as exc:
+            raise ValueError(f"--param {key.strip()} must be a number, got {value!r}") from exc
     return params
 
 

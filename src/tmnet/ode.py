@@ -9,19 +9,20 @@ the unified initial condition W_1 = I (all other blocks zero) yields the map
 for the chosen time step, independent of any particular trajectory.  That
 weight ODE is itself a fixed polynomial of degree `order` in the weights,
 held as the row-major ravel of the stacked (dim, N) matrix that TaylorMap
-keeps, so ode_to_map compiles its term list once (_weight_flow) and each
-evaluation is one gather per factor, their product and one scatter;
-basis.substitute computes the same right-hand side by series products and
-is its test reference.
+keeps, so ode_to_map builds its term list once (_flow_terms) and each
+evaluation (_weight_flow) is one gather per factor, their product and one
+scatter; basis.substitute computes the same right-hand side by series
+products and is its test reference.
 
 ode_to_map runs its RK4 substeps on the raveled weights as one float64
 array and checks each substep for divergence.  reference_trajectory, the
 one public trajectory integrator, runs RK4 on a state held as a list of
 Python floats and checks each step.  For a PolynomialODE the substeps of a
-step run in one function generated from the ODE: the state lives in locals
-and each RK4 stage is unrolled, term by term, from the nonzero entries of
-the stacked (dim, N) coefficient matrix.  A callable right-hand side still
-receives and returns arrays, through the plain RK4 loop on lists.
+step run in one function generated from the order-0 term list, which is
+the right-hand side (W_0 = X): the state lives in locals, each RK4 stage is
+unrolled term by term, and each monomial is its prefix times its last
+variable, with no **.  A callable right-hand side still receives and
+returns arrays, through the plain RK4 loop on lists.
 """
 
 from __future__ import annotations
@@ -95,27 +96,27 @@ class FlowConfig:
         object.__setattr__(self, "substeps", _count("substeps", self.substeps, 1))
 
 
-def _weight_flow(ode: PolynomialODE, k: int):
-    """dW/dt of the order-k weight flow, as a float64 array, at the weights
-    w: the row-major ravel of the stacked (n, N) matrix, entry (i, s) at
-    i * N + s.
+def _flow_terms(ode: PolynomialODE, k: int) -> list:
+    """The terms of dW/dt, the order-k weight flow, as (target, coefficient,
+    factors) with indices into the weights w: the row-major ravel of the
+    stacked (n, N) matrix, entry (i, s) at i * N + s.
 
     The flow is a fixed polynomial of degree ode.order in w.  Row r of P_d is
     a degree-d monomial in the map's outputs; expanding it picks one map
     column per factor, and a choice whose column degrees add up to at most k
     contributes P_d[o, r] times the product of its weights to output o at the
     column of the summed exponents.  Choices that are the same multiset of
-    weights are one term, their count folded into its coefficient, and every
-    term is padded to ode.order factors with a trailing 1.0.  An evaluation
-    is then one gather per factor, their product and one scatter.
+    weights are one term, their count folded into its coefficient, and
+    factors is the sorted tuple of its weights, unpadded.  Terms follow the
+    rows of P_0, ..., P_p, then the outputs; at k = 0 (W_0 = X, N = 1) they
+    are the ODE's right-hand side, term by term.
     """
-    n, p = ode.dim, ode.order
+    n = ode.dim
     E, cols = basis._stacked_exponents(n, k)
     E = E.astype(int)
     deg = E.sum(axis=1).tolist()
     column = {tuple(e): s for s, e in enumerate(E.tolist())}
     N = len(deg)
-    size = n * N
 
     def choices(factors, first, budget):
         # (variable, column) per factor; a variable's columns never decrease
@@ -128,7 +129,7 @@ def _weight_flow(ode: PolynomialODE, k: int):
             for tail in choices(rest, nxt, budget - deg[s]):
                 yield ((i, s),) + tail
 
-    target, coef, F = [], [], []
+    terms = []
     for d, P in enumerate(ode.coeffs):
         for r, e in enumerate(basis.exponent_matrix(n, d).tolist()):
             outputs = [(o, c) for o, c in enumerate(P[:, r].tolist()) if c]
@@ -141,15 +142,23 @@ def _weight_flow(ode: PolynomialODE, k: int):
                 for m in Counter(choice).values():
                     count //= math.factorial(m)
                 t = column[tuple(E[[s for _, s in choice]].sum(axis=0).tolist())]
-                gather = [i * N + s for i, s in choice] + [size] * (p - d)
-                for o, c in outputs:
-                    target.append(o * N + t)
-                    coef.append(c * count)
-                    F.append(gather)
-    target = np.array(target, dtype=np.intp)
-    coef = np.array(coef, dtype=float)
-    # one index row per factor: p - 1 whole-row multiplies, in factor order
-    first, *rest = np.array(F, dtype=np.intp).reshape(-1, p).T.copy()
+                gather = tuple(i * N + s for i, s in choice)
+                terms += [(o * N + t, c * count, gather) for o, c in outputs]
+    return terms
+
+
+def _weight_flow(ode: PolynomialODE, k: int):
+    """dW/dt of the order-k weight flow (_flow_terms), as a float64 array,
+    at the raveled weights w.  Each term is padded to ode.order factors with
+    a trailing 1.0: an evaluation is one gather per factor, their product in
+    factor order and one scatter that adds the terms in order."""
+    size = ode.dim * len(basis._stacked_exponents(ode.dim, k)[0])
+    terms = _flow_terms(ode, k)
+    target = np.array([t for t, _, _ in terms], dtype=np.intp)
+    coef = np.array([c for _, c, _ in terms], dtype=float)
+    # one index row per factor: order - 1 whole-row multiplies, in factor order
+    F = [f + (size,) * (ode.order - len(f)) for _, _, f in terms]
+    first, *rest = np.array(F, dtype=np.intp).reshape(-1, ode.order).T.copy()
     w_ext = np.ones(size + 1)
 
     def rhs(w):
@@ -198,20 +207,13 @@ def _rk4_steps(advance, X: list, dt: float, steps: int, substeps: int):
 
     The state is a list of Python floats: per element these are the same
     IEEE operations numpy would run, without its per-call cost on a handful
-    of entries.
+    of entries; like numpy's, they overflow to inf and never raise.
     """
     h = dt / substeps
     for s in range(steps):
-        try:
-            # overflow in a callable's numpy code means divergence, which is
-            # detected and raised below
-            with np.errstate(over="ignore", invalid="ignore"):
-                Y = advance(X, h, substeps)
-            finite = all(map(math.isfinite, Y))
-        except OverflowError:
-            # Python's ** raises where numpy's returns inf
-            finite = False
-        if not finite:
+        with np.errstate(over="ignore", invalid="ignore"):
+            Y = advance(X, h, substeps)
+        if not all(map(math.isfinite, Y)):
             msg = (f"trajectory diverged at t={(s + 1) * dt:.6g} (step {s + 1}/{steps}; "
                    f"last finite state norm {math.hypot(*X):.6g})")
             raise FlowDivergenceError(msg, s + 1)
@@ -258,38 +260,32 @@ def _term_advance(ode: PolynomialODE):
     generated as straight-line Python for this ODE and compiled.
 
     The state is held in locals x0..x{n-1}, and each stage is unrolled from
-    the nonzero columns of the stacked matrix: a monomial multiplies
-    x_i ** e_i over its variables in order (x ** 1 is x), and each row starts
-    at 0.0 and adds its c * m terms in column order, one statement per term
-    so that any number of terms compiles.  The stages combine with the
-    groupings of _list_advance.  These are the operations of
-    PolynomialODE.rhs without its zero terms; its BLAS product may group or
-    fuse the sums differently, by an ulp or so.  The source holds only
-    generated names, int exponents and the reprs of the (finite)
-    coefficients.
+    _flow_terms(ode, 0): each distinct monomial is formed once, as its prefix
+    times its last variable (the products of basis.monomials, with no **),
+    and each output starts at 0.0 and adds c * m per term, in term order, one
+    statement per term so that any number of terms compiles.  These are the
+    operations of _weight_flow(ode, 0); PolynomialODE.rhs, a BLAS product,
+    may group or fuse the sums differently, by an ulp or so.  The source
+    holds only generated names and the reprs of the (finite) coefficients.
     """
     n = ode.dim
-    E, _ = basis._stacked_exponents(n, ode.order)
-    S = ode.stacked
-    cols = np.flatnonzero(S.any(axis=0)).tolist()
-    powers = [[(i, int(e)) for i, e in enumerate(E[j].tolist()) if e] for j in cols]
-    x = [f"x{i}" for i in range(n)]
-    y = [f"y{i}" for i in range(n)]
+    terms = _flow_terms(ode, 0)
+    x, y = ([f"{v}{i}" for i in range(n)] for v in "xy")
 
     def stage(out, state):
         # dX/dt at the variables named in state, into out0..out{n-1}
-        lines, monomial = [], {}
-        for j, p in zip(cols, powers):
-            factors = [state[i] if e == 1 else f"{state[i]} ** {e}" for i, e in p]
-            if len(factors) == 1 and factors[0] in state:
-                monomial[j] = factors[0]
-            else:
-                monomial[j] = f"m{j}"
-                lines.append(f"m{j} = {' * '.join(factors) or '1.0'}")
-        for i in range(n):
-            lines.append(f"{out}{i} = 0.0")
-            lines += [f"{out}{i} += {float(S[i, j])!r} * {monomial[j]}"
-                      for j in cols if S[i, j]]
+        lines = [f"{out}{i} = 0.0" for i in range(n)]
+        names = {(): "1.0", **{(i,): v for i, v in enumerate(state)}}
+
+        def monomial(f):
+            if f not in names:
+                prefix = monomial(f[:-1])
+                names[f] = f"m{len(names)}"
+                lines.append(f"{names[f]} = {prefix} * {state[f[-1]]}")
+            return names[f]
+
+        for o, c, f in terms:
+            lines.append(f"{out}{o} += {c!r} * {monomial(f)}")
         return lines
 
     def update(step, k):

@@ -230,6 +230,8 @@ def test_error_exits(tmp_path, capsys):
         (("derive", "--system", "nope", "--dt", "0.1", "--out", out), "unknown system"),
         (("derive", "--system", "free_fall", "--param", "m", "--dt", "0.1",
           "--out", out), "--param needs k=v"),
+        (("derive", "--system", "pendulum", "--param", "L=abc", "--dt", "0.1",
+          "--out", out), "--param L must be a number, got 'abc'"),
         (("derive", "--dt", "0.1", "--out", out), "need --system"),
         (("track", "--lattice", tmp_path / "missing.json", "--x0", "0,0,0,0",
           "--turns", "5", "--out", out), "missing.json"),

@@ -437,12 +437,14 @@ def test_reference_trajectory_accepts_ode_or_callable():
 
 def _term_rhs(system):
     # dX/dt on a list of floats from the nonzero columns of the stacked
-    # matrix: each monomial multiplies x_i ** e_i over its variables in order
-    # (x ** 1 is x), each row starts at 0.0 and adds its terms in column order
+    # matrix: each monomial multiplies its variables left to right, x_i
+    # repeated e_i times (the prefix products of the generated oracle, where
+    # x ** 3 and x * x * x can differ by an ulp); each row starts at 0.0 and
+    # adds its terms in column order
     E, _ = basis._stacked_exponents(system.dim, system.order)
     S = system.stacked
     cols = np.flatnonzero(S.any(axis=0)).tolist()
-    factors = [[(i, int(e)) for i, e in enumerate(E[j].tolist()) if e] for j in cols]
+    factors = [[i for i, e in enumerate(E[j].tolist()) for _ in range(int(e))] for j in cols]
     rows = [[(float(S[i, j]), c) for c, j in enumerate(cols) if S[i, j]]
             for i in range(system.dim)]
 
@@ -450,8 +452,8 @@ def _term_rhs(system):
         m = []
         for f in factors:
             v = 1.0
-            for i, e in f:
-                v *= X[i] if e == 1 else X[i] ** e
+            for i in f:
+                v *= X[i]
             m.append(v)
         out = []
         for row in rows:
@@ -471,9 +473,10 @@ def _textbook_on_terms(system, X0, dt, steps, substeps):
 
 def test_reference_trajectory_keeps_the_bytes_of_a_textbook_loop_on_rhs():
     # the generated substeps against the textbook loop on the term-by-term
-    # evaluator, on the trajectories the benchmark and the acceptance checks
-    # integrate; every state is also checked against the stacked product
-    # PolynomialODE.rhs
+    # evaluator and on the order-0 weight flow, the term list they are
+    # generated from, on the trajectories the benchmark and the acceptance
+    # checks integrate; every state is also checked against the stacked
+    # product PolynomialODE.rhs
     ring = lattice.build_fodo_ring(substeps=10)
     cases = [
         (systems.lotka_volterra(), [0.5, 0.5], 0.01, 40, 100),
@@ -491,6 +494,8 @@ def test_reference_trajectory_keeps_the_bytes_of_a_textbook_loop_on_rhs():
         got = ode.reference_trajectory(system, np.array(X0), dt, steps, substeps)
         want = _textbook_on_terms(system, X0, dt, steps, substeps)
         assert got.tobytes() == want.tobytes(), (system, X0)
+        flow = _textbook_rk4(ode._weight_flow(system, 0), X0, dt, steps, substeps)
+        assert got.tobytes() == flow.tobytes(), (system, X0)
         _near_stacked_product(system, got)
 
 
@@ -513,7 +518,8 @@ def test_rayleigh_plesset_oracle_is_near_the_stacked_product():
 @given(st.data(), st.integers(1, 5), st.integers(1, 3))
 def test_term_list_evaluator_is_near_the_stacked_product(data, n, k):
     # dense ODEs: the generated substeps keep the bytes of the textbook loop
-    # on the term-by-term evaluator, and both stay near the stacked product
+    # on the term-by-term evaluator and on the order-0 weight flow, and stay
+    # near the stacked product
     coeff = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
     blocks = tuple(
         data.draw(hnp.arrays(np.float64, (n, basis.basis_size(n, d)), elements=coeff))
@@ -523,6 +529,8 @@ def test_term_list_evaluator_is_near_the_stacked_product(data, n, k):
     X0 = data.draw(hnp.arrays(np.float64, (n,), elements=st.floats(-1, 1)))
     got = ode.reference_trajectory(system, X0, 0.001, 5)
     assert got.tobytes() == _textbook_on_terms(system, X0, 0.001, 5, 100).tobytes()
+    flow = _textbook_rk4(ode._weight_flow(system, 0), X0, 0.001, 5, 100)
+    assert got.tobytes() == flow.tobytes()
     _near_stacked_product(system, got)
 
 
@@ -542,16 +550,15 @@ def test_generated_oracle_compiles_rows_of_more_than_5000_terms():
 
 
 def test_overflowing_power_is_divergence_at_its_step():
-    # Python's ** raises OverflowError at v^2 = 1e400 where numpy returns inf
-    system = systems.free_fall()
-    for run in (lambda: ode.reference_trajectory(system, np.array([-1e200]), 0.1, 3),
-                lambda: ode.reference_trajectory(system.rhs, np.array([-1e200]), 0.1, 3)):
-        with pytest.raises(
-            ode.FlowDivergenceError,
-            match=r"^trajectory diverged at t=0\.1 \(step 1/3; last finite state norm 1e\+200\)$",
-        ) as err:
-            run()
-        assert err.value.layer == 1
+    # nothing raises OverflowError: v^2 = 1e400 and phi^3 = 1e360 overflow to
+    # inf, in the generated products as in numpy, and the state ends non-finite
+    for system, X0, norm in ((systems.free_fall(), [-1e200], r"1e\+200"),
+                             (systems.pendulum(), [1e120, 0.0], r"1e\+120")):
+        message = rf"^trajectory diverged at t=0\.1 \(step 1/3; last finite state norm {norm}\)$"
+        for rhs in (system, system.rhs):
+            with pytest.raises(ode.FlowDivergenceError, match=message) as err:
+                ode.reference_trajectory(rhs, np.array(X0), 0.1, 3)
+            assert err.value.layer == 1
 
 
 def test_reference_trajectory_rejects_a_state_of_the_wrong_dimension():
