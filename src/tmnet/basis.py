@@ -101,10 +101,11 @@ def kron_power(X, d: int) -> np.ndarray:
     return P
 
 
-def _compiled(source: str, filename: str, name: str):
+def _compiled(source: str, filename: str, name: str, **names):
     """The function `name` that the generated Python source defines,
-    compiled under filename (tracebacks show it)."""
-    namespace = {}
+    compiled under filename (tracebacks show it), with names among its
+    globals."""
+    namespace = dict(names)
     exec(compile(source, filename, "exec"), namespace)
     return namespace[name]
 

@@ -99,6 +99,7 @@ ORACLE_SUBSTEPS = 100
 
 
 def cmd_simulate(args) -> tuple[dict, str]:
+    maps._count("--steps", args.steps, 1)
     X0 = _parse_x0(args.x0)
     inputs = {}
     if args.map:
@@ -145,7 +146,7 @@ def cmd_train(args) -> tuple[dict, str]:
         if args.dim is None or args.order is None:
             raise ValueError("need --map, or --dim and --order for identity init")
         tm = maps.identity_map(args.dim, args.order)
-    layers = args.layers if args.layers is not None else max(obs.taps)
+    layers = max(obs.taps) if args.layers is None else maps._count("--layers", args.layers, 1)
     net = network.build_shared_chain(tm, layers)
     X0 = _parse_x0(args.x0)
     degrees = None

@@ -145,6 +145,7 @@ class TaylorMap:
 
 def identity_map(n: int, k: int) -> TaylorMap:
     """The identity as an order-k map: W_1 = I, all other blocks zero."""
+    n, k = _count("dim", n, 1), _count("order", k, 1)
     weights = [np.zeros((n, basis.basis_size(n, d))) for d in range(k + 1)]
     weights[1] = np.eye(n)
     return TaylorMap(dim=n, order=k, weights=tuple(weights))

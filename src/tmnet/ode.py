@@ -16,13 +16,13 @@ products and is its test reference.
 
 ode_to_map runs its RK4 substeps on the raveled weights as one float64
 array and checks each substep for divergence.  reference_trajectory, the
-one public trajectory integrator, runs RK4 on a state held as a list of
-Python floats and checks each step.  For a PolynomialODE the substeps of a
-step run in one function generated from the order-0 term list, which is
-the right-hand side (W_0 = X): the state lives in locals, each RK4 stage is
-unrolled term by term, and each monomial is its prefix times its last
-variable, with no **.  A callable right-hand side still receives and
-returns arrays, through the plain RK4 loop on lists.
+one public trajectory integrator, runs the substeps of each step in one
+generated function that holds the state in locals, and checks each step.
+Only an RK4 stage depends on the right-hand side.  For a PolynomialODE it
+is unrolled from the order-0 term list, which is the right-hand side
+(W_0 = X), term by term, each monomial its prefix times its last variable,
+with no **.  For a callable it is one call that passes and returns the
+state as a list of floats, the callable itself still seeing arrays.
 """
 
 from __future__ import annotations
@@ -179,7 +179,7 @@ def ode_to_map(ode: PolynomialODE, cfg: FlowConfig) -> TaylorMap:
     w = identity_map(n, k).stacked.ravel()
     h = cfg.dt / cfg.substeps
     half, sixth = 0.5 * h, h / 6.0
-    # the stages group as in _list_advance; an overflow inside one is
+    # the stages group as in _term_advance; an overflow inside one is
     # divergence, caught at the end of its substep with the last finite w
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(1, cfg.substeps + 1):
@@ -199,50 +199,10 @@ def ode_to_map(ode: PolynomialODE, cfg: FlowConfig) -> TaylorMap:
     return TaylorMap(dim=n, order=k, weights=tuple(W[:, s] for s in sl))
 
 
-def _rk4_steps(advance, X: list, dt: float, steps: int, substeps: int):
-    """Yield the state after each of `steps` steps of dt, each resolved by
-    `substeps` RK4 steps of advance(X, h, substeps); raise
-    FlowDivergenceError at the first step that ends non-finite.  This is
-    reference_trajectory's loop, for the generated oracle and for callables.
-
-    The state is a list of Python floats: per element these are the same
-    IEEE operations numpy would run, without its per-call cost on a handful
-    of entries; like numpy's, they overflow to inf and never raise.
-    """
-    h = dt / substeps
-    for s in range(steps):
-        with np.errstate(over="ignore", invalid="ignore"):
-            Y = advance(X, h, substeps)
-        if not all(map(math.isfinite, Y)):
-            msg = (f"trajectory diverged at t={(s + 1) * dt:.6g} (step {s + 1}/{steps}; "
-                   f"last finite state norm {math.hypot(*X):.6g})")
-            raise FlowDivergenceError(msg, s + 1)
-        X = Y
-        yield X
-
-
-def _list_advance(rhs):
-    """advance(X, h, substeps) that runs RK4 on lists of floats with rhs,
-    which maps such a list to one: reference_trajectory's loop for a
-    callable right-hand side, wrapped by _on_lists."""
-
-    def advance(X, h, substeps):
-        half, sixth = 0.5 * h, h / 6.0
-        for _ in range(substeps):
-            k1 = rhs(X)
-            k2 = rhs([x + half * a for x, a in zip(X, k1)])
-            k3 = rhs([x + half * b for x, b in zip(X, k2)])
-            k4 = rhs([x + h * c for x, c in zip(X, k3)])
-            X = [x + sixth * (a + 2.0 * b + 2.0 * c + d)
-                 for x, a, b, c, d in zip(X, k1, k2, k3, k4)]
-        return X
-
-    return advance
-
-
 def _on_lists(f):
     """The right-hand side f, which takes and returns arrays, on lists of
-    floats; a result that is not one float per state entry is a ValueError."""
+    floats: the rhs of a callable's generated substeps (_term_advance).  A
+    result that is not one float per state entry is a ValueError."""
 
     def rhs(X):
         X = np.array(X)
@@ -255,38 +215,47 @@ def _on_lists(f):
     return rhs
 
 
-def _term_advance(ode: PolynomialODE):
-    """advance(X, h, substeps) for ode: the RK4 loop of _list_advance,
-    generated as straight-line Python for this ODE and compiled.
+def _term_advance(ode, n: int):
+    """advance(X, h, substeps): RK4 substeps of the n-dimensional
+    right-hand side ode, generated as straight-line Python and compiled.
 
-    The state is held in locals x0..x{n-1}, and each stage is unrolled from
-    _flow_terms(ode, 0): each distinct monomial is formed once, as its prefix
-    times its last variable (the products of basis.monomials, with no **),
-    and each output starts at 0.0 and adds c * m per term, in term order, one
-    statement per term so that any number of terms compiles.  These are the
-    operations of _weight_flow(ode, 0); PolynomialODE.rhs, a BLAS product,
-    may group or fuse the sums differently, by an ulp or so.  The source
-    holds only generated names and the reprs of the (finite) coefficients.
+    The state is held in locals x0..x{n-1}; a stage combination is one
+    statement per variable.  A callable's stage is one call,
+    [a0, ..., a{n-1}] = rhs([x0, ..., x{n-1}]) with rhs = _on_lists(ode).  A
+    PolynomialODE's stage is unrolled from _flow_terms(ode, 0): each distinct
+    monomial is formed once, as its prefix times its last variable (the
+    products of basis.monomials, with no **), and each output starts at 0.0
+    and adds c * m per term, in term order, one statement per term so that
+    any number of terms compiles.  These are the operations of
+    _weight_flow(ode, 0); PolynomialODE.rhs, a BLAS product, may group or
+    fuse the sums differently, by an ulp or so.  The source holds only
+    generated names and the reprs of the (finite) coefficients.
     """
-    n = ode.dim
-    terms = _flow_terms(ode, 0)
     x, y = ([f"{v}{i}" for i in range(n)] for v in "xy")
+    if isinstance(ode, PolynomialODE):
+        terms, namespace = _flow_terms(ode, 0), {}
 
-    def stage(out, state):
-        # dX/dt at the variables named in state, into out0..out{n-1}
-        lines = [f"{out}{i} = 0.0" for i in range(n)]
-        names = {(): "1.0", **{(i,): v for i, v in enumerate(state)}}
+        def stage(out, state):
+            # dX/dt at the variables named in state, into out0..out{n-1}
+            lines = [f"{out}{i} = 0.0" for i in range(n)]
+            names = {(): "1.0", **{(i,): v for i, v in enumerate(state)}}
 
-        def monomial(f):
-            if f not in names:
-                prefix = monomial(f[:-1])
-                names[f] = f"m{len(names)}"
-                lines.append(f"{names[f]} = {prefix} * {state[f[-1]]}")
-            return names[f]
+            def monomial(f):
+                if f not in names:
+                    prefix = monomial(f[:-1])
+                    names[f] = f"m{len(names)}"
+                    lines.append(f"{names[f]} = {prefix} * {state[f[-1]]}")
+                return names[f]
 
-        for o, c, f in terms:
-            lines.append(f"{out}{o} += {c!r} * {monomial(f)}")
-        return lines
+            for o, c, f in terms:
+                lines.append(f"{out}{o} += {c!r} * {monomial(f)}")
+            return lines
+    else:
+        namespace = {"rhs": _on_lists(ode)}
+
+        def stage(out, state):
+            outs = ", ".join(f"{out}{i}" for i in range(n))
+            return [f"[{outs}] = rhs([{', '.join(state)}])"]
 
     def update(step, k):
         return [f"y{i} = x{i} + {step} * {k}{i}" for i in range(n)]
@@ -304,27 +273,40 @@ def _term_advance(ode: PolynomialODE):
         *(f"        {line}" for line in body),
         f"    return {state}",
     ])
-    return basis._compiled(source, f"<RK4 substeps of a dim-{n} ODE>", "advance")
+    return basis._compiled(source, f"<RK4 substeps of a dim-{n} ODE>", "advance", **namespace)
 
 
 def reference_trajectory(ode, X0, dt: float, steps: int, substeps: int = 100) -> np.ndarray:
     """Fixed-step RK4, the package's one trajectory integrator.
 
     Returns the states at t = 0, dt, ..., steps*dt, shape (steps+1, n), each
-    dt resolved by exactly `substeps` RK4 steps.  `ode` is a PolynomialODE,
-    integrated by a function generated from its terms (_term_advance), or any
-    callable X -> dX/dt on arrays that returns one float per state entry.
+    dt resolved by exactly `substeps` RK4 steps of one generated function
+    (_term_advance).  `ode` is a PolynomialODE or any callable X -> dX/dt on
+    arrays that returns one float per state entry.  The state is a list of
+    Python floats between steps: per element these are the same IEEE
+    operations numpy would run, without its per-call cost on a handful of
+    entries; like numpy's, they overflow to inf and never raise.  The first
+    step that ends non-finite raises FlowDivergenceError.
     """
     X = np.asarray(X0, dtype=float)
     if X.ndim != 1:
         raise ValueError(f"X0 must be a vector, got shape {X.shape}")
     dt = _real("dt", dt)
     steps, substeps = _count("steps", steps, 0), _count("substeps", substeps, 1)
-    if isinstance(ode, PolynomialODE):
-        if X.shape != (ode.dim,):
-            raise ValueError(f"X0 has shape {X.shape}, ODE has dim {ode.dim}")
-        advance = _term_advance(ode)
-    else:
-        advance = _list_advance(_on_lists(ode))
+    if isinstance(ode, PolynomialODE) and X.shape != (ode.dim,):
+        raise ValueError(f"X0 has shape {X.shape}, ODE has dim {ode.dim}")
+    advance = _term_advance(ode, len(X))
+    h = dt / substeps
     X = X.tolist()
-    return np.array([X, *_rk4_steps(advance, X, dt, steps, substeps)])
+    out = [X]
+    for s in range(steps):
+        # numpy in a callable overflows to inf, as the generated products do
+        with np.errstate(over="ignore", invalid="ignore"):
+            Y = advance(X, h, substeps)
+        if not all(map(math.isfinite, Y)):
+            msg = (f"trajectory diverged at t={(s + 1) * dt:.6g} (step {s + 1}/{steps}; "
+                   f"last finite state norm {math.hypot(*X):.6g})")
+            raise FlowDivergenceError(msg, s + 1)
+        X = Y
+        out.append(X)
+    return np.array(out)

@@ -251,6 +251,14 @@ def test_error_exits(tmp_path, capsys):
           "--out", out), "not a map file"),
         (("tunes", "--series", map_json, "--out", out),
          "expected header starting with 'turn'"),
+        (("train", "--obs", obs_csv, "--x0", "0.1,0", "--dim", "2", "--order", "0",
+          "--out", out), "order must be an integer >= 1, got 0"),
+        (("simulate", "--map", map2_json, "--x0", "0.1,0", "--steps", "0", "--out", out),
+         "--steps must be an integer >= 1, got 0"),
+        (("simulate", "--map", map2_json, "--x0", "0.1,0", "--steps", "-1", "--out", out),
+         "--steps must be an integer >= 1, got -1"),
+        (("train", "--obs", obs_csv, "--x0", "0.1,0", "--map", map2_json, "--layers", "0",
+          "--out", out), "--layers must be an integer >= 1, got 0"),
         (("train", "--obs", empty, "--x0", "0,0", "--dim", "2", "--order", "1",
           "--out", out), "expected header starting with 'tap'"),
         (("train", "--obs", obs_csv, "--x0", "0.1,0", "--dim", "2", "--order", "2",

@@ -325,6 +325,8 @@ def test_rk4_matches_textbook_loop_byte_for_byte():
         (systems.damped_pendulum_rhs(), [0.4, -0.3], 100),
         (systems.lotka_volterra().rhs, [0.8, 0.8], 100),
         (systems.damped_pendulum_rhs(), [0.4, -0.3], 10),
+        (systems.free_fall().rhs, [-30.0], 100),
+        (systems.rayleigh_plesset().rhs, [2.0, 0.1, 0.5, 0.0, 1.0], 100),
     )
     for rhs, X0, substeps in cases:
         got = ode.reference_trajectory(rhs, np.array(X0), 0.01, 30, substeps=substeps)
@@ -478,7 +480,11 @@ def test_reference_trajectory_keeps_the_bytes_of_a_textbook_loop_on_rhs():
     # checks integrate; every state is also checked against the stacked
     # product PolynomialODE.rhs
     ring = lattice.build_fodo_ring(substeps=10)
+    # x' = y^3, y' = 0, where 0.3 ** 3 and 0.3 * 0.3 * 0.3 differ by an ulp
+    cube = ode.PolynomialODE(2, 3, (np.zeros((2, 1)), np.zeros((2, 2)), np.zeros((2, 3)),
+                                    np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0]])))
     cases = [
+        (cube, [0.0, 0.3], 0.1, 1, 1),
         (systems.lotka_volterra(), [0.5, 0.5], 0.01, 40, 100),
         (systems.lotka_volterra(), [0.8, 0.8], 0.01, 40, 100),
         (systems.pendulum(), [0.09, 0.0], 0.1, 1, 2000),
@@ -497,6 +503,9 @@ def test_reference_trajectory_keeps_the_bytes_of_a_textbook_loop_on_rhs():
         flow = _textbook_rk4(ode._weight_flow(system, 0), X0, dt, steps, substeps)
         assert got.tobytes() == flow.tobytes(), (system, X0)
         _near_stacked_product(system, got)
+    # the cube case tells products from **: a textbook loop on y ** 3 differs
+    power = _textbook_rk4(lambda X: np.array([X[1] ** 3, 0.0]), [0.0, 0.3], 0.1, 1, 1)
+    assert power.tobytes() != _textbook_on_terms(cube, [0.0, 0.3], 0.1, 1, 1).tobytes()
 
 
 def _near_stacked_product(system, states):
