@@ -88,7 +88,8 @@ def _emit_manifest(args: argparse.Namespace, inputs: dict, started: float) -> No
 
 def cmd_derive(args) -> tuple[dict, str]:
     system, inputs = _resolve_system(args)
-    tm = ode.ode_to_map(system, ode.FlowConfig(args.dt, substeps=args.substeps))
+    substeps = maps._count("--substeps", args.substeps, 1)
+    tm = ode.ode_to_map(system, ode.FlowConfig(args.dt, substeps=substeps))
     out = Path(args.out)
     io.save_map(tm, out)
     return inputs, f"derived order-{tm.order} map (dim {tm.dim}) -> {out}"
@@ -113,7 +114,8 @@ def cmd_simulate(args) -> tuple[dict, str]:
         system, inputs = _resolve_system(args)
         if args.dt is None:
             raise ValueError("simulating from an ODE needs --dt")
-        tm = ode.ode_to_map(system, ode.FlowConfig(args.dt, substeps=args.substeps))
+        substeps = maps._count("--substeps", args.substeps, 1)
+        tm = ode.ode_to_map(system, ode.FlowConfig(args.dt, substeps=substeps))
     if X0.shape != (tm.dim,):
         raise ValueError(f"--x0 has {X0.size} components, map has dim {tm.dim}")
 
@@ -157,7 +159,8 @@ def cmd_train(args) -> tuple[dict, str]:
             raise ValueError(f"--train-degrees must be comma-separated integers, "
                              f"got {args.train_degrees!r}") from exc
     cfg = network.TrainConfig(
-        step_size=args.lr, clip_norm=args.clip, epochs=args.epochs,
+        step_size=args.lr, clip_norm=args.clip,
+        epochs=maps._count("--epochs", args.epochs, 0),
         penalty_rate=getattr(args, "lambda"),
         schedule=args.schedule, train_degrees=degrees,
         teacher_forcing=args.teacher_forcing,
@@ -176,7 +179,7 @@ def cmd_track(args) -> tuple[dict, str]:
     inputs = {args.lattice: io.sha256_file(args.lattice)}
     lat = io.load_lattice(args.lattice)
     X0 = _parse_x0(args.x0)
-    series = lattice.multi_turn(lat, X0, args.turns)
+    series = lattice.multi_turn(lat, X0, maps._count("--turns", args.turns, 1))
     out = Path(args.out)
     io.write_turn_series(series, out)
     return inputs, f"tracked {args.turns} turns -> {out}"

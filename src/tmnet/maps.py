@@ -222,17 +222,21 @@ def _residual_penalty(W: np.ndarray, k: int, gradient: bool):
     coef, st, entry, unit, size, (i, j) = _residual_terms(n, k)
     group = np.arange(G)[:, None]
     Wi, Wj = W[:, i], W[:, j]
-    Pi = (np.swapaxes(Wi, 1, 2) @ Wj).reshape(G, -1)
-    R = np.bincount((entry + size * group).ravel(), (coef * Pi[:, st]).ravel(), G * size)
-    R = R.reshape(G, size)
-    R[:, unit] -= 1.0
-    if not gradient:
-        return R, 2.0 * np.sum(R * R, axis=1), None
-    D = np.bincount((st + N * N * group).ravel(), (4.0 * coef * R[:, entry]).ravel(),
-                    G * N * N).reshape(G, N, N)
-    grads = np.empty_like(W)
-    grads[:, i], grads[:, j] = Wj @ np.swapaxes(D, 1, 2), Wi @ D
-    return R, 2.0 * np.sum(R * R, axis=1), grads
+    # overflow here means divergence, which training detects from the
+    # non-finite penalty or gradient norm
+    with np.errstate(over="ignore", invalid="ignore"):
+        Pi = (np.swapaxes(Wi, 1, 2) @ Wj).reshape(G, -1)
+        R = np.bincount((entry + size * group).ravel(), (coef * Pi[:, st]).ravel(), G * size)
+        R = R.reshape(G, size)
+        R[:, unit] -= 1.0
+        penalty = 2.0 * np.sum(R * R, axis=1)
+        if not gradient:
+            return R, penalty, None
+        D = np.bincount((st + N * N * group).ravel(), (4.0 * coef * R[:, entry]).ravel(),
+                        G * N * N).reshape(G, N, N)
+        grads = np.empty_like(W)
+        grads[:, i], grads[:, j] = Wj @ np.swapaxes(D, 1, 2), Wi @ D
+    return R, penalty, grads
 
 
 def symplectic_residual(tm: TaylorMap) -> tuple[np.ndarray, ...]:

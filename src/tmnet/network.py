@@ -28,7 +28,9 @@ Training is deterministic full-batch Adam on the single observed series,
 with global gradient-norm clipping.  It runs on one stacked (groups, dim, N)
 array W, W[g] being group g's stacked matrix; gradients and Adam's moments
 share that layout, and TaylorMaps are built from it only at checkpoints and
-at the end.
+at the end.  At penalty rate 0 the penalty is recorded but steers nothing,
+so an epoch only copies W aside; one stacked penalty evaluation over a
+batch of these copies fills in the recorded penalties and totals.
 """
 
 import math
@@ -220,6 +222,15 @@ def _check_observations(net: Network, obs: ObservationSeries) -> None:
         raise ValueError("observation series has no observed entries")
 
 
+def _group_sum(penalties) -> float:
+    """The group penalties of one network added left to right, as builtin
+    sum() compensates from Python 3.12 on."""
+    total = 0.0
+    for p in penalties:
+        total += p
+    return total
+
+
 def _with_penalty(data: float, grads, W, n: int, k: int, penalty_rate: float):
     """Add the symplectic penalty of the stacked group weights W to a data term.
 
@@ -233,9 +244,7 @@ def _with_penalty(data: float, grads, W, n: int, k: int, penalty_rate: float):
     if n % 2 == 0:
         want = grads is not None and penalty_rate != 0.0
         _, per_group, penalty_grads = maps._residual_penalty(W, k, want)
-        # left to right, as builtin sum() compensates from Python 3.12 on
-        for p in per_group.tolist():
-            penalty += p
+        penalty = _group_sum(per_group.tolist())
         if want:
             grads += penalty_rate * penalty_grads
     triple = (data + penalty_rate * penalty, data, penalty)
@@ -333,21 +342,26 @@ def loss(net: Network, X0, obs: ObservationSeries, penalty_rate: float):
     return _with_penalty(data, None, W, net.dim, net.order, penalty_rate)
 
 
+def _data_gradient(net: Network, W, X0, obs: ObservationSeries):
+    """(data, grads): the rolled-out data term and its gradient in W.  The
+    data term and the adjoints come from one generated pass on floats
+    (_rollout); the weight gradients of every degree and group are then one
+    product, the adjoints of each group's slots times their monomials."""
+    _, powers, data, _, adjoints = _rollout(net, W, X0, obs)
+    # overflow here means divergence, which the caller detects from the
+    # non-finite gradient norm
+    with np.errstate(over="ignore", invalid="ignore"):
+        return data, (_group_onehot(net.layer_groups) * adjoints.T) @ powers
+
+
 def backward(net: Network, W, X0, obs: ObservationSeries, penalty_rate: float):
     """Analytic loss gradient in the group weights W, plus the loss triple.
 
     Returns (grads, (total, data, penalty)) where grads has W's shape
     (groups, dim, N); degree d is the column slice [..., sl[d]] with sl from
-    basis._stacked_exponents.  The data term and the adjoints come from one
-    generated pass on floats (_rollout); the weight gradients of every
-    degree and group are then one product, the adjoints of each group's
-    slots times their monomials.
+    basis._stacked_exponents.  The data term is _data_gradient's.
     """
-    _, powers, data, _, adjoints = _rollout(net, W, X0, obs)
-    # overflow here means divergence, which the caller detects from the
-    # non-finite gradient norm
-    with np.errstate(over="ignore", invalid="ignore"):
-        grads = (_group_onehot(net.layer_groups) * adjoints.T) @ powers
+    data, grads = _data_gradient(net, W, X0, obs)
     return _with_penalty(data, grads, W, net.dim, net.order, penalty_rate)
 
 
@@ -368,8 +382,9 @@ class TrainConfig:
 
     penalty_rate multiplies the summed group penalties against a data term
     that is a mean (not a sum) over observed entries, so its scale does not
-    depend on trajectory length.  The penalty is evaluated and recorded in
-    every epoch, also at rate 0.
+    depend on trajectory length.  The penalty is recorded for every epoch,
+    also at rate 0; there it steers no step, so train_one_shot evaluates it
+    after the epochs, over batches of weight snapshots.
     """
 
     step_size: float = 1e-3
@@ -444,15 +459,38 @@ def _pairwise_data(net: Network, X0, obs: ObservationSeries):
     return basis.monomials(prev, net.order), obs.values
 
 
-def _pairwise_backward(net: Network, W, feats, nxt, penalty_rate: float):
-    """Gradients in W of the mean squared one-step residual over state pairs;
-    feats holds the monomials of the previous states, one row per pair."""
+def _pairwise_gradient(net: Network, W, feats, nxt):
+    """(data, grads): the mean squared one-step residual over state pairs
+    and its gradient in W; feats holds the monomials of the previous
+    states, one row per pair."""
     residual = feats @ W[0].T - nxt
-    data = float(np.mean(residual**2))
     _, sl = basis._stacked_exponents(net.dim, net.order)
     grads = np.concatenate([residual.T @ feats[:, s] for s in sl], axis=-1)[None]
     grads *= 2.0 / residual.size
+    return float(np.mean(residual**2)), grads
+
+
+def _pairwise_backward(net: Network, W, feats, nxt, penalty_rate: float):
+    """_pairwise_gradient's data term and gradient with the penalty added,
+    as backward adds it."""
+    data, grads = _pairwise_gradient(net, W, feats, nxt)
     return _with_penalty(data, grads, W, net.dim, net.order, penalty_rate)
+
+
+# the residual terms (snapshots x groups x terms per map) that one flush of
+# deferred rate-0 penalties evaluates at most, which bounds its temporary
+# arrays; a flush takes at least one snapshot
+_FLUSH_TERMS = 4096
+
+
+def _flush_size(n: int, k: int, groups: int) -> int:
+    """Weight snapshots per flush of deferred penalties: as many as
+    _FLUSH_TERMS residual terms hold, at least one."""
+    return max(1, _FLUSH_TERMS // (groups * len(maps._residual_terms(n, k)[0])))
+
+
+def _non_finite_loss(epoch: int) -> TrainingDivergedError:
+    return TrainingDivergedError(epoch, f"training loss became non-finite at epoch {epoch}")
 
 
 def _clip_global(grads: np.ndarray, clip_norm: float) -> float:
@@ -481,6 +519,13 @@ def train_one_shot(
     residual over consecutive observed pairs (fully observed shared chains
     only) instead of the rolled-out trajectory error; cfg.train_degrees
     restricts updates to the named weight degrees.
+
+    At penalty_rate 0 the penalty steers no step and is only recorded: each
+    epoch copies W into a snapshot buffer, and one stacked evaluation per
+    full buffer, and one after the last epoch, fills in the penalty and
+    total of those epochs.  Before any divergence is raised the buffer is
+    evaluated, so a penalty that made an earlier total non-finite names the
+    earlier epoch, as an evaluation inside every epoch would.
     """
     _check_observations(net, obs)
     if cfg.train_degrees is not None and any(d > net.order for d in cfg.train_degrees):
@@ -494,28 +539,56 @@ def train_one_shot(
     frozen = ~np.isin(E.sum(axis=1), cfg.train_degrees or range(net.order + 1))
     wanted = set(int(e) for e in checkpoint_epochs)
     history, checkpoints = [], {}
+    deferred = cfg.penalty_rate == 0.0 and net.dim % 2 == 0
+    size = _flush_size(net.dim, net.order, len(W)) if deferred else 0
+    snapshots, pending = np.empty((size, *W.shape)), 0
+
+    def flush():
+        # fill in the penalty and total of the epochs whose W waits in snapshots
+        nonlocal pending
+        count, pending = pending, 0
+        if not count:
+            return
+        # one stacked residual over every snapshot's groups
+        _, per_map, _ = maps._residual_penalty(snapshots[:count].reshape(-1, *W.shape[1:]),
+                                               net.order, False)
+        for epoch, per_group in enumerate(per_map.reshape(count, -1).tolist(),
+                                          len(history) - count + 1):
+            row = history[epoch - 1]
+            row[2] = _group_sum(per_group)
+            row[0] = row[1] + cfg.penalty_rate * row[2]
+            if not math.isfinite(row[0]):
+                raise _non_finite_loss(epoch) from None
+
+    def diverged(error: TrainingDivergedError) -> TrainingDivergedError:
+        flush()  # a deferred penalty may have made an earlier loss non-finite
+        return error
 
     for epoch in range(1, cfg.epochs + 1):
         try:
             if pairs is not None:
-                grads, losses = _pairwise_backward(net, W, *pairs, cfg.penalty_rate)
+                data, grads = _pairwise_gradient(net, W, *pairs)
             else:
-                grads, losses = backward(net, W, X0, obs, cfg.penalty_rate)
+                data, grads = _data_gradient(net, W, X0, obs)
         except FlowDivergenceError as exc:
-            raise TrainingDivergedError(
-                epoch, f"training diverged at epoch {epoch}: {exc}"
-            ) from exc
-        if not np.isfinite(losses[0]):
-            raise TrainingDivergedError(
-                epoch, f"training loss became non-finite at epoch {epoch}"
-            )
-        history.append(losses)
+            raise diverged(TrainingDivergedError(
+                epoch, f"training diverged at epoch {epoch}: {exc}")) from exc
+        if deferred:
+            history.append([data, data, None])
+            snapshots[pending] = W
+            pending += 1
+            if pending == size:
+                flush()
+        else:
+            grads, losses = _with_penalty(data, grads, W, net.dim, net.order, cfg.penalty_rate)
+            history.append(losses)
+        if not math.isfinite(history[-1][0]):
+            raise diverged(_non_finite_loss(epoch))
 
         grads[..., frozen] = 0.0
         if not math.isfinite(_clip_global(grads, cfg.clip_norm)):
-            raise TrainingDivergedError(
-                epoch, f"gradient norm became non-finite at epoch {epoch}"
-            )
+            raise diverged(TrainingDivergedError(
+                epoch, f"gradient norm became non-finite at epoch {epoch}"))
         step = cfg.step_at(epoch)
         m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * grads
         v = cfg.beta2 * v + (1 - cfg.beta2) * grads * grads
@@ -524,6 +597,7 @@ def train_one_shot(
         )
         if epoch in wanted:
             checkpoints[epoch] = _group_maps(net, W)
+    flush()
 
     total, data, penalty = np.array(history, dtype=float).reshape(-1, 3).T.copy()
     trained = replace(net, group_maps=_group_maps(net, W))

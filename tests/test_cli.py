@@ -259,6 +259,14 @@ def test_error_exits(tmp_path, capsys):
          "--steps must be an integer >= 1, got -1"),
         (("train", "--obs", obs_csv, "--x0", "0.1,0", "--map", map2_json, "--layers", "0",
           "--out", out), "--layers must be an integer >= 1, got 0"),
+        (("train", "--obs", obs_csv, "--x0", "0.1,0", "--map", map2_json, "--epochs", "-1",
+          "--out", out), "--epochs must be an integer >= 0, got -1"),
+        (("track", "--lattice", lattice_json, "--x0", "0,0,0,0", "--turns", "0",
+          "--out", out), "--turns must be an integer >= 1, got 0"),
+        (("derive", "--system", "pendulum", "--dt", "0.1", "--substeps", "0", "--out", out),
+         "--substeps must be an integer >= 1, got 0"),
+        (("simulate", "--system", "pendulum", "--dt", "0.1", "--x0", "0.1,0", "--steps", "5",
+          "--substeps", "0", "--out", out), "--substeps must be an integer >= 1, got 0"),
         (("train", "--obs", empty, "--x0", "0,0", "--dim", "2", "--order", "1",
           "--out", out), "expected header starting with 'tap'"),
         (("train", "--obs", obs_csv, "--x0", "0.1,0", "--dim", "2", "--order", "2",

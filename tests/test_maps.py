@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tmnet import basis, maps
+from tmnet import basis, maps, network
 
 # deterministic property runs that leave no example database behind
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=30)
@@ -380,12 +380,15 @@ def test_penalty_gradient_matches_central_differences(n, k, seed):
 @pytest.mark.parametrize("n", [2, 4, 6])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_stacked_penalty_and_gradient_equal_per_map_values(n, k):
-    # G maps through one stacked residual give each map's own numbers exactly
+    # G maps through one stacked residual give each map's own numbers
+    # exactly; G is as many as one flush of deferred training penalties
+    # stacks, at least 3
     rng = np.random.default_rng(100 * n + k)
-    tms = [_random_map(rng, n, k) for _ in range(3)]
+    G = max(3, network._flush_size(n, k, 1))
+    tms = [_random_map(rng, n, k) for _ in range(G)]
     W = np.stack([tm.stacked for tm in tms])
     R, penalty, grads = maps._residual_penalty(W, k, gradient=True)
-    assert penalty.shape == (3,) and grads.shape == W.shape
+    assert penalty.shape == (G,) and grads.shape == W.shape
     for g, tm in enumerate(tms):
         assert penalty[g] == maps.symplectic_penalty(tm)
         want = np.concatenate(maps.symplectic_penalty_gradient(tm), axis=1)

@@ -351,10 +351,12 @@ def test_group_penalties_add_left_to_right_on_every_python():
     X0 = np.array([0.1, -0.2])
     obs = _full_obs(network.forward(net, X0) + 0.01)
     assert network.loss(net, X0, obs, 1.0)[2] == plain
-    _, report = network.train_one_shot(net, X0, obs, network.TrainConfig(epochs=1,
-                                                                         penalty_rate=1.0))
-    assert report.penalty[0] == plain
-    assert report.total[0] == report.data[0] + plain
+    # inside the epoch at rate 1, from the flushed snapshots at rate 0
+    for rate in (1.0, 0.0):
+        _, report = network.train_one_shot(net, X0, obs, network.TrainConfig(
+            epochs=1, penalty_rate=rate))
+        assert report.penalty[0] == plain
+        assert report.total[0] == report.data[0] + rate * plain
 
 
 def test_loss_rejects_foreign_taps_and_empty_observations():
@@ -772,10 +774,15 @@ def _per_block_adam(net, X0, obs, cfg, checkpoint_epochs):
     return group_maps, np.array(history), checkpoints, clipped
 
 
-def test_stacked_training_equals_per_block_loop():
+# each clip_norm lies inside the range of that rate's gradient norms
+@pytest.mark.parametrize(("penalty_rate", "clip_norm"), [
+    pytest.param(1e-2, 0.065, id="rate-1e-2"), pytest.param(0.0, 0.01, id="rate-0")])
+def test_stacked_training_equals_per_block_loop(penalty_rate, clip_norm):
     # untied groups shared by several slots, partial taps and mask, frozen
     # degrees, clipping that fires, a penalty and checkpoints: the stacked
-    # loop reproduces the per-block one bit for bit
+    # loop reproduces the per-block one bit for bit.  At rate 0 the stacked
+    # loop records the penalty from two full flushes of weight snapshots and
+    # a partial one; the reference evaluates it inside every epoch
     rng = np.random.default_rng(61)
     n, k = 2, 3
     net = network.Network(group_maps=[_random_map(rng, n, k, scale=0.15) for _ in range(3)],
@@ -784,11 +791,14 @@ def test_stacked_training_equals_per_block_loop():
     values = network.forward(net, X0)[[1, 3, 4]] + 0.05 * rng.normal(size=(3, n))
     mask = np.array([[True, False], [True, True], [False, True]])
     obs = network.ObservationSeries(taps=(2, 4, 5), values=values, mask=mask)
-    cfg = network.TrainConfig(step_size=1e-2, clip_norm=0.065, epochs=8, penalty_rate=1e-2,
-                              schedule="cosine", train_degrees=(1, 3))
-    trained, report = network.train_one_shot(net, X0, obs, cfg, checkpoint_epochs=(3, 8))
+    epochs = 2 * network._flush_size(n, k, 3) + 5
+    cfg = network.TrainConfig(step_size=1e-2, clip_norm=clip_norm, epochs=epochs,
+                              penalty_rate=penalty_rate, schedule="cosine",
+                              train_degrees=(1, 3))
+    wanted = (3, 8, epochs)
+    trained, report = network.train_one_shot(net, X0, obs, cfg, checkpoint_epochs=wanted)
     want_maps, want_history, want_checkpoints, clipped = _per_block_adam(
-        net, X0, obs, cfg, (3, 8)
+        net, X0, obs, cfg, wanted
     )
     assert 0 < clipped < cfg.epochs
     assert np.all(want_history[:, 2] > 0.0)
@@ -831,6 +841,21 @@ def test_non_finite_gradient_norm_is_divergence(x0):
     cfg = network.TrainConfig(epochs=3, penalty_rate=0.0)
     with pytest.raises(network.TrainingDivergedError, match="gradient norm") as err:
         network.train_one_shot(net, np.array([x0]), _full_obs(np.zeros((1, 1))), cfg)
+    assert err.value.epoch == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("penalty_rate", [0.0, 1.0])
+def test_overflowing_penalty_is_divergence(penalty_rate):
+    # from a tiny state the data term and its gradient stay finite, while
+    # W_1's determinant, 1e320, overflows the penalty: the loss of epoch 1
+    # is non-finite, inside the epoch at rate 1 and in the flush after the
+    # last epoch at rate 0, without a numpy overflow warning on the way
+    tm = maps.TaylorMap(dim=2, order=1, weights=(np.zeros((2, 1)), np.diag([1e160, 1e160])))
+    net = network.build_shared_chain(tm, 1)
+    cfg = network.TrainConfig(epochs=3, penalty_rate=penalty_rate)
+    with pytest.raises(network.TrainingDivergedError, match="loss became non-finite") as err:
+        network.train_one_shot(net, np.array([1e-200, 0.0]), _full_obs(np.zeros((1, 2))), cfg)
     assert err.value.epoch == 1
 
 
