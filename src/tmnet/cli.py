@@ -8,6 +8,7 @@ inputs exit 1 with one `error:` line on stderr.  No plotting.
 """
 
 import argparse
+import functools
 import inspect
 import sys
 import time
@@ -232,7 +233,10 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The tmnet parser, built once per process: parse_args fills a fresh
+    namespace on every call, so no argument carries over."""
     parser = _Parser(
         prog="tmnet",
         description="Polynomial Taylor-map models of dynamical systems: "

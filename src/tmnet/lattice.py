@@ -6,6 +6,11 @@ positions (x, y) only; velocities stay latent.  Supported workflows: one turn
 of monitor observations, multi-turn tracking, main-frequency (tune)
 estimation from turn series, perturbing a single element's strength, and
 per-element fine-tuning of an assumed model from one turn of monitor readings.
+
+Tracking runs block by block: each block is one forward pass of the network
+layer chain, the elements repeated for as many turns as fit a fixed slot
+budget, and the next block starts from the last state of the one before.
+Its states equal element-by-element TaylorMap.apply bit for bit.
 """
 
 from dataclasses import dataclass, replace
@@ -132,24 +137,44 @@ class TurnSeries:
         return self.states.shape[0]
 
 
-def _track(lat: Lattice, X0, net: network.Network, W) -> np.ndarray:
-    """Every element-boundary state of one pass through lat, whose layer
-    chain net is and W its stacked weights; a divergence names the element
-    index and its label."""
-    try:
-        return network._forward_states(net, W, X0)[0]
-    except ode.FlowDivergenceError as exc:
-        j = exc.layer - 1
-        raise ode.FlowDivergenceError(
-            f"tracking diverged in element {j} ({lat.elements[j].label!r})", exc.layer
-        ) from None
+# the slots one block of tracking chains at most, which bounds its state and
+# monomial buffers (about 150 KB for order-2 elements); a block takes at
+# least one turn
+_BLOCK_SLOTS = 1024
+
+
+def _track(lat: Lattice, X0, n_turns: int, name_turns: bool):
+    """Every element-boundary state of n_turns passes through lat, block by
+    block: each block is one forward pass of a chain that repeats the
+    elements for up to _BLOCK_SLOTS slots, and yields its boundary states,
+    shape (turns * n_elements + 1, 4), row 0 being the block's start and
+    every n_elements-th row a turn's end.  The next block starts from the
+    last.  A divergence names the element index and its label, after the
+    turn counted from the start of tracking if name_turns."""
+    n = lat.n_elements
+    per_block = max(1, _BLOCK_SLOTS // n)
+    net = to_network(lat)
+    W, X, chain = network._stack(net), X0, None
+    for first in range(0, n_turns, per_block):
+        turns = min(per_block, n_turns - first)
+        if chain is None or chain.n_layers != turns * n:
+            chain = replace(net, layer_groups=net.layer_groups * turns)
+        try:
+            states = network._forward_states(chain, W, X)[0]
+        except ode.FlowDivergenceError as exc:
+            turn, j = divmod(exc.layer - 1, n)
+            message = f"tracking diverged in element {j} ({lat.elements[j].label!r})"
+            if name_turns:
+                message = f"turn {first + turn + 1}: {message}"
+            raise ode.FlowDivergenceError(message, j + 1) from None
+        yield states
+        X = states[-1]
 
 
 def observe_one_turn(lat: Lattice, X0) -> network.ObservationSeries:
     """One turn of monitor data as a training series: positions observed,
     velocities masked out."""
-    net = to_network(lat)
-    states = _track(lat, X0, net, network._stack(net))
+    states = next(_track(lat, X0, 1, False))
     mask = np.zeros((len(lat.monitors), 4), dtype=bool)
     mask[:, list(_POSITIONS)] = True
     return network.ObservationSeries(
@@ -166,20 +191,21 @@ def one_turn_map(lat: Lattice) -> maps.TaylorMap:
 
 
 def multi_turn(lat: Lattice, X0, n_turns: int) -> TurnSeries:
-    """Track n_turns revolutions; turn i+1 starts from turn i's end state."""
+    """Track n_turns revolutions; turn i+1 starts from turn i's end state.
+
+    The turns run block by block, each block one chained forward pass, so
+    memory stays bounded for any n_turns; the states equal element-by-element
+    TaylorMap.apply bit for bit."""
     if not lat.ring:
         raise ValueError("multi-turn tracking needs a ring lattice")
     n_turns = maps._count("n_turns", n_turns, 1)
-    net = to_network(lat)
-    W = network._stack(net)
-    X = np.asarray(X0, dtype=float)
+    n = lat.n_elements
     out = np.empty((n_turns, 4))
-    for turn in range(n_turns):
-        try:
-            X = _track(lat, X, net, W)[-1]
-        except ode.FlowDivergenceError as exc:
-            raise ode.FlowDivergenceError(f"turn {turn + 1}: {exc}", exc.layer) from exc
-        out[turn] = X
+    done = 0
+    for states in _track(lat, X0, n_turns, True):
+        ends = states[n::n]
+        out[done:done + len(ends)] = ends
+        done += len(ends)
     return TurnSeries(states=out)
 
 

@@ -157,6 +157,32 @@ def test_track_and_tunes_workflow(tmp_path):
     assert not report["degenerate_x"] and not report["degenerate_y"]
 
 
+def test_one_process_reuses_the_parser_without_carrying_arguments(tmp_path, capsys):
+    lat_path, series_path, tunes_path = (tmp_path / n for n in
+                                         ("ring.json", "turns.csv", "tunes.json"))
+    io.save_lattice(lattice.Lattice(elements=[lattice.rotation_element("r1", 0.28, 0.19)],
+                                    monitors=(1,)), lat_path)
+    cli.build_parser()
+    built = cli.build_parser.cache_info().misses
+    capsys.readouterr()
+    assert run("track", "--lattice", lat_path, "--x0", "9,9,9,9", "--turns", "7",
+               "--out", tmp_path / "bad.csv", "--bogus") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "unrecognized arguments: --bogus" in err
+    assert run("track", "--lattice", lat_path, "--x0", "1e-3,0,1e-3,0",
+               "--turns", "300", "--out", series_path) == 0
+    assert run("tunes", "--series", series_path, "--out", tunes_path) == 0
+    assert cli.build_parser.cache_info().misses == built
+    track = io.read_manifest(tmp_path / "turns.manifest.json").parameters
+    assert track == {"lattice": str(lat_path), "x0": "1e-3,0,1e-3,0", "turns": 300,
+                     "out": str(series_path)}
+    tunes = io.read_manifest(tmp_path / "tunes.manifest.json").parameters
+    assert tunes == {"series": str(series_path), "out": str(tunes_path)}
+    assert io.read_turn_series(series_path).n_turns == 300
+    assert not (tmp_path / "bad.csv").exists()
+
+
 def test_tunes_constant_series_degenerate(tmp_path):
     series_path = tmp_path / "turns.csv"
     io.write_turn_series(

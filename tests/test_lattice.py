@@ -6,6 +6,7 @@ at 200 substeps is ~1e-12, far below the 1e-5 assertions used here).
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,6 +187,66 @@ def test_multi_turn_divergence_reports_turn_index():
         ode.FlowDivergenceError, match=r"^tracking diverged in element 1 \('h'\)$"
     ):
         lattice.observe_one_turn(two, [1e5, 0.0, 0.0, 0.0])
+
+
+def _turns_by_apply(lat, X0, n_turns):
+    """Turn-end states of element-by-element TaylorMap.apply."""
+    X, ends = np.asarray(X0, dtype=float), []
+    for _ in range(n_turns):
+        for e in lat.elements:
+            X = e.tm.apply(X)
+        ends.append(X)
+    return ends
+
+
+def test_tracking_across_blocks_equals_apply_bit_for_bit(fodo):
+    X0 = [1e-3, 2e-4, -1e-3, 1e-4]
+    # the FODO ring's nine elements over three block boundaries, and seven
+    # elements, whose count does not divide the block's slots
+    seven = lattice.Lattice(elements=fodo.elements[:7], monitors=(7,))
+    assert lattice._BLOCK_SLOTS % 7 != 0
+    for lat in (fodo, seven):
+        per_block = lattice._BLOCK_SLOTS // lat.n_elements
+        turns = 3 * per_block + 5
+        series = lattice.multi_turn(lat, X0, turns)
+        want = _turns_by_apply(lat, X0, turns)
+        assert [s.tobytes() for s in series.states] == [w.tobytes() for w in want]
+
+
+def test_divergence_after_the_first_block_counts_turns_from_the_start():
+    # x <- 2 x from 0.25 reaches 2^1024, past the largest double, on turn
+    # 1026: in the third block of two-element turns
+    W1 = np.eye(4)
+    W1[0, 0] = 2.0
+    double = maps.TaylorMap(dim=4, order=1, weights=(np.zeros((4, 1)), W1))
+    lat = lattice.Lattice(
+        elements=[lattice.LatticeElement(label="i", tm=maps.identity_map(4, 1)),
+                  lattice.LatticeElement(label="d", tm=double)],
+        monitors=(1, 2),
+    )
+    assert 1026 > 2 * (lattice._BLOCK_SLOTS // 2)
+    series = lattice.multi_turn(lat, [0.25, 0.0, 0.0, 0.0], 1025)
+    assert series.states[-1, 0] == 2.0**1023
+    with pytest.raises(
+        ode.FlowDivergenceError, match=r"^turn 1026: tracking diverged in element 1 \('d'\)$"
+    ) as err:
+        lattice.multi_turn(lat, [0.25, 0.0, 0.0, 0.0], 2000)
+    assert err.value.layer == 2
+
+
+def test_tracking_memory_stays_bounded(fodo):
+    X0, turns = [1e-3, 0.0, 1e-3, 0.0], 5000
+    lattice.multi_turn(fodo, X0, 1)  # the generated monomial code, compiled once
+    tracemalloc.start()
+    try:
+        series = lattice.multi_turn(fodo, X0, turns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert series.n_turns == turns
+    # the output array plus a fixed budget; one chain of all 45000 slots
+    # would hold about 6.8 MB of states and monomials
+    assert peak < turns * 4 * 8 + 512 * 1024, peak
 
 
 def test_500_turns_under_one_second(fodo):
