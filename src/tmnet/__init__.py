@@ -25,7 +25,6 @@ from .maps import (
     compose,
     identity_map,
     symplectic_penalty,
-    symplectic_penalty_gradient,
     symplectic_residual,
 )
 from .ode import (

@@ -1,10 +1,10 @@
 """Batch command line: derive / simulate / train / track / tunes / check.
 
-Every command reads and writes files and returns its input digests and a
-summary line; main then writes a manifest next to the primary output (same
-stem, `.manifest.json`) and prints the summary.  Exit code 0 means all
-outputs were written and finite; parse errors, divergence, and invalid
-inputs exit 1 with one `error:` line on stderr.  No plotting.
+Every command reads and writes files and returns a summary line; main
+digests the files it reads first, then writes a manifest next to the
+primary output (same stem, `.manifest.json`) and prints the summary.  Exit
+code 0 means all outputs were written and finite; parse errors, divergence,
+and invalid inputs exit 1 with one `error:` line on stderr.  No plotting.
 """
 
 import argparse
@@ -44,9 +44,11 @@ def _parse_x0(text: str) -> np.ndarray:
     return X0
 
 
-def _resolve_system(args) -> tuple[ode.PolynomialODE, dict]:
-    """The generating ODE from --system/--param or --ode, plus input digests."""
-    if getattr(args, "system", None):
+def _resolve_system(args) -> ode.PolynomialODE:
+    """The generating ODE from --system/--param or --ode."""
+    if args.param and not args.system:
+        raise ValueError("--param needs --system")
+    if args.system:
         if args.system not in systems.SYSTEMS:
             known = ", ".join(sorted(systems.SYSTEMS))
             raise ValueError(f"unknown system {args.system!r} (known: {known})")
@@ -57,9 +59,9 @@ def _resolve_system(args) -> tuple[ode.PolynomialODE, dict]:
         if unknown:
             raise ValueError(f"unknown parameter {unknown[0]!r} for system {args.system!r} "
                              f"(known: {', '.join(known) or 'none'})")
-        return factory(**params), {}
-    if getattr(args, "ode", None):
-        return io.load_ode(args.ode), {args.ode: io.sha256_file(args.ode)}
+        return factory(**params)
+    if args.ode:
+        return io.load_ode(args.ode)
     raise ValueError("need --system NAME or --ode path")
 
 
@@ -87,32 +89,27 @@ def _emit_manifest(args: argparse.Namespace, inputs: dict, started: float) -> No
     io.write_manifest(manifest, _manifest_path(Path(args.out)))
 
 
-def cmd_derive(args) -> tuple[dict, str]:
-    system, inputs = _resolve_system(args)
+def cmd_derive(args) -> str:
+    system = _resolve_system(args)
     substeps = maps._count("--substeps", args.substeps, 1)
     tm = ode.ode_to_map(system, ode.FlowConfig(args.dt, substeps=substeps))
     out = Path(args.out)
     io.save_map(tm, out)
-    return inputs, f"derived order-{tm.order} map (dim {tm.dim}) -> {out}"
+    return f"derived order-{tm.order} map (dim {tm.dim}) -> {out}"
 
 
 # RK4 substeps per --dt step of the `simulate --oracle` reference columns
 ORACLE_SUBSTEPS = 100
 
 
-def cmd_simulate(args) -> tuple[dict, str]:
+def cmd_simulate(args) -> str:
     maps._count("--steps", args.steps, 1)
     X0 = _parse_x0(args.x0)
-    inputs = {}
     if args.map:
         tm = io.load_map(args.map)
-        inputs[args.map] = io.sha256_file(args.map)
-        system = None
-        if args.system or args.ode:
-            system, more = _resolve_system(args)
-            inputs.update(more)
+        system = _resolve_system(args) if args.system or args.ode or args.param else None
     else:
-        system, inputs = _resolve_system(args)
+        system = _resolve_system(args)
         if args.dt is None:
             raise ValueError("simulating from an ODE needs --dt")
         substeps = maps._count("--substeps", args.substeps, 1)
@@ -136,15 +133,15 @@ def cmd_simulate(args) -> tuple[dict, str]:
         extra = {f"ref_x{i + 1}": ref[:, i] for i in range(ref.shape[1])}
     out = Path(args.out)
     io.write_trajectory(states, out, extra=extra)
-    return inputs, f"simulated {args.steps} steps -> {out}"
+    return f"simulated {args.steps} steps -> {out}"
 
 
-def cmd_train(args) -> tuple[dict, str]:
-    inputs = {args.obs: io.sha256_file(args.obs)}
+def cmd_train(args) -> str:
     obs = io.read_observations(args.obs)
     if args.map:
+        if args.dim is not None or args.order is not None:
+            raise ValueError("--map and --dim/--order both set the initial map; give one")
         tm = io.load_map(args.map)
-        inputs[args.map] = io.sha256_file(args.map)
     else:
         if args.dim is None or args.order is None:
             raise ValueError("need --map, or --dim and --order for identity init")
@@ -171,23 +168,21 @@ def cmd_train(args) -> tuple[dict, str]:
     io.save_map(trained.group_maps[0], out)
     io.write_loss_history(report, out.with_name(out.stem + ".loss.csv"))
     if args.epochs > 0:
-        return inputs, (f"trained {args.epochs} epochs: loss {report.total[0]:.6e} -> "
-                        f"{report.total[-1]:.6e} -> {out}")
-    return inputs, f"trained 0 epochs: weights unchanged -> {out}"
+        return (f"trained {args.epochs} epochs: loss {report.total[0]:.6e} -> "
+                f"{report.total[-1]:.6e} -> {out}")
+    return f"trained 0 epochs: weights unchanged -> {out}"
 
 
-def cmd_track(args) -> tuple[dict, str]:
-    inputs = {args.lattice: io.sha256_file(args.lattice)}
+def cmd_track(args) -> str:
     lat = io.load_lattice(args.lattice)
     X0 = _parse_x0(args.x0)
     series = lattice.multi_turn(lat, X0, maps._count("--turns", args.turns, 1))
     out = Path(args.out)
     io.write_turn_series(series, out)
-    return inputs, f"tracked {args.turns} turns -> {out}"
+    return f"tracked {args.turns} turns -> {out}"
 
 
-def cmd_tunes(args) -> tuple[dict, str]:
-    inputs = {args.series: io.sha256_file(args.series)}
+def cmd_tunes(args) -> str:
     series = io.read_turn_series(args.series)
     est = lattice.estimate_tunes(series)
     out = Path(args.out)
@@ -196,12 +191,11 @@ def cmd_tunes(args) -> tuple[dict, str]:
          "degenerate_x": est.degenerate_x, "degenerate_y": est.degenerate_y},
         out,
     )
-    return inputs, (f"Qx={est.qx:.6f}{' (degenerate)' if est.degenerate_x else ''} "
-                    f"Qy={est.qy:.6f}{' (degenerate)' if est.degenerate_y else ''}")
+    return (f"Qx={est.qx:.6f}{' (degenerate)' if est.degenerate_x else ''} "
+            f"Qy={est.qy:.6f}{' (degenerate)' if est.degenerate_y else ''}")
 
 
-def cmd_check(args) -> tuple[dict, str]:
-    inputs = {args.map: io.sha256_file(args.map)}
+def cmd_check(args) -> str:
     tm = io.load_map(args.map)
     by_degree = [float(np.max(np.abs(c))) for c in maps.symplectic_residual(tm)]
     report = {
@@ -213,15 +207,16 @@ def cmd_check(args) -> tuple[dict, str]:
     }
     out = Path(args.out)
     io._dump_json(report, out)
-    return inputs, (f"symplectic penalty {report['penalty']:.6e} "
-                    f"(max residual {report['max_abs_residual']:.6e})")
+    return (f"symplectic penalty {report['penalty']:.6e} "
+            f"(max residual {report['max_abs_residual']:.6e})")
 
 
 def _add_system_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--system", help="built-in system name")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--system", help="built-in system name")
     p.add_argument("--param", action="append", metavar="K=V",
                    help="system parameter override (repeatable)")
-    p.add_argument("--ode", help="path to a polynomial-ODE JSON spec")
+    source.add_argument("--ode", help="path to a polynomial-ODE JSON spec")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -314,7 +309,10 @@ def main(argv=None) -> int:
     started = time.time()
     try:
         args = build_parser().parse_args(argv)
-        inputs, message = args.func(args)
+        # the files a command reads, digested before its --out can overwrite one
+        files = (getattr(args, flag, None) for flag in ("map", "ode", "obs", "lattice", "series"))
+        inputs = {path: io.sha256_file(path) for path in files if path}
+        message = args.func(args)
         _emit_manifest(args, inputs, started)
     except (ValueError, KeyError, OSError,
             ode.FlowDivergenceError, network.TrainingDivergedError) as exc:

@@ -29,7 +29,6 @@ __all__ = [
     "compose",
     "symplectic_residual",
     "symplectic_penalty",
-    "symplectic_penalty_gradient",
 ]
 
 
@@ -260,10 +259,3 @@ def symplectic_residual(tm: TaylorMap) -> tuple[np.ndarray, ...]:
 def symplectic_penalty(tm: TaylorMap) -> float:
     """Sum of squared residual coefficients; 0 exactly iff symplectic."""
     return float(_residual_penalty(tm.stacked[None], tm.order, False)[1][0])
-
-
-def symplectic_penalty_gradient(tm: TaylorMap) -> list[np.ndarray]:
-    """d symplectic_penalty / dW_d for every block (W_0 gradient is zero)."""
-    grads = _residual_penalty(tm.stacked[None], tm.order, True)[2][0]
-    _, sl = basis._stacked_exponents(tm.dim, tm.order)
-    return [grads[:, s] for s in sl]

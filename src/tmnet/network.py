@@ -22,7 +22,9 @@ per dimension and order runs on Python floats: the masked data term and its
 seeds, then the adjoint from the last slot to the first, through the weights
 and the monomials' exponents with no Jacobian matrix.  The weight gradients
 of every degree and group are one numpy product of the adjoints with the
-monomials.  loss and backward share this path, so they have one objective.
+monomials.  backward and every training epoch take the data term from this
+pass, or from the one-step residual under teacher forcing, and add the
+penalty through _with_penalty, so there is one objective.
 
 Training is deterministic full-batch Adam on the single observed series,
 with global gradient-norm clipping.  It runs on one stacked (groups, dim, N)
@@ -232,23 +234,21 @@ def _group_sum(penalties) -> float:
 
 
 def _with_penalty(data: float, grads, W, n: int, k: int, penalty_rate: float):
-    """Add the symplectic penalty of the stacked group weights W to a data term.
+    """Add the symplectic penalty of the stacked group weights W to a data
+    term and its gradient grads, shaped like W.
 
-    grads is the data gradient, shaped like W, or None when only the loss
-    triple (total, data, penalty) is wanted; otherwise returns (grads,
-    triple) with penalty_rate times the penalty gradient added in place.
-    Odd-dimensional states carry no conjugate-pair structure; their penalty
-    is defined as zero.
+    Returns (grads, (total, data, penalty)) with penalty_rate times the
+    penalty gradient added to grads in place.  Odd-dimensional states carry
+    no conjugate-pair structure; their penalty is defined as zero.
     """
     penalty = 0.0
     if n % 2 == 0:
-        want = grads is not None and penalty_rate != 0.0
+        want = penalty_rate != 0.0
         _, per_group, penalty_grads = maps._residual_penalty(W, k, want)
         penalty = _group_sum(per_group.tolist())
         if want:
             grads += penalty_rate * penalty_grads
-    triple = (data + penalty_rate * penalty, data, penalty)
-    return triple if grads is None else (grads, triple)
+    return grads, (data + penalty_rate * penalty, data, penalty)
 
 
 @lru_cache(maxsize=None)
@@ -321,33 +321,19 @@ def _group_onehot(layer_groups: tuple[int, ...]) -> np.ndarray:
     return onehot
 
 
-def _rollout(net: Network, W, X0, obs: ObservationSeries):
-    """(states, powers, data, seeds, adjoints): the forward pass of
-    _forward_states, then, from _reverse_function, the masked mean squared
-    error over the observed entries, the data gradient on every boundary
-    state and the adjoint at every slot output, shape (n_layers, dim)."""
+def _data_gradient(net: Network, W, X0, obs: ObservationSeries):
+    """(data, grads): the masked mean squared error over the observed
+    entries of the rolled-out chain and its gradient in W.  The forward pass
+    of _forward_states feeds one generated pass on floats
+    (_reverse_function), which gives the data term and the adjoint at every
+    slot output; the weight gradients of every degree and group are then one
+    product, the adjoints of each group's slots times their monomials."""
     _check_observations(net, obs)
     states, powers = _forward_states(net, W, X0)
-    data, seeds, adjoints = _reverse_function(net.dim, net.order)(
+    data, _, adjoints = _reverse_function(net.dim, net.order)(
         W.reshape(len(W), -1).tolist(), net.layer_groups, powers.tolist(),
         states.tolist(), obs.rows, obs.observed_count)
-    return states, powers, data, seeds, np.array(adjoints).reshape(-1, net.dim)[::-1]
-
-
-def loss(net: Network, X0, obs: ObservationSeries, penalty_rate: float):
-    """(total, data, penalty): masked mean squared error over observed
-    entries plus penalty_rate times the summed group penalties."""
-    W = _stack(net)
-    data = _rollout(net, W, X0, obs)[2]
-    return _with_penalty(data, None, W, net.dim, net.order, penalty_rate)
-
-
-def _data_gradient(net: Network, W, X0, obs: ObservationSeries):
-    """(data, grads): the rolled-out data term and its gradient in W.  The
-    data term and the adjoints come from one generated pass on floats
-    (_rollout); the weight gradients of every degree and group are then one
-    product, the adjoints of each group's slots times their monomials."""
-    _, powers, data, _, adjoints = _rollout(net, W, X0, obs)
+    adjoints = np.array(adjoints).reshape(-1, net.dim)[::-1]
     # overflow here means divergence, which the caller detects from the
     # non-finite gradient norm
     with np.errstate(over="ignore", invalid="ignore"):
@@ -468,13 +454,6 @@ def _pairwise_gradient(net: Network, W, feats, nxt):
     grads = np.concatenate([residual.T @ feats[:, s] for s in sl], axis=-1)[None]
     grads *= 2.0 / residual.size
     return float(np.mean(residual**2)), grads
-
-
-def _pairwise_backward(net: Network, W, feats, nxt, penalty_rate: float):
-    """_pairwise_gradient's data term and gradient with the penalty added,
-    as backward adds it."""
-    data, grads = _pairwise_gradient(net, W, feats, nxt)
-    return _with_penalty(data, grads, W, net.dim, net.order, penalty_rate)
 
 
 # the residual terms (snapshots x groups x terms per map) that one flush of

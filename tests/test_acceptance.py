@@ -20,6 +20,8 @@ import pytest
 from tmnet import basis, io, lattice, maps, network, ode, systems
 from tmnet import cli
 
+from test_network import _loss
+
 
 def _verdict(num: int, name: str, failures, detail: str = "") -> None:
     status = "PASS" if not failures else "FAIL"
@@ -279,8 +281,8 @@ def test_criterion_05_gradient_suite():
                     )
                 return network.Network(group_maps=gmaps, layer_groups=net.layer_groups)
             fd = (
-                network.loss(bumped_net(h), X0, obs, lam)[0]
-                - network.loss(bumped_net(-h), X0, obs, lam)[0]
+                _loss(bumped_net(h), X0, obs, lam)[0]
+                - _loss(bumped_net(-h), X0, obs, lam)[0]
             ) / (2 * h)
             got = grads[gi][:, sl[d]][i, p]
             checked += 1
@@ -382,7 +384,7 @@ def test_criterion_07_pendulum_one_shot():
 
     failures = []
     pre = report.data[0]
-    post = network.loss(trained, X0, obs, 0.0)[1]
+    post = _loss(trained, X0, obs, 0.0)[1]
     if post > pre / 10.0:
         failures.append(f"training MSE {post:.3e} not 10x below initial {pre:.3e}")
     unseen = []

@@ -1,5 +1,6 @@
 """Command-line workflows: file outputs, manifests, exit codes, determinism."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -183,6 +184,36 @@ def test_one_process_reuses_the_parser_without_carrying_arguments(tmp_path, caps
     assert not (tmp_path / "bad.csv").exists()
 
 
+def test_manifest_inputs_are_the_digests_of_the_files_read(tmp_path):
+    # each run's manifest maps exactly the files it read to their sha256 as
+    # they were before the run, also when --out overwrites an input
+    lv, derived, traj, obs_csv, tuned, ring, turns, report = (tmp_path / name for name in (
+        "lv.json", "lv_map.json", "traj.csv", "obs.csv", "tuned.json", "ring.json",
+        "turns.csv", "report.json"))
+    io.save_ode(systems.lotka_volterra(), lv)
+    io.write_observations(systems.synthesize(systems.lotka_volterra(), [0.5, 0.2], 0.1, 4),
+                          obs_csv)
+    io.save_lattice(lattice.Lattice(elements=[lattice.rotation_element("r1", 0.28, 0.19)],
+                                    monitors=(1,)), ring)
+    fit = ("--obs", obs_csv, "--x0", "0.5,0.2", "--epochs", "2")
+    runs = [
+        (("derive", "--ode", lv, "--dt", "0.1", "--substeps", "10", "--out", derived), [lv]),
+        (("simulate", "--map", derived, "--ode", lv, "--dt", "0.1", "--x0", "0.5,0.2",
+          "--steps", "3", "--oracle", "--out", traj), [derived, lv]),
+        (("train", "--map", derived, *fit, "--out", tuned), [derived, obs_csv]),
+        (("track", "--lattice", ring, "--x0", "1e-3,0,1e-3,0", "--turns", "64",
+          "--out", turns), [ring]),
+        (("tunes", "--series", turns, "--out", report), [turns]),
+        (("check", "--map", tuned, "--out", report), [tuned]),
+        (("train", "--map", tuned, *fit, "--out", tuned), [tuned, obs_csv]),
+    ]
+    for argv, read in runs:
+        want = {str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in read}
+        assert run(*argv) == 0, argv
+        out = argv[-1]
+        assert io.read_manifest(out.with_name(out.stem + ".manifest.json")).inputs == want, argv
+
+
 def test_tunes_constant_series_degenerate(tmp_path):
     series_path = tmp_path / "turns.csv"
     io.write_turn_series(
@@ -227,6 +258,7 @@ def test_error_exits(tmp_path, capsys):
     lattice_json = tmp_path / "lattice.json"
     io.save_lattice(lattice.Lattice(elements=[lattice.rotation_element("r", 0.28, 0.19)],
                                     monitors=(1,)), lattice_json)
+    io.save_ode(systems.lotka_volterra(), tmp_path / "lv.json")
     obs_csv = tmp_path / "obs.csv"
     io.write_observations(network.ObservationSeries(
         taps=(1, 2), values=np.full((2, 2), 0.1), mask=np.ones((2, 2), bool)), obs_csv)
@@ -259,6 +291,17 @@ def test_error_exits(tmp_path, capsys):
         (("derive", "--system", "pendulum", "--param", "L=abc", "--dt", "0.1",
           "--out", out), "--param L must be a number, got 'abc'"),
         (("derive", "--dt", "0.1", "--out", out), "need --system"),
+        # conflicting model sources are rejected, not silently ignored
+        (("derive", "--system", "pendulum", "--ode", tmp_path / "lv.json", "--dt", "0.1",
+          "--out", out), "argument --ode: not allowed with argument --system"),
+        (("simulate", "--ode", tmp_path / "lv.json", "--param", "g=1", "--dt", "0.1",
+          "--x0", "0.1,0", "--steps", "3", "--out", out), "--param needs --system"),
+        (("simulate", "--map", map2_json, "--param", "g=1", "--x0", "0.1,0", "--steps", "3",
+          "--out", out), "--param needs --system"),
+        (("train", "--obs", obs_csv, "--x0", "0.1,0", "--map", map2_json, "--dim", "2",
+          "--order", "3", "--out", out), "--map and --dim/--order both set the initial map"),
+        (("train", "--obs", obs_csv, "--x0", "0.1,0", "--map", map2_json, "--order", "3",
+          "--out", out), "--map and --dim/--order both set the initial map"),
         (("track", "--lattice", tmp_path / "missing.json", "--x0", "0,0,0,0",
           "--turns", "5", "--out", out), "missing.json"),
         (("derive", "--system", "pendulum", "--param", "bogus=1", "--dt", "0.1",

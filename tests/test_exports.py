@@ -25,7 +25,9 @@ MODULES = ("basis", "maps", "ode", "network", "systems", "lattice", "io", "cli")
 # residual, the generated oracle substeps, the weight flow compiled on the
 # stacked layout, and the generated reverse pass, which needs no Jacobian
 # (it retired the adjoint loop and the maps Jacobian table and series; the
-# tests keep the table and series as the reference reverse pass)
+# tests keep the table and series as the reference reverse pass); and the
+# duplicate objective paths, which backward, _data_gradient,
+# _pairwise_gradient and maps._residual_penalty replace
 DELETED = (
     ("basis", "kron_power_jacobian"),
     ("basis", "lift_linear"),
@@ -45,6 +47,10 @@ DELETED = (
     ("network", "_adjoint_function"),
     ("maps", "_jacobian_series"),
     ("maps", "_jacobian_table"),
+    ("network", "loss"),
+    ("network", "_rollout"),
+    ("network", "_pairwise_backward"),
+    ("maps", "symplectic_penalty_gradient"),
 )
 
 

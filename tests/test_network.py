@@ -41,6 +41,11 @@ def _full_obs(values):
     )
 
 
+def _loss(net, X0, obs, penalty_rate):
+    # the objective triple (total, data, penalty), as backward evaluates it
+    return network.backward(net, network._stack(net), X0, obs, penalty_rate)[1]
+
+
 # --- construction and forward -------------------------------------------------
 
 
@@ -112,7 +117,11 @@ def test_data_term_equals_per_tap_loop():
     mask[1] = False
     mask[4, 0] = True
     obs = network.ObservationSeries(taps=(2, 3, 5, 8, 9), values=values, mask=mask)
-    states, _, data, seeds, _ = network._rollout(net, network._stack(net), X0, obs)
+    W = network._stack(net)
+    states, powers = network._forward_states(net, W, X0)
+    data, seeds, _ = network._reverse_function(4, 2)(
+        W.reshape(1, -1).tolist(), net.layer_groups, powers.tolist(), states.tolist(),
+        obs.rows, obs.observed_count)
     seeds = np.array(seeds)
     n_obs = obs.observed_count
     sq, want = 0.0, np.zeros((10, 4))
@@ -267,7 +276,7 @@ def _observe_at(taps):
     obs = network.ObservationSeries(taps=taps, values=np.zeros((len(taps), 2)),
                                     mask=np.ones((len(taps), 2), dtype=bool))
     chain = network.build_shared_chain(maps.identity_map(2, 1), 3)
-    network.loss(chain, np.zeros(2), obs, 0.0)
+    _loss(chain, np.zeros(2), obs, 0.0)
 
 
 def _chain_trained_at(taps):
@@ -300,7 +309,7 @@ def test_loss_zero_for_perfect_predictions():
     net = network.build_shared_chain(tm, 4)
     X0 = np.array([0.1, 0.2])
     obs = _full_obs(network.forward(net, X0))
-    total, data, _ = network.loss(net, X0, obs, penalty_rate=0.0)
+    total, data, _ = _loss(net, X0, obs, penalty_rate=0.0)
     assert total == 0.0 and data == 0.0
 
 
@@ -312,7 +321,7 @@ def test_loss_is_masked_mean_with_hand_computed_value():
         values=np.array([[1.5, 0.0], [0.0, -0.5]]),
         mask=np.array([[True, False], [True, True]]),
     )
-    total, data, penalty = network.loss(net, X0, obs, penalty_rate=0.0)
+    total, data, penalty = _loss(net, X0, obs, penalty_rate=0.0)
     # residuals: (1.0-1.5), (1.0-0.0), (-1.0-(-0.5)) -> mean of squares
     want = (0.25 + 1.0 + 0.25) / 3
     assert data == pytest.approx(want, rel=1e-13)
@@ -330,7 +339,7 @@ def test_loss_penalty_sums_distinct_groups_once():
         taps=(4,), values=np.zeros((1, 2)), mask=np.ones((1, 2), dtype=bool)
     )
     lam = 0.37
-    total, data, penalty = network.loss(net, X0, obs, penalty_rate=lam)
+    total, data, penalty = _loss(net, X0, obs, penalty_rate=lam)
     want = maps.symplectic_penalty(a) + maps.symplectic_penalty(b)
     assert penalty == pytest.approx(want, rel=1e-13)
     assert total == pytest.approx(data + lam * want, rel=1e-13)
@@ -350,7 +359,7 @@ def test_group_penalties_add_left_to_right_on_every_python():
     net = network.Network(group_maps=group_maps, layer_groups=(0, 1, 2))
     X0 = np.array([0.1, -0.2])
     obs = _full_obs(network.forward(net, X0) + 0.01)
-    assert network.loss(net, X0, obs, 1.0)[2] == plain
+    assert _loss(net, X0, obs, 1.0)[2] == plain
     # inside the epoch at rate 1, from the flushed snapshots at rate 0
     for rate in (1.0, 0.0):
         _, report = network.train_one_shot(net, X0, obs, network.TrainConfig(
@@ -363,12 +372,12 @@ def test_loss_rejects_foreign_taps_and_empty_observations():
     net = network.build_shared_chain(maps.identity_map(2, 2), 3)
     X0 = np.zeros(2)
     with pytest.raises(ValueError, match=r"^observation taps must lie in \[1, 3\]"):
-        network.loss(net, X0, _full_obs(np.zeros((4, 2))), 0.0)
+        _loss(net, X0, _full_obs(np.zeros((4, 2))), 0.0)
     empty = network.ObservationSeries(
         taps=(1,), values=np.zeros((1, 2)), mask=np.zeros((1, 2), dtype=bool)
     )
     with pytest.raises(ValueError, match="no observed"):
-        network.loss(net, X0, empty, 0.0)
+        _loss(net, X0, empty, 0.0)
 
 
 # --- gradients --------------------------------------------------------------------
@@ -429,8 +438,8 @@ def test_backward_matches_finite_differences():
                     maps.TaylorMap(dim=2, order=2, weights=tuple(bumped)), 3
                 )
                 fd = (
-                    network.loss(up, X0, obs, lam)[0]
-                    - network.loss(dn, X0, obs, lam)[0]
+                    _loss(up, X0, obs, lam)[0]
+                    - _loss(dn, X0, obs, lam)[0]
                 ) / (2 * h)
                 assert grads[0][:, sl[d]][i, p] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
@@ -584,8 +593,7 @@ def test_backward_matches_central_differences_on_untied_network():
                      [False, True, True, True]])
     obs = network.ObservationSeries(taps=taps, values=values, mask=mask)
     lam = 1e-3
-    grads, (total, _, _) = network.backward(net, network._stack(net), X0, obs, lam)
-    assert total == network.loss(net, X0, obs, lam)[0]
+    grads, _ = network.backward(net, network._stack(net), X0, obs, lam)
     _, sl = basis._stacked_exponents(n, k)
     h = 1e-6
     for g in range(3):
@@ -598,7 +606,7 @@ def test_backward_matches_central_differences_on_untied_network():
                         bumped[d][i, p] += step
                         gmaps = list(group_maps)
                         gmaps[g] = maps.TaylorMap(dim=n, order=k, weights=tuple(bumped))
-                        fd.append(network.loss(make(gmaps), X0, obs, lam)[0])
+                        fd.append(_loss(make(gmaps), X0, obs, lam)[0])
                     assert grads[g][:, sl[d]][i, p] == pytest.approx(
                         (fd[0] - fd[1]) / (2 * h), rel=1e-5, abs=1e-9), (g, d, i, p)
 
@@ -682,7 +690,7 @@ def test_one_shot_fine_tuning_reduces_training_loss():
     assert report.total[-1] <= 0.1 * report.total[0]
     # rate is zero, so total and data coincide
     assert np.allclose(report.total, report.data, rtol=1e-12)
-    post = network.loss(trained, np.array([0.09, 0.0]), obs, 0.0)[0]
+    post = _loss(trained, np.array([0.09, 0.0]), obs, 0.0)[0]
     assert post <= 0.1 * report.total[0]
 
 
@@ -1028,9 +1036,7 @@ def test_every_point_evaluation_is_one_stacked_product(data, n, k):
     for row, x in zip(predicted, states[:-1]):
         near_per_degree(row, x)
     residual = predicted - targets
-    grads, (_, data_term, _) = network._pairwise_backward(
-        net, network._stack(net), feats, targets, 0.0
-    )
+    data_term, grads = network._pairwise_gradient(net, network._stack(net), feats, targets)
     assert data_term == float(np.mean(residual**2))
     _, sl = basis._stacked_exponents(n, k)
     for s in sl:
