@@ -106,14 +106,21 @@ def cmd_simulate(args) -> str:
     maps._count("--steps", args.steps, 1)
     X0 = _parse_x0(args.x0)
     if args.map:
+        # flags that would do nothing are refused, not recorded in the manifest
+        if args.substeps is not None:
+            raise ValueError("--map takes no --substeps: they set the derivation "
+                             "from --system/--ode")
+        if args.dt is not None and not args.oracle:
+            raise ValueError("--map takes --dt only with --oracle")
         tm = io.load_map(args.map)
         system = _resolve_system(args) if args.system or args.ode or args.param else None
     else:
         system = _resolve_system(args)
         if args.dt is None:
             raise ValueError("simulating from an ODE needs --dt")
-        substeps = maps._count("--substeps", args.substeps, 1)
-        tm = ode.ode_to_map(system, ode.FlowConfig(args.dt, substeps=substeps))
+        args.substeps = maps._count(
+            "--substeps", 1000 if args.substeps is None else args.substeps, 1)
+        tm = ode.ode_to_map(system, ode.FlowConfig(args.dt, substeps=args.substeps))
     if X0.shape != (tm.dim,):
         raise ValueError(f"--x0 has {X0.size} components, map has dim {tm.dim}")
 
@@ -252,9 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", help="map JSON (otherwise derive from --system/--ode)")
     _add_system_flags(p)
     p.add_argument("--dt", type=float, help="step for deriving / oracle reference")
-    p.add_argument("--substeps", type=int, default=1000,
-                   help="RK4 substeps of the map derivation only; the --oracle "
-                        f"reference always runs {ORACLE_SUBSTEPS}")
+    p.add_argument("--substeps", type=int,
+                   help="RK4 substeps of the map derivation (default 1000); the "
+                        f"--oracle reference always runs {ORACLE_SUBSTEPS}")
     p.add_argument("--x0", required=True, help="initial state a,b,...")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--oracle", action="store_true",

@@ -1,5 +1,5 @@
 """Polynomial ODEs, the weight-flow derivation of Taylor maps, and the
-fixed-step reference integrator used as the numerical oracle.
+RK4 reference integrator used as the numerical oracle.
 
 For dX/dt = P_0 + P_1 X + ... + P_k X^[k], the time-dependent weights of the
 flow map X(t) = W_0(t) + W_1(t) X_0 + ... + W_k(t) X_0^[k] satisfy their own
@@ -17,7 +17,8 @@ products and is its test reference.
 ode_to_map runs its RK4 substeps on the raveled weights as one float64
 array and checks each substep for divergence.  reference_trajectory, the
 one public trajectory integrator, runs the substeps of each step in one
-generated function that holds the state in locals, and checks each step.
+generated function that holds the state in locals, and checks each step;
+unless given a count, it chooses the substeps per step by step doubling.
 Only an RK4 stage depends on the right-hand side.  For a PolynomialODE it
 is unrolled from the order-0 term list, which is the right-hand side
 (W_0 = X), term by term, each monomial its prefix times its last variable,
@@ -276,37 +277,100 @@ def _term_advance(ode, n: int):
     return basis._compiled(source, f"<RK4 substeps of a dim-{n} ODE>", "advance", **namespace)
 
 
-def reference_trajectory(ode, X0, dt: float, steps: int, substeps: int = 100) -> np.ndarray:
-    """Fixed-step RK4, the package's one trajectory integrator.
+# the relative error the default reference_trajectory resolves its steps to
+ORACLE_TOL = 1e-9
+# the most RK4 substeps per step the default tries before it gives up
+_MAX_SUBSTEPS = 2 ** 16
 
-    Returns the states at t = 0, dt, ..., steps*dt, shape (steps+1, n), each
-    dt resolved by exactly `substeps` RK4 steps of one generated function
-    (_term_advance).  `ode` is a PolynomialODE or any callable X -> dX/dt on
-    arrays that returns one float per state entry.  The state is a list of
-    Python floats between steps: per element these are the same IEEE
-    operations numpy would run, without its per-call cost on a handful of
-    entries; like numpy's, they overflow to inf and never raise.  The first
-    step that ends non-finite raises FlowDivergenceError.
-    """
-    X = np.asarray(X0, dtype=float)
-    if X.ndim != 1:
-        raise ValueError(f"X0 must be a vector, got shape {X.shape}")
-    dt = _real("dt", dt)
-    steps, substeps = _count("steps", steps, 0), _count("substeps", substeps, 1)
-    if isinstance(ode, PolynomialODE) and X.shape != (ode.dim,):
-        raise ValueError(f"X0 has shape {X.shape}, ODE has dim {ode.dim}")
-    advance = _term_advance(ode, len(X))
-    h = dt / substeps
-    X = X.tolist()
-    out = [X]
+
+def _run(advance, X: list, dt: float, steps: int, fine: int, coarse: int | None,
+         known=()):
+    """The states of `steps` steps of `fine` substeps each, and, when coarse
+    is set, the step-doubling estimate of their error against a coarse run of
+    `coarse` = fine / 2 substeps in lockstep: the largest |fine - coarse| / 15
+    / max(1, |fine|) over the entries so far.  known holds the first states
+    of that coarse run, if already computed.  The run stops at the first
+    step whose estimate exceeds ORACLE_TOL or is NaN (a non-finite coarse
+    state), with that step's estimate; a fine step that ends non-finite
+    raises FlowDivergenceError."""
+    h, H = dt / fine, dt / (coarse or 1)
+    out, C, estimate = [X], X, 0.0
     for s in range(steps):
         # numpy in a callable overflows to inf, as the generated products do
         with np.errstate(over="ignore", invalid="ignore"):
-            Y = advance(X, h, substeps)
+            Y = advance(X, h, fine)
+            if coarse:
+                C = known[s + 1] if s + 1 < len(known) else advance(C, H, coarse)
         if not all(map(math.isfinite, Y)):
             msg = (f"trajectory diverged at t={(s + 1) * dt:.6g} (step {s + 1}/{steps}; "
                    f"last finite state norm {math.hypot(*X):.6g})")
             raise FlowDivergenceError(msg, s + 1)
         X = Y
         out.append(X)
-    return np.array(out)
+        if coarse:
+            e = (max(abs(y - c) / max(1.0, abs(y)) for y, c in zip(Y, C)) / 15.0
+                 if all(map(math.isfinite, C)) else math.nan)
+            if not e <= ORACLE_TOL:
+                return out, e
+            estimate = max(estimate, e)
+    return out, estimate
+
+
+def _reference(ode, X0, dt: float, steps: int, substeps: int | None = None):
+    """(states, substeps, estimate): reference_trajectory's states, the
+    substeps per step that made them and their step-doubling error estimate
+    (None for an explicit count).
+
+    With substeps None, a coarse run of N and a fine run of 2N substeps per
+    step go in lockstep from N = 1 (_run); a level whose estimate exceeds
+    ORACLE_TOL stops there and N doubles, the states its fine run reached
+    being the start of the next coarse run.  The fine run of the first
+    level that completes is returned: the states of substeps=2N, byte for
+    byte.  Beyond _MAX_SUBSTEPS the estimate is a ValueError.
+    """
+    X = np.asarray(X0, dtype=float)
+    if X.ndim != 1:
+        raise ValueError(f"X0 must be a vector, got shape {X.shape}")
+    dt = _real("dt", dt)
+    steps = _count("steps", steps, 0)
+    if substeps is not None:
+        substeps = _count("substeps", substeps, 1)
+    if isinstance(ode, PolynomialODE) and X.shape != (ode.dim,):
+        raise ValueError(f"X0 has shape {X.shape}, ODE has dim {ode.dim}")
+    advance = _term_advance(ode, len(X))
+    if substeps is not None:
+        return np.array(_run(advance, X.tolist(), dt, steps, substeps, None)[0]), substeps, None
+    fine, states = 2, []
+    while True:
+        states, estimate = _run(advance, X.tolist(), dt, steps, fine, fine // 2, states)
+        if estimate <= ORACLE_TOL:
+            return np.array(states), fine, estimate
+        if 2 * fine > _MAX_SUBSTEPS:
+            raise ValueError(
+                f"the reference trajectory's error estimate is {estimate:.3g} at {fine} "
+                f"RK4 substeps per step, above ORACLE_TOL {ORACLE_TOL:g}; "
+                "pass substeps explicitly")
+        fine *= 2
+
+
+def reference_trajectory(ode, X0, dt: float, steps: int, substeps: int | None = None
+                         ) -> np.ndarray:
+    """RK4, the package's one trajectory integrator.
+
+    Returns the states at t = 0, dt, ..., steps*dt, shape (steps+1, n), each
+    dt resolved by the same number of RK4 steps of one generated function
+    (_term_advance).  An explicit `substeps` runs exactly that many.  The
+    default, None, chooses the count by step doubling (_reference): the
+    smallest 2N, N a power of two, whose run differs from the run of N
+    substeps by at most 15 * ORACLE_TOL * max(1, |state|) in every entry
+    (Hairer, Norsett & Wanner, Solving ODEs I, II.4); the result is that of
+    substeps=2N, byte for byte.  `ode` is a PolynomialODE or any callable X
+    -> dX/dt on arrays that returns one float per state entry.  The state is
+    a list of Python floats between steps: per element these are the same
+    IEEE operations numpy would run, without its per-call cost on a handful
+    of entries; like numpy's, they overflow to inf and never raise.  The
+    first step that ends non-finite raises FlowDivergenceError (under the
+    default, a step of a 2N run; a non-finite N run only doubles N), and a
+    default count above 2 ** 16 raises ValueError.
+    """
+    return _reference(ode, X0, dt, steps, substeps)[0]

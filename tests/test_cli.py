@@ -399,3 +399,34 @@ def test_simulate_oracle_manifest_records_its_own_substeps(tmp_path):
                "--steps", "3", "--out", derived) == 0
     assert "oracle_substeps" not in io.read_manifest(
         tmp_path / "d.manifest.json").parameters
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--substeps", "7", "error: --map takes no --substeps: they set the derivation "
+                        "from --system/--ode\n"),
+    ("--dt", "0.5", "error: --map takes --dt only with --oracle\n"),
+])
+def test_simulate_from_a_map_refuses_a_flag_it_would_not_use(tmp_path, capsys, flag, value,
+                                                             message):
+    # both were accepted and recorded in the manifest as if they shaped the run
+    path, out = tmp_path / "ident.json", tmp_path / "t.csv"
+    io.save_map(maps.identity_map(2, 2), path)
+    capsys.readouterr()
+    assert run("simulate", "--map", path, "--x0", "0.3,-0.4", "--steps", "5",
+               flag, value, "--out", out) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists() and not (tmp_path / "t.manifest.json").exists()
+
+
+def test_simulate_records_the_derivation_substeps_it_used(tmp_path):
+    # --substeps has no parser default; deriving applies 1000 and records it,
+    # a map that is not derived records none
+    derived, loaded, path = tmp_path / "d.csv", tmp_path / "m.csv", tmp_path / "ff.json"
+    assert run("simulate", "--system", "free_fall", "--dt", "0.1", "--x0", "0",
+               "--steps", "3", "--out", derived) == 0
+    assert io.read_manifest(tmp_path / "d.manifest.json").parameters["substeps"] == 1000
+    io.save_map(ode.ode_to_map(systems.free_fall(), ode.FlowConfig(0.1)), path)
+    assert run("simulate", "--map", path, "--x0", "0", "--steps", "3", "--out", loaded) == 0
+    assert io.read_trajectory(loaded).tobytes() == io.read_trajectory(derived).tobytes()
+    parameters = io.read_manifest(tmp_path / "m.manifest.json").parameters
+    assert parameters["substeps"] is None and parameters["dt"] is None

@@ -401,12 +401,16 @@ _MAP = maps.identity_map(2, 2).to_dict()
 _ODE = ode.PolynomialODE(2, 2, (np.zeros((2, 1)), np.eye(2), np.zeros((2, 3)))).to_dict()
 
 
+def _oracle_substeps(v):
+    return ode.reference_trajectory(lambda X: -X, np.ones(1), 0.1, 2, v)
+
+
 @pytest.mark.parametrize("value", [2.5, True, np.float64(3.0), "3", None])
 @pytest.mark.parametrize("name, make", [
     ("substeps", lambda v: ode.FlowConfig(0.1, substeps=v)),
     ("epochs", lambda v: network.TrainConfig(epochs=v)),
     ("steps", lambda v: ode.reference_trajectory(lambda X: -X, np.ones(1), 0.1, v)),
-    ("substeps", lambda v: ode.reference_trajectory(lambda X: -X, np.ones(1), 0.1, 2, v)),
+    ("substeps", _oracle_substeps),
     ("length", lambda v: network.build_shared_chain(maps.identity_map(2, 1), v)),
     ("n_turns", lambda v: lattice.multi_turn(_RING, np.zeros(4), v)),
     ("substeps", lambda v: lattice.LatticeElement("s", maps.identity_map(4, 1), _STILL,
@@ -418,6 +422,10 @@ _ODE = ode.PolynomialODE(2, 2, (np.zeros((2, 1)), np.eye(2), np.zeros((2, 3)))).
 ], ids=["FlowConfig", "TrainConfig", "steps", "substeps", "length", "n_turns",
         "LatticeElement", "map_dim", "map_order", "ode_dim", "ode_order"])
 def test_counts_must_be_integers(name, make, value):
+    if value is None and make is _oracle_substeps:
+        # the oracle's default: the count is chosen by step doubling
+        make(value)
+        return
     with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
         make(value)
     for count in (2, np.int64(2)):
@@ -536,7 +544,7 @@ def test_term_list_evaluator_is_near_the_stacked_product(data, n, k):
     )
     system = ode.PolynomialODE(n, k, blocks)
     X0 = data.draw(hnp.arrays(np.float64, (n,), elements=st.floats(-1, 1)))
-    got = ode.reference_trajectory(system, X0, 0.001, 5)
+    got = ode.reference_trajectory(system, X0, 0.001, 5, substeps=100)
     assert got.tobytes() == _textbook_on_terms(system, X0, 0.001, 5, 100).tobytes()
     flow = _textbook_rk4(ode._weight_flow(system, 0), X0, 0.001, 5, 100)
     assert got.tobytes() == flow.tobytes()
@@ -573,3 +581,71 @@ def test_overflowing_power_is_divergence_at_its_step():
 def test_reference_trajectory_rejects_a_state_of_the_wrong_dimension():
     with pytest.raises(ValueError, match="dim 2"):
         ode.reference_trajectory(systems.lotka_volterra(), np.zeros(3), 0.1, 2)
+
+
+# --- the step-doubling default -------------------------------------------------------
+
+# (system, X0, dt, steps, the substeps per step the default chooses) for
+# every built-in system and the damped-pendulum callable: the starts and
+# steps the workloads and checks use, with fewer steps where a 2000-substep
+# reference would be slow
+_DOUBLING_CASES = {
+    "free_fall": (systems.free_fall(), [0.0], 0.5, 30, 8),
+    "free_fall_augmented": (systems.free_fall_augmented(), [0.0, 0.00392], 0.1, 20, 2),
+    "lotka_volterra": (systems.lotka_volterra(), [0.5, 0.5], 0.01, 100, 2),
+    "pendulum": (systems.pendulum(), [0.2, 0.4], 0.05, 40, 32),
+    "rayleigh_plesset": (systems.rayleigh_plesset(), [2.0, 0.1, 0.5, 0.0, 1.0], 0.01, 50, 2),
+    "damped_pendulum_rhs": (systems.damped_pendulum_rhs(g=9.8, L=0.28, damping=0.1),
+                            [0.12, 0.0], 0.1, 10, 64),
+}
+
+
+@pytest.mark.parametrize("name", [*systems.SYSTEMS, "damped_pendulum_rhs"])
+def test_step_doubling_default_is_a_fixed_run_within_2x_of_its_estimate(name):
+    # the error, measured as the estimate is, against 2000 substeps per step;
+    # the states are those of the chosen count, byte for byte
+    system, X0, dt, steps, chosen = _DOUBLING_CASES[name]
+    got, substeps, estimate = ode._reference(system, X0, dt, steps)
+    ref = ode.reference_trajectory(system, X0, dt, steps, substeps=2000)
+    error = np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref)))
+    assert substeps == chosen and estimate <= ode.ORACLE_TOL
+    assert 0.5 * error <= estimate <= 2.0 * error, (estimate, error)
+    fixed = ode.reference_trajectory(system, X0, dt, steps, substeps)
+    assert got.tobytes() == fixed.tobytes()
+    assert ode.reference_trajectory(system, X0, dt, steps).tobytes() == got.tobytes()
+
+
+def test_default_divergence_names_its_step():
+    # x' = x from 1e299 passes the estimate on every step (relative to |x|)
+    # until the fine run overflows: from 1e299 e^19 = 1.78e307, the stage sum
+    # a + 2b + 2c + d, about 6x, passes the largest float within step 20
+    with pytest.raises(ode.FlowDivergenceError,
+                       match=r"^trajectory diverged at t=20 \(step 20/30; "
+                             r"last finite state norm 1\.78482e\+307\)$") as err:
+        ode.reference_trajectory(lambda X: X, np.array([1e299]), 1.0, 30)
+    assert err.value.layer == 20
+
+
+def test_a_non_finite_coarse_run_stops_only_its_level():
+    # dX/dt = 0 passes at N = 1 unless its coarse run is NaN: calls 9-12 are
+    # the coarse substep of step 1 there, after the fine run's 2 x 4 stages
+    calls = []
+
+    def rhs(X):
+        calls.append(None)
+        return np.full_like(X, np.nan if 9 <= len(calls) <= 12 else 0.0)
+
+    got, substeps, estimate = ode._reference(rhs, [0.5, -1.0], 0.1, 3)
+    assert (substeps, estimate) == (4, 0.0)
+    assert np.array_equal(got, np.tile([0.5, -1.0], (4, 1)))
+
+
+def test_default_above_the_substep_cap_asks_for_an_explicit_count(monkeypatch):
+    # the damped pendulum needs 64 substeps per step at dt 0.1
+    monkeypatch.setattr(ode, "_MAX_SUBSTEPS", 16)
+    system, X0, dt, steps, _ = _DOUBLING_CASES["damped_pendulum_rhs"]
+    with pytest.raises(ValueError, match=r"^the reference trajectory's error estimate is "
+                                         r"\S+ at 16 RK4 substeps per step, above "
+                                         r"ORACLE_TOL 1e-09; pass substeps explicitly$"):
+        ode.reference_trajectory(system, np.array(X0), dt, steps)
+    assert ode.reference_trajectory(system, np.array(X0), dt, steps, 16).shape == (11, 2)
