@@ -15,13 +15,16 @@ of degrees 0..k side by side in one (n, N) matrix whose columns follow
 monomials(X, k); that matrix times monomials(X, k) is the one evaluator of a
 polynomial at a state.
 
-Monomials are built by prefix products, as in truncated power series
-algebra: each monomial of degree >= 2 is its degree-(d-1) prefix times its
-last variable, one multiply per monomial.  monomials runs these products as
-straight-line Python generated once per (n, k), on floats for one state and
-on the columns of a batch, so a state gives the same bytes alone and in a
-batch; kron_power forms the same products degree by degree with numpy
-indexing and is checked against it.
+A monomial is the sorted tuple of its variable indices, x1^2 * x2 being
+(0, 0, 1); combinations_with_replacement yields them in basis order, and
+one cached table (_columns) maps each to its column in the stack of degrees
+0..k for every position, product table, term list and generated kernel.
+Each is its prefix, the tuple less its last entry, times its last variable
+(truncated power series algebra; Berz 1999), and one emitter, _products,
+writes these multiplies as straight-line Python.  monomials runs them on
+floats for one state and on the columns of a batch, with the same bytes
+either way; kron_power forms them with numpy indexing and is checked
+against it.
 """
 
 from __future__ import annotations
@@ -69,15 +72,23 @@ def exponent_matrix(n: int, d: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _position_table(n: int, d: int) -> dict[tuple[int, ...], int]:
-    rows = exponent_matrix(n, d)
-    return {tuple(int(e) for e in row): r for r, row in enumerate(rows)}
+def _columns(n: int, k: int) -> dict[tuple[int, ...], int]:
+    """The column of each monomial of degrees 0..k in n variables in their
+    stack, keyed by its sorted tuple of variable indices; the keys run in
+    column order, and x1^d, (0,) * d, is the first column of degree d."""
+    basis_size(n, k)  # validate arguments
+    degrees = (itertools.combinations_with_replacement(range(n), d) for d in range(k + 1))
+    return {mono: s for s, mono in enumerate(itertools.chain.from_iterable(degrees))}
 
 
 def position(n: int, d: int, exponents) -> int:
     """Index of the monomial with the given exponents in the degree-d basis
     over n variables; KeyError if the exponents are not of degree d."""
-    return _position_table(n, d)[tuple(exponents)]
+    columns, e = _columns(n, d), tuple(exponents)
+    mono = tuple(i for i, m in enumerate(e) if 0 <= m <= d for _ in range(int(m)))
+    if len(mono) != d or tuple(map(mono.count, range(n))) != e:
+        raise KeyError(e)
+    return columns[mono] - columns[(0,) * d]
 
 
 def kron_power(X, d: int) -> np.ndarray:
@@ -120,28 +131,32 @@ def _stacked_exponents(n: int, k: int) -> tuple[np.ndarray, tuple[slice, ...]]:
     return E, tuple(slice(end - basis_size(n, d), end) for d, end in enumerate(ends))
 
 
+def _products(x: list[str], monos) -> tuple[list[str], dict]:
+    """(lines, names): one line m<column> = <prefix> * <last variable> per
+    monomial of monos or prefix of one, of degree >= 2 and after its prefix,
+    over the variables named x, and the name of each monomial (1 is "1.0").
+    No **: on floats Python's ** raises OverflowError where * gives inf."""
+    names, formed = {(): "1.0", **{(i,): v for i, v in enumerate(x)}}, set()
+    for mono in monos:
+        while mono not in names and mono not in formed:
+            formed.add(mono)
+            mono = mono[:-1]
+    columns, lines = _columns(len(x), max(map(len, formed), default=0)), []
+    for mono in sorted(formed, key=columns.__getitem__):
+        names[mono] = f"m{columns[mono]}"
+        lines.append(f"{names[mono]} = {names[mono[:-1]]} * {x[mono[-1]]}")
+    return lines, names
+
+
 @lru_cache(maxsize=None)
 def _monomial_function(n: int, k: int):
     """f(x0, ..., x{n-1}): the list of the monomials of degrees 0..k in the
-    order of monomials, generated as straight-line Python and compiled.
-
-    Degree 0 is 1.0 and degree 1 the variables themselves; every monomial of
-    degree >= 2 is one multiply, its prefix (_prefix_table) times its last
-    variable.  The arguments are floats, or arrays of one shape (the columns
-    of a batch).  The source has no **: on floats Python's ** raises
-    OverflowError where * gives inf.
-    """
-    basis_size(n, k)  # validate arguments
-    x = [f"x{i}" for i in range(n)]
-    names, lines, prev = ["1.0"] + (x if k >= 1 else []), [], x
-    for d in range(2, k + 1):
-        parent, var = _prefix_table(n, d)
-        cur = [f"m{d}_{r}" for r in range(len(var))]
-        lines += [f"    {m} = {prev[p]} * x{v}"
-                  for m, p, v in zip(cur, parent.tolist(), var.tolist())]
-        names, prev = names + cur, cur
-    source = "\n".join([f"def monomials({', '.join(x)}):", *lines,
-                        f"    return [{', '.join(names)}]"])
+    order of monomials, their prefix products (_products) compiled.  The
+    arguments are floats, or arrays of one shape (the columns of a batch)."""
+    x, columns = [f"x{i}" for i in range(n)], _columns(n, k)
+    lines, names = _products(x, columns)
+    source = "\n".join([f"def monomials({', '.join(x)}):", *(f"    {line}" for line in lines),
+                        f"    return [{', '.join(map(names.get, columns))}]"])
     return _compiled(source, f"<monomials of degree <= {k} in {n} variables>", "monomials")
 
 
@@ -170,27 +185,15 @@ def monomials(X, k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _mult_table(n: int, a: int, b: int) -> np.ndarray:
-    """Position in the degree-(a+b) basis of each product of a degree-a and a
-    degree-b monomial, shape (basis_size(n,a), basis_size(n,b))."""
-    Ea = exponent_matrix(n, a)
-    Eb = exponent_matrix(n, b)
-    target = _position_table(n, a + b)
-    table = np.zeros((Ea.shape[0], Eb.shape[0]), dtype=np.int64)
-    for i, ra in enumerate(Ea):
-        for j, rb in enumerate(Eb):
-            table[i, j] = target[tuple(int(e) for e in (ra + rb))]
-    table.flags.writeable = False
-    return table
-
-
-@lru_cache(maxsize=None)
 def _scatter_matrix(n: int, a: int, b: int) -> np.ndarray:
     """0/1 matrix T with outer(u, v).ravel() @ T the degree-(a+b) coefficients
-    of the product of a degree-a and a degree-b coefficient vector."""
-    table = _mult_table(n, a, b).ravel()
-    T = np.zeros((table.size, basis_size(n, a + b)))
-    T[np.arange(table.size), table] = 1.0
+    of the product of a degree-a and a degree-b coefficient vector: row
+    (p, q) holds its 1 at the position of monomial p times monomial q."""
+    columns = _columns(n, a + b)
+    bases = [itertools.combinations_with_replacement(range(n), d) for d in (a, b)]
+    products = [columns[tuple(sorted(u + v))] for u, v in itertools.product(*bases)]
+    T = np.zeros((len(products), basis_size(n, a + b)))
+    T[np.arange(len(products)), np.array(products) - columns[(0,) * (a + b)]] = 1.0
     T.flags.writeable = False
     return T
 
@@ -215,11 +218,10 @@ def _series_mul(u, v, n: int, k: int) -> list[np.ndarray]:
 def _prefix_table(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """For each degree-d monomial in m variables, in basis order: the
     position of its degree-(d-1) prefix and its last (highest) variable."""
-    E = exponent_matrix(m, d)
-    var = m - 1 - np.argmax(E[:, ::-1] > 0, axis=1)
-    target = _position_table(m, d - 1)
-    prefix = E - (np.arange(m) == var[:, None])
-    return np.array([target[tuple(int(e) for e in row)] for row in prefix]), var
+    columns = _columns(m, d)
+    monos = list(itertools.combinations_with_replacement(range(m), d))
+    first = columns[(0,) * (d - 1)]
+    return np.array([columns[u[:-1]] - first for u in monos]), np.array([u[-1] for u in monos])
 
 
 def map_powers(blocks, max_degree: int, k: int) -> dict[int, list[np.ndarray]]:

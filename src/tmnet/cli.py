@@ -114,6 +114,8 @@ def cmd_simulate(args) -> str:
             raise ValueError("--map takes --dt only with --oracle")
         tm = io.load_map(args.map)
         system = _resolve_system(args) if args.system or args.ode or args.param else None
+        if system is not None and not args.oracle:
+            raise ValueError("--map takes --system, --ode and --param only with --oracle")
     else:
         system = _resolve_system(args)
         if args.dt is None:

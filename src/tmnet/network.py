@@ -20,11 +20,11 @@ Gradients are exact: reverse accumulation (Griewank & Walther, Evaluating
 Derivatives, 2008), plus the analytic penalty gradient.  One pass generated
 per dimension and order runs on Python floats: the masked data term and its
 seeds, then the adjoint from the last slot to the first, through the weights
-and the monomials' exponents with no Jacobian matrix.  The weight gradients
-of every degree and group are one numpy product of the adjoints with the
-monomials.  backward and every training epoch take the data term from this
-pass, or from the one-step residual under teacher forcing, and add the
-penalty through _with_penalty, so there is one objective.
+and the derivatives of the monomials (basis._columns), with no Jacobian.  The
+weight gradients of every degree and group are one numpy product of the
+adjoints with the monomials.  backward and every training epoch take the
+data term from this pass, or from the one-step residual under teacher
+forcing, and add the penalty through _with_penalty: one objective.
 
 Training is deterministic full-batch Adam on the single observed series,
 with global gradient-norm clipping.  It runs on one stacked (groups, dim, N)
@@ -267,25 +267,26 @@ def _reverse_function(n: int, k: int):
     to the first, the adjoint a at a slot's output is its seed plus the
     adjoint at the next slot's input, and the adjoint b at its input needs
     no Jacobian: c_s = sum_r a_r w[r, s] for every column s of degree >= 1,
-    then b_i = sum_s e_s[i] c_s m_(s - 1_i) over the columns whose exponents
-    e_s hold x_i.  adjoints lists the output adjoints flat, from the last
-    slot to the first.  Every sum is written out and added left to right
-    (not with sum(), which compensates from Python 3.12 on).
+    then b_i = sum_s c_s dm_s/dx_i over the columns whose monomial holds
+    x_i (basis._columns).  adjoints lists the output adjoints flat, from the
+    last slot to the first.  Every sum is written out and added left to
+    right (not with sum(), which compensates from Python 3.12 on).
     """
-    E = basis._stacked_exponents(n, k)[0].astype(int).tolist()
-    column = {tuple(e): s for s, e in enumerate(E)}
+    table = basis._columns(n, k)
+    monos = list(table)
     x, v, o, d, a, sd = ([f"{c}{i}" for i in range(n)] for c in "xvodas")
-    m = [f"m{s}" for s in range(len(E))]
-    w = [f"w{r}_{s}" for r in range(n) for s in range(len(E))]
+    m = [f"m{s}" for s in range(len(monos))]
+    w = [f"w{r}_{s}" for r in range(n) for s in range(len(monos))]
 
     def term(s, i):
-        # column s's share of b_i: c_s times d m_s / d x_i = e_s[i] m_(s - 1_i)
-        p = column[tuple(e - (j == i) for j, e in enumerate(E[s]))]
+        # column s's share of b_i: c_s times d m_s / d x_i = (count of i) m_s less one i
+        mono, j = monos[s], monos[s].index(i)
+        p = table[mono[:j] + mono[j + 1:]]
         t = f"c{s}" if p == 0 else f"c{s} * m{p}"
-        return t if E[s][i] == 1 else f"{E[s][i]}.0 * {t}"
+        return t if mono.count(i) == 1 else f"{mono.count(i)}.0 * {t}"
 
-    columns = range(1, len(E))
-    b = [" + ".join(term(s, i) for s in columns if E[s][i]) for i in range(n)]
+    columns = range(1, len(monos))
+    b = [" + ".join(term(s, i) for s in columns if i in monos[s]) for i in range(n)]
     source = "\n".join([
         "def reverse(weights, groups, powers, states, rows, n_obs):",
         f"    seeds = [{(0.0,) * n}] * len(states)",

@@ -21,15 +21,15 @@ generated function that holds the state in locals, and checks each step;
 unless given a count, it chooses the substeps per step by step doubling.
 Only an RK4 stage depends on the right-hand side.  For a PolynomialODE it
 is unrolled from the order-0 term list, which is the right-hand side
-(W_0 = X), term by term, each monomial its prefix times its last variable,
-with no **.  For a callable it is one call that passes and returns the
-state as a list of floats, the callable itself still seeing arrays.
+(W_0 = X), term by term, its monomials written by basis._products.  For a
+callable it is one call that passes and returns the state as a list of
+floats, the callable itself still seeing arrays.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,49 +102,46 @@ def _flow_terms(ode: PolynomialODE, k: int) -> list:
     factors) with indices into the weights w: the row-major ravel of the
     stacked (n, N) matrix, entry (i, s) at i * N + s.
 
-    The flow is a fixed polynomial of degree ode.order in w.  Row r of P_d is
-    a degree-d monomial in the map's outputs; expanding it picks one map
-    column per factor, and a choice whose column degrees add up to at most k
-    contributes P_d[o, r] times the product of its weights to output o at the
-    column of the summed exponents.  Choices that are the same multiset of
-    weights are one term, their count folded into its coefficient, and
-    factors is the sorted tuple of its weights, unpadded.  Terms follow the
-    rows of P_0, ..., P_p, then the outputs; at k = 0 (W_0 = X, N = 1) they
-    are the ODE's right-hand side, term by term.
+    The flow is a fixed polynomial of degree ode.order in w.  Column f of
+    the ODE's stacked matrix is a monomial (basis._columns) in the map's
+    outputs; expanding it picks one map column per factor, a multiset per
+    variable, and a pick whose column degrees add up to at most k adds the
+    coefficient, times the pick's orderings, times the product of its
+    weights, to each output at the column of the merged monomial.  factors
+    is the sorted tuple of those weights, unpadded.  Terms follow the ODE's
+    columns, the picks in lexicographic order, then the outputs; at k = 0
+    (W_0 = X, N = 1) factors is f and the terms are the ODE's right-hand
+    side, term by term.
     """
-    n = ode.dim
-    E, cols = basis._stacked_exponents(n, k)
-    E = E.astype(int)
-    deg = E.sum(axis=1).tolist()
-    column = {tuple(e): s for s, e in enumerate(E.tolist())}
-    N = len(deg)
+    n, columns = ode.dim, basis._columns(ode.dim, k)
+    monos, N = list(columns), len(columns)
+    stop = [math.comb(n + b, b) for b in range(k + 2)]  # columns of degree <= b
 
-    def choices(factors, first, budget):
-        # (variable, column) per factor; a variable's columns never decrease
-        if not factors:
-            yield ()
+    def picks(runs, budget):
+        # (factors, merged monomial, orderings) of (variable, multiplicity)
+        # runs: of a run's m factors, j take columns of degree 1 to
+        # budget + 1 - j and the rest column 0, the monomial 1
+        if not runs:
+            yield (), (), 1
             return
-        i, rest = factors[0], factors[1:]
-        for s in range(first, cols[budget].stop):
-            nxt = s if rest and rest[0] == i else 0
-            for tail in choices(rest, nxt, budget - deg[s]):
-                yield ((i, s),) + tail
+        (i, m), rest = runs[0], runs[1:]
+        for j in range(min(m, budget) + 1):
+            for tail in itertools.combinations_with_replacement(range(1, stop[budget + 1 - j]), j):
+                merged = sum((monos[s] for s in tail), ())
+                if len(merged) <= budget:
+                    pick = (0,) * (m - j) + tail
+                    count = math.factorial(m) // math.prod(
+                        math.factorial(pick.count(s)) for s in set(pick))
+                    for factors, more, c in picks(rest, budget - len(merged)):
+                        yield tuple(i * N + s for s in pick) + factors, merged + more, count * c
 
     terms = []
-    for d, P in enumerate(ode.coeffs):
-        for r, e in enumerate(basis.exponent_matrix(n, d).tolist()):
-            outputs = [(o, c) for o, c in enumerate(P[:, r].tolist()) if c]
-            if not outputs:
-                continue
-            factors = tuple(i for i, m in enumerate(e) for _ in range(m))
-            for choice in choices(factors, 0, k):
-                # the number of ordered choices with this multiset of columns
-                count = math.prod(map(math.factorial, e))
-                for m in Counter(choice).values():
-                    count //= math.factorial(m)
-                t = column[tuple(E[[s for _, s in choice]].sum(axis=0).tolist())]
-                gather = tuple(i * N + s for i, s in choice)
-                terms += [(o * N + t, c * count, gather) for o, c in outputs]
+    for f, P in zip(basis._columns(n, ode.order), ode.stacked.T.tolist()):
+        outputs = [(o, c) for o, c in enumerate(P) if c]
+        if outputs:
+            for factors, merged, count in picks([(i, f.count(i)) for i in sorted(set(f))], k):
+                t = columns[tuple(sorted(merged))]
+                terms += [(o * N + t, c * count, factors) for o, c in outputs]
     return terms
 
 
@@ -223,14 +220,14 @@ def _term_advance(ode, n: int):
     The state is held in locals x0..x{n-1}; a stage combination is one
     statement per variable.  A callable's stage is one call,
     [a0, ..., a{n-1}] = rhs([x0, ..., x{n-1}]) with rhs = _on_lists(ode).  A
-    PolynomialODE's stage is unrolled from _flow_terms(ode, 0): each distinct
-    monomial is formed once, as its prefix times its last variable (the
-    products of basis.monomials, with no **), and each output starts at 0.0
-    and adds c * m per term, in term order, one statement per term so that
-    any number of terms compiles.  These are the operations of
-    _weight_flow(ode, 0); PolynomialODE.rhs, a BLAS product, may group or
-    fuse the sums differently, by an ulp or so.  The source holds only
-    generated names and the reprs of the (finite) coefficients.
+    PolynomialODE's stage is unrolled from _flow_terms(ode, 0), whose
+    factors are the monomials (basis._columns): basis._products forms each
+    once, and each output starts at 0.0 and adds c * m per term, in term
+    order, one statement per term so that any number of terms compiles.
+    These are the operations of _weight_flow(ode, 0); PolynomialODE.rhs, a
+    BLAS product, may group or fuse the sums differently, by an ulp or so.
+    The source holds only generated names and the reprs of the (finite)
+    coefficients.
     """
     x, y = ([f"{v}{i}" for i in range(n)] for v in "xy")
     if isinstance(ode, PolynomialODE):
@@ -238,19 +235,9 @@ def _term_advance(ode, n: int):
 
         def stage(out, state):
             # dX/dt at the variables named in state, into out0..out{n-1}
-            lines = [f"{out}{i} = 0.0" for i in range(n)]
-            names = {(): "1.0", **{(i,): v for i, v in enumerate(state)}}
-
-            def monomial(f):
-                if f not in names:
-                    prefix = monomial(f[:-1])
-                    names[f] = f"m{len(names)}"
-                    lines.append(f"{names[f]} = {prefix} * {state[f[-1]]}")
-                return names[f]
-
-            for o, c, f in terms:
-                lines.append(f"{out}{o} += {c!r} * {monomial(f)}")
-            return lines
+            lines, names = basis._products(state, [f for _, _, f in terms])
+            return ([f"{out}{i} = 0.0" for i in range(n)] + lines
+                    + [f"{out}{o} += {c!r} * {names[f]}" for o, c, f in terms])
     else:
         namespace = {"rhs": _on_lists(ode)}
 

@@ -109,8 +109,32 @@ def test_position_inverts_enumeration():
     for pos, row in enumerate(basis.exponent_matrix(3, 3)):
         assert sum(row) == 3
         assert basis.position(3, 3, tuple(row)) == pos
-    with pytest.raises(KeyError):
-        basis.position(3, 3, (3, 3, 3))
+    assert basis.position(3, 3, (1.0, 0.0, 2.0)) == basis.position(3, 3, (1, 0, 2))
+    for exponents in ((3, 3, 3), (4, -1, 0), (2.5, 0.5, 0), (2, 1), (1, 1, 1, 0)):
+        with pytest.raises(KeyError):
+            basis.position(3, 3, exponents)
+
+
+@PROPERTY
+@given(st.integers(1, 6), st.integers(0, 5))
+def test_monomial_table_agrees_with_exponents_positions_and_prefixes(n, k):
+    # the one table: each monomial of degree <= k as its sorted tuple of
+    # variable indices, keyed to its column in the stack of degrees 0..k
+    columns = basis._columns(n, k)
+    _, sl = basis._stacked_exponents(n, k)
+    assert list(columns.values()) == list(range(sl[k].stop))
+    for mono, s in columns.items():
+        d = len(mono)
+        r = s - sl[d].start
+        assert list(mono) == sorted(mono) and 0 <= r < basis.basis_size(n, d)
+        exponents = basis.exponent_matrix(n, d)[r]
+        assert np.bincount(mono, minlength=n).tolist() == exponents.tolist()
+        assert basis.position(n, d, exponents) == r
+        if d >= 2:
+            # the prefix entry is the monomial without its last variable
+            parent, var = basis._prefix_table(n, d)
+            assert parent[r] == columns[mono[:-1]] - sl[d - 1].start
+            assert var[r] == mono[-1]
 
 
 # --- reduced Kronecker powers ----------------------------------------------
@@ -146,7 +170,9 @@ def jacobian_table(n: int, e: int) -> tuple[np.ndarray, np.ndarray]:
     """Degree-(e+1) position T[p, i] of monomial p times x_i, and the
     exponent of x_i there: the degree-e coefficients of d(W X^[e+1])/dx_i
     are W[:, T[:, i]] * scale[:, i]."""
-    T = basis._mult_table(n, e, 1)
+    unit = np.eye(n, dtype=int)
+    T = np.array([[basis.position(n, e + 1, row + unit[i]) for i in range(n)]
+                  for row in basis.exponent_matrix(n, e)])
     scale = basis.exponent_matrix(n, e + 1)[T, np.arange(n)].astype(float)
     return T, scale
 

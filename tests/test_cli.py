@@ -298,6 +298,10 @@ def test_error_exits(tmp_path, capsys):
           "--x0", "0.1,0", "--steps", "3", "--out", out), "--param needs --system"),
         (("simulate", "--map", map2_json, "--param", "g=1", "--x0", "0.1,0", "--steps", "3",
           "--out", out), "--param needs --system"),
+        # a generating ODE does nothing without --oracle
+        (("simulate", "--map", map2_json, "--system", "pendulum", "--param", "g=3",
+          "--x0", "0.3,-0.4", "--steps", "5", "--out", out),
+         "--map takes --system, --ode and --param only with --oracle"),
         (("train", "--obs", obs_csv, "--x0", "0.1,0", "--map", map2_json, "--dim", "2",
           "--order", "3", "--out", out), "--map and --dim/--order both set the initial map"),
         (("train", "--obs", obs_csv, "--x0", "0.1,0", "--map", map2_json, "--order", "3",
@@ -405,10 +409,12 @@ def test_simulate_oracle_manifest_records_its_own_substeps(tmp_path):
     ("--substeps", "7", "error: --map takes no --substeps: they set the derivation "
                         "from --system/--ode\n"),
     ("--dt", "0.5", "error: --map takes --dt only with --oracle\n"),
+    ("--system", "pendulum",
+     "error: --map takes --system, --ode and --param only with --oracle\n"),
 ])
 def test_simulate_from_a_map_refuses_a_flag_it_would_not_use(tmp_path, capsys, flag, value,
                                                              message):
-    # both were accepted and recorded in the manifest as if they shaped the run
+    # each was accepted and recorded in the manifest as if it shaped the run
     path, out = tmp_path / "ident.json", tmp_path / "t.csv"
     io.save_map(maps.identity_map(2, 2), path)
     capsys.readouterr()

@@ -27,7 +27,9 @@ MODULES = ("basis", "maps", "ode", "network", "systems", "lattice", "io", "cli")
 # (it retired the adjoint loop and the maps Jacobian table and series; the
 # tests keep the table and series as the reference reverse pass); and the
 # duplicate objective paths, which backward, _data_gradient,
-# _pairwise_gradient and maps._residual_penalty replace
+# _pairwise_gradient and maps._residual_penalty replace; and the exponent-
+# tuple lookups that the one monomial table, basis._columns, replaces (the
+# product positions live in basis._scatter_matrix)
 DELETED = (
     ("basis", "kron_power_jacobian"),
     ("basis", "lift_linear"),
@@ -51,6 +53,8 @@ DELETED = (
     ("network", "_rollout"),
     ("network", "_pairwise_backward"),
     ("maps", "symplectic_penalty_gradient"),
+    ("basis", "_position_table"),
+    ("basis", "_mult_table"),
 )
 
 

@@ -7,8 +7,10 @@ at 4x the default substep count; the integration itself is converged far past
 the tolerances used.
 """
 
+import math
 import re
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -270,6 +272,58 @@ def test_compiled_weight_flow_matches_substitution(data, n, order, k):
     want = np.hstack(basis.substitute(system.coeffs, W, k))
     assert got.shape == want.shape
     assert np.all(np.abs(got - want) <= 1e-13 * np.max(np.abs(want)))
+
+
+def _choice_terms(system, k):
+    # the weight flow's terms by one map column per factor: a variable's
+    # repeated factors take non-decreasing columns, choices whose column
+    # degrees exceed k are cut, the orderings of a choice are counted from
+    # its multiplicities, and the summed exponent rows give the target
+    n = system.dim
+    E, cols = basis._stacked_exponents(n, k)
+    E = E.astype(int)
+    deg = E.sum(axis=1).tolist()
+    column = {tuple(e): s for s, e in enumerate(E.tolist())}
+    N = len(deg)
+
+    def choices(factors, first, budget):
+        if not factors:
+            yield ()
+            return
+        i, rest = factors[0], factors[1:]
+        for s in range(first, cols[budget].stop):
+            nxt = s if rest and rest[0] == i else 0
+            for tail in choices(rest, nxt, budget - deg[s]):
+                yield ((i, s),) + tail
+
+    terms = []
+    for d, P in enumerate(system.coeffs):
+        for r, e in enumerate(basis.exponent_matrix(n, d).tolist()):
+            outputs = [(o, c) for o, c in enumerate(P[:, r].tolist()) if c]
+            if not outputs:
+                continue
+            factors = tuple(i for i, m in enumerate(e) for _ in range(m))
+            for choice in choices(factors, 0, k):
+                count = math.prod(map(math.factorial, e))
+                for m in Counter(choice).values():
+                    count //= math.factorial(m)
+                t = column[tuple(E[[s for _, s in choice]].sum(axis=0).tolist())]
+                gather = tuple(i * N + s for i, s in choice)
+                terms += [(o * N + t, c * count, gather) for o, c in outputs]
+    return terms
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.data(), st.integers(1, 5), st.integers(1, 3), st.integers(0, 3))
+def test_flow_terms_equal_the_choice_enumeration(data, n, order, k):
+    # dense ODEs, zeros allowed: the multiset picks give the choices' terms
+    # in their order, with the same coefficients and gathers
+    coeff = st.sampled_from([0.0, -1.25, 0.5, 3.0])
+    system = ode.PolynomialODE(n, order, tuple(
+        data.draw(hnp.arrays(np.float64, (n, basis.basis_size(n, d)), elements=coeff))
+        for d in range(order + 1)))
+    got, want = ode._flow_terms(system, k), _choice_terms(system, k)
+    assert got == want
 
 
 def _flow_systems():
