@@ -56,27 +56,30 @@ def element_from_ode(
                           substeps=substeps)
 
 
+def _quad_ode(k: float) -> ode.PolynomialODE:
+    P = [np.zeros((4, basis.basis_size(4, d))) for d in range(3)]
+    P[1][0, 1] = P[1][2, 3] = 1.0
+    P[1][1, 0], P[1][3, 2] = -k, k
+    return ode.PolynomialODE(4, 2, tuple(P))
+
+
 def quad_element(label: str, k: float, dt: float, substeps: int = 1000) -> LatticeElement:
     """Order-2 Hill-type quadrupole: x'' = -k x, y'' = +k y (k > 0 focuses in x)."""
-    P = [np.zeros((4, basis.basis_size(4, d))) for d in range(3)]
-    P[1][0, 1] = 1.0
-    P[1][1, 0] = -k
-    P[1][2, 3] = 1.0
-    P[1][3, 2] = k
-    return element_from_ode(label, ode.PolynomialODE(4, 2, tuple(P)), dt, substeps)
+    return element_from_ode(label, _quad_ode(k), dt, substeps)
 
 
-def sextupole_element(
-    label: str, k2: float, dt: float, substeps: int = 1000
-) -> LatticeElement:
-    """Weak sextupole: x'' = -k2/2 (x^2 - y^2), y'' = +k2 x y."""
+def _sextupole_ode(k2: float) -> ode.PolynomialODE:
     P = [np.zeros((4, basis.basis_size(4, d))) for d in range(3)]
-    P[1][0, 1] = 1.0
-    P[1][2, 3] = 1.0
+    P[1][0, 1] = P[1][2, 3] = 1.0
     P[2][1, basis.position(4, 2, (2, 0, 0, 0))] = -0.5 * k2
     P[2][1, basis.position(4, 2, (0, 0, 2, 0))] = 0.5 * k2
     P[2][3, basis.position(4, 2, (1, 0, 1, 0))] = k2
-    return element_from_ode(label, ode.PolynomialODE(4, 2, tuple(P)), dt, substeps)
+    return ode.PolynomialODE(4, 2, tuple(P))
+
+
+def sextupole_element(label: str, k2: float, dt: float, substeps: int = 1000) -> LatticeElement:
+    """Weak sextupole: x'' = -k2/2 (x^2 - y^2), y'' = +k2 x y."""
+    return element_from_ode(label, _sextupole_ode(k2), dt, substeps)
 
 
 def rotation_element(label: str, qx: float, qy: float) -> LatticeElement:
@@ -287,9 +290,9 @@ def perturb_element(lat: Lattice, index: int, factor: float) -> Lattice:
     map-only elements have the linear focusing entries W_1[x'<-x], W_1[y'<-y]
     scaled directly.
     """
-    if not 0 <= index < lat.n_elements:
+    if maps._count("index", index, 0) >= lat.n_elements:
         raise ValueError(f"element index {index} out of range [0, {lat.n_elements})")
-    if factor <= 0:
+    if maps._real("factor", factor) <= 0:
         raise ValueError(f"factor must be positive, got {factor}")
     e = lat.elements[index]
     if e.generator is not None:
@@ -354,15 +357,17 @@ def build_fodo_ring(substeps: int = 1000) -> Lattice:
     (nine symplectic elements), monitored at every boundary.
 
     The ring is stable in both planes with distinct tunes and stays stable
-    when any single element's strength is scaled by 0.8.  Each of the four
-    distinct elements is derived once and reused under its labels.
+    when any single element's strength is scaled by 0.8.  The four distinct
+    elements are derived in one RK4 loop (ode._ode_to_maps), each with the
+    bytes of its own ode_to_map, and reused under their labels.
     """
-    qf = quad_element("qf", _KF, _LENGTH, substeps=substeps)
-    qd = quad_element("qd", -_KD, _LENGTH, substeps=substeps)
-    drift = drift_element("o", _LENGTH, substeps=substeps)
+    gens = [_quad_ode(_KF), _quad_ode(-_KD), _quad_ode(0.0), _sextupole_ode(_K2)]
+    tms = ode._ode_to_maps(gens, ode.FlowConfig(_LENGTH, substeps))
+    qf, qd, drift, sx = (LatticeElement(label, tm, g, _LENGTH, substeps)
+                         for label, tm, g in zip(("qf", "qd", "o", "sx1"), tms, gens))
     elements = []
     for i in range(2):
         elements += [replace(qf, label=f"qf{i + 1}"), replace(drift, label=f"o{2 * i + 1}"),
                      replace(qd, label=f"qd{i + 1}"), replace(drift, label=f"o{2 * i + 2}")]
-    elements.append(sextupole_element("sx1", _K2, _LENGTH, substeps=substeps))
+    elements.append(sx)
     return Lattice(elements=elements, monitors=tuple(range(1, len(elements) + 1)), ring=True)

@@ -15,19 +15,16 @@ scatter; basis.substitute computes the same right-hand side by series
 products and is its test reference.
 
 ode_to_map runs its RK4 substeps on the raveled weights as one float64
-array and checks each substep for divergence.  reference_trajectory, the
-one public trajectory integrator, runs the substeps of each step in one
-generated function that holds the state in locals, and checks each step;
-unless given a count, it chooses the substeps per step by step doubling.
-Only an RK4 stage depends on the right-hand side.  For a PolynomialODE it
-is unrolled from the order-0 term list, which is the right-hand side
-(W_0 = X), term by term, its monomials written by basis._products.  For a
-callable it is one call that passes and returns the state as a list of
-floats, the callable itself still seeing arrays.
+array, checked each substep for divergence; _ode_to_maps runs several ODEs
+in that one loop, each with its own bytes.  reference_trajectory, the one
+public trajectory integrator, runs each step's substeps in one generated
+function (_term_advance, compiled once per PolynomialODE) on the state in
+locals; unless given a count, it chooses the substeps by step doubling.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -75,6 +72,11 @@ class PolynomialODE:
     def rhs(self, X) -> np.ndarray:
         """Evaluate dX/dt at a state vector."""
         return _evaluate(self.stacked, self.order, X)
+
+    @functools.cached_property
+    def _advance(self):
+        """The oracle's RK4 substeps (_term_advance), compiled once per ODE."""
+        return _term_advance(self, self.dim)
 
     def to_dict(self) -> dict:
         return _to_dict(self, "coeffs")
@@ -145,18 +147,21 @@ def _flow_terms(ode: PolynomialODE, k: int) -> list:
     return terms
 
 
-def _weight_flow(ode: PolynomialODE, k: int):
-    """dW/dt of the order-k weight flow (_flow_terms), as a float64 array,
-    at the raveled weights w.  Each term is padded to ode.order factors with
-    a trailing 1.0: an evaluation is one gather per factor, their product in
-    factor order and one scatter that adds the terms in order."""
-    size = ode.dim * len(basis._stacked_exponents(ode.dim, k)[0])
-    terms = _flow_terms(ode, k)
+def _weight_flow(ode, k: int | None = None):
+    """dW/dt of the order-k weight flow (_flow_terms) at the raveled weights
+    w, or of each ODE of a list at its own order, w holding their weights in
+    turn.  With terms padded to the largest order by a trailing 1.0 (index
+    -1), it is a gather per factor, their product and an in-order scatter."""
+    members = [(ode, k)] if isinstance(ode, PolynomialODE) else [(o, o.order) for o in ode]
+    width, size, terms = max(o.order for o, _ in members), 0, []
+    for o, order in members:
+        terms += [(size + t, c, tuple(size + i for i in f)) for t, c, f in _flow_terms(o, order)]
+        size += o.dim * len(basis._columns(o.dim, order))
     target = np.array([t for t, _, _ in terms], dtype=np.intp)
     coef = np.array([c for _, c, _ in terms], dtype=float)
-    # one index row per factor: order - 1 whole-row multiplies, in factor order
-    F = [f + (size,) * (ode.order - len(f)) for _, _, f in terms]
-    first, *rest = np.array(F, dtype=np.intp).reshape(-1, ode.order).T.copy()
+    # one index row per factor: width - 1 whole-row multiplies, in factor order
+    F = [f + (-1,) * (width - len(f)) for _, _, f in terms]
+    first, *rest = np.array(F, dtype=np.intp).reshape(-1, width).T.copy()
     w_ext = np.ones(size + 1)
 
     def rhs(w):
@@ -169,12 +174,14 @@ def _weight_flow(ode: PolynomialODE, k: int):
     return rhs
 
 
-def ode_to_map(ode: PolynomialODE, cfg: FlowConfig) -> TaylorMap:
-    """Integrate the weight flow over one step of cfg.dt from the unified
-    initial condition W_1 = I; returns the order-k Taylor map of the flow."""
-    n, k = ode.dim, ode.order
-    rhs = _weight_flow(ode, k)
-    w = identity_map(n, k).stacked.ravel()
+def _ode_to_maps(odes: list, cfg: FlowConfig) -> list:
+    """ode_to_map of each ODE in odes by one RK4 loop on all their weights
+    (_weight_flow).  Members touch disjoint entries, so each map, and the
+    error of the first member to end a substep non-finite, is that of its
+    own ode_to_map byte for byte."""
+    rhs = _weight_flow(odes)
+    w = np.concatenate([identity_map(o.dim, o.order).stacked.ravel() for o in odes])
+    cuts = np.cumsum([o.dim * len(basis._columns(o.dim, o.order)) for o in odes])[:-1]
     h = cfg.dt / cfg.substeps
     half, sixth = 0.5 * h, h / 6.0
     # the stages group as in _term_advance; an overflow inside one is
@@ -187,14 +194,22 @@ def ode_to_map(ode: PolynomialODE, cfg: FlowConfig) -> TaylorMap:
             k4 = rhs(w + h * k3)
             nxt = w + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.isfinite(nxt).all():
+                last = next(x for x, y in zip(np.split(w, cuts), np.split(nxt, cuts))
+                            if not np.isfinite(y).all())
                 raise FlowDivergenceError(
                     f"weight flow diverged at t={s * h:.6g} of {cfg.dt:.6g} "
                     f"(substep {s}/{cfg.substeps}; "
-                    f"last finite weight norm {math.hypot(*w.tolist()):.6g})", s)
+                    f"last finite weight norm {math.hypot(*last.tolist()):.6g})", s)
             w = nxt
-    W = w.reshape(n, -1)
-    _, sl = basis._stacked_exponents(n, k)
-    return TaylorMap(dim=n, order=k, weights=tuple(W[:, s] for s in sl))
+    return [TaylorMap(dim=o.dim, order=o.order, weights=tuple(
+        x.reshape(o.dim, -1)[:, s] for s in basis._stacked_exponents(o.dim, o.order)[1]))
+        for o, x in zip(odes, np.split(w, cuts))]
+
+
+def ode_to_map(ode: PolynomialODE, cfg: FlowConfig) -> TaylorMap:
+    """Integrate the weight flow over one step of cfg.dt from the unified
+    initial condition W_1 = I; returns the order-k Taylor map of the flow."""
+    return _ode_to_maps([ode], cfg)[0]
 
 
 def _on_lists(f):
@@ -324,7 +339,7 @@ def _reference(ode, X0, dt: float, steps: int, substeps: int | None = None):
         substeps = _count("substeps", substeps, 1)
     if isinstance(ode, PolynomialODE) and X.shape != (ode.dim,):
         raise ValueError(f"X0 has shape {X.shape}, ODE has dim {ode.dim}")
-    advance = _term_advance(ode, len(X))
+    advance = ode._advance if isinstance(ode, PolynomialODE) else _term_advance(ode, len(X))
     if substeps is not None:
         return np.array(_run(advance, X.tolist(), dt, steps, substeps, None)[0]), substeps, None
     fine, states = 2, []

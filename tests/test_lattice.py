@@ -7,6 +7,7 @@ at 200 substeps is ~1e-12, far below the 1e-5 assertions used here).
 
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -46,16 +47,18 @@ def test_element_generator_needs_dt():
 
 
 def test_fodo_ring_derives_each_distinct_element_once(monkeypatch):
+    # one batched derivation holds the four distinct generators
     calls = []
-    derive = ode.ode_to_map
+    derive = ode._ode_to_maps
 
-    def counting(system, cfg):
-        calls.append(cfg)
-        return derive(system, cfg)
+    def counting(systems, cfg):
+        calls.append(list(systems))
+        return derive(systems, cfg)
 
-    monkeypatch.setattr(ode, "ode_to_map", counting)
+    monkeypatch.setattr(ode, "_ode_to_maps", counting)
     ring = lattice.build_fodo_ring(substeps=20)
-    assert len(calls) == 4
+    assert len(calls) == 1 and len(calls[0]) == 4
+    assert {id(e.generator) for e in ring.elements} == set(map(id, calls[0]))
     monkeypatch.undo()
     alone = {
         "qf": lambda label: lattice.quad_element(label, 0.40, 1.0, substeps=20),
@@ -382,6 +385,34 @@ def test_perturb_validation(fodo):
         lattice.perturb_element(fodo, 99, 0.8)
     with pytest.raises(ValueError, match="positive"):
         lattice.perturb_element(fodo, 0, 0.0)
+    # no floating-point warning and no TypeError: one message naming the field
+    for index, factor, message in (
+            (True, 0.8, r"^index must be an integer >= 0, got True$"),
+            (0.0, 0.8, r"^index must be an integer >= 0, got 0\.0$"),
+            (-1, 0.8, r"^index must be an integer >= 0, got -1$"),
+            (0, True, r"^factor must be a finite number, got True$"),
+            (0, float("nan"), r"^factor must be finite, got nan$"),
+            (0, float("inf"), r"^factor must be finite, got inf$"),
+            (0, -float("inf"), r"^factor must be finite, got -inf$")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                lattice.perturb_element(fodo, index, factor)
+    assert lattice.perturb_element(fodo, np.int64(8), np.float32(0.5)).elements[8].label == "sx1"
+
+
+def test_perturbing_a_ring_element_derives_its_scaled_ode_alone(fodo):
+    # the batch-derived ring gives way to one ode_to_map of the scaled flow
+    for j in (0, 1, 2, 8):  # qf, drift, qd, sextupole
+        e = fodo.elements[j]
+        coeffs = [c.copy() for c in e.generator.coeffs]
+        for c in coeffs:
+            c[[1, 3]] *= 0.8
+        scaled = ode.PolynomialODE(4, 2, tuple(coeffs))
+        want = ode.ode_to_map(scaled, ode.FlowConfig(e.dt, e.substeps))
+        got = lattice.perturb_element(fodo, j, 0.8).elements[j]
+        assert got.generator.stacked.tobytes() == scaled.stacked.tobytes()
+        assert got.tm.stacked.tobytes() == want.stacked.tobytes()
 
 
 # --- fine-tuning ---------------------------------------------------------

@@ -254,6 +254,59 @@ def test_derived_map_is_byte_equal_to_a_textbook_weight_flow(index):
     assert tm.stacked.ravel().tobytes() == end.tobytes()
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(st.data(), st.lists(st.tuples(st.integers(1, 5), st.integers(1, 3)),
+                           min_size=1, max_size=3), st.integers(1, 5), st.integers(1, 3))
+def test_a_batched_derivation_gives_each_member_its_own_bytes(data, shapes, zero_n,
+                                                               zero_order):
+    # members of mixed dimension and order, padded to the largest order, and
+    # an all-zero ODE (no terms) at a drawn place in the batch; a fifth of
+    # the coefficients are nonzero, which keeps n5/k3 term lists small
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+
+    def block(n, d):
+        shape = (n, basis.basis_size(n, d))
+        return rng.uniform(-1.0, 1.0, shape) * (rng.random(shape) < 0.2)
+
+    odes = [ode.PolynomialODE(n, order, tuple(block(n, d) for d in range(order + 1)))
+            for n, order in shapes]
+    zero = ode.PolynomialODE(zero_n, zero_order, tuple(
+        np.zeros((zero_n, basis.basis_size(zero_n, d))) for d in range(zero_order + 1)))
+    odes.insert(data.draw(st.integers(0, len(odes))), zero)
+    cfg = ode.FlowConfig(0.05, substeps=4)
+    got = ode._ode_to_maps(odes, cfg)
+    assert len(got) == len(odes)
+    for system, tm in zip(odes, got):
+        want = ode.ode_to_map(system, cfg)
+        assert (tm.dim, tm.order) == (want.dim, want.order)
+        assert tm.stacked.tobytes() == want.stacked.tobytes()
+
+
+def test_a_batch_raises_the_first_diverging_members_own_error():
+    # at h = 0.02, x' = 50 x ends substep 708 non-finite (see above), as
+    # does the 2-d twin with its larger norm; x' = 60 x does so at substep
+    # 591; the rotation never does
+    def linear(A):
+        A = np.atleast_2d(A)
+        return ode.PolynomialODE(len(A), 1, (np.zeros((len(A), 1)), A))
+
+    rotation, stiff = linear([[0.0, 1.0], [-1.0, 0.0]]), linear(50.0)
+    twin, faster = linear(50.0 * np.eye(2)), linear(60.0)
+    cfg = ode.FlowConfig(20.0)
+
+    def error(derive, arg):
+        with pytest.raises(ode.FlowDivergenceError) as err:
+            derive(arg, cfg)
+        return str(err.value), err.value.layer
+
+    alone = [error(ode.ode_to_map, system) for system in (stiff, twin, faster)]
+    assert [layer for _, layer in alone] == [708, 708, 591]
+    assert alone[0][0] != alone[1][0]
+    for batch, first in (([rotation, stiff, twin], 0), ([rotation, twin, stiff], 1),
+                         ([stiff, rotation, faster], 2)):
+        assert error(ode._ode_to_maps, batch) == alone[first]
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(st.data(), st.integers(1, 5), st.integers(1, 3), st.integers(1, 3))
 def test_compiled_weight_flow_matches_substitution(data, n, order, k):
@@ -635,6 +688,26 @@ def test_overflowing_power_is_divergence_at_its_step():
 def test_reference_trajectory_rejects_a_state_of_the_wrong_dimension():
     with pytest.raises(ValueError, match="dim 2"):
         ode.reference_trajectory(systems.lotka_volterra(), np.zeros(3), 0.1, 2)
+
+
+def test_a_polynomial_odes_oracle_compiles_once_per_ode(monkeypatch):
+    # three calls on one ODE, default and explicit counts, compile its
+    # substeps once; an equal but separate ODE compiles its own
+    runs = [([0.5, 0.5], 0.01, 20, None), ([0.3, 0.7], 0.1, 5, 50), ([0.5, 0.5], 0.01, 20, 2)]
+    want = [ode.reference_trajectory(systems.lotka_volterra(), *run) for run in runs]
+    names, compiled = [], basis._compiled
+
+    def counting(source, name, *args, **kwargs):
+        names.append(name)
+        return compiled(source, name, *args, **kwargs)
+
+    monkeypatch.setattr(basis, "_compiled", counting)
+    system = systems.lotka_volterra()
+    for run, trajectory in zip(runs, want):
+        assert ode.reference_trajectory(system, *run).tobytes() == trajectory.tobytes()
+    assert names == ["<RK4 substeps of a dim-2 ODE>"]
+    ode.reference_trajectory(systems.lotka_volterra(), *runs[0])
+    assert len(names) == 2
 
 
 # --- the step-doubling default -------------------------------------------------------
