@@ -163,7 +163,7 @@ def _track(lat: Lattice, X0, n_turns: int, name_turns: bool):
         if chain is None or chain.n_layers != turns * n:
             chain = replace(net, layer_groups=net.layer_groups * turns)
         try:
-            states = network._forward_states(chain, W, X)[0]
+            states = network._forward_states(chain, network._bind_slots(chain, W, X))[0]
         except ode.FlowDivergenceError as exc:
             turn, j = divmod(exc.layer - 1, n)
             message = f"tracking diverged in element {j} ({lat.elements[j].label!r})"

@@ -207,32 +207,52 @@ def _residual_terms(n: int, k: int):
     return coef, s * len(E) + t, entry, unit, len(a) * len(E2), np.nonzero(J > 0)
 
 
+@lru_cache(maxsize=8)
+def _penalty_plan(n: int, k: int, G: int):
+    """The term list of _residual_terms laid out for G stacked maps, flat
+    over (map, term): coef and 4 coef repeated per map, and the flat indices
+    st + N^2 g into the maps' Pi, entry + P M g and unit + P M g into their
+    residuals; with P * M and the J pairs (i, j).  A training run asks for
+    at most three G (its groups, a full flush of deferred penalties and the
+    last partial one), so a few plans cover it and the cache stays small."""
+    coef, st, entry, unit, size, pairs = _residual_terms(n, k)
+    N = len(basis._stacked_exponents(n, k)[0])
+    group = np.arange(G)[:, None]
+    plan = (np.tile(coef, G), np.tile(4.0 * coef, G), (st + N * N * group).ravel(),
+            (entry + size * group).ravel(), (unit + size * group).ravel())
+    for a in plan:
+        a.flags.writeable = False
+    return (*plan, size, pairs)
+
+
 def _residual_penalty(W: np.ndarray, k: int, gradient: bool):
     """(R, penalty, grads) of each order-k map in the stacked (G, n, N)
     weights W: the residual entries of _residual_terms, shape (G, P * M),
     the penalties 2 sum R^2 (both triangles), shape (G,), and the penalty
     gradient in W's layout if gradient is set (else None).
 
-    One batched product gives every Pi, and one gather, one product and one
-    bincount with an offset per group give R.  The gradient on Pi is one
-    more bincount, of 4 R coef over st; Pi's factors take it to the weights.
+    One batched product gives every Pi; one flat gather, one product and one
+    bincount give R, the indices and coefficients read from the cached
+    _penalty_plan of (n, k, G).  The gradient on Pi is one more bincount, of
+    4 coef R gathered at the terms' entries, over the terms' st; Pi's factors
+    take it to the weights.  bincount adds the terms of an entry in term
+    order, so each map's numbers are the same alone and in a stack.  The
+    plan cache holds a few (n, k, G); training asks for at most three G.
     """
     G, n, N = W.shape
-    coef, st, entry, unit, size, (i, j) = _residual_terms(n, k)
-    group = np.arange(G)[:, None]
-    Wi, Wj = W[:, i], W[:, j]
+    coef, coef4, st, entry, unit, size, (i, j) = _penalty_plan(n, k, G)
+    Wi, Wj = W.take(i, axis=1), W.take(j, axis=1)
     # overflow here means divergence, which training detects from the
     # non-finite penalty or gradient norm
     with np.errstate(over="ignore", invalid="ignore"):
-        Pi = (np.swapaxes(Wi, 1, 2) @ Wj).reshape(G, -1)
-        R = np.bincount((entry + size * group).ravel(), (coef * Pi[:, st]).ravel(), G * size)
+        Pi = np.swapaxes(Wi, 1, 2) @ Wj
+        R = np.bincount(entry, coef * Pi.take(st), G * size)
+        R[unit] -= 1.0
         R = R.reshape(G, size)
-        R[:, unit] -= 1.0
         penalty = 2.0 * np.sum(R * R, axis=1)
         if not gradient:
             return R, penalty, None
-        D = np.bincount((st + N * N * group).ravel(), (4.0 * coef * R[:, entry]).ravel(),
-                        G * N * N).reshape(G, N, N)
+        D = np.bincount(st, coef4 * R.take(entry), G * N * N).reshape(G, N, N)
         grads = np.empty_like(W)
         grads[:, i], grads[:, j] = Wj @ np.swapaxes(D, 1, 2), Wi @ D
     return R, penalty, grads

@@ -15,6 +15,9 @@ layer and the norm of the last finite state.
 The forward pass builds each slot's monomials on Python floats in a
 preallocated row and dots the group's weights with it into the next state's
 row, the call TaylorMap.apply makes, so its states are apply's bit for bit.
+Its buffers, the checked initial state and each slot's group row of the
+stacked weights come from _bind_slots: forward, backward and lattice
+tracking bind them per call, a training run once for all its epochs.
 
 Gradients are exact: reverse accumulation (Griewank & Walther, Evaluating
 Derivatives, 2008), plus the analytic penalty gradient.  One pass generated
@@ -30,9 +33,14 @@ Training is deterministic full-batch Adam on the single observed series,
 with global gradient-norm clipping.  It runs on one stacked (groups, dim, N)
 array W, W[g] being group g's stacked matrix; gradients and Adam's moments
 share that layout, and TaylorMaps are built from it only at checkpoints and
-at the end.  At penalty rate 0 the penalty is recorded but steers nothing,
-so an epoch only copies W aside; one stacked penalty evaluation over a
-batch of these copies fills in the recorded penalties and totals.
+at the end.  A run pays once for what no epoch changes: it checks X0 and the
+observations, reads their observed count and binds the buffers and slot
+views of W (_bind_slots); Adam updates W in place, so the views always
+read the current weights.  An epoch runs only the float work,
+in the order of operations of a call to backward.  At penalty rate 0 the
+penalty is recorded but steers nothing, so an epoch only copies W aside; one
+stacked penalty evaluation over a batch of these copies fills in the
+recorded penalties and totals.
 """
 
 import math
@@ -169,22 +177,35 @@ def _group_maps(net: Network, W) -> list[maps.TaylorMap]:
             for w in W]
 
 
-def _forward_states(net: Network, W, X0):
-    """Every slot boundary state, shape (n_layers + 1, dim), and the
-    monomials of degrees 0..order of each slot's input state, shape
-    (n_layers, N), both evaluated once per slot with the group weights W."""
+def _bind_slots(net: Network, W, X0):
+    """(states, powers, weights): what every pass of the chain with the
+    stacked group weights W reuses, built once.
+
+    states, shape (n_layers + 1, dim), holds the checked X0 in row 0 and
+    the boundary states after a pass; powers, shape (n_layers, N), the
+    monomials of each slot's input.  weights lists each slot's group row
+    W[g], a view: a pass reads W itself and so sees every update made to W
+    in place."""
     X = np.asarray(X0, dtype=float)
     if X.shape != (net.dim,) or not np.isfinite(X).all():
         raise ValueError(f"X0 must be finite with shape ({net.dim},), got {X.tolist()}")
     states = np.empty((net.n_layers + 1, net.dim))
     powers = np.empty((net.n_layers, W.shape[-1]))
     states[0] = X
-    monomials, x = basis._monomial_function(net.dim, net.order), X.tolist()
     groups = list(W)
-    slots = zip([groups[g] for g in net.layer_groups], powers, states[1:])
+    return states, powers, [groups[g] for g in net.layer_groups]
+
+
+def _forward_states(net: Network, bound):
+    """(states, powers) of the buffers bound by _bind_slots, after one pass
+    that overwrites them: every slot boundary state and the monomials of
+    degrees 0..order of each slot's input state, evaluated once per slot
+    with the current W."""
+    states, powers, weights = bound
+    monomials, x = basis._monomial_function(net.dim, net.order), states[0].tolist()
     # overflow here means divergence, which is detected and raised below
     with np.errstate(over="ignore", invalid="ignore"):
-        for w, row, out in slots:
+        for w, row, out in zip(weights, powers, states[1:]):
             row[:] = monomials(*x)
             w.dot(row, out)
             x = out.tolist()
@@ -200,7 +221,7 @@ def _forward_states(net: Network, W, X0):
 def forward(net: Network, X0) -> np.ndarray:
     """The state after each slot for one initial condition, shape
     (n_layers, dim): row t-1 is the state at boundary (tap) t."""
-    states, _ = _forward_states(net, _stack(net), X0)
+    states, _ = _forward_states(net, _bind_slots(net, _stack(net), X0))
     return states[1:]
 
 
@@ -322,18 +343,18 @@ def _group_onehot(layer_groups: tuple[int, ...]) -> np.ndarray:
     return onehot
 
 
-def _data_gradient(net: Network, W, X0, obs: ObservationSeries):
+def _data_gradient(net: Network, W, bound, rows, n_obs: int):
     """(data, grads): the masked mean squared error over the observed
     entries of the rolled-out chain and its gradient in W.  The forward pass
-    of _forward_states feeds one generated pass on floats
-    (_reverse_function), which gives the data term and the adjoint at every
+    of _forward_states on the buffers bound to W (_bind_slots) feeds one
+    generated pass on floats (_reverse_function) over the series' rows and
+    observed_count n_obs, which gives the data term and the adjoint at every
     slot output; the weight gradients of every degree and group are then one
     product, the adjoints of each group's slots times their monomials."""
-    _check_observations(net, obs)
-    states, powers = _forward_states(net, W, X0)
+    states, powers = _forward_states(net, bound)
     data, _, adjoints = _reverse_function(net.dim, net.order)(
         W.reshape(len(W), -1).tolist(), net.layer_groups, powers.tolist(),
-        states.tolist(), obs.rows, obs.observed_count)
+        states.tolist(), rows, n_obs)
     adjoints = np.array(adjoints).reshape(-1, net.dim)[::-1]
     # overflow here means divergence, which the caller detects from the
     # non-finite gradient norm
@@ -346,9 +367,12 @@ def backward(net: Network, W, X0, obs: ObservationSeries, penalty_rate: float):
 
     Returns (grads, (total, data, penalty)) where grads has W's shape
     (groups, dim, N); degree d is the column slice [..., sl[d]] with sl from
-    basis._stacked_exponents.  The data term is _data_gradient's.
+    basis._stacked_exponents.  The data term is _data_gradient's, on
+    buffers bound for this one call.
     """
-    data, grads = _data_gradient(net, W, X0, obs)
+    _check_observations(net, obs)
+    bound = _bind_slots(net, W, X0)
+    data, grads = _data_gradient(net, W, bound, obs.rows, obs.observed_count)
     return _with_penalty(data, grads, W, net.dim, net.order, penalty_rate)
 
 
@@ -500,6 +524,12 @@ def train_one_shot(
     only) instead of the rolled-out trajectory error; cfg.train_degrees
     restricts updates to the named weight degrees.
 
+    The observations and X0 are checked, and the state and monomial buffers
+    and the slots' views of W bound (_bind_slots), once per run; W is
+    updated in place, so every epoch's pass reads the current weights
+    through those views.  The numbers are those of a loop that calls
+    backward each epoch, bit for bit.
+
     At penalty_rate 0 the penalty steers no step and is only recorded: each
     epoch copies W into a snapshot buffer, and one stacked evaluation per
     full buffer, and one after the last epoch, fills in the penalty and
@@ -510,8 +540,11 @@ def train_one_shot(
     _check_observations(net, obs)
     if cfg.train_degrees is not None and any(d > net.order for d in cfg.train_degrees):
         raise ValueError(f"train_degrees beyond map order {net.order}")
-    pairs = _pairwise_data(net, X0, obs) if cfg.teacher_forcing else None
     W = _stack(net)
+    if cfg.teacher_forcing:
+        pairs = _pairwise_data(net, X0, obs)
+    else:
+        pairs, bound, n_obs = None, _bind_slots(net, W, X0), obs.observed_count
     m = np.zeros_like(W)
     v = np.zeros_like(W)
     # the columns of W whose degree (row sum of its exponents) is not trained
@@ -549,7 +582,7 @@ def train_one_shot(
             if pairs is not None:
                 data, grads = _pairwise_gradient(net, W, *pairs)
             else:
-                data, grads = _data_gradient(net, W, X0, obs)
+                data, grads = _data_gradient(net, W, bound, obs.rows, n_obs)
         except FlowDivergenceError as exc:
             raise diverged(TrainingDivergedError(
                 epoch, f"training diverged at epoch {epoch}: {exc}")) from exc

@@ -400,6 +400,49 @@ def test_stacked_penalty_and_gradient_equal_per_map_values(n, k):
     assert alone.tobytes() == R.tobytes()
 
 
+def _penalty_term_by_term(W, k):
+    """_residual_penalty written out from _residual_terms: Pi from W[:, i]
+    and W[:, j], then, map by map and in term order, coef Pi[s, t] added
+    into the residual entry and 4 coef R[entry] into the gradient on Pi."""
+    G, n, N = W.shape
+    coef, st, entry, unit, size, (i, j) = maps._residual_terms(n, k)
+    terms = list(zip(coef.tolist(), st.tolist(), entry.tolist()))
+    Wi, Wj = W[:, i], W[:, j]
+    Pis = (np.swapaxes(Wi, 1, 2) @ Wj).reshape(G, N * N).tolist()
+    rows, flat = [], []
+    for Pi in Pis:
+        r = [0.0] * size
+        for c, s, e in terms:
+            r[e] += c * Pi[s]
+        for u in unit.tolist():
+            r[u] -= 1.0
+        d = [0.0] * (N * N)
+        for c, s, e in terms:
+            d[s] += 4.0 * c * r[e]
+        rows.append(r)
+        flat.append(d)
+    R, D = np.array(rows), np.array(flat).reshape(G, N, N)
+    grads = np.empty_like(W)
+    grads[:, i] = Wj @ np.swapaxes(D, 1, 2)
+    grads[:, j] = Wi @ D
+    return R, 2.0 * np.sum(R * R, axis=1), grads
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_penalty_gathers_add_in_term_order(n, k):
+    # the cached flat gathers and bincounts give the term-by-term sums byte
+    # for byte, for one map, a few, a full flush of deferred training
+    # penalties and a partial one
+    rng = np.random.default_rng(200 + 10 * n + k)
+    full = network._flush_size(n, k, 1)
+    for G in sorted({1, 3, full, max(1, full // 2)}):
+        W = np.stack([_random_map(rng, n, k).stacked for _ in range(G)])
+        got = maps._residual_penalty(W, k, gradient=True)
+        for a, b in zip(got, _penalty_term_by_term(W, k), strict=True):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), G
+
+
 @pytest.mark.parametrize("n", [2, 4, 6])
 @pytest.mark.parametrize("k", [1, 2, 3])
 @settings(derandomize=True, database=None, deadline=None, max_examples=3)

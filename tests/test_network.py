@@ -41,6 +41,11 @@ def _full_obs(values):
     )
 
 
+def _states(net, W, X0):
+    # (states, powers) of one forward pass on freshly bound buffers
+    return network._forward_states(net, network._bind_slots(net, W, X0))
+
+
 def _loss(net, X0, obs, penalty_rate):
     # the objective triple (total, data, penalty), as backward evaluates it
     return network.backward(net, network._stack(net), X0, obs, penalty_rate)[1]
@@ -96,13 +101,24 @@ def test_forward_states_equal_repeated_apply():
     tm = _random_map(np.random.default_rng(56), 3, 3, scale=0.2)
     net = network.build_shared_chain(tm, 12)
     X = np.array([0.3, -0.1, 0.2])
-    states, powers = network._forward_states(net, network._stack(net), X)
+    W = network._stack(net)
+    bound = network._bind_slots(net, W, X)
+    states, powers = network._forward_states(net, bound)
     assert states.shape == (13, 3) and powers.shape == (12, 20)
     assert states[0].tobytes() == X.tobytes()
     for j in range(12):
         X = tm.apply(X)
         assert states[j + 1].tobytes() == X.tobytes(), j
     assert network.forward(net, states[0]).tobytes() == states[1:].tobytes()
+    # the bound slots read W through views: a pass after W changes in place
+    # gives a fresh binding's states and monomials
+    before = states.copy()
+    W *= 0.9
+    again = network._forward_states(net, bound)
+    fresh = _states(net, W, before[0])
+    assert not np.array_equal(fresh[0], before)
+    for a, b in zip(again, fresh):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_data_term_equals_per_tap_loop():
@@ -118,7 +134,7 @@ def test_data_term_equals_per_tap_loop():
     mask[4, 0] = True
     obs = network.ObservationSeries(taps=(2, 3, 5, 8, 9), values=values, mask=mask)
     W = network._stack(net)
-    states, powers = network._forward_states(net, W, X0)
+    states, powers = _states(net, W, X0)
     data, seeds, _ = network._reverse_function(4, 2)(
         W.reshape(1, -1).tolist(), net.layer_groups, powers.tolist(), states.tolist(),
         obs.rows, obs.observed_count)
@@ -465,7 +481,7 @@ def _numpy_backward(net, W, X0, obs, penalty_rate):
     taps, each slot's Jacobian from the Jacobian series at its input
     monomials, the adjoint recursion as jac.T @ adj from the last slot to
     the first, and one weight-gradient product per degree."""
-    states, powers = network._forward_states(net, W, X0)
+    states, powers = _states(net, W, X0)
     n, k = net.dim, net.order
     taps = list(obs.taps)
     diff = np.where(obs.mask, states[taps] - obs.values, 0.0)
@@ -505,7 +521,7 @@ def _adjoint_case(n, k, layer_groups):
 def _exact_gradient(net, W, X0, obs):
     """The data gradient in W in exact rational arithmetic on the float
     forward states, rounded to floats once at the end."""
-    states, _ = network._forward_states(net, W, X0)
+    states, _ = _states(net, W, X0)
     E = basis._stacked_exponents(net.dim, net.order)[0].astype(int).tolist()
 
     def monomial(x, e):
@@ -758,7 +774,7 @@ def _per_block_adam(net, X0, obs, cfg, checkpoint_epochs):
         grads = [[g[:, s].copy() for s in sl] for g in stacked]
         for group in grads:
             for d in range(len(group)):
-                if d not in cfg.train_degrees:
+                if cfg.train_degrees is not None and d not in cfg.train_degrees:
                     group[d][:] = 0.0
         flat = np.stack([np.hstack(group) for group in grads])
         norm = np.sqrt((flat * flat).sum())
@@ -782,15 +798,8 @@ def _per_block_adam(net, X0, obs, cfg, checkpoint_epochs):
     return group_maps, np.array(history), checkpoints, clipped
 
 
-# each clip_norm lies inside the range of that rate's gradient norms
-@pytest.mark.parametrize(("penalty_rate", "clip_norm"), [
-    pytest.param(1e-2, 0.065, id="rate-1e-2"), pytest.param(0.0, 0.01, id="rate-0")])
-def test_stacked_training_equals_per_block_loop(penalty_rate, clip_norm):
-    # untied groups shared by several slots, partial taps and mask, frozen
-    # degrees, clipping that fires, a penalty and checkpoints: the stacked
-    # loop reproduces the per-block one bit for bit.  At rate 0 the stacked
-    # loop records the penalty from two full flushes of weight snapshots and
-    # a partial one; the reference evaluates it inside every epoch
+def _untied_case():
+    # three untied groups over five slots, partial taps and mask
     rng = np.random.default_rng(61)
     n, k = 2, 3
     net = network.Network(group_maps=[_random_map(rng, n, k, scale=0.15) for _ in range(3)],
@@ -798,11 +807,43 @@ def test_stacked_training_equals_per_block_loop(penalty_rate, clip_norm):
     X0 = np.array([0.3, -0.2])
     values = network.forward(net, X0)[[1, 3, 4]] + 0.05 * rng.normal(size=(3, n))
     mask = np.array([[True, False], [True, True], [False, True]])
-    obs = network.ObservationSeries(taps=(2, 4, 5), values=values, mask=mask)
-    epochs = 2 * network._flush_size(n, k, 3) + 5
+    return net, X0, network.ObservationSeries(taps=(2, 4, 5), values=values, mask=mask)
+
+
+def _shared_case():
+    # one near-rotation map shared by 49 slots, angles read at every other
+    # boundary, as in the one-shot pendulum fit
+    rng = np.random.default_rng(62)
+    tm = maps.TaylorMap(dim=2, order=3, weights=tuple(
+        w + 0.02 * rng.normal(size=w.shape) for w in _rotation_map(0.2, k=3).weights))
+    net = network.build_shared_chain(tm, 49)
+    X0 = np.array([0.3, 0.0])
+    taps = tuple(range(2, 50, 2))
+    values = network.forward(net, X0)[[t - 1 for t in taps]]
+    values += 0.01 * rng.normal(size=values.shape)
+    mask = np.tile([True, False], (len(taps), 1))
+    return net, X0, network.ObservationSeries(taps=taps, values=values, mask=mask)
+
+
+# each clip_norm lies inside the range of that case's gradient norms
+@pytest.mark.parametrize(("case", "penalty_rate", "clip_norm", "train_degrees"), [
+    pytest.param(_untied_case, 1e-2, 0.065, (1, 3), id="rate-1e-2"),
+    pytest.param(_untied_case, 0.0, 0.01, (1, 3), id="rate-0"),
+    pytest.param(_untied_case, 1e-3, 0.005, (1, 2), id="untied-rate-1e-3"),
+    pytest.param(_shared_case, 0.0, 0.02, None, id="shared-49-rate-0")])
+def test_stacked_training_equals_per_block_loop(case, penalty_rate, clip_norm, train_degrees):
+    # untied groups shared by several slots or one group over a long chain,
+    # partial taps and mask, frozen degrees, clipping that fires, a penalty
+    # and checkpoints: the stacked loop, whose buffers and slot views are
+    # bound once per run, reproduces the per-block one bit for bit.  At rate
+    # 0 the stacked loop records the penalty from two full flushes of weight
+    # snapshots and a partial one; the reference evaluates it inside every
+    # epoch
+    net, X0, obs = case()
+    epochs = 2 * network._flush_size(net.dim, net.order, len(net.group_maps)) + 5
     cfg = network.TrainConfig(step_size=1e-2, clip_norm=clip_norm, epochs=epochs,
                               penalty_rate=penalty_rate, schedule="cosine",
-                              train_degrees=(1, 3))
+                              train_degrees=train_degrees)
     wanted = (3, 8, epochs)
     trained, report = network.train_one_shot(net, X0, obs, cfg, checkpoint_epochs=wanted)
     want_maps, want_history, want_checkpoints, clipped = _per_block_adam(
@@ -819,6 +860,9 @@ def test_stacked_training_equals_per_block_loop(penalty_rate, clip_norm):
             assert tm.stacked.tobytes() == want.stacked.tobytes(), epoch
             for a, b in zip(tm.weights, want.weights):
                 assert a.tobytes() == b.tobytes(), epoch
+    # checkpoints are copies: the weights trained on after epoch 3 left it as it was
+    for early, final in zip(report.checkpoints[3], trained.group_maps, strict=True):
+        assert early.stacked.tobytes() != final.stacked.tobytes()
 
 
 def test_training_divergence_reports_epoch():
@@ -1021,7 +1065,7 @@ def test_every_point_evaluation_is_one_stacked_product(data, n, k):
         assert np.all(err <= 4 * np.finfo(float).eps * scale)
 
     net = network.build_shared_chain(tm, 3)
-    states, _ = network._forward_states(net, network._stack(net), X0)
+    states, _ = _states(net, network._stack(net), X0)
     for x, nxt in zip(states[:-1], states[1:]):
         want = C @ basis.monomials(x, k)
         assert nxt.tobytes() == want.tobytes()

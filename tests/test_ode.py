@@ -469,8 +469,10 @@ def test_rk4_converges_at_fourth_order():
 
 
 def test_rk4_divergence_raises():
+    # an explicit count: the default doubles to 2 ** 16 substeps before the
+    # overflow shows (test_default_divergence_names_its_step covers it)
     with pytest.raises(ode.FlowDivergenceError, match="diverged"):
-        ode.reference_trajectory(lambda X: 50.0 * X, np.array([1.0]), 5.0, 10)
+        ode.reference_trajectory(lambda X: 50.0 * X, np.array([1.0]), 5.0, 10, substeps=100)
 
 
 @pytest.mark.parametrize("rhs, shape", [
