@@ -18,13 +18,14 @@ polynomial at a state.
 A monomial is the sorted tuple of its variable indices, x1^2 * x2 being
 (0, 0, 1); combinations_with_replacement yields them in basis order, and
 one cached table (_columns) maps each to its column in the stack of degrees
-0..k for every position, product table, term list and generated kernel.
-Each is its prefix, the tuple less its last entry, times its last variable
-(truncated power series algebra; Berz 1999), and one emitter, _products,
-writes these multiplies as straight-line Python.  monomials runs them on
-floats for one state and on the columns of a batch, with the same bytes
-either way; kron_power forms them with numpy indexing and is checked
-against it.
+0..k for every position, product table and term list.  Each is its prefix,
+the tuple less its last entry, times its last variable (truncated power
+series algebra; Berz 1999), and one emitter, _products, writes these
+multiplies as straight-line Python in column order, sorted by (degree,
+tuple) with no table, since its variables may be a weight flow's weights.
+monomials runs them on floats for one state and on the columns of a batch,
+with the same bytes either way; kron_power forms them with numpy indexing
+and is checked against it.
 """
 
 from __future__ import annotations
@@ -132,18 +133,21 @@ def _stacked_exponents(n: int, k: int) -> tuple[np.ndarray, tuple[slice, ...]]:
 
 
 def _products(x: list[str], monos) -> tuple[list[str], dict]:
-    """(lines, names): one line m<column> = <prefix> * <last variable> per
-    monomial of monos or prefix of one, of degree >= 2 and after its prefix,
-    over the variables named x, and the name of each monomial (1 is "1.0").
-    No **: on floats Python's ** raises OverflowError where * gives inf."""
+    """(lines, names): one line m<j> = <prefix> * <last variable> per
+    monomial of monos or prefix of one, of degree >= 2, over the variables
+    named x, and the name of each monomial (1 is "1.0").  Lines run in
+    column order (_columns), which is the order of (degree, tuple), so each
+    follows its prefix; sorting by that key builds no table over x, which
+    for a weight flow holds every weight.  No **: on floats Python's **
+    raises OverflowError where * gives inf."""
     names, formed = {(): "1.0", **{(i,): v for i, v in enumerate(x)}}, set()
     for mono in monos:
         while mono not in names and mono not in formed:
             formed.add(mono)
             mono = mono[:-1]
-    columns, lines = _columns(len(x), max(map(len, formed), default=0)), []
-    for mono in sorted(formed, key=columns.__getitem__):
-        names[mono] = f"m{columns[mono]}"
+    lines = []
+    for j, mono in enumerate(sorted(formed, key=lambda m: (len(m), m))):
+        names[mono] = f"m{j}"
         lines.append(f"{names[mono]} = {names[mono[:-1]]} * {x[mono[-1]]}")
     return lines, names
 

@@ -207,22 +207,35 @@ def _residual_terms(n: int, k: int):
     return coef, s * len(E) + t, entry, unit, len(a) * len(E2), np.nonzero(J > 0)
 
 
-@lru_cache(maxsize=8)
+# _penalty_plan's cache, one plan per (n, k): that of the largest G asked
+# for; the prefix of a plan is the plan of fewer maps, so what it holds
+# never changes a result
+_PENALTY_PLANS: dict = {}
+
+
 def _penalty_plan(n: int, k: int, G: int):
     """The term list of _residual_terms laid out for G stacked maps, flat
     over (map, term): coef and 4 coef repeated per map, and the flat indices
     st + N^2 g into the maps' Pi, entry + P M g and unit + P M g into their
-    residuals; with P * M and the J pairs (i, j).  A training run asks for
-    at most three G (its groups, a full flush of deferred penalties and the
-    last partial one), so a few plans cover it and the cache stays small."""
-    coef, st, entry, unit, size, pairs = _residual_terms(n, k)
-    N = len(basis._stacked_exponents(n, k)[0])
-    group = np.arange(G)[:, None]
-    plan = (np.tile(coef, G), np.tile(4.0 * coef, G), (st + N * N * group).ravel(),
-            (entry + size * group).ravel(), (unit + size * group).ravel())
-    for a in plan:
-        a.flags.writeable = False
-    return (*plan, size, pairs)
+    residuals; with P * M and the J pairs (i, j).  The arrays of G maps are
+    the prefix of those of more, so one plan per (n, k) is kept, for the
+    largest G asked for so far, and a smaller G reads views of its prefix
+    (a training run asks for its groups, a full flush of deferred penalties
+    and a last partial one)."""
+    plan = _PENALTY_PLANS.get((n, k))
+    if plan is None or plan[0] < G:
+        coef, st, entry, unit, size, pairs = _residual_terms(n, k)
+        N = len(basis._stacked_exponents(n, k)[0])
+        group = np.arange(G)[:, None]
+        flat = (np.tile(coef, G), np.tile(4.0 * coef, G), (st + N * N * group).ravel(),
+                (entry + size * group).ravel(), (unit + size * group).ravel())
+        for a in flat:
+            a.flags.writeable = False
+        plan = _PENALTY_PLANS[n, k] = (G, flat, size, pairs)
+    largest, flat, size, pairs = plan
+    if G < largest:
+        flat = tuple(a[:len(a) // largest * G] for a in flat)
+    return (*flat, size, pairs)
 
 
 def _residual_penalty(W: np.ndarray, k: int, gradient: bool):
@@ -236,8 +249,7 @@ def _residual_penalty(W: np.ndarray, k: int, gradient: bool):
     _penalty_plan of (n, k, G).  The gradient on Pi is one more bincount, of
     4 coef R gathered at the terms' entries, over the terms' st; Pi's factors
     take it to the weights.  bincount adds the terms of an entry in term
-    order, so each map's numbers are the same alone and in a stack.  The
-    plan cache holds a few (n, k, G); training asks for at most three G.
+    order, so each map's numbers are the same alone and in a stack.
     """
     G, n, N = W.shape
     coef, coef4, st, entry, unit, size, (i, j) = _penalty_plan(n, k, G)

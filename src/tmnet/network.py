@@ -196,26 +196,33 @@ def _bind_slots(net: Network, W, X0):
     return states, powers, [groups[g] for g in net.layer_groups]
 
 
-def _forward_states(net: Network, bound):
+def _forward_states(net: Network, bound, lists: bool = False):
     """(states, powers) of the buffers bound by _bind_slots, after one pass
     that overwrites them: every slot boundary state and the monomials of
     degrees 0..order of each slot's input state, evaluated once per slot
-    with the current W."""
+    with the current W.  With lists set, the pass also returns the rows it
+    formed as lists of Python floats, (states, powers, state rows, power
+    rows), the same floats as states.tolist() and powers.tolist()."""
     states, powers, weights = bound
     monomials, x = basis._monomial_function(net.dim, net.order), states[0].tolist()
+    xs, ms = [x], []
     # overflow here means divergence, which is detected and raised below
     with np.errstate(over="ignore", invalid="ignore"):
         for w, row, out in zip(weights, powers, states[1:]):
-            row[:] = monomials(*x)
+            m = monomials(*x)
+            row[:] = m
             w.dot(row, out)
             x = out.tolist()
+            if lists:
+                xs.append(x)
+                ms.append(m)
         finite = np.isfinite(states[1:]).all(axis=1)
     if not finite.all():
         j = int(np.argmin(finite)) + 1
         # hypot does not overflow where the squares of a state near the limit would
         raise FlowDivergenceError(f"network state diverged at layer {j} (last finite "
                                   f"state norm {math.hypot(*states[j - 1]):.6g})", j)
-    return states, powers
+    return (states, powers, xs, ms) if lists else (states, powers)
 
 
 def forward(net: Network, X0) -> np.ndarray:
@@ -346,15 +353,15 @@ def _group_onehot(layer_groups: tuple[int, ...]) -> np.ndarray:
 def _data_gradient(net: Network, W, bound, rows, n_obs: int):
     """(data, grads): the masked mean squared error over the observed
     entries of the rolled-out chain and its gradient in W.  The forward pass
-    of _forward_states on the buffers bound to W (_bind_slots) feeds one
-    generated pass on floats (_reverse_function) over the series' rows and
+    of _forward_states on the buffers bound to W (_bind_slots) hands the
+    rows it formed as lists of floats to one generated pass
+    (_reverse_function) over the series' rows and
     observed_count n_obs, which gives the data term and the adjoint at every
     slot output; the weight gradients of every degree and group are then one
     product, the adjoints of each group's slots times their monomials."""
-    states, powers = _forward_states(net, bound)
+    _, powers, state_rows, power_rows = _forward_states(net, bound, lists=True)
     data, _, adjoints = _reverse_function(net.dim, net.order)(
-        W.reshape(len(W), -1).tolist(), net.layer_groups, powers.tolist(),
-        states.tolist(), rows, n_obs)
+        W.reshape(len(W), -1).tolist(), net.layer_groups, power_rows, state_rows, rows, n_obs)
     adjoints = np.array(adjoints).reshape(-1, net.dim)[::-1]
     # overflow here means divergence, which the caller detects from the
     # non-finite gradient norm

@@ -14,12 +14,19 @@ evaluation (_weight_flow) is one gather per factor, their product and one
 scatter; basis.substitute computes the same right-hand side by series
 products and is its test reference.
 
-ode_to_map runs its RK4 substeps on the raveled weights as one float64
-array, checked each substep for divergence; _ode_to_maps runs several ODEs
-in that one loop, each with its own bytes.  reference_trajectory, the one
-public trajectory integrator, runs each step's substeps in one generated
-function (_term_advance, compiled once per PolynomialODE) on the state in
-locals; unless given a count, it chooses the substeps by step doubling.
+One generated RK4 (_term_advance) serves states and weights: straight-line
+Python substeps on locals, unrolled from _flow_terms(ode, k).
+reference_trajectory, the one public trajectory integrator, runs each
+step's substeps in it at k = 0 (compiled once per PolynomialODE) on the
+state; unless given a count, it chooses the substeps by step doubling.
+ode_to_map runs it at the map's order on the raveled weights as Python
+floats where that pays for its compile (_float_advance: a rule on the
+generated statement count and the substeps, from measured crossovers), and
+otherwise runs its RK4 substeps on the weights as one float64 array, checked
+each substep for divergence (_loop_weights); _ode_to_maps runs several ODEs
+in that one numpy loop.  Both paths run the same IEEE operations in the same
+order, so every map, and every divergence error, has the same bytes either
+way.
 """
 
 from __future__ import annotations
@@ -174,14 +181,20 @@ def _weight_flow(ode, k: int | None = None):
     return rhs
 
 
-def _ode_to_maps(odes: list, cfg: FlowConfig) -> list:
-    """ode_to_map of each ODE in odes by one RK4 loop on all their weights
-    (_weight_flow).  Members touch disjoint entries, so each map, and the
-    error of the first member to end a substep non-finite, is that of its
-    own ode_to_map byte for byte."""
+def _flow_size(ode: PolynomialODE) -> int:
+    """The number of weights of ode's weight flow at its own order."""
+    return ode.dim * len(basis._columns(ode.dim, ode.order))
+
+
+def _loop_weights(odes: list, cfg: FlowConfig) -> list:
+    """The end weights of each ODE's weight flow over one step of cfg.dt
+    (raveled, as in _flow_terms), by one numpy RK4 loop on all their
+    weights (_weight_flow).  Members touch disjoint entries, so each one's
+    weights, and the error of the first member to end a substep
+    non-finite, are those of the loop on it alone."""
     rhs = _weight_flow(odes)
     w = np.concatenate([identity_map(o.dim, o.order).stacked.ravel() for o in odes])
-    cuts = np.cumsum([o.dim * len(basis._columns(o.dim, o.order)) for o in odes])[:-1]
+    cuts = np.cumsum([_flow_size(o) for o in odes])[:-1]
     h = cfg.dt / cfg.substeps
     half, sixth = 0.5 * h, h / 6.0
     # the stages group as in _term_advance; an overflow inside one is
@@ -194,16 +207,58 @@ def _ode_to_maps(odes: list, cfg: FlowConfig) -> list:
             k4 = rhs(w + h * k3)
             nxt = w + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.isfinite(nxt).all():
-                last = next(x for x, y in zip(np.split(w, cuts), np.split(nxt, cuts))
-                            if not np.isfinite(y).all())
-                raise FlowDivergenceError(
-                    f"weight flow diverged at t={s * h:.6g} of {cfg.dt:.6g} "
-                    f"(substep {s}/{cfg.substeps}; "
-                    f"last finite weight norm {math.hypot(*last.tolist()):.6g})", s)
+                raise _divergence(cfg, s, next(
+                    x.tolist() for x, y in zip(np.split(w, cuts), np.split(nxt, cuts))
+                    if not np.isfinite(y).all()))
             w = nxt
+    return np.split(w, cuts)
+
+
+def _kernel_weights(advance, ode: PolynomialODE, cfg: FlowConfig) -> np.ndarray:
+    """_loop_weights of the one ODE ode, byte for byte, by advance, the
+    compiled RK4 substeps of its weight flow (_term_advance), on Python
+    floats.  A non-finite weight stays non-finite (x + anything), so all
+    substeps run in one call, and only an end that is not finite is
+    replayed one substep at a time to find the substep the loop names."""
+    w = identity_map(ode.dim, ode.order).stacked.ravel().tolist()
+    h = cfg.dt / cfg.substeps
+    end = advance(w, h, cfg.substeps)
+    if not all(map(math.isfinite, end)):
+        for s in itertools.count(1):
+            nxt = advance(w, h, 1)
+            if not all(map(math.isfinite, nxt)):
+                raise _divergence(cfg, s, w)
+            w = nxt
+    return np.array(end)
+
+
+def _divergence(cfg: FlowConfig, s: int, last: list) -> FlowDivergenceError:
+    """The error of a weight flow whose substep s ended non-finite from the
+    finite weights last."""
+    return FlowDivergenceError(
+        f"weight flow diverged at t={s * (cfg.dt / cfg.substeps):.6g} of {cfg.dt:.6g} "
+        f"(substep {s}/{cfg.substeps}; "
+        f"last finite weight norm {math.hypot(*last):.6g})", s)
+
+
+def _ode_to_maps(odes: list, cfg: FlowConfig) -> list:
+    """ode_to_map of each ODE in odes, each with the bytes of its own.
+
+    One ODE whose generated float kernel, the oracle's RK4 run on the
+    weights, pays for its compile at cfg.substeps runs it (_kernel_weights);
+    the rest, every batch and large flow included, take the numpy loop
+    (_loop_weights).  The rule (_float_advance) is substeps * (1200 - S) >
+    400 * S for S generated statements: a numpy substep's fixed call costs
+    match about 1200 generated statements, and compiling one statement
+    about 400 runs of it.  Both paths run the same IEEE operations in the
+    same order, so either gives the same bytes and the same divergence
+    error.
+    """
+    advance = _float_advance(odes[0], cfg.substeps) if len(odes) == 1 else None
+    ends = [_kernel_weights(advance, odes[0], cfg)] if advance else _loop_weights(odes, cfg)
     return [TaylorMap(dim=o.dim, order=o.order, weights=tuple(
         x.reshape(o.dim, -1)[:, s] for s in basis._stacked_exponents(o.dim, o.order)[1]))
-        for o, x in zip(odes, np.split(w, cuts))]
+        for o, x in zip(odes, ends)]
 
 
 def ode_to_map(ode: PolynomialODE, cfg: FlowConfig) -> TaylorMap:
@@ -228,25 +283,29 @@ def _on_lists(f):
     return rhs
 
 
-def _term_advance(ode, n: int):
-    """advance(X, h, substeps): RK4 substeps of the n-dimensional
-    right-hand side ode, generated as straight-line Python and compiled.
+def _rk4_source(ode, n: int, k: int = 0) -> tuple[str, dict]:
+    """(source, names): the generated definition of advance(X, h,
+    substeps), RK4 substeps of the n-dimensional right-hand side ode as
+    straight-line Python, and the globals it reads (_term_advance).
 
     The state is held in locals x0..x{n-1}; a stage combination is one
     statement per variable.  A callable's stage is one call,
     [a0, ..., a{n-1}] = rhs([x0, ..., x{n-1}]) with rhs = _on_lists(ode).  A
-    PolynomialODE's stage is unrolled from _flow_terms(ode, 0), whose
-    factors are the monomials (basis._columns): basis._products forms each
+    PolynomialODE's stage is unrolled from _flow_terms(ode, k): at k = 0
+    the state is X and the factors are its monomials (basis._columns); at
+    k >= 1 it is the n raveled weights of the order-k weight flow and the
+    factors are products of weights.  basis._products forms each factor
     once, and each output starts at 0.0 and adds c * m per term, in term
     order, one statement per term so that any number of terms compiles.
-    These are the operations of _weight_flow(ode, 0); PolynomialODE.rhs, a
-    BLAS product, may group or fuse the sums differently, by an ulp or so.
-    The source holds only generated names and the reprs of the (finite)
-    coefficients.
+    These are the operations of _weight_flow(ode, k), and the stages
+    combine as in _loop_weights; PolynomialODE.rhs, a BLAS product, may
+    group or fuse the sums differently, by an ulp or so.  The source holds
+    only generated names and the reprs of the coefficients, a coefficient
+    times its orderings being finite or inf.
     """
     x, y = ([f"{v}{i}" for i in range(n)] for v in "xy")
     if isinstance(ode, PolynomialODE):
-        terms, namespace = _flow_terms(ode, 0), {}
+        terms, namespace = _flow_terms(ode, k), {"inf": math.inf}
 
         def stage(out, state):
             # dX/dt at the variables named in state, into out0..out{n-1}
@@ -268,15 +327,54 @@ def _term_advance(ode, n: int):
             + [f"x{i} = x{i} + sixth * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})"
                for i in range(n)])
     state = f"[{', '.join(x)}]"
-    source = "\n".join([
+    return "\n".join([
         "def advance(X, h, substeps):",
         "    half, sixth = 0.5 * h, h / 6.0",
         f"    {state} = X",
         "    for _ in range(substeps):",
         *(f"        {line}" for line in body),
         f"    return {state}",
-    ])
+    ]), namespace
+
+
+def _term_advance(ode, n: int, k: int = 0, source: tuple | None = None):
+    """advance(X, h, substeps): the RK4 substeps of _rk4_source(ode, n, k),
+    compiled, or of source if that is given (its result).  One generated
+    RK4 serves the oracle's trajectories (k = 0, X the state) and
+    derivations (k the map's order, X the raveled weights), where it gives
+    the numpy loop's bytes (_kernel_weights) and is used where it is the
+    faster of the two (_float_advance)."""
+    source, namespace = source or _rk4_source(ode, n, k)
     return basis._compiled(source, f"<RK4 substeps of a dim-{n} ODE>", "advance", **namespace)
+
+
+# _float_advance's rule, from wall-time crossovers of both derivations on
+# the built-in systems and ring elements (2 vCPUs, Python 3.11, numpy 2.4):
+# a substep of the numpy loop costs about what 1200 generated statements do
+# once (about 36 us against 30 ns each), and generating and compiling a
+# statement about what running it 400 times does (about 12 us)
+_LOOP_STATEMENTS, _COMPILE_RUNS = 1200, 400
+
+
+def _float_advance(ode: PolynomialODE, substeps: int):
+    """The compiled float kernel of ode's weight flow (_term_advance) if it
+    beats the numpy loop at this many substeps, else None.
+
+    It does when substeps times what it saves per substep, _LOOP_STATEMENTS
+    less its generated statements, exceeds its compile, _COMPILE_RUNS times
+    those statements.  The rule reads only the statement count and the
+    substeps, both known before compiling.  A kernel holds at least 8
+    statements per weight, so that bound is tried before any source is
+    generated; a large flow never pays.
+    """
+    def pays(statements):
+        return substeps * (_LOOP_STATEMENTS - statements) > _COMPILE_RUNS * statements
+
+    size = _flow_size(ode)
+    if not pays(8 * size):
+        return None
+    source = _rk4_source(ode, size, ode.order)
+    return _term_advance(ode, size, ode.order, source) if pays(source[0].count("\n")) else None
 
 
 # the relative error the default reference_trajectory resolves its steps to

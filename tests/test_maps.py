@@ -443,6 +443,24 @@ def test_penalty_gathers_add_in_term_order(n, k):
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), G
 
 
+def test_a_smaller_stack_reads_the_prefix_of_the_largest_plan():
+    # one plan per (n, k), that of the largest stack: after a full flush of
+    # deferred penalties, fewer maps read its first rows and still give the
+    # term-by-term bytes
+    rng = np.random.default_rng(210)
+    n, k = 2, 3
+    full = network._flush_size(n, k, 1)
+    W = np.stack([_random_map(rng, n, k).stacked for _ in range(full)])
+    maps._residual_penalty(W, k, gradient=True)
+    plan = maps._PENALTY_PLANS[n, k]
+    assert plan[0] >= full
+    for G in (full - 20, 3, 1):
+        got = maps._residual_penalty(W[:G], k, gradient=True)
+        for a, b in zip(got, _penalty_term_by_term(W[:G], k), strict=True):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), G
+        assert maps._PENALTY_PLANS[n, k] is plan
+
+
 @pytest.mark.parametrize("n", [2, 4, 6])
 @pytest.mark.parametrize("k", [1, 2, 3])
 @settings(derandomize=True, database=None, deadline=None, max_examples=3)

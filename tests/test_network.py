@@ -121,6 +121,20 @@ def test_forward_states_equal_repeated_apply():
         assert a.tobytes() == b.tobytes()
 
 
+def test_forward_rows_as_lists_are_the_buffers_floats():
+    # the training path's lists of the rows a pass formed are the floats
+    # the buffers hold; the buffers themselves are those of a plain pass
+    tm = _random_map(np.random.default_rng(57), 2, 3, scale=0.2)
+    net = network.build_shared_chain(tm, 7)
+    X = np.array([0.3, -0.1])
+    W = network._stack(net)
+    states, powers, state_rows, power_rows = network._forward_states(
+        net, network._bind_slots(net, W, X), lists=True)
+    assert state_rows == states.tolist() and power_rows == powers.tolist()
+    for a, b in zip((states, powers), _states(net, W, X), strict=True):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_data_term_equals_per_tap_loop():
     # the masked residual over all taps at once gives the per-tap loop's
     # error and seeds bit for bit, rows without observed entries included

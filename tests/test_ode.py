@@ -307,6 +307,97 @@ def test_a_batch_raises_the_first_diverging_members_own_error():
         assert error(ode._ode_to_maps, batch) == alone[first]
 
 
+def _both_derivations(system, cfg):
+    # the numpy loop and the compiled float kernel, each called directly
+    # whatever the selection rule would pick: the end weights' bytes, or the
+    # divergence error's message and substep
+    def run(derive):
+        try:
+            return derive().tobytes()
+        except ode.FlowDivergenceError as err:
+            return str(err), err.layer
+
+    advance = ode._term_advance(system, ode._flow_size(system), system.order)
+    return (run(lambda: ode._loop_weights([system], cfg)[0]),
+            run(lambda: ode._kernel_weights(advance, system, cfg)))
+
+
+def _linear(A):
+    A = np.atleast_2d(A)
+    return ode.PolynomialODE(len(A), 1, (np.zeros((len(A), 1)), A))
+
+
+def _both_derivation_cases():
+    # (system, cfg, the substep it diverges at or None)
+    ring = lattice.build_fodo_ring(substeps=2)
+    dts = {"lotka_volterra": 0.01, "rayleigh_plesset": 0.01}
+    # x' = 1e308 x^2: its k = 2 flow doubles the coefficient past the float
+    # range, so the kernel's source holds inf and the first substep is nan
+    huge = ode.PolynomialODE(1, 2, (np.zeros((1, 1)), np.zeros((1, 1)), np.array([[1e308]])))
+    return ([(make(), ode.FlowConfig(dts.get(name, 0.1), substeps=50), None)
+             for name, make in systems.SYSTEMS.items()]
+            + [(ring.elements[j].generator, ode.FlowConfig(1.0, substeps=50), None)
+               for j in (0, 1, 2, 8)]  # qf, drift, qd, sextupole
+            + [(_linear(50.0), ode.FlowConfig(20.0), 708),
+               (huge, ode.FlowConfig(0.1, substeps=5), 1)])
+
+
+@pytest.mark.parametrize("index", range(11), ids=[
+    *systems.SYSTEMS, "qf", "drift", "qd", "sextupole", "stiff", "overflowing-coefficient"])
+def test_the_float_kernel_derives_the_numpy_loops_bytes(index):
+    # every built-in system and ring element, and two that diverge: x' = 50 x
+    # at FlowConfig(20.0) ends substep 708 non-finite (see above), and the
+    # overflowing coefficient ends substep 1 so
+    system, cfg, diverges_at = _both_derivation_cases()[index]
+    loop, kernel = _both_derivations(system, cfg)
+    assert kernel == loop
+    if diverges_at is None:
+        assert isinstance(loop, bytes)
+    else:
+        assert loop[1] == diverges_at
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(st.data(), st.integers(1, 5), st.integers(1, 3))
+def test_the_float_kernel_derives_random_odes_with_the_numpy_loops_bytes(data, n, order):
+    # as the batched test draws its members: a fifth of the coefficients
+    # nonzero, all-zero ODEs (no terms) included
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    density = data.draw(st.sampled_from([0.0, 0.2]))
+
+    def block(d):
+        shape = (n, basis.basis_size(n, d))
+        return rng.uniform(-1.0, 1.0, shape) * (rng.random(shape) < density)
+
+    system = ode.PolynomialODE(n, order, tuple(block(d) for d in range(order + 1)))
+    loop, kernel = _both_derivations(system, ode.FlowConfig(0.05, substeps=4))
+    assert kernel == loop
+
+
+def test_the_float_kernel_is_chosen_where_it_pays(monkeypatch):
+    # the selection at the benchmark's settings: Lotka-Volterra and the
+    # pendulum derive at 1000 substeps on the float kernel; the ring's
+    # elements at 200, batched in build_fodo_ring or alone in
+    # perturb_element, and Rayleigh-Plesset take the numpy loop
+    chosen, kernel = [], ode._kernel_weights
+
+    def counting(advance, system, cfg):
+        chosen.append(system)
+        return kernel(advance, system, cfg)
+
+    monkeypatch.setattr(ode, "_kernel_weights", counting)
+    lv, pendulum = systems.lotka_volterra(), systems.pendulum()
+    ode.ode_to_map(lv, ode.FlowConfig(0.01, substeps=1000))
+    ode.ode_to_map(pendulum, ode.FlowConfig(0.1))
+    assert chosen == [lv, pendulum]
+    ring = lattice.build_fodo_ring(substeps=200)
+    for j in (0, 1, 2, 8):
+        lattice.perturb_element(ring, j, 0.8)
+    assert len(chosen) == 2
+    for substeps in (200, 1000):
+        assert ode._float_advance(systems.rayleigh_plesset(), substeps) is None
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(st.data(), st.integers(1, 5), st.integers(1, 3), st.integers(1, 3))
 def test_compiled_weight_flow_matches_substitution(data, n, order, k):
