@@ -14,19 +14,29 @@ evaluation (_weight_flow) is one gather per factor, their product and one
 scatter; basis.substitute computes the same right-hand side by series
 products and is its test reference.
 
+Derivations run only on the weights that can move.  From W_1 = I most
+weights of a flow stay exactly 0.0 (an odd field never moves W_0 or W_2,
+and a linear one moves no weight of degree 2 or more), and _pruned_flow
+finds them as a greatest fixed point over the terms: a weight moves once a
+term with no factor among the still-zero weights targets it.  While the
+weights are finite, every term with such a factor adds an exact +-0.0 to a
+sum that starts at +0.0, which leaves the sum's bytes unchanged, so the
+pruned terms give the full flow's maps byte for byte (Berz, Modern Map Methods in Particle Beam Physics,
+1999, keeps DA vectors sparse the same way).
+
 One generated RK4 (_term_advance) serves states and weights: straight-line
-Python substeps on locals, unrolled from _flow_terms(ode, k).
+Python substeps on locals, unrolled from the pruned terms.
 reference_trajectory, the one public trajectory integrator, runs each
 step's substeps in it at k = 0 (compiled once per PolynomialODE) on the
-state; unless given a count, it chooses the substeps by step doubling.
-ode_to_map runs it at the map's order on the raveled weights as Python
-floats where that pays for its compile (_float_advance: a rule on the
-generated statement count and the substeps, from measured crossovers), and
-otherwise runs its RK4 substeps on the weights as one float64 array, checked
-each substep for divergence (_loop_weights); _ode_to_maps runs several ODEs
-in that one numpy loop.  Both paths run the same IEEE operations in the same
-order, so every map, and every divergence error, has the same bytes either
-way.
+state, where nothing is pruned; unless given a count, it chooses the
+substeps by step doubling.  ode_to_map prunes the flow once and runs that
+RK4 at the map's order on the raveled weights as Python floats where that
+pays for its compile (_float_advance: a rule on the generated statement
+count and the substeps, from measured crossovers), and otherwise runs its
+RK4 substeps on the weights as one float64 array, checked each substep for
+divergence (_loop_weights); _ode_to_maps runs several ODEs in that one
+numpy loop.  Both paths run the same IEEE operations in the same order, so
+every map, and every divergence error, has the same bytes either way.
 """
 
 from __future__ import annotations
@@ -154,20 +164,48 @@ def _flow_terms(ode: PolynomialODE, k: int) -> list:
     return terms
 
 
-def _weight_flow(ode, k: int | None = None):
-    """dW/dt of the order-k weight flow (_flow_terms) at the raveled weights
-    w, or of each ODE of a list at its own order, w holding their weights in
-    turn.  With terms padded to the largest order by a trailing 1.0 (index
-    -1), it is a gather per factor, their product and an in-order scatter."""
-    members = [(ode, k)] if isinstance(ode, PolynomialODE) else [(o, o.order) for o in ode]
-    width, size, terms = max(o.order for o, _ in members), 0, []
-    for o, order in members:
-        terms += [(size + t, c, tuple(size + i for i in f)) for t, c, f in _flow_terms(o, order)]
-        size += o.dim * len(basis._columns(o.dim, order))
-    target = np.array([t for t, _, _ in terms], dtype=np.intp)
-    coef = np.array([c for _, c, _ in terms], dtype=float)
+def _pruned_flow(ode: PolynomialODE, k: int) -> tuple[list, list]:
+    """(terms, moving): the terms of _flow_terms(ode, k) that can move a
+    weight from the start W_1 = I, and the sorted weights they move.
+
+    The weights that stay 0.0 are a greatest fixed point: starting from the
+    zero entries of identity_map(n, k), a weight leaves the set when a term
+    with no factor in it (a P_0 term has none), or with a coefficient that
+    overflowed to inf, moves it, until none does.  Every other term has a
+    factor that stays +0.0, so while the weights are finite it adds an exact
+    +-0.0 to a sum that starts at +0.0, which under round-to-nearest never
+    changes the sum; dropping those terms keeps the bytes of the full flow.
+    A weight that is not moved keeps its start, 1.0 or +0.0.  At k = 0 the
+    start is any state, so nothing is dropped and every variable moves.
+    """
+    terms = _flow_terms(ode, k)
+    if k == 0:
+        return terms, list(range(ode.dim))
+    zero = set(np.flatnonzero(identity_map(ode.dim, k).stacked.ravel() == 0.0).tolist())
+
+    def moves(term):
+        return zero.isdisjoint(term[2]) or math.isinf(term[1])
+
+    while moved := {term[0] for term in terms if term[0] in zero and moves(term)}:
+        zero -= moved
+    terms = [term for term in terms if moves(term)]
+    return terms, sorted({t for t, _, _ in terms})
+
+
+def _term_flow(members: list):
+    """dW/dt at the weights w of (terms, size) members, w holding their
+    weights in turn.  With terms padded to the most factors by a trailing
+    1.0 (index -1), it is a gather per factor, their product and an
+    in-order scatter."""
+    size, shifted = 0, []
+    for terms, n in members:
+        shifted += [(size + t, c, tuple(size + i for i in f)) for t, c, f in terms]
+        size += n
+    width = max([1] + [len(f) for _, _, f in shifted])
+    target = np.array([t for t, _, _ in shifted], dtype=np.intp)
+    coef = np.array([c for _, c, _ in shifted], dtype=float)
     # one index row per factor: width - 1 whole-row multiplies, in factor order
-    F = [f + (-1,) * (width - len(f)) for _, _, f in terms]
+    F = [f + (-1,) * (width - len(f)) for _, _, f in shifted]
     first, *rest = np.array(F, dtype=np.intp).reshape(-1, width).T.copy()
     w_ext = np.ones(size + 1)
 
@@ -181,20 +219,31 @@ def _weight_flow(ode, k: int | None = None):
     return rhs
 
 
+def _weight_flow(ode: PolynomialODE, k: int):
+    """dW/dt of the full order-k weight flow (_flow_terms) at the raveled
+    weights w, no term dropped: the reference the derivations keep the
+    bytes of."""
+    return _term_flow([(_flow_terms(ode, k), ode.dim * len(basis._columns(ode.dim, k)))])
+
+
 def _flow_size(ode: PolynomialODE) -> int:
     """The number of weights of ode's weight flow at its own order."""
     return ode.dim * len(basis._columns(ode.dim, ode.order))
 
 
-def _loop_weights(odes: list, cfg: FlowConfig) -> list:
+def _loop_weights(odes: list, cfg: FlowConfig, plans: list | None = None) -> list:
     """The end weights of each ODE's weight flow over one step of cfg.dt
     (raveled, as in _flow_terms), by one numpy RK4 loop on all their
-    weights (_weight_flow).  Members touch disjoint entries, so each one's
-    weights, and the error of the first member to end a substep
-    non-finite, are those of the loop on it alone."""
-    rhs = _weight_flow(odes)
+    weights.  Each member's rhs gathers and scatters only the terms that
+    can move a weight (its plan, _pruned_flow), which gives the full
+    flow's bytes.  Members touch disjoint entries, so each one's weights,
+    and the error of the first member to end a substep non-finite, are
+    those of the loop on it alone."""
+    plans = plans or [_pruned_flow(o, o.order) for o in odes]
+    sizes = [_flow_size(o) for o in odes]
+    rhs = _term_flow([(terms, n) for (terms, _), n in zip(plans, sizes)])
     w = np.concatenate([identity_map(o.dim, o.order).stacked.ravel() for o in odes])
-    cuts = np.cumsum([_flow_size(o) for o in odes])[:-1]
+    cuts = np.cumsum(sizes)[:-1]
     h = cfg.dt / cfg.substeps
     half, sixth = 0.5 * h, h / 6.0
     # the stages group as in _term_advance; an overflow inside one is
@@ -244,18 +293,21 @@ def _divergence(cfg: FlowConfig, s: int, last: list) -> FlowDivergenceError:
 def _ode_to_maps(odes: list, cfg: FlowConfig) -> list:
     """ode_to_map of each ODE in odes, each with the bytes of its own.
 
-    One ODE whose generated float kernel, the oracle's RK4 run on the
-    weights, pays for its compile at cfg.substeps runs it (_kernel_weights);
-    the rest, every batch and large flow included, take the numpy loop
-    (_loop_weights).  The rule (_float_advance) is substeps * (1200 - S) >
-    400 * S for S generated statements: a numpy substep's fixed call costs
-    match about 1200 generated statements, and compiling one statement
-    about 400 runs of it.  Both paths run the same IEEE operations in the
-    same order, so either gives the same bytes and the same divergence
-    error.
+    Each ODE's flow is pruned once (_pruned_flow) and that plan goes to
+    whichever path runs.  One ODE whose generated float kernel, the
+    oracle's RK4 run on the weights, pays for its compile at cfg.substeps
+    runs it (_kernel_weights); the rest, every batch and large flow
+    included, take the numpy loop (_loop_weights).  The rule
+    (_float_advance) is substeps * (1200 - S) > 400 * S for S generated
+    statements: a numpy substep's fixed call costs match about 1200
+    generated statements, and compiling one statement about 400 runs of it.
+    Both paths run the same IEEE operations in the same order, so either
+    gives the same bytes and the same divergence error.
     """
-    advance = _float_advance(odes[0], cfg.substeps) if len(odes) == 1 else None
-    ends = [_kernel_weights(advance, odes[0], cfg)] if advance else _loop_weights(odes, cfg)
+    plans = [_pruned_flow(o, o.order) for o in odes]
+    advance = _float_advance(odes[0], cfg.substeps, plans[0]) if len(odes) == 1 else None
+    ends = ([_kernel_weights(advance, odes[0], cfg)] if advance
+            else _loop_weights(odes, cfg, plans))
     return [TaylorMap(dim=o.dim, order=o.order, weights=tuple(
         x.reshape(o.dim, -1)[:, s] for s in basis._stacked_exponents(o.dim, o.order)[1]))
         for o, x in zip(odes, ends)]
@@ -283,98 +335,117 @@ def _on_lists(f):
     return rhs
 
 
-def _rk4_source(ode, n: int, k: int = 0) -> tuple[str, dict]:
+def _rk4_source(ode, n: int, k: int = 0, plan: tuple | None = None) -> tuple[str, dict]:
     """(source, names): the generated definition of advance(X, h,
     substeps), RK4 substeps of the n-dimensional right-hand side ode as
     straight-line Python, and the globals it reads (_term_advance).
 
     The state is held in locals x0..x{n-1}; a stage combination is one
-    statement per variable.  A callable's stage is one call,
-    [a0, ..., a{n-1}] = rhs([x0, ..., x{n-1}]) with rhs = _on_lists(ode).  A
-    PolynomialODE's stage is unrolled from _flow_terms(ode, k): at k = 0
-    the state is X and the factors are its monomials (basis._columns); at
-    k >= 1 it is the n raveled weights of the order-k weight flow and the
-    factors are products of weights.  basis._products forms each factor
-    once, and each output starts at 0.0 and adds c * m per term, in term
-    order, one statement per term so that any number of terms compiles.
-    These are the operations of _weight_flow(ode, k), and the stages
-    combine as in _loop_weights; PolynomialODE.rhs, a BLAS product, may
-    group or fuse the sums differently, by an ulp or so.  The source holds
-    only generated names and the reprs of the coefficients, a coefficient
-    times its orderings being finite or inf.
+    statement per variable it moves.  A callable's stage is one call,
+    [a0, ..., a{n-1}] = rhs([x0, ..., x{n-1}]) with rhs = _on_lists(ode),
+    and moves every variable.  A PolynomialODE's stage is unrolled from
+    plan, or _pruned_flow(ode, k): at k = 0 the state is X, every variable
+    moves and the factors are its monomials (basis._columns); at k >= 1 it
+    is the n raveled weights of the order-k weight flow, only the weights
+    that can move from W_1 = I get stage outputs, updates and a final
+    combination, and the factors are products of weights, a weight that
+    does not move being read at its start.  It still takes and returns all
+    n entries.  basis._products forms each factor once, and each output
+    starts at 0.0 and adds c * m per term, in term order, one statement per
+    term so that any number of terms compiles.  These are the operations
+    of _loop_weights on the same pruned terms, which give the bytes of the
+    full flow _weight_flow(ode, k), and the stages combine as there;
+    PolynomialODE.rhs, a BLAS product, may group or fuse the sums
+    differently, by an ulp or so.  The source holds only generated names
+    and the reprs of the coefficients, a coefficient times its orderings
+    being finite or inf.
     """
-    x, y = ([f"{v}{i}" for i in range(n)] for v in "xy")
+    x = [f"x{i}" for i in range(n)]
     if isinstance(ode, PolynomialODE):
-        terms, namespace = _flow_terms(ode, k), {"inf": math.inf}
+        (terms, moving), namespace = plan or _pruned_flow(ode, k), {"inf": math.inf}
 
         def stage(out, state):
-            # dX/dt at the variables named in state, into out0..out{n-1}
+            # dX/dt at the variables named in state, into out<i> for i in moving
             lines, names = basis._products(state, [f for _, _, f in terms])
-            return ([f"{out}{i} = 0.0" for i in range(n)] + lines
+            return ([f"{out}{i} = 0.0" for i in moving] + lines
                     + [f"{out}{o} += {c!r} * {names[f]}" for o, c, f in terms])
     else:
-        namespace = {"rhs": _on_lists(ode)}
+        moving, namespace = range(n), {"rhs": _on_lists(ode)}
 
         def stage(out, state):
             outs = ", ".join(f"{out}{i}" for i in range(n))
             return [f"[{outs}] = rhs([{', '.join(state)}])"]
 
+    y = list(x)
+    for i in moving:
+        y[i] = f"y{i}"
+
     def update(step, k):
-        return [f"y{i} = x{i} + {step} * {k}{i}" for i in range(n)]
+        return [f"y{i} = x{i} + {step} * {k}{i}" for i in moving]
 
     body = (stage("a", x) + update("half", "a") + stage("b", y) + update("half", "b")
             + stage("c", y) + update("h", "c") + stage("d", y)
             + [f"x{i} = x{i} + sixth * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})"
-               for i in range(n)])
+               for i in moving])
     state = f"[{', '.join(x)}]"
     return "\n".join([
         "def advance(X, h, substeps):",
         "    half, sixth = 0.5 * h, h / 6.0",
         f"    {state} = X",
         "    for _ in range(substeps):",
-        *(f"        {line}" for line in body),
+        *(f"        {line}" for line in body or ["pass"]),  # nothing moves
         f"    return {state}",
     ]), namespace
 
 
-def _term_advance(ode, n: int, k: int = 0, source: tuple | None = None):
-    """advance(X, h, substeps): the RK4 substeps of _rk4_source(ode, n, k),
-    compiled, or of source if that is given (its result).  One generated
-    RK4 serves the oracle's trajectories (k = 0, X the state) and
-    derivations (k the map's order, X the raveled weights), where it gives
-    the numpy loop's bytes (_kernel_weights) and is used where it is the
-    faster of the two (_float_advance)."""
-    source, namespace = source or _rk4_source(ode, n, k)
+def _term_advance(ode, n: int, k: int = 0, plan: tuple | None = None):
+    """advance(X, h, substeps): the RK4 substeps of _rk4_source(ode, n, k,
+    plan), compiled.  One generated RK4 serves the oracle's trajectories
+    (k = 0, X the state) and derivations (k the map's order, X the raveled
+    weights), where it gives the numpy loop's bytes (_kernel_weights) and
+    is used where it is the faster of the two (_float_advance)."""
+    source, namespace = _rk4_source(ode, n, k, plan)
     return basis._compiled(source, f"<RK4 substeps of a dim-{n} ODE>", "advance", **namespace)
 
 
+def _statements(plan: tuple, n: int) -> int:
+    """S, the newlines of _rk4_source's kernel for plan (terms, moving) on
+    n weights, counted without generating it: 4 stages of one line per
+    moving weight, product and term, 3 updates and the final combination of
+    one line per moving weight, and 4 more (half and sixth, the unpacking,
+    the loop and the return)."""
+    terms, moving = plan
+    products, _ = basis._products([f"x{i}" for i in range(n)], [f for _, _, f in terms])
+    return 4 * (2 * len(moving) + len(products) + len(terms) + 1)
+
+
 # _float_advance's rule, from wall-time crossovers of both derivations on
-# the built-in systems and ring elements (2 vCPUs, Python 3.11, numpy 2.4):
-# a substep of the numpy loop costs about what 1200 generated statements do
-# once (about 36 us against 30 ns each), and generating and compiling a
-# statement about what running it 400 times does (about 12 us)
+# the built-in systems and ring elements, pruned (2 vCPUs, Python 3.11,
+# numpy 2.4): a substep of the numpy loop costs about what 1000-1300
+# generated statements do once (17-29 us against about 22 ns each), and
+# generating and compiling a statement about what running it 250-600 times
+# does (5-14 us)
 _LOOP_STATEMENTS, _COMPILE_RUNS = 1200, 400
 
 
-def _float_advance(ode: PolynomialODE, substeps: int):
+def _float_advance(ode: PolynomialODE, substeps: int, plan: tuple | None = None):
     """The compiled float kernel of ode's weight flow (_term_advance) if it
     beats the numpy loop at this many substeps, else None.
 
     It does when substeps times what it saves per substep, _LOOP_STATEMENTS
-    less its generated statements, exceeds its compile, _COMPILE_RUNS times
-    those statements.  The rule reads only the statement count and the
-    substeps, both known before compiling.  A kernel holds at least 8
-    statements per weight, so that bound is tried before any source is
-    generated; a large flow never pays.
+    less its generated statements S, exceeds its compile, _COMPILE_RUNS
+    times S.  The rule reads only S and the substeps: S is counted from
+    plan, or _pruned_flow(ode, ode.order), which the kernel is then
+    generated from, so a derivation builds its terms once.  A kernel holds
+    at least 8 statements per moving weight, so that bound is tried first.
     """
     def pays(statements):
         return substeps * (_LOOP_STATEMENTS - statements) > _COMPILE_RUNS * statements
 
-    size = _flow_size(ode)
-    if not pays(8 * size):
+    plan, size = plan or _pruned_flow(ode, ode.order), _flow_size(ode)
+    if not (pays(8 * len(plan[1])) and pays(_statements(plan, size))):
         return None
-    source = _rk4_source(ode, size, ode.order)
-    return _term_advance(ode, size, ode.order, source) if pays(source[0].count("\n")) else None
+    return _term_advance(ode, size, ode.order, plan)
 
 
 # the relative error the default reference_trajectory resolves its steps to

@@ -14,7 +14,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
@@ -377,8 +377,9 @@ def test_the_float_kernel_derives_random_odes_with_the_numpy_loops_bytes(data, n
 def test_the_float_kernel_is_chosen_where_it_pays(monkeypatch):
     # the selection at the benchmark's settings: Lotka-Volterra and the
     # pendulum derive at 1000 substeps on the float kernel; the ring's
-    # elements at 200, batched in build_fodo_ring or alone in
-    # perturb_element, and Rayleigh-Plesset take the numpy loop
+    # elements at 200 take the numpy loop batched in build_fodo_ring and
+    # the float kernel alone in perturb_element, as does Rayleigh-Plesset
+    # at 200 and 1000 but not at 100
     chosen, kernel = [], ode._kernel_weights
 
     def counting(advance, system, cfg):
@@ -391,11 +392,112 @@ def test_the_float_kernel_is_chosen_where_it_pays(monkeypatch):
     ode.ode_to_map(pendulum, ode.FlowConfig(0.1))
     assert chosen == [lv, pendulum]
     ring = lattice.build_fodo_ring(substeps=200)
+    assert len(chosen) == 2
     for j in (0, 1, 2, 8):
         lattice.perturb_element(ring, j, 0.8)
-    assert len(chosen) == 2
+    assert len(chosen) == 6
     for substeps in (200, 1000):
-        assert ode._float_advance(systems.rayleigh_plesset(), substeps) is None
+        assert ode._float_advance(systems.rayleigh_plesset(), substeps) is not None
+    assert ode._float_advance(systems.rayleigh_plesset(), 100) is None
+
+
+def test_a_derivation_builds_its_terms_once(monkeypatch):
+    # the pruned plan goes to whichever path runs: the numpy loop at 10
+    # substeps, the float kernel at 150 and 1000
+    calls, flow_terms = [], ode._flow_terms
+
+    def counting(system, k):
+        calls.append(k)
+        return flow_terms(system, k)
+
+    monkeypatch.setattr(ode, "_flow_terms", counting)
+    for substeps in (10, 150, 1000):
+        ode.ode_to_map(systems.pendulum(), ode.FlowConfig(0.1, substeps=substeps))
+        assert calls == [3]
+        calls.clear()
+
+
+def _textbook_end(system, cfg):
+    # the textbook RK4 loop on the full weight flow, one substep at a time
+    # (the same operations as cfg.substeps in one run): the end weights'
+    # bytes, or the loop's divergence error, message and substep
+    flow = ode._weight_flow(system, system.order)
+    W = maps.identity_map(system.dim, system.order).stacked.ravel()
+    with np.errstate(all="ignore"):
+        states = _textbook_rk4(lambda w: np.array(flow(w)), W, cfg.dt / cfg.substeps,
+                               cfg.substeps, 1)
+    finite = np.isfinite(states).all(axis=1)
+    if finite.all():
+        return states[-1].tobytes()
+    s = int(np.argmin(finite))
+    err = ode._divergence(cfg, s, states[s - 1].tolist())
+    return str(err), err.layer
+
+
+@pytest.mark.parametrize("index, count", enumerate([0, 11, 2, 8, 256, 52, 54, 52, 34]), ids=[
+    "free_fall", "free_fall_augmented", "lotka_volterra", "pendulum",
+    "rayleigh_plesset", "qf", "drift", "qd", "sextupole"])
+def test_the_pruned_weights_are_the_full_flows_zeros(index, count):
+    # the count weights the plan neither moves nor starts nonzero are
+    # exactly the textbook run's 0.0 entries, and each comes back +0.0;
+    # the rule counts the statements the kernel is generated with
+    system, dt = _flow_systems()[index]
+    n, k, size = system.dim, system.order, ode._flow_size(system)
+    plan = ode._pruned_flow(system, k)
+    start = maps.identity_map(n, k).stacked.ravel()
+    pruned = sorted(set(range(size)) - set(plan[1]) - set(np.flatnonzero(start).tolist()))
+    cfg = ode.FlowConfig(dt, substeps=20)
+    end = np.frombuffer(_textbook_end(system, cfg))
+    assert len(pruned) == count
+    assert pruned == np.flatnonzero(end == 0.0).tolist()
+    for weights in (end, ode.ode_to_map(system, cfg).stacked.ravel()):
+        assert not np.signbit(weights[pruned]).any()
+    assert ode._statements(plan, size) == ode._rk4_source(system, size, k)[0].count("\n")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.integers(1, 5), st.integers(1, 3), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([0.0, 0.1, 0.2]), st.booleans(), st.sampled_from([1.0, 1e30, 1e150]),
+       st.sampled_from([0.05, -0.05]))
+@example(n=3, order=2, seed=0, density=0.0, constant=False, scale=1.0, dt=0.05)
+@example(n=2, order=3, seed=1, density=0.2, constant=True, scale=1e150, dt=-0.05)
+@example(n=5, order=3, seed=2, density=0.2, constant=True, scale=1.0, dt=-0.05)
+def test_derived_maps_keep_the_bytes_of_the_full_flow(n, order, seed, density, constant,
+                                                      scale, dt):
+    # sparse ODEs, all-zero ones (density 0) included, with one nonzero
+    # entry of P_0 or none, coefficients up to scale (1e150 overflows the
+    # flow) and either sign of dt: ode_to_map and both paths called
+    # directly end with the textbook loop's bytes on the full flow, or
+    # raise its divergence error
+    rng = np.random.default_rng(seed)
+
+    def block(d):
+        shape = (n, basis.basis_size(n, d))
+        if d == 0:
+            return np.eye(n, 1, -int(rng.integers(n))) * rng.uniform(0.5, 1.0) * constant
+        return rng.uniform(-scale, scale, shape) * (rng.random(shape) < density)
+
+    system = ode.PolynomialODE(n, order, tuple(block(d) for d in range(order + 1)))
+    cfg = ode.FlowConfig(dt, substeps=4)
+    want = _textbook_end(system, cfg)
+    try:
+        got = ode.ode_to_map(system, cfg).stacked.tobytes()
+    except ode.FlowDivergenceError as err:
+        got = str(err), err.layer
+    assert got == want
+    assert _both_derivations(system, cfg) == (want, want)
+
+
+def test_a_coefficient_that_overflows_keeps_its_term():
+    # x' = 2.5e307 x^8 at k = 8: the 8 orderings of W_0 W_1^7 take its
+    # coefficient to inf while every stage sum stays finite, so its target
+    # is inf * 0.0 = nan at substep 1 only if the term is kept
+    system = ode.PolynomialODE(1, 8, tuple(np.full((1, 1), 2.5e307 * (d == 8))
+                                           for d in range(9)))
+    cfg = ode.FlowConfig(0.1, substeps=5)
+    want = _textbook_end(system, cfg)
+    assert want[1] == 1
+    assert _both_derivations(system, cfg) == (want, want)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
