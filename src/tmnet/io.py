@@ -52,17 +52,22 @@ def save_map(tm: maps.TaylorMap, path) -> None:
     _dump_json(tm.to_dict(), path)
 
 
-def _load_kind(path, key: str, kind: str) -> dict:
-    """JSON object of a file that must hold a `key` list, else a ValueError
-    naming the expected kind of file."""
-    data = _load_json(path)
-    if not isinstance(data, dict) or not isinstance(data.get(key), list):
-        raise ValueError(f"{path}: not {kind} file (no '{key}' list)")
-    return data
+def _load_kind(path, key: str, kind: str, parse):
+    """parse(data) of the JSON object of a file that must hold a `key`
+    list; else a ValueError naming the file and the problem: not JSON, not
+    that kind of file, a missing key or a bad value."""
+    try:
+        data = _load_json(path)
+        if not isinstance(data, dict) or not isinstance(data.get(key), list):
+            raise ValueError(f"not {kind} file (no '{key}' list)")
+        return parse(data)
+    except (KeyError, ValueError) as exc:
+        problem = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"{path}: {problem}") from None
 
 
 def load_map(path) -> maps.TaylorMap:
-    return maps.TaylorMap.from_dict(_load_kind(path, "weights", "a map"))
+    return _load_kind(path, "weights", "a map", maps.TaylorMap.from_dict)
 
 
 def save_ode(system: ode.PolynomialODE, path) -> None:
@@ -70,7 +75,7 @@ def save_ode(system: ode.PolynomialODE, path) -> None:
 
 
 def load_ode(path) -> ode.PolynomialODE:
-    return ode.PolynomialODE.from_dict(_load_kind(path, "coeffs", "an ODE"))
+    return _load_kind(path, "coeffs", "an ODE", ode.PolynomialODE.from_dict)
 
 
 # --- lattices ---------------------------------------------------------
@@ -124,7 +129,7 @@ def save_lattice(lat: lattice_mod.Lattice, path) -> None:
 
 
 def load_lattice(path) -> lattice_mod.Lattice:
-    return lattice_from_dict(_load_kind(path, "elements", "a lattice"))
+    return _load_kind(path, "elements", "a lattice", lattice_from_dict)
 
 
 # --- CSV series ---------------------------------------------------------
@@ -140,7 +145,8 @@ def _write_table(path, header, rows) -> None:
 def _read_table(path, fixed: tuple, parse) -> list:
     """parse(row) of each non-empty row, as it is read, of a CSV file whose
     header starts with the columns `fixed` and whose rows have exactly as
-    many fields as it; else a ValueError naming the file (and the line)."""
+    many fields as it, and parse; else a ValueError naming the file (and
+    the line) and the problem."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -151,10 +157,12 @@ def _read_table(path, fixed: tuple, parse) -> list:
                              f"got {','.join(header)!r}")
         rows = []
         for row in filter(None, reader):
-            if len(row) != len(header):
-                raise ValueError(f"{path}, line {reader.line_num}: {len(row)} fields "
-                                 f"for a header of {len(header)}")
-            rows.append(parse(row))
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} fields for a header of {len(header)}")
+                rows.append(parse(row))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
         return rows
 
 
@@ -166,12 +174,13 @@ def write_observations(obs: network.ObservationSeries, path) -> None:
 
 
 def read_observations(path) -> network.ObservationSeries:
-    rows = _read_table(path, ("tap",), list)
-    fields = [row[1:] for row in rows]
+    # an empty field, unobserved, is None: NaN in values, False in mask
+    rows = _read_table(path, ("tap",), lambda row: [int(row[0])] + [
+        float(f) if f != "" else None for f in row[1:]])
     return network.ObservationSeries(
-        taps=tuple(int(row[0]) for row in rows),
-        values=np.array([[float(f) if f != "" else np.nan for f in fs] for fs in fields]),
-        mask=np.array([[f != "" for f in fs] for fs in fields], dtype=bool),
+        taps=tuple(row[0] for row in rows),
+        values=np.array([row[1:] for row in rows], dtype=float),
+        mask=np.array([[v is not None for v in row[1:]] for row in rows], dtype=bool),
     )
 
 

@@ -94,8 +94,8 @@ def _to_dict(poly, name: str) -> dict:
 def _from_dict(cls, data: dict, name: str):
     """The polynomial dataclass cls from its JSON form (see _to_dict)."""
     if not isinstance(data, dict) or not isinstance(data.get(name), list):
-        raise ValueError(f"{cls.__name__} must be a JSON object with a '{name}' list, "
-                         f"got {type(data).__name__}")
+        got = "an object without one" if isinstance(data, dict) else type(data).__name__
+        raise ValueError(f"{cls.__name__} must be a JSON object with a '{name}' list, got {got}")
     ordering = data.get("basis_ordering", "graded_lex_x1_desc")
     if ordering != "graded_lex_x1_desc":
         raise ValueError(f"unsupported basis ordering {ordering!r}")

@@ -17,26 +17,24 @@ products and is its test reference.
 Derivations run only on the weights that can move.  From W_1 = I most
 weights of a flow stay exactly 0.0 (an odd field never moves W_0 or W_2,
 and a linear one moves no weight of degree 2 or more), and _pruned_flow
-finds them as a greatest fixed point over the terms: a weight moves once a
-term with no factor among the still-zero weights targets it.  While the
-weights are finite, every term with such a factor adds an exact +-0.0 to a
-sum that starts at +0.0, which leaves the sum's bytes unchanged, so the
-pruned terms give the full flow's maps byte for byte (Berz, Modern Map Methods in Particle Beam Physics,
-1999, keeps DA vectors sparse the same way).
+finds them as a greatest fixed point over the terms.  While the weights
+are finite, every dropped term adds an exact +-0.0 to a sum that starts at
++0.0, so the pruned terms give the full flow's maps byte for byte (Berz,
+Modern Map Methods in Particle Beam Physics, 1999, keeps DA vectors
+sparse the same way).
 
 One generated RK4 (_term_advance) serves states and weights: straight-line
-Python substeps on locals, unrolled from the pruned terms.
-reference_trajectory, the one public trajectory integrator, runs each
-step's substeps in it at k = 0 (compiled once per PolynomialODE) on the
-state, where nothing is pruned; unless given a count, it chooses the
-substeps by step doubling.  ode_to_map prunes the flow once and runs that
-RK4 at the map's order on the raveled weights as Python floats where that
-pays for its compile (_float_advance: a rule on the generated statement
-count and the substeps, from measured crossovers), and otherwise runs its
-RK4 substeps on the weights as one float64 array, checked each substep for
-divergence (_loop_weights); _ode_to_maps runs several ODEs in that one
-numpy loop.  Both paths run the same IEEE operations in the same order, so
-every map, and every divergence error, has the same bytes either way.
+Python substeps on locals, unrolled from a term list.
+reference_trajectory, the one public trajectory integrator, runs it at
+k = 0 on the state (_run), choosing the substeps by step doubling unless
+given a count.  ode_to_map runs the compact state of the pruned flow, the
+weights that move and the ones their terms read, through one driver
+(_derived_weights) and an RK4 engine with the oracle's interface,
+advance(X, h, substeps) on a list of floats: that generated RK4 where it
+pays for its compile (_float_advance, a rule from measured crossovers),
+else a numpy loop (_loop_advance), which several ODEs can share.  Both
+run the same IEEE operations in the same order, so every map, and every
+divergence error, has the same bytes either way.
 """
 
 from __future__ import annotations
@@ -93,7 +91,7 @@ class PolynomialODE:
     @functools.cached_property
     def _advance(self):
         """The oracle's RK4 substeps (_term_advance), compiled once per ODE."""
-        return _term_advance(self, self.dim)
+        return _term_advance(_flow_terms(self, 0), self.dim, range(self.dim))
 
     def to_dict(self) -> dict:
         return _to_dict(self, "coeffs")
@@ -164,23 +162,24 @@ def _flow_terms(ode: PolynomialODE, k: int) -> list:
     return terms
 
 
-def _pruned_flow(ode: PolynomialODE, k: int) -> tuple[list, list]:
-    """(terms, moving): the terms of _flow_terms(ode, k) that can move a
-    weight from the start W_1 = I, and the sorted weights they move.
+def _pruned_flow(ode: PolynomialODE, k: int) -> tuple[list, list, list]:
+    """(terms, moving, kept): the terms of _flow_terms(ode, k) that can move
+    a weight from the start W_1 = I, on the compact state derivations run.
 
-    The weights that stay 0.0 are a greatest fixed point: starting from the
-    zero entries of identity_map(n, k), a weight leaves the set when a term
-    with no factor in it (a P_0 term has none), or with a coefficient that
-    overflowed to inf, moves it, until none does.  Every other term has a
-    factor that stays +0.0, so while the weights are finite it adds an exact
-    +-0.0 to a sum that starts at +0.0, which under round-to-nearest never
-    changes the sum; dropping those terms keeps the bytes of the full flow.
-    A weight that is not moved keeps its start, 1.0 or +0.0.  At k = 0 the
-    start is any state, so nothing is dropped and every variable moves.
+    kept is the sorted weights (indices into the ravel) that those terms
+    move or read, terms are re-indexed into kept, and moving is the sorted
+    positions in kept of the weights they move.  The weights that stay 0.0
+    are a greatest fixed point: starting from the zero entries of
+    identity_map(n, k), a weight leaves the set when a term with no factor
+    in it (a P_0 term has none), or with a coefficient that overflowed to
+    inf, moves it, until none does.  Every other term has a factor that
+    stays +0.0, so while the weights are finite it adds an exact +-0.0 to a
+    sum that starts at +0.0, which under round-to-nearest never changes the
+    sum; dropping those terms keeps the bytes of the full flow.  A weight
+    outside kept keeps its start, 1.0 or +0.0, and one in kept that no term
+    moves is read at its start.
     """
     terms = _flow_terms(ode, k)
-    if k == 0:
-        return terms, list(range(ode.dim))
     zero = set(np.flatnonzero(identity_map(ode.dim, k).stacked.ravel() == 0.0).tolist())
 
     def moves(term):
@@ -189,7 +188,10 @@ def _pruned_flow(ode: PolynomialODE, k: int) -> tuple[list, list]:
     while moved := {term[0] for term in terms if term[0] in zero and moves(term)}:
         zero -= moved
     terms = [term for term in terms if moves(term)]
-    return terms, sorted({t for t, _, _ in terms})
+    kept = sorted({t for t, _, _ in terms}.union(*(f for _, _, f in terms)))
+    at = {w: i for i, w in enumerate(kept)}
+    return ([(at[t], c, tuple(at[i] for i in f)) for t, c, f in terms],
+            sorted({at[t] for t, _, _ in terms}), kept)
 
 
 def _term_flow(members: list):
@@ -226,59 +228,61 @@ def _weight_flow(ode: PolynomialODE, k: int):
     return _term_flow([(_flow_terms(ode, k), ode.dim * len(basis._columns(ode.dim, k)))])
 
 
-def _flow_size(ode: PolynomialODE) -> int:
-    """The number of weights of ode's weight flow at its own order."""
-    return ode.dim * len(basis._columns(ode.dim, ode.order))
+def _loop_advance(plans: list):
+    """advance(X, h, substeps): RK4 substeps on the compact states of plans
+    (_pruned_flow), side by side in X, as one float64 array: the numpy
+    engine.  Each member's rhs gathers and scatters only its own terms, so
+    each one's entries are those of the loop on it alone.  Nothing is
+    checked in the loop: an overflow makes entries non-finite for good."""
+    rhs = _term_flow([(terms, len(kept)) for terms, _, kept in plans])
+
+    def advance(X, h, substeps):
+        w, half, sixth = np.array(X, dtype=float), 0.5 * h, h / 6.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(substeps):  # the stages group as in _rk4_source
+                k1 = rhs(w)
+                k2 = rhs(w + half * k1)
+                k3 = rhs(w + half * k2)
+                k4 = rhs(w + h * k3)
+                w = w + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return w.tolist()
+
+    return advance
 
 
-def _loop_weights(odes: list, cfg: FlowConfig, plans: list | None = None) -> list:
-    """The end weights of each ODE's weight flow over one step of cfg.dt
-    (raveled, as in _flow_terms), by one numpy RK4 loop on all their
-    weights.  Each member's rhs gathers and scatters only the terms that
-    can move a weight (its plan, _pruned_flow), which gives the full
-    flow's bytes.  Members touch disjoint entries, so each one's weights,
-    and the error of the first member to end a substep non-finite, are
-    those of the loop on it alone."""
-    plans = plans or [_pruned_flow(o, o.order) for o in odes]
-    sizes = [_flow_size(o) for o in odes]
-    rhs = _term_flow([(terms, n) for (terms, _), n in zip(plans, sizes)])
-    w = np.concatenate([identity_map(o.dim, o.order).stacked.ravel() for o in odes])
-    cuts = np.cumsum(sizes)[:-1]
+def _derived_weights(odes: list, plans: list, advance, cfg: FlowConfig) -> list:
+    """The raveled end weights (_flow_terms) of each ODE's weight flow over
+    one step of cfg.dt: the one driver of derivations.
+
+    The identity starts are gathered into the compact states of plans
+    (_pruned_flow), side by side, and advance, an RK4 engine on them
+    (_float_advance or _loop_advance), runs all the substeps, as _run does
+    a trajectory's.  A non-finite entry stays non-finite (x + anything), so
+    only an end that is not finite is replayed one substep at a time, to
+    raise the error of the first member to end a substep non-finite, with
+    the norm of its full ravel before it.  The end is scattered back into
+    the identity ravels.
+    """
+    starts = [identity_map(o.dim, o.order).stacked.ravel() for o in odes]
+    cuts = list(itertools.accumulate(len(kept) for _, _, kept in plans))[:-1]
+
+    def ravels(X):
+        out = [w.copy() for w in starts]
+        for w, (_, _, kept), x in zip(out, plans, np.split(np.array(X), cuts)):
+            w[kept] = x
+        return out
+
+    X = np.concatenate([w[kept] for w, (_, _, kept) in zip(starts, plans)]).tolist()
     h = cfg.dt / cfg.substeps
-    half, sixth = 0.5 * h, h / 6.0
-    # the stages group as in _term_advance; an overflow inside one is
-    # divergence, caught at the end of its substep with the last finite w
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(1, cfg.substeps + 1):
-            k1 = rhs(w)
-            k2 = rhs(w + half * k1)
-            k3 = rhs(w + half * k2)
-            k4 = rhs(w + h * k3)
-            nxt = w + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.isfinite(nxt).all():
-                raise _divergence(cfg, s, next(
-                    x.tolist() for x, y in zip(np.split(w, cuts), np.split(nxt, cuts))
-                    if not np.isfinite(y).all()))
-            w = nxt
-    return np.split(w, cuts)
-
-
-def _kernel_weights(advance, ode: PolynomialODE, cfg: FlowConfig) -> np.ndarray:
-    """_loop_weights of the one ODE ode, byte for byte, by advance, the
-    compiled RK4 substeps of its weight flow (_term_advance), on Python
-    floats.  A non-finite weight stays non-finite (x + anything), so all
-    substeps run in one call, and only an end that is not finite is
-    replayed one substep at a time to find the substep the loop names."""
-    w = identity_map(ode.dim, ode.order).stacked.ravel().tolist()
-    h = cfg.dt / cfg.substeps
-    end = advance(w, h, cfg.substeps)
+    end = advance(X, h, cfg.substeps)
     if not all(map(math.isfinite, end)):
         for s in itertools.count(1):
-            nxt = advance(w, h, 1)
+            nxt = advance(X, h, 1)
             if not all(map(math.isfinite, nxt)):
-                raise _divergence(cfg, s, w)
-            w = nxt
-    return np.array(end)
+                last = next(a for a, b in zip(ravels(X), ravels(nxt)) if not np.isfinite(b).all())
+                raise _divergence(cfg, s, last.tolist())
+            X = nxt
+    return ravels(end)
 
 
 def _divergence(cfg: FlowConfig, s: int, last: list) -> FlowDivergenceError:
@@ -291,26 +295,15 @@ def _divergence(cfg: FlowConfig, s: int, last: list) -> FlowDivergenceError:
 
 
 def _ode_to_maps(odes: list, cfg: FlowConfig) -> list:
-    """ode_to_map of each ODE in odes, each with the bytes of its own.
-
-    Each ODE's flow is pruned once (_pruned_flow) and that plan goes to
-    whichever path runs.  One ODE whose generated float kernel, the
-    oracle's RK4 run on the weights, pays for its compile at cfg.substeps
-    runs it (_kernel_weights); the rest, every batch and large flow
-    included, take the numpy loop (_loop_weights).  The rule
-    (_float_advance) is substeps * (1200 - S) > 400 * S for S generated
-    statements: a numpy substep's fixed call costs match about 1200
-    generated statements, and compiling one statement about 400 runs of it.
-    Both paths run the same IEEE operations in the same order, so either
-    gives the same bytes and the same divergence error.
-    """
+    """ode_to_map of each ODE in odes, each with the bytes of its own: each
+    flow is pruned once (_pruned_flow), and one ODE whose generated float
+    kernel pays for its compile (_float_advance) runs on it; the rest,
+    every batch included, share the numpy loop (_loop_advance)."""
     plans = [_pruned_flow(o, o.order) for o in odes]
-    advance = _float_advance(odes[0], cfg.substeps, plans[0]) if len(odes) == 1 else None
-    ends = ([_kernel_weights(advance, odes[0], cfg)] if advance
-            else _loop_weights(odes, cfg, plans))
+    advance = (len(odes) == 1 and _float_advance(plans[0], cfg.substeps)) or _loop_advance(plans)
     return [TaylorMap(dim=o.dim, order=o.order, weights=tuple(
         x.reshape(o.dim, -1)[:, s] for s in basis._stacked_exponents(o.dim, o.order)[1]))
-        for o, x in zip(odes, ends)]
+        for o, x in zip(odes, _derived_weights(odes, plans, advance, cfg))]
 
 
 def ode_to_map(ode: PolynomialODE, cfg: FlowConfig) -> TaylorMap:
@@ -335,50 +328,40 @@ def _on_lists(f):
     return rhs
 
 
-def _rk4_source(ode, n: int, k: int = 0, plan: tuple | None = None) -> tuple[str, dict]:
+def _rk4_source(rhs, n: int, moving) -> tuple[str, dict]:
     """(source, names): the generated definition of advance(X, h,
-    substeps), RK4 substeps of the n-dimensional right-hand side ode as
+    substeps), RK4 substeps of dX/dt = rhs on a state of n floats as
     straight-line Python, and the globals it reads (_term_advance).
 
-    The state is held in locals x0..x{n-1}; a stage combination is one
-    statement per variable it moves.  A callable's stage is one call,
-    [a0, ..., a{n-1}] = rhs([x0, ..., x{n-1}]) with rhs = _on_lists(ode),
-    and moves every variable.  A PolynomialODE's stage is unrolled from
-    plan, or _pruned_flow(ode, k): at k = 0 the state is X, every variable
-    moves and the factors are its monomials (basis._columns); at k >= 1 it
-    is the n raveled weights of the order-k weight flow, only the weights
-    that can move from W_1 = I get stage outputs, updates and a final
-    combination, and the factors are products of weights, a weight that
-    does not move being read at its start.  It still takes and returns all
-    n entries.  basis._products forms each factor once, and each output
-    starts at 0.0 and adds c * m per term, in term order, one statement per
-    term so that any number of terms compiles.  These are the operations
-    of _loop_weights on the same pruned terms, which give the bytes of the
-    full flow _weight_flow(ode, k), and the stages combine as there;
-    PolynomialODE.rhs, a BLAS product, may group or fuse the sums
-    differently, by an ulp or so.  The source holds only generated names
-    and the reprs of the coefficients, a coefficient times its orderings
-    being finite or inf.
+    The state is unpacked from the list X into locals x0..x{n-1} and
+    returned as a list; only the entries in moving get stage outputs,
+    updates and a final combination, the others being read at their start.
+    A callable rhs's stage is one call, [a0, ..., a{n-1}] = rhs([x0, ...,
+    x{n-1}]) with rhs = _on_lists(rhs), and moves every entry.  A list of
+    terms (target, coefficient, factors) is unrolled: basis._products forms
+    each factor once, and each output starts at 0.0 and adds c * m per
+    term, in term order, one statement per term so that any number of terms
+    compiles.  The oracle unrolls a PolynomialODE's _flow_terms(ode, 0) on
+    its state, where every entry moves and the factors are its monomials
+    (basis._columns); a derivation unrolls _pruned_flow's terms on its
+    compact state, the weights the terms move or read.  These are the
+    operations of the numpy loop (_loop_advance) on the same terms, which
+    give the bytes of the full flow _weight_flow(ode, k), and the stages
+    combine as there; PolynomialODE.rhs, a BLAS product, may group or fuse
+    the sums differently, by an ulp or so.  The source holds only generated
+    names and the reprs of the coefficients, a coefficient times its
+    orderings being finite or inf.
     """
+    def stage(out, state):
+        # dX/dt at the variables named in state, into out<i> for i in moving
+        if callable(rhs):
+            return [f"[{', '.join(f'{out}{i}' for i in range(n))}] = rhs([{', '.join(state)}])"]
+        lines, names = basis._products(state, [f for _, _, f in rhs])
+        return ([f"{out}{i} = 0.0" for i in moving] + lines
+                + [f"{out}{o} += {c!r} * {names[f]}" for o, c, f in rhs])
+
     x = [f"x{i}" for i in range(n)]
-    if isinstance(ode, PolynomialODE):
-        (terms, moving), namespace = plan or _pruned_flow(ode, k), {"inf": math.inf}
-
-        def stage(out, state):
-            # dX/dt at the variables named in state, into out<i> for i in moving
-            lines, names = basis._products(state, [f for _, _, f in terms])
-            return ([f"{out}{i} = 0.0" for i in moving] + lines
-                    + [f"{out}{o} += {c!r} * {names[f]}" for o, c, f in terms])
-    else:
-        moving, namespace = range(n), {"rhs": _on_lists(ode)}
-
-        def stage(out, state):
-            outs = ", ".join(f"{out}{i}" for i in range(n))
-            return [f"[{outs}] = rhs([{', '.join(state)}])"]
-
-    y = list(x)
-    for i in moving:
-        y[i] = f"y{i}"
+    y = [f"y{i}" if i in moving else v for i, v in enumerate(x)]
 
     def update(step, k):
         return [f"y{i} = x{i} + {step} * {k}{i}" for i in moving]
@@ -395,57 +378,50 @@ def _rk4_source(ode, n: int, k: int = 0, plan: tuple | None = None) -> tuple[str
         "    for _ in range(substeps):",
         *(f"        {line}" for line in body or ["pass"]),  # nothing moves
         f"    return {state}",
-    ]), namespace
+    ]), {"rhs": _on_lists(rhs)} if callable(rhs) else {"inf": math.inf}
 
 
-def _term_advance(ode, n: int, k: int = 0, plan: tuple | None = None):
-    """advance(X, h, substeps): the RK4 substeps of _rk4_source(ode, n, k,
-    plan), compiled.  One generated RK4 serves the oracle's trajectories
-    (k = 0, X the state) and derivations (k the map's order, X the raveled
-    weights), where it gives the numpy loop's bytes (_kernel_weights) and
-    is used where it is the faster of the two (_float_advance)."""
-    source, namespace = _rk4_source(ode, n, k, plan)
+def _term_advance(rhs, n: int, moving):
+    """advance(X, h, substeps): the RK4 substeps of _rk4_source(rhs, n,
+    moving), compiled.  One generated RK4 serves the oracle's trajectories
+    (X the state) and derivations (X the compact state of _pruned_flow),
+    where it gives the numpy loop's bytes and is used where it is the
+    faster of the two (_float_advance)."""
+    source, namespace = _rk4_source(rhs, n, moving)
     return basis._compiled(source, f"<RK4 substeps of a dim-{n} ODE>", "advance", **namespace)
 
 
-def _statements(plan: tuple, n: int) -> int:
-    """S, the newlines of _rk4_source's kernel for plan (terms, moving) on
-    n weights, counted without generating it: 4 stages of one line per
+def _statements(plan: tuple) -> int:
+    """S, the newlines of the kernel _rk4_source generates for plan (terms,
+    moving, kept), counted without generating it: 4 stages of one line per
     moving weight, product and term, 3 updates and the final combination of
     one line per moving weight, and 4 more (half and sixth, the unpacking,
     the loop and the return)."""
-    terms, moving = plan
-    products, _ = basis._products([f"x{i}" for i in range(n)], [f for _, _, f in terms])
+    terms, moving, kept = plan
+    products, _ = basis._products([f"x{i}" for i in range(len(kept))], [f for _, _, f in terms])
     return 4 * (2 * len(moving) + len(products) + len(terms) + 1)
 
 
-# _float_advance's rule, from wall-time crossovers of both derivations on
-# the built-in systems and ring elements, pruned (2 vCPUs, Python 3.11,
-# numpy 2.4): a substep of the numpy loop costs about what 1000-1300
-# generated statements do once (17-29 us against about 22 ns each), and
-# generating and compiling a statement about what running it 250-600 times
-# does (5-14 us)
+# _float_advance's rule, from wall-time crossovers of both engines on the
+# built-in systems and ring elements (2 vCPUs, Python 3.11, numpy 2.4): a
+# substep of the numpy loop on the compact state costs about what 500-1000
+# generated statements do once (13-21 us against 17-28 ns each), and
+# generating and compiling a statement about what running it 200-750 times
+# does (6-13 us); with these constants the rule picks the faster engine at
+# 35 of the 36 crossover points measured (CHANGES.md)
 _LOOP_STATEMENTS, _COMPILE_RUNS = 1200, 400
 
 
-def _float_advance(ode: PolynomialODE, substeps: int, plan: tuple | None = None):
-    """The compiled float kernel of ode's weight flow (_term_advance) if it
-    beats the numpy loop at this many substeps, else None.
-
-    It does when substeps times what it saves per substep, _LOOP_STATEMENTS
-    less its generated statements S, exceeds its compile, _COMPILE_RUNS
-    times S.  The rule reads only S and the substeps: S is counted from
-    plan, or _pruned_flow(ode, ode.order), which the kernel is then
-    generated from, so a derivation builds its terms once.  A kernel holds
-    at least 8 statements per moving weight, so that bound is tried first.
-    """
-    def pays(statements):
-        return substeps * (_LOOP_STATEMENTS - statements) > _COMPILE_RUNS * statements
-
-    plan, size = plan or _pruned_flow(ode, ode.order), _flow_size(ode)
-    if not (pays(8 * len(plan[1])) and pays(_statements(plan, size))):
-        return None
-    return _term_advance(ode, size, ode.order, plan)
+def _float_advance(plan: tuple, substeps: int):
+    """The compiled float kernel (_term_advance) of plan, a weight flow's
+    _pruned_flow, if it beats the numpy loop at this many substeps, else
+    None: if substeps times what it saves per substep, _LOOP_STATEMENTS
+    less its S generated statements (_statements), exceeds its compile,
+    _COMPILE_RUNS times S."""
+    terms, moving, kept = plan
+    S = _statements(plan)
+    pays = substeps * (_LOOP_STATEMENTS - S) > _COMPILE_RUNS * S
+    return _term_advance(terms, len(kept), moving) if pays else None
 
 
 # the relative error the default reference_trajectory resolves its steps to
@@ -508,7 +484,8 @@ def _reference(ode, X0, dt: float, steps: int, substeps: int | None = None):
         substeps = _count("substeps", substeps, 1)
     if isinstance(ode, PolynomialODE) and X.shape != (ode.dim,):
         raise ValueError(f"X0 has shape {X.shape}, ODE has dim {ode.dim}")
-    advance = ode._advance if isinstance(ode, PolynomialODE) else _term_advance(ode, len(X))
+    advance = (ode._advance if isinstance(ode, PolynomialODE)
+               else _term_advance(ode, X.size, range(X.size)))
     if substeps is not None:
         return np.array(_run(advance, X.tolist(), dt, steps, substeps, None)[0]), substeps, None
     fine, states = 2, []

@@ -269,11 +269,41 @@ def test_error_exits(tmp_path, capsys):
         path.write_text(json.dumps({**base, **fields}))
         return path
 
+    def written(name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return path
+
     quad = io.lattice_to_dict(lattice.Lattice(
         elements=[lattice.quad_element("q", 0.3, 0.5, substeps=10)], monitors=(1,)))
-    element = quad["elements"][0]
+    element, tm = quad["elements"][0], json.loads(map_json.read_text())
     track = ("track", "--x0", "0,0,0,0", "--turns", "5", "--out", out, "--lattice")
+    train = ("train", "--x0", "0.1,0", "--dim", "2", "--order", "2", "--out", out, "--obs")
     cases = [
+        # malformed input files: the file, the line of a CSV, and the problem
+        ((*train, written("abc.csv", "tap,x1,x2\n1,0.1,abc\n")),
+         "abc.csv, line 2: could not convert string to float: 'abc'"),
+        ((*train, written("tap.csv", "tap,x1,x2\n1,0.1,0.2\nx,0.1,0.2\n")),
+         "tap.csv, line 3: invalid literal for int() with base 10: 'x'"),
+        (("tunes", "--series", written("turns.csv", "turn,x,xp,y,yp\n1,0,0,-,0\n"),
+          "--out", out), "turns.csv, line 2: could not convert string to float: '-'"),
+        ((*track, edited("no_monitors", {k: v for k, v in quad.items() if k != "monitors"})),
+         "no_monitors.json: missing key 'monitors'"),
+        ((*track, edited("no_label", quad, elements=[
+            {k: v for k, v in element.items() if k != "label"}])),
+         "no_label.json: missing key 'label'"),
+        ((*track, edited("no_weights", quad, elements=[{**element, "map": {"dim": 4}}])),
+         "no_weights.json: TaylorMap must be a JSON object with a 'weights' list, "
+         "got an object without one"),
+        ((*track, edited("no_order", quad, elements=[{**element, "generator": {
+            k: v for k, v in element["generator"].items() if k != "order"}}])),
+         "no_order.json: missing key 'order'"),
+        (("check", "--map", edited("no_dim", {k: v for k, v in tm.items() if k != "dim"}),
+          "--out", out), "no_dim.json: missing key 'dim'"),
+        (("check", "--map", edited("bad_weights", tm, weights=[[["a"]]] + tm["weights"][1:]),
+          "--out", out), "bad_weights.json: could not convert string to float: 'a'"),
+        (("check", "--map", written("truncated.json", '{"dim": 2,'), "--out", out),
+         "truncated.json: Expecting property name"),
         ((*track, edited("map3", quad, elements=[{**element, "map": 3}])),
          "TaylorMap must be a JSON object with a 'weights' list, got int"),
         ((*track, edited("gen5", quad, elements=[{**element, "generator": 5}])),
@@ -283,7 +313,7 @@ def test_error_exits(tmp_path, capsys):
         ((*track, edited("monitors", quad, monitors=1)), "lattice monitors must be a list"),
         ((*track, edited("dt", quad, elements=[{**element, "dt": "x"}])),
          "dt must be a finite number, got 'x'"),
-        (("check", "--map", edited("dim", json.loads(map_json.read_text()), dim=None),
+        (("check", "--map", edited("dim", tm, dim=None),
           "--out", out), "dim must be an integer >= 1, got None"),
         (("derive", "--system", "nope", "--dt", "0.1", "--out", out), "unknown system"),
         (("derive", "--system", "free_fall", "--param", "m", "--dt", "0.1",

@@ -308,18 +308,20 @@ def test_a_batch_raises_the_first_diverging_members_own_error():
 
 
 def _both_derivations(system, cfg):
-    # the numpy loop and the compiled float kernel, each called directly
-    # whatever the selection rule would pick: the end weights' bytes, or the
-    # divergence error's message and substep
-    def run(derive):
+    # the derivation driver on the numpy loop and on the compiled float
+    # kernel, whatever the selection rule would pick: the end weights'
+    # bytes, or the divergence error's message and substep
+    plans = [ode._pruned_flow(system, system.order)]
+    terms, moving, kept = plans[0]
+
+    def run(advance):
         try:
-            return derive().tobytes()
+            return ode._derived_weights([system], plans, advance, cfg)[0].tobytes()
         except ode.FlowDivergenceError as err:
             return str(err), err.layer
 
-    advance = ode._term_advance(system, ode._flow_size(system), system.order)
-    return (run(lambda: ode._loop_weights([system], cfg)[0]),
-            run(lambda: ode._kernel_weights(advance, system, cfg)))
+    return (run(ode._loop_advance(plans)),
+            run(ode._term_advance(terms, len(kept), moving)))
 
 
 def _linear(A):
@@ -380,25 +382,28 @@ def test_the_float_kernel_is_chosen_where_it_pays(monkeypatch):
     # elements at 200 take the numpy loop batched in build_fodo_ring and
     # the float kernel alone in perturb_element, as does Rayleigh-Plesset
     # at 200 and 1000 but not at 100
-    chosen, kernel = [], ode._kernel_weights
+    chosen, pick = [], ode._float_advance
 
-    def counting(advance, system, cfg):
-        chosen.append(system)
-        return kernel(advance, system, cfg)
+    def counting(plan, substeps):
+        advance = pick(plan, substeps)
+        if advance is not None:
+            chosen.append(plan)
+        return advance
 
-    monkeypatch.setattr(ode, "_kernel_weights", counting)
+    monkeypatch.setattr(ode, "_float_advance", counting)
     lv, pendulum = systems.lotka_volterra(), systems.pendulum()
     ode.ode_to_map(lv, ode.FlowConfig(0.01, substeps=1000))
     ode.ode_to_map(pendulum, ode.FlowConfig(0.1))
-    assert chosen == [lv, pendulum]
+    assert chosen == [ode._pruned_flow(lv, lv.order), ode._pruned_flow(pendulum, pendulum.order)]
     ring = lattice.build_fodo_ring(substeps=200)
     assert len(chosen) == 2
     for j in (0, 1, 2, 8):
         lattice.perturb_element(ring, j, 0.8)
     assert len(chosen) == 6
+    rp = systems.rayleigh_plesset()
     for substeps in (200, 1000):
-        assert ode._float_advance(systems.rayleigh_plesset(), substeps) is not None
-    assert ode._float_advance(systems.rayleigh_plesset(), 100) is None
+        assert pick(ode._pruned_flow(rp, rp.order), substeps) is not None
+    assert pick(ode._pruned_flow(rp, rp.order), 100) is None
 
 
 def test_a_derivation_builds_its_terms_once(monkeypatch):
@@ -434,25 +439,55 @@ def _textbook_end(system, cfg):
     return str(err), err.layer
 
 
-@pytest.mark.parametrize("index, count", enumerate([0, 11, 2, 8, 256, 52, 54, 52, 34]), ids=[
+@pytest.mark.parametrize("index, count, size, read", [
+    (0, 0, 3, 0), (1, 11, 9, 2), (2, 2, 10, 0), (3, 8, 12, 0), (4, 256, 23, 2), (5, 52, 8, 0),
+    (6, 54, 4, 2), (7, 52, 8, 0), (8, 34, 26, 4)], ids=[
     "free_fall", "free_fall_augmented", "lotka_volterra", "pendulum",
     "rayleigh_plesset", "qf", "drift", "qd", "sextupole"])
-def test_the_pruned_weights_are_the_full_flows_zeros(index, count):
+def test_the_pruned_weights_are_the_full_flows_zeros(index, count, size, read):
     # the count weights the plan neither moves nor starts nonzero are
     # exactly the textbook run's 0.0 entries, and each comes back +0.0;
+    # the kernel unpacks and returns exactly the size weights that the kept
+    # terms move or read, in ravel order, of which they only read `read`;
     # the rule counts the statements the kernel is generated with
     system, dt = _flow_systems()[index]
-    n, k, size = system.dim, system.order, ode._flow_size(system)
-    plan = ode._pruned_flow(system, k)
+    n, k = system.dim, system.order
+    plan = terms, moving, kept = ode._pruned_flow(system, k)
     start = maps.identity_map(n, k).stacked.ravel()
-    pruned = sorted(set(range(size)) - set(plan[1]) - set(np.flatnonzero(start).tolist()))
+    pruned = sorted(set(range(start.size)) - {kept[i] for i in moving}
+                    - set(np.flatnonzero(start).tolist()))
     cfg = ode.FlowConfig(dt, substeps=20)
     end = np.frombuffer(_textbook_end(system, cfg))
     assert len(pruned) == count
     assert pruned == np.flatnonzero(end == 0.0).tolist()
     for weights in (end, ode.ode_to_map(system, cfg).stacked.ravel()):
         assert not np.signbit(weights[pruned]).any()
-    assert ode._statements(plan, size) == ode._rk4_source(system, size, k)[0].count("\n")
+    assert kept == sorted(kept) and {i for t, _, f in terms for i in (t, *f)} == set(range(size))
+    assert (len(kept), len(kept) - len(moving)) == (size, read)
+    source = ode._rk4_source(terms, len(kept), moving)[0]
+    state = f"[{', '.join(f'x{i}' for i in range(size))}]"
+    assert (source.splitlines()[2], source.splitlines()[-1]) == (f"    {state} = X",
+                                                                 f"    return {state}")
+    assert ode._statements(plan) == source.count("\n")
+
+
+def test_the_rings_batch_runs_on_46_of_its_240_weights(monkeypatch):
+    # qf 8, drift 4, qd 8 and sextupole 26 entries, side by side in one
+    # numpy loop, for the four elements' 60 weights each
+    sizes, loop = [], ode._loop_advance
+
+    def recording(plans):
+        advance = loop(plans)
+
+        def run(X, h, substeps):
+            sizes.append(len(X))
+            return advance(X, h, substeps)
+
+        return run
+
+    monkeypatch.setattr(ode, "_loop_advance", recording)
+    lattice.build_fodo_ring(substeps=10)
+    assert sizes == [46]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
