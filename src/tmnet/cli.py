@@ -89,10 +89,21 @@ def _emit_manifest(args: argparse.Namespace, inputs: dict, started: float) -> No
     io.write_manifest(manifest, _manifest_path(Path(args.out)))
 
 
+def _derive(system: ode.PolynomialODE, args) -> maps.TaylorMap:
+    """The map of system over --dt at --substeps, or, without them, at the
+    count step doubling resolves (ode.ode_to_map); args then records that
+    count and its error estimate for the manifest."""
+    if args.substeps is not None:
+        maps._count("--substeps", args.substeps, 1)
+    [(tm, args.substeps, estimate)] = ode._derivations(
+        [system], ode.FlowConfig(args.dt, args.substeps))
+    if estimate is not None:
+        args.error_estimate = estimate
+    return tm
+
+
 def cmd_derive(args) -> str:
-    system = _resolve_system(args)
-    substeps = maps._count("--substeps", args.substeps, 1)
-    tm = ode.ode_to_map(system, ode.FlowConfig(args.dt, substeps=substeps))
+    tm = _derive(_resolve_system(args), args)
     out = Path(args.out)
     io.save_map(tm, out)
     return f"derived order-{tm.order} map (dim {tm.dim}) -> {out}"
@@ -120,9 +131,7 @@ def cmd_simulate(args) -> str:
         system = _resolve_system(args)
         if args.dt is None:
             raise ValueError("simulating from an ODE needs --dt")
-        args.substeps = maps._count(
-            "--substeps", 1000 if args.substeps is None else args.substeps, 1)
-        tm = ode.ode_to_map(system, ode.FlowConfig(args.dt, substeps=args.substeps))
+        tm = _derive(system, args)
     if X0.shape != (tm.dim,):
         raise ValueError(f"--x0 has {X0.size} components, map has dim {tm.dim}")
 
@@ -253,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("derive", help="build a Taylor map from a polynomial ODE")
     _add_system_flags(p)
     p.add_argument("--dt", type=float, required=True, help="map time step")
-    p.add_argument("--substeps", type=int, default=1000)
+    p.add_argument("--substeps", type=int,
+                   help="RK4 substeps (default: chosen by step doubling to ode.MAP_TOL)")
     p.add_argument("--out", required=True, help="output map JSON path")
     p.set_defaults(func=cmd_derive)
 
@@ -262,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system_flags(p)
     p.add_argument("--dt", type=float, help="step for deriving / oracle reference")
     p.add_argument("--substeps", type=int,
-                   help="RK4 substeps of the map derivation (default 1000); the "
-                        f"--oracle reference always runs {ORACLE_SUBSTEPS}")
+                   help="RK4 substeps of the map derivation (default: chosen by step "
+                        f"doubling); the --oracle reference always runs {ORACLE_SUBSTEPS}")
     p.add_argument("--x0", required=True, help="initial state a,b,...")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--oracle", action="store_true",

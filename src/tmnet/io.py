@@ -106,6 +106,9 @@ def lattice_from_dict(data: dict) -> lattice_mod.Lattice:
     for j, entry in enumerate(data["elements"]):
         if not isinstance(entry, dict):
             raise ValueError(f"lattice element {j} must be a JSON object, got {entry!r}")
+        if not isinstance(entry["label"], str):
+            raise ValueError(f"lattice element {j} label must be a string, "
+                             f"got {entry['label']!r}")
         tm = maps.TaylorMap.from_dict(entry["map"])
         gen = entry.get("generator")
         elements.append(
@@ -117,11 +120,10 @@ def lattice_from_dict(data: dict) -> lattice_mod.Lattice:
                 substeps=entry.get("substeps", 1000) if gen is not None else None,
             )
         )
-    return lattice_mod.Lattice(
-        elements=elements,
-        monitors=tuple(data["monitors"]),
-        ring=bool(data.get("ring", True)),
-    )
+    ring = data.get("ring", True)
+    if not isinstance(ring, bool):
+        raise ValueError(f"lattice ring must be true or false, got {ring!r}")
+    return lattice_mod.Lattice(elements=elements, monitors=tuple(data["monitors"]), ring=ring)
 
 
 def save_lattice(lat: lattice_mod.Lattice, path) -> None:

@@ -44,8 +44,9 @@ class LatticeElement:
         if self.generator is not None:
             if self.generator.dim != 4:
                 raise ValueError("generator dimension must be 4")
-            # the window perturb_element re-derives the map over
-            ode.FlowConfig(self.dt, self.substeps)
+            # the window perturb_element re-derives the map over, which a
+            # lattice file stores: an explicit count, not FlowConfig's default
+            ode.FlowConfig(self.dt, maps._count("substeps", self.substeps, 1))
 
 
 def element_from_ode(

@@ -17,11 +17,11 @@ products and is its test reference.
 Derivations run only on the weights that can move.  From W_1 = I most
 weights of a flow stay exactly 0.0 (an odd field never moves W_0 or W_2,
 and a linear one moves no weight of degree 2 or more), and _pruned_flow
-finds them as a greatest fixed point over the terms.  While the weights
-are finite, every dropped term adds an exact +-0.0 to a sum that starts at
-+0.0, so the pruned terms give the full flow's maps byte for byte (Berz,
-Modern Map Methods in Particle Beam Physics, 1999, keeps DA vectors
-sparse the same way).
+finds the others as a least fixed point, building only the terms whose
+factors can move.  While the weights are finite, every dropped term adds
+an exact +-0.0 to a sum that starts at +0.0, so the pruned terms give the
+full flow's maps byte for byte (Berz, Modern Map Methods in Particle Beam
+Physics, 1999, keeps DA vectors sparse the same way).
 
 One generated RK4 (_term_advance) serves states and weights: straight-line
 Python substeps on locals, unrolled from a term list.
@@ -35,6 +35,15 @@ pays for its compile (_float_advance, a rule from measured crossovers),
 else a numpy loop (_loop_advance), which several ODEs can share.  Both
 run the same IEEE operations in the same order, so every map, and every
 divergence error, has the same bytes either way.
+
+ode_to_map's count is chosen by step doubling too unless given
+(FlowConfig's default, substeps=None; _doubled_weights): runs of N and 2N
+substeps from N = 1 until max |W_2N - W_N| / 15 / max(1, |W_2N|) is within
+MAP_TOL = 1e-11, the map being that of substeps=2N.  Free fall at dt 0.1
+resolves to 4 substeps, the augmented free fall to 64, Lotka-Volterra and
+Rayleigh-Plesset at dt 0.01 to 2 and the pendulum at dt 0.1 to 128.  The
+engine is chosen per derivation from the substeps its levels are
+predicted to run.
 """
 
 from __future__ import annotations
@@ -103,18 +112,20 @@ class PolynomialODE:
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Integration window for ode_to_map: one step of size dt resolved by a
-    fixed number of RK4 substeps."""
+    """Integration window for ode_to_map: one step of size dt, resolved by
+    `substeps` RK4 substeps, or, by default (None), by the substeps step
+    doubling chooses to resolve the weights to MAP_TOL (ode_to_map)."""
 
     dt: float
-    substeps: int = 1000
+    substeps: int | None = None
 
     def __post_init__(self):
         _real("dt", self.dt)
-        object.__setattr__(self, "substeps", _count("substeps", self.substeps, 1))
+        if self.substeps is not None:
+            object.__setattr__(self, "substeps", _count("substeps", self.substeps, 1))
 
 
-def _flow_terms(ode: PolynomialODE, k: int) -> list:
+def _flow_terms(ode: PolynomialODE, k: int, live=None) -> list:
     """The terms of dW/dt, the order-k weight flow, as (target, coefficient,
     factors) with indices into the weights w: the row-major ravel of the
     stacked (n, N) matrix, entry (i, s) at i * N + s.
@@ -129,37 +140,60 @@ def _flow_terms(ode: PolynomialODE, k: int) -> list:
     columns, the picks in lexicographic order, then the outputs; at k = 0
     (W_0 = X, N = 1) factors is f and the terms are the ODE's right-hand
     side, term by term.
+
+    With a set of weights `live`, a column picks only among its variable's
+    live weights, so only the terms whose factors are all live are built,
+    in the same order; an ODE column whose coefficient times its most
+    orderings overflows keeps every pick, whose terms _pruned_flow keeps.
     """
     n, columns = ode.dim, basis._columns(ode.dim, k)
     monos, N = list(columns), len(columns)
     stop = [math.comb(n + b, b) for b in range(k + 2)]  # columns of degree <= b
 
-    def picks(runs, budget):
+    def picks(runs, budget, cols):
         # (factors, merged monomial, orderings) of (variable, multiplicity)
         # runs: of a run's m factors, j take columns of degree 1 to
-        # budget + 1 - j and the rest column 0, the monomial 1
+        # budget + 1 - j among cols[variable] and the rest column 0, the
+        # monomial 1
         if not runs:
             yield (), (), 1
             return
         (i, m), rest = runs[0], runs[1:]
         for j in range(min(m, budget) + 1):
-            for tail in itertools.combinations_with_replacement(range(1, stop[budget + 1 - j]), j):
+            if j < m and 0 not in cols[i]:
+                continue
+            top = stop[budget + 1 - j]
+            for tail in itertools.combinations_with_replacement(
+                    [s for s in cols[i] if 0 < s < top], j):
                 merged = sum((monos[s] for s in tail), ())
                 if len(merged) <= budget:
                     pick = (0,) * (m - j) + tail
                     count = math.factorial(m) // math.prod(
                         math.factorial(pick.count(s)) for s in set(pick))
-                    for factors, more, c in picks(rest, budget - len(merged)):
+                    for factors, more, c in picks(rest, budget - len(merged), cols):
                         yield tuple(i * N + s for s in pick) + factors, merged + more, count * c
 
+    every = [range(N)] * n
+    narrow = every if live is None else [
+        [s for s in range(N) if i * N + s in live] for i in range(n)]
     terms = []
     for f, P in zip(basis._columns(n, ode.order), ode.stacked.T.tolist()):
         outputs = [(o, c) for o, c in enumerate(P) if c]
         if outputs:
-            for factors, merged, count in picks([(i, f.count(i)) for i in sorted(set(f))], k):
+            runs = [(i, f.count(i)) for i in sorted(set(f))]
+            most = math.prod(math.factorial(m) for _, m in runs)
+            cols = every if any(math.isinf(c * most) for _, c in outputs) else narrow
+            for factors, merged, count in picks(runs, k, cols):
                 t = columns[tuple(sorted(merged))]
                 terms += [(o * N + t, c * count, factors) for o, c in outputs]
     return terms
+
+
+@functools.lru_cache(maxsize=None)
+def _start(n: int, k: int) -> np.ndarray:
+    """The read-only ravel of identity_map(n, k), W_1 = I: where every
+    derivation starts."""
+    return identity_map(n, k).stacked.ravel()
 
 
 def _pruned_flow(ode: PolynomialODE, k: int) -> tuple[list, list, list]:
@@ -168,26 +202,26 @@ def _pruned_flow(ode: PolynomialODE, k: int) -> tuple[list, list, list]:
 
     kept is the sorted weights (indices into the ravel) that those terms
     move or read, terms are re-indexed into kept, and moving is the sorted
-    positions in kept of the weights they move.  The weights that stay 0.0
-    are a greatest fixed point: starting from the zero entries of
-    identity_map(n, k), a weight leaves the set when a term with no factor
-    in it (a P_0 term has none), or with a coefficient that overflowed to
-    inf, moves it, until none does.  Every other term has a factor that
-    stays +0.0, so while the weights are finite it adds an exact +-0.0 to a
-    sum that starts at +0.0, which under round-to-nearest never changes the
+    positions in kept of the weights they move.  The weights that can move
+    are a least fixed point: starting from the nonzero entries of
+    identity_map(n, k), the live weights grow by the targets of the terms
+    whose factors are all live, or whose coefficient overflowed to inf,
+    until they no longer grow; each round builds only those terms
+    (_flow_terms with live).  Every other term has a factor that stays
+    +0.0, so while the weights are finite it adds an exact +-0.0 to a sum
+    that starts at +0.0, which under round-to-nearest never changes the
     sum; dropping those terms keeps the bytes of the full flow.  A weight
     outside kept keeps its start, 1.0 or +0.0, and one in kept that no term
     moves is read at its start.
     """
-    terms = _flow_terms(ode, k)
-    zero = set(np.flatnonzero(identity_map(ode.dim, k).stacked.ravel() == 0.0).tolist())
-
-    def moves(term):
-        return zero.isdisjoint(term[2]) or math.isinf(term[1])
-
-    while moved := {term[0] for term in terms if term[0] in zero and moves(term)}:
-        zero -= moved
-    terms = [term for term in terms if moves(term)]
+    live = set(np.flatnonzero(_start(ode.dim, k)).tolist())
+    while True:
+        terms = [term for term in _flow_terms(ode, k, live)
+                 if live.issuperset(term[2]) or math.isinf(term[1])]
+        moved = {t for t, _, _ in terms} - live
+        if not moved:
+            break
+        live |= moved
     kept = sorted({t for t, _, _ in terms}.union(*(f for _, _, f in terms)))
     at = {w: i for i, w in enumerate(kept)}
     return ([(at[t], c, tuple(at[i] for i in f)) for t, c, f in terms],
@@ -250,20 +284,23 @@ def _loop_advance(plans: list):
     return advance
 
 
-def _derived_weights(odes: list, plans: list, advance, cfg: FlowConfig) -> list:
+def _derived_weights(odes: list, plans: list, advance, cfg: FlowConfig,
+                     finite: bool = True) -> list:
     """The raveled end weights (_flow_terms) of each ODE's weight flow over
-    one step of cfg.dt: the one driver of derivations.
+    one step of cfg.dt in cfg.substeps RK4 substeps: the one driver of
+    derivations.
 
     The identity starts are gathered into the compact states of plans
     (_pruned_flow), side by side, and advance, an RK4 engine on them
-    (_float_advance or _loop_advance), runs all the substeps, as _run does
-    a trajectory's.  A non-finite entry stays non-finite (x + anything), so
-    only an end that is not finite is replayed one substep at a time, to
-    raise the error of the first member to end a substep non-finite, with
-    the norm of its full ravel before it.  The end is scattered back into
-    the identity ravels.
+    (_float_advance or _loop_advance), runs the substeps in bulk runs of
+    _CHECKED substeps, each end checked once.  A non-finite entry stays
+    non-finite (x + anything), so, unless finite is False, a run that ends
+    non-finite is bisected in bulk runs from the last finite state to its
+    first non-finite substep, to raise the error of the first member to end
+    that substep non-finite, with the norm of its full ravel before it.  The
+    end is scattered back into the identity ravels.
     """
-    starts = [identity_map(o.dim, o.order).stacked.ravel() for o in odes]
+    starts = [_start(o.dim, o.order) for o in odes]
     cuts = list(itertools.accumulate(len(kept) for _, _, kept in plans))[:-1]
 
     def ravels(X):
@@ -273,16 +310,29 @@ def _derived_weights(odes: list, plans: list, advance, cfg: FlowConfig) -> list:
         return out
 
     X = np.concatenate([w[kept] for w, (_, _, kept) in zip(starts, plans)]).tolist()
-    h = cfg.dt / cfg.substeps
-    end = advance(X, h, cfg.substeps)
-    if not all(map(math.isfinite, end)):
-        for s in itertools.count(1):
-            nxt = advance(X, h, 1)
-            if not all(map(math.isfinite, nxt)):
-                last = next(a for a, b in zip(ravels(X), ravels(nxt)) if not np.isfinite(b).all())
-                raise _divergence(cfg, s, last.tolist())
-            X = nxt
-    return ravels(end)
+    h, lo = cfg.dt / cfg.substeps, 0
+    while lo < cfg.substeps:
+        hi = min(lo + _CHECKED, cfg.substeps)
+        end = advance(X, h, hi - lo)
+        if finite and not all(map(math.isfinite, end)):
+            # X is finite after lo substeps, end is not after hi
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                Y = advance(X, h, mid - lo)
+                if all(map(math.isfinite, Y)):
+                    X, lo = Y, mid
+                else:
+                    end, hi = Y, mid
+            last = next(a for a, b in zip(ravels(X), ravels(end)) if not np.isfinite(b).all())
+            raise _divergence(cfg, hi, last.tolist())
+        X, lo = end, hi
+    return ravels(X)
+
+
+# the substeps of the driver's bulk runs: a check of the state per run
+# costs about what one substep of the smallest flow does, and a divergence
+# is located by bisecting one run
+_CHECKED = 64
 
 
 def _divergence(cfg: FlowConfig, s: int, last: list) -> FlowDivergenceError:
@@ -294,21 +344,114 @@ def _divergence(cfg: FlowConfig, s: int, last: list) -> FlowDivergenceError:
         f"last finite weight norm {math.hypot(*last):.6g})", s)
 
 
-def _ode_to_maps(odes: list, cfg: FlowConfig) -> list:
-    """ode_to_map of each ODE in odes, each with the bytes of its own: each
-    flow is pruned once (_pruned_flow), and one ODE whose generated float
-    kernel pays for its compile (_float_advance) runs on it; the rest,
-    every batch included, share the numpy loop (_loop_advance)."""
+# the relative weight error the default FlowConfig resolves a derivation to
+MAP_TOL = 1e-11
+
+
+def _engine(plans: list):
+    """engine(members, work): the RK4 engine of a run of the members
+    (positions in plans) with `work` substeps still to run, this run's
+    included.  One ODE takes its generated float kernel once that pays for
+    its compile (_float_advance) and keeps it; else, and for every batch,
+    the numpy loop of the members (_loop_advance), built once per set."""
+    kernel, loops = None, {}
+
+    def engine(members, work):
+        nonlocal kernel
+        if len(plans) == 1 and kernel is None:
+            kernel = _float_advance(plans[0], work)
+        if kernel is not None:
+            return kernel
+        key = tuple(members)
+        if key not in loops:
+            loops[key] = _loop_advance([plans[i] for i in members])
+        return loops[key]
+
+    return engine
+
+
+def _doubled_weights(odes: list, plans: list, dt: float) -> list:
+    """(ravel, substeps, estimate) of each ODE under the default FlowConfig.
+
+    Levels run the weights, through the one driver (_derived_weights), at N
+    and 2N substeps from N = 1, the 2N run of one level being the N run of
+    the next, as _reference does a trajectory's.  A member stops at the
+    first level whose estimate max |W_2N - W_N| / 15 / max(1, |W_2N|) is
+    within MAP_TOL and keeps that level's 2N run: the bytes of
+    FlowConfig(dt, 2N).  A 2N run that ends non-finite raises the driver's
+    divergence error; a non-finite N run only makes the estimate NaN.
+    Members still above MAP_TOL run on; beyond _MAX_SUBSTEPS the estimate
+    is a ValueError.  The engine is chosen from the substeps the levels
+    still to run are predicted to take, RK4's error falling 16-fold per
+    doubling from the worst estimate so far (_engine).
+    """
+    engine, done = _engine(plans), [None] * len(odes)
+
+    def run(members, substeps, work, finite=True):
+        return _derived_weights([odes[i] for i in members], [plans[i] for i in members],
+                                engine(members, work), FlowConfig(dt, substeps), finite)
+
+    live, fine, worst = list(range(len(odes))), 2, math.nan
+    coarse = run(live, 1, 1, finite=False)
+    while live:
+        # the levels left if each divides the estimate by 16, at most 10
+        levels = 1 if math.isnan(worst) else math.ceil(math.log(min(worst, 1.0) / MAP_TOL, 16))
+        ends = run(live, fine, fine * (2 ** levels - 1))
+        estimates = [float(np.max(np.abs(w - c) / np.maximum(1.0, np.abs(w)))) / 15.0
+                     if np.isfinite(c).all() else math.nan for c, w in zip(coarse, ends)]
+        for i, w, e in zip(live, ends, estimates):
+            if e <= MAP_TOL:
+                done[i] = w, fine, e
+        coarse = [w for w, e in zip(ends, estimates) if not e <= MAP_TOL]
+        estimates = [e for e in estimates if not e <= MAP_TOL]
+        live = [i for i in live if done[i] is None]
+        worst = float(np.max(estimates, initial=0.0))  # NaN if one is
+        if live and 2 * fine > _MAX_SUBSTEPS:
+            raise ValueError(
+                f"the map derivation's error estimate is {worst:.3g} at {fine} RK4 "
+                f"substeps, above MAP_TOL {MAP_TOL:g}; pass substeps explicitly")
+        fine *= 2
+    return done
+
+
+def _derivations(odes: list, cfg: FlowConfig) -> list:
+    """(map, substeps, estimate) of each ODE in odes under cfg, each map
+    with the bytes of its own ode_to_map: each flow is pruned once
+    (_pruned_flow).  An explicit count runs once, its estimate None, on one
+    ODE's generated float kernel where that pays for its compile
+    (_float_advance) and else, every batch included, on the numpy loop
+    (_loop_advance); the default doubles (_doubled_weights), each member
+    keeping its own level."""
     plans = [_pruned_flow(o, o.order) for o in odes]
-    advance = (len(odes) == 1 and _float_advance(plans[0], cfg.substeps)) or _loop_advance(plans)
-    return [TaylorMap(dim=o.dim, order=o.order, weights=tuple(
-        x.reshape(o.dim, -1)[:, s] for s in basis._stacked_exponents(o.dim, o.order)[1]))
-        for o, x in zip(odes, _derived_weights(odes, plans, advance, cfg))]
+    if cfg.substeps is None:
+        results = _doubled_weights(odes, plans, cfg.dt)
+    else:
+        advance = _engine(plans)(range(len(odes)), cfg.substeps)
+        results = [(w, cfg.substeps, None)
+                   for w in _derived_weights(odes, plans, advance, cfg)]
+    return [(TaylorMap(dim=o.dim, order=o.order, weights=tuple(
+        w.reshape(o.dim, -1)[:, s] for s in basis._stacked_exponents(o.dim, o.order)[1])),
+        substeps, estimate) for o, (w, substeps, estimate) in zip(odes, results)]
+
+
+def _ode_to_maps(odes: list, cfg: FlowConfig) -> list:
+    """ode_to_map of each ODE in odes, in one derivation (_derivations)."""
+    return [tm for tm, _, _ in _derivations(odes, cfg)]
 
 
 def ode_to_map(ode: PolynomialODE, cfg: FlowConfig) -> TaylorMap:
     """Integrate the weight flow over one step of cfg.dt from the unified
-    initial condition W_1 = I; returns the order-k Taylor map of the flow."""
+    initial condition W_1 = I; returns the order-k Taylor map of the flow.
+
+    An explicit cfg.substeps runs exactly that many RK4 substeps.  The
+    default, None, chooses the count by step doubling (_doubled_weights):
+    the smallest 2N, N a power of two, whose weights differ from those of N
+    substeps by at most 15 * MAP_TOL * max(1, |weight|) in every entry
+    (Hairer, Norsett & Wanner, Solving ODEs I, II.4); the map is that of
+    substeps=2N, byte for byte.  A run that ends non-finite raises
+    FlowDivergenceError (under the default, a 2N run), and a default count
+    above 2 ** 16 raises ValueError.
+    """
     return _ode_to_maps([ode], cfg)[0]
 
 

@@ -17,10 +17,11 @@ def run(*argv) -> int:
 
 
 def test_derive_free_fall_matches_closed_form(tmp_path):
+    # at 1000 substeps: the default resolves the weights to ode.MAP_TOL only
     out = tmp_path / "ff.json"
     code = run("derive", "--system", "free_fall", "--param", "m=100",
                "--param", "g=9.8", "--param", "k=0.392",
-               "--dt", "0.1", "--out", out)
+               "--dt", "0.1", "--substeps", "1000", "--out", out)
     assert code == 0
     tm = io.load_map(out)
     assert tm.dim == 1 and tm.order == 2
@@ -311,6 +312,12 @@ def test_error_exits(tmp_path, capsys):
         ((*track, edited("elements", quad, elements=["x"])),
          "lattice element 0 must be a JSON object, got 'x'"),
         ((*track, edited("monitors", quad, monitors=1)), "lattice monitors must be a list"),
+        ((*track, edited("ring_no", quad, ring="no")),
+         "ring_no.json: lattice ring must be true or false, got 'no'"),
+        ((*track, edited("ring_1", quad, ring=1)),
+         "ring_1.json: lattice ring must be true or false, got 1"),
+        ((*track, edited("label5", quad, elements=[{**element, "label": 5}])),
+         "label5.json: lattice element 0 label must be a string, got 5"),
         ((*track, edited("dt", quad, elements=[{**element, "dt": "x"}])),
          "dt must be a finite number, got 'x'"),
         (("check", "--map", edited("dim", tm, dim=None),
@@ -455,14 +462,38 @@ def test_simulate_from_a_map_refuses_a_flag_it_would_not_use(tmp_path, capsys, f
 
 
 def test_simulate_records_the_derivation_substeps_it_used(tmp_path):
-    # --substeps has no parser default; deriving applies 1000 and records it,
-    # a map that is not derived records none
+    # --substeps has no parser default; deriving resolves the count by step
+    # doubling (4 for free fall at dt 0.1) and records it with its estimate,
+    # an explicit count is recorded as given, and a map that is not derived
+    # records none
     derived, loaded, path = tmp_path / "d.csv", tmp_path / "m.csv", tmp_path / "ff.json"
     assert run("simulate", "--system", "free_fall", "--dt", "0.1", "--x0", "0",
                "--steps", "3", "--out", derived) == 0
-    assert io.read_manifest(tmp_path / "d.manifest.json").parameters["substeps"] == 1000
+    parameters = io.read_manifest(tmp_path / "d.manifest.json").parameters
+    [(_, substeps, estimate)] = ode._derivations([systems.free_fall()], ode.FlowConfig(0.1))
+    assert (parameters["substeps"], parameters["error_estimate"]) == (4, estimate) == (
+        substeps, estimate)
+    fixed = tmp_path / "f.csv"
+    assert run("simulate", "--system", "free_fall", "--dt", "0.1", "--x0", "0",
+               "--steps", "3", "--substeps", "1000", "--out", fixed) == 0
+    parameters = io.read_manifest(tmp_path / "f.manifest.json").parameters
+    assert parameters["substeps"] == 1000 and "error_estimate" not in parameters
     io.save_map(ode.ode_to_map(systems.free_fall(), ode.FlowConfig(0.1)), path)
     assert run("simulate", "--map", path, "--x0", "0", "--steps", "3", "--out", loaded) == 0
     assert io.read_trajectory(loaded).tobytes() == io.read_trajectory(derived).tobytes()
     parameters = io.read_manifest(tmp_path / "m.manifest.json").parameters
     assert parameters["substeps"] is None and parameters["dt"] is None
+
+
+def test_derive_records_the_count_and_estimate_it_resolved(tmp_path):
+    # the pendulum at dt 0.1 resolves to 128 substeps; --substeps 128 writes
+    # the same map file, and an explicit count records no estimate
+    default, fixed = tmp_path / "p.json", tmp_path / "p128.json"
+    assert run("derive", "--system", "pendulum", "--dt", "0.1", "--out", default) == 0
+    parameters = io.read_manifest(tmp_path / "p.manifest.json").parameters
+    assert parameters["substeps"] == 128 and 0.0 < parameters["error_estimate"] <= ode.MAP_TOL
+    assert run("derive", "--system", "pendulum", "--dt", "0.1", "--substeps", "128",
+               "--out", fixed) == 0
+    assert fixed.read_bytes() == default.read_bytes()
+    parameters = io.read_manifest(tmp_path / "p128.manifest.json").parameters
+    assert parameters["substeps"] == 128 and "error_estimate" not in parameters

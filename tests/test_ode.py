@@ -75,7 +75,9 @@ def test_ode_serialization_roundtrip():
 
 
 def test_flow_config_validation():
-    assert ode.FlowConfig(0.1).substeps == 1000
+    # the default, None, chooses the count by step doubling
+    assert ode.FlowConfig(0.1).substeps is None
+    assert ode.FlowConfig(0.1, substeps=1000).substeps == 1000
     with pytest.raises(ValueError):
         ode.FlowConfig(np.inf)
     with pytest.raises(ValueError):
@@ -89,10 +91,11 @@ def test_flow_config_validation():
 
 
 def test_linear_flow_matches_matrix_exponential():
+    # 1000 substeps: the default resolves the weights to MAP_TOL only
     rng = np.random.default_rng(31)
     A = rng.normal(size=(3, 3)) * 0.8
     sys = ode.PolynomialODE(3, 1, (np.zeros((3, 1)), A))
-    tm = ode.ode_to_map(sys, ode.FlowConfig(0.7))
+    tm = ode.ode_to_map(sys, ode.FlowConfig(0.7, substeps=1000))
     assert np.allclose(tm.weights[1], expm(0.7 * A), rtol=1e-12, atol=1e-13)
     assert np.all(tm.weights[0] == 0.0)
 
@@ -108,9 +111,10 @@ def test_linear_flow_keeps_higher_blocks_zero():
 def test_free_fall_weights_match_closed_form():
     # v(t) = 50 tanh(theta + gt/50) gives, per step of dt:
     #   W_0 = 50 T, W_1 = 1 - T^2, W_2 = -T (1 - T^2) / 50, T = tanh(g dt / 50)
+    # at 1000 substeps: the default resolves the weights to MAP_TOL only
     dt = 0.1
     T = np.tanh(9.8 * dt / 50.0)
-    tm = ode.ode_to_map(_free_fall(), ode.FlowConfig(dt))
+    tm = ode.ode_to_map(_free_fall(), ode.FlowConfig(dt, substeps=1000))
     assert tm.weights[0][0, 0] == pytest.approx(50.0 * T, rel=1e-12)
     assert tm.weights[1][0, 0] == pytest.approx(1.0 - T**2, rel=1e-12)
     assert tm.weights[2][0, 0] == pytest.approx(-T * (1.0 - T**2) / 50.0, rel=1e-12)
@@ -219,7 +223,7 @@ def test_weight_flow_divergence_raises_with_location():
         match=r"^weight flow diverged at t=14\.16 of 20 "
               r"\(substep 708/1000; last finite weight norm 8\.32521e\+305\)$",
     ) as err:
-        ode.ode_to_map(stiff, ode.FlowConfig(20.0))
+        ode.ode_to_map(stiff, ode.FlowConfig(20.0, substeps=1000))
     assert err.value.layer == 708
 
 
@@ -292,7 +296,7 @@ def test_a_batch_raises_the_first_diverging_members_own_error():
 
     rotation, stiff = linear([[0.0, 1.0], [-1.0, 0.0]]), linear(50.0)
     twin, faster = linear(50.0 * np.eye(2)), linear(60.0)
-    cfg = ode.FlowConfig(20.0)
+    cfg = ode.FlowConfig(20.0, substeps=1000)
 
     def error(derive, arg):
         with pytest.raises(ode.FlowDivergenceError) as err:
@@ -340,7 +344,7 @@ def _both_derivation_cases():
              for name, make in systems.SYSTEMS.items()]
             + [(ring.elements[j].generator, ode.FlowConfig(1.0, substeps=50), None)
                for j in (0, 1, 2, 8)]  # qf, drift, qd, sextupole
-            + [(_linear(50.0), ode.FlowConfig(20.0), 708),
+            + [(_linear(50.0), ode.FlowConfig(20.0, substeps=1000), 708),
                (huge, ode.FlowConfig(0.1, substeps=5), 1)])
 
 
@@ -348,8 +352,8 @@ def _both_derivation_cases():
     *systems.SYSTEMS, "qf", "drift", "qd", "sextupole", "stiff", "overflowing-coefficient"])
 def test_the_float_kernel_derives_the_numpy_loops_bytes(index):
     # every built-in system and ring element, and two that diverge: x' = 50 x
-    # at FlowConfig(20.0) ends substep 708 non-finite (see above), and the
-    # overflowing coefficient ends substep 1 so
+    # at 1000 substeps of dt 20 ends substep 708 non-finite (see above), and
+    # the overflowing coefficient ends substep 1 so
     system, cfg, diverges_at = _both_derivation_cases()[index]
     loop, kernel = _both_derivations(system, cfg)
     assert kernel == loop
@@ -377,24 +381,31 @@ def test_the_float_kernel_derives_random_odes_with_the_numpy_loops_bytes(data, n
 
 
 def test_the_float_kernel_is_chosen_where_it_pays(monkeypatch):
-    # the selection at the benchmark's settings: Lotka-Volterra and the
-    # pendulum derive at 1000 substeps on the float kernel; the ring's
-    # elements at 200 take the numpy loop batched in build_fodo_ring and
-    # the float kernel alone in perturb_element, as does Rayleigh-Plesset
-    # at 200 and 1000 but not at 100
-    chosen, pick = [], ode._float_advance
+    # the selection at the benchmark's settings: Lotka-Volterra at 1000
+    # substeps and the pendulum under the default (its levels after the
+    # first run 252 substeps) derive on the float kernel, and
+    # Lotka-Volterra under the default (3 substeps) on the numpy loop; the
+    # ring's elements at 200 take the numpy loop batched in build_fodo_ring
+    # and the float kernel alone in perturb_element, as does
+    # Rayleigh-Plesset at 200 and 1000 but not at 100
+    chosen, works, pick = [], [], ode._float_advance
 
     def counting(plan, substeps):
         advance = pick(plan, substeps)
         if advance is not None:
             chosen.append(plan)
+            works.append(substeps)
         return advance
 
     monkeypatch.setattr(ode, "_float_advance", counting)
     lv, pendulum = systems.lotka_volterra(), systems.pendulum()
     ode.ode_to_map(lv, ode.FlowConfig(0.01, substeps=1000))
     ode.ode_to_map(pendulum, ode.FlowConfig(0.1))
+    ode.ode_to_map(lv, ode.FlowConfig(0.01))
     assert chosen == [ode._pruned_flow(lv, lv.order), ode._pruned_flow(pendulum, pendulum.order)]
+    # the pendulum's kernel is compiled for the 4 + 8 + ... + 128 substeps
+    # predicted from its first estimate, 5.9e-5, 16-fold less per level
+    assert works == [1000, 252]
     ring = lattice.build_fodo_ring(substeps=200)
     assert len(chosen) == 2
     for j in (0, 1, 2, 8):
@@ -408,18 +419,35 @@ def test_the_float_kernel_is_chosen_where_it_pays(monkeypatch):
 
 def test_a_derivation_builds_its_terms_once(monkeypatch):
     # the pruned plan goes to whichever path runs: the numpy loop at 10
-    # substeps, the float kernel at 150 and 1000
-    calls, flow_terms = [], ode._flow_terms
+    # substeps, the float kernel at 150 and 1000, and every level of the
+    # default
+    calls, pruned_flow = [], ode._pruned_flow
 
     def counting(system, k):
         calls.append(k)
-        return flow_terms(system, k)
+        return pruned_flow(system, k)
 
-    monkeypatch.setattr(ode, "_flow_terms", counting)
-    for substeps in (10, 150, 1000):
+    monkeypatch.setattr(ode, "_pruned_flow", counting)
+    for substeps in (10, 150, 1000, None):
         ode.ode_to_map(systems.pendulum(), ode.FlowConfig(0.1, substeps=substeps))
         assert calls == [3]
         calls.clear()
+
+
+def test_pruning_builds_only_the_terms_of_live_weights(monkeypatch):
+    # Rayleigh-Plesset's full flow has 2009 terms, of which 25 are kept;
+    # the four rounds of the fixed point build 9, 22, 25 and 25
+    rp = systems.rayleigh_plesset()
+    assert len(ode._flow_terms(rp, rp.order)) == 2009
+    built, flow_terms = [], ode._flow_terms
+
+    def counting(system, k, live=None):
+        built.append(len(terms := flow_terms(system, k, live)))
+        return terms
+
+    monkeypatch.setattr(ode, "_flow_terms", counting)
+    terms, _, _ = ode._pruned_flow(rp, rp.order)
+    assert len(terms) == 25 and built == [9, 22, 25, 25]
 
 
 def _textbook_end(system, cfg):
@@ -636,6 +664,141 @@ def test_derived_map_matches_rk4_on_the_substituted_flow(index):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+# --- the step-doubling default of derivations ----------------------------------------
+
+# (system, dt, the substeps the default resolves it to) for every built-in
+# system at the step the workloads and checks derive it with
+_DERIVE_DEFAULTS = {
+    "free_fall": (systems.free_fall(), 0.1, 4),
+    "free_fall_augmented": (systems.free_fall_augmented(), 0.1, 64),
+    "lotka_volterra": (systems.lotka_volterra(), 0.01, 2),
+    "pendulum": (systems.pendulum(), 0.1, 128),
+    "rayleigh_plesset": (systems.rayleigh_plesset(), 0.01, 2),
+}
+
+
+def _default_estimate(system, dt, substeps):
+    # the estimate of the level whose fine run has `substeps`
+    fine, coarse = (ode.ode_to_map(system, ode.FlowConfig(dt, substeps=n)).stacked
+                    for n in (substeps, substeps // 2))
+    return float(np.max(np.abs(fine - coarse) / np.maximum(1.0, np.abs(fine)))) / 15.0
+
+
+@pytest.mark.parametrize("name", list(_DERIVE_DEFAULTS))
+def test_default_derivation_is_a_fixed_count_within_2x_of_its_estimate(name):
+    # the error, measured as the estimate is, against 4096 substeps; the map
+    # is that of the chosen count, byte for byte
+    system, dt, chosen = _DERIVE_DEFAULTS[name]
+    [(tm, substeps, estimate)] = ode._derivations([system], ode.FlowConfig(dt))
+    ref = ode.ode_to_map(system, ode.FlowConfig(dt, substeps=4096)).stacked
+    error = np.max(np.abs(tm.stacked - ref) / np.maximum(1.0, np.abs(ref)))
+    assert substeps == chosen and estimate <= ode.MAP_TOL
+    assert estimate == _default_estimate(system, dt, substeps)
+    assert 0.5 * error <= estimate <= 2.0 * error, (estimate, error)
+    fixed = ode.ode_to_map(system, ode.FlowConfig(dt, substeps=substeps))
+    assert tm.stacked.tobytes() == fixed.stacked.tobytes()
+    assert ode.ode_to_map(system, ode.FlowConfig(dt)).stacked.tobytes() == fixed.stacked.tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([0.2, 0.5, 1.0]), st.sampled_from([0.1, -0.1, 0.5]))
+def test_the_default_stops_at_the_first_level_within_map_tol(n, order, seed, density, dt):
+    # small random ODEs, P_0 included: the default's map is that of
+    # substeps=2N, byte for byte, its estimate within MAP_TOL and the
+    # estimate of the level before it (N substeps against N / 2) above it
+    rng = np.random.default_rng(seed)
+    system = ode.PolynomialODE(n, order, tuple(
+        rng.uniform(-1.0, 1.0, (n, basis.basis_size(n, d)))
+        * (rng.random((n, basis.basis_size(n, d))) < density) for d in range(order + 1)))
+    [(tm, substeps, estimate)] = ode._derivations([system], ode.FlowConfig(dt))
+    assert estimate <= ode.MAP_TOL and estimate == _default_estimate(system, dt, substeps)
+    fixed = ode.ode_to_map(system, ode.FlowConfig(dt, substeps=substeps))
+    assert tm.stacked.tobytes() == fixed.stacked.tobytes()
+    if substeps > 2:
+        assert not _default_estimate(system, dt, substeps // 2) <= ode.MAP_TOL
+
+
+def test_a_default_batch_gives_each_member_its_own_level():
+    # members resolving to 4, 32, 64 and 128 substeps and an all-zero ODE:
+    # each keeps the map, the count and the estimate of its own derivation
+    batch = [systems.pendulum(), systems.free_fall(), systems.free_fall_augmented(),
+             ode.PolynomialODE(2, 2, tuple(np.zeros((2, basis.basis_size(2, d)))
+                                           for d in range(3))),
+             systems.lotka_volterra()]
+    got = ode._derivations(batch, ode.FlowConfig(0.1))
+    assert [substeps for _, substeps, _ in got] == [128, 4, 64, 2, 32]
+    for system, (tm, substeps, estimate) in zip(batch, got):
+        [(want, count, e)] = ode._derivations([system], ode.FlowConfig(0.1))
+        assert (substeps, estimate) == (count, e)
+        assert tm.stacked.tobytes() == want.stacked.tobytes()
+
+
+def test_default_divergence_is_the_error_of_its_fine_run():
+    # x' = 50 x over dt 20 stays finite at 64 substeps and overflows at
+    # 128: the default raises that run's divergence, alone and in a batch,
+    # long before the cap on its count
+    stiff = _linear(50.0)
+    message = (r"^weight flow diverged at t=19\.6875 of 20 \(substep 126/128; "
+               r"last finite weight norm 5\.28993e\+304\)$")
+    for cfg in (ode.FlowConfig(20.0), ode.FlowConfig(20.0, substeps=128)):
+        for batch in ([stiff], [_linear([[0.0, 1.0], [-1.0, 0.0]]), stiff]):
+            with pytest.raises(ode.FlowDivergenceError, match=message) as err:
+                ode._ode_to_maps(batch, cfg)
+            assert err.value.layer == 126
+
+
+def test_a_non_finite_coarse_run_only_doubles(monkeypatch):
+    # Lotka-Volterra at dt 0.01 stops at 2 substeps unless its 1-substep
+    # run, here made NaN, leaves the first level's estimate undefined: then
+    # it stops at 4, with the bytes of 4 substeps
+    loop = ode._loop_advance
+
+    def nan_at_one_substep(plans):
+        advance = loop(plans)
+        return lambda X, h, substeps: [math.nan] * len(X) if substeps == 1 else advance(
+            X, h, substeps)
+
+    lv = systems.lotka_volterra()
+    monkeypatch.setattr(ode, "_loop_advance", nan_at_one_substep)
+    [(tm, substeps, estimate)] = ode._derivations([lv], ode.FlowConfig(0.01))
+    monkeypatch.undo()
+    assert substeps == 4 and estimate == _default_estimate(lv, 0.01, 4)
+    assert tm.stacked.tobytes() == ode.ode_to_map(lv, ode.FlowConfig(0.01, 4)).stacked.tobytes()
+
+
+def test_a_diverging_run_is_located_by_bisection(monkeypatch):
+    # x' = 50 x at 1000 substeps of dt 20 ends substep 708 non-finite: the
+    # bulk runs of 64 substeps reach 704 and the run to 768 is bisected, in
+    # 6 more runs of 32, 16, ..., 1 substeps from the last finite state
+    runs, loop = [], ode._loop_advance
+
+    def recording(plans):
+        advance = loop(plans)
+
+        def run(X, h, substeps):
+            runs.append(substeps)
+            return advance(X, h, substeps)
+
+        return run
+
+    monkeypatch.setattr(ode, "_loop_advance", recording)
+    batch = [_linear([[0.0, 1.0], [-1.0, 0.0]]), _linear(50.0)]
+    with pytest.raises(ode.FlowDivergenceError, match=r"\(substep 708/1000;"):
+        ode._ode_to_maps(batch, ode.FlowConfig(20.0, substeps=1000))
+    assert runs == [64] * 12 + [32, 16, 8, 4, 2, 1]
+
+
+def test_default_derivation_above_the_substep_cap_asks_for_an_explicit_count(monkeypatch):
+    # the pendulum needs 128 substeps at dt 0.1
+    monkeypatch.setattr(ode, "_MAX_SUBSTEPS", 64)
+    with pytest.raises(ValueError, match=r"^the map derivation's error estimate is \S+ "
+                                         r"at 64 RK4 substeps, above MAP_TOL 1e-11; "
+                                         r"pass substeps explicitly$"):
+        ode.ode_to_map(systems.pendulum(), ode.FlowConfig(0.1))
+    assert ode._derivations([systems.pendulum()], ode.FlowConfig(0.1, 64))[0][1:] == (64, None)
+
+
 # --- trajectory integration -----------------------------------------------------
 
 
@@ -742,9 +905,13 @@ def _oracle_substeps(v):
     return ode.reference_trajectory(lambda X: -X, np.ones(1), 0.1, 2, v)
 
 
+def _flow_substeps(v):
+    return ode.FlowConfig(0.1, substeps=v)
+
+
 @pytest.mark.parametrize("value", [2.5, True, np.float64(3.0), "3", None])
 @pytest.mark.parametrize("name, make", [
-    ("substeps", lambda v: ode.FlowConfig(0.1, substeps=v)),
+    ("substeps", _flow_substeps),
     ("epochs", lambda v: network.TrainConfig(epochs=v)),
     ("steps", lambda v: ode.reference_trajectory(lambda X: -X, np.ones(1), 0.1, v)),
     ("substeps", _oracle_substeps),
@@ -759,8 +926,9 @@ def _oracle_substeps(v):
 ], ids=["FlowConfig", "TrainConfig", "steps", "substeps", "length", "n_turns",
         "LatticeElement", "map_dim", "map_order", "ode_dim", "ode_order"])
 def test_counts_must_be_integers(name, make, value):
-    if value is None and make is _oracle_substeps:
-        # the oracle's default: the count is chosen by step doubling
+    if value is None and make in (_oracle_substeps, _flow_substeps):
+        # their default: the count is chosen by step doubling (a lattice
+        # element keeps the count its file stores)
         make(value)
         return
     with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
