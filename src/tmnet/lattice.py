@@ -359,8 +359,8 @@ def build_fodo_ring(substeps: int = 1000) -> Lattice:
 
     The ring is stable in both planes with distinct tunes and stays stable
     when any single element's strength is scaled by 0.8.  The four distinct
-    elements are derived in one RK4 loop (ode._ode_to_maps), each with the
-    bytes of its own ode_to_map, and reused under their labels.
+    elements are derived in one run on their merged plan (ode._ode_to_maps),
+    each with the bytes of its own ode_to_map, and reused under their labels.
     """
     gens = [_quad_ode(_KF), _quad_ode(-_KD), _quad_ode(0.0), _sextupole_ode(_K2)]
     tms = ode._ode_to_maps(gens, ode.FlowConfig(_LENGTH, substeps))

@@ -24,26 +24,27 @@ full flow's maps byte for byte (Berz, Modern Map Methods in Particle Beam
 Physics, 1999, keeps DA vectors sparse the same way).
 
 One generated RK4 (_term_advance) serves states and weights: straight-line
-Python substeps on locals, unrolled from a term list.
+Python substeps on locals, unrolled from a term list, that read the
+coefficients from an argument, so a kernel is compiled once per term
+structure and kept in one bounded cache (_kernel).
 reference_trajectory, the one public trajectory integrator, runs it at
 k = 0 on the state (_run), choosing the substeps by step doubling unless
 given a count.  ode_to_map runs the compact state of the pruned flow, the
 weights that move and the ones their terms read, through one driver
 (_derived_weights) and an RK4 engine with the oracle's interface,
-advance(X, h, substeps) on a list of floats: that generated RK4 where it
-pays for its compile (_float_advance, a rule from measured crossovers),
-else a numpy loop (_loop_advance), which several ODEs can share.  Both
-run the same IEEE operations in the same order, so every map, and every
-divergence error, has the same bytes either way.
+advance(X, h, substeps) on a list of floats.  A batch of ODEs is merged
+into one plan, their compact states side by side (_merged).  The plan
+runs on that generated RK4 if its kernel has at most _KERNEL_STATEMENTS
+statements, else on a numpy loop (_loop_advance).  Both run the same IEEE
+operations in the same order, so every map, and every divergence error,
+has the same bytes either way.
 
 ode_to_map's count is chosen by step doubling too unless given
 (FlowConfig's default, substeps=None; _doubled_weights): runs of N and 2N
 substeps from N = 1 until max |W_2N - W_N| / 15 / max(1, |W_2N|) is within
 MAP_TOL = 1e-11, the map being that of substeps=2N.  Free fall at dt 0.1
 resolves to 4 substeps, the augmented free fall to 64, Lotka-Volterra and
-Rayleigh-Plesset at dt 0.01 to 2 and the pendulum at dt 0.1 to 128.  The
-engine is chosen per derivation from the substeps its levels are
-predicted to run.
+Rayleigh-Plesset at dt 0.01 to 2 and the pendulum at dt 0.1 to 128.
 """
 
 from __future__ import annotations
@@ -97,11 +98,6 @@ class PolynomialODE:
         """Evaluate dX/dt at a state vector."""
         return _evaluate(self.stacked, self.order, X)
 
-    @functools.cached_property
-    def _advance(self):
-        """The oracle's RK4 substeps (_term_advance), compiled once per ODE."""
-        return _term_advance(_flow_terms(self, 0), self.dim, range(self.dim))
-
     def to_dict(self) -> dict:
         return _to_dict(self, "coeffs")
 
@@ -120,7 +116,7 @@ class FlowConfig:
     substeps: int | None = None
 
     def __post_init__(self):
-        _real("dt", self.dt)
+        object.__setattr__(self, "dt", _real("dt", self.dt))
         if self.substeps is not None:
             object.__setattr__(self, "substeps", _count("substeps", self.substeps, 1))
 
@@ -228,20 +224,16 @@ def _pruned_flow(ode: PolynomialODE, k: int) -> tuple[list, list, list]:
             sorted({at[t] for t, _, _ in terms}), kept)
 
 
-def _term_flow(members: list):
-    """dW/dt at the weights w of (terms, size) members, w holding their
-    weights in turn.  With terms padded to the most factors by a trailing
-    1.0 (index -1), it is a gather per factor, their product and an
-    in-order scatter."""
-    size, shifted = 0, []
-    for terms, n in members:
-        shifted += [(size + t, c, tuple(size + i for i in f)) for t, c, f in terms]
-        size += n
-    width = max([1] + [len(f) for _, _, f in shifted])
-    target = np.array([t for t, _, _ in shifted], dtype=np.intp)
-    coef = np.array([c for _, c, _ in shifted], dtype=float)
+def _term_flow(terms: list, size: int):
+    """dW/dt at the weights w, size floats, of terms (target, coefficient,
+    factors) indexing w.  With terms padded to the most factors by a
+    trailing 1.0 (index -1), it is a gather per factor, their product and
+    an in-order scatter."""
+    width = max([1] + [len(f) for _, _, f in terms])
+    target = np.array([t for t, _, _ in terms], dtype=np.intp)
+    coef = np.array([c for _, c, _ in terms], dtype=float)
     # one index row per factor: width - 1 whole-row multiplies, in factor order
-    F = [f + (-1,) * (width - len(f)) for _, _, f in shifted]
+    F = [f + (-1,) * (width - len(f)) for _, _, f in terms]
     first, *rest = np.array(F, dtype=np.intp).reshape(-1, width).T.copy()
     w_ext = np.ones(size + 1)
 
@@ -259,16 +251,14 @@ def _weight_flow(ode: PolynomialODE, k: int):
     """dW/dt of the full order-k weight flow (_flow_terms) at the raveled
     weights w, no term dropped: the reference the derivations keep the
     bytes of."""
-    return _term_flow([(_flow_terms(ode, k), ode.dim * len(basis._columns(ode.dim, k)))])
+    return _term_flow(_flow_terms(ode, k), ode.dim * len(basis._columns(ode.dim, k)))
 
 
-def _loop_advance(plans: list):
-    """advance(X, h, substeps): RK4 substeps on the compact states of plans
-    (_pruned_flow), side by side in X, as one float64 array: the numpy
-    engine.  Each member's rhs gathers and scatters only its own terms, so
-    each one's entries are those of the loop on it alone.  Nothing is
-    checked in the loop: an overflow makes entries non-finite for good."""
-    rhs = _term_flow([(terms, len(kept)) for terms, _, kept in plans])
+def _loop_advance(terms: list, size: int):
+    """advance(X, h, substeps): RK4 substeps of the terms (_term_flow) on a
+    state of size floats, as one float64 array: the numpy engine.  Nothing
+    is checked in the loop: an overflow makes entries non-finite for good."""
+    rhs = _term_flow(terms, size)
 
     def advance(X, h, substeps):
         w, half, sixth = np.array(X, dtype=float), 0.5 * h, h / 6.0
@@ -284,32 +274,53 @@ def _loop_advance(plans: list):
     return advance
 
 
-def _derived_weights(odes: list, plans: list, advance, cfg: FlowConfig,
-                     finite: bool = True) -> list:
+def _merged(plans: list, sizes) -> tuple:
+    """One plan (terms, moving, kept) of the plans (_pruned_flow) side by
+    side: their compact states in turn, kept indexing their ravels, of the
+    given sizes, in turn.  Each member's terms read and move only its own
+    entries, in its own order, so every entry takes the operations it
+    takes with the member alone."""
+    terms, moving, kept, offset = [], [], [], 0
+    for (t, m, k), size in zip(plans, sizes):
+        at = len(kept)
+        terms += [(at + o, c, tuple(at + i for i in f)) for o, c, f in t]
+        moving += [at + i for i in m]
+        kept += [offset + i for i in k]
+        offset += size
+    return terms, moving, kept
+
+
+def _derived_weights(odes: list, plans: list, cfg: FlowConfig, finite: bool = True) -> list:
     """The raveled end weights (_flow_terms) of each ODE's weight flow over
     one step of cfg.dt in cfg.substeps RK4 substeps: the one driver of
     derivations.
 
-    The identity starts are gathered into the compact states of plans
-    (_pruned_flow), side by side, and advance, an RK4 engine on them
-    (_float_advance or _loop_advance), runs the substeps in bulk runs of
-    _CHECKED substeps, each end checked once.  A non-finite entry stays
-    non-finite (x + anything), so, unless finite is False, a run that ends
-    non-finite is bisected in bulk runs from the last finite state to its
-    first non-finite substep, to raise the error of the first member to end
-    that substep non-finite, with the norm of its full ravel before it.  The
-    end is scattered back into the identity ravels.
+    The plans (_pruned_flow) are merged into one (_merged), whose compact
+    state gathers the identity starts.  Its RK4 engine is the generated
+    float kernel (_term_advance) if the kernel has at most
+    _KERNEL_STATEMENTS statements (_statements), else the numpy loop
+    (_loop_advance); both give the same bytes.  The engine runs the
+    substeps in bulk runs of _CHECKED substeps, each end checked once.  A
+    non-finite entry stays non-finite (x + anything), so, unless finite is
+    False, a run that ends non-finite is bisected in bulk runs from the
+    last finite state to its first non-finite substep, to raise the error
+    of the first member to end that substep non-finite, with the norm of
+    its full ravel before it.  The end is scattered back into the identity
+    ravels.
     """
     starts = [_start(o.dim, o.order) for o in odes]
-    cuts = list(itertools.accumulate(len(kept) for _, _, kept in plans))[:-1]
+    terms, moving, kept = plan = _merged(plans, [w.size for w in starts])
+    advance = (_term_advance(terms, len(kept), moving)
+               if _statements(plan) <= _KERNEL_STATEMENTS else _loop_advance(terms, len(kept)))
+    start = np.concatenate(starts)
+    cuts = list(itertools.accumulate(w.size for w in starts))[:-1]
 
     def ravels(X):
-        out = [w.copy() for w in starts]
-        for w, (_, _, kept), x in zip(out, plans, np.split(np.array(X), cuts)):
-            w[kept] = x
-        return out
+        w = start.copy()
+        w[kept] = X
+        return np.split(w, cuts)
 
-    X = np.concatenate([w[kept] for w, (_, _, kept) in zip(starts, plans)]).tolist()
+    X = start[kept].tolist()
     h, lo = cfg.dt / cfg.substeps, 0
     while lo < cfg.substeps:
         hi = min(lo + _CHECKED, cfg.substeps)
@@ -348,28 +359,6 @@ def _divergence(cfg: FlowConfig, s: int, last: list) -> FlowDivergenceError:
 MAP_TOL = 1e-11
 
 
-def _engine(plans: list):
-    """engine(members, work): the RK4 engine of a run of the members
-    (positions in plans) with `work` substeps still to run, this run's
-    included.  One ODE takes its generated float kernel once that pays for
-    its compile (_float_advance) and keeps it; else, and for every batch,
-    the numpy loop of the members (_loop_advance), built once per set."""
-    kernel, loops = None, {}
-
-    def engine(members, work):
-        nonlocal kernel
-        if len(plans) == 1 and kernel is None:
-            kernel = _float_advance(plans[0], work)
-        if kernel is not None:
-            return kernel
-        key = tuple(members)
-        if key not in loops:
-            loops[key] = _loop_advance([plans[i] for i in members])
-        return loops[key]
-
-    return engine
-
-
 def _doubled_weights(odes: list, plans: list, dt: float) -> list:
     """(ravel, substeps, estimate) of each ODE under the default FlowConfig.
 
@@ -381,32 +370,27 @@ def _doubled_weights(odes: list, plans: list, dt: float) -> list:
     FlowConfig(dt, 2N).  A 2N run that ends non-finite raises the driver's
     divergence error; a non-finite N run only makes the estimate NaN.
     Members still above MAP_TOL run on; beyond _MAX_SUBSTEPS the estimate
-    is a ValueError.  The engine is chosen from the substeps the levels
-    still to run are predicted to take, RK4's error falling 16-fold per
-    doubling from the worst estimate so far (_engine).
+    is a ValueError.
     """
-    engine, done = _engine(plans), [None] * len(odes)
+    done = [None] * len(odes)
 
-    def run(members, substeps, work, finite=True):
+    def run(members, substeps, finite=True):
         return _derived_weights([odes[i] for i in members], [plans[i] for i in members],
-                                engine(members, work), FlowConfig(dt, substeps), finite)
+                                FlowConfig(dt, substeps), finite)
 
-    live, fine, worst = list(range(len(odes))), 2, math.nan
-    coarse = run(live, 1, 1, finite=False)
+    live, fine = list(range(len(odes))), 2
+    coarse = run(live, 1, finite=False)
     while live:
-        # the levels left if each divides the estimate by 16, at most 10
-        levels = 1 if math.isnan(worst) else math.ceil(math.log(min(worst, 1.0) / MAP_TOL, 16))
-        ends = run(live, fine, fine * (2 ** levels - 1))
+        ends = run(live, fine)
         estimates = [float(np.max(np.abs(w - c) / np.maximum(1.0, np.abs(w)))) / 15.0
                      if np.isfinite(c).all() else math.nan for c, w in zip(coarse, ends)]
         for i, w, e in zip(live, ends, estimates):
             if e <= MAP_TOL:
                 done[i] = w, fine, e
         coarse = [w for w, e in zip(ends, estimates) if not e <= MAP_TOL]
-        estimates = [e for e in estimates if not e <= MAP_TOL]
         live = [i for i in live if done[i] is None]
-        worst = float(np.max(estimates, initial=0.0))  # NaN if one is
         if live and 2 * fine > _MAX_SUBSTEPS:
+            worst = np.max([e for e in estimates if not e <= MAP_TOL])  # NaN if one is
             raise ValueError(
                 f"the map derivation's error estimate is {worst:.3g} at {fine} RK4 "
                 f"substeps, above MAP_TOL {MAP_TOL:g}; pass substeps explicitly")
@@ -417,18 +401,15 @@ def _doubled_weights(odes: list, plans: list, dt: float) -> list:
 def _derivations(odes: list, cfg: FlowConfig) -> list:
     """(map, substeps, estimate) of each ODE in odes under cfg, each map
     with the bytes of its own ode_to_map: each flow is pruned once
-    (_pruned_flow).  An explicit count runs once, its estimate None, on one
-    ODE's generated float kernel where that pays for its compile
-    (_float_advance) and else, every batch included, on the numpy loop
-    (_loop_advance); the default doubles (_doubled_weights), each member
-    keeping its own level."""
+    (_pruned_flow).  An explicit count runs once, its estimate None, through
+    the one driver (_derived_weights), a batch on its members' merged plan;
+    the default doubles (_doubled_weights), each member keeping its own
+    level."""
     plans = [_pruned_flow(o, o.order) for o in odes]
     if cfg.substeps is None:
         results = _doubled_weights(odes, plans, cfg.dt)
     else:
-        advance = _engine(plans)(range(len(odes)), cfg.substeps)
-        results = [(w, cfg.substeps, None)
-                   for w in _derived_weights(odes, plans, advance, cfg)]
+        results = [(w, cfg.substeps, None) for w in _derived_weights(odes, plans, cfg)]
     return [(TaylorMap(dim=o.dim, order=o.order, weights=tuple(
         w.reshape(o.dim, -1)[:, s] for s in basis._stacked_exponents(o.dim, o.order)[1])),
         substeps, estimate) for o, (w, substeps, estimate) in zip(odes, results)]
@@ -471,37 +452,37 @@ def _on_lists(f):
     return rhs
 
 
-def _rk4_source(rhs, n: int, moving) -> tuple[str, dict]:
-    """(source, names): the generated definition of advance(X, h,
-    substeps), RK4 substeps of dX/dt = rhs on a state of n floats as
-    straight-line Python, and the globals it reads (_term_advance).
+def _rk4_source(structure, n: int, moving) -> str:
+    """The generated definition of advance(C, X, h, substeps), RK4
+    substeps of dX/dt on a state of n floats as straight-line Python
+    (_kernel), holding only generated names.
 
     The state is unpacked from the list X into locals x0..x{n-1} and
     returned as a list; only the entries in moving get stage outputs,
     updates and a final combination, the others being read at their start.
-    A callable rhs's stage is one call, [a0, ..., a{n-1}] = rhs([x0, ...,
-    x{n-1}]) with rhs = _on_lists(rhs), and moves every entry.  A list of
-    terms (target, coefficient, factors) is unrolled: basis._products forms
-    each factor once, and each output starts at 0.0 and adds c * m per
-    term, in term order, one statement per term so that any number of terms
-    compiles.  The oracle unrolls a PolynomialODE's _flow_terms(ode, 0) on
-    its state, where every entry moves and the factors are its monomials
-    (basis._columns); a derivation unrolls _pruned_flow's terms on its
-    compact state, the weights the terms move or read.  These are the
-    operations of the numpy loop (_loop_advance) on the same terms, which
-    give the bytes of the full flow _weight_flow(ode, k), and the stages
-    combine as there; PolynomialODE.rhs, a BLAS product, may group or fuse
-    the sums differently, by an ulp or so.  The source holds only generated
-    names and the reprs of the coefficients, a coefficient times its
-    orderings being finite or inf.
+    With structure None, C is a callable rhs on lists (_on_lists), a stage
+    is one call, [a0, ..., a{n-1}] = C([x0, ..., x{n-1}]), and every entry
+    moves.  A structure of terms (target, factors) is unrolled on the
+    coefficients C, one per term, unpacked once per call into p0, p1, ...:
+    basis._products forms each factor once, and each output starts at 0.0
+    and adds p<j> * m per term, in term order, one statement per term so
+    that any number of terms compiles.  p<j> * m with p<j> a float local is
+    the IEEE product with that float's literal, so one kernel serves every
+    set of coefficients, inf included.  The oracle unrolls a PolynomialODE's
+    _flow_terms(ode, 0), whose factors are its monomials (basis._columns);
+    a derivation unrolls _pruned_flow's terms on its compact state.  These
+    are the operations of the numpy loop (_loop_advance) on the same terms,
+    which give the bytes of the full flow _weight_flow(ode, k), and the
+    stages combine as there; PolynomialODE.rhs, a BLAS product, may group or
+    fuse the sums differently, by an ulp or so.
     """
     def stage(out, state):
         # dX/dt at the variables named in state, into out<i> for i in moving
-        if callable(rhs):
-            return [f"[{', '.join(f'{out}{i}' for i in range(n))}] = rhs([{', '.join(state)}])"]
-        lines, names = basis._products(state, [f for _, _, f in rhs])
+        if structure is None:
+            return [f"[{', '.join(f'{out}{i}' for i in range(n))}] = C([{', '.join(state)}])"]
+        lines, names = basis._products(state, [f for _, f in structure])
         return ([f"{out}{i} = 0.0" for i in moving] + lines
-                + [f"{out}{o} += {c!r} * {names[f]}" for o, c, f in rhs])
+                + [f"{out}{o} += p{j} * {names[f]}" for j, (o, f) in enumerate(structure)])
 
     x = [f"x{i}" for i in range(n)]
     y = [f"y{i}" if i in moving else v for i, v in enumerate(x)]
@@ -515,56 +496,59 @@ def _rk4_source(rhs, n: int, moving) -> tuple[str, dict]:
                for i in moving])
     state = f"[{', '.join(x)}]"
     return "\n".join([
-        "def advance(X, h, substeps):",
+        "def advance(C, X, h, substeps):",
+        *([f"    {''.join(f'p{j}, ' for j in range(len(structure)))}= C"] if structure else []),
         "    half, sixth = 0.5 * h, h / 6.0",
         f"    {state} = X",
         "    for _ in range(substeps):",
         *(f"        {line}" for line in body or ["pass"]),  # nothing moves
         f"    return {state}",
-    ]), {"rhs": _on_lists(rhs)} if callable(rhs) else {"inf": math.inf}
+    ])
+
+
+# compiled kernels kept at once: a kernel serves every ODE of its term
+# structure, and the ones at hand (a ring's element kinds and their batch,
+# the members of a fit's family, the oracles) are few; the bound caps what
+# a stream of new structures holds
+@functools.lru_cache(maxsize=64)
+def _kernel(structure, n: int, moving: tuple):
+    """advance(C, X, h, substeps): _rk4_source(structure, n, moving)
+    compiled, once per term structure."""
+    return basis._compiled(_rk4_source(structure, n, moving),
+                           f"<RK4 substeps of a dim-{n} ODE>", "advance")
 
 
 def _term_advance(rhs, n: int, moving):
-    """advance(X, h, substeps): the RK4 substeps of _rk4_source(rhs, n,
-    moving), compiled.  One generated RK4 serves the oracle's trajectories
-    (X the state) and derivations (X the compact state of _pruned_flow),
-    where it gives the numpy loop's bytes and is used where it is the
-    faster of the two (_float_advance)."""
-    source, namespace = _rk4_source(rhs, n, moving)
-    return basis._compiled(source, f"<RK4 substeps of a dim-{n} ODE>", "advance", **namespace)
+    """advance(X, h, substeps): the RK4 substeps of dX/dt = rhs, a term
+    list or a callable, on a state of n floats, moving the entries in
+    moving: the cached kernel (_kernel) of the terms' structure bound to
+    their coefficients, or that of a callable bound to it.  It serves the
+    oracle's trajectories (X the state) and derivations (X the compact
+    state of _pruned_flow), where it gives the numpy loop's bytes."""
+    if callable(rhs):
+        return functools.partial(_kernel(None, n, tuple(moving)), _on_lists(rhs))
+    return functools.partial(_kernel(tuple((t, f) for t, _, f in rhs), n, tuple(moving)),
+                             [c for _, c, _ in rhs])
 
 
 def _statements(plan: tuple) -> int:
     """S, the newlines of the kernel _rk4_source generates for plan (terms,
     moving, kept), counted without generating it: 4 stages of one line per
     moving weight, product and term, 3 updates and the final combination of
-    one line per moving weight, and 4 more (half and sixth, the unpacking,
-    the loop and the return)."""
+    one line per moving weight, 4 more (half and sixth, the unpacking of X,
+    the loop and the return) and, with terms, that of the coefficients."""
     terms, moving, kept = plan
     products, _ = basis._products([f"x{i}" for i in range(len(kept))], [f for _, _, f in terms])
-    return 4 * (2 * len(moving) + len(products) + len(terms) + 1)
+    return 4 * (2 * len(moving) + len(products) + len(terms) + 1) + bool(terms)
 
 
-# _float_advance's rule, from wall-time crossovers of both engines on the
-# built-in systems and ring elements (2 vCPUs, Python 3.11, numpy 2.4): a
-# substep of the numpy loop on the compact state costs about what 500-1000
-# generated statements do once (13-21 us against 17-28 ns each), and
-# generating and compiling a statement about what running it 200-750 times
-# does (6-13 us); with these constants the rule picks the faster engine at
-# 35 of the 36 crossover points measured (CHANGES.md)
-_LOOP_STATEMENTS, _COMPILE_RUNS = 1200, 400
-
-
-def _float_advance(plan: tuple, substeps: int):
-    """The compiled float kernel (_term_advance) of plan, a weight flow's
-    _pruned_flow, if it beats the numpy loop at this many substeps, else
-    None: if substeps times what it saves per substep, _LOOP_STATEMENTS
-    less its S generated statements (_statements), exceeds its compile,
-    _COMPILE_RUNS times S."""
-    terms, moving, kept = plan
-    S = _statements(plan)
-    pays = substeps * (_LOOP_STATEMENTS - S) > _COMPILE_RUNS * S
-    return _term_advance(terms, len(kept), moving) if pays else None
+# the most statements (_statements) a derivation's kernel may have; larger
+# plans run on the numpy loop.  A kernel substep costs 18-35 ns per
+# statement and a numpy loop substep 15-40 us, so the two cross at about
+# 1000 statements on dense random flows of order 2 and 3 (2 vCPUs, Python
+# 3.11, numpy 2.4; CHANGES.md); the built-in flows have 29-325 and the
+# ring's batch 525
+_KERNEL_STATEMENTS = 1000
 
 
 # the relative error the default reference_trajectory resolves its steps to
@@ -627,8 +611,8 @@ def _reference(ode, X0, dt: float, steps: int, substeps: int | None = None):
         substeps = _count("substeps", substeps, 1)
     if isinstance(ode, PolynomialODE) and X.shape != (ode.dim,):
         raise ValueError(f"X0 has shape {X.shape}, ODE has dim {ode.dim}")
-    advance = (ode._advance if isinstance(ode, PolynomialODE)
-               else _term_advance(ode, X.size, range(X.size)))
+    advance = _term_advance(_flow_terms(ode, 0) if isinstance(ode, PolynomialODE) else ode,
+                            X.size, range(X.size))
     if substeps is not None:
         return np.array(_run(advance, X.tolist(), dt, steps, substeps, None)[0]), substeps, None
     fine, states = 2, []

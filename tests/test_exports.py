@@ -29,7 +29,9 @@ MODULES = ("basis", "maps", "ode", "network", "systems", "lattice", "io", "cli")
 # duplicate objective paths, which backward, _data_gradient,
 # _pairwise_gradient and maps._residual_penalty replace; and the exponent-
 # tuple lookups that the one monomial table, basis._columns, replaces (the
-# product positions live in basis._scatter_matrix)
+# product positions live in basis._scatter_matrix); and the weighing of a
+# kernel's compile against its runs, which the kernels cached per term
+# structure and one size cap (ode._KERNEL_STATEMENTS) replace
 DELETED = (
     ("basis", "kron_power_jacobian"),
     ("basis", "lift_linear"),
@@ -55,6 +57,10 @@ DELETED = (
     ("maps", "symplectic_penalty_gradient"),
     ("basis", "_position_table"),
     ("basis", "_mult_table"),
+    ("ode", "_float_advance"),
+    ("ode", "_engine"),
+    ("ode", "_LOOP_STATEMENTS"),
+    ("ode", "_COMPILE_RUNS"),
 )
 
 

@@ -313,19 +313,20 @@ def test_a_batch_raises_the_first_diverging_members_own_error():
 
 def _both_derivations(system, cfg):
     # the derivation driver on the numpy loop and on the compiled float
-    # kernel, whatever the selection rule would pick: the end weights'
-    # bytes, or the divergence error's message and substep
+    # kernel, whatever the size rule would pick (a cap below every plan,
+    # then above every plan): the end weights' bytes, or the divergence
+    # error's message and substep
     plans = [ode._pruned_flow(system, system.order)]
-    terms, moving, kept = plans[0]
 
-    def run(advance):
-        try:
-            return ode._derived_weights([system], plans, advance, cfg)[0].tobytes()
-        except ode.FlowDivergenceError as err:
-            return str(err), err.layer
+    def run(cap):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ode, "_KERNEL_STATEMENTS", cap)
+            try:
+                return ode._derived_weights([system], plans, cfg)[0].tobytes()
+            except ode.FlowDivergenceError as err:
+                return str(err), err.layer
 
-    return (run(ode._loop_advance(plans)),
-            run(ode._term_advance(terms, len(kept), moving)))
+    return run(-1), run(math.inf)
 
 
 def _linear(A):
@@ -380,47 +381,93 @@ def test_the_float_kernel_derives_random_odes_with_the_numpy_loops_bytes(data, n
     assert kernel == loop
 
 
-def test_the_float_kernel_is_chosen_where_it_pays(monkeypatch):
-    # the selection at the benchmark's settings: Lotka-Volterra at 1000
-    # substeps and the pendulum under the default (its levels after the
-    # first run 252 substeps) derive on the float kernel, and
-    # Lotka-Volterra under the default (3 substeps) on the numpy loop; the
-    # ring's elements at 200 take the numpy loop batched in build_fodo_ring
-    # and the float kernel alone in perturb_element, as does
-    # Rayleigh-Plesset at 200 and 1000 but not at 100
-    chosen, works, pick = [], [], ode._float_advance
+def _engine_runs(monkeypatch):
+    # (engine, state size, substeps) of every run of either RK4 engine from
+    # here on
+    runs = []
+    for name in ("_term_advance", "_loop_advance"):
+        def recording(rhs, size, *args, name=name, make=getattr(ode, name)):
+            advance = make(rhs, size, *args)
 
-    def counting(plan, substeps):
-        advance = pick(plan, substeps)
-        if advance is not None:
-            chosen.append(plan)
-            works.append(substeps)
-        return advance
+            def run(X, h, substeps):
+                runs.append((name, len(X), substeps))
+                return advance(X, h, substeps)
 
-    monkeypatch.setattr(ode, "_float_advance", counting)
-    lv, pendulum = systems.lotka_volterra(), systems.pendulum()
-    ode.ode_to_map(lv, ode.FlowConfig(0.01, substeps=1000))
-    ode.ode_to_map(pendulum, ode.FlowConfig(0.1))
-    ode.ode_to_map(lv, ode.FlowConfig(0.01))
-    assert chosen == [ode._pruned_flow(lv, lv.order), ode._pruned_flow(pendulum, pendulum.order)]
-    # the pendulum's kernel is compiled for the 4 + 8 + ... + 128 substeps
-    # predicted from its first estimate, 5.9e-5, 16-fold less per level
-    assert works == [1000, 252]
+            return run
+
+        monkeypatch.setattr(ode, name, recording)
+    return runs
+
+
+def test_the_engine_is_chosen_by_the_plans_size_alone(monkeypatch):
+    # every built-in system and ring element alone, at a few substeps and
+    # under the default, and the ring's merged batch (S 29 to 525) run on
+    # the float kernel; a dense flow of 2961 statements, above the cap,
+    # runs on the numpy loop with the textbook loop's bytes
+    runs = _engine_runs(monkeypatch)
+    for system, dt in _flow_systems():
+        for substeps in (2, None):
+            ode.ode_to_map(system, ode.FlowConfig(dt, substeps))
     ring = lattice.build_fodo_ring(substeps=200)
-    assert len(chosen) == 2
     for j in (0, 1, 2, 8):
         lattice.perturb_element(ring, j, 0.8)
-    assert len(chosen) == 6
-    rp = systems.rayleigh_plesset()
-    for substeps in (200, 1000):
-        assert pick(ode._pruned_flow(rp, rp.order), substeps) is not None
-    assert pick(ode._pruned_flow(rp, rp.order), 100) is None
+    assert {name for name, _, _ in runs} == {"_term_advance"}
+    assert ("_term_advance", 46, 64) in runs
+    dense = ode.PolynomialODE(2, 3, tuple(np.full((2, basis.basis_size(2, d)), 0.1)
+                                          for d in range(4)))
+    assert ode._statements(ode._pruned_flow(dense, 3)) == 2961 > ode._KERNEL_STATEMENTS
+    runs.clear()
+    cfg = ode.FlowConfig(0.1, substeps=4)
+    assert ode.ode_to_map(dense, cfg).stacked.tobytes() == _textbook_end(dense, cfg)
+    assert runs == [("_loop_advance", 20, 4)]
+
+
+def test_a_family_compiles_one_kernel_per_term_structure(monkeypatch):
+    # the pendulum at two (g, L), and the ring's qf and qd rescaled by
+    # perturb_element, differ only in their coefficients: one compile for
+    # the pendulum's structure and one for the quadrupoles', and every map
+    # has the bytes of the textbook loop on its full flow
+    ring = lattice.build_fodo_ring(substeps=20)
+    ode._kernel.cache_clear()
+    names, compiled = [], basis._compiled
+
+    def counting(source, name, *args, **kwargs):
+        names.append(name)
+        return compiled(source, name, *args, **kwargs)
+
+    monkeypatch.setattr(basis, "_compiled", counting)
+    counts = []
+    for g, L in ((9.8, 0.3), (3.7, 0.5)):
+        system = systems.pendulum(g, L)
+        [(tm, substeps, _)] = ode._derivations([system], ode.FlowConfig(0.1))
+        counts.append(substeps)
+        assert tm.stacked.tobytes() == _textbook_end(system, ode.FlowConfig(0.1, substeps))
+    assert counts == [128, 64] and names == ["<RK4 substeps of a dim-12 ODE>"]
+    for j in (0, 2):
+        e = lattice.perturb_element(ring, j, 0.8).elements[j]
+        assert e.tm.stacked.tobytes() == _textbook_end(e.generator,
+                                                       ode.FlowConfig(e.dt, e.substeps))
+    assert names == ["<RK4 substeps of a dim-12 ODE>", "<RK4 substeps of a dim-8 ODE>"]
+
+
+def test_a_float32_dt_derives_the_float64_dts_bytes():
+    # FlowConfig stores dt as a Python float, so a numpy float32 dt runs
+    # the kernel in float64, as float(dt) does, and the default resolves
+    # the pendulum to its 128 substeps
+    dt = np.float32(0.1)
+    assert type(ode.FlowConfig(dt).dt) is float
+    for substeps in (128, None):
+        got, want = (ode._derivations([systems.pendulum()], ode.FlowConfig(d, substeps))
+                     for d in (dt, float(dt)))
+        [(tm, count, estimate)], [(tm64, count64, estimate64)] = got, want
+        assert tm.stacked.tobytes() == tm64.stacked.tobytes()
+        assert (count, estimate) == (count64, estimate64)
+    assert count == 128
 
 
 def test_a_derivation_builds_its_terms_once(monkeypatch):
-    # the pruned plan goes to whichever path runs: the numpy loop at 10
-    # substeps, the float kernel at 150 and 1000, and every level of the
-    # default
+    # the pruned plan goes to every run: one at 10, 150 and 1000 substeps,
+    # and every level of the default
     calls, pruned_flow = [], ode._pruned_flow
 
     def counting(system, k):
@@ -475,9 +522,10 @@ def _textbook_end(system, cfg):
 def test_the_pruned_weights_are_the_full_flows_zeros(index, count, size, read):
     # the count weights the plan neither moves nor starts nonzero are
     # exactly the textbook run's 0.0 entries, and each comes back +0.0;
-    # the kernel unpacks and returns exactly the size weights that the kept
-    # terms move or read, in ravel order, of which they only read `read`;
-    # the rule counts the statements the kernel is generated with
+    # the kernel unpacks its coefficients, then unpacks and returns exactly
+    # the size weights that the kept terms move or read, in ravel order, of
+    # which they only read `read`; the size rule counts the statements the
+    # kernel is generated with
     system, dt = _flow_systems()[index]
     n, k = system.dim, system.order
     plan = terms, moving, kept = ode._pruned_flow(system, k)
@@ -492,30 +540,20 @@ def test_the_pruned_weights_are_the_full_flows_zeros(index, count, size, read):
         assert not np.signbit(weights[pruned]).any()
     assert kept == sorted(kept) and {i for t, _, f in terms for i in (t, *f)} == set(range(size))
     assert (len(kept), len(kept) - len(moving)) == (size, read)
-    source = ode._rk4_source(terms, len(kept), moving)[0]
+    source = ode._rk4_source(tuple((t, f) for t, _, f in terms), len(kept), moving)
     state = f"[{', '.join(f'x{i}' for i in range(size))}]"
-    assert (source.splitlines()[2], source.splitlines()[-1]) == (f"    {state} = X",
-                                                                 f"    return {state}")
+    lines = source.splitlines()
+    assert lines[1] == f"    {''.join(f'p{j}, ' for j in range(len(terms)))}= C"
+    assert (lines[3], lines[-1]) == (f"    {state} = X", f"    return {state}")
     assert ode._statements(plan) == source.count("\n")
 
 
 def test_the_rings_batch_runs_on_46_of_its_240_weights(monkeypatch):
     # qf 8, drift 4, qd 8 and sextupole 26 entries, side by side in one
-    # numpy loop, for the four elements' 60 weights each
-    sizes, loop = [], ode._loop_advance
-
-    def recording(plans):
-        advance = loop(plans)
-
-        def run(X, h, substeps):
-            sizes.append(len(X))
-            return advance(X, h, substeps)
-
-        return run
-
-    monkeypatch.setattr(ode, "_loop_advance", recording)
+    # run, for the four elements' 60 weights each
+    runs = _engine_runs(monkeypatch)
     lattice.build_fodo_ring(substeps=10)
-    assert sizes == [46]
+    assert [size for _, size, _ in runs] == [46]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -752,15 +790,15 @@ def test_a_non_finite_coarse_run_only_doubles(monkeypatch):
     # Lotka-Volterra at dt 0.01 stops at 2 substeps unless its 1-substep
     # run, here made NaN, leaves the first level's estimate undefined: then
     # it stops at 4, with the bytes of 4 substeps
-    loop = ode._loop_advance
+    kernel = ode._term_advance
 
-    def nan_at_one_substep(plans):
-        advance = loop(plans)
+    def nan_at_one_substep(terms, size, moving):
+        advance = kernel(terms, size, moving)
         return lambda X, h, substeps: [math.nan] * len(X) if substeps == 1 else advance(
             X, h, substeps)
 
     lv = systems.lotka_volterra()
-    monkeypatch.setattr(ode, "_loop_advance", nan_at_one_substep)
+    monkeypatch.setattr(ode, "_term_advance", nan_at_one_substep)
     [(tm, substeps, estimate)] = ode._derivations([lv], ode.FlowConfig(0.01))
     monkeypatch.undo()
     assert substeps == 4 and estimate == _default_estimate(lv, 0.01, 4)
@@ -771,22 +809,11 @@ def test_a_diverging_run_is_located_by_bisection(monkeypatch):
     # x' = 50 x at 1000 substeps of dt 20 ends substep 708 non-finite: the
     # bulk runs of 64 substeps reach 704 and the run to 768 is bisected, in
     # 6 more runs of 32, 16, ..., 1 substeps from the last finite state
-    runs, loop = [], ode._loop_advance
-
-    def recording(plans):
-        advance = loop(plans)
-
-        def run(X, h, substeps):
-            runs.append(substeps)
-            return advance(X, h, substeps)
-
-        return run
-
-    monkeypatch.setattr(ode, "_loop_advance", recording)
+    runs = _engine_runs(monkeypatch)
     batch = [_linear([[0.0, 1.0], [-1.0, 0.0]]), _linear(50.0)]
     with pytest.raises(ode.FlowDivergenceError, match=r"\(substep 708/1000;"):
         ode._ode_to_maps(batch, ode.FlowConfig(20.0, substeps=1000))
-    assert runs == [64] * 12 + [32, 16, 8, 4, 2, 1]
+    assert [substeps for _, _, substeps in runs] == [64] * 12 + [32, 16, 8, 4, 2, 1]
 
 
 def test_default_derivation_above_the_substep_cap_asks_for_an_explicit_count(monkeypatch):
@@ -1088,11 +1115,23 @@ def test_reference_trajectory_rejects_a_state_of_the_wrong_dimension():
         ode.reference_trajectory(systems.lotka_volterra(), np.zeros(3), 0.1, 2)
 
 
-def test_a_polynomial_odes_oracle_compiles_once_per_ode(monkeypatch):
+def test_a_polynomial_odes_oracle_compiles_once_per_structure(monkeypatch):
     # three calls on one ODE, default and explicit counts, compile its
-    # substeps once; an equal but separate ODE compiles its own
+    # substeps once; an equal but separate ODE, and one of the same terms
+    # with other coefficients, compile nothing and keep the bytes that a
+    # compile of their own gives
     runs = [([0.5, 0.5], 0.01, 20, None), ([0.3, 0.7], 0.1, 5, 50), ([0.5, 0.5], 0.01, 20, 2)]
-    want = [ode.reference_trajectory(systems.lotka_volterra(), *run) for run in runs]
+    lv = systems.lotka_volterra()
+    other = ode.PolynomialODE(2, 2, tuple(3.0 * c for c in lv.coeffs))
+
+    def trajectories(system):
+        return [ode.reference_trajectory(system, *run).tobytes() for run in runs]
+
+    ode._kernel.cache_clear()
+    want_other = trajectories(other)
+    ode._kernel.cache_clear()
+    want = trajectories(lv)
+    ode._kernel.cache_clear()
     names, compiled = [], basis._compiled
 
     def counting(source, name, *args, **kwargs):
@@ -1100,12 +1139,11 @@ def test_a_polynomial_odes_oracle_compiles_once_per_ode(monkeypatch):
         return compiled(source, name, *args, **kwargs)
 
     monkeypatch.setattr(basis, "_compiled", counting)
-    system = systems.lotka_volterra()
-    for run, trajectory in zip(runs, want):
-        assert ode.reference_trajectory(system, *run).tobytes() == trajectory.tobytes()
+    assert trajectories(lv) == want
     assert names == ["<RK4 substeps of a dim-2 ODE>"]
-    ode.reference_trajectory(systems.lotka_volterra(), *runs[0])
-    assert len(names) == 2
+    assert trajectories(systems.lotka_volterra()) == want
+    assert trajectories(other) == want_other
+    assert names == ["<RK4 substeps of a dim-2 ODE>"]
 
 
 # --- the step-doubling default -------------------------------------------------------
