@@ -95,8 +95,7 @@ def _derive(system: ode.PolynomialODE, args) -> maps.TaylorMap:
     count and its error estimate for the manifest."""
     if args.substeps is not None:
         maps._count("--substeps", args.substeps, 1)
-    [(tm, args.substeps, estimate)] = ode._derivations(
-        [system], ode.FlowConfig(args.dt, args.substeps))
+    tm, args.substeps, estimate = ode._derivation(system, ode.FlowConfig(args.dt, args.substeps))
     if estimate is not None:
         args.error_estimate = estimate
     return tm

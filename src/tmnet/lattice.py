@@ -358,14 +358,13 @@ def build_fodo_ring(substeps: int = 1000) -> Lattice:
     (nine symplectic elements), monitored at every boundary.
 
     The ring is stable in both planes with distinct tunes and stays stable
-    when any single element's strength is scaled by 0.8.  The four distinct
-    elements are derived in one run on their merged plan (ode._ode_to_maps),
-    each with the bytes of its own ode_to_map, and reused under their labels.
+    when any single element's strength is scaled by 0.8.  Each of the four
+    distinct elements is derived once (element_from_ode) and reused under
+    its labels.
     """
     gens = [_quad_ode(_KF), _quad_ode(-_KD), _quad_ode(0.0), _sextupole_ode(_K2)]
-    tms = ode._ode_to_maps(gens, ode.FlowConfig(_LENGTH, substeps))
-    qf, qd, drift, sx = (LatticeElement(label, tm, g, _LENGTH, substeps)
-                         for label, tm, g in zip(("qf", "qd", "o", "sx1"), tms, gens))
+    qf, qd, drift, sx = (element_from_ode(label, g, _LENGTH, substeps)
+                         for label, g in zip(("qf", "qd", "o", "sx1"), gens))
     elements = []
     for i in range(2):
         elements += [replace(qf, label=f"qf{i + 1}"), replace(drift, label=f"o{2 * i + 1}"),

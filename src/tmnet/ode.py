@@ -26,25 +26,21 @@ Physics, 1999, keeps DA vectors sparse the same way).
 One generated RK4 (_term_advance) serves states and weights: straight-line
 Python substeps on locals, unrolled from a term list, that read the
 coefficients from an argument, so a kernel is compiled once per term
-structure and kept in one bounded cache (_kernel).
-reference_trajectory, the one public trajectory integrator, runs it at
-k = 0 on the state (_run), choosing the substeps by step doubling unless
-given a count.  ode_to_map runs the compact state of the pruned flow, the
-weights that move and the ones their terms read, through one driver
-(_derived_weights) and an RK4 engine with the oracle's interface,
-advance(X, h, substeps) on a list of floats.  A batch of ODEs is merged
-into one plan, their compact states side by side (_merged).  The plan
-runs on that generated RK4 if its kernel has at most _KERNEL_STATEMENTS
-statements, else on a numpy loop (_loop_advance).  Both run the same IEEE
-operations in the same order, so every map, and every divergence error,
-has the same bytes either way.
-
-ode_to_map's count is chosen by step doubling too unless given
-(FlowConfig's default, substeps=None; _doubled_weights): runs of N and 2N
-substeps from N = 1 until max |W_2N - W_N| / 15 / max(1, |W_2N|) is within
-MAP_TOL = 1e-11, the map being that of substeps=2N.  Free fall at dt 0.1
-resolves to 4 substeps, the augmented free fall to 64, Lotka-Volterra and
-Rayleigh-Plesset at dt 0.01 to 2 and the pendulum at dt 0.1 to 128.
+structure and kept in one bounded cache (_kernel).  One runner (_run)
+takes trajectories and derivations through an RK4 engine with that
+kernel's interface, advance(X, h, substeps) on a list of floats, step by
+step; unless given a count, it chooses the substeps by step doubling: runs
+of N and 2N substeps per step from N = 1 until max |X_2N - X_N| / 15 /
+max(1, |X_2N|) is within the caller's tolerance, the states being those
+of 2N substeps.  reference_trajectory runs the kernel at k = 0 on the
+state, to ORACLE_TOL = 1e-9.  ode_to_map runs one step of dt on the
+compact state of the pruned flow, the weights that move and the ones their
+terms read, to MAP_TOL = 1e-11 (_derivation): on the kernel if it has at
+most _KERNEL_STATEMENTS statements, else on a numpy loop (_loop_advance).
+Both run the same IEEE operations in the same order, so every map, and
+every divergence error, has the same bytes either way.  Free fall at dt
+0.1 resolves to 4 substeps, the augmented free fall to 64, Lotka-Volterra
+and Rayleigh-Plesset at dt 0.01 to 2 and the pendulum at dt 0.1 to 128.
 """
 
 from __future__ import annotations
@@ -274,150 +270,54 @@ def _loop_advance(terms: list, size: int):
     return advance
 
 
-def _merged(plans: list, sizes) -> tuple:
-    """One plan (terms, moving, kept) of the plans (_pruned_flow) side by
-    side: their compact states in turn, kept indexing their ravels, of the
-    given sizes, in turn.  Each member's terms read and move only its own
-    entries, in its own order, so every entry takes the operations it
-    takes with the member alone."""
-    terms, moving, kept, offset = [], [], [], 0
-    for (t, m, k), size in zip(plans, sizes):
-        at = len(kept)
-        terms += [(at + o, c, tuple(at + i for i in f)) for o, c, f in t]
-        moving += [at + i for i in m]
-        kept += [offset + i for i in k]
-        offset += size
-    return terms, moving, kept
-
-
-def _derived_weights(odes: list, plans: list, cfg: FlowConfig, finite: bool = True) -> list:
-    """The raveled end weights (_flow_terms) of each ODE's weight flow over
-    one step of cfg.dt in cfg.substeps RK4 substeps: the one driver of
-    derivations.
-
-    The plans (_pruned_flow) are merged into one (_merged), whose compact
-    state gathers the identity starts.  Its RK4 engine is the generated
-    float kernel (_term_advance) if the kernel has at most
-    _KERNEL_STATEMENTS statements (_statements), else the numpy loop
-    (_loop_advance); both give the same bytes.  The engine runs the
-    substeps in bulk runs of _CHECKED substeps, each end checked once.  A
-    non-finite entry stays non-finite (x + anything), so, unless finite is
-    False, a run that ends non-finite is bisected in bulk runs from the
-    last finite state to its first non-finite substep, to raise the error
-    of the first member to end that substep non-finite, with the norm of
-    its full ravel before it.  The end is scattered back into the identity
-    ravels.
-    """
-    starts = [_start(o.dim, o.order) for o in odes]
-    terms, moving, kept = plan = _merged(plans, [w.size for w in starts])
-    advance = (_term_advance(terms, len(kept), moving)
-               if _statements(plan) <= _KERNEL_STATEMENTS else _loop_advance(terms, len(kept)))
-    start = np.concatenate(starts)
-    cuts = list(itertools.accumulate(w.size for w in starts))[:-1]
-
-    def ravels(X):
-        w = start.copy()
-        w[kept] = X
-        return np.split(w, cuts)
-
-    X = start[kept].tolist()
-    h, lo = cfg.dt / cfg.substeps, 0
-    while lo < cfg.substeps:
-        hi = min(lo + _CHECKED, cfg.substeps)
-        end = advance(X, h, hi - lo)
-        if finite and not all(map(math.isfinite, end)):
-            # X is finite after lo substeps, end is not after hi
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                Y = advance(X, h, mid - lo)
-                if all(map(math.isfinite, Y)):
-                    X, lo = Y, mid
-                else:
-                    end, hi = Y, mid
-            last = next(a for a, b in zip(ravels(X), ravels(end)) if not np.isfinite(b).all())
-            raise _divergence(cfg, hi, last.tolist())
-        X, lo = end, hi
-    return ravels(X)
-
-
-# the substeps of the driver's bulk runs: a check of the state per run
-# costs about what one substep of the smallest flow does, and a divergence
-# is located by bisecting one run
-_CHECKED = 64
-
-
-def _divergence(cfg: FlowConfig, s: int, last: list) -> FlowDivergenceError:
-    """The error of a weight flow whose substep s ended non-finite from the
-    finite weights last."""
-    return FlowDivergenceError(
-        f"weight flow diverged at t={s * (cfg.dt / cfg.substeps):.6g} of {cfg.dt:.6g} "
-        f"(substep {s}/{cfg.substeps}; "
-        f"last finite weight norm {math.hypot(*last):.6g})", s)
-
-
 # the relative weight error the default FlowConfig resolves a derivation to
 MAP_TOL = 1e-11
 
 
-def _doubled_weights(odes: list, plans: list, dt: float) -> list:
-    """(ravel, substeps, estimate) of each ODE under the default FlowConfig.
+def _derivation(ode: PolynomialODE, cfg: FlowConfig) -> tuple:
+    """(map, substeps, estimate): ode_to_map's map, the substeps that made
+    it and their step-doubling estimate (None for an explicit count).
 
-    Levels run the weights, through the one driver (_derived_weights), at N
-    and 2N substeps from N = 1, the 2N run of one level being the N run of
-    the next, as _reference does a trajectory's.  A member stops at the
-    first level whose estimate max |W_2N - W_N| / 15 / max(1, |W_2N|) is
-    within MAP_TOL and keeps that level's 2N run: the bytes of
-    FlowConfig(dt, 2N).  A 2N run that ends non-finite raises the driver's
-    divergence error; a non-finite N run only makes the estimate NaN.
-    Members still above MAP_TOL run on; beyond _MAX_SUBSTEPS the estimate
-    is a ValueError.
+    The derivation is a one-step trajectory of the compact state of the
+    pruned flow (_pruned_flow), gathered from the identity start and run by
+    the oracle's runner (_run), under the default to MAP_TOL; the end is
+    scattered back into the identity's ravel.  The RK4 engine is the generated float kernel
+    (_term_advance) if the kernel has at most _KERNEL_STATEMENTS statements
+    (_statements), else the numpy loop (_loop_advance); both give the same
+    bytes.  A run that ends non-finite is replayed one substep at a time
+    from the start, to raise the error of its first non-finite substep with
+    the norm of the full ravel before it.
     """
-    done = [None] * len(odes)
+    terms, moving, kept = plan = _pruned_flow(ode, ode.order)
+    advance = (_term_advance(terms, len(kept), moving)
+               if _statements(plan) <= _KERNEL_STATEMENTS else _loop_advance(terms, len(kept)))
+    start = _start(ode.dim, ode.order)
 
-    def run(members, substeps, finite=True):
-        return _derived_weights([odes[i] for i in members], [plans[i] for i in members],
-                                FlowConfig(dt, substeps), finite)
+    def ravel(X):
+        w = start.copy()
+        w[kept] = X
+        return w
 
-    live, fine = list(range(len(odes))), 2
-    coarse = run(live, 1, finite=False)
-    while live:
-        ends = run(live, fine)
-        estimates = [float(np.max(np.abs(w - c) / np.maximum(1.0, np.abs(w)))) / 15.0
-                     if np.isfinite(c).all() else math.nan for c, w in zip(coarse, ends)]
-        for i, w, e in zip(live, ends, estimates):
-            if e <= MAP_TOL:
-                done[i] = w, fine, e
-        coarse = [w for w, e in zip(ends, estimates) if not e <= MAP_TOL]
-        live = [i for i in live if done[i] is None]
-        if live and 2 * fine > _MAX_SUBSTEPS:
-            worst = np.max([e for e in estimates if not e <= MAP_TOL])  # NaN if one is
-            raise ValueError(
-                f"the map derivation's error estimate is {worst:.3g} at {fine} RK4 "
-                f"substeps, above MAP_TOL {MAP_TOL:g}; pass substeps explicitly")
-        fine *= 2
-    return done
+    def diverged(X, _, fine):
+        # a non-finite entry stays non-finite (x + anything), so the run
+        # that ended non-finite meets its first non-finite substep here
+        h = cfg.dt / fine
+        for s in range(1, fine + 1):
+            Y = advance(X, h, 1)
+            if not all(map(math.isfinite, Y)):
+                break
+            X = Y
+        return FlowDivergenceError(
+            f"weight flow diverged at t={s * h:.6g} of {cfg.dt:.6g} (substep {s}/{fine}; "
+            f"last finite weight norm {math.hypot(*ravel(X).tolist()):.6g})", s)
 
-
-def _derivations(odes: list, cfg: FlowConfig) -> list:
-    """(map, substeps, estimate) of each ODE in odes under cfg, each map
-    with the bytes of its own ode_to_map: each flow is pruned once
-    (_pruned_flow).  An explicit count runs once, its estimate None, through
-    the one driver (_derived_weights), a batch on its members' merged plan;
-    the default doubles (_doubled_weights), each member keeping its own
-    level."""
-    plans = [_pruned_flow(o, o.order) for o in odes]
-    if cfg.substeps is None:
-        results = _doubled_weights(odes, plans, cfg.dt)
-    else:
-        results = [(w, cfg.substeps, None) for w in _derived_weights(odes, plans, cfg)]
-    return [(TaylorMap(dim=o.dim, order=o.order, weights=tuple(
-        w.reshape(o.dim, -1)[:, s] for s in basis._stacked_exponents(o.dim, o.order)[1])),
-        substeps, estimate) for o, (w, substeps, estimate) in zip(odes, results)]
-
-
-def _ode_to_maps(odes: list, cfg: FlowConfig) -> list:
-    """ode_to_map of each ODE in odes, in one derivation (_derivations)."""
-    return [tm for tm, _, _ in _derivations(odes, cfg)]
+    (_, end), substeps, estimate = _run(
+        advance, start[kept].tolist(), cfg.dt, 1, cfg.substeps, MAP_TOL, diverged,
+        lambda e, n: f"the map derivation's error estimate is {e:.3g} at {n} RK4 "
+                     f"substeps, above MAP_TOL {MAP_TOL:g}; pass substeps explicitly")
+    w = ravel(end).reshape(ode.dim, -1)
+    return TaylorMap(dim=ode.dim, order=ode.order, weights=tuple(
+        w[:, s] for s in basis._stacked_exponents(ode.dim, ode.order)[1])), substeps, estimate
 
 
 def ode_to_map(ode: PolynomialODE, cfg: FlowConfig) -> TaylorMap:
@@ -425,7 +325,7 @@ def ode_to_map(ode: PolynomialODE, cfg: FlowConfig) -> TaylorMap:
     initial condition W_1 = I; returns the order-k Taylor map of the flow.
 
     An explicit cfg.substeps runs exactly that many RK4 substeps.  The
-    default, None, chooses the count by step doubling (_doubled_weights):
+    default, None, chooses the count by step doubling (_derivation, _run):
     the smallest 2N, N a power of two, whose weights differ from those of N
     substeps by at most 15 * MAP_TOL * max(1, |weight|) in every entry
     (Hairer, Norsett & Wanner, Solving ODEs I, II.4); the map is that of
@@ -433,7 +333,7 @@ def ode_to_map(ode: PolynomialODE, cfg: FlowConfig) -> TaylorMap:
     FlowDivergenceError (under the default, a 2N run), and a default count
     above 2 ** 16 raises ValueError.
     """
-    return _ode_to_maps([ode], cfg)[0]
+    return _derivation(ode, cfg)[0]
 
 
 def _on_lists(f):
@@ -470,7 +370,8 @@ def _rk4_source(structure, n: int, moving) -> str:
     the IEEE product with that float's literal, so one kernel serves every
     set of coefficients, inf included.  The oracle unrolls a PolynomialODE's
     _flow_terms(ode, 0), whose factors are its monomials (basis._columns);
-    a derivation unrolls _pruned_flow's terms on its compact state.  These
+    a derivation unrolls _pruned_flow's terms on its compact state, one ODE
+    per kernel; the runner (_run) drives both.  These
     are the operations of the numpy loop (_loop_advance) on the same terms,
     which give the bytes of the full flow _weight_flow(ode, k), and the
     stages combine as there; PolynomialODE.rhs, a BLAS product, may group or
@@ -507,9 +408,9 @@ def _rk4_source(structure, n: int, moving) -> str:
 
 
 # compiled kernels kept at once: a kernel serves every ODE of its term
-# structure, and the ones at hand (a ring's element kinds and their batch,
-# the members of a fit's family, the oracles) are few; the bound caps what
-# a stream of new structures holds
+# structure, and the ones at hand (a ring's element kinds, the members of a
+# fit's family, the oracles) are few; the bound caps what a stream of new
+# structures holds
 @functools.lru_cache(maxsize=64)
 def _kernel(structure, n: int, moving: tuple):
     """advance(C, X, h, substeps): _rk4_source(structure, n, moving)
@@ -546,8 +447,8 @@ def _statements(plan: tuple) -> int:
 # plans run on the numpy loop.  A kernel substep costs 18-35 ns per
 # statement and a numpy loop substep 15-40 us, so the two cross at about
 # 1000 statements on dense random flows of order 2 and 3 (2 vCPUs, Python
-# 3.11, numpy 2.4; CHANGES.md); the built-in flows have 29-325 and the
-# ring's batch 525
+# 3.11, numpy 2.4; CHANGES.md); the built-in flows and ring elements
+# have 29-325
 _KERNEL_STATEMENTS = 1000
 
 
@@ -557,54 +458,64 @@ ORACLE_TOL = 1e-9
 _MAX_SUBSTEPS = 2 ** 16
 
 
-def _run(advance, X: list, dt: float, steps: int, fine: int, coarse: int | None,
-         known=()):
-    """The states of `steps` steps of `fine` substeps each, and, when coarse
-    is set, the step-doubling estimate of their error against a coarse run of
-    `coarse` = fine / 2 substeps in lockstep: the largest |fine - coarse| / 15
-    / max(1, |fine|) over the entries so far.  known holds the first states
-    of that coarse run, if already computed.  The run stops at the first
-    step whose estimate exceeds ORACLE_TOL or is NaN (a non-finite coarse
-    state), with that step's estimate; a fine step that ends non-finite
-    raises FlowDivergenceError."""
-    h, H = dt / fine, dt / (coarse or 1)
-    out, C, estimate = [X], X, 0.0
-    for s in range(steps):
-        # numpy in a callable overflows to inf, as the generated products do
-        with np.errstate(over="ignore", invalid="ignore"):
-            Y = advance(X, h, fine)
+def _run(advance, X: list, dt: float, steps: int, substeps: int | None, tol: float,
+         diverged, capped) -> tuple:
+    """(states, substeps, estimate): the states of `steps` steps of dt from
+    the state X, a list of floats, by the RK4 engine advance(X, h, substeps),
+    the substeps per step that made them and their step-doubling error
+    estimate (None for an explicit count): the one runner of trajectories
+    and derivations.
+
+    An explicit count runs `substeps` substeps per step.  The default, None,
+    runs a fine run of 2N and a coarse run of N substeps per step in
+    lockstep from N = 1, the estimate being the largest |fine - coarse| /
+    15 / max(1, |fine|) over the entries so far.  A level stops at its
+    first step whose estimate exceeds tol or is NaN (a non-finite coarse
+    state) and N doubles, the states its fine run reached being the start
+    of the next coarse run; the fine run of the first level that completes
+    is returned, the states of substeps=2N byte for byte.  Beyond
+    _MAX_SUBSTEPS the ValueError capped(estimate, 2N) is raised.  A fine
+    step s (from 0) that ends non-finite raises diverged(the state before
+    it, s, its substeps).
+    """
+    fine, known = substeps or 2, []
+    while True:
+        coarse = None if substeps else fine // 2
+        h, H = dt / fine, dt / (coarse or 1)
+        out, C, estimate = [X], X, 0.0
+        for s in range(steps):
+            # numpy in a callable overflows to inf, as the generated products do
+            with np.errstate(over="ignore", invalid="ignore"):
+                Y = advance(out[s], h, fine)
+                if coarse:
+                    C = known[s + 1] if s + 1 < len(known) else advance(C, H, coarse)
+            if not all(map(math.isfinite, Y)):
+                raise diverged(out[s], s, fine)
+            out.append(Y)
             if coarse:
-                C = known[s + 1] if s + 1 < len(known) else advance(C, H, coarse)
-        if not all(map(math.isfinite, Y)):
-            msg = (f"trajectory diverged at t={(s + 1) * dt:.6g} (step {s + 1}/{steps}; "
-                   f"last finite state norm {math.hypot(*X):.6g})")
-            raise FlowDivergenceError(msg, s + 1)
-        X = Y
-        out.append(X)
-        if coarse:
-            e = (max(abs(y - c) / max(1.0, abs(y)) for y, c in zip(Y, C)) / 15.0
-                 if all(map(math.isfinite, C)) else math.nan)
-            if not e <= ORACLE_TOL:
-                return out, e
-            estimate = max(estimate, e)
-    return out, estimate
+                # an empty state, such as an all-zero ODE's compact weights, has no error
+                e = (max(abs(y - c) / max(1.0, abs(y)) for y, c in zip(Y, C)) / 15.0
+                     if all(map(math.isfinite, C)) else math.nan) if Y else 0.0
+                if not e <= tol:
+                    break
+                estimate = max(estimate, e)
+        else:
+            return out, fine, estimate if coarse else None
+        if 2 * fine > _MAX_SUBSTEPS:
+            raise ValueError(capped(e, fine))
+        fine, known = 2 * fine, out
 
 
 def _reference(ode, X0, dt: float, steps: int, substeps: int | None = None):
     """(states, substeps, estimate): reference_trajectory's states, the
     substeps per step that made them and their step-doubling error estimate
-    (None for an explicit count).
-
-    With substeps None, a coarse run of N and a fine run of 2N substeps per
-    step go in lockstep from N = 1 (_run); a level whose estimate exceeds
-    ORACLE_TOL stops there and N doubles, the states its fine run reached
-    being the start of the next coarse run.  The fine run of the first
-    level that completes is returned: the states of substeps=2N, byte for
-    byte.  Beyond _MAX_SUBSTEPS the estimate is a ValueError.
-    """
+    (None for an explicit count), run to ORACLE_TOL by the one runner
+    (_run)."""
     X = np.asarray(X0, dtype=float)
     if X.ndim != 1:
         raise ValueError(f"X0 must be a vector, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError(f"X0 must be finite, got {X.tolist()}")
     dt = _real("dt", dt)
     steps = _count("steps", steps, 0)
     if substeps is not None:
@@ -613,19 +524,18 @@ def _reference(ode, X0, dt: float, steps: int, substeps: int | None = None):
         raise ValueError(f"X0 has shape {X.shape}, ODE has dim {ode.dim}")
     advance = _term_advance(_flow_terms(ode, 0) if isinstance(ode, PolynomialODE) else ode,
                             X.size, range(X.size))
-    if substeps is not None:
-        return np.array(_run(advance, X.tolist(), dt, steps, substeps, None)[0]), substeps, None
-    fine, states = 2, []
-    while True:
-        states, estimate = _run(advance, X.tolist(), dt, steps, fine, fine // 2, states)
-        if estimate <= ORACLE_TOL:
-            return np.array(states), fine, estimate
-        if 2 * fine > _MAX_SUBSTEPS:
-            raise ValueError(
-                f"the reference trajectory's error estimate is {estimate:.3g} at {fine} "
-                f"RK4 substeps per step, above ORACLE_TOL {ORACLE_TOL:g}; "
-                "pass substeps explicitly")
-        fine *= 2
+
+    def diverged(X, s, _):
+        return FlowDivergenceError(
+            f"trajectory diverged at t={(s + 1) * dt:.6g} (step {s + 1}/{steps}; "
+            f"last finite state norm {math.hypot(*X):.6g})", s + 1)
+
+    states, substeps, estimate = _run(
+        advance, X.tolist(), dt, steps, substeps, ORACLE_TOL, diverged,
+        lambda e, n: f"the reference trajectory's error estimate is {e:.3g} at {n} RK4 "
+                     f"substeps per step, above ORACLE_TOL {ORACLE_TOL:g}; "
+                     "pass substeps explicitly")
+    return np.array(states), substeps, estimate
 
 
 def reference_trajectory(ode, X0, dt: float, steps: int, substeps: int | None = None
@@ -635,7 +545,7 @@ def reference_trajectory(ode, X0, dt: float, steps: int, substeps: int | None = 
     Returns the states at t = 0, dt, ..., steps*dt, shape (steps+1, n), each
     dt resolved by the same number of RK4 steps of one generated function
     (_term_advance).  An explicit `substeps` runs exactly that many.  The
-    default, None, chooses the count by step doubling (_reference): the
+    default, None, chooses the count by step doubling (_run): the
     smallest 2N, N a power of two, whose run differs from the run of N
     substeps by at most 15 * ORACLE_TOL * max(1, |state|) in every entry
     (Hairer, Norsett & Wanner, Solving ODEs I, II.4); the result is that of
@@ -646,6 +556,6 @@ def reference_trajectory(ode, X0, dt: float, steps: int, substeps: int | None = 
     of entries; like numpy's, they overflow to inf and never raise.  The
     first step that ends non-finite raises FlowDivergenceError (under the
     default, a step of a 2N run; a non-finite N run only doubles N), and a
-    default count above 2 ** 16 raises ValueError.
+    default count above 2 ** 16 raises ValueError, as does a non-finite X0.
     """
     return _reference(ode, X0, dt, steps, substeps)[0]

@@ -470,7 +470,7 @@ def test_simulate_records_the_derivation_substeps_it_used(tmp_path):
     assert run("simulate", "--system", "free_fall", "--dt", "0.1", "--x0", "0",
                "--steps", "3", "--out", derived) == 0
     parameters = io.read_manifest(tmp_path / "d.manifest.json").parameters
-    [(_, substeps, estimate)] = ode._derivations([systems.free_fall()], ode.FlowConfig(0.1))
+    _, substeps, estimate = ode._derivation(systems.free_fall(), ode.FlowConfig(0.1))
     assert (parameters["substeps"], parameters["error_estimate"]) == (4, estimate) == (
         substeps, estimate)
     fixed = tmp_path / "f.csv"

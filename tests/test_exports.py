@@ -31,7 +31,9 @@ MODULES = ("basis", "maps", "ode", "network", "systems", "lattice", "io", "cli")
 # tuple lookups that the one monomial table, basis._columns, replaces (the
 # product positions live in basis._scatter_matrix); and the weighing of a
 # kernel's compile against its runs, which the kernels cached per term
-# structure and one size cap (ode._KERNEL_STATEMENTS) replace
+# structure and one size cap (ode._KERNEL_STATEMENTS) replace; and the
+# derivation driver, its batches and its own doubling loop, which one ODE
+# at a time through the oracle's runner (ode._derivation, ode._run) replaces
 DELETED = (
     ("basis", "kron_power_jacobian"),
     ("basis", "lift_linear"),
@@ -61,6 +63,13 @@ DELETED = (
     ("ode", "_engine"),
     ("ode", "_LOOP_STATEMENTS"),
     ("ode", "_COMPILE_RUNS"),
+    ("ode", "_merged"),
+    ("ode", "_ode_to_maps"),
+    ("ode", "_derivations"),
+    ("ode", "_derived_weights"),
+    ("ode", "_doubled_weights"),
+    ("ode", "_divergence"),
+    ("ode", "_CHECKED"),
 )
 
 

@@ -47,18 +47,18 @@ def test_element_generator_needs_dt():
 
 
 def test_fodo_ring_derives_each_distinct_element_once(monkeypatch):
-    # one batched derivation holds the four distinct generators
+    # one derivation for each of the four distinct generators
     calls = []
-    derive = ode._ode_to_maps
+    derive = ode.ode_to_map
 
-    def counting(systems, cfg):
-        calls.append(list(systems))
-        return derive(systems, cfg)
+    def counting(system, cfg):
+        calls.append(system)
+        return derive(system, cfg)
 
-    monkeypatch.setattr(ode, "_ode_to_maps", counting)
+    monkeypatch.setattr(ode, "ode_to_map", counting)
     ring = lattice.build_fodo_ring(substeps=20)
-    assert len(calls) == 1 and len(calls[0]) == 4
-    assert {id(e.generator) for e in ring.elements} == set(map(id, calls[0]))
+    assert len(calls) == 4
+    assert {id(e.generator) for e in ring.elements} == set(map(id, calls))
     monkeypatch.undo()
     alone = {
         "qf": lambda label: lattice.quad_element(label, 0.40, 1.0, substeps=20),

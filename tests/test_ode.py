@@ -258,71 +258,16 @@ def test_derived_map_is_byte_equal_to_a_textbook_weight_flow(index):
     assert tm.stacked.ravel().tobytes() == end.tobytes()
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=30)
-@given(st.data(), st.lists(st.tuples(st.integers(1, 5), st.integers(1, 3)),
-                           min_size=1, max_size=3), st.integers(1, 5), st.integers(1, 3))
-def test_a_batched_derivation_gives_each_member_its_own_bytes(data, shapes, zero_n,
-                                                               zero_order):
-    # members of mixed dimension and order, padded to the largest order, and
-    # an all-zero ODE (no terms) at a drawn place in the batch; a fifth of
-    # the coefficients are nonzero, which keeps n5/k3 term lists small
-    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-
-    def block(n, d):
-        shape = (n, basis.basis_size(n, d))
-        return rng.uniform(-1.0, 1.0, shape) * (rng.random(shape) < 0.2)
-
-    odes = [ode.PolynomialODE(n, order, tuple(block(n, d) for d in range(order + 1)))
-            for n, order in shapes]
-    zero = ode.PolynomialODE(zero_n, zero_order, tuple(
-        np.zeros((zero_n, basis.basis_size(zero_n, d))) for d in range(zero_order + 1)))
-    odes.insert(data.draw(st.integers(0, len(odes))), zero)
-    cfg = ode.FlowConfig(0.05, substeps=4)
-    got = ode._ode_to_maps(odes, cfg)
-    assert len(got) == len(odes)
-    for system, tm in zip(odes, got):
-        want = ode.ode_to_map(system, cfg)
-        assert (tm.dim, tm.order) == (want.dim, want.order)
-        assert tm.stacked.tobytes() == want.stacked.tobytes()
-
-
-def test_a_batch_raises_the_first_diverging_members_own_error():
-    # at h = 0.02, x' = 50 x ends substep 708 non-finite (see above), as
-    # does the 2-d twin with its larger norm; x' = 60 x does so at substep
-    # 591; the rotation never does
-    def linear(A):
-        A = np.atleast_2d(A)
-        return ode.PolynomialODE(len(A), 1, (np.zeros((len(A), 1)), A))
-
-    rotation, stiff = linear([[0.0, 1.0], [-1.0, 0.0]]), linear(50.0)
-    twin, faster = linear(50.0 * np.eye(2)), linear(60.0)
-    cfg = ode.FlowConfig(20.0, substeps=1000)
-
-    def error(derive, arg):
-        with pytest.raises(ode.FlowDivergenceError) as err:
-            derive(arg, cfg)
-        return str(err.value), err.value.layer
-
-    alone = [error(ode.ode_to_map, system) for system in (stiff, twin, faster)]
-    assert [layer for _, layer in alone] == [708, 708, 591]
-    assert alone[0][0] != alone[1][0]
-    for batch, first in (([rotation, stiff, twin], 0), ([rotation, twin, stiff], 1),
-                         ([stiff, rotation, faster], 2)):
-        assert error(ode._ode_to_maps, batch) == alone[first]
-
-
 def _both_derivations(system, cfg):
-    # the derivation driver on the numpy loop and on the compiled float
-    # kernel, whatever the size rule would pick (a cap below every plan,
-    # then above every plan): the end weights' bytes, or the divergence
-    # error's message and substep
-    plans = [ode._pruned_flow(system, system.order)]
-
+    # the derivation on the numpy loop and on the compiled float kernel,
+    # whatever the size rule would pick (a cap below every plan, then above
+    # every plan): the end weights' bytes, or the divergence error's
+    # message and substep
     def run(cap):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ode, "_KERNEL_STATEMENTS", cap)
             try:
-                return ode._derived_weights([system], plans, cfg)[0].tobytes()
+                return ode.ode_to_map(system, cfg).stacked.tobytes()
             except ode.FlowDivergenceError as err:
                 return str(err), err.layer
 
@@ -367,8 +312,8 @@ def test_the_float_kernel_derives_the_numpy_loops_bytes(index):
 @settings(derandomize=True, database=None, deadline=None, max_examples=30)
 @given(st.data(), st.integers(1, 5), st.integers(1, 3))
 def test_the_float_kernel_derives_random_odes_with_the_numpy_loops_bytes(data, n, order):
-    # as the batched test draws its members: a fifth of the coefficients
-    # nonzero, all-zero ODEs (no terms) included
+    # a fifth of the coefficients nonzero, all-zero ODEs (no terms)
+    # included, in 1 to 5 variables
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     density = data.draw(st.sampled_from([0.0, 0.2]))
 
@@ -400,10 +345,10 @@ def _engine_runs(monkeypatch):
 
 
 def test_the_engine_is_chosen_by_the_plans_size_alone(monkeypatch):
-    # every built-in system and ring element alone, at a few substeps and
-    # under the default, and the ring's merged batch (S 29 to 525) run on
-    # the float kernel; a dense flow of 2961 statements, above the cap,
-    # runs on the numpy loop with the textbook loop's bytes
+    # every built-in system and ring element, at a few substeps and under
+    # the default (S 29 to 325), runs on the float kernel; a dense flow of
+    # 2961 statements, above the cap, runs on the numpy loop with the
+    # textbook loop's bytes
     runs = _engine_runs(monkeypatch)
     for system, dt in _flow_systems():
         for substeps in (2, None):
@@ -412,7 +357,6 @@ def test_the_engine_is_chosen_by_the_plans_size_alone(monkeypatch):
     for j in (0, 1, 2, 8):
         lattice.perturb_element(ring, j, 0.8)
     assert {name for name, _, _ in runs} == {"_term_advance"}
-    assert ("_term_advance", 46, 64) in runs
     dense = ode.PolynomialODE(2, 3, tuple(np.full((2, basis.basis_size(2, d)), 0.1)
                                           for d in range(4)))
     assert ode._statements(ode._pruned_flow(dense, 3)) == 2961 > ode._KERNEL_STATEMENTS
@@ -439,7 +383,7 @@ def test_a_family_compiles_one_kernel_per_term_structure(monkeypatch):
     counts = []
     for g, L in ((9.8, 0.3), (3.7, 0.5)):
         system = systems.pendulum(g, L)
-        [(tm, substeps, _)] = ode._derivations([system], ode.FlowConfig(0.1))
+        tm, substeps, _ = ode._derivation(system, ode.FlowConfig(0.1))
         counts.append(substeps)
         assert tm.stacked.tobytes() == _textbook_end(system, ode.FlowConfig(0.1, substeps))
     assert counts == [128, 64] and names == ["<RK4 substeps of a dim-12 ODE>"]
@@ -457,9 +401,9 @@ def test_a_float32_dt_derives_the_float64_dts_bytes():
     dt = np.float32(0.1)
     assert type(ode.FlowConfig(dt).dt) is float
     for substeps in (128, None):
-        got, want = (ode._derivations([systems.pendulum()], ode.FlowConfig(d, substeps))
-                     for d in (dt, float(dt)))
-        [(tm, count, estimate)], [(tm64, count64, estimate64)] = got, want
+        (tm, count, estimate), (tm64, count64, estimate64) = (
+            ode._derivation(systems.pendulum(), ode.FlowConfig(d, substeps))
+            for d in (dt, float(dt)))
         assert tm.stacked.tobytes() == tm64.stacked.tobytes()
         assert (count, estimate) == (count64, estimate64)
     assert count == 128
@@ -510,8 +454,9 @@ def _textbook_end(system, cfg):
     if finite.all():
         return states[-1].tobytes()
     s = int(np.argmin(finite))
-    err = ode._divergence(cfg, s, states[s - 1].tolist())
-    return str(err), err.layer
+    return (f"weight flow diverged at t={s * (cfg.dt / cfg.substeps):.6g} of {cfg.dt:.6g} "
+            f"(substep {s}/{cfg.substeps}; "
+            f"last finite weight norm {math.hypot(*states[s - 1].tolist()):.6g})"), s
 
 
 @pytest.mark.parametrize("index, count, size, read", [
@@ -548,12 +493,12 @@ def test_the_pruned_weights_are_the_full_flows_zeros(index, count, size, read):
     assert ode._statements(plan) == source.count("\n")
 
 
-def test_the_rings_batch_runs_on_46_of_its_240_weights(monkeypatch):
-    # qf 8, drift 4, qd 8 and sextupole 26 entries, side by side in one
-    # run, for the four elements' 60 weights each
+def test_the_rings_elements_run_on_46_of_their_240_weights(monkeypatch):
+    # qf 8, qd 8, drift 4 and sextupole 26 entries, one run of each
+    # element, for the four elements' 60 weights each
     runs = _engine_runs(monkeypatch)
     lattice.build_fodo_ring(substeps=10)
-    assert [size for _, size, _ in runs] == [46]
+    assert runs == [("_term_advance", size, 10) for size in (8, 8, 4, 26)]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -727,7 +672,7 @@ def test_default_derivation_is_a_fixed_count_within_2x_of_its_estimate(name):
     # the error, measured as the estimate is, against 4096 substeps; the map
     # is that of the chosen count, byte for byte
     system, dt, chosen = _DERIVE_DEFAULTS[name]
-    [(tm, substeps, estimate)] = ode._derivations([system], ode.FlowConfig(dt))
+    tm, substeps, estimate = ode._derivation(system, ode.FlowConfig(dt))
     ref = ode.ode_to_map(system, ode.FlowConfig(dt, substeps=4096)).stacked
     error = np.max(np.abs(tm.stacked - ref) / np.maximum(1.0, np.abs(ref)))
     assert substeps == chosen and estimate <= ode.MAP_TOL
@@ -749,7 +694,7 @@ def test_the_default_stops_at_the_first_level_within_map_tol(n, order, seed, den
     system = ode.PolynomialODE(n, order, tuple(
         rng.uniform(-1.0, 1.0, (n, basis.basis_size(n, d)))
         * (rng.random((n, basis.basis_size(n, d))) < density) for d in range(order + 1)))
-    [(tm, substeps, estimate)] = ode._derivations([system], ode.FlowConfig(dt))
+    tm, substeps, estimate = ode._derivation(system, ode.FlowConfig(dt))
     assert estimate <= ode.MAP_TOL and estimate == _default_estimate(system, dt, substeps)
     fixed = ode.ode_to_map(system, ode.FlowConfig(dt, substeps=substeps))
     assert tm.stacked.tobytes() == fixed.stacked.tobytes()
@@ -757,33 +702,16 @@ def test_the_default_stops_at_the_first_level_within_map_tol(n, order, seed, den
         assert not _default_estimate(system, dt, substeps // 2) <= ode.MAP_TOL
 
 
-def test_a_default_batch_gives_each_member_its_own_level():
-    # members resolving to 4, 32, 64 and 128 substeps and an all-zero ODE:
-    # each keeps the map, the count and the estimate of its own derivation
-    batch = [systems.pendulum(), systems.free_fall(), systems.free_fall_augmented(),
-             ode.PolynomialODE(2, 2, tuple(np.zeros((2, basis.basis_size(2, d)))
-                                           for d in range(3))),
-             systems.lotka_volterra()]
-    got = ode._derivations(batch, ode.FlowConfig(0.1))
-    assert [substeps for _, substeps, _ in got] == [128, 4, 64, 2, 32]
-    for system, (tm, substeps, estimate) in zip(batch, got):
-        [(want, count, e)] = ode._derivations([system], ode.FlowConfig(0.1))
-        assert (substeps, estimate) == (count, e)
-        assert tm.stacked.tobytes() == want.stacked.tobytes()
-
-
 def test_default_divergence_is_the_error_of_its_fine_run():
     # x' = 50 x over dt 20 stays finite at 64 substeps and overflows at
-    # 128: the default raises that run's divergence, alone and in a batch,
-    # long before the cap on its count
-    stiff = _linear(50.0)
+    # 128: the default raises that run's divergence, long before the cap on
+    # its count
     message = (r"^weight flow diverged at t=19\.6875 of 20 \(substep 126/128; "
                r"last finite weight norm 5\.28993e\+304\)$")
     for cfg in (ode.FlowConfig(20.0), ode.FlowConfig(20.0, substeps=128)):
-        for batch in ([stiff], [_linear([[0.0, 1.0], [-1.0, 0.0]]), stiff]):
-            with pytest.raises(ode.FlowDivergenceError, match=message) as err:
-                ode._ode_to_maps(batch, cfg)
-            assert err.value.layer == 126
+        with pytest.raises(ode.FlowDivergenceError, match=message) as err:
+            ode.ode_to_map(_linear(50.0), cfg)
+        assert err.value.layer == 126
 
 
 def test_a_non_finite_coarse_run_only_doubles(monkeypatch):
@@ -799,21 +727,20 @@ def test_a_non_finite_coarse_run_only_doubles(monkeypatch):
 
     lv = systems.lotka_volterra()
     monkeypatch.setattr(ode, "_term_advance", nan_at_one_substep)
-    [(tm, substeps, estimate)] = ode._derivations([lv], ode.FlowConfig(0.01))
+    tm, substeps, estimate = ode._derivation(lv, ode.FlowConfig(0.01))
     monkeypatch.undo()
     assert substeps == 4 and estimate == _default_estimate(lv, 0.01, 4)
     assert tm.stacked.tobytes() == ode.ode_to_map(lv, ode.FlowConfig(0.01, 4)).stacked.tobytes()
 
 
-def test_a_diverging_run_is_located_by_bisection(monkeypatch):
+def test_a_diverging_run_is_located_by_replaying_single_substeps(monkeypatch):
     # x' = 50 x at 1000 substeps of dt 20 ends substep 708 non-finite: the
-    # bulk runs of 64 substeps reach 704 and the run to 768 is bisected, in
-    # 6 more runs of 32, 16, ..., 1 substeps from the last finite state
+    # run of 1000 substeps ends non-finite, and only then is it replayed
+    # from its start one substep at a time, up to that substep
     runs = _engine_runs(monkeypatch)
-    batch = [_linear([[0.0, 1.0], [-1.0, 0.0]]), _linear(50.0)]
     with pytest.raises(ode.FlowDivergenceError, match=r"\(substep 708/1000;"):
-        ode._ode_to_maps(batch, ode.FlowConfig(20.0, substeps=1000))
-    assert [substeps for _, _, substeps in runs] == [64] * 12 + [32, 16, 8, 4, 2, 1]
+        ode.ode_to_map(_linear(50.0), ode.FlowConfig(20.0, substeps=1000))
+    assert [substeps for _, _, substeps in runs] == [1000] + [1] * 708
 
 
 def test_default_derivation_above_the_substep_cap_asks_for_an_explicit_count(monkeypatch):
@@ -823,7 +750,7 @@ def test_default_derivation_above_the_substep_cap_asks_for_an_explicit_count(mon
                                          r"at 64 RK4 substeps, above MAP_TOL 1e-11; "
                                          r"pass substeps explicitly$"):
         ode.ode_to_map(systems.pendulum(), ode.FlowConfig(0.1))
-    assert ode._derivations([systems.pendulum()], ode.FlowConfig(0.1, 64))[0][1:] == (64, None)
+    assert ode._derivation(systems.pendulum(), ode.FlowConfig(0.1, 64))[1:] == (64, None)
 
 
 # --- trajectory integration -----------------------------------------------------
@@ -919,6 +846,27 @@ def test_rk4_input_validation():
     for dt in ("x", None, True):
         with pytest.raises(ValueError, match="^dt must be a finite number"):
             ode.reference_trajectory(lambda X: -X, np.zeros(2), dt, 3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_a_non_finite_start_is_refused_before_any_run(bad):
+    # a NaN or inf entry is refused before the right-hand side is called,
+    # at either count, at steps 0 and 3, and through synthesize
+    calls = []
+
+    def rhs(X):
+        calls.append(None)
+        return -X
+
+    message = rf"^X0 must be finite, got \[0\.5, {bad}\]$"
+    for steps in (0, 3):
+        for substeps in (None, 4):
+            for system in (systems.lotka_volterra(), rhs):
+                with pytest.raises(ValueError, match=message):
+                    ode.reference_trajectory(system, np.array([0.5, bad]), 0.1, steps, substeps)
+        with pytest.raises(ValueError, match=message):
+            systems.synthesize(systems.lotka_volterra(), [0.5, bad], 0.1, steps)
+    assert calls == []
 
 
 _STILL = ode.PolynomialODE(4, 1, (np.zeros((4, 1)), np.zeros((4, 4))))
@@ -1201,6 +1149,22 @@ def test_a_non_finite_coarse_run_stops_only_its_level():
     got, substeps, estimate = ode._reference(rhs, [0.5, -1.0], 0.1, 3)
     assert (substeps, estimate) == (4, 0.0)
     assert np.array_equal(got, np.tile([0.5, -1.0], (4, 1)))
+
+
+def test_an_empty_state_resolves_to_2_substeps():
+    # an all-zero ODE moves no weight, so its derivation runs an empty
+    # compact state, as a trajectory from an empty X0 does: the default
+    # resolves both to 2 substeps at estimate 0.0, and its trajectory has
+    # the shape an explicit count gives
+    zero = ode.PolynomialODE(2, 2, tuple(np.zeros((2, basis.basis_size(2, d)))
+                                         for d in range(3)))
+    assert ode._pruned_flow(zero, 2) == ([], [], [])
+    tm, substeps, estimate = ode._derivation(zero, ode.FlowConfig(0.1))
+    assert (substeps, estimate) == (2, 0.0)
+    assert tm.stacked.tobytes() == maps.identity_map(2, 2).stacked.tobytes()
+    states, substeps, estimate = ode._reference(lambda X: -X, [], 0.1, 3)
+    assert (states.shape, substeps, estimate) == ((4, 0), 2, 0.0)
+    assert ode.reference_trajectory(lambda X: -X, [], 0.1, 3, substeps=4).shape == (4, 0)
 
 
 def test_default_above_the_substep_cap_asks_for_an_explicit_count(monkeypatch):
