@@ -12,8 +12,8 @@ All higher-level objects (Taylor maps, polynomial ODE right-hand sides)
 store one dense coefficient block per degree against these bases, so the
 ordering here is a file-format contract as well.  They also keep the blocks
 of degrees 0..k side by side in one (n, N) matrix whose columns follow
-monomials(X, k); that matrix times monomials(X, k) is the one evaluator of a
-polynomial at a state.
+monomials(X, k), the terms the one point evaluator (maps._chain_function)
+adds left to right.
 
 A monomial is the sorted tuple of its variable indices, x1^2 * x2 being
 (0, 0, 1); combinations_with_replacement yields them in basis order, and
@@ -23,9 +23,8 @@ the tuple less its last entry, times its last variable (truncated power
 series algebra; Berz 1999), and one emitter, _products, writes these
 multiplies as straight-line Python in column order, sorted by (degree,
 tuple) with no table, since its variables may be a weight flow's weights.
-monomials runs them on floats for one state and on the columns of a batch,
-with the same bytes either way; kron_power forms them with numpy indexing
-and is checked against it.
+monomials runs them on the columns of a batch; kron_power forms them with
+numpy indexing and is checked against it.
 """
 
 from __future__ import annotations
@@ -169,19 +168,15 @@ def monomials(X, k: int) -> np.ndarray:
 
     X is one state (n,) or a batch (..., n); the slice of degree d is
     _stacked_exponents(n, k)[1][d] and equals kron_power(X, d) exactly.
-    Each monomial is built by prefix products (_monomial_function), on
-    Python floats for one state and on the columns of a batch, so a state
-    gives the same bytes alone and in a batch.  Overflow gives inf or nan,
-    never an error or a warning.
+    Each monomial is built by prefix products (_monomial_function) on the
+    columns of X, so a state gives the same bytes alone and in a batch.
+    Overflow gives inf or nan, never an error or a warning.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 0:
         raise ValueError("state must have at least one axis")
-    f = _monomial_function(X.shape[-1], k)
-    if X.ndim == 1:
-        return np.array(f(*X.tolist()))
     with np.errstate(over="ignore", invalid="ignore"):
-        columns = f(*np.moveaxis(X, -1, 0))
+        columns = _monomial_function(X.shape[-1], k)(*np.moveaxis(X, -1, 0))
     out = np.empty(X.shape[:-1] + (len(columns),))
     for j, column in enumerate(columns):
         out[..., j] = column

@@ -141,9 +141,8 @@ class TurnSeries:
         return self.states.shape[0]
 
 
-# the slots one block of tracking chains at most, which bounds its state and
-# monomial buffers (about 150 KB for order-2 elements); a block takes at
-# least one turn
+# the slots one block of tracking chains at most, which bounds its states
+# (about 200 KB of float lists in 4-D); a block takes at least one turn
 _BLOCK_SLOTS = 1024
 
 
@@ -158,21 +157,21 @@ def _track(lat: Lattice, X0, n_turns: int, name_turns: bool):
     n = lat.n_elements
     per_block = max(1, _BLOCK_SLOTS // n)
     net = to_network(lat)
-    W, X, chain = network._stack(net), X0, None
+    weights, X, chain = network._weight_rows(network._stack(net)), network._start(net, X0), None
     for first in range(0, n_turns, per_block):
         turns = min(per_block, n_turns - first)
         if chain is None or chain.n_layers != turns * n:
             chain = replace(net, layer_groups=net.layer_groups * turns)
         try:
-            states = network._forward_states(chain, network._bind_slots(chain, W, X))[0]
+            states = network._forward_states(chain, weights, X)
         except ode.FlowDivergenceError as exc:
             turn, j = divmod(exc.layer - 1, n)
             message = f"tracking diverged in element {j} ({lat.elements[j].label!r})"
             if name_turns:
                 message = f"turn {first + turn + 1}: {message}"
             raise ode.FlowDivergenceError(message, j + 1) from None
-        yield states
-        X = states[-1]
+        yield network._array(states, 4)
+        X, states = states[-1], None  # one block's lists alive at a time
 
 
 def observe_one_turn(lat: Lattice, X0) -> network.ObservationSeries:

@@ -2,18 +2,19 @@
 
 A map of order k sends X to W_0 + W_1 X + W_2 X^[2] + ... + W_k X^[k], where
 X^[d] is the reduced Kronecker power over the bases of ``tmnet.basis``.
-Evaluation is one product: the blocks stacked side by side into one (dim, N)
-matrix, dotted with the state's ``basis.monomials(X, k)`` (``ndarray.dot``,
-the call a network's forward pass makes slot by slot, so the two give the
-same bytes).  This module provides evaluation, truncated composition, and
-the coefficient-space symplectic residual used as a structure-preserving
-training penalty, with its gradient in the weights; both come from one term
-list compiled per (dim, order), which serves any number of stacked maps per
-evaluation.
+Evaluation adds each row's terms left to right over the state's monomials,
+w[r, 0] + w[r, 1] m_1 + ..., on Python floats, in one pass generated per
+(dim, order) that also runs a network's chain slot by slot and tracking, so
+all give the same bytes and none depends on the BLAS.  This module provides
+evaluation, truncated composition, and the coefficient-space symplectic
+residual used as a structure-preserving training penalty, with its gradient
+in the weights; both come from one term list compiled per (dim, order), and
+both, like composition, are numpy products on the BLAS.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -103,12 +104,52 @@ def _from_dict(cls, data: dict, name: str):
     return cls(dim=data["dim"], order=data["order"], **{name: blocks})
 
 
+@lru_cache(maxsize=None)
+def _chain_function(n: int, k: int, rows: bool):
+    """chain(weights, groups, x) -> states, or (states, rows) with rows set:
+    the one point evaluator, order-k slots over n variables run from the
+    state x as compiled straight-line Python on floats.  weights[g] is group
+    g's stacked (n, N) matrix, a flat row-major list, unpacked where the
+    slot's group changes.  A slot forms its monomials by basis._products and
+    output r as w[r, 0] + w[r, 1] * m1 + ..., added left to right (one
+    statement per 64 terms).  states lists x and every output, rows
+    each slot's monomials.  Every output has a degree-1 term in each
+    variable, so once a state is non-finite, every later one is."""
+    x, columns = [f"x{i}" for i in range(n)], basis._columns(n, k)
+    lines, names = basis._products(x, columns)
+    m = [names[c] for c in columns]
+    w = [[f"w{r}_{s}" for s in range(len(m))] for r in range(n)]
+    for r, row in enumerate(w):
+        terms = [row[0], *(f"{v} * {ms}" for v, ms in zip(row[1:], m[1:]))]
+        # one expression of thousands of terms overflows the compiler's
+        # recursion limit on some CPython versions
+        lines += [f"y{r} = {'' if c == 0 else f'y{r} + '}{' + '.join(terms[c:c + 64])}"
+                  for c in range(0, len(terms), 64)]
+    source = "\n".join([
+        "def chain(weights, groups, x):",
+        "    states, rows, g = [x], [], None",
+        "    for h in groups:",
+        "        if h != g:",
+        "            g = h",
+        f"            {', '.join(itertools.chain(*w))}, = weights[g]",
+        f"        {', '.join(x)}, = x",
+        *(f"        {line}" for line in lines),
+        *([f"        rows.append([{', '.join(m)}])"] if rows else []),
+        f"        x = [{', '.join(f'y{r}' for r in range(n))}]",
+        "        states.append(x)",
+        f"    return {'states, rows' if rows else 'states'}",
+    ])
+    return basis._compiled(source, f"<chain of order-{k} slots over {n} variables>", "chain")
+
+
 def _evaluate(stacked: np.ndarray, k: int, X) -> np.ndarray:
-    """The polynomial whose stacked blocks are given, at one state X."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 1:
-        raise ValueError(f"state must be a 1-d vector, got shape {X.shape}")
-    return stacked.dot(basis.monomials(X, k))
+    """The polynomial whose stacked blocks are given, at one state X: one
+    slot of _chain_function."""
+    X, n = np.asarray(X, dtype=float), len(stacked)
+    if X.shape != (n,):
+        raise ValueError(f"state must be a 1-d vector of {n} entries, got shape {X.shape}")
+    chain = _chain_function(n, k, False)
+    return np.array(chain([stacked.ravel().tolist()], (0,), X.tolist())[1])
 
 
 @dataclass(frozen=True)

@@ -6,46 +6,34 @@ single initial state unrolls into a predicted time series.  Observations may
 cover only some boundaries ("taps") and some components (for a physical
 pendulum, angles are measured while angular velocities stay latent); the loss
 is the mean squared error over the observed entries plus a symplectic penalty
-summed over the distinct weight groups.  Every layer evaluation, in the
-rolled-out chain and the teacher-forced residual alike, is one product of its
-map's stacked (dim, N) weights with the state's monomials.  A pass checks its
-states once, after the last slot; a divergence names the first non-finite
-layer and the norm of the last finite state.
+summed over the distinct weight groups.
 
-The forward pass builds each slot's monomials on Python floats in a
-preallocated row and dots the group's weights with it into the next state's
-row, the call TaylorMap.apply makes, so its states are apply's bit for bit.
-Its buffers, the checked initial state and each slot's group row of the
-stacked weights come from _bind_slots: forward, backward and lattice
-tracking bind them per call, a training run once for all its epochs.
+The forward pass is the one point evaluator, maps._chain_function, which
+TaylorMap.apply and tracking run too: Python on floats adding each output's
+terms left to right, checked once, at the last state (a divergence names the
+first non-finite layer).  Under teacher forcing one numpy reduction adds the
+same terms in the same order for every pair.
 
 Gradients are exact: reverse accumulation (Griewank & Walther, Evaluating
-Derivatives, 2008), plus the analytic penalty gradient.  One pass generated
-per dimension and order runs on Python floats: the masked data term and its
-seeds, then the adjoint from the last slot to the first, through the weights
-and the derivatives of the monomials (basis._columns), with no Jacobian.  The
-weight gradients of every degree and group are one numpy product of the
-adjoints with the monomials.  backward and every training epoch take the
-data term from this pass, or from the one-step residual under teacher
-forcing, and add the penalty through _with_penalty: one objective.
+Derivatives, 2008), plus the analytic penalty gradient.  One generated pass
+on Python floats (_reverse_function) gives the masked data term and the
+adjoint at every slot, with no Jacobian; the weight gradients of every
+degree and group are one product (on the BLAS) of the adjoints with the
+monomials.  backward and every training epoch take the data term from this
+pass, or from the one-step residual under teacher forcing, and add the
+penalty through _with_penalty: one objective.
 
 Training is deterministic full-batch Adam on the single observed series,
 with global gradient-norm clipping.  It runs on one stacked (groups, dim, N)
 array W, W[g] being group g's stacked matrix; gradients and Adam's moments
-share that layout, and TaylorMaps are built from it only at checkpoints and
-at the end.  A run pays once for what no epoch changes: it checks X0 and the
-observations, reads their observed count and binds the buffers and slot
-views of W (_bind_slots); Adam updates W in place, so the views always
-read the current weights.  An epoch runs only the float work,
-in the order of operations of a call to backward.  At penalty rate 0 the
-penalty is recorded but steers nothing, so an epoch only copies W aside; one
-stacked penalty evaluation over a batch of these copies fills in the
-recorded penalties and totals.
+share that layout and are updated in place, and TaylorMaps are built from it
+only at checkpoints and at the end.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -177,67 +165,49 @@ def _group_maps(net: Network, W) -> list[maps.TaylorMap]:
             for w in W]
 
 
-def _bind_slots(net: Network, W, X0):
-    """(states, powers, weights): what every pass of the chain with the
-    stacked group weights W reuses, built once.
+def _weight_rows(W) -> list:
+    """The stacked group weights W as one flat list of floats per group."""
+    return W.reshape(len(W), -1).tolist()
 
-    states, shape (n_layers + 1, dim), holds the checked X0 in row 0 and
-    the boundary states after a pass; powers, shape (n_layers, N), the
-    monomials of each slot's input.  weights lists each slot's group row
-    W[g], a view: a pass reads W itself and so sees every update made to W
-    in place."""
+
+def _array(rows: list, width: int) -> np.ndarray:
+    """rows, lists of width floats each, as one (len(rows), width) array."""
+    return np.fromiter(itertools.chain.from_iterable(rows), float,
+                       len(rows) * width).reshape(-1, width)
+
+
+def _start(net: Network, X0) -> list:
+    """X0 as a list of floats if it is finite with shape (dim,)."""
     X = np.asarray(X0, dtype=float)
     if X.shape != (net.dim,) or not np.isfinite(X).all():
         raise ValueError(f"X0 must be finite with shape ({net.dim},), got {X.tolist()}")
-    states = np.empty((net.n_layers + 1, net.dim))
-    powers = np.empty((net.n_layers, W.shape[-1]))
-    states[0] = X
-    groups = list(W)
-    return states, powers, [groups[g] for g in net.layer_groups]
+    return X.tolist()
 
 
-def _forward_states(net: Network, bound, lists: bool = False):
-    """(states, powers) of the buffers bound by _bind_slots, after one pass
-    that overwrites them: every slot boundary state and the monomials of
-    degrees 0..order of each slot's input state, evaluated once per slot
-    with the current W.  With lists set, the pass also returns the rows it
-    formed as lists of Python floats, (states, powers, state rows, power
-    rows), the same floats as states.tolist() and powers.tolist()."""
-    states, powers, weights = bound
-    monomials, x = basis._monomial_function(net.dim, net.order), states[0].tolist()
-    xs, ms = [x], []
-    # overflow here means divergence, which is detected and raised below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for w, row, out in zip(weights, powers, states[1:]):
-            m = monomials(*x)
-            row[:] = m
-            w.dot(row, out)
-            x = out.tolist()
-            if lists:
-                xs.append(x)
-                ms.append(m)
-        finite = np.isfinite(states[1:]).all(axis=1)
-    if not finite.all():
-        j = int(np.argmin(finite)) + 1
+def _forward_states(net: Network, weights, x: list, rows: bool = False):
+    """maps._chain_function's states (and rows, if set) of the chain from
+    the state x, on _weight_rows' weights.  Only the last state is
+    checked; if it is non-finite, the first non-finite layer is named."""
+    out = maps._chain_function(net.dim, net.order, rows)(weights, net.layer_groups, x)
+    states = out[0] if rows else out
+    if not all(map(math.isfinite, states[-1])):
+        j = int(np.argmin(np.isfinite(states).all(axis=1)))
         # hypot does not overflow where the squares of a state near the limit would
         raise FlowDivergenceError(f"network state diverged at layer {j} (last finite "
                                   f"state norm {math.hypot(*states[j - 1]):.6g})", j)
-    return (states, powers, xs, ms) if lists else (states, powers)
+    return out
 
 
 def forward(net: Network, X0) -> np.ndarray:
     """The state after each slot for one initial condition, shape
     (n_layers, dim): row t-1 is the state at boundary (tap) t."""
-    states, _ = _forward_states(net, _bind_slots(net, _stack(net), X0))
-    return states[1:]
+    return _array(_forward_states(net, _weight_rows(_stack(net)), _start(net, X0))[1:], net.dim)
 
 
 def predict_trajectory(net: Network, X0, components=None) -> np.ndarray:
     """Forward pass projected onto the requested components (default: all)."""
     out = forward(net, X0)
-    if components is None:
-        return out
-    return out[:, list(components)]
+    return out if components is None else out[:, list(components)]
 
 
 def _check_observations(net: Network, obs: ObservationSeries) -> None:
@@ -286,9 +256,9 @@ def _reverse_function(n: int, k: int):
     slots over n variables, generated as straight-line Python on floats and
     compiled.
 
-    weights[g] is group g's stacked (n, N) matrix, flat and row-major;
-    groups, powers and states list the slots' groups, the monomials of
-    their inputs and the boundary states; rows and n_obs are the series'
+    weights[g] is group g's stacked (n, N) matrix, flat and row-major,
+    unpacked where the group changes; groups, powers and states list the
+    slots' groups and _forward_states' rows; rows and n_obs are the series'
     rows and observed_count.  First, tap by tap, the observed differences d
     give the masked mean squared error and the seeds 2 d / n_obs, one row
     per boundary, zero where nothing is observed.  Then, from the last slot
@@ -326,10 +296,12 @@ def _reverse_function(n: int, k: int):
         f"        data = data + {' + '.join(f'{di} * {di}' for di in d)}",
         f"        seeds[t] = {', '.join(f'2.0 * {di} / n_obs' for di in d)},",
         f"    {' = '.join(a)} = 0.0",
-        "    adjoints = []",
+        "    adjoints, h = [], None",
         f"    for g, [{', '.join(m)}], [{', '.join(sd)}] in "
         "zip(reversed(groups), reversed(powers), seeds[:0:-1]):",
-        f"        {', '.join(w)}, = weights[g]",
+        "        if g != h:",
+        "            h = g",
+        f"            {', '.join(w)}, = weights[g]",
         *(f"        {a[i]} += {sd[i]}" for i in range(n)),
         f"        adjoints += {', '.join(a)},",
         *(f"        c{s} = {' + '.join(f'{a[r]} * w{r}_{s}' for r in range(n))}"
@@ -350,18 +322,16 @@ def _group_onehot(layer_groups: tuple[int, ...]) -> np.ndarray:
     return onehot
 
 
-def _data_gradient(net: Network, W, bound, rows, n_obs: int):
+def _data_gradient(net: Network, W, x0: list, rows, n_obs: int):
     """(data, grads): the masked mean squared error over the observed
-    entries of the rolled-out chain and its gradient in W.  The forward pass
-    of _forward_states on the buffers bound to W (_bind_slots) hands the
-    rows it formed as lists of floats to one generated pass
-    (_reverse_function) over the series' rows and
-    observed_count n_obs, which gives the data term and the adjoint at every
-    slot output; the weight gradients of every degree and group are then one
-    product, the adjoints of each group's slots times their monomials."""
-    _, powers, state_rows, power_rows = _forward_states(net, bound, lists=True)
+    entries of the chain rolled out from x0 and its gradient in W.  One
+    _forward_states pass hands its float rows to _reverse_function, whose
+    adjoints times the monomials give every weight gradient in one product."""
+    weights = _weight_rows(W)
+    states, monomials = _forward_states(net, weights, x0, rows=True)
     data, _, adjoints = _reverse_function(net.dim, net.order)(
-        W.reshape(len(W), -1).tolist(), net.layer_groups, power_rows, state_rows, rows, n_obs)
+        weights, net.layer_groups, monomials, states, rows, n_obs)
+    powers = _array(monomials, W.shape[-1])
     adjoints = np.array(adjoints).reshape(-1, net.dim)[::-1]
     # overflow here means divergence, which the caller detects from the
     # non-finite gradient norm
@@ -374,12 +344,10 @@ def backward(net: Network, W, X0, obs: ObservationSeries, penalty_rate: float):
 
     Returns (grads, (total, data, penalty)) where grads has W's shape
     (groups, dim, N); degree d is the column slice [..., sl[d]] with sl from
-    basis._stacked_exponents.  The data term is _data_gradient's, on
-    buffers bound for this one call.
+    basis._stacked_exponents.  The data term is _data_gradient's.
     """
     _check_observations(net, obs)
-    bound = _bind_slots(net, W, X0)
-    data, grads = _data_gradient(net, W, bound, obs.rows, obs.observed_count)
+    data, grads = _data_gradient(net, W, _start(net, X0), obs.rows, obs.observed_count)
     return _with_penalty(data, grads, W, net.dim, net.order, penalty_rate)
 
 
@@ -457,14 +425,12 @@ class LossReport:
 
 
 def _pairwise_data(net: Network, X0, obs: ObservationSeries):
-    """Consecutive (previous, next) state pairs for teacher forcing, with
-    the previous states as their monomials of degrees 0..order, one row per
-    pair, computed once for all epochs.
-
-    Requires one shared weight group and a fully observed series with an
-    observation at every slot boundary: each observed state then serves as
-    the input of the following step, so the fit is on single-step pairs
-    instead of the rolled-out chain.
+    """What teacher forcing reads every epoch, computed once: the monomials
+    of the pairs' previous states, one row per pair and as an (N, 1, pairs)
+    array, and the next states, (dim, pairs).  Requires one shared weight
+    group and a fully observed series with an observation at every slot
+    boundary: each observed state then serves as the input of the following
+    step, so the fit is on single-step pairs instead of the rolled-out chain.
     """
     if any(g != 0 for g in net.layer_groups) or len(net.group_maps) != 1:
         raise ValueError("teacher forcing needs a single shared weight group")
@@ -472,20 +438,21 @@ def _pairwise_data(net: Network, X0, obs: ObservationSeries):
         raise ValueError(f"teacher forcing needs observation taps 1..{net.n_layers}")
     if not obs.mask.all():
         raise ValueError("teacher forcing needs fully observed states")
-    X0 = np.asarray(X0, dtype=float)
-    prev = np.vstack([X0[None, :], obs.values[:-1]])
-    return basis.monomials(prev, net.order), obs.values
+    feats = basis.monomials(np.vstack([_start(net, X0), obs.values[:-1]]), net.order)
+    return feats, np.ascontiguousarray(feats.T[:, None, :]), obs.values.T.copy()
 
 
-def _pairwise_gradient(net: Network, W, feats, nxt):
+def _pairwise_gradient(W, feats, lanes, nxt):
     """(data, grads): the mean squared one-step residual over state pairs
-    and its gradient in W; feats holds the monomials of the previous
-    states, one row per pair."""
-    residual = feats @ W[0].T - nxt
-    _, sl = basis._stacked_exponents(net.dim, net.order)
-    grads = np.concatenate([residual.T @ feats[:, s] for s in sl], axis=-1)[None]
-    grads *= 2.0 / residual.size
-    return float(np.mean(residual**2)), grads
+    and its gradient in W, from _pairwise_data's arrays.  Each prediction
+    adds its terms left to right, as the chain does: np.add.reduce along
+    axis 0 of a C-ordered array does, unless one lane makes it pairwise."""
+    terms = np.multiply(lanes, W[0].T[:, :, None], order="C")
+    predicted = np.add.reduce(terms, axis=0) if terms[0].size > 1 else sum(terms[1:], terms[0])
+    residual = predicted - nxt
+    grads = (residual @ feats)[None] * (2.0 / residual.size)
+    # np.mean's own reduction
+    return float(np.add.reduce(residual * residual, axis=None)) / residual.size, grads
 
 
 # the residual terms (snapshots x groups x terms per map) that one flush of
@@ -531,29 +498,25 @@ def train_one_shot(
     only) instead of the rolled-out trajectory error; cfg.train_degrees
     restricts updates to the named weight degrees.
 
-    The observations and X0 are checked, and the state and monomial buffers
-    and the slots' views of W bound (_bind_slots), once per run; W is
-    updated in place, so every epoch's pass reads the current weights
-    through those views.  The numbers are those of a loop that calls
-    backward each epoch, bit for bit.
-
-    At penalty_rate 0 the penalty steers no step and is only recorded: each
-    epoch copies W into a snapshot buffer, and one stacked evaluation per
-    full buffer, and one after the last epoch, fills in the penalty and
-    total of those epochs.  Before any divergence is raised the buffer is
-    evaluated, so a penalty that made an earlier total non-finite names the
-    earlier epoch, as an evaluation inside every epoch would.
+    The numbers are those of a loop that calls backward each epoch and
+    takes the textbook Adam step, bit for bit.  At penalty_rate 0 the
+    penalty steers no step and is only recorded: each epoch copies W into a
+    snapshot buffer, and one stacked evaluation per full buffer, and one
+    after the last epoch, fills in the penalty and total of those epochs.
+    Before any divergence is raised the buffer is evaluated, so a penalty
+    that made an earlier total non-finite names the earlier epoch.
     """
     _check_observations(net, obs)
     if cfg.train_degrees is not None and any(d > net.order for d in cfg.train_degrees):
         raise ValueError(f"train_degrees beyond map order {net.order}")
     W = _stack(net)
+    # the data term and its gradient at the current W, which Adam updates in place
     if cfg.teacher_forcing:
-        pairs = _pairwise_data(net, X0, obs)
+        gradient = partial(_pairwise_gradient, W, *_pairwise_data(net, X0, obs))
     else:
-        pairs, bound, n_obs = None, _bind_slots(net, W, X0), obs.observed_count
-    m = np.zeros_like(W)
-    v = np.zeros_like(W)
+        gradient = partial(_data_gradient, net, W, _start(net, X0), obs.rows, obs.observed_count)
+    # Adam's moments and two scratch buffers of its update
+    m, v, t, u = (np.zeros_like(W) for _ in range(4))
     # the columns of W whose degree (row sum of its exponents) is not trained
     E, _ = basis._stacked_exponents(net.dim, net.order)
     frozen = ~np.isin(E.sum(axis=1), cfg.train_degrees or range(net.order + 1))
@@ -586,10 +549,7 @@ def train_one_shot(
 
     for epoch in range(1, cfg.epochs + 1):
         try:
-            if pairs is not None:
-                data, grads = _pairwise_gradient(net, W, *pairs)
-            else:
-                data, grads = _data_gradient(net, W, bound, obs.rows, n_obs)
+            data, grads = gradient()
         except FlowDivergenceError as exc:
             raise diverged(TrainingDivergedError(
                 epoch, f"training diverged at epoch {epoch}: {exc}")) from exc
@@ -609,12 +569,16 @@ def train_one_shot(
         if not math.isfinite(_clip_global(grads, cfg.clip_norm)):
             raise diverged(TrainingDivergedError(
                 epoch, f"gradient norm became non-finite at epoch {epoch}"))
-        step = cfg.step_at(epoch)
-        m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * grads
-        v = cfg.beta2 * v + (1 - cfg.beta2) * grads * grads
-        W -= step * (m / (1.0 - ADAM_BETA1**epoch)) / (
-            np.sqrt(v / (1.0 - cfg.beta2**epoch)) + ADAM_EPSILON
-        )
+        # in place, the IEEE operations of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g
+        # and W -= step (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps) in their order
+        m *= ADAM_BETA1
+        m += np.multiply(grads, 1 - ADAM_BETA1, out=t)
+        v *= cfg.beta2
+        v += np.multiply(np.multiply(grads, 1 - cfg.beta2, out=t), grads, out=t)
+        np.multiply(np.divide(m, 1.0 - ADAM_BETA1**epoch, out=t), cfg.step_at(epoch), out=t)
+        np.sqrt(np.divide(v, 1.0 - cfg.beta2**epoch, out=u), out=u)
+        u += ADAM_EPSILON
+        W -= np.divide(t, u, out=t)
         if epoch in wanted:
             checkpoints[epoch] = _group_maps(net, W)
     flush()

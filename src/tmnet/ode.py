@@ -374,8 +374,8 @@ def _rk4_source(structure, n: int, moving) -> str:
     per kernel; the runner (_run) drives both.  These
     are the operations of the numpy loop (_loop_advance) on the same terms,
     which give the bytes of the full flow _weight_flow(ode, k), and the
-    stages combine as there; PolynomialODE.rhs, a BLAS product, may group or
-    fuse the sums differently, by an ulp or so.
+    stages combine as there.  PolynomialODE.rhs adds the same products in
+    column order, zeros too: on finite states the oracle's values.
     """
     def stage(out, state):
         # dX/dt at the variables named in state, into out<i> for i in moving

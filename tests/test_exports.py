@@ -33,7 +33,9 @@ MODULES = ("basis", "maps", "ode", "network", "systems", "lattice", "io", "cli")
 # kernel's compile against its runs, which the kernels cached per term
 # structure and one size cap (ode._KERNEL_STATEMENTS) replace; and the
 # derivation driver, its batches and its own doubling loop, which one ODE
-# at a time through the oracle's runner (ode._derivation, ode._run) replaces
+# at a time through the oracle's runner (ode._derivation, ode._run) replaces;
+# and the numpy state buffers of the forward pass, which the one generated
+# evaluator on floats (maps._chain_function) replaces
 DELETED = (
     ("basis", "kron_power_jacobian"),
     ("basis", "lift_linear"),
@@ -70,6 +72,7 @@ DELETED = (
     ("ode", "_doubled_weights"),
     ("ode", "_divergence"),
     ("ode", "_CHECKED"),
+    ("network", "_bind_slots"),
 )
 
 

@@ -1,6 +1,7 @@
 """Tests for the layered network: forward unrolling, masked loss, analytic
 backpropagation (finite-difference oracle), and one-shot Adam training."""
 
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -42,8 +43,10 @@ def _full_obs(values):
 
 
 def _states(net, W, X0):
-    # (states, powers) of one forward pass on freshly bound buffers
-    return network._forward_states(net, network._bind_slots(net, W, X0))
+    # (states, powers) of one training forward pass, as arrays
+    states, rows = network._forward_states(net, network._weight_rows(W),
+                                           np.asarray(X0, dtype=float).tolist(), rows=True)
+    return np.array(states), np.array(rows)
 
 
 def _loss(net, X0, obs, penalty_rate):
@@ -97,42 +100,33 @@ def test_two_shared_layers_compose_the_map():
 
 
 def test_forward_states_equal_repeated_apply():
-    # the stacked forward pass is the map applied slot after slot, bit for bit
+    # the generated forward pass is the map applied slot after slot, bit
+    # for bit, and each slot's monomials are those of its input state
     tm = _random_map(np.random.default_rng(56), 3, 3, scale=0.2)
     net = network.build_shared_chain(tm, 12)
     X = np.array([0.3, -0.1, 0.2])
-    W = network._stack(net)
-    bound = network._bind_slots(net, W, X)
-    states, powers = network._forward_states(net, bound)
+    states, powers = _states(net, network._stack(net), X)
     assert states.shape == (13, 3) and powers.shape == (12, 20)
     assert states[0].tobytes() == X.tobytes()
     for j in range(12):
+        assert powers[j].tobytes() == basis.monomials(X, 3).tobytes(), j
         X = tm.apply(X)
         assert states[j + 1].tobytes() == X.tobytes(), j
     assert network.forward(net, states[0]).tobytes() == states[1:].tobytes()
-    # the bound slots read W through views: a pass after W changes in place
-    # gives a fresh binding's states and monomials
-    before = states.copy()
-    W *= 0.9
-    again = network._forward_states(net, bound)
-    fresh = _states(net, W, before[0])
-    assert not np.array_equal(fresh[0], before)
-    for a, b in zip(again, fresh):
-        assert a.tobytes() == b.tobytes()
 
 
 def test_forward_rows_as_lists_are_the_buffers_floats():
-    # the training path's lists of the rows a pass formed are the floats
-    # the buffers hold; the buffers themselves are those of a plain pass
+    # the training pass's float rows are those of a plain pass: the states
+    # of the states-only pass that forward and tracking run, and each
+    # slot's monomials as basis.monomials forms them
     tm = _random_map(np.random.default_rng(57), 2, 3, scale=0.2)
     net = network.build_shared_chain(tm, 7)
-    X = np.array([0.3, -0.1])
-    W = network._stack(net)
-    states, powers, state_rows, power_rows = network._forward_states(
-        net, network._bind_slots(net, W, X), lists=True)
-    assert state_rows == states.tolist() and power_rows == powers.tolist()
-    for a, b in zip((states, powers), _states(net, W, X), strict=True):
-        assert a.tobytes() == b.tobytes()
+    X = [0.3, -0.1]
+    weights = network._weight_rows(network._stack(net))
+    state_rows, power_rows = network._forward_states(net, weights, X, rows=True)
+    assert state_rows == network._forward_states(net, weights, X)
+    assert power_rows == [basis.monomials(np.array(x), 3).tolist() for x in state_rows[:-1]]
+    assert np.array(state_rows[1:]).tobytes() == network.forward(net, np.array(X)).tobytes()
 
 
 def test_data_term_equals_per_tap_loop():
@@ -225,6 +219,57 @@ def test_divergence_found_after_the_chain_names_the_first_overflowing_layer():
     ) as err:
         lattice.multi_turn(ring, X0, 10)
     assert err.value.layer == 2
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.data(), st.integers(1, 6), st.integers(1, 3), st.integers(0, 300))
+def test_divergence_names_the_first_layer_where_repeated_apply_overflows(data, n, k, e):
+    # maps scaled by 10^e overflow within a few slots: a chain and a ring
+    # name the first slot where applying the map slot after slot gives a
+    # non-finite state, and a chain reports the norm of the state before it
+    coeff = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
+    scale = 10.0**e
+
+    def scaled(dim):
+        return maps.TaylorMap(dim=dim, order=k, weights=tuple(
+            scale * b for b in _draw_blocks(data, dim, k, coeff)))
+
+    def first_non_finite(tms, x, slots):
+        # (slot, state before it), or None, applying tms in turn
+        for j in range(1, slots + 1):
+            y = tms[(j - 1) % len(tms)].apply(x)
+            if not np.isfinite(y).all():
+                return j, x
+            x = y
+        return None
+
+    tm = scaled(n)
+    X0 = data.draw(hnp.arrays(np.float64, (n,), elements=st.floats(-1, 1)))
+    net = network.build_shared_chain(tm, 8)
+    want = first_non_finite([tm], X0, 8)
+    if want is None:
+        assert np.isfinite(network.forward(net, X0)).all()
+    else:
+        with pytest.raises(ode.FlowDivergenceError) as err:
+            network.forward(net, X0)
+        layer, last = want
+        assert err.value.layer == layer
+        assert str(err.value) == (f"network state diverged at layer {layer} "
+                                  f"(last finite state norm {math.hypot(*last):.6g})")
+
+    elements = [maps.identity_map(4, k), scaled(4)]
+    ring = lattice.Lattice(elements=[lattice.LatticeElement(label=f"e{j}", tm=e)
+                                     for j, e in enumerate(elements)], monitors=(1,))
+    X4 = data.draw(hnp.arrays(np.float64, (4,), elements=st.floats(-1, 1)))
+    want = first_non_finite(elements, X4, 8)
+    if want is None:
+        assert np.isfinite(lattice.multi_turn(ring, X4, 4).states).all()
+    else:
+        turn, j = divmod(want[0] - 1, 2)
+        message = rf"^turn {turn + 1}: tracking diverged in element {j} \('e{j}'\)$"
+        with pytest.raises(ode.FlowDivergenceError, match=message) as err:
+            lattice.multi_turn(ring, X4, 4)
+        assert err.value.layer == j + 1
 
 
 def test_pendulum_chain_oscillates_without_amplitude_drift():
@@ -812,6 +857,29 @@ def _per_block_adam(net, X0, obs, cfg, checkpoint_epochs):
     return group_maps, np.array(history), checkpoints, clipped
 
 
+def test_adam_in_place_keeps_the_bytes_of_the_textbook_expression():
+    # 50 epochs whose Adam step updates W, its moments and two scratch
+    # buffers in place end on the weights of backward and the textbook
+    # expressions on fresh arrays, with clipping that fires and a penalty
+    net, X0, obs = _untied_case()
+    cfg = network.TrainConfig(step_size=1e-2, clip_norm=0.065, epochs=50, penalty_rate=1e-2,
+                              schedule="cosine")
+    trained, _ = network.train_one_shot(net, X0, obs, cfg)
+    beta1, epsilon = network.ADAM_BETA1, network.ADAM_EPSILON
+    W = network._stack(net)
+    m, v, clipped = np.zeros_like(W), np.zeros_like(W), 0
+    for epoch in range(1, cfg.epochs + 1):
+        grads, _ = network.backward(net, W, X0, obs, cfg.penalty_rate)
+        clipped += network._clip_global(grads, cfg.clip_norm) > cfg.clip_norm
+        step = cfg.step_at(epoch)
+        m = beta1 * m + (1 - beta1) * grads
+        v = cfg.beta2 * v + (1 - cfg.beta2) * grads * grads
+        W = W - step * (m / (1.0 - beta1**epoch)) / (np.sqrt(v / (1.0 - cfg.beta2**epoch))
+                                                    + epsilon)
+    assert 0 < clipped < cfg.epochs
+    assert network._stack(trained).tobytes() == W.tobytes()
+
+
 def _untied_case():
     # three untied groups over five slots, partial taps and mask
     rng = np.random.default_rng(61)
@@ -1044,6 +1112,11 @@ def test_teacher_forcing_validation():
     untied = network.Network(group_maps=[tm, maps.identity_map(2, 1)], layer_groups=(0, 1))
     with pytest.raises(ValueError, match="single shared weight group"):
         network.train_one_shot(untied, np.zeros(2), _full_obs(values), cfg)
+    # a bad start is bad input, as in the rolled-out mode, not a divergence
+    for bad in ([0.1, 0.2, 0.3], [np.nan, 0.0]):
+        with pytest.raises(ValueError, match=r"^X0 must be finite with shape \(2,\)"):
+            network.train_one_shot(network.build_shared_chain(tm, 2), np.array(bad),
+                                   _full_obs(values), cfg)
 
 
 # --- the one evaluator ------------------------------------------------------------
@@ -1056,14 +1129,40 @@ def _per_degree_value(blocks, x):
     return out
 
 
+def _left_to_right(C, k, x):
+    """The polynomial whose stacked matrix is C at the state x (a list), in
+    pure Python: each monomial of basis order (combinations with
+    replacement) the product of its variables left to right, and each row
+    w[r, 0] + w[r, 1] m_1 + ... added left to right."""
+    monomials = [1.0]
+    for d in range(1, k + 1):
+        for mono in itertools.combinations_with_replacement(range(len(x)), d):
+            m = x[mono[0]]
+            for i in mono[1:]:
+                m = m * x[i]
+            monomials.append(m)
+    out = []
+    for row in C.tolist():
+        total = row[0]
+        for w, m in zip(row[1:], monomials[1:]):
+            total = total + w * m
+        out.append(total)
+    return out
+
+
+def _draw_blocks(data, n, k, elements):
+    return tuple(data.draw(hnp.arrays(np.float64, (n, basis.basis_size(n, d)), elements=elements))
+                 for d in range(k + 1))
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(st.data(), st.integers(1, 6), st.integers(1, 4))
-def test_every_point_evaluation_is_one_stacked_product(data, n, k):
+def test_every_point_evaluation_adds_left_to_right(data, n, k):
+    # forward, the training pass's rows, apply, rhs, tracking and the
+    # teacher-forced residual all give the bytes of one pure-Python sum
+    # added left to right; the weight gradient of the residual is one product
     coeff = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
-    blocks = tuple(
-        data.draw(hnp.arrays(np.float64, (n, basis.basis_size(n, d)), elements=coeff))
-        for d in range(k + 1)
-    )
+    blocks = _draw_blocks(data, n, k, coeff)
     X0 = data.draw(hnp.arrays(np.float64, (n,), elements=st.floats(-1, 1)))
     tm = maps.TaylorMap(dim=n, order=k, weights=blocks)
     system = ode.PolynomialODE(n, k, blocks)
@@ -1072,31 +1171,57 @@ def test_every_point_evaluation_is_one_stacked_product(data, n, k):
     assert system.stacked.tobytes() == C.tobytes()
 
     def near_per_degree(got, x):
-        # the stacked product only regroups the per-degree sum: both lie
+        # the left-to-right sum only regroups the per-degree sum: both lie
         # within a few ulps of the sum of absolute terms
         scale = np.abs(C) @ np.abs(basis.monomials(x, k))
         err = np.abs(got - _per_degree_value(blocks, x))
         assert np.all(err <= 4 * np.finfo(float).eps * scale)
 
+    # coefficients of at most 1.5 keep three slots from |x| <= 1 finite
+    want = [X0.tolist()]
+    for _ in range(3):
+        want.append(_left_to_right(C, k, want[-1]))
+    want = np.array(want)
     net = network.build_shared_chain(tm, 3)
-    states, _ = _states(net, network._stack(net), X0)
-    for x, nxt in zip(states[:-1], states[1:]):
-        want = C @ basis.monomials(x, k)
-        assert nxt.tobytes() == want.tobytes()
-        assert tm.apply(x).tobytes() == want.tobytes()
-        assert system.rhs(x).tobytes() == want.tobytes()
-        near_per_degree(want, x)
+    states, powers = _states(net, network._stack(net), X0)
+    assert states.tobytes() == want.tobytes()
+    assert powers.tobytes() == basis.monomials(want[:-1], k).tobytes()
+    assert network.forward(net, X0).tobytes() == want[1:].tobytes()
+    for x, nxt in zip(want[:-1], want[1:]):
+        assert tm.apply(x).tobytes() == nxt.tobytes()
+        assert system.rhs(x).tobytes() == nxt.tobytes()
+        near_per_degree(nxt, x)
 
-    # teacher forcing on the same chain: one product over all pairs
-    feats, targets = network._pairwise_data(net, X0, _full_obs(states[1:]))
-    assert feats.tobytes() == basis.monomials(states[:-1], k).tobytes()
-    predicted = feats @ C.T
-    for row, x in zip(predicted, states[:-1]):
-        near_per_degree(row, x)
-    residual = predicted - targets
-    data_term, grads = network._pairwise_gradient(net, network._stack(net), feats, targets)
+    # tracking: two 4-D elements in two groups, two turns of four slots
+    blocks4 = blocks if n == 4 else _draw_blocks(data, 4, k, coeff)
+    pair = [maps.TaylorMap(dim=4, order=k, weights=b)
+            for b in (blocks4, tuple(-b for b in blocks4))]
+    ring = lattice.Lattice(elements=[lattice.LatticeElement(label=f"e{j}", tm=e)
+                                     for j, e in enumerate(pair)], monitors=(1,))
+    X4 = data.draw(hnp.arrays(np.float64, (4,), elements=st.floats(-1, 1)))
+    ends, x = [], X4.tolist()
+    for _ in range(2):
+        for e in pair:
+            x = _left_to_right(e.stacked, k, x)
+        ends.append(x)
+    assert lattice.multi_turn(ring, X4, 2).states.tobytes() == np.array(ends).tobytes()
+
+    # teacher forcing on the chain: the same sums over all pairs, and the
+    # data term and weight gradient from the residual laid out (dim, pairs)
+    feats, lanes, targets = network._pairwise_data(net, X0, _full_obs(want[1:]))
+    assert feats.tobytes() == basis.monomials(want[:-1], k).tobytes()
+    assert targets.tobytes() == want[1:].T.tobytes()
+    residual = want[1:].T - targets
+    assert not residual.any()
+    data_term, grads = network._pairwise_gradient(network._stack(net), feats, lanes, targets)
+    assert data_term == float(np.mean(residual**2)) == 0.0
+    # observations off the chain: each pair predicts from its observed
+    # previous state
+    observed = 0.5 * want[1:] + 0.25
+    feats, lanes, targets = network._pairwise_data(net, X0, _full_obs(observed))
+    previous = [X0.tolist(), *observed[:-1].tolist()]
+    residual = np.array([_left_to_right(C, k, x) for x in previous]).T - targets
+    assert residual.flags.c_contiguous  # np.mean adds in memory order
+    data_term, grads = network._pairwise_gradient(network._stack(net), feats, lanes, targets)
     assert data_term == float(np.mean(residual**2))
-    _, sl = basis._stacked_exponents(n, k)
-    for s in sl:
-        want = (2.0 / residual.size) * (residual.T @ feats[:, s])
-        assert grads[0][:, s].tobytes() == want.tobytes()
+    assert grads[0].tobytes() == ((2.0 / residual.size) * (residual @ feats)).tobytes()

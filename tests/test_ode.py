@@ -66,6 +66,16 @@ def test_point_evaluation_rejects_batches():
                 evaluate(np.zeros((rows, 2)))
 
 
+def test_point_evaluation_names_both_lengths_of_a_wrong_state():
+    system = _pendulum()
+    tm = maps.identity_map(2, 3)
+    for evaluate in (system.rhs, tm.apply):
+        for bad in ([0.1], [0.1, 0.2, 0.3]):
+            with pytest.raises(ValueError, match=rf"^state must be a 1-d vector of 2 "
+                                                 rf"entries, got shape \({len(bad)},\)$"):
+                evaluate(np.array(bad))
+
+
 def test_ode_serialization_roundtrip():
     sys = _pendulum()
     back = ode.PolynomialODE.from_dict(sys.to_dict())
@@ -1044,6 +1054,9 @@ def test_generated_oracle_compiles_rows_of_more_than_5000_terms():
     got = ode.reference_trajectory(system, np.array(X0), 0.01, 2, 3)
     assert got.tobytes() == _textbook_on_terms(system, X0, 0.01, 2, 3).tobytes()
     assert np.all(np.isfinite(got))
+    # the point evaluator adds such a row in statements of 64 terms, to the
+    # oracle's values
+    assert system.rhs(np.array(X0)).tolist() == _term_rhs(system)(X0)
 
 
 def test_overflowing_power_is_divergence_at_its_step():
