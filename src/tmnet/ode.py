@@ -33,12 +33,13 @@ step; unless given a count, it chooses the substeps by step doubling: runs
 of N and 2N substeps per step from N = 1 until max |X_2N - X_N| / 15 /
 max(1, |X_2N|) is within the caller's tolerance, the states being those
 of 2N substeps.  reference_trajectory runs the kernel at k = 0 on the
-state, to ORACLE_TOL = 1e-9.  ode_to_map runs one step of dt on the
-compact state of the pruned flow, the weights that move and the ones their
-terms read, to MAP_TOL = 1e-11 (_derivation): on the kernel if it has at
-most _KERNEL_STATEMENTS statements, else on a numpy loop (_loop_advance).
-Both run the same IEEE operations in the same order, so every map, and
-every divergence error, has the same bytes either way.  Free fall at dt
+state (a Lifted system's, on the lifted state), to ORACLE_TOL = 1e-9.
+ode_to_map runs one step of dt on the compact state of the pruned flow,
+the weights that move and the ones their terms read, to MAP_TOL = 1e-11
+(_derivation): on the kernel if it has at most _KERNEL_STATEMENTS
+statements, else on a numpy loop (_loop_advance).  Both run the same IEEE
+operations in the same order, so every map, and every divergence error,
+has the same bytes either way.  Free fall at dt
 0.1 resolves to 4 substeps, the augmented free fall to 64, Lotka-Volterra
 and Rayleigh-Plesset at dt 0.01 to 2 and the pendulum at dt 0.1 to 128.
 """
@@ -48,6 +49,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +60,7 @@ from .maps import (TaylorMap, _count, _evaluate, _freeze_blocks, _from_dict, _re
 
 __all__ = [
     "PolynomialODE",
+    "Lifted",
     "FlowConfig",
     "FlowDivergenceError",
     "ode_to_map",
@@ -100,6 +103,30 @@ class PolynomialODE:
     @classmethod
     def from_dict(cls, data: dict) -> "PolynomialODE":
         return _from_dict(cls, data, "coeffs")
+
+
+@dataclass(frozen=True)
+class Lifted:
+    """A non-polynomial system as a polynomial ODE on a lifted state: lift
+    maps a physical state X to a state of ode.dim entries that starts with
+    X and appends functions of it whose derivatives close the system (sin
+    and cos of an angle, 1/x), the polynomialization of Kerner (J. Math.
+    Phys. 22 (1981) 1366).  The oracle (reference_trajectory) runs ode from
+    lift(X0) and returns the physical columns; called at X, it gives the
+    physical dX/dt, the leading entries of ode's right-hand side at lift(X).
+    """
+
+    ode: PolynomialODE
+    lift: Callable
+
+    def __post_init__(self):
+        if not isinstance(self.ode, PolynomialODE) or not callable(self.lift):
+            raise ValueError("Lifted needs a PolynomialODE and a callable lift, "
+                             f"got {type(self.ode).__name__} and {type(self.lift).__name__}")
+
+    def __call__(self, X) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        return _evaluate(self.ode.stacked, self.ode.order, self.lift(X))[:X.size]
 
 
 @dataclass(frozen=True)
@@ -506,11 +533,30 @@ def _run(advance, X: list, dt: float, steps: int, substeps: int | None, tol: flo
         fine, known = 2 * fine, out
 
 
+def _lifted_start(system: Lifted, X: np.ndarray) -> np.ndarray:
+    """system.lift(X), checked: a finite vector of system.ode.dim floats
+    that starts with X byte for byte; else a ValueError naming the lift."""
+    name = getattr(system.lift, "__qualname__", repr(system.lift))
+    Z = np.asarray(system.lift(X.copy()), dtype=float)
+    if Z.shape != (system.ode.dim,):
+        problem = f"has shape {Z.shape}, not ({system.ode.dim},) of the lifted ODE"
+    elif not np.isfinite(Z).all():
+        problem = "is not finite"
+    elif Z[:X.size].tobytes() != X.tobytes():
+        problem = "does not start with X0"
+    else:
+        return Z
+    raise ValueError(f"lift {name} maps X0 {X.tolist()} to {Z.tolist()}, which {problem}")
+
+
 def _reference(ode, X0, dt: float, steps: int, substeps: int | None = None):
     """(states, substeps, estimate): reference_trajectory's states, the
     substeps per step that made them and their step-doubling error estimate
     (None for an explicit count), run to ORACLE_TOL by the one runner
-    (_run)."""
+    (_run).  A PolynomialODE runs on its terms' cached kernel, a Lifted
+    system on its ODE's from the checked lift of X0 (_lifted_start), its
+    estimate taken over the lifted state; a callable runs one call per
+    stage."""
     X = np.asarray(X0, dtype=float)
     if X.ndim != 1:
         raise ValueError(f"X0 must be a vector, got shape {X.shape}")
@@ -520,22 +566,25 @@ def _reference(ode, X0, dt: float, steps: int, substeps: int | None = None):
     steps = _count("steps", steps, 0)
     if substeps is not None:
         substeps = _count("substeps", substeps, 1)
-    if isinstance(ode, PolynomialODE) and X.shape != (ode.dim,):
+    Z = X
+    if isinstance(ode, Lifted):
+        Z, ode = _lifted_start(ode, X), ode.ode
+    if isinstance(ode, PolynomialODE) and Z.shape != (ode.dim,):
         raise ValueError(f"X0 has shape {X.shape}, ODE has dim {ode.dim}")
     advance = _term_advance(_flow_terms(ode, 0) if isinstance(ode, PolynomialODE) else ode,
-                            X.size, range(X.size))
+                            Z.size, range(Z.size))
 
-    def diverged(X, s, _):
+    def diverged(Y, s, _):
         return FlowDivergenceError(
             f"trajectory diverged at t={(s + 1) * dt:.6g} (step {s + 1}/{steps}; "
-            f"last finite state norm {math.hypot(*X):.6g})", s + 1)
+            f"last finite state norm {math.hypot(*Y[:X.size]):.6g})", s + 1)
 
     states, substeps, estimate = _run(
-        advance, X.tolist(), dt, steps, substeps, ORACLE_TOL, diverged,
+        advance, Z.tolist(), dt, steps, substeps, ORACLE_TOL, diverged,
         lambda e, n: f"the reference trajectory's error estimate is {e:.3g} at {n} RK4 "
                      f"substeps per step, above ORACLE_TOL {ORACLE_TOL:g}; "
                      "pass substeps explicitly")
-    return np.array(states), substeps, estimate
+    return np.array([Y[:X.size] for Y in states]), substeps, estimate
 
 
 def reference_trajectory(ode, X0, dt: float, steps: int, substeps: int | None = None
@@ -549,8 +598,13 @@ def reference_trajectory(ode, X0, dt: float, steps: int, substeps: int | None = 
     smallest 2N, N a power of two, whose run differs from the run of N
     substeps by at most 15 * ORACLE_TOL * max(1, |state|) in every entry
     (Hairer, Norsett & Wanner, Solving ODEs I, II.4); the result is that of
-    substeps=2N, byte for byte.  `ode` is a PolynomialODE or any callable X
-    -> dX/dt on arrays that returns one float per state entry.  The state is
+    substeps=2N, byte for byte.  `ode` is a PolynomialODE, run on its
+    terms' generated kernel; a Lifted, whose ODE runs on its kernel from
+    lift(X0), which must be finite, of the ODE's dim and start with X0 byte
+    for byte (else a ValueError naming the lift), the states being the
+    leading len(X0) columns and the estimate covering the lifted entries;
+    or any callable X -> dX/dt on arrays that returns one float per state
+    entry, called once per RK4 stage.  The state is
     a list of Python floats between steps: per element these are the same
     IEEE operations numpy would run, without its per-call cost on a handful
     of entries; like numpy's, they overflow to inf and never raise.  The

@@ -1,8 +1,10 @@
 """Tests for the layered network: forward unrolling, masked loss, analytic
 backpropagation (finite-difference oracle), and one-shot Adam training."""
 
+import functools
 import itertools
 import math
+import operator
 import warnings
 from fractions import Fraction
 
@@ -535,11 +537,37 @@ def test_shared_gradient_equals_sum_of_untied_slots():
         assert np.allclose(g_shared[0][:, sl[d]], summed, rtol=1e-10, atol=1e-12)
 
 
-def _numpy_backward(net, W, X0, obs, penalty_rate):
+def _input_adjoint(w, m, a, n, k):
+    """The adjoint at a slot's input from the adjoint a at its output, on
+    Python floats, in the order network._reverse_function documents: c_s =
+    a_0 w[0, s] + a_1 w[1, s] + ... for each column s of degree >= 1, then
+    b_i adds, over those columns in order whose monomial holds x_i, c_s
+    times dm_s/dx_i: c_s alone for x_i itself, else the count of x_i times
+    c_s, times the monomial m with one x_i fewer, left to right."""
+    table = basis._columns(n, k)
+    monos = list(table)
+    c = [None] + [functools.reduce(operator.add, (a[r] * w[r][s] for r in range(n)))
+                  for s in range(1, len(monos))]
+
+    def term(s, i):
+        e = monos[s]
+        j, count = e.index(i), e.count(i)
+        p = table[e[:j] + e[j + 1:]]
+        t = c[s] if count == 1 else count * c[s]
+        return t if p == 0 else t * m[p]
+
+    return [functools.reduce(operator.add, (term(s, i) for s in range(1, len(monos))
+                                            if i in monos[s])) for i in range(n)]
+
+
+def _numpy_backward(net, W, X0, obs, penalty_rate, in_order=False):
     """backward as the numpy loop it replaced: the masked residual at the
     taps, each slot's Jacobian from the Jacobian series at its input
     monomials, the adjoint recursion as jac.T @ adj from the last slot to
-    the first, and one weight-gradient product per degree."""
+    the first, and one weight-gradient product per degree.  in_order takes
+    each slot's input adjoint on floats in the generated pass's order
+    (_input_adjoint) instead, and the weight gradient as one product over
+    all columns, as backward does."""
     states, powers = _states(net, W, X0)
     n, k = net.dim, net.order
     taps = list(obs.taps)
@@ -557,10 +585,19 @@ def _numpy_backward(net, W, X0, obs, penalty_rate):
     for j in range(net.n_layers, 0, -1):
         adj = adj + seeds[j]
         adjoints[j - 1] = adj
-        jac = series[net.layer_groups[j - 1]] @ powers[j - 1, :series.shape[-1]]
-        adj = jac.T @ adj
+        if in_order:
+            g = net.layer_groups[j - 1]
+            adj = np.array(_input_adjoint(W[g].tolist(), powers[j - 1].tolist(),
+                                          adj.tolist(), n, k))
+        else:
+            jac = series[net.layer_groups[j - 1]] @ powers[j - 1, :series.shape[-1]]
+            adj = jac.T @ adj
     onehot = np.array(net.layer_groups) == np.arange(len(W))[:, None]
-    grads = np.concatenate([(onehot[:, None, :] * adjoints.T) @ powers[:, s] for s in sl], -1)
+    if in_order:
+        grads = (onehot[:, None, :] * adjoints.T) @ powers
+    else:
+        grads = np.concatenate([(onehot[:, None, :] * adjoints.T) @ powers[:, s] for s in sl],
+                               -1)
     return network._with_penalty(data, grads, W, n, k, penalty_rate)
 
 
@@ -606,41 +643,33 @@ def _exact_gradient(net, W, X0, obs):
     return np.array([[[float(v) for v in row] for row in g] for g in grads])
 
 
-# The generated pass and the numpy loop add the adjoint's terms in different
-# orders, so their adjoints differ in the last bits.  In these two cases a
-# gradient entry that cancels to a small share of its terms keeps that
-# rounding and misses rtol 1e-13 at atol 0 (by up to 4.2e-10 relative);
-# test_float_adjoints_round_like_exact_arithmetic holds both paths within
-# rounding of the exact gradient there.
-_ORDER_MISMATCH = pytest.mark.xfail(
-    raises=AssertionError, strict=True,
-    reason="summation order: a cancelled entry differs in its last bits")
 _ADJOINT_CASES = [
-    pytest.param(groups, n, k, id=f"{name}-{n}" if k == 2 else f"{name}-{n}-k{k}",
-                 marks=_ORDER_MISMATCH if (name, n, k) in [("shared", 5, 3), ("untied", 6, 3)]
-                 else ())
+    pytest.param(groups, n, k, id=f"{name}-{n}" if k == 2 else f"{name}-{n}-k{k}")
     for name, groups in [("shared", (0,) * 7), ("untied", (0, 1, 0, 2, 1, 2, 0))]
     for k in (2, 1, 3) for n in (1, 3, 4, 5, 6)]
 
 
 @pytest.mark.parametrize("layer_groups, n, k", _ADJOINT_CASES)
 def test_float_adjoints_match_the_numpy_loop(n, k, layer_groups):
-    # every dimension up to 6 at orders 1-3, (6, 3) the largest generated pass
+    # every dimension up to 6 at orders 1-3, (6, 3) the largest generated
+    # pass, byte for byte against the loop that adds the adjoint's terms in
+    # the generated pass's order; with the Jacobian products (jac.T @ adj)
+    # and per-degree gradient products instead, a gradient entry that
+    # cancels keeps a different last bit (up to 4.2e-10 relative in the
+    # shared-5-k3 and untied-6-k3 cases on one BLAS)
     net, W, X0, obs = _adjoint_case(n, k, layer_groups)
     got, losses = network.backward(net, W, X0, obs, 1e-3)
-    want, want_losses = _numpy_backward(net, W, X0, obs, 1e-3)
+    want, want_losses = _numpy_backward(net, W, X0, obs, 1e-3, in_order=True)
     assert losses == want_losses
     assert np.abs(want).max() > 0
-    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+    assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("layer_groups, n, k",
-                         [pytest.param(*case.values, id=case.id) for case in _ADJOINT_CASES])
+@pytest.mark.parametrize("layer_groups, n, k", _ADJOINT_CASES)
 def test_float_adjoints_round_like_exact_arithmetic(n, k, layer_groups):
-    # both passes lie within a few roundings of the largest entry of the
-    # exact gradient in every case, so the mismatches above are ones of
-    # order, not of error; unlike the comparison above, this check does not
-    # depend on how the BLAS sums
+    # both the generated pass and the Jacobian loop lie within a few
+    # roundings of the largest entry of the exact gradient in every case, so
+    # their last-bit differences are ones of order, not of error
     net, W, X0, obs = _adjoint_case(n, k, layer_groups)
     exact = _exact_gradient(net, W, X0, obs)
     bound = 4 * np.finfo(float).eps * np.abs(exact).max()

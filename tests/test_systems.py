@@ -169,18 +169,22 @@ def test_pendulum_truncation_within_taylor_remainder():
 
 
 def test_damped_pendulum_rhs_closed_form_and_decay():
+    # called, the lifted system adds the same two products as the closed form
     rhs = systems.damped_pendulum_rhs(9.8, 0.28, 0.1)
     rng = np.random.default_rng(43)
     for _ in range(100):
         p, q = rng.normal(size=2)
-        assert np.allclose(
-            rhs(np.array([p, q])),
-            [q, -(9.8 / 0.28) * np.sin(p) - 0.1 * q],
-            atol=1e-12,
-        )
+        assert np.array_equal(rhs(np.array([p, q])), [q, -(9.8 / 0.28) * np.sin(p) - 0.1 * q])
     traj = ode.reference_trajectory(rhs, np.array([0.09, 0.0]), 0.1, 49)
     energy = traj[:, 1] ** 2 / 2 + (9.8 / 0.28) * (1 - np.cos(traj[:, 0]))
     assert energy[-1] < 0.7 * energy[0]
+    # the lifted ODE on (phi, omega, sin phi, cos phi), term by term
+    lifted = rhs.ode
+    assert (lifted.dim, lifted.order) == (4, 2)
+    for phi, om, s, c in rng.normal(size=(20, 4)):
+        assert np.allclose(lifted.rhs([phi, om, s, c]),
+                           [om, -(9.8 / 0.28) * s - 0.1 * om, c * om, -s * om], atol=1e-12)
+    assert rhs.lift(np.array([0.3, -0.2])).tolist() == [0.3, -0.2, np.sin(0.3), np.cos(0.3)]
 
 
 # --- Rayleigh-Plesset --------------------------------------------------------------
@@ -265,6 +269,56 @@ def test_noise_spec_validation():
     for sigma in (np.nan, np.inf, [0.1, np.nan]):
         with pytest.raises(ValueError, match="sigma must be finite"):
             systems.NoiseSpec(kind="gaussian", sigma=sigma)
+    with pytest.raises(ValueError, match=r"^sigma must be a scalar or 1-D, got shape \(1, 2\)$"):
+        systems.NoiseSpec(kind="gaussian", sigma=[[0.1, 0.2]])
+    for seed in (-1, 1.5, "3", True, None):
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got "):
+            systems.NoiseSpec(kind="gaussian", sigma=0.1, seed=seed)
+    assert systems.NoiseSpec(kind="gaussian", sigma=0.1, seed=np.int64(4)).seed == 4
+
+
+def test_synthesize_names_a_sigma_of_the_wrong_length():
+    X0 = np.array([0.09, 0.0])
+    spec = systems.NoiseSpec(kind="gaussian", sigma=[0.1, 0.2, 0.3])
+    with pytest.raises(ValueError, match=r"^sigma has 3 entries for a state of 2$"):
+        systems.synthesize(systems.pendulum(), X0, 0.1, 5, noise=spec)
+    per_entry = systems.NoiseSpec(kind="gaussian", sigma=[0.1, 0.0], seed=2)
+    obs = systems.synthesize(systems.pendulum(), X0, 0.1, 5, noise=per_entry)
+    clean = systems.synthesize(systems.pendulum(), X0, 0.1, 5)
+    assert np.array_equal(obs.values[:, 1], clean.values[:, 1])
+    assert not np.array_equal(obs.values[:, 0], clean.values[:, 0])
+
+
+# (constructor, parameter, the name its error gives): every physical
+# parameter is a finite real number, and a length, mass or density positive
+_PARAMETERS = [
+    (systems.free_fall, "m", "mass m"), (systems.free_fall, "g", "g"),
+    (systems.free_fall, "k", "k"), (systems.free_fall_augmented, "g", "g"),
+    (systems.pendulum, "g", "g"), (systems.pendulum, "L", "length L"),
+    (systems.damped_pendulum_rhs, "g", "g"), (systems.damped_pendulum_rhs, "L", "length L"),
+    (systems.damped_pendulum_rhs, "damping", "damping"),
+    *((systems.rayleigh_plesset, name, "density rho" if name == "rho" else name)
+      for name in ("rho", "sigma", "mu", "omega", "pB", "p0", "pa")),
+]
+
+
+@pytest.mark.parametrize("make, parameter, name", _PARAMETERS,
+                         ids=[f"{m.__name__}-{p}" for m, p, _ in _PARAMETERS])
+def test_constructors_name_a_bad_physical_parameter(make, parameter, name):
+    for value in (np.nan, np.inf, -np.inf, "x", True, None):
+        with pytest.raises(ValueError, match=rf"^{name} must be a finite number|"
+                                             rf"^{name} must be finite"):
+            make(**{parameter: value})
+    if name.split()[0] in ("mass", "length", "density"):
+        for value in (0.0, -1.0):
+            with pytest.raises(ValueError, match=rf"^{name} must be positive, got "):
+                make(**{parameter: value})
+
+
+def test_free_fall_analytic_names_a_bad_parameter():
+    for parameter, name in (("m", "mass m"), ("g", "g"), ("k", "k")):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+            systems.free_fall_analytic(1.0, **{parameter: np.nan})
 
 
 def test_registry_builds_named_systems():
