@@ -204,7 +204,7 @@ def read_trajectory(path) -> np.ndarray:
 
 
 _TURN_COLUMNS = ("turn", "x", "xp", "y", "yp")
-_LOSS_COLUMNS = ("epoch", "total", "data", "penalty")
+_LOSS_COLUMNS = ("epoch", "total", "data", "penalty", "grad_norm", "step_size")
 
 
 def write_turn_series(series: lattice_mod.TurnSeries, path) -> None:
@@ -221,12 +221,15 @@ def read_turn_series(path) -> lattice_mod.TurnSeries:
 def write_loss_history(report: network.LossReport, path) -> None:
     _write_table(path, _LOSS_COLUMNS, (
         [str(i + 1)] + [_fmt(v) for v in parts]
-        for i, parts in enumerate(zip(report.total, report.data, report.penalty))
+        for i, parts in enumerate(zip(report.total, report.data, report.penalty,
+                                      report.grad_norm, report.step_size))
     ))
 
 
 def read_loss_history(path) -> dict:
-    rows = _read_table(path, _LOSS_COLUMNS, lambda row: [float(f) for f in row[1:4]])
+    """The loss triple of a loss CSV: the columns total, data and penalty
+    after epoch, whatever columns follow."""
+    rows = _read_table(path, _LOSS_COLUMNS[:4], lambda row: [float(f) for f in row[1:4]])
     arr = np.array(rows, dtype=float).reshape(-1, 3)
     return {"total": arr[:, 0], "data": arr[:, 1], "penalty": arr[:, 2]}
 

@@ -104,17 +104,13 @@ def _from_dict(cls, data: dict, name: str):
     return cls(dim=data["dim"], order=data["order"], **{name: blocks})
 
 
-@lru_cache(maxsize=None)
-def _chain_function(n: int, k: int, rows: bool):
-    """chain(weights, groups, x) -> states, or (states, rows) with rows set:
-    the one point evaluator, order-k slots over n variables run from the
-    state x as compiled straight-line Python on floats.  weights[g] is group
-    g's stacked (n, N) matrix, a flat row-major list, unpacked where the
-    slot's group changes.  A slot forms its monomials by basis._products and
-    output r as w[r, 0] + w[r, 1] * m1 + ..., added left to right (one
-    statement per 64 terms).  states lists x and every output, rows
-    each slot's monomials.  Every output has a degree-1 term in each
-    variable, so once a state is non-finite, every later one is."""
+def _slot_lines(n: int, k: int) -> tuple[list[str], list[str]]:
+    """(lines, m): the loop body of one order-k slot over n variables in
+    every generated chain.  Where the slot's group h is not the last one's,
+    g, it unpacks weights[h], a stacked (n, N) matrix as a flat row-major
+    list; it forms the monomials m (in column order) of the state x0, x1,
+    ... by basis._products and output r as y<r> = w[r, 0] + w[r, 1] * m1 +
+    ..., added left to right (one statement per 64 terms)."""
     x, columns = [f"x{i}" for i in range(n)], basis._columns(n, k)
     lines, names = basis._products(x, columns)
     m = [names[c] for c in columns]
@@ -125,19 +121,27 @@ def _chain_function(n: int, k: int, rows: bool):
         # recursion limit on some CPython versions
         lines += [f"y{r} = {'' if c == 0 else f'y{r} + '}{' + '.join(terms[c:c + 64])}"
                   for c in range(0, len(terms), 64)]
+    unpack = ["if h != g:", "    g = h", f"    {', '.join(itertools.chain(*w))}, = weights[g]"]
+    return [f"        {line}" for line in unpack + lines], m
+
+
+@lru_cache(maxsize=None)
+def _chain_function(n: int, k: int):
+    """chain(weights, groups, x) -> states: the one point evaluator, the
+    slots of _slot_lines run from the state x as compiled Python on floats;
+    states lists x and every output.  Every output has a degree-1 term in
+    each variable, so once a state is non-finite, every later one is.
+    network._training_function runs the same slots."""
+    x = [f"x{i}" for i in range(n)]
     source = "\n".join([
         "def chain(weights, groups, x):",
-        "    states, rows, g = [x], [], None",
+        "    states, g = [x], None",
         "    for h in groups:",
-        "        if h != g:",
-        "            g = h",
-        f"            {', '.join(itertools.chain(*w))}, = weights[g]",
         f"        {', '.join(x)}, = x",
-        *(f"        {line}" for line in lines),
-        *([f"        rows.append([{', '.join(m)}])"] if rows else []),
+        *_slot_lines(n, k)[0],
         f"        x = [{', '.join(f'y{r}' for r in range(n))}]",
         "        states.append(x)",
-        f"    return {'states, rows' if rows else 'states'}",
+        "    return states",
     ])
     return basis._compiled(source, f"<chain of order-{k} slots over {n} variables>", "chain")
 
@@ -148,7 +152,7 @@ def _evaluate(stacked: np.ndarray, k: int, X) -> np.ndarray:
     X, n = np.asarray(X, dtype=float), len(stacked)
     if X.shape != (n,):
         raise ValueError(f"state must be a 1-d vector of {n} entries, got shape {X.shape}")
-    chain = _chain_function(n, k, False)
+    chain = _chain_function(n, k)
     return np.array(chain([stacked.ravel().tolist()], (0,), X.tolist())[1])
 
 

@@ -15,19 +15,22 @@ first non-finite layer).  Under teacher forcing one numpy reduction adds the
 same terms in the same order for every pair.
 
 Gradients are exact: reverse accumulation (Griewank & Walther, Evaluating
-Derivatives, 2008), plus the analytic penalty gradient.  One generated pass
-on Python floats (_reverse_function) gives the masked data term and the
-adjoint at every slot, with no Jacobian; the weight gradients of every
-degree and group are one product (on the BLAS) of the adjoints with the
-monomials.  backward and every training epoch take the data term from this
-pass, or from the one-step residual under teacher forcing, and add the
-penalty through _with_penalty: one objective.
+Derivatives, 2008), plus the analytic penalty gradient.  One training pass
+per (dim, order) on Python floats (_training_function) runs the slots of
+maps._chain_function, the masked data term at the taps and the adjoint at
+every slot, with no Jacobian; the weight gradients of every degree and
+group are one product (on the BLAS) of the adjoints with the monomials.
+backward and every epoch take the data term from this pass, or from the
+one-step residual under teacher forcing, and add the penalty through
+_with_penalty: one objective.
 
 Training is deterministic full-batch Adam on the single observed series,
-with global gradient-norm clipping.  It runs on one stacked (groups, dim, N)
-array W, W[g] being group g's stacked matrix; gradients and Adam's moments
-share that layout and are updated in place, and TaylorMaps are built from it
-only at checkpoints and at the end.
+with global gradient-norm clipping, on one stacked (groups, dim, N) array W,
+W[g] being group g's stacked matrix.  Gradients and Adam's two moments,
+stacked, share that layout and are updated in place; TaylorMaps are built
+from W only at checkpoints and at the end.  A run binds the pass, the
+observations by slot, the one-hot group matrix, its scratch buffers and one
+np.errstate around the epochs once.
 """
 
 import itertools
@@ -70,8 +73,8 @@ class ObservationSeries:
     values[r] holds the observation at taps[r]; mask[r, c] marks component c
     as observed there.  Unobserved entries carry no value and are stored as
     NaN.  rows[r] is (taps[r], *values[r], *mask[r]) on Python scalars, built
-    once for the reverse pass of every epoch; values and mask are read-only
-    copies, so rows cannot go stale.
+    once for the training pass's observations by slot; values and mask are
+    read-only copies, so rows cannot go stale.
     """
 
     taps: tuple[int, ...]
@@ -171,7 +174,7 @@ def _weight_rows(W) -> list:
 
 
 def _array(rows: list, width: int) -> np.ndarray:
-    """rows, lists of width floats each, as one (len(rows), width) array."""
+    """rows, sequences of width floats each, as one (len(rows), width) array."""
     return np.fromiter(itertools.chain.from_iterable(rows), float,
                        len(rows) * width).reshape(-1, width)
 
@@ -184,18 +187,17 @@ def _start(net: Network, X0) -> list:
     return X.tolist()
 
 
-def _forward_states(net: Network, weights, x: list, rows: bool = False):
-    """maps._chain_function's states (and rows, if set) of the chain from
-    the state x, on _weight_rows' weights.  Only the last state is
-    checked; if it is non-finite, the first non-finite layer is named."""
-    out = maps._chain_function(net.dim, net.order, rows)(weights, net.layer_groups, x)
-    states = out[0] if rows else out
+def _forward_states(net: Network, weights, x: list) -> list:
+    """maps._chain_function's states of the chain from the state x, on
+    _weight_rows' weights.  Only the last state is checked; if it is
+    non-finite, the first non-finite layer is named."""
+    states = maps._chain_function(net.dim, net.order)(weights, net.layer_groups, x)
     if not all(map(math.isfinite, states[-1])):
         j = int(np.argmin(np.isfinite(states).all(axis=1)))
         # hypot does not overflow where the squares of a state near the limit would
         raise FlowDivergenceError(f"network state diverged at layer {j} (last finite "
                                   f"state norm {math.hypot(*states[j - 1]):.6g})", j)
-    return out
+    return states
 
 
 def forward(net: Network, X0) -> np.ndarray:
@@ -250,55 +252,64 @@ def _with_penalty(data: float, grads, W, n: int, k: int, penalty_rate: float):
 
 
 @lru_cache(maxsize=None)
-def _reverse_function(n: int, k: int):
-    """f(weights, groups, powers, states, rows, n_obs) -> (data, seeds,
-    adjoints): the data term and the reverse pass of a chain of order-k
-    slots over n variables, generated as straight-line Python on floats and
-    compiled.
+def _training_function(n: int, k: int):
+    """train(weights, groups, x, taps, n_obs) -> (data, rows, adjoints), or
+    None if the last state is non-finite: the training pass of a chain of
+    order-k slots over n variables, straight-line Python on floats, compiled.
 
-    weights[g] is group g's stacked (n, N) matrix, flat and row-major,
-    unpacked where the group changes; groups, powers and states list the
-    slots' groups and _forward_states' rows; rows and n_obs are the series'
-    rows and observed_count.  First, tap by tap, the observed differences d
-    give the masked mean squared error and the seeds 2 d / n_obs, one row
-    per boundary, zero where nothing is observed.  Then, from the last slot
-    to the first, the adjoint a at a slot's output is its seed plus the
-    adjoint at the next slot's input, and the adjoint b at its input needs
-    no Jacobian: c_s = sum_r a_r w[r, s] for every column s of degree >= 1,
-    then b_i = sum_s c_s dm_s/dx_i over the columns whose monomial holds
-    x_i (basis._columns).  adjoints lists the output adjoints flat, from the
-    last slot to the first.  Every sum is written out and added left to
-    right (not with sum(), which compensates from Python 3.12 on).
+    The forward loop runs maps._slot_lines, the slots of _chain_function,
+    from the state x on _weight_rows' weights, keeping each slot's monomials
+    as a tuple in rows and no states.  taps[j] is None or the values, then
+    the mask, at slot j's output (ObservationSeries.rows less the tap);
+    there the observed differences d add to the squared error, tap by tap,
+    and give the seeds 2 d / n_obs, zero where nothing is observed.  Then,
+    from the last slot to the first, the adjoint a at a slot's output is its
+    seed plus the adjoint at the next slot's input, and the adjoint b at its
+    input needs no Jacobian: c_s = sum_r a_r w[r, s] for every column s of
+    degree >= 1, then b_i = sum_s c_s dm_s/dx_i over the columns whose
+    monomial holds x_i (basis._columns).  adjoints lists the output
+    adjoints flat, from the last slot to the first; data is the mean over
+    n_obs.  Every sum is written out and added left to right (not with
+    sum(), which compensates from Python 3.12 on).
     """
     table = basis._columns(n, k)
     monos = list(table)
-    x, v, o, d, a, sd = ([f"{c}{i}" for i in range(n)] for c in "xvodas")
-    m = [f"m{s}" for s in range(len(monos))]
+    x, y, v, o, d, a, sd = ([f"{c}{i}" for i in range(n)] for c in "xyvodas")
+    p = [f"p{s}" for s in range(len(monos))]
     w = [f"w{r}_{s}" for r in range(n) for s in range(len(monos))]
+    slot, m = maps._slot_lines(n, k)
 
     def term(s, i):
         # column s's share of b_i: c_s times d m_s / d x_i = (count of i) m_s less one i
         mono, j = monos[s], monos[s].index(i)
-        p = table[mono[:j] + mono[j + 1:]]
-        t = f"c{s}" if p == 0 else f"c{s} * m{p}"
+        rest = table[mono[:j] + mono[j + 1:]]
+        t = f"c{s}" if rest == 0 else f"c{s} * p{rest}"
         return t if mono.count(i) == 1 else f"{mono.count(i)}.0 * {t}"
 
     columns = range(1, len(monos))
     b = [" + ".join(term(s, i) for s in columns if i in monos[s]) for i in range(n)]
     source = "\n".join([
-        "def reverse(weights, groups, powers, states, rows, n_obs):",
-        f"    seeds = [{(0.0,) * n}] * len(states)",
-        "    data = 0.0",
-        f"    for t, {', '.join(v)}, {', '.join(o)} in rows:",
-        f"        {', '.join(x)}, = states[t]",
-        *(f"        {d[i]} = {x[i]} - {v[i]} if {o[i]} else 0.0" for i in range(n)),
+        "def train(weights, groups, x, taps, n_obs):",
+        "    rows, seeds, data, g = [], [], 0.0, None",
+        f"    {', '.join(x)}, = x",
+        "    for h, tap in zip(groups, taps):",
+        *slot,
+        f"        rows.append(({', '.join(m)},))",
+        "        if tap is None:",
+        f"            seeds.append({(0.0,) * n})",
+        "        else:",
+        f"            {', '.join(v)}, {', '.join(o)}, = tap",
+        *(f"            {d[i]} = {y[i]} - {v[i]} if {o[i]} else 0.0" for i in range(n)),
         # one flat chain from data, each square added in turn, not data += row sum
-        f"        data = data + {' + '.join(f'{di} * {di}' for di in d)}",
-        f"        seeds[t] = {', '.join(f'2.0 * {di} / n_obs' for di in d)},",
+        f"            data = data + {' + '.join(f'{di} * {di}' for di in d)}",
+        f"            seeds.append(({', '.join(f'2.0 * {di} / n_obs' for di in d)},))",
+        f"        {', '.join(x)}, = {', '.join(y)},",
+        f"    if not ({' and '.join(f'isfinite({xi})' for xi in x)}):",
+        "        return None",
         f"    {' = '.join(a)} = 0.0",
         "    adjoints, h = [], None",
-        f"    for g, [{', '.join(m)}], [{', '.join(sd)}] in "
-        "zip(reversed(groups), reversed(powers), seeds[:0:-1]):",
+        f"    for g, [{', '.join(p)}], [{', '.join(sd)}] in "
+        "zip(reversed(groups), reversed(rows), reversed(seeds)):",
         "        if g != h:",
         "            h = g",
         f"            {', '.join(w)}, = weights[g]",
@@ -307,36 +318,37 @@ def _reverse_function(n: int, k: int):
         *(f"        c{s} = {' + '.join(f'{a[r]} * w{r}_{s}' for r in range(n))}"
           for s in columns),
         f"        {', '.join(a)}, = {', '.join(b)},",
-        "    return data / n_obs, seeds, adjoints",
+        "    return data / n_obs, rows, adjoints",
     ])
-    return basis._compiled(source, f"<reverse pass of order-{k} slots over {n} variables>",
-                           "reverse")
+    return basis._compiled(source, f"<training pass of order-{k} slots over {n} variables>",
+                           "train", isfinite=math.isfinite)
 
 
-@lru_cache(maxsize=8)
-def _group_onehot(layer_groups: tuple[int, ...]) -> np.ndarray:
-    """(groups, 1, slots) array, 1.0 where the slot belongs to the group."""
-    slot = np.array(layer_groups)
-    onehot = (slot == np.arange(slot.max() + 1)[:, None])[:, None, :].astype(float)
-    onehot.flags.writeable = False
-    return onehot
+def _data_gradient(net: Network, X0, obs: ObservationSeries):
+    """gradient(W) -> (data, grads): the masked mean squared error of the
+    chain rolled out from X0 and its gradient in the stacked weights W, from
+    the training pass and one product of its adjoints with its monomials.
+    The pass, the observations by slot and the (groups, 1, slots) one-hot
+    group matrix are bound once.  Overflow in the product is divergence,
+    which the caller finds from the gradient norm, inside the
+    np.errstate(over="ignore", invalid="ignore") that it enters."""
+    n, groups, x0 = net.dim, net.layer_groups, _start(net, X0)
+    train = _training_function(n, net.order)
+    onehot = (np.array(groups) == np.arange(len(net.group_maps))[:, None])[:, None].astype(float)
+    n_obs, taps = obs.observed_count, [None] * net.n_layers
+    for t, *row in obs.rows:
+        taps[t - 1] = row
 
+    def gradient(W):
+        weights = _weight_rows(W)
+        out = train(weights, groups, x0, taps, n_obs)
+        if out is None:  # the states-only pass names the first non-finite layer
+            _forward_states(net, weights, x0)
+        data, rows, adjoints = out
+        adjoints = np.array(adjoints).reshape(-1, n)[::-1]
+        return data, (onehot * adjoints.T) @ _array(rows, W.shape[-1])
 
-def _data_gradient(net: Network, W, x0: list, rows, n_obs: int):
-    """(data, grads): the masked mean squared error over the observed
-    entries of the chain rolled out from x0 and its gradient in W.  One
-    _forward_states pass hands its float rows to _reverse_function, whose
-    adjoints times the monomials give every weight gradient in one product."""
-    weights = _weight_rows(W)
-    states, monomials = _forward_states(net, weights, x0, rows=True)
-    data, _, adjoints = _reverse_function(net.dim, net.order)(
-        weights, net.layer_groups, monomials, states, rows, n_obs)
-    powers = _array(monomials, W.shape[-1])
-    adjoints = np.array(adjoints).reshape(-1, net.dim)[::-1]
-    # overflow here means divergence, which the caller detects from the
-    # non-finite gradient norm
-    with np.errstate(over="ignore", invalid="ignore"):
-        return data, (_group_onehot(net.layer_groups) * adjoints.T) @ powers
+    return gradient
 
 
 def backward(net: Network, W, X0, obs: ObservationSeries, penalty_rate: float):
@@ -347,7 +359,8 @@ def backward(net: Network, W, X0, obs: ObservationSeries, penalty_rate: float):
     basis._stacked_exponents.  The data term is _data_gradient's.
     """
     _check_observations(net, obs)
-    data, grads = _data_gradient(net, W, _start(net, X0), obs.rows, obs.observed_count)
+    with np.errstate(over="ignore", invalid="ignore"):
+        data, grads = _data_gradient(net, X0, obs)(W)
     return _with_penalty(data, grads, W, net.dim, net.order, penalty_rate)
 
 
@@ -415,12 +428,16 @@ class TrainConfig:
 
 @dataclass
 class LossReport:
-    """Per-epoch loss history; checkpoints hold copies of the group maps
-    recorded after the requested epochs."""
+    """Per-epoch history: the loss triple, the global gradient norm before
+    clipping (clipping fired exactly in the epochs where it exceeds
+    clip_norm) and the learning rate; checkpoints hold copies of the group
+    maps recorded after the requested epochs."""
 
     total: np.ndarray
     data: np.ndarray
     penalty: np.ndarray
+    grad_norm: np.ndarray
+    step_size: np.ndarray
     checkpoints: dict = field(default_factory=dict)
 
 
@@ -471,12 +488,12 @@ def _non_finite_loss(epoch: int) -> TrainingDivergedError:
     return TrainingDivergedError(epoch, f"training loss became non-finite at epoch {epoch}")
 
 
-def _clip_global(grads: np.ndarray, clip_norm: float) -> float:
+def _clip_global(grads: np.ndarray, clip_norm: float, squares=None) -> float:
     """Scale grads in place to a norm of at most clip_norm and return the
     norm before clipping; a non-finite norm, which an overflowing square
-    also gives, leaves grads as they are."""
-    with np.errstate(over="ignore"):
-        norm = float(np.sqrt((grads * grads).sum()))
+    also gives (inside the caller's np.errstate), leaves grads as they are.
+    squares, if given, is a scratch buffer shaped like grads."""
+    norm = math.sqrt(np.multiply(grads, grads, out=squares).sum())
     if clip_norm < norm < math.inf:
         grads *= clip_norm / norm
     return norm
@@ -496,7 +513,8 @@ def train_one_shot(
     failing epoch.  With cfg.teacher_forcing the data term is the one-step
     residual over consecutive observed pairs (fully observed shared chains
     only) instead of the rolled-out trajectory error; cfg.train_degrees
-    restricts updates to the named weight degrees.
+    restricts updates to the named weight degrees.  checkpoint_epochs is a
+    collection of integers in [1, cfg.epochs], else a ValueError names it.
 
     The numbers are those of a loop that calls backward each epoch and
     takes the textbook Adam step, bit for bit.  At penalty_rate 0 the
@@ -509,19 +527,30 @@ def train_one_shot(
     _check_observations(net, obs)
     if cfg.train_degrees is not None and any(d > net.order for d in cfg.train_degrees):
         raise ValueError(f"train_degrees beyond map order {net.order}")
+    try:
+        wanted = {_count("checkpoint_epochs entries", e, 1) for e in checkpoint_epochs}
+    except TypeError:
+        raise ValueError("checkpoint_epochs must be a collection of epochs, "
+                         f"got {checkpoint_epochs!r}") from None
+    if any(e > cfg.epochs for e in wanted):
+        raise ValueError(f"checkpoint_epochs must lie in [1, {cfg.epochs}], "
+                         f"got {tuple(checkpoint_epochs)}")
     W = _stack(net)
     # the data term and its gradient at the current W, which Adam updates in place
     if cfg.teacher_forcing:
         gradient = partial(_pairwise_gradient, W, *_pairwise_data(net, X0, obs))
     else:
-        gradient = partial(_data_gradient, net, W, _start(net, X0), obs.rows, obs.observed_count)
-    # Adam's moments and two scratch buffers of its update
-    m, v, t, u = (np.zeros_like(W) for _ in range(4))
+        gradient = partial(_data_gradient(net, X0, obs), W)
+    # Adam's moments m and v stacked, each one's decay, gain and bias correction,
+    # and scratch buffers: the update's (rows t and u) and the clip norm's squares
+    mv, scratch, squares = np.zeros((2, *W.shape)), np.empty((2, *W.shape)), np.empty_like(W)
+    decay, gain, bias = np.array([[ADAM_BETA1, cfg.beta2], [1 - ADAM_BETA1, 1 - cfg.beta2],
+                                  [1.0, 1.0]]).reshape(3, 2, 1, 1, 1)
+    t, u = scratch
     # the columns of W whose degree (row sum of its exponents) is not trained
     E, _ = basis._stacked_exponents(net.dim, net.order)
-    frozen = ~np.isin(E.sum(axis=1), cfg.train_degrees or range(net.order + 1))
-    wanted = set(int(e) for e in checkpoint_epochs)
-    history, checkpoints = [], {}
+    frozen = np.flatnonzero(~np.isin(E.sum(axis=1), cfg.train_degrees or range(net.order + 1)))
+    history, checkpoints, norms, steps = [], {}, np.empty(cfg.epochs), np.empty(cfg.epochs)
     deferred = cfg.penalty_rate == 0.0 and net.dim % 2 == 0
     size = _flush_size(net.dim, net.order, len(W)) if deferred else 0
     snapshots, pending = np.empty((size, *W.shape)), 0
@@ -547,42 +576,51 @@ def train_one_shot(
         flush()  # a deferred penalty may have made an earlier loss non-finite
         return error
 
-    for epoch in range(1, cfg.epochs + 1):
-        try:
-            data, grads = gradient()
-        except FlowDivergenceError as exc:
-            raise diverged(TrainingDivergedError(
-                epoch, f"training diverged at epoch {epoch}: {exc}")) from exc
-        if deferred:
-            history.append([data, data, None])
-            snapshots[pending] = W
-            pending += 1
-            if pending == size:
-                flush()
-        else:
-            grads, losses = _with_penalty(data, grads, W, net.dim, net.order, cfg.penalty_rate)
-            history.append(losses)
-        if not math.isfinite(history[-1][0]):
-            raise diverged(_non_finite_loss(epoch))
+    # overflow is divergence, which the finite checks below raise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.epochs + 1):
+            try:
+                data, grads = gradient()
+            except FlowDivergenceError as exc:
+                raise diverged(TrainingDivergedError(
+                    epoch, f"training diverged at epoch {epoch}: {exc}")) from exc
+            if deferred:
+                history.append([data, data, None])
+                snapshots[pending] = W
+                pending += 1
+                if pending == size:
+                    flush()
+            else:
+                grads, losses = _with_penalty(data, grads, W, net.dim, net.order,
+                                              cfg.penalty_rate)
+                history.append(losses)
+            if not math.isfinite(history[-1][0]):
+                raise diverged(_non_finite_loss(epoch))
 
-        grads[..., frozen] = 0.0
-        if not math.isfinite(_clip_global(grads, cfg.clip_norm)):
-            raise diverged(TrainingDivergedError(
-                epoch, f"gradient norm became non-finite at epoch {epoch}"))
-        # in place, the IEEE operations of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g
-        # and W -= step (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps) in their order
-        m *= ADAM_BETA1
-        m += np.multiply(grads, 1 - ADAM_BETA1, out=t)
-        v *= cfg.beta2
-        v += np.multiply(np.multiply(grads, 1 - cfg.beta2, out=t), grads, out=t)
-        np.multiply(np.divide(m, 1.0 - ADAM_BETA1**epoch, out=t), cfg.step_at(epoch), out=t)
-        np.sqrt(np.divide(v, 1.0 - cfg.beta2**epoch, out=u), out=u)
-        u += ADAM_EPSILON
-        W -= np.divide(t, u, out=t)
-        if epoch in wanted:
-            checkpoints[epoch] = _group_maps(net, W)
+            if frozen.size:
+                grads[..., frozen] = 0.0
+            norm = _clip_global(grads, cfg.clip_norm, squares)
+            if not math.isfinite(norm):
+                raise diverged(TrainingDivergedError(
+                    epoch, f"gradient norm became non-finite at epoch {epoch}"))
+            step = cfg.step_at(epoch)
+            norms[epoch - 1], steps[epoch - 1] = norm, step
+            # in place, the IEEE operations of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g
+            # and W -= step (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps) in their order
+            mv *= decay
+            np.multiply(grads, gain, out=scratch)
+            u *= grads
+            mv += scratch
+            bias[:, 0, 0, 0] = 1.0 - ADAM_BETA1**epoch, 1.0 - cfg.beta2**epoch
+            np.divide(mv, bias, out=scratch)
+            t *= step
+            np.sqrt(u, out=u)
+            u += ADAM_EPSILON
+            W -= np.divide(t, u, out=t)
+            if epoch in wanted:
+                checkpoints[epoch] = _group_maps(net, W)
     flush()
 
     total, data, penalty = np.array(history, dtype=float).reshape(-1, 3).T.copy()
     trained = replace(net, group_maps=_group_maps(net, W))
-    return trained, LossReport(total, data, penalty, checkpoints)
+    return trained, LossReport(total, data, penalty, norms, steps, checkpoints)

@@ -35,7 +35,9 @@ MODULES = ("basis", "maps", "ode", "network", "systems", "lattice", "io", "cli")
 # derivation driver, its batches and its own doubling loop, which one ODE
 # at a time through the oracle's runner (ode._derivation, ode._run) replaces;
 # and the numpy state buffers of the forward pass, which the one generated
-# evaluator on floats (maps._chain_function) replaces
+# evaluator on floats (maps._chain_function) replaces; and the separate
+# reverse pass and the cached one-hot group matrix, which the one training
+# pass (network._training_function), bound once per run, replaces
 DELETED = (
     ("basis", "kron_power_jacobian"),
     ("basis", "lift_linear"),
@@ -73,12 +75,17 @@ DELETED = (
     ("ode", "_divergence"),
     ("ode", "_CHECKED"),
     ("network", "_bind_slots"),
+    ("network", "_reverse_function"),
+    ("network", "_group_onehot"),
 )
 
 
 # settings that had one value in use and became constants, fields the code
-# works out from its inputs, and the taps the observations already carry
+# works out from its inputs, the taps the observations already carry, and
+# the rows flag of the states-only pass, whose rows the training pass keeps
 RETIRED = {
+    ("maps", "_chain_function"): ("rows",),
+    ("network", "_forward_states"): ("rows",),
     ("network", "Network"): ("dim", "order", "taps"),
     ("network", "TrainConfig"): ("beta1", "epsilon"),
     ("network", "build_shared_chain"): ("taps",),
@@ -92,7 +99,7 @@ RETIRED = {
 
 
 def test_retired_settings_are_gone():
-    assert sum(map(len, RETIRED.values())) == 16
+    assert sum(map(len, RETIRED.values())) == 18
     for (module, name), params in RETIRED.items():
         signature = inspect.signature(getattr(importlib.import_module(f"tmnet.{module}"), name))
         assert not set(params) & set(signature.parameters), (module, name)

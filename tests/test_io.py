@@ -189,10 +189,16 @@ def test_loss_history_round_trip(tmp_path):
         total=np.array([3.0, 2.0, 1.5]),
         data=np.array([2.5, 1.5, 1.0]),
         penalty=np.array([5.0, 5.0, 5.0]),
+        grad_norm=np.array([0.7, 0.125, 1e-3]),
+        step_size=np.array([1e-2, 5e-3, 1e-3]),
         checkpoints={},
     )
     path = tmp_path / "loss.csv"
     io.write_loss_history(report, path)
+    # the norm and learning rate follow the loss triple, which is read back
+    lines = path.read_text().splitlines()
+    assert lines[0] == "epoch,total,data,penalty,grad_norm,step_size"
+    assert [float(f) for f in lines[2].split(",")[4:]] == [0.125, 5e-3]
     back = io.read_loss_history(path)
     assert np.array_equal(back["total"], report.total)
     assert np.array_equal(back["data"], report.data)

@@ -45,10 +45,127 @@ def _full_obs(values):
 
 
 def _states(net, W, X0):
-    # (states, powers) of one training forward pass, as arrays
-    states, rows = network._forward_states(net, network._weight_rows(W),
-                                           np.asarray(X0, dtype=float).tolist(), rows=True)
-    return np.array(states), np.array(rows)
+    # (states, powers), as arrays: the states-only pass's states and the
+    # training pass's rows, with no tap
+    weights, x = network._weight_rows(W), np.asarray(X0, dtype=float).tolist()
+    _, rows, _ = network._training_function(net.dim, net.order)(
+        weights, net.layer_groups, x, [None] * net.n_layers, 1)
+    return np.array(network._forward_states(net, weights, x)), np.array(rows)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_chain(n, k):
+    """chain(weights, groups, x) -> (states, rows): a forward pass generated
+    on its own, the reference for the training pass's forward loop; rows
+    lists each slot's monomials."""
+    x, columns = [f"x{i}" for i in range(n)], basis._columns(n, k)
+    lines, names = basis._products(x, columns)
+    m = [names[c] for c in columns]
+    w = [[f"w{r}_{s}" for s in range(len(m))] for r in range(n)]
+    for r, row in enumerate(w):
+        terms = [row[0], *(f"{v} * {ms}" for v, ms in zip(row[1:], m[1:]))]
+        lines += [f"y{r} = {'' if c == 0 else f'y{r} + '}{' + '.join(terms[c:c + 64])}"
+                  for c in range(0, len(terms), 64)]
+    source = "\n".join([
+        "def chain(weights, groups, x):",
+        "    states, rows, g = [x], [], None",
+        "    for h in groups:",
+        "        if h != g:",
+        "            g = h",
+        f"            {', '.join(itertools.chain(*w))}, = weights[g]",
+        f"        {', '.join(x)}, = x",
+        *(f"        {line}" for line in lines),
+        f"        rows.append([{', '.join(m)}])",
+        f"        x = [{', '.join(f'y{r}' for r in range(n))}]",
+        "        states.append(x)",
+        "    return states, rows",
+    ])
+    return basis._compiled(source, "<reference chain>", "chain")
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_reverse(n, k):
+    """reverse(weights, groups, powers, states, rows, n_obs) -> (data,
+    seeds, adjoints): a reverse pass generated on its own, run after
+    _reference_chain on its states and rows.  A loop over the series' rows
+    indexes the states at each tap for the data term and the seeds, one per
+    boundary; the reverse loop adds in the training pass's documented
+    order."""
+    table = basis._columns(n, k)
+    monos = list(table)
+    x, v, o, d, a, sd = ([f"{c}{i}" for i in range(n)] for c in "xvodas")
+    m = [f"m{s}" for s in range(len(monos))]
+    w = [f"w{r}_{s}" for r in range(n) for s in range(len(monos))]
+
+    def term(s, i):
+        mono, j = monos[s], monos[s].index(i)
+        p = table[mono[:j] + mono[j + 1:]]
+        t = f"c{s}" if p == 0 else f"c{s} * m{p}"
+        return t if mono.count(i) == 1 else f"{mono.count(i)}.0 * {t}"
+
+    columns = range(1, len(monos))
+    b = [" + ".join(term(s, i) for s in columns if i in monos[s]) for i in range(n)]
+    source = "\n".join([
+        "def reverse(weights, groups, powers, states, rows, n_obs):",
+        f"    seeds = [{(0.0,) * n}] * len(states)",
+        "    data = 0.0",
+        f"    for t, {', '.join(v)}, {', '.join(o)} in rows:",
+        f"        {', '.join(x)}, = states[t]",
+        *(f"        {d[i]} = {x[i]} - {v[i]} if {o[i]} else 0.0" for i in range(n)),
+        f"        data = data + {' + '.join(f'{di} * {di}' for di in d)}",
+        f"        seeds[t] = {', '.join(f'2.0 * {di} / n_obs' for di in d)},",
+        f"    {' = '.join(a)} = 0.0",
+        "    adjoints, h = [], None",
+        f"    for g, [{', '.join(m)}], [{', '.join(sd)}] in "
+        "zip(reversed(groups), reversed(powers), seeds[:0:-1]):",
+        "        if g != h:",
+        "            h = g",
+        f"            {', '.join(w)}, = weights[g]",
+        *(f"        {a[i]} += {sd[i]}" for i in range(n)),
+        f"        adjoints += {', '.join(a)},",
+        *(f"        c{s} = {' + '.join(f'{a[r]} * w{r}_{s}' for r in range(n))}"
+          for s in columns),
+        f"        {', '.join(a)}, = {', '.join(b)},",
+        "    return data / n_obs, seeds, adjoints",
+    ])
+    return basis._compiled(source, "<reference reverse pass>", "reverse")
+
+
+def _reference_gradient(net, W, X0, obs):
+    """(states, powers, data, seeds, adjoints, grads) of the reference path:
+    _reference_chain, then _reference_reverse, then the weight gradient as
+    one product of the adjoints with the monomials."""
+    n, k, groups = net.dim, net.order, net.layer_groups
+    weights = network._weight_rows(W)
+    states, powers = _reference_chain(n, k)(weights, groups, np.asarray(X0, float).tolist())
+    data, seeds, adjoints = _reference_reverse(n, k)(weights, groups, powers, states,
+                                                     obs.rows, obs.observed_count)
+    onehot = (np.array(groups) == np.arange(len(W))[:, None])[:, None, :].astype(float)
+    grads = (onehot * np.array(adjoints).reshape(-1, n)[::-1].T) @ np.array(powers)
+    return states, powers, data, seeds, adjoints, grads
+
+
+def _per_tap_loop(states, obs):
+    """(data, seeds): the masked mean squared error and its seeds, one row
+    per boundary, from a loop over the taps on the states array."""
+    n_obs = obs.observed_count
+    sq, seeds = 0.0, np.zeros(states.shape)
+    for r, t in enumerate(obs.taps):
+        m = obs.mask[r]
+        if m.any():
+            diff = states[t][m] - obs.values[r][m]
+            for di in diff.tolist():
+                sq += di * di
+            seeds[t][m] = 2.0 * diff / n_obs
+    return sq / n_obs, seeds
+
+
+def _by_slot(net, obs):
+    # the series' rows without the tap, at the slot whose output it observes
+    taps = [None] * net.n_layers
+    for row in obs.rows:
+        taps[row[0] - 1] = row[1:]
+    return taps
 
 
 def _loss(net, X0, obs, penalty_rate):
@@ -117,50 +234,94 @@ def test_forward_states_equal_repeated_apply():
     assert network.forward(net, states[0]).tobytes() == states[1:].tobytes()
 
 
-def test_forward_rows_as_lists_are_the_buffers_floats():
-    # the training pass's float rows are those of a plain pass: the states
-    # of the states-only pass that forward and tracking run, and each
-    # slot's monomials as basis.monomials forms them
-    tm = _random_map(np.random.default_rng(57), 2, 3, scale=0.2)
-    net = network.build_shared_chain(tm, 7)
-    X = [0.3, -0.1]
-    weights = network._weight_rows(network._stack(net))
-    state_rows, power_rows = network._forward_states(net, weights, X, rows=True)
-    assert state_rows == network._forward_states(net, weights, X)
-    assert power_rows == [basis.monomials(np.array(x), 3).tolist() for x in state_rows[:-1]]
-    assert np.array(state_rows[1:]).tobytes() == network.forward(net, np.array(X)).tobytes()
-
-
-def test_data_term_equals_per_tap_loop():
-    # the masked residual over all taps at once gives the per-tap loop's
-    # error and seeds bit for bit, rows without observed entries included
+def _tapped_case():
+    # a 9-slot chain over 4 variables read at five taps with gaps, one of
+    # them with nothing observed, the last slot tapped
     rng = np.random.default_rng(57)
-    tm = _random_map(rng, 4, 2, scale=0.2)
-    net = network.build_shared_chain(tm, 9)
+    net = network.build_shared_chain(_random_map(rng, 4, 2, scale=0.2), 9)
     X0 = np.array([0.3, -0.1, 0.2, 0.05])
     values = rng.normal(size=(5, 4))
     mask = rng.random((5, 4)) < 0.5
     mask[1] = False
     mask[4, 0] = True
-    obs = network.ObservationSeries(taps=(2, 3, 5, 8, 9), values=values, mask=mask)
+    return net, X0, network.ObservationSeries(taps=(2, 3, 5, 8, 9), values=values, mask=mask)
+
+
+def test_forward_rows_as_lists_are_the_buffers_floats():
+    # the training pass keeps each slot's monomials as basis.monomials forms
+    # them from the states of the states-only pass that forward and
+    # tracking run, and adds the per-tap loop's data term, bit for bit
+    net, X0, obs = _tapped_case()
+    weights, X = network._weight_rows(network._stack(net)), X0.tolist()
+    data, rows, adjoints = network._training_function(4, 2)(
+        weights, net.layer_groups, X, _by_slot(net, obs), obs.observed_count)
+    states = network._forward_states(net, weights, X)
+    assert all(type(row) is tuple for row in rows) and len(adjoints) == 9 * 4
+    assert np.array(rows).tobytes() == basis.monomials(np.array(states[:-1]), 2).tobytes()
+    assert np.array(states[1:]).tobytes() == network.forward(net, X0).tobytes()
+    want, _ = _per_tap_loop(np.array(states), obs)
+    assert np.float64(data).tobytes() == np.float64(want).tobytes()
+
+
+def test_data_term_equals_per_tap_loop():
+    # the reference path's data term and seeds are the per-tap loop's bit
+    # for bit, rows without observed entries included, and so is the
+    # training pass's data term
+    net, X0, obs = _tapped_case()
     W = network._stack(net)
-    states, powers = _states(net, W, X0)
-    data, seeds, _ = network._reverse_function(4, 2)(
-        W.reshape(1, -1).tolist(), net.layer_groups, powers.tolist(), states.tolist(),
-        obs.rows, obs.observed_count)
-    seeds = np.array(seeds)
-    n_obs = obs.observed_count
-    sq, want = 0.0, np.zeros((10, 4))
-    for r, t in enumerate(obs.taps):
-        m = obs.mask[r]
-        if m.any():
-            diff = states[t][m] - obs.values[r][m]
-            for di in diff.tolist():
-                sq += di * di
-            want[t][m] = 2.0 * diff / n_obs
-    assert seeds.shape == states.shape
-    assert seeds.tobytes() == want.tobytes()
-    assert data == sq / n_obs
+    states, _, data, seeds, _, _ = _reference_gradient(net, W, X0, obs)
+    want, want_seeds = _per_tap_loop(np.array(states), obs)
+    assert np.array(seeds).shape == want_seeds.shape == (10, 4)
+    assert np.array(seeds).tobytes() == want_seeds.tobytes()
+    assert data == want
+    _, got, _ = network.backward(net, W, X0, obs, 0.0)[1]
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.data(), st.integers(1, 5), st.integers(1, 3))
+def test_training_pass_equals_the_forward_rows_and_reverse_pass(data, n, k):
+    # shared, untied and repeated groups, taps with gaps (the last slot
+    # untapped included) and partial masks: the one training pass gives the
+    # data term, rows and adjoints of the separate reference forward and
+    # reverse passes, and backward their gradient, bit for bit
+    slots = data.draw(st.integers(1, 8))
+    kind = data.draw(st.sampled_from(["shared", "untied", "repeated"]))
+    if kind == "shared":
+        groups = (0,) * slots
+    elif kind == "untied":
+        groups = tuple(range(slots))
+    else:
+        raw = data.draw(st.lists(st.integers(0, 2), min_size=slots, max_size=slots))
+        first = {g: i for i, g in enumerate(dict.fromkeys(raw))}
+        groups = tuple(first[g] for g in raw)
+    # near-identity maps from a small start keep every state finite
+    coeff = st.floats(-1, 1, allow_nan=False, allow_infinity=False)
+    group_maps = []
+    for _ in range(max(groups) + 1):
+        blocks = [0.02 * b for b in _draw_blocks(data, n, k, coeff)]
+        blocks[1] = blocks[1] + np.eye(n)
+        group_maps.append(maps.TaylorMap(dim=n, order=k, weights=tuple(blocks)))
+    net = network.Network(group_maps=group_maps, layer_groups=groups)
+    X0 = data.draw(hnp.arrays(np.float64, (n,), elements=st.floats(-0.3, 0.3)))
+    taps = tuple(sorted(data.draw(st.sets(st.integers(1, slots), min_size=1))))
+    values = data.draw(hnp.arrays(np.float64, (len(taps), n), elements=st.floats(-1, 1)))
+    mask = data.draw(hnp.arrays(bool, (len(taps), n)))
+    mask[data.draw(st.integers(0, len(taps) - 1)), data.draw(st.integers(0, n - 1))] = True
+    obs = network.ObservationSeries(taps=taps, values=values, mask=mask)
+    W = network._stack(net)
+
+    states, powers, want_data, _, want_adjoints, want_grads = _reference_gradient(
+        net, W, X0, obs)
+    assert np.isfinite(states).all()
+    got_data, rows, adjoints = network._training_function(n, k)(
+        network._weight_rows(W), groups, X0.tolist(), _by_slot(net, obs), obs.observed_count)
+    assert np.float64(got_data).tobytes() == np.float64(want_data).tobytes()
+    assert np.array(rows).tobytes() == np.array(powers).tobytes()
+    assert np.array(adjoints).tobytes() == np.array(want_adjoints).tobytes()
+    grads, (_, got_data, _) = network.backward(net, W, X0, obs, 0.0)
+    assert np.float64(got_data).tobytes() == np.float64(want_data).tobytes()
+    assert grads.tobytes() == want_grads.tobytes()
 
 
 def test_forward_rejects_wrong_dimension():
@@ -228,7 +389,8 @@ def test_divergence_found_after_the_chain_names_the_first_overflowing_layer():
 def test_divergence_names_the_first_layer_where_repeated_apply_overflows(data, n, k, e):
     # maps scaled by 10^e overflow within a few slots: a chain and a ring
     # name the first slot where applying the map slot after slot gives a
-    # non-finite state, and a chain reports the norm of the state before it
+    # non-finite state, and a chain reports the norm of the state before it,
+    # in forward, backward and the first epoch of training alike
     coeff = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
     scale = 10.0**e
 
@@ -252,12 +414,22 @@ def test_divergence_names_the_first_layer_where_repeated_apply_overflows(data, n
     if want is None:
         assert np.isfinite(network.forward(net, X0)).all()
     else:
-        with pytest.raises(ode.FlowDivergenceError) as err:
-            network.forward(net, X0)
         layer, last = want
-        assert err.value.layer == layer
-        assert str(err.value) == (f"network state diverged at layer {layer} "
-                                  f"(last finite state norm {math.hypot(*last):.6g})")
+        message = (f"network state diverged at layer {layer} "
+                   f"(last finite state norm {math.hypot(*last):.6g})")
+        obs = _full_obs(np.zeros((8, n)))
+        for run in (lambda: network.forward(net, X0),
+                    lambda: network.backward(net, network._stack(net), X0, obs, 0.0)):
+            with pytest.raises(ode.FlowDivergenceError) as err:
+                run()
+            assert err.value.layer == layer
+            assert str(err.value) == message
+        with pytest.raises(network.TrainingDivergedError) as err:
+            network.train_one_shot(net, X0, obs, network.TrainConfig(epochs=3))
+        assert err.value.epoch == 1
+        assert str(err.value) == f"training diverged at epoch 1: {message}"
+        assert isinstance(err.value.__cause__, ode.FlowDivergenceError)
+        assert err.value.__cause__.layer == layer and str(err.value.__cause__) == message
 
     elements = [maps.identity_map(4, k), scaled(4)]
     ring = lattice.Lattice(elements=[lattice.LatticeElement(label=f"e{j}", tm=e)
@@ -842,6 +1014,21 @@ def test_training_checkpoints_capture_snapshots():
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("bad", [(2.5,), ("3",), (True,), (0,), (-1,), (9,), 3])
+def test_checkpoint_epochs_are_epochs_of_the_run(bad):
+    # a collection of integers in [1, epochs]: a float, a string or a bool
+    # is not truncated or parsed, an epoch outside the run is not ignored,
+    # and a bare epoch is not a collection
+    net = network.build_shared_chain(maps.identity_map(2, 1), 2)
+    obs = _full_obs(np.zeros((2, 2)))
+    cfg = network.TrainConfig(epochs=5)
+    with pytest.raises(ValueError, match="^checkpoint_epochs"):
+        network.train_one_shot(net, np.zeros(2), obs, cfg, checkpoint_epochs=bad)
+    _, report = network.train_one_shot(net, np.zeros(2), obs, cfg,
+                                       checkpoint_epochs=(np.int64(5), 1))
+    assert set(report.checkpoints) == {1, 5}
+
+
 def _per_block_adam(net, X0, obs, cfg, checkpoint_epochs):
     """One-shot training as a loop over groups and degree blocks that
     rebuilds every TaylorMap each epoch: the reference for the stacked loop.
@@ -852,7 +1039,7 @@ def _per_block_adam(net, X0, obs, cfg, checkpoint_epochs):
     weights = [[w.copy() for w in tm.weights] for tm in group_maps]
     m = [[np.zeros_like(w) for w in ws] for ws in weights]
     v = [[np.zeros_like(w) for w in ws] for ws in weights]
-    history, checkpoints, clipped = [], {}, 0
+    history, checkpoints, clipped, norms, steps = [], {}, 0, [], []
     for epoch in range(1, cfg.epochs + 1):
         current = network.Network(group_maps=group_maps, layer_groups=net.layer_groups)
         stacked, losses = network.backward(
@@ -866,12 +1053,14 @@ def _per_block_adam(net, X0, obs, cfg, checkpoint_epochs):
                     group[d][:] = 0.0
         flat = np.stack([np.hstack(group) for group in grads])
         norm = np.sqrt((flat * flat).sum())
+        norms.append(norm)
         if norm > cfg.clip_norm:
             clipped += 1
             for group in grads:
                 for g in group:
                     g *= cfg.clip_norm / norm
         step = cfg.step_at(epoch)
+        steps.append(step)
         bc1 = 1.0 - beta1**epoch
         bc2 = 1.0 - cfg.beta2**epoch
         for gi, ws in enumerate(weights):
@@ -883,7 +1072,7 @@ def _per_block_adam(net, X0, obs, cfg, checkpoint_epochs):
             group_maps[gi] = maps.TaylorMap(dim=net.dim, order=net.order, weights=tuple(ws))
         if epoch in checkpoint_epochs:
             checkpoints[epoch] = list(group_maps)
-    return group_maps, np.array(history), checkpoints, clipped
+    return group_maps, np.array(history), checkpoints, clipped, np.array(norms), np.array(steps)
 
 
 def test_adam_in_place_keeps_the_bytes_of_the_textbook_expression():
@@ -893,20 +1082,23 @@ def test_adam_in_place_keeps_the_bytes_of_the_textbook_expression():
     net, X0, obs = _untied_case()
     cfg = network.TrainConfig(step_size=1e-2, clip_norm=0.065, epochs=50, penalty_rate=1e-2,
                               schedule="cosine")
-    trained, _ = network.train_one_shot(net, X0, obs, cfg)
+    trained, report = network.train_one_shot(net, X0, obs, cfg)
     beta1, epsilon = network.ADAM_BETA1, network.ADAM_EPSILON
     W = network._stack(net)
-    m, v, clipped = np.zeros_like(W), np.zeros_like(W), 0
+    m, v, norms, steps = np.zeros_like(W), np.zeros_like(W), [], []
     for epoch in range(1, cfg.epochs + 1):
         grads, _ = network.backward(net, W, X0, obs, cfg.penalty_rate)
-        clipped += network._clip_global(grads, cfg.clip_norm) > cfg.clip_norm
+        norms.append(network._clip_global(grads, cfg.clip_norm))
         step = cfg.step_at(epoch)
+        steps.append(step)
         m = beta1 * m + (1 - beta1) * grads
         v = cfg.beta2 * v + (1 - cfg.beta2) * grads * grads
         W = W - step * (m / (1.0 - beta1**epoch)) / (np.sqrt(v / (1.0 - cfg.beta2**epoch))
                                                     + epsilon)
-    assert 0 < clipped < cfg.epochs
+    assert 0 < sum(norm > cfg.clip_norm for norm in norms) < cfg.epochs
     assert network._stack(trained).tobytes() == W.tobytes()
+    assert report.grad_norm.tobytes() == np.array(norms).tobytes()
+    assert report.step_size.tobytes() == np.array(steps).tobytes()
 
 
 def _untied_case():
@@ -957,13 +1149,18 @@ def test_stacked_training_equals_per_block_loop(case, penalty_rate, clip_norm, t
                               train_degrees=train_degrees)
     wanted = (3, 8, epochs)
     trained, report = network.train_one_shot(net, X0, obs, cfg, checkpoint_epochs=wanted)
-    want_maps, want_history, want_checkpoints, clipped = _per_block_adam(
+    want_maps, want_history, want_checkpoints, clipped, norms, steps = _per_block_adam(
         net, X0, obs, cfg, wanted
     )
     assert 0 < clipped < cfg.epochs
     assert np.all(want_history[:, 2] > 0.0)
     for got, want in zip((report.total, report.data, report.penalty), want_history.T):
         assert got.tobytes() == want.tobytes()
+    # the recorded norms and learning rates are the reference's, and
+    # clipping fired exactly where the norm exceeds clip_norm
+    assert report.grad_norm.tobytes() == norms.tobytes()
+    assert report.step_size.tobytes() == steps.tobytes()
+    assert (report.grad_norm > clip_norm).sum() == clipped
     assert set(report.checkpoints) == set(want_checkpoints)
     for epoch, tms in [(None, trained.group_maps), *report.checkpoints.items()]:
         wants = want_maps if epoch is None else want_checkpoints[epoch]
