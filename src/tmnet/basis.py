@@ -1,4 +1,4 @@
-"""Reduced Kronecker-power monomial bases and truncated polynomial algebra.
+"""Reduced Kronecker-power monomial bases and the truncated series product.
 
 The degree-d basis over n variables collects every monomial
 x1^e1 * ... * xn^en with e1 + ... + en = d exactly once (duplicates of the
@@ -25,6 +25,10 @@ multiplies as straight-line Python in column order, sorted by (degree,
 tuple) with no table, since its variables may be a weight flow's weights.
 monomials runs them on the columns of a batch; kron_power forms them with
 numpy indexing and is checked against it.
+
+The one truncated product, P(M(X)) up to degree k, is a term list over the
+weights of M (_flow_terms) and its evaluator (_term_flow): with P an ODE,
+the weight flow that derives maps (tmnet.ode); with P a map, composition.
 """
 
 from __future__ import annotations
@@ -40,8 +44,6 @@ __all__ = [
     "position",
     "kron_power",
     "monomials",
-    "map_powers",
-    "substitute",
 ]
 
 
@@ -184,36 +186,6 @@ def monomials(X, k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _scatter_matrix(n: int, a: int, b: int) -> np.ndarray:
-    """0/1 matrix T with outer(u, v).ravel() @ T the degree-(a+b) coefficients
-    of the product of a degree-a and a degree-b coefficient vector: row
-    (p, q) holds its 1 at the position of monomial p times monomial q."""
-    columns = _columns(n, a + b)
-    bases = [itertools.combinations_with_replacement(range(n), d) for d in (a, b)]
-    products = [columns[tuple(sorted(u + v))] for u, v in itertools.product(*bases)]
-    T = np.zeros((len(products), basis_size(n, a + b)))
-    T[np.arange(len(products)), np.array(products) - columns[(0,) * (a + b)]] = 1.0
-    T.flags.writeable = False
-    return T
-
-
-def _series_mul(u, v, n: int, k: int) -> list[np.ndarray]:
-    """Product of two truncated power series in n variables, up to degree k.
-
-    u[a] and v[b] hold degree-a and degree-b coefficients on their last axis;
-    leading axes broadcast.  Each degree pair is one matrix product of the
-    flattened outer coefficients with a cached 0/1 scatter matrix.
-    """
-    lead = np.broadcast_shapes(*(x.shape[:-1] for x in (*u, *v)))
-    out = [np.zeros(lead + (basis_size(n, c),)) for c in range(k + 1)]
-    for a, ua in enumerate(u[: k + 1]):
-        for b, vb in enumerate(v[: k + 1 - a]):
-            outer = ua[..., :, None] * vb[..., None, :]
-            out[a + b] += outer.reshape(outer.shape[:-2] + (-1,)) @ _scatter_matrix(n, a, b)
-    return out
-
-
-@lru_cache(maxsize=None)
 def _prefix_table(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """For each degree-d monomial in m variables, in basis order: the
     position of its degree-(d-1) prefix and its last (highest) variable."""
@@ -223,53 +195,91 @@ def _prefix_table(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array([columns[u[:-1]] - first for u in monos]), np.array([u[-1] for u in monos])
 
 
-def map_powers(blocks, max_degree: int, k: int) -> dict[int, list[np.ndarray]]:
-    """Coefficients of M(X)^[d] for d = 0..max_degree, truncated at degree k.
+def _flow_terms(poly, k: int, live=None) -> list:
+    """The terms of P(M(X)) truncated at degree k, the order-k weight flow
+    dW/dt of the ODE P, as (target, coefficient, factors) with indices into
+    the weights w of M: the row-major ravel of the stacked (n, N) matrix,
+    entry (i, s) at i * N + s.  poly is the polynomial P with dim, order
+    and stacked (an ode.PolynomialODE, or the outer map of maps.compose).
 
-    blocks lists the coefficient matrices of the map M (degree 0 upward,
-    m rows over n input variables).  The result maps each power d to a list
-    of arrays A_0..A_k with A_j of shape (basis_size(m, d), basis_size(n, j))
-    such that M(X)^[d] = sum_j A_j X^[j] up to the discarded degrees.
+    The flow is a fixed polynomial of degree poly.order in w.  Column f of
+    P's stacked matrix is a monomial (_columns) in the map's outputs;
+    expanding it picks one map column per factor, a multiset per variable,
+    and a pick whose column degrees add up to at most k adds the
+    coefficient, times the pick's orderings, times the product of its
+    weights, to each output at the column of the merged monomial.  factors
+    is the sorted tuple of those weights, unpadded, whose variables (index
+    // N) are f.  Terms follow P's columns, the picks in lexicographic order,
+    then the outputs; at k = 0 (W_0 = X, N = 1) factors is f and the terms
+    are P, term by term.
 
-    Products share prefixes: each row of M(X)^[d] is a row of M(X)^[d-1]
-    times one component of M, and all rows of a power form one series product.
+    With a set of weights `live`, a column picks only among its variable's
+    live weights, so only the terms whose factors are all live are built,
+    in the same order; a column of P whose coefficient times its most
+    orderings overflows keeps every pick, whose terms ode._pruned_flow keeps.
     """
-    if max_degree < 0:
-        raise ValueError(f"max_degree must be >= 0, got {max_degree}")
-    if k < 0:
-        raise ValueError(f"truncation order must be >= 0, got {k}")
-    blocks = list(blocks)
-    if len(blocks) < 2:
-        raise ValueError("a polynomial map needs blocks for degrees 0 and 1")
-    M = [np.array(b, dtype=float) for b in blocks]
-    m, n = M[0].shape[0], M[1].shape[1]
-    for d, b in enumerate(M):
-        if b.shape != (m, basis_size(n, d)):
-            raise ValueError(
-                f"degree-{d} block has shape {b.shape}, expected {(m, basis_size(n, d))}"
-            )
-    M = M[: k + 1] + [np.zeros((m, basis_size(n, d))) for d in range(len(M), k + 1)]
+    n, columns = poly.dim, _columns(poly.dim, k)
+    monos, N = list(columns), len(columns)
+    stop = [math.comb(n + b, b) for b in range(k + 2)]  # columns of degree <= b
 
-    one = [np.ones((1, 1))] + [np.zeros((1, basis_size(n, j))) for j in range(1, k + 1)]
-    result = {0: one}
-    if max_degree >= 1:
-        result[1] = M
-    for d in range(2, max_degree + 1):
-        parent, var = _prefix_table(m, d)
-        result[d] = _series_mul([A[parent] for A in result[d - 1]], [B[var] for B in M], n, k)
-    return result
+    def picks(runs, budget, cols):
+        # (factors, merged monomial, orderings) of (variable, multiplicity)
+        # runs: of a run's m factors, j take columns of degree 1 to
+        # budget + 1 - j among cols[variable] and the rest column 0, the
+        # monomial 1
+        if not runs:
+            yield (), (), 1
+            return
+        (i, m), rest = runs[0], runs[1:]
+        for j in range(min(m, budget) + 1):
+            if j < m and 0 not in cols[i]:
+                continue
+            top = stop[budget + 1 - j]
+            for tail in itertools.combinations_with_replacement(
+                    [s for s in cols[i] if 0 < s < top], j):
+                merged = sum((monos[s] for s in tail), ())
+                if len(merged) <= budget:
+                    pick = (0,) * (m - j) + tail
+                    count = math.factorial(m) // math.prod(
+                        math.factorial(pick.count(s)) for s in set(pick))
+                    for factors, more, c in picks(rest, budget - len(merged), cols):
+                        yield tuple(i * N + s for s in pick) + factors, merged + more, count * c
+
+    every = [range(N)] * n
+    narrow = every if live is None else [
+        [s for s in range(N) if i * N + s in live] for i in range(n)]
+    terms = []
+    for f, P in zip(_columns(n, poly.order), poly.stacked.T.tolist()):
+        outputs = [(o, c) for o, c in enumerate(P) if c]
+        if outputs:
+            runs = [(i, f.count(i)) for i in sorted(set(f))]
+            most = math.prod(math.factorial(m) for _, m in runs)
+            cols = every if any(math.isinf(c * most) for _, c in outputs) else narrow
+            for factors, merged, count in picks(runs, k, cols):
+                t = columns[tuple(sorted(merged))]
+                terms += [(o * N + t, c * count, factors) for o, c in outputs]
+    return terms
 
 
-def substitute(outer, inner, k: int) -> list[np.ndarray]:
-    """Coefficient blocks of P(M(X)) truncated at degree k.
+def _term_flow(terms: list, size: int):
+    """rhs(w, coef): the sum of terms (target, coefficient, factors)
+    indexing w, size floats, at w, such as dW/dt of a weight flow; coef,
+    one float per term, replaces the terms' coefficients (by default their
+    own).  With terms padded to the most factors by a trailing 1.0 (index
+    -1), it is a gather per factor, their product and an in-order scatter."""
+    width = max([1] + [len(f) for _, _, f in terms])
+    target = np.array([t for t, _, _ in terms], dtype=np.intp)
+    own = np.array([c for _, c, _ in terms], dtype=float)
+    # one index row per factor: width - 1 whole-row multiplies, in factor order
+    F = [f + (-1,) * (width - len(f)) for _, _, f in terms]
+    first, *rest = np.array(F, dtype=np.intp).reshape(-1, width).T.copy()
+    w_ext = np.ones(size + 1)
 
-    outer lists the blocks P_0..P_p of a polynomial over the outputs of the
-    map M whose blocks inner lists (both degree 0 upward).
-    """
-    powers = map_powers(inner, len(outer) - 1, k)
-    out = [np.zeros((outer[0].shape[0], A.shape[1])) for A in powers[0]]
-    out[0] += outer[0]
-    for d in range(1, len(outer)):
-        for j in range(k + 1):
-            out[j] += outer[d] @ powers[d][j]
-    return out
+    def rhs(w, coef=own):
+        w_ext[:size] = w
+        prod = w_ext[first]
+        for f in rest:
+            prod *= w_ext[f]
+        return np.bincount(target, coef * prod, minlength=size)
+
+    return rhs

@@ -9,7 +9,8 @@ all give the same bytes and none depends on the BLAS.  This module provides
 evaluation, truncated composition, and the coefficient-space symplectic
 residual used as a structure-preserving training penalty, with its gradient
 in the weights; both come from one term list compiled per (dim, order), and
-both, like composition, are numpy products on the BLAS.
+both are numpy products on the BLAS.  Composition is the weight flow's
+truncated product (basis._flow_terms).
 """
 
 from __future__ import annotations
@@ -195,14 +196,34 @@ def identity_map(n: int, k: int) -> TaylorMap:
     return TaylorMap(dim=n, order=k, weights=tuple(weights))
 
 
+@lru_cache(maxsize=None)
+def _composition(n: int, p: int, k: int):
+    """(flow, index, counts): the terms of P(M(X)) cut at order k for an
+    order-p map P over n variables (basis._flow_terms), built on the
+    all-ones P, so every term is kept with its orderings count as its
+    coefficient; flow evaluates them (basis._term_flow), and index is each
+    term's entry in P's stacked ravel: its output row and the column of its
+    factors' variables."""
+    ones = TaylorMap(n, p, tuple(np.ones((n, basis.basis_size(n, d))) for d in range(p + 1)))
+    terms, N, columns = basis._flow_terms(ones, k), len(basis._columns(n, k)), basis._columns(n, p)
+    index = [t // N * len(columns) + columns[tuple(i // N for i in f)] for t, _, f in terms]
+    return basis._term_flow(terms, n * N), np.array(index), np.array([c for _, c, _ in terms])
+
+
 def compose(outer: TaylorMap, inner: TaylorMap, k: int | None = None) -> TaylorMap:
-    """outer(inner(X)) truncated at order k (default: max of the two orders)."""
+    """outer(inner(X)) truncated at order k (default: max of the two
+    orders): the weight flow's product with outer as the ODE (_composition)
+    at inner's weights cut or zero-padded to order k.  A term's coefficient
+    is outer's entry times its orderings count, as in that flow, so where
+    outer has no zero coefficient the result has the flow's bytes."""
     if outer.dim != inner.dim:
         raise ValueError(f"dimension mismatch: {outer.dim} vs {inner.dim}")
-    if k is None:
-        k = max(outer.order, inner.order)
-    blocks = basis.substitute(outer.weights, inner.weights, k)
-    return TaylorMap(dim=inner.dim, order=k, weights=tuple(blocks))
+    n, k = inner.dim, max(outer.order, inner.order) if k is None else _count("k", k, 1)
+    flow, index, counts = _composition(n, outer.order, k)
+    W = np.zeros((n, len(basis._columns(n, k))))
+    W[:, :inner.stacked.shape[1]] = inner.stacked[:, :W.shape[1]]
+    w = flow(W.ravel(), outer.stacked.take(index) * counts).reshape(W.shape)
+    return TaylorMap(n, k, tuple(w[:, s] for s in basis._stacked_exponents(n, k)[1]))
 
 
 @lru_cache(maxsize=None)

@@ -9,10 +9,10 @@ the unified initial condition W_1 = I (all other blocks zero) yields the map
 for the chosen time step, independent of any particular trajectory.  That
 weight ODE is itself a fixed polynomial of degree `order` in the weights,
 held as the row-major ravel of the stacked (dim, N) matrix that TaylorMap
-keeps, so ode_to_map builds its term list once (_flow_terms) and each
-evaluation (_weight_flow) is one gather per factor, their product and one
-scatter; basis.substitute computes the same right-hand side by series
-products and is its test reference.
+keeps, so ode_to_map builds its term list once (basis._flow_terms) and
+each evaluation (_weight_flow) is one gather per factor, their product and
+one scatter (basis._term_flow), the truncated product that maps.compose
+runs with a map in place of the ODE.
 
 Derivations run only on the weights that can move.  From W_1 = I most
 weights of a flow stay exactly 0.0 (an odd field never moves W_0 or W_2,
@@ -47,7 +47,6 @@ and Rayleigh-Plesset at dt 0.01 to 2 and the pendulum at dt 0.1 to 128.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -144,70 +143,6 @@ class FlowConfig:
             object.__setattr__(self, "substeps", _count("substeps", self.substeps, 1))
 
 
-def _flow_terms(ode: PolynomialODE, k: int, live=None) -> list:
-    """The terms of dW/dt, the order-k weight flow, as (target, coefficient,
-    factors) with indices into the weights w: the row-major ravel of the
-    stacked (n, N) matrix, entry (i, s) at i * N + s.
-
-    The flow is a fixed polynomial of degree ode.order in w.  Column f of
-    the ODE's stacked matrix is a monomial (basis._columns) in the map's
-    outputs; expanding it picks one map column per factor, a multiset per
-    variable, and a pick whose column degrees add up to at most k adds the
-    coefficient, times the pick's orderings, times the product of its
-    weights, to each output at the column of the merged monomial.  factors
-    is the sorted tuple of those weights, unpadded.  Terms follow the ODE's
-    columns, the picks in lexicographic order, then the outputs; at k = 0
-    (W_0 = X, N = 1) factors is f and the terms are the ODE's right-hand
-    side, term by term.
-
-    With a set of weights `live`, a column picks only among its variable's
-    live weights, so only the terms whose factors are all live are built,
-    in the same order; an ODE column whose coefficient times its most
-    orderings overflows keeps every pick, whose terms _pruned_flow keeps.
-    """
-    n, columns = ode.dim, basis._columns(ode.dim, k)
-    monos, N = list(columns), len(columns)
-    stop = [math.comb(n + b, b) for b in range(k + 2)]  # columns of degree <= b
-
-    def picks(runs, budget, cols):
-        # (factors, merged monomial, orderings) of (variable, multiplicity)
-        # runs: of a run's m factors, j take columns of degree 1 to
-        # budget + 1 - j among cols[variable] and the rest column 0, the
-        # monomial 1
-        if not runs:
-            yield (), (), 1
-            return
-        (i, m), rest = runs[0], runs[1:]
-        for j in range(min(m, budget) + 1):
-            if j < m and 0 not in cols[i]:
-                continue
-            top = stop[budget + 1 - j]
-            for tail in itertools.combinations_with_replacement(
-                    [s for s in cols[i] if 0 < s < top], j):
-                merged = sum((monos[s] for s in tail), ())
-                if len(merged) <= budget:
-                    pick = (0,) * (m - j) + tail
-                    count = math.factorial(m) // math.prod(
-                        math.factorial(pick.count(s)) for s in set(pick))
-                    for factors, more, c in picks(rest, budget - len(merged), cols):
-                        yield tuple(i * N + s for s in pick) + factors, merged + more, count * c
-
-    every = [range(N)] * n
-    narrow = every if live is None else [
-        [s for s in range(N) if i * N + s in live] for i in range(n)]
-    terms = []
-    for f, P in zip(basis._columns(n, ode.order), ode.stacked.T.tolist()):
-        outputs = [(o, c) for o, c in enumerate(P) if c]
-        if outputs:
-            runs = [(i, f.count(i)) for i in sorted(set(f))]
-            most = math.prod(math.factorial(m) for _, m in runs)
-            cols = every if any(math.isinf(c * most) for _, c in outputs) else narrow
-            for factors, merged, count in picks(runs, k, cols):
-                t = columns[tuple(sorted(merged))]
-                terms += [(o * N + t, c * count, factors) for o, c in outputs]
-    return terms
-
-
 @functools.lru_cache(maxsize=None)
 def _start(n: int, k: int) -> np.ndarray:
     """The read-only ravel of identity_map(n, k), W_1 = I: where every
@@ -216,8 +151,9 @@ def _start(n: int, k: int) -> np.ndarray:
 
 
 def _pruned_flow(ode: PolynomialODE, k: int) -> tuple[list, list, list]:
-    """(terms, moving, kept): the terms of _flow_terms(ode, k) that can move
-    a weight from the start W_1 = I, on the compact state derivations run.
+    """(terms, moving, kept): the terms of basis._flow_terms(ode, k) that
+    can move a weight from the start W_1 = I, on the compact state
+    derivations run.
 
     kept is the sorted weights (indices into the ravel) that those terms
     move or read, terms are re-indexed into kept, and moving is the sorted
@@ -226,7 +162,7 @@ def _pruned_flow(ode: PolynomialODE, k: int) -> tuple[list, list, list]:
     identity_map(n, k), the live weights grow by the targets of the terms
     whose factors are all live, or whose coefficient overflowed to inf,
     until they no longer grow; each round builds only those terms
-    (_flow_terms with live).  Every other term has a factor that stays
+    (basis._flow_terms with live).  Every other term has a factor that stays
     +0.0, so while the weights are finite it adds an exact +-0.0 to a sum
     that starts at +0.0, which under round-to-nearest never changes the
     sum; dropping those terms keeps the bytes of the full flow.  A weight
@@ -235,7 +171,7 @@ def _pruned_flow(ode: PolynomialODE, k: int) -> tuple[list, list, list]:
     """
     live = set(np.flatnonzero(_start(ode.dim, k)).tolist())
     while True:
-        terms = [term for term in _flow_terms(ode, k, live)
+        terms = [term for term in basis._flow_terms(ode, k, live)
                  if live.issuperset(term[2]) or math.isinf(term[1])]
         moved = {t for t, _, _ in terms} - live
         if not moved:
@@ -247,41 +183,19 @@ def _pruned_flow(ode: PolynomialODE, k: int) -> tuple[list, list, list]:
             sorted({at[t] for t, _, _ in terms}), kept)
 
 
-def _term_flow(terms: list, size: int):
-    """dW/dt at the weights w, size floats, of terms (target, coefficient,
-    factors) indexing w.  With terms padded to the most factors by a
-    trailing 1.0 (index -1), it is a gather per factor, their product and
-    an in-order scatter."""
-    width = max([1] + [len(f) for _, _, f in terms])
-    target = np.array([t for t, _, _ in terms], dtype=np.intp)
-    coef = np.array([c for _, c, _ in terms], dtype=float)
-    # one index row per factor: width - 1 whole-row multiplies, in factor order
-    F = [f + (-1,) * (width - len(f)) for _, _, f in terms]
-    first, *rest = np.array(F, dtype=np.intp).reshape(-1, width).T.copy()
-    w_ext = np.ones(size + 1)
-
-    def rhs(w):
-        w_ext[:size] = w
-        prod = w_ext[first]
-        for f in rest:
-            prod *= w_ext[f]
-        return np.bincount(target, coef * prod, minlength=size)
-
-    return rhs
-
-
 def _weight_flow(ode: PolynomialODE, k: int):
-    """dW/dt of the full order-k weight flow (_flow_terms) at the raveled
-    weights w, no term dropped: the reference the derivations keep the
-    bytes of."""
-    return _term_flow(_flow_terms(ode, k), ode.dim * len(basis._columns(ode.dim, k)))
+    """dW/dt of the full order-k weight flow (basis._flow_terms) at the
+    raveled weights w, no term dropped: the reference the derivations keep
+    the bytes of."""
+    return basis._term_flow(basis._flow_terms(ode, k), ode.dim * len(basis._columns(ode.dim, k)))
 
 
 def _loop_advance(terms: list, size: int):
-    """advance(X, h, substeps): RK4 substeps of the terms (_term_flow) on a
-    state of size floats, as one float64 array: the numpy engine.  Nothing
-    is checked in the loop: an overflow makes entries non-finite for good."""
-    rhs = _term_flow(terms, size)
+    """advance(X, h, substeps): RK4 substeps of the terms (basis._term_flow)
+    on a state of size floats, as one float64 array: the numpy engine.
+    Nothing is checked in the loop: an overflow makes entries non-finite for
+    good."""
+    rhs = basis._term_flow(terms, size)
 
     def advance(X, h, substeps):
         w, half, sixth = np.array(X, dtype=float), 0.5 * h, h / 6.0
@@ -396,9 +310,9 @@ def _rk4_source(structure, n: int, moving) -> str:
     that any number of terms compiles.  p<j> * m with p<j> a float local is
     the IEEE product with that float's literal, so one kernel serves every
     set of coefficients, inf included.  The oracle unrolls a PolynomialODE's
-    _flow_terms(ode, 0), whose factors are its monomials (basis._columns);
-    a derivation unrolls _pruned_flow's terms on its compact state, one ODE
-    per kernel; the runner (_run) drives both.  These
+    basis._flow_terms(ode, 0), whose factors are its monomials
+    (basis._columns); a derivation unrolls _pruned_flow's terms on its
+    compact state, one ODE per kernel; the runner (_run) drives both.  These
     are the operations of the numpy loop (_loop_advance) on the same terms,
     which give the bytes of the full flow _weight_flow(ode, k), and the
     stages combine as there.  PolynomialODE.rhs adds the same products in
@@ -571,8 +485,8 @@ def _reference(ode, X0, dt: float, steps: int, substeps: int | None = None):
         Z, ode = _lifted_start(ode, X), ode.ode
     if isinstance(ode, PolynomialODE) and Z.shape != (ode.dim,):
         raise ValueError(f"X0 has shape {X.shape}, ODE has dim {ode.dim}")
-    advance = _term_advance(_flow_terms(ode, 0) if isinstance(ode, PolynomialODE) else ode,
-                            Z.size, range(Z.size))
+    rhs = basis._flow_terms(ode, 0) if isinstance(ode, PolynomialODE) else ode
+    advance = _term_advance(rhs, Z.size, range(Z.size))
 
     def diverged(Y, s, _):
         return FlowDivergenceError(

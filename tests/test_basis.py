@@ -5,6 +5,7 @@ The expansion routines are checked against two independent oracles: the full
 algebra written from scratch in this file.
 """
 
+import functools
 import itertools
 import math
 import warnings
@@ -211,6 +212,80 @@ def test_jacobian_tables_match_finite_differences():
 
 
 # --- powers of a polynomial map ---------------------------------------------
+#
+# Truncated power-series products on the BLAS, checked here against the
+# symbolic oracle: substitute is the independent reference for the one term
+# list that derives maps and composes them (basis._flow_terms), in the ODE
+# and map tests.
+
+
+@functools.lru_cache(maxsize=None)
+def _scatter_matrix(n: int, a: int, b: int) -> np.ndarray:
+    """0/1 matrix T with outer(u, v).ravel() @ T the degree-(a+b) coefficients
+    of the product of a degree-a and a degree-b coefficient vector: row
+    (p, q) holds its 1 at the position of monomial p times monomial q."""
+    columns = basis._columns(n, a + b)
+    bases = [itertools.combinations_with_replacement(range(n), d) for d in (a, b)]
+    products = [columns[tuple(sorted(u + v))] for u, v in itertools.product(*bases)]
+    T = np.zeros((len(products), basis.basis_size(n, a + b)))
+    T[np.arange(len(products)), np.array(products) - columns[(0,) * (a + b)]] = 1.0
+    T.flags.writeable = False
+    return T
+
+
+def _series_mul(u, v, n: int, k: int) -> list[np.ndarray]:
+    """Product of two truncated power series in n variables, up to degree k.
+
+    u[a] and v[b] hold degree-a and degree-b coefficients on their last axis;
+    leading axes broadcast.  Each degree pair is one matrix product of the
+    flattened outer coefficients with a cached 0/1 scatter matrix.
+    """
+    lead = np.broadcast_shapes(*(x.shape[:-1] for x in (*u, *v)))
+    out = [np.zeros(lead + (basis.basis_size(n, c),)) for c in range(k + 1)]
+    for a, ua in enumerate(u[: k + 1]):
+        for b, vb in enumerate(v[: k + 1 - a]):
+            outer = ua[..., :, None] * vb[..., None, :]
+            out[a + b] += outer.reshape(outer.shape[:-2] + (-1,)) @ _scatter_matrix(n, a, b)
+    return out
+
+
+def map_powers(blocks, max_degree: int, k: int) -> dict[int, list[np.ndarray]]:
+    """Coefficients of M(X)^[d] for d = 0..max_degree, truncated at degree k.
+
+    blocks lists the coefficient matrices of the map M (degree 0 upward,
+    m rows over n input variables).  The result maps each power d to a list
+    of arrays A_0..A_k with A_j of shape (basis_size(m, d), basis_size(n, j))
+    such that M(X)^[d] = sum_j A_j X^[j] up to the discarded degrees.
+
+    Products share prefixes: each row of M(X)^[d] is a row of M(X)^[d-1]
+    times one component of M, and all rows of a power form one series product.
+    """
+    M = [np.array(b, dtype=float) for b in blocks]
+    m, n = M[0].shape[0], M[1].shape[1]
+    M = M[: k + 1] + [np.zeros((m, basis.basis_size(n, d))) for d in range(len(M), k + 1)]
+    one = [np.ones((1, 1))] + [np.zeros((1, basis.basis_size(n, j))) for j in range(1, k + 1)]
+    result = {0: one}
+    if max_degree >= 1:
+        result[1] = M
+    for d in range(2, max_degree + 1):
+        parent, var = basis._prefix_table(m, d)
+        result[d] = _series_mul([A[parent] for A in result[d - 1]], [B[var] for B in M], n, k)
+    return result
+
+
+def substitute(outer, inner, k: int) -> list[np.ndarray]:
+    """Coefficient blocks of P(M(X)) truncated at degree k.
+
+    outer lists the blocks P_0..P_p of a polynomial over the outputs of the
+    map M whose blocks inner lists (both degree 0 upward).
+    """
+    powers = map_powers(inner, len(outer) - 1, k)
+    out = [np.zeros((outer[0].shape[0], A.shape[1])) for A in powers[0]]
+    out[0] += outer[0]
+    for d in range(1, len(outer)):
+        for j in range(k + 1):
+            out[j] += outer[d] @ powers[d][j]
+    return out
 
 
 def _random_blocks(rng, n: int, k: int, scale: float = 0.5):
@@ -221,7 +296,7 @@ def test_map_powers_match_symbolic_expansion():
     rng = np.random.default_rng(2)
     for n, k in [(1, 3), (2, 2), (2, 3), (3, 2)]:
         blocks = _random_blocks(rng, n, k)
-        got = basis.map_powers(blocks, max_degree=k, k=k)
+        got = map_powers(blocks, max_degree=k, k=k)
         for d in range(k + 1):
             want = _sym_power_blocks(blocks, d, k)
             assert len(got[d]) == k + 1
@@ -233,7 +308,7 @@ def test_map_powers_match_symbolic_expansion():
 
 def test_map_powers_degree_zero_is_constant_one():
     blocks = _random_blocks(np.random.default_rng(3), 2, 2)
-    got = basis.map_powers(blocks, max_degree=2, k=2)
+    got = map_powers(blocks, max_degree=2, k=2)
     assert got[0][0].tolist() == [[1.0]]
     assert np.all(got[0][1] == 0.0)
     assert np.all(got[0][2] == 0.0)
@@ -244,7 +319,7 @@ def test_map_powers_evaluate_consistently():
     # kron power of the evaluated map
     rng = np.random.default_rng(4)
     blocks = _random_blocks(rng, 2, 3, scale=0.3)
-    powers = basis.map_powers(blocks, max_degree=3, k=3)
+    powers = map_powers(blocks, max_degree=3, k=3)
     for _ in range(5):
         X = rng.normal(size=2) * 0.3
         MX = sum(W @ basis.kron_power(X, d) for d, W in enumerate(blocks))
@@ -265,7 +340,7 @@ def test_map_powers_evaluate_consistently():
 
 def _linear_power(W, d):
     """A with A @ X^[d] == (W @ X)^[d]: power d of the linear map W."""
-    return basis.map_powers([np.zeros((W.shape[0], 1)), W], d, d)[d][d]
+    return map_powers([np.zeros((W.shape[0], 1)), W], d, d)[d][d]
 
 
 def test_map_powers_of_linear_block_commute_with_kron_power():
@@ -307,7 +382,7 @@ def _coefficient_blocks(draw, n, k, m=None):
 @given(st.data(), st.integers(1, 4), st.integers(1, 3), st.integers(0, 4))
 def test_map_powers_match_symbolic_oracle_property(data, n, k, max_degree):
     blocks = data.draw(_coefficient_blocks(n, k))
-    got = basis.map_powers(blocks, max_degree=max_degree, k=k)
+    got = map_powers(blocks, max_degree=max_degree, k=k)
     assert sorted(got) == list(range(max_degree + 1))
     for d in range(max_degree + 1):
         want = _sym_power_blocks(blocks, d, k)

@@ -27,17 +27,21 @@ MODULES = ("basis", "maps", "ode", "network", "systems", "lattice", "io", "cli")
 # (it retired the adjoint loop and the maps Jacobian table and series; the
 # tests keep the table and series as the reference reverse pass); and the
 # duplicate objective paths, which backward, _data_gradient,
-# _pairwise_gradient and maps._residual_penalty replace; and the exponent-
-# tuple lookups that the one monomial table, basis._columns, replaces (the
-# product positions live in basis._scatter_matrix); and the weighing of a
-# kernel's compile against its runs, which the kernels cached per term
-# structure and one size cap (ode._KERNEL_STATEMENTS) replace; and the
-# derivation driver, its batches and its own doubling loop, which one ODE
-# at a time through the oracle's runner (ode._derivation, ode._run) replaces;
-# and the numpy state buffers of the forward pass, which the one generated
-# evaluator on floats (maps._chain_function) replaces; and the separate
-# reverse pass and the cached one-hot group matrix, which the one training
-# pass (network._training_function), bound once per run, replaces
+# _pairwise_gradient and maps._residual_penalty replace; and the
+# exponent-tuple lookups that the one monomial table, basis._columns,
+# replaces; and the weighing of a kernel's compile against its runs, which
+# the kernels cached per term structure and one size cap
+# (ode._KERNEL_STATEMENTS) replace; and the derivation driver, its batches
+# and its own doubling loop, which one ODE at a time through the oracle's
+# runner (ode._derivation, ode._run) replaces; and the numpy state buffers
+# of the forward pass, which the one generated evaluator on floats
+# (maps._chain_function) replaces; and the separate reverse pass and the
+# cached one-hot group matrix, which the one training pass
+# (network._training_function), bound once per run, replaces; and
+# map_powers, substitute and their BLAS series products, which composition
+# on the weight flow's term list (basis._flow_terms and basis._term_flow,
+# shared with the derivations) replaces (the tests keep them as its
+# independent reference)
 DELETED = (
     ("basis", "kron_power_jacobian"),
     ("basis", "lift_linear"),
@@ -77,6 +81,10 @@ DELETED = (
     ("network", "_bind_slots"),
     ("network", "_reverse_function"),
     ("network", "_group_onehot"),
+    ("basis", "map_powers"),
+    ("basis", "substitute"),
+    ("basis", "_series_mul"),
+    ("basis", "_scatter_matrix"),
 )
 
 

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from tmnet import basis, maps, network
+from tmnet import basis, maps, network, ode
 
 # deterministic property runs that leave no example database behind
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=30)
@@ -65,6 +66,10 @@ def test_validation_rejects_bad_shapes_and_nonfinite():
         maps.TaylorMap(dim=2, order=0, weights=(np.array([[np.nan], [0.0]]),))
     with pytest.raises(ValueError):
         maps.TaylorMap(dim=2, order=1, weights=(np.zeros((2, 1)),))
+    ident = maps.identity_map(2, 2)
+    for k in (2.5, 0, True):
+        with pytest.raises(ValueError, match="k must be an integer >= 1"):
+            maps.compose(ident, ident, k=k)
 
 
 # --- composition --------------------------------------------------------------
@@ -112,6 +117,31 @@ def test_compose_with_identity_is_identity_operation():
     for d in range(4):
         assert np.allclose(left.weights[d], tm.weights[d], rtol=1e-12, atol=1e-14)
         assert np.allclose(right.weights[d], tm.weights[d], rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("p, q, k", [(2, 2, 2), (2, 3, 2), (2, 1, 3), (3, 2, 2), (3, 1, 2)],
+                         ids=["equal", "inner_above_k", "inner_below_k", "outer_above_k",
+                              "outer_above_inner_below"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=10)
+@given(data=st.data(), n=st.integers(1, 3))
+def test_compose_is_the_weight_flow_of_the_outer_map(p, q, k, data, n):
+    # one product path: outer as the ODE of an order-k weight flow, at
+    # inner's weights cut or zero-padded to order k, gives compose's bytes
+    # (dense maps, no zero coefficient, W_0 != 0)
+    coeff = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False).filter(
+        lambda c: abs(c) > 0.1)
+
+    def draw(order):
+        return maps.TaylorMap(dim=n, order=order, weights=tuple(
+            data.draw(hnp.arrays(np.float64, (n, basis.basis_size(n, d)), elements=coeff))
+            for d in range(order + 1)))
+
+    outer, inner = draw(p), draw(q)
+    W = [inner.weights[d] if d <= q else np.zeros((n, basis.basis_size(n, d)))
+         for d in range(k + 1)]
+    flow = ode._weight_flow(ode.PolynomialODE(n, p, outer.weights), k)
+    want = flow(np.hstack(W).ravel()).reshape(n, -1)
+    assert np.array_equal(maps.compose(outer, inner, k).stacked, want)
 
 
 def test_serialization_roundtrip_and_ordering_tag():

@@ -21,6 +21,8 @@ from scipy.linalg import expm
 
 from tmnet import basis, lattice, maps, network, ode, systems
 
+from test_basis import substitute
+
 
 def _free_fall() -> ode.PolynomialODE:
     # v' = 9.8 - 0.00392 v^2 (terminal speed 50)
@@ -439,14 +441,14 @@ def test_pruning_builds_only_the_terms_of_live_weights(monkeypatch):
     # Rayleigh-Plesset's full flow has 2009 terms, of which 25 are kept;
     # the four rounds of the fixed point build 9, 22, 25 and 25
     rp = systems.rayleigh_plesset()
-    assert len(ode._flow_terms(rp, rp.order)) == 2009
-    built, flow_terms = [], ode._flow_terms
+    assert len(basis._flow_terms(rp, rp.order)) == 2009
+    built, flow_terms = [], basis._flow_terms
 
     def counting(system, k, live=None):
         built.append(len(terms := flow_terms(system, k, live)))
         return terms
 
-    monkeypatch.setattr(ode, "_flow_terms", counting)
+    monkeypatch.setattr(basis, "_flow_terms", counting)
     terms, _, _ = ode._pruned_flow(rp, rp.order)
     assert len(terms) == 25 and built == [9, 22, 25, 25]
 
@@ -571,7 +573,7 @@ def test_compiled_weight_flow_matches_substitution(data, n, order, k):
     system = ode.PolynomialODE(n, order, tuple(blocks(order)))
     W = blocks(k)
     got = np.reshape(ode._weight_flow(system, k)(np.hstack(W).ravel()), (n, -1))
-    want = np.hstack(basis.substitute(system.coeffs, W, k))
+    want = np.hstack(substitute(system.coeffs, W, k))
     assert got.shape == want.shape
     assert np.all(np.abs(got - want) <= 1e-13 * np.max(np.abs(want)))
 
@@ -624,7 +626,7 @@ def test_flow_terms_equal_the_choice_enumeration(data, n, order, k):
     system = ode.PolynomialODE(n, order, tuple(
         data.draw(hnp.arrays(np.float64, (n, basis.basis_size(n, d)), elements=coeff))
         for d in range(order + 1)))
-    got, want = ode._flow_terms(system, k), _choice_terms(system, k)
+    got, want = basis._flow_terms(system, k), _choice_terms(system, k)
     assert got == want
 
 
@@ -649,7 +651,7 @@ def test_derived_map_matches_rk4_on_the_substituted_flow(index):
 
     def rhs(w):
         blocks = [b.reshape(n, -1) for b in np.split(w, ends)]
-        return np.concatenate(basis.substitute(system.coeffs, blocks, k), axis=None)
+        return np.concatenate(substitute(system.coeffs, blocks, k), axis=None)
 
     want = _textbook_rk4(rhs, np.concatenate(W, axis=None), dt, 1, 100)[-1]
     tm = ode.ode_to_map(system, ode.FlowConfig(dt, substeps=100))
