@@ -150,10 +150,11 @@ def _track(lat: Lattice, X0, n_turns: int, name_turns: bool):
     """Every element-boundary state of n_turns passes through lat, block by
     block: each block is one forward pass of a chain that repeats the
     elements for up to _BLOCK_SLOTS slots, and yields its boundary states,
-    shape (turns * n_elements + 1, 4), row 0 being the block's start and
-    every n_elements-th row a turn's end.  The next block starts from the
-    last.  A divergence names the element index and its label, after the
-    turn counted from the start of tracking if name_turns."""
+    turns * n_elements + 1 lists of 4 floats, the first being the block's
+    start and every n_elements-th a turn's end (the callers convert the
+    rows they keep).  The next block starts from the last.  A divergence
+    names the element index and its label, after the turn counted from the
+    start of tracking if name_turns."""
     n = lat.n_elements
     per_block = max(1, _BLOCK_SLOTS // n)
     net = to_network(lat)
@@ -170,14 +171,14 @@ def _track(lat: Lattice, X0, n_turns: int, name_turns: bool):
             if name_turns:
                 message = f"turn {first + turn + 1}: {message}"
             raise ode.FlowDivergenceError(message, j + 1) from None
-        yield network._array(states, 4)
+        yield states
         X, states = states[-1], None  # one block's lists alive at a time
 
 
 def observe_one_turn(lat: Lattice, X0) -> network.ObservationSeries:
     """One turn of monitor data as a training series: positions observed,
     velocities masked out."""
-    states = next(_track(lat, X0, 1, False))
+    states = network._array(next(_track(lat, X0, 1, False)), 4)
     mask = np.zeros((len(lat.monitors), 4), dtype=bool)
     mask[:, list(_POSITIONS)] = True
     return network.ObservationSeries(
@@ -206,8 +207,8 @@ def multi_turn(lat: Lattice, X0, n_turns: int) -> TurnSeries:
     out = np.empty((n_turns, 4))
     done = 0
     for states in _track(lat, X0, n_turns, True):
-        ends = states[n::n]
-        out[done:done + len(ends)] = ends
+        ends, states = states[n::n], None  # one block's lists alive at a time
+        out[done:done + len(ends)] = network._array(ends, 4)
         done += len(ends)
     return TurnSeries(states=out)
 

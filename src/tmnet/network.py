@@ -255,7 +255,9 @@ def _with_penalty(data: float, grads, W, n: int, k: int, penalty_rate: float):
 def _training_function(n: int, k: int):
     """train(weights, groups, x, taps, n_obs) -> (data, rows, adjoints), or
     None if the last state is non-finite: the training pass of a chain of
-    order-k slots over n variables, straight-line Python on floats, compiled.
+    order-k slots over n variables, straight-line Python on floats, compiled
+    as two functions that train calls in turn, the forward loop and the
+    reverse loop (one compile of both peaks at about 1.7x the memory).
 
     The forward loop runs maps._slot_lines, the slots of _chain_function,
     from the state x on _weight_rows' weights, keeping each slot's monomials
@@ -288,8 +290,8 @@ def _training_function(n: int, k: int):
 
     columns = range(1, len(monos))
     b = [" + ".join(term(s, i) for s in columns if i in monos[s]) for i in range(n)]
-    source = "\n".join([
-        "def train(weights, groups, x, taps, n_obs):",
+    forward = "\n".join([
+        "def forward(weights, groups, x, taps, n_obs):",
         "    rows, seeds, data, g = [], [], 0.0, None",
         f"    {', '.join(x)}, = x",
         "    for h, tap in zip(groups, taps):",
@@ -306,6 +308,10 @@ def _training_function(n: int, k: int):
         f"        {', '.join(x)}, = {', '.join(y)},",
         f"    if not ({' and '.join(f'isfinite({xi})' for xi in x)}):",
         "        return None",
+        "    return data / n_obs, rows, seeds",
+    ])
+    reverse = "\n".join([
+        "def reverse(weights, groups, rows, seeds):",
         f"    {' = '.join(a)} = 0.0",
         "    adjoints, h = [], None",
         f"    for g, [{', '.join(p)}], [{', '.join(sd)}] in "
@@ -318,10 +324,20 @@ def _training_function(n: int, k: int):
         *(f"        c{s} = {' + '.join(f'{a[r]} * w{r}_{s}' for r in range(n))}"
           for s in columns),
         f"        {', '.join(a)}, = {', '.join(b)},",
-        "    return data / n_obs, rows, adjoints",
+        "    return adjoints",
     ])
-    return basis._compiled(source, f"<training pass of order-{k} slots over {n} variables>",
-                           "train", isfinite=math.isfinite)
+    name = f"<training pass of order-{k} slots over {n} variables>"
+    forward = basis._compiled(forward, name, "forward", isfinite=math.isfinite)
+    reverse = basis._compiled(reverse, name, "reverse")
+
+    def train(weights, groups, x, taps, n_obs):
+        out = forward(weights, groups, x, taps, n_obs)
+        if out is None:
+            return None
+        data, rows, seeds = out
+        return data, rows, reverse(weights, groups, rows, seeds)
+
+    return train
 
 
 def _data_gradient(net: Network, X0, obs: ObservationSeries):

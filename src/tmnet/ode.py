@@ -24,22 +24,24 @@ full flow's maps byte for byte (Berz, Modern Map Methods in Particle Beam
 Physics, 1999, keeps DA vectors sparse the same way).
 
 One generated RK4 (_term_advance) serves states and weights: straight-line
-Python substeps on locals, unrolled from a term list, that read the
-coefficients from an argument, so a kernel is compiled once per term
-structure and kept in one bounded cache (_kernel).  One runner (_run)
-takes trajectories and derivations through an RK4 engine with that
-kernel's interface, advance(X, h, substeps) on a list of floats, step by
-step; unless given a count, it chooses the substeps by step doubling: runs
-of N and 2N substeps per step from N = 1 until max |X_2N - X_N| / 15 /
-max(1, |X_2N|) is within the caller's tolerance, the states being those
-of 2N substeps.  reference_trajectory runs the kernel at k = 0 on the
-state (a Lifted system's, on the lifted state), to ORACLE_TOL = 1e-9.
+Python on locals, unrolled from a term list, that reads the coefficients
+from an argument, so a kernel is compiled once per term structure and
+kept in one bounded cache (_kernel).  One runner (_run) takes trajectories
+and derivations through the levels of step doubling: unless given a
+count, it runs levels of N and 2N substeps per step from N = 1 until
+max |X_2N - X_N| / 15 / max(1, |X_2N|) is within the caller's tolerance,
+the states being those of 2N substeps; an explicit count is one level
+with no N run.  Each level is one call of the generated function
+(_rk4_source): every step, its fine and coarse runs through one RK4 body,
+the finite check and the estimate on floats, so the runner keeps only
+the ladder of levels.  reference_trajectory runs the kernel at k = 0 on
+the state (a Lifted system's, on the lifted state), to ORACLE_TOL = 1e-9.
 ode_to_map runs one step of dt on the compact state of the pruned flow,
 the weights that move and the ones their terms read, to MAP_TOL = 1e-11
 (_derivation): on the kernel if it has at most _KERNEL_STATEMENTS
-statements, else on a numpy loop (_loop_advance).  Both run the same IEEE
-operations in the same order, so every map, and every divergence error,
-has the same bytes either way.  Free fall at dt
+statements, else on the same level around a numpy loop (_loop_advance).
+Both run the same IEEE operations in the same order, so every map, and
+every divergence error, has the same bytes either way.  Free fall at dt
 0.1 resolves to 4 substeps, the augmented free fall to 64, Lotka-Volterra
 and Rayleigh-Plesset at dt 0.01 to 2 and the pendulum at dt 0.1 to 128.
 """
@@ -191,16 +193,17 @@ def _weight_flow(ode: PolynomialODE, k: int):
 
 
 def _loop_advance(terms: list, size: int):
-    """advance(X, h, substeps): RK4 substeps of the terms (basis._term_flow)
-    on a state of size floats, as one float64 array: the numpy engine.
-    Nothing is checked in the loop: an overflow makes entries non-finite for
-    good."""
+    """level(X, h, H, fine, coarse, steps, known, tol): the numpy engine, the
+    generated level (_rk4_source) of a state of size floats whose every run
+    is one call of the RK4 substeps of the terms (basis._term_flow) on one
+    float64 array.  Nothing is checked in a run: an overflow makes entries
+    non-finite for good."""
     rhs = basis._term_flow(terms, size)
 
-    def advance(X, h, substeps):
+    def substeps(X, h, count):
         w, half, sixth = np.array(X, dtype=float), 0.5 * h, h / 6.0
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(substeps):  # the stages group as in _rk4_source
+            for _ in range(count):  # the stages group as in _rk4_source
                 k1 = rhs(w)
                 k2 = rhs(w + half * k1)
                 k3 = rhs(w + half * k2)
@@ -208,7 +211,7 @@ def _loop_advance(terms: list, size: int):
                 w = w + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         return w.tolist()
 
-    return advance
+    return functools.partial(_kernel("loop", size, tuple(range(size))), substeps)
 
 
 # the relative weight error the default FlowConfig resolves a derivation to
@@ -225,13 +228,14 @@ def _derivation(ode: PolynomialODE, cfg: FlowConfig) -> tuple:
     scattered back into the identity's ravel.  The RK4 engine is the generated float kernel
     (_term_advance) if the kernel has at most _KERNEL_STATEMENTS statements
     (_statements), else the numpy loop (_loop_advance); both give the same
-    bytes.  A run that ends non-finite is replayed one substep at a time
-    from the start, to raise the error of its first non-finite substep with
-    the norm of the full ravel before it.
+    bytes.  A run that ends non-finite is replayed from the start as one
+    level of fine steps of one substep each, which stops at its first
+    non-finite substep, to raise that substep's error with the norm of the
+    full ravel before it.
     """
     terms, moving, kept = plan = _pruned_flow(ode, ode.order)
-    advance = (_term_advance(terms, len(kept), moving)
-               if _statements(plan) <= _KERNEL_STATEMENTS else _loop_advance(terms, len(kept)))
+    level = (_term_advance(terms, len(kept), moving)
+             if _statements(plan) <= _KERNEL_STATEMENTS else _loop_advance(terms, len(kept)))
     start = _start(ode.dim, ode.order)
 
     def ravel(X):
@@ -243,17 +247,14 @@ def _derivation(ode: PolynomialODE, cfg: FlowConfig) -> tuple:
         # a non-finite entry stays non-finite (x + anything), so the run
         # that ended non-finite meets its first non-finite substep here
         h = cfg.dt / fine
-        for s in range(1, fine + 1):
-            Y = advance(X, h, 1)
-            if not all(map(math.isfinite, Y)):
-                break
-            X = Y
+        states, s, _ = level(X, h, h, 1, 0, fine, [], MAP_TOL)
+        norm, s = math.hypot(*ravel(states[s]).tolist()), s + 1
         return FlowDivergenceError(
             f"weight flow diverged at t={s * h:.6g} of {cfg.dt:.6g} (substep {s}/{fine}; "
-            f"last finite weight norm {math.hypot(*ravel(X).tolist()):.6g})", s)
+            f"last finite weight norm {norm:.6g})", s)
 
     (_, end), substeps, estimate = _run(
-        advance, start[kept].tolist(), cfg.dt, 1, cfg.substeps, MAP_TOL, diverged,
+        level, start[kept].tolist(), cfg.dt, 1, cfg.substeps, MAP_TOL, diverged,
         lambda e, n: f"the map derivation's error estimate is {e:.3g} at {n} RK4 "
                      f"substeps, above MAP_TOL {MAP_TOL:g}; pass substeps explicitly")
     w = ravel(end).reshape(ode.dim, -1)
@@ -294,29 +295,44 @@ def _on_lists(f):
 
 
 def _rk4_source(structure, n: int, moving) -> str:
-    """The generated definition of advance(C, X, h, substeps), RK4
-    substeps of dX/dt on a state of n floats as straight-line Python
-    (_kernel), holding only generated names.
+    """The generated definition of level(C, X, h, H, fine, coarse, steps,
+    known, tol) -> (states, stop, estimate): one level of the runner (_run)
+    on a state of n floats as straight-line Python (_kernel), holding only
+    generated names.
 
-    The state is unpacked from the list X into locals x0..x{n-1} and
-    returned as a list; only the entries in moving get stage outputs,
-    updates and a final combination, the others being read at their start.
-    With structure None, C is a callable rhs on lists (_on_lists), a stage
-    is one call, [a0, ..., a{n-1}] = C([x0, ..., x{n-1}]), and every entry
-    moves.  A structure of terms (target, factors) is unrolled on the
-    coefficients C, one per term, unpacked once per call into p0, p1, ...:
-    basis._products forms each factor once, and each output starts at 0.0
-    and adds p<j> * m per term, in term order, one statement per term so
-    that any number of terms compiles.  p<j> * m with p<j> a float local is
-    the IEEE product with that float's literal, so one kernel serves every
-    set of coefficients, inf included.  The oracle unrolls a PolynomialODE's
-    basis._flow_terms(ode, 0), whose factors are its monomials
-    (basis._columns); a derivation unrolls _pruned_flow's terms on its
-    compact state, one ODE per kernel; the runner (_run) drives both.  These
-    are the operations of the numpy loop (_loop_advance) on the same terms,
-    which give the bytes of the full flow _weight_flow(ode, k), and the
-    stages combine as there.  PolynomialODE.rhs adds the same products in
-    column order, zeros too: on finite states the oracle's values.
+    From the state X, a list, each of the `steps` steps runs `fine` RK4
+    substeps of h on the fine state x0..x{n-1} and then `coarse` substeps
+    of H on the coarse state z0..z{n-1}, which starts at X too; a step
+    below len(known) - 1 runs no coarse substep, the coarse state being
+    read from known[step + 1].  Both runs go through one RK4 body on the
+    locals x: a run swaps the two states' moving entries after it.  A step
+    whose fine state is non-finite returns (states, step, estimate) before
+    appending it to states; with coarse > 0, the step's estimate e = max
+    |x - z| / max(1, |x|) / 15 over the moving entries (nan if a coarse
+    entry is not finite) returns (states, step, e) if it is NaN or above
+    tol, else the largest e so far is the estimate; after the last step
+    (states, steps, estimate) is returned, states holding X and every fine
+    state as lists.
+
+    Only the entries in moving get stage outputs, updates and a final
+    combination, the others being read at their start.  With structure
+    None, C is a callable rhs on lists (_on_lists), a stage is one call,
+    [a0, ..., a{n-1}] = C([x0, ..., x{n-1}]), and every entry moves.  A
+    structure of terms (target, factors) is unrolled on the coefficients C,
+    one per term, unpacked once per call into p0, p1, ...: basis._products
+    forms each factor once, and each output starts at 0.0 and adds p<j> * m
+    per term, in term order, one statement per term so that any number of
+    terms compiles.  p<j> * m with p<j> a float local is the IEEE product
+    with that float's literal, so one kernel serves every set of
+    coefficients, inf included.  With structure "loop", C is the numpy
+    loop's substeps(X, h, count) (_loop_advance), one call per run.  The
+    oracle unrolls a PolynomialODE's basis._flow_terms(ode, 0), whose
+    factors are its monomials (basis._columns); a derivation unrolls
+    _pruned_flow's terms on its compact state, one ODE per kernel.  These
+    are the operations of the numpy loop on the same terms, which give the
+    bytes of the full flow _weight_flow(ode, k), and the stages combine as
+    there.  PolynomialODE.rhs adds the same products in column order, zeros
+    too: on finite states the oracle's values.
     """
     def stage(out, state):
         # dX/dt at the variables named in state, into out<i> for i in moving
@@ -326,25 +342,52 @@ def _rk4_source(structure, n: int, moving) -> str:
         return ([f"{out}{i} = 0.0" for i in moving] + lines
                 + [f"{out}{o} += p{j} * {names[f]}" for j, (o, f) in enumerate(structure)])
 
-    x = [f"x{i}" for i in range(n)]
+    x, z = [f"x{i}" for i in range(n)], [f"z{i}" for i in range(n)]
     y = [f"y{i}" if i in moving else v for i, v in enumerate(x)]
+    xm, zm = [x[i] for i in moving], [z[i] for i in moving]
 
     def update(step, k):
         return [f"y{i} = x{i} + {step} * {k}{i}" for i in moving]
 
-    body = (stage("a", x) + update("half", "a") + stage("b", y) + update("half", "b")
-            + stage("c", y) + update("h", "c") + stage("d", y)
-            + [f"x{i} = x{i} + sixth * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})"
-               for i in moving])
-    state = f"[{', '.join(x)}]"
+    if structure == "loop":
+        run = [f"[{', '.join(x)}] = C([{', '.join(x)}], step, count)"]
+    else:
+        body = (stage("a", x) + update("half", "a") + stage("b", y) + update("half", "b")
+                + stage("c", y) + update("step", "c") + stage("d", y)
+                + [f"x{i} = x{i} + sixth * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})"
+                   for i in moving])
+        run = ["for _ in range(count):", *(f"    {line}" for line in body or ["pass"])]
+
+    def finite(names):
+        return " and ".join(f"isfinite({v})" for v in names) or "True"
+
+    errors = [f"abs({a} - {b}) / max(1.0, abs({a}))" for a, b in zip(xm, zm)]
+    error = f"max({', '.join(errors)})" if len(errors) > 1 else "".join(errors) or "0.0"
+    coefficients = structure and structure != "loop"
     return "\n".join([
-        "def advance(C, X, h, substeps):",
-        *([f"    {''.join(f'p{j}, ' for j in range(len(structure)))}= C"] if structure else []),
-        "    half, sixth = 0.5 * h, h / 6.0",
-        f"    {state} = X",
-        "    for _ in range(substeps):",
-        *(f"        {line}" for line in body or ["pass"]),  # nothing moves
-        f"    return {state}",
+        "def level(C, X, h, H, fine, coarse, steps, known, tol):",
+        *([f"    {''.join(f'p{j}, ' for j in range(len(structure)))}= C"] if coefficients else []),
+        "    both = (fine, h, 0.5 * h, h / 6.0), (coarse, H, 0.5 * H, H / 6.0)",
+        "    alone = both[0], (0, H, 0.5 * H, H / 6.0)",
+        "    states, estimate, resumed = [X], 0.0, len(known) - 1",
+        f"    [{', '.join(x)}] = [{', '.join(z)}] = X",
+        "    for s in range(steps):",
+        "        runs = both",
+        "        if s < resumed:",
+        f"            [{', '.join(z)}] = known[s + 1]",
+        "            runs = alone",
+        "        for count, step, half, sixth in runs:",
+        *(f"            {line}" for line in run),
+        f"            [{', '.join(xm + zm)}] = [{', '.join(zm + xm)}]",
+        f"        if not ({finite(xm)}):",
+        "            return states, s, estimate",
+        f"        states.append([{', '.join(x)}])",
+        "        if coarse:",
+        f"            e = {error} / 15.0 if {finite(zm)} else nan",
+        "            if not e <= tol:",
+        "                return states, s, e",
+        "            estimate = max(estimate, e)",
+        "    return states, steps, estimate",
     ])
 
 
@@ -354,19 +397,21 @@ def _rk4_source(structure, n: int, moving) -> str:
 # structures holds
 @functools.lru_cache(maxsize=64)
 def _kernel(structure, n: int, moving: tuple):
-    """advance(C, X, h, substeps): _rk4_source(structure, n, moving)
-    compiled, once per term structure."""
+    """level(C, X, h, H, fine, coarse, steps, known, tol): _rk4_source(
+    structure, n, moving) compiled, once per term structure."""
     return basis._compiled(_rk4_source(structure, n, moving),
-                           f"<RK4 substeps of a dim-{n} ODE>", "advance")
+                           f"<RK4 substeps of a dim-{n} ODE>", "level",
+                           isfinite=math.isfinite, nan=math.nan)
 
 
 def _term_advance(rhs, n: int, moving):
-    """advance(X, h, substeps): the RK4 substeps of dX/dt = rhs, a term
-    list or a callable, on a state of n floats, moving the entries in
-    moving: the cached kernel (_kernel) of the terms' structure bound to
-    their coefficients, or that of a callable bound to it.  It serves the
-    oracle's trajectories (X the state) and derivations (X the compact
-    state of _pruned_flow), where it gives the numpy loop's bytes."""
+    """level(X, h, H, fine, coarse, steps, known, tol): one level of RK4
+    runs of dX/dt = rhs, a term list or a callable, on a state of n floats,
+    moving the entries in moving (_rk4_source): the cached kernel (_kernel)
+    of the terms' structure bound to their coefficients, or that of a
+    callable bound to it.  It serves the oracle's trajectories (X the
+    state) and derivations (X the compact state of _pruned_flow), where it
+    gives the numpy loop's bytes."""
     if callable(rhs):
         return functools.partial(_kernel(None, n, tuple(moving)), _on_lists(rhs))
     return functools.partial(_kernel(tuple((t, f) for t, _, f in rhs), n, tuple(moving)),
@@ -374,22 +419,24 @@ def _term_advance(rhs, n: int, moving):
 
 
 def _statements(plan: tuple) -> int:
-    """S, the newlines of the kernel _rk4_source generates for plan (terms,
-    moving, kept), counted without generating it: 4 stages of one line per
-    moving weight, product and term, 3 updates and the final combination of
-    one line per moving weight, 4 more (half and sixth, the unpacking of X,
-    the loop and the return) and, with terms, that of the coefficients."""
+    """S, the newlines of the level _rk4_source generates for plan (terms,
+    moving, kept), one fewer than its lines, counted without generating it:
+    an RK4 body of 4 stages of one line per moving weight, product and
+    term, 3 updates and the final combination of one line per moving
+    weight (or one pass if nothing moves), 22 lines around it and, with
+    terms, the unpacking of the coefficients."""
     terms, moving, kept = plan
     products, _ = basis._products([f"x{i}" for i in range(len(kept))], [f for _, _, f in terms])
-    return 4 * (2 * len(moving) + len(products) + len(terms) + 1) + bool(terms)
+    return (4 * (2 * len(moving) + len(products) + len(terms)) or 1) + 21 + bool(terms)
 
 
 # the most statements (_statements) a derivation's kernel may have; larger
 # plans run on the numpy loop.  A kernel substep costs 18-35 ns per
-# statement and a numpy loop substep 15-40 us, so the two cross at about
-# 1000 statements on dense random flows of order 2 and 3 (2 vCPUs, Python
-# 3.11, numpy 2.4; CHANGES.md); the built-in flows and ring elements
-# have 29-325
+# statement of its RK4 body and a numpy loop substep 15-40 us, so the two
+# cross at about 1000 statements on dense random flows of order 2 and 3
+# (2 vCPUs, Python 3.11, numpy 2.4; CHANGES.md); the 22 lines around the
+# body run at most twice per step.  The built-in flows and ring elements
+# have 46-342
 _KERNEL_STATEMENTS = 1000
 
 
@@ -399,52 +446,41 @@ ORACLE_TOL = 1e-9
 _MAX_SUBSTEPS = 2 ** 16
 
 
-def _run(advance, X: list, dt: float, steps: int, substeps: int | None, tol: float,
+def _run(level, X: list, dt: float, steps: int, substeps: int | None, tol: float,
          diverged, capped) -> tuple:
     """(states, substeps, estimate): the states of `steps` steps of dt from
-    the state X, a list of floats, by the RK4 engine advance(X, h, substeps),
-    the substeps per step that made them and their step-doubling error
-    estimate (None for an explicit count): the one runner of trajectories
-    and derivations.
+    the state X, a list of floats, by the RK4 engine level(X, h, H, fine,
+    coarse, steps, known, tol) (_rk4_source), the substeps per step that
+    made them and their step-doubling error estimate (None for an explicit
+    count): the one runner of trajectories and derivations.
 
-    An explicit count runs `substeps` substeps per step.  The default, None,
-    runs a fine run of 2N and a coarse run of N substeps per step in
-    lockstep from N = 1, the estimate being the largest |fine - coarse| /
-    15 / max(1, |fine|) over the entries so far.  A level stops at its
-    first step whose estimate exceeds tol or is NaN (a non-finite coarse
-    state) and N doubles, the states its fine run reached being the start
-    of the next coarse run; the fine run of the first level that completes
-    is returned, the states of substeps=2N byte for byte.  Beyond
+    An explicit count is one level of `substeps` substeps per step and no
+    coarse run.  The default, None, runs levels of a fine run of 2N and a
+    coarse run of N substeps per step in lockstep from N = 1, the estimate
+    being the largest |fine - coarse| / 15 / max(1, |fine|) over the
+    entries so far.  A level stops at its first step whose estimate
+    exceeds tol or is NaN (a non-finite coarse state) and N doubles, the
+    states its fine run reached (known) being the coarse states of the
+    next level; the fine run of the first level that completes is
+    returned, the states of substeps=2N byte for byte.  Beyond
     _MAX_SUBSTEPS the ValueError capped(estimate, 2N) is raised.  A fine
     step s (from 0) that ends non-finite raises diverged(the state before
-    it, s, its substeps).
+    it, s, its substeps).  np.errstate is entered once per level: numpy in
+    a callable overflows to inf, as the generated products do.
     """
     fine, known = substeps or 2, []
     while True:
-        coarse = None if substeps else fine // 2
-        h, H = dt / fine, dt / (coarse or 1)
-        out, C, estimate = [X], X, 0.0
-        for s in range(steps):
-            # numpy in a callable overflows to inf, as the generated products do
-            with np.errstate(over="ignore", invalid="ignore"):
-                Y = advance(out[s], h, fine)
-                if coarse:
-                    C = known[s + 1] if s + 1 < len(known) else advance(C, H, coarse)
-            if not all(map(math.isfinite, Y)):
-                raise diverged(out[s], s, fine)
-            out.append(Y)
-            if coarse:
-                # an empty state, such as an all-zero ODE's compact weights, has no error
-                e = (max(abs(y - c) / max(1.0, abs(y)) for y, c in zip(Y, C)) / 15.0
-                     if all(map(math.isfinite, C)) else math.nan) if Y else 0.0
-                if not e <= tol:
-                    break
-                estimate = max(estimate, e)
-        else:
-            return out, fine, estimate if coarse else None
+        coarse = 0 if substeps else fine // 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            states, stop, estimate = level(X, dt / fine, dt / (coarse or 1), fine, coarse,
+                                           steps, known, tol)
+        if stop == steps:
+            return states, fine, estimate if coarse else None
+        if len(states) == stop + 1:  # the fine state of step stop is not finite
+            raise diverged(states[stop], stop, fine)
         if 2 * fine > _MAX_SUBSTEPS:
-            raise ValueError(capped(e, fine))
-        fine, known = 2 * fine, out
+            raise ValueError(capped(estimate, fine))
+        fine, known = 2 * fine, states
 
 
 def _lifted_start(system: Lifted, X: np.ndarray) -> np.ndarray:
@@ -486,7 +522,7 @@ def _reference(ode, X0, dt: float, steps: int, substeps: int | None = None):
     if isinstance(ode, PolynomialODE) and Z.shape != (ode.dim,):
         raise ValueError(f"X0 has shape {X.shape}, ODE has dim {ode.dim}")
     rhs = basis._flow_terms(ode, 0) if isinstance(ode, PolynomialODE) else ode
-    advance = _term_advance(rhs, Z.size, range(Z.size))
+    level = _term_advance(rhs, Z.size, range(Z.size))
 
     def diverged(Y, s, _):
         return FlowDivergenceError(
@@ -494,7 +530,7 @@ def _reference(ode, X0, dt: float, steps: int, substeps: int | None = None):
             f"last finite state norm {math.hypot(*Y[:X.size]):.6g})", s + 1)
 
     states, substeps, estimate = _run(
-        advance, Z.tolist(), dt, steps, substeps, ORACLE_TOL, diverged,
+        level, Z.tolist(), dt, steps, substeps, ORACLE_TOL, diverged,
         lambda e, n: f"the reference trajectory's error estimate is {e:.3g} at {n} RK4 "
                      f"substeps per step, above ORACLE_TOL {ORACLE_TOL:g}; "
                      "pass substeps explicitly")
@@ -506,8 +542,9 @@ def reference_trajectory(ode, X0, dt: float, steps: int, substeps: int | None = 
     """RK4, the package's one trajectory integrator.
 
     Returns the states at t = 0, dt, ..., steps*dt, shape (steps+1, n), each
-    dt resolved by the same number of RK4 steps of one generated function
-    (_term_advance).  An explicit `substeps` runs exactly that many.  The
+    dt resolved by the same number of RK4 substeps, every step of a level
+    of step doubling in one call of a generated function (_term_advance).
+    An explicit `substeps` runs exactly that many.  The
     default, None, chooses the count by step doubling (_run): the
     smallest 2N, N a power of two, whose run differs from the run of N
     substeps by at most 15 * ORACLE_TOL * max(1, |state|) in every entry

@@ -339,16 +339,17 @@ def test_the_float_kernel_derives_random_odes_with_the_numpy_loops_bytes(data, n
 
 
 def _engine_runs(monkeypatch):
-    # (engine, state size, substeps) of every run of either RK4 engine from
-    # here on
+    # (engine, state size, fine substeps per step, the step it stopped at)
+    # of every level of either RK4 engine from here on
     runs = []
     for name in ("_term_advance", "_loop_advance"):
         def recording(rhs, size, *args, name=name, make=getattr(ode, name)):
-            advance = make(rhs, size, *args)
+            level = make(rhs, size, *args)
 
-            def run(X, h, substeps):
-                runs.append((name, len(X), substeps))
-                return advance(X, h, substeps)
+            def run(X, h, H, fine, *rest):
+                states, stop, estimate = level(X, h, H, fine, *rest)
+                runs.append((name, len(X), fine, stop))
+                return states, stop, estimate
 
             return run
 
@@ -368,14 +369,14 @@ def test_the_engine_is_chosen_by_the_plans_size_alone(monkeypatch):
     ring = lattice.build_fodo_ring(substeps=200)
     for j in (0, 1, 2, 8):
         lattice.perturb_element(ring, j, 0.8)
-    assert {name for name, _, _ in runs} == {"_term_advance"}
+    assert {name for name, *_ in runs} == {"_term_advance"}
     dense = ode.PolynomialODE(2, 3, tuple(np.full((2, basis.basis_size(2, d)), 0.1)
                                           for d in range(4)))
-    assert ode._statements(ode._pruned_flow(dense, 3)) == 2961 > ode._KERNEL_STATEMENTS
+    assert ode._statements(ode._pruned_flow(dense, 3)) == 2978 > ode._KERNEL_STATEMENTS
     runs.clear()
     cfg = ode.FlowConfig(0.1, substeps=4)
     assert ode.ode_to_map(dense, cfg).stacked.tobytes() == _textbook_end(dense, cfg)
-    assert runs == [("_loop_advance", 20, 4)]
+    assert runs == [("_loop_advance", 20, 4, 1)]
 
 
 def test_a_family_compiles_one_kernel_per_term_structure(monkeypatch):
@@ -479,10 +480,11 @@ def _textbook_end(system, cfg):
 def test_the_pruned_weights_are_the_full_flows_zeros(index, count, size, read):
     # the count weights the plan neither moves nor starts nonzero are
     # exactly the textbook run's 0.0 entries, and each comes back +0.0;
-    # the kernel unpacks its coefficients, then unpacks and returns exactly
-    # the size weights that the kept terms move or read, in ravel order, of
-    # which they only read `read`; the size rule counts the statements the
-    # kernel is generated with
+    # the kernel unpacks its coefficients, then unpacks (as the fine and
+    # the coarse state) and keeps as each step's state exactly the size
+    # weights that the kept terms move or read, in ravel order, of which
+    # they only read `read`; the size rule counts the statements the kernel
+    # is generated with
     system, dt = _flow_systems()[index]
     n, k = system.dim, system.order
     plan = terms, moving, kept = ode._pruned_flow(system, k)
@@ -498,10 +500,12 @@ def test_the_pruned_weights_are_the_full_flows_zeros(index, count, size, read):
     assert kept == sorted(kept) and {i for t, _, f in terms for i in (t, *f)} == set(range(size))
     assert (len(kept), len(kept) - len(moving)) == (size, read)
     source = ode._rk4_source(tuple((t, f) for t, _, f in terms), len(kept), moving)
-    state = f"[{', '.join(f'x{i}' for i in range(size))}]"
+    state, coarse = (f"[{', '.join(f'{v}{i}' for i in range(size))}]" for v in "xz")
     lines = source.splitlines()
     assert lines[1] == f"    {''.join(f'p{j}, ' for j in range(len(terms)))}= C"
-    assert (lines[3], lines[-1]) == (f"    {state} = X", f"    return {state}")
+    assert lines[5] == f"    {state} = {coarse} = X"
+    assert [line for line in lines if "states.append" in line] == [
+        f"        states.append({state})"]
     assert ode._statements(plan) == source.count("\n")
 
 
@@ -510,7 +514,7 @@ def test_the_rings_elements_run_on_46_of_their_240_weights(monkeypatch):
     # element, for the four elements' 60 weights each
     runs = _engine_runs(monkeypatch)
     lattice.build_fodo_ring(substeps=10)
-    assert runs == [("_term_advance", size, 10) for size in (8, 8, 4, 26)]
+    assert runs == [("_term_advance", size, 10, 1) for size in (8, 8, 4, 26)]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -729,13 +733,19 @@ def test_default_divergence_is_the_error_of_its_fine_run():
 def test_a_non_finite_coarse_run_only_doubles(monkeypatch):
     # Lotka-Volterra at dt 0.01 stops at 2 substeps unless its 1-substep
     # run, here made NaN, leaves the first level's estimate undefined: then
-    # it stops at 4, with the bytes of 4 substeps
-    kernel = ode._term_advance
+    # it stops at 4, with the bytes of 4 substeps.  The engine runs the
+    # flow's terms as a callable, whose stages 9-12 are that run's one
+    # substep, after the fine run's 2 x 4
+    engine = ode._term_advance
 
     def nan_at_one_substep(terms, size, moving):
-        advance = kernel(terms, size, moving)
-        return lambda X, h, substeps: [math.nan] * len(X) if substeps == 1 else advance(
-            X, h, substeps)
+        flow, calls = basis._term_flow(terms, size), []
+
+        def rhs(w):
+            calls.append(None)
+            return np.full(size, math.nan) if 9 <= len(calls) <= 12 else flow(w)
+
+        return engine(rhs, size, moving)
 
     lv = systems.lotka_volterra()
     monkeypatch.setattr(ode, "_term_advance", nan_at_one_substep)
@@ -747,12 +757,13 @@ def test_a_non_finite_coarse_run_only_doubles(monkeypatch):
 
 def test_a_diverging_run_is_located_by_replaying_single_substeps(monkeypatch):
     # x' = 50 x at 1000 substeps of dt 20 ends substep 708 non-finite: the
-    # run of 1000 substeps ends non-finite, and only then is it replayed
-    # from its start one substep at a time, up to that substep
+    # run of 1000 substeps ends its one step non-finite, and only then is it
+    # replayed from its start as steps of one substep each, which stop at
+    # that substep (step 707 from 0)
     runs = _engine_runs(monkeypatch)
     with pytest.raises(ode.FlowDivergenceError, match=r"\(substep 708/1000;"):
         ode.ode_to_map(_linear(50.0), ode.FlowConfig(20.0, substeps=1000))
-    assert [substeps for _, _, substeps in runs] == [1000] + [1] * 708
+    assert [(fine, stop) for _, _, fine, stop in runs] == [(1000, 0), (1, 707)]
 
 
 def test_default_derivation_above_the_substep_cap_asks_for_an_explicit_count(monkeypatch):
@@ -1217,16 +1228,18 @@ def test_default_divergence_names_its_step():
 
 def test_a_non_finite_coarse_run_stops_only_its_level():
     # dX/dt = 0 passes at N = 1 unless its coarse run is NaN: calls 9-12 are
-    # the coarse substep of step 1 there, after the fine run's 2 x 4 stages
-    calls = []
+    # the coarse substep of step 1 there, after the fine run's 2 x 4 stages.
+    # One NaN entry after a finite one is enough
+    for bad in ([np.nan, np.nan], [0.0, np.nan]):
+        calls = []
 
-    def rhs(X):
-        calls.append(None)
-        return np.full_like(X, np.nan if 9 <= len(calls) <= 12 else 0.0)
+        def rhs(X):
+            calls.append(None)
+            return np.array(bad) if 9 <= len(calls) <= 12 else np.zeros_like(X)
 
-    got, substeps, estimate = ode._reference(rhs, [0.5, -1.0], 0.1, 3)
-    assert (substeps, estimate) == (4, 0.0)
-    assert np.array_equal(got, np.tile([0.5, -1.0], (4, 1)))
+        got, substeps, estimate = ode._reference(rhs, [0.5, -1.0], 0.1, 3)
+        assert (substeps, estimate) == (4, 0.0)
+        assert np.array_equal(got, np.tile([0.5, -1.0], (4, 1)))
 
 
 def test_an_empty_state_resolves_to_2_substeps():
@@ -1254,3 +1267,114 @@ def test_default_above_the_substep_cap_asks_for_an_explicit_count(monkeypatch):
                                          r"ORACLE_TOL 1e-09; pass substeps explicitly$"):
         ode.reference_trajectory(system, np.array(X0), dt, steps)
     assert ode.reference_trajectory(system, np.array(X0), dt, steps, 16).shape == (11, 2)
+
+
+def _per_step_run(level, X, dt, steps, substeps, tol, diverged, capped):
+    # the runner as it was before a level became one generated pass, kept
+    # as the reference: the same ladder, stepping the fine and the coarse
+    # run in Python with one engine call per run and step (a level of one
+    # step and no coarse run, read as NaN where it ends non-finite)
+    def advance(X, h, substeps):
+        states, stop, _ = level(X, h, h, substeps, 0, 1, [], tol)
+        return states[-1] if stop else [math.nan] * len(X)
+
+    fine, known = substeps or 2, []
+    while True:
+        coarse = None if substeps else fine // 2
+        h, H = dt / fine, dt / (coarse or 1)
+        out, C, estimate = [X], X, 0.0
+        for s in range(steps):
+            with np.errstate(over="ignore", invalid="ignore"):
+                Y = advance(out[s], h, fine)
+                if coarse:
+                    C = known[s + 1] if s + 1 < len(known) else advance(C, H, coarse)
+            if not all(map(math.isfinite, Y)):
+                raise diverged(out[s], s, fine)
+            out.append(Y)
+            if coarse:
+                e = (max(abs(y - c) / max(1.0, abs(y)) for y, c in zip(Y, C)) / 15.0
+                     if all(map(math.isfinite, C)) else math.nan) if Y else 0.0
+                if not e <= tol:
+                    break
+                estimate = max(estimate, e)
+        else:
+            return out, fine, estimate if coarse else None
+        if 2 * fine > ode._MAX_SUBSTEPS:
+            raise ValueError(capped(e, fine))
+        fine, known = 2 * fine, out
+
+
+def _random_ode(n, order, seed, density, scale):
+    # an ODE with a share density of its coefficients nonzero, uniform in
+    # +-scale, and a start in [-1, 1]^n
+    rng = np.random.default_rng(seed)
+    shapes = [(n, basis.basis_size(n, d)) for d in range(order + 1)]
+    system = ode.PolynomialODE(n, order, tuple(
+        rng.uniform(-scale, scale, shape) * (rng.random(shape) < density) for shape in shapes))
+    return system, rng.uniform(-1.0, 1.0, n).tolist()
+
+
+def _both_runners(f):
+    # f() under the generated levels, then under the per-step runner, a cap
+    # of 64 substeps on both: each its result, or its error's type, message
+    # and layer
+    def run(runner):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ode, "_run", runner)
+            patch.setattr(ode, "_MAX_SUBSTEPS", 64)
+            try:
+                return f()
+            except (ode.FlowDivergenceError, ValueError) as err:
+                return type(err), str(err), getattr(err, "layer", None)
+
+    return run(ode._run), run(_per_step_run)
+
+
+def _runs_of(system, X0, steps, substeps):
+    # (trajectory, derivation), each its bytes, substeps and estimate
+    def trajectory():
+        states, count, estimate = ode._reference(system, X0, 0.05, steps, substeps)
+        return states.tobytes(), count, estimate
+
+    def derivation():
+        tm, count, estimate = ode._derivation(system, ode.FlowConfig(0.05, substeps))
+        return tm.stacked.tobytes(), count, estimate
+
+    return trajectory, derivation
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([0.0, 0.3, 1.0]), st.sampled_from([1.0, 5.0, 1e3]),
+       st.sampled_from([None, 1, 3]), st.integers(0, 8))
+# the all-zero ODE, whose derivation runs the empty state
+@example(n=3, order=2, seed=0, density=0.0, scale=1.0, substeps=None, steps=4)
+# level 1 breaks at step 6, so level 2 reads its coarse states from known
+@example(n=2, order=1, seed=0, density=1.0, scale=1.0, substeps=None, steps=8)
+# the default's estimate passes the cap of 64 substeps
+@example(n=2, order=2, seed=0, density=1.0, scale=5.0, substeps=None, steps=8)
+def test_each_level_runs_as_the_per_step_runner_did(n, order, seed, density, scale,
+                                                    substeps, steps):
+    # random ODEs, coefficients up to 1e3 (which diverge), at counts None,
+    # 1 and 3: trajectories and derivations end with the per-step runner's
+    # states, substeps and estimate, or raise its error
+    system, X0 = _random_ode(n, order, seed, density, scale)
+    for f in _runs_of(system, X0, steps, substeps):
+        new, old = _both_runners(f)
+        assert new == old
+
+
+def test_a_level_that_breaks_after_step_0_resumes_from_its_fine_states(monkeypatch):
+    # the second example above: the first level (2 substeps against 1) stops
+    # at step 6, the second reads the coarse states of steps 0-6 from the
+    # first level's fine states and runs its coarse run from step 7 on,
+    # and both runners agree
+    system, X0 = _random_ode(2, 1, 0, 1.0, 1.0)
+    runs = _engine_runs(monkeypatch)
+    trajectory, _ = _runs_of(system, X0, 8, None)
+    new, old = _both_runners(trajectory)
+    assert [(fine, stop) for _, _, fine, stop in runs[:2]] == [(2, 6), (4, 8)]
+    assert new == old
+    states, count, estimate = new
+    assert count == 4 and estimate <= ode.ORACLE_TOL
+    assert ode.reference_trajectory(system, X0, 0.05, 8, 4).tobytes() == states
