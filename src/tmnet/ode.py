@@ -34,8 +34,15 @@ the states being those of 2N substeps; an explicit count is one level
 with no N run.  Each level is one call of the generated function
 (_rk4_source): every step, its fine and coarse runs through one RK4 body,
 the finite check and the estimate on floats, so the runner keeps only
-the ladder of levels.  reference_trajectory runs the kernel at k = 0 on
-the state (a Lifted system's, on the lifted state), to ORACLE_TOL = 1e-9.
+the ladder of levels.  The body holds only the float work that can change
+a state: each stage output is one sum of its terms, not seeded with 0.0;
+stage states are formed only for the entries some term reads; an entry
+that no term moves is read at its start, which the level makes free of
+-0.0 once, so that the unseeded sums keep every state's bytes (up to the
+sign of a zero state when dt <= 0 or an increment underflows, _rk4_source).
+reference_trajectory runs the kernel at k = 0 on the state (a Lifted
+system's, on the lifted state), to ORACLE_TOL = 1e-9, moving the entries
+its terms target.
 ode_to_map runs one step of dt on the compact state of the pruned flow,
 the weights that move and the ones their terms read, to MAP_TOL = 1e-11
 (_derivation): on the kernel if it has at most _KERNEL_STATEMENTS
@@ -48,6 +55,7 @@ and Rayleigh-Plesset at dt 0.01 to 2 and the pendulum at dt 0.1 to 128.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from collections.abc import Callable
@@ -211,7 +219,7 @@ def _loop_advance(terms: list, size: int):
                 w = w + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         return w.tolist()
 
-    return functools.partial(_kernel("loop", size, tuple(range(size))), substeps)
+    return functools.partial(_kernel("loop", size), substeps)
 
 
 # the relative weight error the default FlowConfig resolves a derivation to
@@ -233,8 +241,8 @@ def _derivation(ode: PolynomialODE, cfg: FlowConfig) -> tuple:
     non-finite substep, to raise that substep's error with the norm of the
     full ravel before it.
     """
-    terms, moving, kept = plan = _pruned_flow(ode, ode.order)
-    level = (_term_advance(terms, len(kept), moving)
+    terms, _, kept = plan = _pruned_flow(ode, ode.order)
+    level = (_term_advance(terms, len(kept))
              if _statements(plan) <= _KERNEL_STATEMENTS else _loop_advance(terms, len(kept)))
     start = _start(ode.dim, ode.order)
 
@@ -294,7 +302,7 @@ def _on_lists(f):
     return rhs
 
 
-def _rk4_source(structure, n: int, moving) -> str:
+def _rk4_source(structure, n: int) -> str:
     """The generated definition of level(C, X, h, H, fine, coarse, steps,
     known, tol) -> (states, stop, estimate): one level of the runner (_run)
     on a state of n floats as straight-line Python (_kernel), holding only
@@ -305,53 +313,78 @@ def _rk4_source(structure, n: int, moving) -> str:
     of H on the coarse state z0..z{n-1}, which starts at X too; a step
     below len(known) - 1 runs no coarse substep, the coarse state being
     read from known[step + 1].  Both runs go through one RK4 body on the
-    locals x: a run swaps the two states' moving entries after it.  A step
-    whose fine state is non-finite returns (states, step, estimate) before
-    appending it to states; with coarse > 0, the step's estimate e = max
-    |x - z| / max(1, |x|) / 15 over the moving entries (nan if a coarse
-    entry is not finite) returns (states, step, e) if it is NaN or above
-    tol, else the largest e so far is the estimate; after the last step
-    (states, steps, estimate) is returned, states holding X and every fine
-    state as lists.
+    locals x: a run swaps the two states' moving entries (below) after it.
+    A step whose fine state is non-finite returns (states, step, estimate)
+    before appending it to states; with coarse > 0, the step's estimate e
+    = max |x - z| / max(1, |x|) / 15 over the moving entries (nan if a
+    coarse entry is not finite) returns (states, step, e) if it is NaN or
+    above tol, else the largest e so far is the estimate; after the last
+    step (states, steps, estimate) is returned, states holding X and every
+    fine state as lists.
 
-    Only the entries in moving get stage outputs, updates and a final
-    combination, the others being read at their start.  With structure
-    None, C is a callable rhs on lists (_on_lists), a stage is one call,
-    [a0, ..., a{n-1}] = C([x0, ..., x{n-1}]), and every entry moves.  A
-    structure of terms (target, factors) is unrolled on the coefficients C,
-    one per term, unpacked once per call into p0, p1, ...: basis._products
-    forms each factor once, and each output starts at 0.0 and adds p<j> * m
-    per term, in term order, one statement per term so that any number of
-    terms compiles.  p<j> * m with p<j> a float local is the IEEE product
-    with that float's literal, so one kernel serves every set of
-    coefficients, inf included.  With structure "loop", C is the numpy
-    loop's substeps(X, h, count) (_loop_advance), one call per run.  The
-    oracle unrolls a PolynomialODE's basis._flow_terms(ode, 0), whose
-    factors are its monomials (basis._columns); a derivation unrolls
-    _pruned_flow's terms on its compact state, one ODE per kernel.  These
-    are the operations of the numpy loop on the same terms, which give the
-    bytes of the full flow _weight_flow(ode, k), and the stages combine as
-    there.  PolynomialODE.rhs adds the same products in column order, zeros
-    too: on finite states the oracle's values.
+    With structure None, C is a callable rhs on lists (_on_lists), a stage
+    is one call, [a0, ..., a{n-1}] = C([x0, ..., x{n-1}]), and every entry
+    moves.  A structure of terms (target, factors) is unrolled on the
+    coefficients C, one per term, unpacked once per call into p0, p1, ...:
+    basis._products forms each factor once, and each output is one sum
+    p<j> * m + ... of its terms in term order (one statement per 64 terms,
+    as maps._slot_lines adds a row).  p<j> * m with p<j> a float local is
+    the IEEE product with that float's literal, so one kernel serves every
+    set of coefficients, inf included.  Only the targets of the terms move,
+    getting stage outputs and a final combination, and of those only the
+    ones that some term reads get stage states y between stages; the
+    others are read at their start.  With structure "loop", C is the numpy
+    loop's substeps(X, h, count) (_loop_advance), one call per run, and
+    every entry moves.  The oracle unrolls a PolynomialODE's
+    basis._flow_terms(ode, 0), whose factors are its monomials
+    (basis._columns); a derivation unrolls _pruned_flow's terms on its
+    compact state, one ODE per kernel.
+
+    A sum seeded with 0.0, as the numpy loop's scatter is, differs from
+    the unseeded one only where the sum is -0.0 (the seed makes it +0.0),
+    and that sign reaches a state only through x + h * k with x itself
+    -0.0.  So a structure of terms starts its locals from [v + 0.0 for v
+    in X], which leaves no -0.0 in any state after X (x + y is -0.0 only
+    if both are), while states[0] stays X itself.  From a start without
+    -0.0, a derivation's among them, the stages then run the numpy loop's
+    IEEE operations on the same terms and give its bytes, which are those
+    of the full flow _weight_flow(ode, k), and the stages combine as there;
+    from a -0.0 too while h > 0, whose first seeded update x + h * +0.0
+    made it +0.0.  With h <= 0, or increments that underflow to -0.0, the
+    seeded sums kept a start's -0.0 where its entry did not move; here it
+    is +0.0, an equal value.  PolynomialODE.rhs adds the same products in
+    column order, zeros too: on finite states the oracle's values.
     """
+    unrolled = structure is not None and structure != "loop"
+    moving = sorted({t for t, _ in structure}) if unrolled else range(n)
+
     def stage(out, state):
         # dX/dt at the variables named in state, into out<i> for i in moving
         if structure is None:
             return [f"[{', '.join(f'{out}{i}' for i in range(n))}] = C([{', '.join(state)}])"]
         lines, names = basis._products(state, [f for _, f in structure])
-        return ([f"{out}{i} = 0.0" for i in moving] + lines
-                + [f"{out}{o} += p{j} * {names[f]}" for j, (o, f) in enumerate(structure)])
+        sums = {i: [] for i in moving}
+        for j, (o, f) in enumerate(structure):
+            sums[o].append(f"p{j} * {names[f]}")
+        for i, products in sums.items():
+            # one expression of thousands of terms overflows the compiler's
+            # recursion limit on some CPython versions
+            lines += [f"{out}{i} = {f'{out}{i} + ' if c else ''}{' + '.join(products[c:c + 64])}"
+                      for c in range(0, len(products), 64)]
+        return lines
 
     x, z = [f"x{i}" for i in range(n)], [f"z{i}" for i in range(n)]
-    y = [f"y{i}" if i in moving else v for i, v in enumerate(x)]
     xm, zm = [x[i] for i in moving], [z[i] for i in moving]
-
-    def update(step, k):
-        return [f"y{i} = x{i} + {step} * {k}{i}" for i in moving]
-
     if structure == "loop":
         run = [f"[{', '.join(x)}] = C([{', '.join(x)}], step, count)"]
     else:
+        read = {i for _, f in structure for i in f} if unrolled else set(range(n))
+        staged = [i for i in moving if i in read]
+        y = [f"y{i}" if i in staged else v for i, v in enumerate(x)]
+
+        def update(step, k):
+            return [f"y{i} = x{i} + {step} * {k}{i}" for i in staged]
+
         body = (stage("a", x) + update("half", "a") + stage("b", y) + update("half", "b")
                 + stage("c", y) + update("step", "c") + stage("d", y)
                 + [f"x{i} = x{i} + sixth * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})"
@@ -363,14 +396,13 @@ def _rk4_source(structure, n: int, moving) -> str:
 
     errors = [f"abs({a} - {b}) / max(1.0, abs({a}))" for a, b in zip(xm, zm)]
     error = f"max({', '.join(errors)})" if len(errors) > 1 else "".join(errors) or "0.0"
-    coefficients = structure and structure != "loop"
     return "\n".join([
         "def level(C, X, h, H, fine, coarse, steps, known, tol):",
-        *([f"    {''.join(f'p{j}, ' for j in range(len(structure)))}= C"] if coefficients else []),
+        *([f"    [{', '.join(f'p{j}' for j in range(len(structure)))}] = C"] if unrolled else []),
         "    both = (fine, h, 0.5 * h, h / 6.0), (coarse, H, 0.5 * H, H / 6.0)",
         "    alone = both[0], (0, H, 0.5 * H, H / 6.0)",
         "    states, estimate, resumed = [X], 0.0, len(known) - 1",
-        f"    [{', '.join(x)}] = [{', '.join(z)}] = X",
+        f"    [{', '.join(x)}] = [{', '.join(z)}] = {'[v + 0.0 for v in X]' if unrolled else 'X'}",
         "    for s in range(steps):",
         "        runs = both",
         "        if s < resumed:",
@@ -396,48 +428,52 @@ def _rk4_source(structure, n: int, moving) -> str:
 # fit's family, the oracles) are few; the bound caps what a stream of new
 # structures holds
 @functools.lru_cache(maxsize=64)
-def _kernel(structure, n: int, moving: tuple):
+def _kernel(structure, n: int):
     """level(C, X, h, H, fine, coarse, steps, known, tol): _rk4_source(
-    structure, n, moving) compiled, once per term structure."""
-    return basis._compiled(_rk4_source(structure, n, moving),
+    structure, n) compiled, once per term structure."""
+    return basis._compiled(_rk4_source(structure, n),
                            f"<RK4 substeps of a dim-{n} ODE>", "level",
                            isfinite=math.isfinite, nan=math.nan)
 
 
-def _term_advance(rhs, n: int, moving):
+def _term_advance(rhs, n: int):
     """level(X, h, H, fine, coarse, steps, known, tol): one level of RK4
-    runs of dX/dt = rhs, a term list or a callable, on a state of n floats,
-    moving the entries in moving (_rk4_source): the cached kernel (_kernel)
-    of the terms' structure bound to their coefficients, or that of a
-    callable bound to it.  It serves the oracle's trajectories (X the
-    state) and derivations (X the compact state of _pruned_flow), where it
-    gives the numpy loop's bytes."""
+    runs of dX/dt = rhs, a term list or a callable, on a state of n floats
+    (_rk4_source): the cached kernel (_kernel) of the terms' structure
+    bound to their coefficients, moving the entries the terms target, or
+    that of a callable bound to it, moving every entry.  It serves the
+    oracle's trajectories (X the state) and derivations (X the compact
+    state of _pruned_flow), where it gives the numpy loop's bytes."""
     if callable(rhs):
-        return functools.partial(_kernel(None, n, tuple(moving)), _on_lists(rhs))
-    return functools.partial(_kernel(tuple((t, f) for t, _, f in rhs), n, tuple(moving)),
+        return functools.partial(_kernel(None, n), _on_lists(rhs))
+    return functools.partial(_kernel(tuple((t, f) for t, _, f in rhs), n),
                              [c for _, c, _ in rhs])
 
 
 def _statements(plan: tuple) -> int:
     """S, the newlines of the level _rk4_source generates for plan (terms,
     moving, kept), one fewer than its lines, counted without generating it:
-    an RK4 body of 4 stages of one line per moving weight, product and
-    term, 3 updates and the final combination of one line per moving
-    weight (or one pass if nothing moves), 22 lines around it and, with
-    terms, the unpacking of the coefficients."""
+    an RK4 body of 4 stages of one line per product and per 64 terms of
+    each moving weight, 3 updates of one line per moving weight that a term
+    reads and the final combination of one line per moving weight (or one
+    pass if nothing moves), and 23 lines around it, the unpacking of the
+    coefficients among them."""
     terms, moving, kept = plan
     products, _ = basis._products([f"x{i}" for i in range(len(kept))], [f for _, _, f in terms])
-    return (4 * (2 * len(moving) + len(products) + len(terms)) or 1) + 21 + bool(terms)
+    sums = sum(-(-c // 64) for c in collections.Counter(t for t, _, _ in terms).values())
+    read = {i for _, _, f in terms for i in f}
+    return (4 * (len(products) + sums) + 3 * len(read.intersection(moving)) + len(moving)
+            or 1) + 22
 
 
 # the most statements (_statements) a derivation's kernel may have; larger
-# plans run on the numpy loop.  A kernel substep costs 18-35 ns per
-# statement of its RK4 body and a numpy loop substep 15-40 us, so the two
-# cross at about 1000 statements on dense random flows of order 2 and 3
-# (2 vCPUs, Python 3.11, numpy 2.4; CHANGES.md); the 22 lines around the
-# body run at most twice per step.  The built-in flows and ring elements
-# have 46-342
-_KERNEL_STATEMENTS = 1000
+# plans run on the numpy loop.  A kernel substep costs 25-60 ns per
+# statement of its RK4 body, a line of a sum holding up to 64 terms, and a
+# numpy loop substep 15-35 us, so the two cross at about 650 statements on
+# random flows of 2 to 4 variables and orders 2 and 3 (2 vCPUs, Python
+# 3.11, numpy 2.4; CHANGES.md); the 23 lines around the body run at most
+# twice per step.  The built-in flows and ring elements have 32-218
+_KERNEL_STATEMENTS = 650
 
 
 # the relative error the default reference_trajectory resolves its steps to
@@ -506,7 +542,9 @@ def _reference(ode, X0, dt: float, steps: int, substeps: int | None = None):
     (_run).  A PolynomialODE runs on its terms' cached kernel, a Lifted
     system on its ODE's from the checked lift of X0 (_lifted_start), its
     estimate taken over the lifted state; a callable runs one call per
-    stage."""
+    stage.  On a kernel an entry with no terms is held at its start (+0.0
+    for a -0.0, _rk4_source) and enters neither the finite check nor the
+    estimate, to which it added an error of exactly 0."""
     X = np.asarray(X0, dtype=float)
     if X.ndim != 1:
         raise ValueError(f"X0 must be a vector, got shape {X.shape}")
@@ -522,7 +560,7 @@ def _reference(ode, X0, dt: float, steps: int, substeps: int | None = None):
     if isinstance(ode, PolynomialODE) and Z.shape != (ode.dim,):
         raise ValueError(f"X0 has shape {X.shape}, ODE has dim {ode.dim}")
     rhs = basis._flow_terms(ode, 0) if isinstance(ode, PolynomialODE) else ode
-    level = _term_advance(rhs, Z.size, range(Z.size))
+    level = _term_advance(rhs, Z.size)
 
     def diverged(Y, s, _):
         return FlowDivergenceError(

@@ -359,8 +359,8 @@ def _engine_runs(monkeypatch):
 
 def test_the_engine_is_chosen_by_the_plans_size_alone(monkeypatch):
     # every built-in system and ring element, at a few substeps and under
-    # the default (S 29 to 325), runs on the float kernel; a dense flow of
-    # 2961 statements, above the cap, runs on the numpy loop with the
+    # the default (S 32 to 218), runs on the float kernel; a dense flow of
+    # 1058 statements, above the cap, runs on the numpy loop with the
     # textbook loop's bytes
     runs = _engine_runs(monkeypatch)
     for system, dt in _flow_systems():
@@ -372,7 +372,7 @@ def test_the_engine_is_chosen_by_the_plans_size_alone(monkeypatch):
     assert {name for name, *_ in runs} == {"_term_advance"}
     dense = ode.PolynomialODE(2, 3, tuple(np.full((2, basis.basis_size(2, d)), 0.1)
                                           for d in range(4)))
-    assert ode._statements(ode._pruned_flow(dense, 3)) == 2978 > ode._KERNEL_STATEMENTS
+    assert ode._statements(ode._pruned_flow(dense, 3)) == 1058 > ode._KERNEL_STATEMENTS
     runs.clear()
     cfg = ode.FlowConfig(0.1, substeps=4)
     assert ode.ode_to_map(dense, cfg).stacked.tobytes() == _textbook_end(dense, cfg)
@@ -499,11 +499,11 @@ def test_the_pruned_weights_are_the_full_flows_zeros(index, count, size, read):
         assert not np.signbit(weights[pruned]).any()
     assert kept == sorted(kept) and {i for t, _, f in terms for i in (t, *f)} == set(range(size))
     assert (len(kept), len(kept) - len(moving)) == (size, read)
-    source = ode._rk4_source(tuple((t, f) for t, _, f in terms), len(kept), moving)
+    source = ode._rk4_source(tuple((t, f) for t, _, f in terms), len(kept))
     state, coarse = (f"[{', '.join(f'{v}{i}' for i in range(size))}]" for v in "xz")
     lines = source.splitlines()
-    assert lines[1] == f"    {''.join(f'p{j}, ' for j in range(len(terms)))}= C"
-    assert lines[5] == f"    {state} = {coarse} = X"
+    assert lines[1] == f"    [{', '.join(f'p{j}' for j in range(len(terms)))}] = C"
+    assert lines[5] == f"    {state} = {coarse} = [v + 0.0 for v in X]"
     assert [line for line in lines if "states.append" in line] == [
         f"        states.append({state})"]
     assert ode._statements(plan) == source.count("\n")
@@ -738,14 +738,14 @@ def test_a_non_finite_coarse_run_only_doubles(monkeypatch):
     # substep, after the fine run's 2 x 4
     engine = ode._term_advance
 
-    def nan_at_one_substep(terms, size, moving):
+    def nan_at_one_substep(terms, size):
         flow, calls = basis._term_flow(terms, size), []
 
         def rhs(w):
             calls.append(None)
             return np.full(size, math.nan) if 9 <= len(calls) <= 12 else flow(w)
 
-        return engine(rhs, size, moving)
+        return engine(rhs, size)
 
     lv = systems.lotka_volterra()
     monkeypatch.setattr(ode, "_term_advance", nan_at_one_substep)
@@ -1119,7 +1119,7 @@ def test_term_list_evaluator_is_near_the_stacked_product(data, n, k):
 
 def test_generated_oracle_compiles_rows_of_more_than_5000_terms():
     # a one-expression sum this long overflows the compiler's recursion
-    # limit on some CPython versions; one statement per term does not
+    # limit on some CPython versions; statements of 64 terms do not
     n, k = 2, 100
     rng = np.random.default_rng(5)
     blocks = tuple(rng.uniform(-1.0, 1.0, size=(n, basis.basis_size(n, d))) / (d + 1) ** 2
@@ -1330,14 +1330,14 @@ def _both_runners(f):
     return run(ode._run), run(_per_step_run)
 
 
-def _runs_of(system, X0, steps, substeps):
+def _runs_of(system, X0, steps, substeps, dt=0.05):
     # (trajectory, derivation), each its bytes, substeps and estimate
     def trajectory():
-        states, count, estimate = ode._reference(system, X0, 0.05, steps, substeps)
+        states, count, estimate = ode._reference(system, X0, dt, steps, substeps)
         return states.tobytes(), count, estimate
 
     def derivation():
-        tm, count, estimate = ode._derivation(system, ode.FlowConfig(0.05, substeps))
+        tm, count, estimate = ode._derivation(system, ode.FlowConfig(dt, substeps))
         return tm.stacked.tobytes(), count, estimate
 
     return trajectory, derivation
@@ -1378,3 +1378,180 @@ def test_a_level_that_breaks_after_step_0_resumes_from_its_fine_states(monkeypat
     states, count, estimate = new
     assert count == 4 and estimate <= ode.ORACLE_TOL
     assert ode.reference_trajectory(system, X0, 0.05, 8, 4).tobytes() == states
+
+
+# --- the generated level's float work ---------------------------------------------
+
+
+def _seeded_source(structure, n, moving):
+    # the level as it was generated before its sums lost the 0.0 seed,
+    # kept as the reference: each output starts at 0.0 and adds one
+    # p<j> * m per term, every entry in moving gets the stage states, and
+    # the locals start from X itself
+    def stage(out, state):
+        # dX/dt at the variables named in state, into out<i> for i in moving
+        if structure is None:
+            return [f"[{', '.join(f'{out}{i}' for i in range(n))}] = C([{', '.join(state)}])"]
+        lines, names = basis._products(state, [f for _, f in structure])
+        return ([f"{out}{i} = 0.0" for i in moving] + lines
+                + [f"{out}{o} += p{j} * {names[f]}" for j, (o, f) in enumerate(structure)])
+
+    x, z = [f"x{i}" for i in range(n)], [f"z{i}" for i in range(n)]
+    y = [f"y{i}" if i in moving else v for i, v in enumerate(x)]
+    xm, zm = [x[i] for i in moving], [z[i] for i in moving]
+
+    def update(step, k):
+        return [f"y{i} = x{i} + {step} * {k}{i}" for i in moving]
+
+    if structure == "loop":
+        run = [f"[{', '.join(x)}] = C([{', '.join(x)}], step, count)"]
+    else:
+        body = (stage("a", x) + update("half", "a") + stage("b", y) + update("half", "b")
+                + stage("c", y) + update("step", "c") + stage("d", y)
+                + [f"x{i} = x{i} + sixth * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})"
+                   for i in moving])
+        run = ["for _ in range(count):", *(f"    {line}" for line in body or ["pass"])]
+
+    def finite(names):
+        return " and ".join(f"isfinite({v})" for v in names) or "True"
+
+    errors = [f"abs({a} - {b}) / max(1.0, abs({a}))" for a, b in zip(xm, zm)]
+    error = f"max({', '.join(errors)})" if len(errors) > 1 else "".join(errors) or "0.0"
+    coefficients = structure and structure != "loop"
+    return "\n".join([
+        "def level(C, X, h, H, fine, coarse, steps, known, tol):",
+        *([f"    {''.join(f'p{j}, ' for j in range(len(structure)))}= C"] if coefficients else []),
+        "    both = (fine, h, 0.5 * h, h / 6.0), (coarse, H, 0.5 * H, H / 6.0)",
+        "    alone = both[0], (0, H, 0.5 * H, H / 6.0)",
+        "    states, estimate, resumed = [X], 0.0, len(known) - 1",
+        f"    [{', '.join(x)}] = [{', '.join(z)}] = X",
+        "    for s in range(steps):",
+        "        runs = both",
+        "        if s < resumed:",
+        f"            [{', '.join(z)}] = known[s + 1]",
+        "            runs = alone",
+        "        for count, step, half, sixth in runs:",
+        *(f"            {line}" for line in run),
+        f"            [{', '.join(xm + zm)}] = [{', '.join(zm + xm)}]",
+        f"        if not ({finite(xm)}):",
+        "            return states, s, estimate",
+        f"        states.append([{', '.join(x)}])",
+        "        if coarse:",
+        f"            e = {error} / 15.0 if {finite(zm)} else nan",
+        "            if not e <= tol:",
+        "                return states, s, e",
+        "            estimate = max(estimate, e)",
+        "    return states, steps, estimate",
+    ])
+
+
+def _both_emitters(f, oracle):
+    # f() on the levels of ode._rk4_source, then on those of the seeded
+    # emitter, moving what it moved: the targets of a derivation's terms,
+    # every entry of the oracle's state, of a callable's and of the numpy
+    # loop's; a cap of 64 substeps on both: each its result, or its error's
+    # type, message and layer
+    def seeded(structure, n):
+        every = oracle or structure in (None, "loop")
+        return _seeded_source(structure, n,
+                              range(n) if every else sorted({t for t, _ in structure}))
+
+    def run(emitter):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ode, "_rk4_source", emitter)
+            patch.setattr(ode, "_MAX_SUBSTEPS", 64)
+            ode._kernel.cache_clear()
+            try:
+                return f()
+            except (ode.FlowDivergenceError, ValueError) as err:
+                return type(err), str(err), getattr(err, "layer", None)
+            finally:
+                ode._kernel.cache_clear()
+
+    return run(ode._rk4_source), run(seeded)
+
+
+def _assert_no_negative_zero_after_the_start(result, n):
+    # every state after X is free of -0.0, once the level has started
+    if isinstance(result[0], bytes):
+        states = np.frombuffer(result[0]).reshape(-1, n)[1:]
+        assert not np.signbit(states[states == 0.0]).any()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([0.0, 0.3, 1.0]), st.sampled_from([1.0, 1e3, 1e300]),
+       st.sampled_from([None, 1, 3]), st.integers(0, 6), st.integers(0, 3 ** 4 - 1))
+# a drift x' = y from a start of -0.0 and +0.0: y has no terms, x is read by none
+@example(n=2, order=1, seed=3, density=0.3, scale=1.0, substeps=None, steps=4, zeros=7)
+def test_each_level_keeps_the_seeded_emitters_bytes(n, order, seed, density, scale,
+                                                    substeps, steps, zeros):
+    # random ODEs, all-zero ones, rows without terms and entries no term
+    # reads included, coefficients up to 1e300 (which overflow to inf and
+    # NaN), from starts whose entries are kept, -0.0 or +0.0 (the digits of
+    # zeros in base 3), at counts None, 1 and 3: trajectories and
+    # derivations end with the seeded emitter's states, substeps and
+    # estimate, or raise its error.  With dt < 0 the seeded emitter kept a
+    # start's -0.0 where the entry stayed zero; ode._rk4_source's levels
+    # hold +0.0 there, every other byte being the same
+    system, X0 = _random_ode(n, order, seed, density, scale)
+    X0 = [(x, -0.0, 0.0)[zeros // 3 ** i % 3] for i, x in enumerate(X0)]
+    for dt in (0.05, -0.05):
+        trajectory, derivation = _runs_of(system, X0, steps, substeps, dt)
+        new, old = _both_emitters(derivation, oracle=False)
+        assert new == old
+        new, old = _both_emitters(trajectory, oracle=True)
+        _assert_no_negative_zero_after_the_start(new, n)
+        if dt < 0 and isinstance(new[0], bytes):
+            new, old = (((np.frombuffer(r[0]) + 0.0).tobytes(), *r[1:]) for r in (new, old))
+        assert new == old
+
+
+def _seeded_cases():
+    # (system, X0, dt, steps) of the oracle: the built-ins at the starts
+    # and steps of the default's checks, the lifted damped pendulum, the
+    # ring's elements and the all-zero ODE from starts holding -0.0
+    ring = lattice.build_fodo_ring(substeps=10)
+    zero = ode.PolynomialODE(2, 2, tuple(np.zeros((2, basis.basis_size(2, d)))
+                                         for d in range(3)))
+    return ([case[:4] for case in _DOUBLING_CASES.values()]
+            + [(ring.elements[j].generator, [1e-3, -0.0, 1e-3, -0.0], 1.0, 5)
+               for j in (0, 1, 2, 8)]  # qf, drift, qd, sextupole
+            + [(zero, [-0.0, 0.5], 0.1, 3),
+               (_DOUBLING_CASES["pendulum"][0], [0.2, -0.0], 0.05, 6)])
+
+
+@pytest.mark.parametrize("index", range(12), ids=[
+    *_DOUBLING_CASES, "qf", "drift", "qd", "sextupole", "all-zero", "pendulum-from--0.0"])
+def test_the_oracle_keeps_the_seeded_emitters_bytes(index):
+    # trajectories at counts None, 1 and 3 and, for a polynomial ODE, its
+    # derivation at the default: the seeded emitter's bytes; a start's -0.0
+    # stays in the first state alone
+    system, X0, dt, steps = _seeded_cases()[index]
+    n = len(X0)
+    for substeps in (None, 1, 3):
+        trajectory, derivation = _runs_of(system, X0, steps, substeps, dt)
+        new, old = _both_emitters(trajectory, oracle=True)
+        assert new == old
+        _assert_no_negative_zero_after_the_start(new, n)
+        assert np.frombuffer(new[0])[:n].tobytes() == np.array(X0).tobytes()
+    if isinstance(system, ode.PolynomialODE):
+        new, old = _both_emitters(derivation, oracle=False)
+        assert new == old
+
+
+def test_a_drift_holds_its_momenta_at_their_normalised_start():
+    # x' = px, y' = py: px and py have no terms, so the level moves only
+    # x and y, and x and y are read by no term, so no stage state is formed
+    # for them; from (1e-3, -0.0, 1e-3, -0.0) every later state holds +0.0
+    # momenta
+    drift = lattice.build_fodo_ring(substeps=10).elements[1].generator
+    terms = basis._flow_terms(drift, 0)
+    assert sorted({t for t, _, _ in terms}) == [0, 2]
+    assert {i for _, _, f in terms for i in f} == {1, 3}
+    source = ode._rk4_source(tuple((t, f) for t, _, f in terms), 4)
+    assert "y0" not in source and "y2" not in source and " += " not in source
+    states = ode.reference_trajectory(drift, [1e-3, -0.0, 1e-3, -0.0], 1.0, 3, 2)
+    assert np.signbit(states[0]).tolist() == [False, True, False, True]
+    assert not np.signbit(states[1:]).any()
+    assert states[-1].tolist() == [1e-3, 0.0, 1e-3, 0.0]
