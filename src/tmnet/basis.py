@@ -195,6 +195,15 @@ def _prefix_table(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array([columns[u[:-1]] - first for u in monos]), np.array([u[-1] for u in monos])
 
 
+@lru_cache(maxsize=None)
+def _orderings(n: int, p: int) -> np.ndarray:
+    """The most orderings of a pick of each column of degrees 0..p in n
+    variables (_flow_terms): the product of its multiplicities' factorials."""
+    most = np.array([math.prod(map(math.factorial, map(f.count, set(f)))) for f in _columns(n, p)])
+    most.flags.writeable = False
+    return most
+
+
 def _flow_terms(poly, k: int, live=None) -> list:
     """The terms of P(M(X)) truncated at degree k, the order-k weight flow
     dW/dt of the ODE P, as (target, coefficient, factors) with indices into
@@ -216,7 +225,8 @@ def _flow_terms(poly, k: int, live=None) -> list:
     With a set of weights `live`, a column picks only among its variable's
     live weights, so only the terms whose factors are all live are built,
     in the same order; a column of P whose coefficient times its most
-    orderings overflows keeps every pick, whose terms ode._pruned_flow keeps.
+    orderings (_orderings) overflows keeps every pick, whose terms
+    ode._pruned_flow keeps.
     """
     n, columns = poly.dim, _columns(poly.dim, k)
     monos, N = list(columns), len(columns)
@@ -249,11 +259,11 @@ def _flow_terms(poly, k: int, live=None) -> list:
     narrow = every if live is None else [
         [s for s in range(N) if i * N + s in live] for i in range(n)]
     terms = []
-    for f, P in zip(_columns(n, poly.order), poly.stacked.T.tolist()):
+    for f, most, P in zip(_columns(n, poly.order), _orderings(n, poly.order).tolist(),
+                          poly.stacked.T.tolist()):
         outputs = [(o, c) for o, c in enumerate(P) if c]
         if outputs:
             runs = [(i, f.count(i)) for i in sorted(set(f))]
-            most = math.prod(math.factorial(m) for _, m in runs)
             cols = every if any(math.isinf(c * most) for _, c in outputs) else narrow
             for factors, merged, count in picks(runs, k, cols):
                 t = columns[tuple(sorted(merged))]

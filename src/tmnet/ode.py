@@ -21,12 +21,17 @@ finds the others as a least fixed point, building only the terms whose
 factors can move.  While the weights are finite, every dropped term adds
 an exact +-0.0 to a sum that starts at +0.0, so the pruned terms give the
 full flow's maps byte for byte (Berz, Modern Map Methods in Particle Beam
-Physics, 1999, keeps DA vectors sparse the same way).
+Physics, 1999, keeps DA vectors sparse the same way).  The terms kept
+follow where the coefficients are nonzero, not their values, so this plan
+is cached per nonzero pattern (_plan), with its compiled kernel, and a
+derivation re-reads only its coefficients, each the full flow's product
+c * count.
 
-One generated RK4 (_term_advance) serves states and weights: straight-line
+One generated RK4 (_rk4_source) serves states and weights: straight-line
 Python on locals, unrolled from a term list, that reads the coefficients
 from an argument, so a kernel is compiled once per term structure and
-kept in one bounded cache (_kernel).  One runner (_run) takes trajectories
+kept in a bounded cache: the oracle's in _kernel (_term_advance), a
+derivation's in its plan.  One runner (_run) takes trajectories
 and derivations through the levels of step doubling: unless given a
 count, it runs levels of N and 2N substeps per step from N = 1 until
 max |X_2N - X_N| / 15 / max(1, |X_2N|) is within the caller's tolerance,
@@ -55,7 +60,6 @@ and Rayleigh-Plesset at dt 0.01 to 2 and the pendulum at dt 0.1 to 128.
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 from collections.abc import Callable
@@ -160,15 +164,13 @@ def _start(n: int, k: int) -> np.ndarray:
     return identity_map(n, k).stacked.ravel()
 
 
-def _pruned_flow(ode: PolynomialODE, k: int) -> tuple[list, list, list]:
-    """(terms, moving, kept): the terms of basis._flow_terms(ode, k) that
-    can move a weight from the start W_1 = I, on the compact state
-    derivations run.
+def _pruned_flow(ode: PolynomialODE, k: int) -> tuple[list, list]:
+    """(terms, kept): the terms of basis._flow_terms(ode, k) that can move a
+    weight from the start W_1 = I, on the compact state derivations run.
 
     kept is the sorted weights (indices into the ravel) that those terms
-    move or read, terms are re-indexed into kept, and moving is the sorted
-    positions in kept of the weights they move.  The weights that can move
-    are a least fixed point: starting from the nonzero entries of
+    move or read, and terms are re-indexed into kept.  The weights that
+    can move are a least fixed point: starting from the nonzero entries of
     identity_map(n, k), the live weights grow by the targets of the terms
     whose factors are all live, or whose coefficient overflowed to inf,
     until they no longer grow; each round builds only those terms
@@ -177,7 +179,7 @@ def _pruned_flow(ode: PolynomialODE, k: int) -> tuple[list, list, list]:
     that starts at +0.0, which under round-to-nearest never changes the
     sum; dropping those terms keeps the bytes of the full flow.  A weight
     outside kept keeps its start, 1.0 or +0.0, and one in kept that no term
-    moves is read at its start.
+    moves is read at its start.  Derivations build it once per key (_plan).
     """
     live = set(np.flatnonzero(_start(ode.dim, k)).tolist())
     while True:
@@ -189,8 +191,52 @@ def _pruned_flow(ode: PolynomialODE, k: int) -> tuple[list, list, list]:
         live |= moved
     kept = sorted({t for t, _, _ in terms}.union(*(f for _, _, f in terms)))
     at = {w: i for i, w in enumerate(kept)}
-    return ([(at[t], c, tuple(at[i] for i in f)) for t, c, f in terms],
-            sorted({at[t] for t, _, _ in terms}), kept)
+    return [(at[t], c, tuple(at[i] for i in f)) for t, c, f in terms], kept
+
+
+def _plan(ode: PolynomialODE, k: int) -> tuple:
+    """(structure, kept, index, counts, kernel): ode's order-k pruned flow
+    (_pruned_flow) as (target, factors) on the compact state of the weights
+    kept, each term's entry of ode.stacked and orderings count, whose
+    product c * count is its coefficient as basis._flow_terms forms it, and
+    the structure's level (_rk4_source) compiled if it has at most
+    _KERNEL_STATEMENTS newlines, else None (the numpy loop runs it).
+    Cached by (dim, order, k, where ode.stacked is nonzero, -0.0 being zero
+    as for _flow_terms' `if c`, and by value the entries that overflow
+    times their column's most orderings, since their columns keep every
+    pick and pruning keeps their inf terms)."""
+    with np.errstate(over="ignore"):
+        over = np.flatnonzero(np.isinf(ode.stacked * basis._orderings(ode.dim, ode.order)))
+    return _structure_plan(ode.dim, ode.order, k, (ode.stacked != 0).tobytes(),
+                           tuple(zip(over.tolist(), ode.stacked.take(over).tolist())))
+
+
+# plans kept at once, _kernel's bound: each holds at most one compiled
+# level, so the two caches hold at most 128 compiled levels
+@functools.lru_cache(maxsize=64)
+def _structure_plan(n: int, p: int, k: int, mask: bytes, overflow: tuple) -> tuple:
+    """_plan of a key, built on its pattern, 1.0 where mask is set and the
+    overflowing entries at their values, whose pruned flow keeps the terms
+    of every ODE of the key.  A term's entry is its row and the column of
+    its factors' variables (maps._composition); its count, the column's
+    most orderings (basis._orderings) over the factorials of its repeated
+    weights.  The level's source is generated once, to count its newlines
+    and to compile it."""
+    stacked = np.frombuffer(mask, dtype=bool).reshape(n, -1).astype(float)
+    stacked.put([i for i, _ in overflow], [c for _, c in overflow])
+    terms, kept = _pruned_flow(PolynomialODE(n, p, tuple(
+        stacked[:, s] for s in basis._stacked_exponents(n, p)[1])), k)
+    structure = tuple((t, f) for t, _, f in terms)
+    N, columns = len(basis._columns(n, k)), basis._columns(n, p)
+    most = basis._orderings(n, p).tolist()
+    row = [w // N for w in kept]  # the variable of each compact weight
+    column = [columns[tuple(row[w] for w in f)] for _, f in structure]
+    index = [row[t] * len(columns) + c for (t, _), c in zip(structure, column)]
+    counts = tuple(most[c] // math.prod(math.factorial(f.count(w)) for w in set(f))
+                   for (_, f), c in zip(structure, column))
+    source = _rk4_source(structure, len(kept))
+    return (structure, np.array(kept, dtype=np.intp), np.array(index, dtype=np.intp), counts,
+            _level(source, len(kept)) if source.count("\n") <= _KERNEL_STATEMENTS else None)
 
 
 def _weight_flow(ode: PolynomialODE, k: int):
@@ -233,17 +279,20 @@ def _derivation(ode: PolynomialODE, cfg: FlowConfig) -> tuple:
     The derivation is a one-step trajectory of the compact state of the
     pruned flow (_pruned_flow), gathered from the identity start and run by
     the oracle's runner (_run), under the default to MAP_TOL; the end is
-    scattered back into the identity's ravel.  The RK4 engine is the generated float kernel
-    (_term_advance) if the kernel has at most _KERNEL_STATEMENTS statements
-    (_statements), else the numpy loop (_loop_advance); both give the same
-    bytes.  A run that ends non-finite is replayed from the start as one
-    level of fine steps of one substep each, which stops at its first
-    non-finite substep, to raise that substep's error with the norm of the
-    full ravel before it.
+    scattered back into the identity's ravel.  The pruned terms are the
+    plan cached for ode's nonzero pattern (_plan) with ode's coefficients,
+    those of its own pruned flow byte for byte.  The RK4 engine is the
+    plan's compiled float kernel bound to the coefficients if it has at
+    most _KERNEL_STATEMENTS statements, else the numpy loop (_loop_advance);
+    both give the same bytes.  A run that ends non-finite is replayed from
+    the start as one level of fine steps of one substep each, which stops
+    at its first non-finite substep, to raise that substep's error with the
+    norm of the full ravel before it.
     """
-    terms, _, kept = plan = _pruned_flow(ode, ode.order)
-    level = (_term_advance(terms, len(kept))
-             if _statements(plan) <= _KERNEL_STATEMENTS else _loop_advance(terms, len(kept)))
+    structure, kept, index, counts, kernel = _plan(ode, ode.order)
+    coeffs = [c * count for c, count in zip(ode.stacked.take(index).tolist(), counts)]
+    level = (functools.partial(kernel, coeffs) if kernel else _loop_advance(
+        [(t, c, f) for (t, f), c in zip(structure, coeffs)], len(kept)))
     start = _start(ode.dim, ode.order)
 
     def ravel(X):
@@ -424,15 +473,20 @@ def _rk4_source(structure, n: int) -> str:
 
 
 # compiled kernels kept at once: a kernel serves every ODE of its term
-# structure, and the ones at hand (a ring's element kinds, the members of a
-# fit's family, the oracles) are few; the bound caps what a stream of new
-# structures holds
+# structure, and the ones at hand (the oracles' systems, the numpy loop's
+# state sizes) are few; the bound caps what a stream of new structures
+# holds, as _structure_plan's does for the derivations' kernels
 @functools.lru_cache(maxsize=64)
 def _kernel(structure, n: int):
     """level(C, X, h, H, fine, coarse, steps, known, tol): _rk4_source(
     structure, n) compiled, once per term structure."""
-    return basis._compiled(_rk4_source(structure, n),
-                           f"<RK4 substeps of a dim-{n} ODE>", "level",
+    return _level(_rk4_source(structure, n), n)
+
+
+def _level(source: str, n: int):
+    """The level function of a generated source (_rk4_source) on a state of
+    n floats, compiled."""
+    return basis._compiled(source, f"<RK4 substeps of a dim-{n} ODE>", "level",
                            isfinite=math.isfinite, nan=math.nan)
 
 
@@ -441,38 +495,23 @@ def _term_advance(rhs, n: int):
     runs of dX/dt = rhs, a term list or a callable, on a state of n floats
     (_rk4_source): the cached kernel (_kernel) of the terms' structure
     bound to their coefficients, moving the entries the terms target, or
-    that of a callable bound to it, moving every entry.  It serves the
-    oracle's trajectories (X the state) and derivations (X the compact
-    state of _pruned_flow), where it gives the numpy loop's bytes."""
+    that of a callable bound to it, moving every entry: the oracle's
+    trajectories (X the state).  A derivation binds its plan's kernel
+    (_plan) itself."""
     if callable(rhs):
         return functools.partial(_kernel(None, n), _on_lists(rhs))
     return functools.partial(_kernel(tuple((t, f) for t, _, f in rhs), n),
                              [c for _, c, _ in rhs])
 
 
-def _statements(plan: tuple) -> int:
-    """S, the newlines of the level _rk4_source generates for plan (terms,
-    moving, kept), one fewer than its lines, counted without generating it:
-    an RK4 body of 4 stages of one line per product and per 64 terms of
-    each moving weight, 3 updates of one line per moving weight that a term
-    reads and the final combination of one line per moving weight (or one
-    pass if nothing moves), and 23 lines around it, the unpacking of the
-    coefficients among them."""
-    terms, moving, kept = plan
-    products, _ = basis._products([f"x{i}" for i in range(len(kept))], [f for _, _, f in terms])
-    sums = sum(-(-c // 64) for c in collections.Counter(t for t, _, _ in terms).values())
-    read = {i for _, _, f in terms for i in f}
-    return (4 * (len(products) + sums) + 3 * len(read.intersection(moving)) + len(moving)
-            or 1) + 22
-
-
-# the most statements (_statements) a derivation's kernel may have; larger
-# plans run on the numpy loop.  A kernel substep costs 25-60 ns per
-# statement of its RK4 body, a line of a sum holding up to 64 terms, and a
-# numpy loop substep 15-35 us, so the two cross at about 650 statements on
-# random flows of 2 to 4 variables and orders 2 and 3 (2 vCPUs, Python
-# 3.11, numpy 2.4; CHANGES.md); the 23 lines around the body run at most
-# twice per step.  The built-in flows and ring elements have 32-218
+# the most statements a derivation's kernel may have, the newlines of its
+# generated level, read when its plan is built (_plan); larger plans run on
+# the numpy loop.  A kernel substep costs 25-60 ns per statement of its RK4
+# body, a line of a sum holding up to 64 terms, and a numpy loop substep
+# 15-35 us, so the two cross at about 650 statements on random flows of 2
+# to 4 variables and orders 2 and 3 (2 vCPUs, Python 3.11, numpy 2.4;
+# CHANGES.md); the 23 lines around the body run at most twice per step.
+# The built-in flows and ring elements have 32-218
 _KERNEL_STATEMENTS = 650
 
 

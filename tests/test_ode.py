@@ -273,15 +273,18 @@ def test_derived_map_is_byte_equal_to_a_textbook_weight_flow(index):
 def _both_derivations(system, cfg):
     # the derivation on the numpy loop and on the compiled float kernel,
     # whatever the size rule would pick (a cap below every plan, then above
-    # every plan): the end weights' bytes, or the divergence error's
-    # message and substep
+    # every plan, each on plans built under it): the end weights' bytes, or
+    # the divergence error's message and substep
     def run(cap):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ode, "_KERNEL_STATEMENTS", cap)
+            ode._structure_plan.cache_clear()
             try:
                 return ode.ode_to_map(system, cfg).stacked.tobytes()
             except ode.FlowDivergenceError as err:
                 return str(err), err.layer
+            finally:
+                ode._structure_plan.cache_clear()
 
     return run(-1), run(math.inf)
 
@@ -340,20 +343,32 @@ def test_the_float_kernel_derives_random_odes_with_the_numpy_loops_bytes(data, n
 
 def _engine_runs(monkeypatch):
     # (engine, state size, fine substeps per step, the step it stopped at)
-    # of every level of either RK4 engine from here on
+    # of every level from here on: the oracle's (_term_advance), and a
+    # derivation's on its plan's compiled kernel ("kernel") or on the numpy
+    # loop (_loop_advance)
     runs = []
+
+    def recorded(name, level):
+        def run(*args):
+            states, stop, estimate = level(*args)
+            X, _, _, fine = args[-8:-4]  # a kernel's coefficients come first
+            runs.append((name, len(X), fine, stop))
+            return states, stop, estimate
+
+        return run
+
     for name in ("_term_advance", "_loop_advance"):
-        def recording(rhs, size, *args, name=name, make=getattr(ode, name)):
-            level = make(rhs, size, *args)
-
-            def run(X, h, H, fine, *rest):
-                states, stop, estimate = level(X, h, H, fine, *rest)
-                runs.append((name, len(X), fine, stop))
-                return states, stop, estimate
-
-            return run
+        def recording(rhs, size, name=name, make=getattr(ode, name)):
+            return recorded(name, make(rhs, size))
 
         monkeypatch.setattr(ode, name, recording)
+    plan = ode._plan
+
+    def recording_plan(system, k):
+        *head, kernel = plan(system, k)
+        return (*head, kernel and recorded("kernel", kernel))
+
+    monkeypatch.setattr(ode, "_plan", recording_plan)
     return runs
 
 
@@ -369,10 +384,12 @@ def test_the_engine_is_chosen_by_the_plans_size_alone(monkeypatch):
     ring = lattice.build_fodo_ring(substeps=200)
     for j in (0, 1, 2, 8):
         lattice.perturb_element(ring, j, 0.8)
-    assert {name for name, *_ in runs} == {"_term_advance"}
+    assert {name for name, *_ in runs} == {"kernel"}
     dense = ode.PolynomialODE(2, 3, tuple(np.full((2, basis.basis_size(2, d)), 0.1)
                                           for d in range(4)))
-    assert ode._statements(ode._pruned_flow(dense, 3)) == 1058 > ode._KERNEL_STATEMENTS
+    structure, kept, *_, kernel = ode._plan(dense, 3)
+    assert kernel is None
+    assert ode._rk4_source(structure, len(kept)).count("\n") == 1058 > ode._KERNEL_STATEMENTS
     runs.clear()
     cfg = ode.FlowConfig(0.1, substeps=4)
     assert ode.ode_to_map(dense, cfg).stacked.tobytes() == _textbook_end(dense, cfg)
@@ -386,6 +403,7 @@ def test_a_family_compiles_one_kernel_per_term_structure(monkeypatch):
     # has the bytes of the textbook loop on its full flow
     ring = lattice.build_fodo_ring(substeps=20)
     ode._kernel.cache_clear()
+    ode._structure_plan.cache_clear()
     names, compiled = [], basis._compiled
 
     def counting(source, name, *args, **kwargs):
@@ -423,8 +441,12 @@ def test_a_float32_dt_derives_the_float64_dts_bytes():
 
 
 def test_a_derivation_builds_its_terms_once(monkeypatch):
-    # the pruned plan goes to every run: one at 10, 150 and 1000 substeps,
-    # and every level of the default
+    # the pruned plan goes to every run, and it is built at most once per
+    # key: the pendulum builds its plan once for runs at 10, 150 and 1000
+    # substeps and every level of the default; the ring builds one for qf,
+    # the drift and the sextupole each, qd reusing qf's, and so does qf
+    # scaled by 0.8; a new pattern, Lotka-Volterra's, builds one
+    ode._structure_plan.cache_clear()
     calls, pruned_flow = [], ode._pruned_flow
 
     def counting(system, k):
@@ -434,8 +456,38 @@ def test_a_derivation_builds_its_terms_once(monkeypatch):
     monkeypatch.setattr(ode, "_pruned_flow", counting)
     for substeps in (10, 150, 1000, None):
         ode.ode_to_map(systems.pendulum(), ode.FlowConfig(0.1, substeps=substeps))
-        assert calls == [3]
-        calls.clear()
+    assert calls == [3]
+    ring = lattice.build_fodo_ring(substeps=20)
+    assert calls == [3, 2, 2, 2]
+    lattice.perturb_element(ring, 0, 0.8)
+    lattice.perturb_element(ring, 2, 0.8)
+    ode.ode_to_map(systems.pendulum(), ode.FlowConfig(0.1, substeps=10))
+    assert calls == [3, 2, 2, 2]
+    ode.ode_to_map(systems.lotka_volterra(), ode.FlowConfig(0.01))
+    assert calls == [3, 2, 2, 2, 2]
+
+
+def test_the_plan_cache_keeps_at_most_its_bound():
+    # a stream of more distinct nonzero patterns than the bound keeps
+    # exactly the bound; the first pattern, evicted, is built again and
+    # derives the same bytes, those of the textbook loop on its full flow
+    bound = ode._structure_plan.cache_info().maxsize
+    assert bound == ode._kernel.cache_info().maxsize == 64
+
+    def system(bits):
+        # x' = Ax + B x^[2], 0.5 at the entries of the set bits of 12
+        stacked = 0.5 * np.array([bits >> i & 1 for i in range(12)], dtype=float).reshape(2, 6)
+        return ode.PolynomialODE(2, 2, (stacked[:, :1], stacked[:, 1:3], stacked[:, 3:]))
+
+    cfg = ode.FlowConfig(0.1, substeps=4)
+    first = ode.ode_to_map(system(1), cfg).stacked.tobytes()
+    for bits in range(2, bound + 8):
+        ode.ode_to_map(system(bits), cfg)
+    assert ode._structure_plan.cache_info().currsize == bound
+    misses = ode._structure_plan.cache_info().misses
+    assert ode.ode_to_map(system(1), cfg).stacked.tobytes() == first == _textbook_end(
+        system(1), cfg)
+    assert ode._structure_plan.cache_info().misses == misses + 1
 
 
 def test_pruning_builds_only_the_terms_of_live_weights(monkeypatch):
@@ -450,7 +502,7 @@ def test_pruning_builds_only_the_terms_of_live_weights(monkeypatch):
         return terms
 
     monkeypatch.setattr(basis, "_flow_terms", counting)
-    terms, _, _ = ode._pruned_flow(rp, rp.order)
+    terms, _ = ode._pruned_flow(rp, rp.order)
     assert len(terms) == 25 and built == [9, 22, 25, 25]
 
 
@@ -483,11 +535,13 @@ def test_the_pruned_weights_are_the_full_flows_zeros(index, count, size, read):
     # the kernel unpacks its coefficients, then unpacks (as the fine and
     # the coarse state) and keeps as each step's state exactly the size
     # weights that the kept terms move or read, in ravel order, of which
-    # they only read `read`; the size rule counts the statements the kernel
-    # is generated with
+    # they only read `read`; the plan cached for the system's key has these
+    # terms and kept weights, and the compiled kernel of this source, which
+    # is within the size rule's cap
     system, dt = _flow_systems()[index]
     n, k = system.dim, system.order
-    plan = terms, moving, kept = ode._pruned_flow(system, k)
+    terms, kept = ode._pruned_flow(system, k)
+    moving = sorted({t for t, _, _ in terms})
     start = maps.identity_map(n, k).stacked.ravel()
     pruned = sorted(set(range(start.size)) - {kept[i] for i in moving}
                     - set(np.flatnonzero(start).tolist()))
@@ -506,7 +560,10 @@ def test_the_pruned_weights_are_the_full_flows_zeros(index, count, size, read):
     assert lines[5] == f"    {state} = {coarse} = [v + 0.0 for v in X]"
     assert [line for line in lines if "states.append" in line] == [
         f"        states.append({state})"]
-    assert ode._statements(plan) == source.count("\n")
+    structure, plan_kept, _, _, kernel = ode._plan(system, k)
+    assert structure == tuple((t, f) for t, _, f in terms) and plan_kept.tolist() == kept
+    assert kernel.__code__.co_filename == f"<RK4 substeps of a dim-{size} ODE>"
+    assert source.count("\n") <= ode._KERNEL_STATEMENTS
 
 
 def test_the_rings_elements_run_on_46_of_their_240_weights(monkeypatch):
@@ -514,7 +571,7 @@ def test_the_rings_elements_run_on_46_of_their_240_weights(monkeypatch):
     # element, for the four elements' 60 weights each
     runs = _engine_runs(monkeypatch)
     lattice.build_fodo_ring(substeps=10)
-    assert runs == [("_term_advance", size, 10, 1) for size in (8, 8, 4, 26)]
+    assert runs == [("kernel", size, 10, 1) for size in (8, 8, 4, 26)]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -548,6 +605,78 @@ def test_derived_maps_keep_the_bytes_of_the_full_flow(n, order, seed, density, c
         got = str(err), err.layer
     assert got == want
     assert _both_derivations(system, cfg) == (want, want)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([0.3, 0.6]), st.sampled_from([1.0, 1e3, 1e300, 1e308]))
+def test_a_cached_plan_derives_each_ode_of_its_key_as_a_fresh_plan(n, order, seed, density,
+                                                                   scale):
+    # three sparse ODEs of one nonzero pattern, with -0.0 among their zeros
+    # and coefficients up to scale (1e300 overflows the flow, 1e308 a term's
+    # coefficient too, which keys the plan by value), then one of
+    # another pattern and the first again, each at 4 substeps and under the
+    # default: the plan of each holds its own pruned flow's terms, each
+    # coefficient its entry times its count, and the derivation on the
+    # cached plan ends with the bytes, count and estimate of one on a fresh
+    # plan, or raises its error; an explicit count, or the default's
+    # resolved one, ends with the textbook loop's bytes on the full flow
+    rng = np.random.default_rng(seed)
+    shapes = [(n, basis.basis_size(n, d)) for d in range(order + 1)]
+
+    def member(masks):
+        return ode.PolynomialODE(n, order, tuple(scale * rng.uniform(-1.0, 1.0, m.shape) * m
+                                                 for m in masks))
+
+    masks, other = ([rng.random(shape) < density for shape in shapes] for _ in range(2))
+    first = member(masks)
+    sequence = [first, member(masks), member(masks), member(other), first]
+
+    def outcome(system, cfg):
+        try:
+            tm, count, estimate = ode._derivation(system, cfg)
+            return tm.stacked.tobytes(), count, estimate
+        except (ode.FlowDivergenceError, ValueError) as err:
+            return type(err), str(err), getattr(err, "layer", None)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ode, "_MAX_SUBSTEPS", 64)
+        for system in sequence:
+            terms, kept = ode._pruned_flow(system, order)
+            structure, plan_kept, index, counts, *_ = ode._plan(system, order)
+            assert structure == tuple((t, f) for t, _, f in terms) and plan_kept.tolist() == kept
+            assert np.array([c * count for c, count in zip(system.stacked.take(index).tolist(),
+                                                           counts)]).tobytes() == np.array(
+                [c for _, c, _ in terms]).tobytes()
+            for cfg in (ode.FlowConfig(0.05, 4), ode.FlowConfig(0.05)):
+                got = outcome(system, cfg)
+                with pytest.MonkeyPatch.context() as fresh:
+                    fresh.setattr(ode, "_structure_plan", ode._structure_plan.__wrapped__)
+                    assert outcome(system, cfg) == got
+                if isinstance(got[0], bytes):
+                    assert got[0] == _textbook_end(system, ode.FlowConfig(0.05, got[1]))
+                elif cfg.substeps:
+                    assert got[1:] == _textbook_end(system, cfg)
+
+
+def test_an_overflowing_coefficient_keys_its_own_plan():
+    # x' = x^8 and x' = 2.5e307 x^8 at k = 8 have one nonzero pattern, but
+    # the second's coefficient overflows with its orderings, so its column
+    # keeps every pick: derived after the first, it still diverges at
+    # substep 1 as its full flow does, on a plan of its own, where a key of
+    # the pattern alone would reuse the first's one-term finite plan
+    def system(c):
+        return ode.PolynomialODE(1, 8, tuple(np.full((1, 1), c * (d == 8)) for d in range(9)))
+
+    unit, huge = system(1.0), system(2.5e307)
+    cfg = ode.FlowConfig(0.1, substeps=5)
+    assert ode.ode_to_map(unit, cfg).stacked.tobytes() == _textbook_end(unit, cfg)
+    want = _textbook_end(huge, cfg)
+    assert want[1] == 1
+    with pytest.raises(ode.FlowDivergenceError) as err:
+        ode.ode_to_map(huge, cfg)
+    assert (str(err.value), err.value.layer) == want
+    assert len(ode._plan(huge, 8)[0]) > len(ode._plan(unit, 8)[0]) == 1
 
 
 def test_a_coefficient_that_overflows_keeps_its_term():
@@ -733,22 +862,28 @@ def test_default_divergence_is_the_error_of_its_fine_run():
 def test_a_non_finite_coarse_run_only_doubles(monkeypatch):
     # Lotka-Volterra at dt 0.01 stops at 2 substeps unless its 1-substep
     # run, here made NaN, leaves the first level's estimate undefined: then
-    # it stops at 4, with the bytes of 4 substeps.  The engine runs the
-    # flow's terms as a callable, whose stages 9-12 are that run's one
+    # it stops at 4, with the bytes of 4 substeps.  The plan's kernel runs
+    # the flow's terms as a callable, whose stages 9-12 are that run's one
     # substep, after the fine run's 2 x 4
-    engine = ode._term_advance
+    plan = ode._plan
 
-    def nan_at_one_substep(terms, size):
-        flow, calls = basis._term_flow(terms, size), []
+    def nan_at_one_substep(system, k):
+        *head, _ = plan(system, k)
+        structure, size, calls = head[0], len(head[1]), []
 
-        def rhs(w):
-            calls.append(None)
-            return np.full(size, math.nan) if 9 <= len(calls) <= 12 else flow(w)
+        def kernel(C, *args):
+            flow = basis._term_flow([(t, c, f) for (t, f), c in zip(structure, C)], size)
 
-        return engine(rhs, size)
+            def rhs(w):
+                calls.append(None)
+                return np.full(size, math.nan) if 9 <= len(calls) <= 12 else flow(w)
+
+            return ode._term_advance(rhs, size)(*args)
+
+        return (*head, kernel)
 
     lv = systems.lotka_volterra()
-    monkeypatch.setattr(ode, "_term_advance", nan_at_one_substep)
+    monkeypatch.setattr(ode, "_plan", nan_at_one_substep)
     tm, substeps, estimate = ode._derivation(lv, ode.FlowConfig(0.01))
     monkeypatch.undo()
     assert substeps == 4 and estimate == _default_estimate(lv, 0.01, 4)
@@ -1249,7 +1384,7 @@ def test_an_empty_state_resolves_to_2_substeps():
     # the shape an explicit count gives
     zero = ode.PolynomialODE(2, 2, tuple(np.zeros((2, basis.basis_size(2, d)))
                                          for d in range(3)))
-    assert ode._pruned_flow(zero, 2) == ([], [], [])
+    assert ode._pruned_flow(zero, 2) == ([], [])
     tm, substeps, estimate = ode._derivation(zero, ode.FlowConfig(0.1))
     assert (substeps, estimate) == (2, 0.0)
     assert tm.stacked.tobytes() == maps.identity_map(2, 2).stacked.tobytes()
@@ -1461,12 +1596,14 @@ def _both_emitters(f, oracle):
             patch.setattr(ode, "_rk4_source", emitter)
             patch.setattr(ode, "_MAX_SUBSTEPS", 64)
             ode._kernel.cache_clear()
+            ode._structure_plan.cache_clear()
             try:
                 return f()
             except (ode.FlowDivergenceError, ValueError) as err:
                 return type(err), str(err), getattr(err, "layer", None)
             finally:
                 ode._kernel.cache_clear()
+                ode._structure_plan.cache_clear()
 
     return run(ode._rk4_source), run(seeded)
 
